@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theorem", action="append",
                    help="restrict to this criterion id (repeatable)")
     s.add_argument("--tol", type=float,
-                   help="override the main residual tolerance of every check")
+                   help="override the main residual tolerance, which only these checks "
+                        "have: " + ", ".join(harness.MAIN_TOLERANCE_CHECKS))
     s.add_argument("--quad-tol", type=float, help="quadrature stopping tolerance")
     s.add_argument("--quad-cap", type=int, help="quadrature node cap")
     s.add_argument("--list", action="store_true", help="list criterion ids and exit")

@@ -64,7 +64,7 @@ class ModelSpaceBasis:
         self._lifted = [
             npoly.polymul(raw, t) for raw, t in zip(raw_nums, tails)
         ]
-        gram = pairing_matrix(funcs, funcs, settings)
+        gram = pairing_matrix(self.values, self.values, settings)
         self.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
         if self.gram_residual > GRAM_TOL:
             raise ArithmeticError(
@@ -81,7 +81,10 @@ class ModelSpaceBasis:
         return f"ModelSpaceBasis(deg={self.dim}, generator={self.generator.to_json()})"
 
     def values(self, m: int) -> np.ndarray:
-        """Factored boundary values of the basis, stacked (m, dim); cached."""
+        """Factored boundary values of the basis, stacked (m, dim); cached, read-only.
+
+        This block is the basis side of every pairing against the basis.
+        """
         got = self._value_cache.get(m)
         if got is None:
             z = quadrature.nodes(m)
@@ -92,6 +95,7 @@ class ModelSpaceBasis:
                 cols.append(np.sqrt(1.0 - abs(a) ** 2) * running / factor_den)
                 running = running * (z - a) / factor_den
             got = np.column_stack(cols)
+            got.flags.writeable = False
             self._value_cache[m] = got
         return got
 
@@ -181,7 +185,7 @@ def project(u: InnerFunction, sym: RationalSymbol,
             settings: QuadratureSettings | None = None) -> SpaceElement:
     """P_u sym: expansion of the symbol against the orthonormal basis of K_u."""
     space = tm_basis(u)
-    coords = pairing_vector(sym, space.functions, settings)
+    coords = pairing_vector(sym, space.values, settings)
     return SpaceElement(space, coords)
 
 
@@ -416,8 +420,13 @@ def conjugation_C(u: InnerFunction, settings: QuadratureSettings | None = None) 
     """
     space = tm_basis(u)
     usym = u.as_symbol()
-    images = [usym * f.hat().flip() for f in space.functions]
-    mat = pairing_matrix(images, space.functions, settings)
+
+    def images(m):
+        # u * J(hat e_k): J hat reflects the grid twice, leaving conj(z) conj(e_k)
+        flipped_hat = np.conj(quadrature.nodes(m))[:, None] * np.conj(space.values(m))
+        return usym.values_at(m)[:, None] * flipped_hat
+
+    mat = pairing_matrix(images, space.values, settings)
     return OperatorMatrix(mat, space, space, antilinear=True)
 
 
@@ -425,8 +434,11 @@ def conjugation_U(u: InnerFunction, settings: QuadratureSettings | None = None) 
     """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u)."""
     space = tm_basis(u)
     target = tm_basis(u.hat())
-    images = [f.hat() for f in space.functions]
-    mat = pairing_matrix(images, target.functions, settings)
+
+    def images(m):
+        return np.conj(space.values(m)[quadrature.reflection(m)])   # hat e_k
+
+    mat = pairing_matrix(images, target.values, settings)
     return OperatorMatrix(mat, space, target, antilinear=True)
 
 
@@ -443,7 +455,7 @@ def conjugation_U_on(u: InnerFunction, settings: QuadratureSettings | None = Non
     cols = []
     for f in space.functions:
         img = f.hat()
-        coords = pairing_vector(img, space.functions, settings)
+        coords = pairing_vector(img, space.values, settings)
         if abs(1.0 - float(np.vdot(coords, coords).real)) > 1e-9:
             raise SymbolNotInClass(
                 "hat image leaves the space; generator is not real symmetric"

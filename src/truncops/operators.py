@@ -7,7 +7,10 @@ unitary involution available over a real symmetric generator.
 
 Matrix entries are pairings of exact rational symbols, so the only numeric
 step is the adaptive circle quadrature.  conj(u) on the circle is realized
-as the rational function 1/u, keeping all symbol algebra exact.
+as the rational function 1/u, keeping all symbol algebra exact.  Pairings
+read boundary values only, so the builders pair whole blocks of basis
+values (symbol times basis, and the flipped basis) rather than making one
+symbol per basis function.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import quadrature
 from .blaschke import ClarkData, ExtendedScalar, InnerFunction, clark_points
 from .errors import NotRealSymmetric, SingularDenominator, SpaceMismatch
 from .modelspace import (
+    ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
     conjugation_C,
@@ -33,13 +38,23 @@ from .quadrature import QuadratureSettings, pairing_matrix
 from .ratfun import RationalSymbol
 
 
+def _images(sym: RationalSymbol, space: ModelSpaceBasis):
+    """The block of values of sym * e_j, one column per basis function e_j."""
+    return lambda m: sym.values_at(m)[:, None] * space.values(m)
+
+
+def _flipped(space: ModelSpaceBasis):
+    """The block of values of J e_i = conj(z) e_i(conj z), one column per basis function."""
+    return lambda m: (np.conj(quadrature.nodes(m))[:, None]
+                      * space.values(m)[quadrature.reflection(m)])
+
+
 @lru_cache(maxsize=512)
 def shift(u: InnerFunction) -> OperatorMatrix:
     """The compressed shift on K_u: f -> P_u(z f)."""
     space = tm_basis(u)
-    z = RationalSymbol.monomial(1)
-    images = [z * f for f in space.functions]
-    return OperatorMatrix(pairing_matrix(images, space.functions), space, space)
+    images = _images(RationalSymbol.monomial(1), space)
+    return OperatorMatrix(pairing_matrix(images, space.values), space, space)
 
 
 def shift_adj(u: InnerFunction) -> OperatorMatrix:
@@ -82,8 +97,7 @@ def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
     """Truncated Toeplitz operator f -> P_v(sym * f) from K_u into K_v."""
     dom = tm_basis(u)
     cod = tm_basis(v)
-    images = [sym * f for f in dom.functions]
-    return OperatorMatrix(pairing_matrix(images, cod.functions, settings), dom, cod)
+    return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.values, settings), dom, cod)
 
 
 def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
@@ -96,9 +110,8 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
     """
     dom = tm_basis(u)
     cod = tm_basis(v)
-    images = [sym * f for f in dom.functions]
-    flipped = [f.flip() for f in cod.functions]
-    return OperatorMatrix(pairing_matrix(images, flipped, settings), dom, cod)
+    return OperatorMatrix(pairing_matrix(_images(sym, dom), _flipped(cod), settings),
+                          dom, cod)
 
 
 def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,

@@ -9,6 +9,11 @@ hard error rather than a silent inaccuracy.
 
 The M-point grid is the even-index subset of the 2M-point grid, so each
 refinement reuses every previously computed value.
+
+A side of a pairing is either a sequence of symbols, stacked column by
+column, or a block: a function of m that returns all of its columns at once
+as one (m, k) array.  ``ModelSpaceBasis.values`` is the block of a basis,
+and operator builders pass the images of a whole basis as one.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ class override:
 
 
 _nodes_cache: dict[int, np.ndarray] = {}
+_reflection_cache: dict[int, np.ndarray] = {}
 
 
 class _Stats:
@@ -92,17 +98,31 @@ def nodes(m: int) -> np.ndarray:
     return got
 
 
-def _value_matrix(symbols, m: int) -> np.ndarray:
-    """Stack boundary values of symbols into an (m, len(symbols)) array."""
-    return np.column_stack([s.values_at(m) for s in symbols])
+def reflection(m: int) -> np.ndarray:
+    """Index of the conjugate of each node of the m-grid: k -> -k mod m."""
+    got = _reflection_cache.get(m)
+    if got is None:
+        got = (-np.arange(m)) % m
+        got.flags.writeable = False
+        _reflection_cache[m] = got
+    return got
+
+
+def _value_matrix(side, m: int) -> np.ndarray:
+    """Boundary values of one pairing side, a block or a sequence of symbols, as (m, k)."""
+    if callable(side):
+        return side(m)
+    return np.column_stack([s.values_at(m) for s in side])
 
 
 def pairing_matrix(fs, gs, settings: QuadratureSettings | None = None) -> np.ndarray:
     """G[i, j] = (1/2pi) \\int fs[j](e^{it}) conj(gs[i](e^{it})) dt.
 
     fs and gs are sequences of objects exposing ``values_at(m)``
-    (RationalSymbol does).  Adaptive: doubles the node count until the whole
-    matrix is stable to ``settings.tol`` in max norm.
+    (RationalSymbol does), or blocks: functions of m returning all their
+    columns as one (m, k) array (``ModelSpaceBasis.values`` is one).
+    Adaptive: doubles the node count until the whole matrix is stable to
+    ``settings.tol`` in max norm.
     """
     s = settings or current()
     m = s.start

@@ -7,6 +7,14 @@ denominator z^N.  Addition, multiplication, hat (coefficient conjugation),
 conjugation on the circle and the flip J are exact coefficient operations;
 only pairings against other symbols are numeric (see quadrature).
 
+Pairings read boundary values on circle grids only, so grid values are the
+working form of a symbol.  Arithmetic, hat, flip and conjugation on the
+circle combine their operands' values and expand coefficients on demand:
+the first read of ``num`` or ``den`` runs the same ``polymul`` sequence the
+operation would have run eagerly, so the coefficients are bit-identical
+either way.  Division is the exception and expands at once, because its new
+denominator must be certified.
+
 Construction from raw coefficients certifies that no denominator root lies
 within 1e-6 of the circle; arithmetic on certified symbols cannot create
 new poles, so intermediate results skip the (cubic-cost) root check.
@@ -40,6 +48,28 @@ def _trim(c: np.ndarray) -> np.ndarray:
     return c[:n]
 
 
+def _is_zero_num(num: np.ndarray) -> bool:
+    return num.size == 1 and num[0] == 0
+
+
+def _canonical(num, den, check_poles: bool):
+    """Trimmed coefficients over a monic denominator, read-only; zero is num = [0], den = [1]."""
+    num = _trim(_as_coeffs(num))
+    den = _trim(_as_coeffs(den))
+    if den.size == 1 and den[0] == 0:
+        raise PoleOnCircle("denominator is identically zero")
+    lead = den[-1]
+    den = den / lead
+    num = num / lead
+    if _is_zero_num(num):
+        den = np.ones(1, dtype=complex)
+    if check_poles:
+        _certify_den(den)
+    num.flags.writeable = False
+    den.flags.writeable = False
+    return num, den
+
+
 class RationalSymbol:
     """A quotient of polynomials in z, pole free on the unit circle.
 
@@ -48,31 +78,59 @@ class RationalSymbol:
     of many factors is evaluated factor by factor rather than through its
     expanded coefficients (whose evaluation loses precision wherever
     denominator roots cluster).  The expanded coefficients remain the source
-    of truth for exact algebra, certificates and serialization.
+    of truth for exact algebra, certificates and serialization; symbols made
+    by arithmetic expand them on the first read of ``num`` or ``den``
+    (``expand`` returns the raw pair, which is then canonicalized as
+    construction would).  Expansion is idempotent and deterministic, so a
+    symbol shared between threads may be forced from any of them.
     """
 
-    __slots__ = ("num", "den", "_vals", "_provider")
+    __slots__ = ("_coeffs", "_expand", "_vals", "_provider")
 
-    def __init__(self, num, den=(1.0,), *, check_poles: bool = True, provider=None):
-        num = _trim(_as_coeffs(num))
-        den = _trim(_as_coeffs(den))
-        if den.size == 1 and den[0] == 0:
-            raise PoleOnCircle("denominator is identically zero")
-        lead = den[-1]
-        den = den / lead
-        num = num / lead
-        if num.size == 1 and num[0] == 0:
-            # canonical zero symbol
-            den = np.ones(1, dtype=complex)
-            provider = None
-        if check_poles:
-            _certify_den(den)
-        num.flags.writeable = False
-        den.flags.writeable = False
-        self.num = num
-        self.den = den
-        self._provider = provider
+    def __init__(self, num=None, den=(1.0,), *, check_poles: bool = True, provider=None,
+                 expand=None):
         self._vals: dict[int, np.ndarray] = {}
+        if expand is not None:
+            # arithmetic result: certified operands cannot create poles
+            self._coeffs = None
+            self._expand = expand
+            self._provider = provider
+            return
+        num, den = _canonical(num, den, check_poles)
+        self._coeffs = (num, den)
+        self._expand = None
+        # the canonical zero evaluates directly to exact zeros
+        self._provider = None if _is_zero_num(num) else provider
+
+    def _expanded(self) -> tuple[np.ndarray, np.ndarray]:
+        coeffs = self._coeffs
+        if coeffs is None:
+            expand = self._expand
+            if expand is None:      # another thread finished expanding meanwhile
+                return self._coeffs
+            coeffs = _canonical(*expand(), check_poles=False)
+            self._coeffs = coeffs
+            self._expand = None     # releases the operands
+        return coeffs
+
+    @property
+    def num(self) -> np.ndarray:
+        return self._expanded()[0]
+
+    @property
+    def den(self) -> np.ndarray:
+        return self._expanded()[1]
+
+    @staticmethod
+    def _derived(operands, provider, expand) -> "RationalSymbol":
+        """The result of an operation, its coefficients expanded on demand.
+
+        An operation on the canonical zero expands at once, so a zero result
+        is recognized and evaluates to exact zeros, as eager expansion did.
+        """
+        if any(o._coeffs is not None and _is_zero_num(o._coeffs[0]) for o in operands):
+            return RationalSymbol(*expand(), check_poles=False, provider=provider)
+        return RationalSymbol(provider=provider, expand=expand)
 
     # -- constructors ------------------------------------------------------
 
@@ -130,15 +188,17 @@ class RationalSymbol:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        num = npoly.polyadd(npoly.polymul(self.num, o.den), npoly.polymul(o.num, self.den))
-        return RationalSymbol(num, npoly.polymul(self.den, o.den), check_poles=False,
-                              provider=lambda m: self.values_at(m) + o.values_at(m))
+        return self._derived(
+            (self, o), lambda m: self.values_at(m) + o.values_at(m),
+            lambda: (npoly.polyadd(npoly.polymul(self.num, o.den),
+                                   npoly.polymul(o.num, self.den)),
+                     npoly.polymul(self.den, o.den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalSymbol(-self.num, self.den, check_poles=False,
-                              provider=lambda m: -self.values_at(m))
+        return self._derived((self,), lambda m: -self.values_at(m),
+                             lambda: (-self.num, self.den))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -153,11 +213,9 @@ class RationalSymbol:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalSymbol(
-            npoly.polymul(self.num, o.num), npoly.polymul(self.den, o.den),
-            check_poles=False,
-            provider=lambda m: self.values_at(m) * o.values_at(m),
-        )
+        return self._derived(
+            (self, o), lambda m: self.values_at(m) * o.values_at(m),
+            lambda: (npoly.polymul(self.num, o.num), npoly.polymul(self.den, o.den)))
 
     __rmul__ = __mul__
 
@@ -165,7 +223,7 @@ class RationalSymbol:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        # the incoming numerator becomes a denominator: re-certify
+        # the incoming numerator becomes a denominator: expand and re-certify now
         return RationalSymbol(npoly.polymul(self.num, o.den), npoly.polymul(self.den, o.num),
                               provider=lambda m: self.values_at(m) / o.values_at(m))
 
@@ -173,14 +231,12 @@ class RationalSymbol:
 
     def _reflected(self, m: int) -> np.ndarray:
         """Values of f(conj z) on the m-grid: the grid is conjugation closed."""
-        vals = self.values_at(m)
-        idx = (-np.arange(m)) % m
-        return vals[idx]
+        return self.values_at(m)[quadrature.reflection(m)]
 
     def hat(self) -> "RationalSymbol":
         """Coefficient conjugation: (hat f)(z) = conj(f(conj(z)))."""
-        return RationalSymbol(np.conj(self.num), np.conj(self.den), check_poles=False,
-                              provider=lambda m: np.conj(self._reflected(m)))
+        return self._derived((self,), lambda m: np.conj(self._reflected(m)),
+                             lambda: (np.conj(self.num), np.conj(self.den)))
 
     def conj_circle(self) -> "RationalSymbol":
         """The function conj(f(z)) restricted to |z| = 1, as a rational function.
@@ -188,34 +244,38 @@ class RationalSymbol:
         conj(f(z)) = hat(f)(1/z) there; poles move to reciprocal-conjugate
         points, never onto the circle.
         """
-        dp = self.num.size - 1
-        dq = self.den.size - 1
-        num = np.conj(self.num)[::-1].copy()
-        den = np.conj(self.den)[::-1].copy()
-        if dq >= dp:
-            num = npoly.polymul(num, _zpow(dq - dp))
-        else:
-            den = npoly.polymul(den, _zpow(dp - dq))
-        return RationalSymbol(num, den, check_poles=False,
-                              provider=lambda m: np.conj(self.values_at(m)))
+        def expand():
+            dp = self.num.size - 1
+            dq = self.den.size - 1
+            num = np.conj(self.num)[::-1].copy()
+            den = np.conj(self.den)[::-1].copy()
+            if dq >= dp:
+                num = npoly.polymul(num, _zpow(dq - dp))
+            else:
+                den = npoly.polymul(den, _zpow(dp - dq))
+            return num, den
+
+        return self._derived((self,), lambda m: np.conj(self.values_at(m)), expand)
 
     def flip(self) -> "RationalSymbol":
         """The flip J: (Jf)(z) = conj(z) f(conj(z)) on the circle, i.e. (1/z) f(1/z).
 
         On Laurent monomials J(z^k) = z^(-k-1).
         """
-        dp = self.num.size - 1
-        dq = self.den.size - 1
-        num = self.num[::-1].copy()
-        den = self.den[::-1].copy()
-        shift = dq - dp - 1
-        if shift >= 0:
-            num = npoly.polymul(num, _zpow(shift))
-        else:
-            den = npoly.polymul(den, _zpow(-shift))
-        return RationalSymbol(
-            num, den, check_poles=False,
-            provider=lambda m: np.conj(quadrature.nodes(m)) * self._reflected(m))
+        def expand():
+            dp = self.num.size - 1
+            dq = self.den.size - 1
+            num = self.num[::-1].copy()
+            den = self.den[::-1].copy()
+            shift = dq - dp - 1
+            if shift >= 0:
+                num = npoly.polymul(num, _zpow(shift))
+            else:
+                den = npoly.polymul(den, _zpow(-shift))
+            return num, den
+
+        return self._derived(
+            (self,), lambda m: np.conj(quadrature.nodes(m)) * self._reflected(m), expand)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -252,14 +312,6 @@ class RationalSymbol:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.num) <= tol))
-
-    @property
-    def num_degree(self) -> int:
-        return self.num.size - 1
-
-    @property
-    def den_degree(self) -> int:
-        return self.den.size - 1
 
     def __repr__(self):
         return f"RationalSymbol(num={list(self.num)}, den={list(self.den)})"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from truncops import CHECKS, ProblemSpec, SuiteConfig, generate_instance, replay, run_suite
+from truncops import classify, harness
 from truncops.blaschke import InnerFunction
 from truncops.cli import main, parse_inner, parse_scalar
 from truncops.errors import InvalidRange
@@ -112,6 +113,26 @@ class TestSuite:
         assert r1.passed == r2.passed
         assert r1.residual == r2.residual
 
+    def test_atho_product_true_fails_when_unitary_factor_not_hankel(self, monkeypatch):
+        # is_tho rejecting the unitary factor fails the trial instead of raising
+        from truncops.modelspace import OperatorMatrix, tm_basis
+
+        def not_hankel(u, rng):
+            space = tm_basis(u)
+            mat = np.arange(1, space.dim**2 + 1, dtype=complex).reshape(space.dim, -1)
+            out = OperatorMatrix(mat, space, space)
+            assert not classify.is_tho(out).is_member
+            return out
+
+        monkeypatch.setattr(harness, "_unitary_hankel", not_hankel)
+        check = CHECKS["atho-product-true"]
+        problem = generate_instance(harness._trial_seed(3, check.id, 0), (2, 3), (1, 3),
+                                    dict(check.constraints, operation=check.id))
+        result = run_trial(check.id, problem)
+        assert not result.passed
+        assert result.details["error"] == "unitary factor not Hankel"
+        assert result.error is None
+
 
 class TestCLI:
     def test_clark_example(self, capsys):
@@ -161,6 +182,19 @@ class TestCLI:
               "--theorem", "kernel-core"])
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    def test_tol_overrides_exactly_the_main_tolerance_checks(self, capsys):
+        main_checks = {"kernel-core", "defect-rank-one", "conjugation-dictionary",
+                       "involution-identities", "rank-one-examples", "quadrature-hygiene"}
+        assert set(harness.MAIN_TOLERANCE_CHECKS) == main_checks
+        assert main(["verify-suite", "--seed", "3", "--trials", "1", "--tol", "1e-300",
+                     "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {c["id"] for c in report["checks"] if c["failures"]} == main_checks
+        with pytest.raises(SystemExit):
+            main(["verify-suite", "--help"])
+        help_text = "".join(capsys.readouterr().out.split())   # undo line wrapping
+        assert all(cid in help_text for cid in main_checks)
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

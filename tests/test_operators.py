@@ -10,6 +10,7 @@ from truncops import (
     clark_perturbation,
     conj_kernel,
     conjugation_C,
+    conjugation_U,
     defects,
     functional_calculus,
     kernel,
@@ -28,6 +29,7 @@ from truncops.blaschke import clark_points
 from truncops.classify import is_tho
 from truncops.errors import NotRealSymmetric, SingularDenominator
 from truncops.modelspace import boundary_kernel_symbol
+from truncops.quadrature import pairing_matrix
 
 
 class TestShift:
@@ -160,6 +162,41 @@ class TestToeplitzHankelBuilders:
         A = tto_matrix(u_generic, u_generic, sym)
         c = conjugation_C(u_generic)
         assert np.max(np.abs((c @ A @ c).matrix - A.adjoint().matrix)) < 1e-10
+
+
+class TestBlockBuilds:
+    """The block builders pair exactly what per-function symbol lists pair."""
+
+    @pytest.fixture
+    def sym(self):
+        return RationalSymbol.from_laurent({-3: 0.5 - 1j, -1: 0.4, 0: 2j, 2: -0.7})
+
+    def test_tto_matches_symbol_list(self, u_generic, v_generic, sym):
+        dom, cod = tm_basis(u_generic), tm_basis(v_generic)
+        want = pairing_matrix([sym * f for f in dom.functions], cod.functions)
+        assert np.array_equal(tto_matrix(u_generic, v_generic, sym).matrix, want)
+
+    def test_tho_matches_symbol_list(self, u_generic, v_generic, sym):
+        dom, cod = tm_basis(u_generic), tm_basis(v_generic)
+        want = pairing_matrix([sym * f for f in dom.functions],
+                              [f.flip() for f in cod.functions])
+        assert np.array_equal(tho_matrix(u_generic, v_generic, sym).matrix, want)
+
+    def test_shift_matches_symbol_list(self, u_generic):
+        space = tm_basis(u_generic)
+        z = RationalSymbol.monomial(1)
+        want = pairing_matrix([z * f for f in space.functions], space.functions)
+        assert np.array_equal(shift(u_generic).matrix, want)
+
+    def test_conjugations_match_symbol_lists(self, u_generic):
+        space = tm_basis(u_generic)
+        usym = u_generic.as_symbol()
+        want = pairing_matrix([usym * f.hat().flip() for f in space.functions],
+                              space.functions)
+        assert np.array_equal(conjugation_C(u_generic).matrix, want)
+        want = pairing_matrix([f.hat() for f in space.functions],
+                              tm_basis(u_generic.hat()).functions)
+        assert np.array_equal(conjugation_U(u_generic).matrix, want)
 
 
 class TestSedlockOp:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from truncops.errors import PoleHit, PoleOnCircle
 from truncops.ratfun import RationalSymbol
@@ -118,3 +119,110 @@ def test_division_recertifies_poles():
     g = RationalSymbol([-1.0, 1.0])   # z - 1 vanishes on the circle
     with pytest.raises(PoleOnCircle):
         f / g
+    with pytest.raises(PoleOnCircle):   # a divisor from arithmetic, not yet expanded
+        f / (g * RationalSymbol.one())
+
+
+# -- deferred coefficient expansion -------------------------------------------
+
+def _eager(num, den):
+    return RationalSymbol(num, den, check_poles=False)
+
+
+def _eager_flip(f):
+    """The flip as an eager coefficient operation."""
+    dp, dq = f.num.size - 1, f.den.size - 1
+    num, den = f.num[::-1].copy(), f.den[::-1].copy()
+    shift = dq - dp - 1
+    if shift >= 0:
+        num = npoly.polymul(num, RationalSymbol.monomial(shift).num)
+    else:
+        den = npoly.polymul(den, RationalSymbol.monomial(-shift).num)
+    return _eager(num, den)
+
+
+def _eager_conj_circle(f):
+    """Conjugation on the circle as an eager coefficient operation."""
+    dp, dq = f.num.size - 1, f.den.size - 1
+    num, den = np.conj(f.num)[::-1].copy(), np.conj(f.den)[::-1].copy()
+    if dq >= dp:
+        num = npoly.polymul(num, RationalSymbol.monomial(dq - dp).num)
+    else:
+        den = npoly.polymul(den, RationalSymbol.monomial(dp - dq).num)
+    return _eager(num, den)
+
+
+@pytest.fixture
+def pair():
+    f = RationalSymbol([1 + 2j, -0.5, 0.25j], [0.3, -0.2j, 1.0])
+    g = RationalSymbol.from_laurent({-2: 1j, 0: 0.5, 1: 2.0 - 1j})
+    return f, g
+
+
+def test_forced_coefficients_match_eager_polymul(pair):
+    f, g = pair
+    mul = npoly.polymul
+    cases = {
+        "+": (f + g, _eager(npoly.polyadd(mul(f.num, g.den), mul(g.num, f.den)),
+                            mul(f.den, g.den))),
+        "-": (f - g, _eager(npoly.polyadd(mul(f.num, g.den), mul(-g.num, f.den)),
+                            mul(f.den, g.den))),
+        "*": (f * g, _eager(mul(f.num, g.num), mul(f.den, g.den))),
+        "hat": (f.hat(), _eager(np.conj(f.num), np.conj(f.den))),
+        "flip": (g.flip(), _eager_flip(g)),
+        "conj_circle": (f.conj_circle(), _eager_conj_circle(f)),
+    }
+    for op, (lazy, eager) in cases.items():
+        assert np.array_equal(lazy.num, eager.num), op
+        assert np.array_equal(lazy.den, eager.den), op
+
+
+def test_arithmetic_defers_polymul(pair, monkeypatch):
+    f, g = pair
+    calls = []
+    real = npoly.polymul
+    monkeypatch.setattr(npoly, "polymul", lambda a, b: calls.append(1) or real(a, b))
+    h = (f * g + f.hat()).flip() - g.conj_circle()
+    vals = h.values_at(64)
+    assert not calls                  # values come from the operands' values
+    assert np.array_equal(vals, h.values_at(64))
+    h.num
+    assert calls                      # the first coefficient read expands
+    n = len(calls)
+    h.den
+    assert len(calls) == n            # once
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_product_with_zero_is_canonical_zero(pair, left):
+    f, g = pair
+    lazy = f * g
+    z = RationalSymbol.zero() * lazy if left else lazy * RationalSymbol.zero()
+    assert list(z.num) == [0] and list(z.den) == [1]
+    assert z.is_zero()
+    # exact zeros down to the sign bit, as direct evaluation of [0] / [1] gives
+    assert z.values_at(32).tobytes() == np.zeros(32, dtype=complex).tobytes()
+
+
+def test_shared_symbol_and_basis_are_thread_safe(pair):
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    from truncops import blaschke_new
+    from truncops.modelspace import ModelSpaceBasis
+
+    f, g = pair
+    shared = (f * g + f.hat()).flip() - g.conj_circle()
+    basis = ModelSpaceBasis(blaschke_new([0.3 + 0.4j, -0.5, 0.2 - 0.6j, 0.7j]))
+    start = Barrier(4)
+
+    def force(_):
+        start.wait()
+        return (shared.num, shared.den, shared.values_at(512), basis.values(2048),
+                basis.functions[2].values_at(4096), basis.combine([1, 2j, 0, -1]).num)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(force, range(4)))
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            assert np.array_equal(a, b)
