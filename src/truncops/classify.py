@@ -30,15 +30,19 @@ from .errors import (
     ZeroAnchor,
 )
 from .modelspace import (
+    ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
     boundary_kernel,
     conj_kernel,
+    conjugation_C,
+    conjugation_U,
     kernel,
     normalized,
     tm_basis,
 )
 from .operators import (
+    clark_perturbation,
     shift,
     shift_adj,
     symmetric_involution,
@@ -137,6 +141,13 @@ class THOMembership:
     rebuild_residual: float | None = None
 
 
+def lstsq_fit(stack: np.ndarray, target: np.ndarray):
+    """Least-squares weights x with stack @ x = target.ravel(), and the
+    max-entry residual of the rebuild (stack @ x) against target."""
+    x, *_ = np.linalg.lstsq(stack, target.ravel(), rcond=None)
+    return x, float(np.max(np.abs((stack @ x).reshape(target.shape) - target)))
+
+
 @lru_cache(maxsize=256)
 def _tho_symbol_stack(u: InnerFunction, v: InnerFunction):
     """Hankel matrices of conj(basis of K_{u hat(v)}), stacked for least squares."""
@@ -164,8 +175,7 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     if not recover:
         return THOMembership(True, None, None, dec.residual_norm)
     wspace, stack = _tho_symbol_stack(u, v)
-    x, *_ = np.linalg.lstsq(stack, B.matrix.ravel(), rcond=None)
-    rres = float(np.max(np.abs((stack @ x).reshape(B.matrix.shape) - B.matrix)))
+    x, rres = lstsq_fit(stack, B.matrix)
     ok = rres < rebuild_tol * max(1.0, float(np.linalg.norm(B.matrix)))
     if not ok:
         return THOMembership(False, None, None, dec.residual_norm, rres)
@@ -336,44 +346,50 @@ def tho_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> UnitaryReport:
     u = B.domain.generator
     _require_symmetric(u)
     _require_tho(B)
-    n = B.domain.dim
-    eye = np.eye(n)
-    gram = B.matrix.conj().T @ B.matrix
-    cogram = B.matrix @ B.matrix.conj().T
-    iso_res = float(np.linalg.norm(gram - eye))
-    coiso_res = float(np.linalg.norm(cogram - eye))
+    iso_res, coiso_res, c4, c5 = _gram_conditions(B)
     isometry = iso_res < tol
     coisometry = coiso_res < tol
-
-    space = B.domain
-    def wrap(mat):
-        return OperatorMatrix(mat, space, space)
-
-    c4 = is_tto(wrap(gram - eye), recover=False).is_member
-    c5 = is_tto(wrap(cogram - eye), recover=False).is_member
-
-    dop = symmetric_involution(u)
-    report = sedlock_class(dop @ B)
-    alpha = None
-    values: list[complex] = []
-    class_ok = False
-    if report.membership == "all":
-        # B is a scalar multiple of the involution
-        c = report.scalar if report.scalar is not None else 0.0
-        values = [complex(c)] * n
-        class_ok = abs(abs(c) - 1.0) < tol
-        alpha = None
-    elif report.membership == "finite" and abs(report.alpha.modulus() - 1.0) < 1e-6:
-        alpha = report.alpha
-        clark = clark_points(u, alpha.value / abs(alpha.value))
-        values = spectral_values(dop @ B, clark)
-        class_ok = all(abs(abs(v) - 1.0) < tol for v in values)
+    report, alpha, values, class_ok = _unimodular_class(symmetric_involution(u) @ B, tol)
     return UnitaryReport(
         isometry, coisometry, isometry and coisometry, c4, c5, class_ok,
         alpha, values,
         {"isometry": iso_res, "coisometry": coiso_res,
          "class_residual": report.commutator_residual},
     )
+
+
+def _gram_conditions(B: OperatorMatrix):
+    """Isometry and coisometry residuals of B, and whether each Gram defect
+    (B*B - I on the domain, BB* - I on the codomain) is Toeplitz."""
+    eye = np.eye(B.domain.dim)
+    gram = B.matrix.conj().T @ B.matrix - eye
+    cogram = B.matrix @ B.matrix.conj().T - eye
+    return (
+        float(np.linalg.norm(gram)),
+        float(np.linalg.norm(cogram)),
+        is_tto(OperatorMatrix(gram, B.domain, B.domain), recover=False).is_member,
+        is_tto(OperatorMatrix(cogram, B.codomain, B.codomain), recover=False).is_member,
+    )
+
+
+def _unimodular_class(M: OperatorMatrix, tol: float):
+    """The Sedlock class of a Toeplitz operator M and whether it is unimodular
+    with unimodular multiplier values at every Clark point.
+
+    Returns (report, alpha, values, ok); alpha is set for a unimodular
+    parameter only.  A scalar multiple of the identity lies in every class
+    and has its scalar as every value.
+    """
+    report = sedlock_class(M)
+    if report.membership == "all":
+        c = complex(report.scalar)
+        return report, None, [c] * M.domain.dim, abs(abs(c) - 1.0) < tol
+    if report.membership == "finite" and abs(report.alpha.modulus() - 1.0) < 1e-6:
+        alpha = report.alpha
+        clark = clark_points(M.domain.generator, alpha.value / abs(alpha.value))
+        values = spectral_values(M, clark)
+        return report, alpha, values, all(abs(abs(v) - 1.0) < tol for v in values)
+    return report, None, [], False
 
 
 @dataclass
@@ -386,47 +402,70 @@ class ClassSymbolCertificate:
 
 def _class_symbol_fit(B: OperatorMatrix, alpha: ExtendedScalar,
                       rebuild_tol: float = REBUILD_TOL) -> ClassSymbolCertificate:
-    """Solve B = Hankel(conj(u) phi + alpha conj(u S C phi) + conj(u) c) by least squares.
+    """Solve B = D A with A in the class alpha for its class-form symbol.
 
-    The symbol map is linear in (phi coordinates, c): the middle term chains
-    two antilinear operations.
+    The fit runs over the right-hand term lists of `class_form_terms`;
+    the symbol is the weighted sum of their addends.
     """
-    from .modelspace import conjugation_C
-
-    u = B.domain.generator
-    space = B.domain
-    ubar = u.conj_symbol()
-    usym = u.as_symbol()
-    smat = shift(u)
-    cmap = conjugation_C(u)
-    # sum matrices per addend rather than building one big rational: adding
-    # unrelated denominators stacks pole multiplicities and loses precision
-    basis_terms = []
-    for k, f in enumerate(space.functions):
-        terms = [(1.0, ubar * f)]
-        if not alpha.is_infinity and alpha.value != 0:
-            unit = np.zeros(space.dim)
-            unit[k] = 1.0
-            sc = smat.apply(cmap.apply(space.element(unit)))
-            terms.append((alpha.value, (usym * sc.rep()).conj_circle()))
-        basis_terms.append(terms)
-    basis_terms.append([(1.0, ubar)])  # the constant direction
-    mats = [
-        sum(complex(wgt) * tho_matrix(u, u, s).matrix for wgt, s in terms).ravel()
-        for terms in basis_terms
-    ]
-    stack = np.column_stack(mats)
-    x, *_ = np.linalg.lstsq(stack, B.matrix.ravel(), rcond=None)
-    resid = float(np.max(np.abs((stack @ x).reshape(B.matrix.shape) - B.matrix)))
+    _, terms = class_form_terms(B.domain, alpha)
+    x, resid = class_form_fit(B, terms)
     if resid > rebuild_tol * max(1.0, float(np.linalg.norm(B.matrix))):
         raise NoCertificate(f"class-symbol rebuild residual {resid:g}")
     coords = x[:-1]
     const = complex(x[-1])
-    symbol = ubar * const
-    for c, terms in zip(coords, basis_terms[:-1]):
-        for wgt, s in terms:
+    symbol = B.domain.generator.conj_symbol() * const
+    for c, addends in zip(coords, terms[:-1]):
+        for wgt, s in addends:
             symbol = symbol + complex(c) * complex(wgt) * s
     return ClassSymbolCertificate(coords, const, symbol, resid)
+
+
+def class_form_terms(space: ModelSpaceBasis, alpha: ExtendedScalar):
+    """The class-form symbols of Sedlock's parametrization of the class alpha on K_u.
+
+    Returns term lists (left, right): B = A D is Hankel(sum_k x_k left_k) and
+    B = D A is Hankel(sum_k x_k right_k) for A in the class and D the
+    involution.  Entry k < n belongs to the basis function e_k, with addends
+    conj(u) conj(e_k) + alpha conj(u) S C e_k on the left and conj(u) e_k +
+    alpha conj(u S C e_k) on the right; at alpha = inf the class is the
+    antianalytic one and the entries are conj(u) e_k and conj(u) conj(e_k).
+    The last entry is the constant direction conj(u).  Each entry is a list
+    of (weight, symbol) addends: matrices are summed per addend, since adding
+    unrelated denominators stacks pole multiplicities and loses precision.
+    """
+    u = space.generator
+    ubar = u.conj_symbol()
+    usym = u.as_symbol()
+    smat = shift(u)
+    cmap = conjugation_C(u)
+    left, right = [], []
+    for k, f in enumerate(space.functions):
+        if alpha.is_infinity:
+            left.append([(1.0, ubar * f)])
+            right.append([(1.0, ubar * f.conj_circle())])
+            continue
+        left.append([(1.0, ubar * f.conj_circle())])
+        right.append([(1.0, ubar * f)])
+        if alpha.value != 0:
+            unit = np.zeros(space.dim)
+            unit[k] = 1.0
+            sc = smat.apply(cmap.apply(space.element(unit))).rep()
+            left[-1].append((alpha.value, ubar * sc))
+            right[-1].append((alpha.value, (usym * sc).conj_circle()))
+    left.append([(1.0, ubar)])
+    right.append([(1.0, ubar)])
+    return left, right
+
+
+def class_form_fit(B: OperatorMatrix, terms):
+    """Least-squares weights of B over the Hankel operators of the term
+    lists from `class_form_terms`, and the max-entry rebuild residual."""
+    u = B.domain.generator
+    stack = np.column_stack([
+        sum(complex(wgt) * tho_matrix(u, u, s).matrix for wgt, s in addends).ravel()
+        for addends in terms
+    ])
+    return lstsq_fit(stack, B.matrix)
 
 
 @dataclass
@@ -492,10 +531,7 @@ def _poly_multiplier_fit(mat: np.ndarray, base: np.ndarray, n: int):
     powers = [np.eye(len(base), dtype=complex)]
     for _ in range(n - 1):
         powers.append(powers[-1] @ base)
-    stack = np.column_stack([p.ravel() for p in powers])
-    x, *_ = np.linalg.lstsq(stack, mat.ravel(), rcond=None)
-    resid = float(np.linalg.norm((stack @ x).reshape(mat.shape) - mat))
-    return x, resid
+    return lstsq_fit(np.column_stack([p.ravel() for p in powers]), mat)
 
 
 def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
@@ -513,13 +549,19 @@ def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
     _require_symmetric(u)
     _require_tho(B1)
     _require_tho(B2)
-    prod = B1 @ B2
-    scale = max(1.0, float(np.linalg.norm(B1.matrix)) * float(np.linalg.norm(B2.matrix)))
-    pnorm = float(np.linalg.norm(prod.matrix))
-    zero = pnorm < tol * scale
     dop = symmetric_involution(u)
-    r1 = sedlock_class(dop @ B1)
-    r2 = sedlock_class(B2 @ dop)
+    return _zero_product_report(B1, B2, dop @ B1, B2 @ dop, tol)
+
+
+def _zero_product_report(B1: OperatorMatrix, B2: OperatorMatrix,
+                         M1: OperatorMatrix, M2: OperatorMatrix, tol) -> ZeroProductReport:
+    """Whether B1 B2 vanishes, against the classes of the Toeplitz operators
+    M1 and M2 on K_u that the two factors are transported to."""
+    scale = max(1.0, float(np.linalg.norm(B1.matrix)) * float(np.linalg.norm(B2.matrix)))
+    pnorm = float(np.linalg.norm((B1 @ B2).matrix))
+    zero = pnorm < tol * scale
+    r1 = sedlock_class(M1)
+    r2 = sedlock_class(M2)
     match = r1.matches(r2)
     alpha = None
     for rep in (r1, r2):
@@ -530,7 +572,7 @@ def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
     residuals = {"product_norm": pnorm, "class1": r1.commutator_residual,
                  "class2": r2.commutator_residual}
     if zero and match and alpha is not None:
-        vanish = _multiplier_product_vanishes(u, dop @ B1, B2 @ dop, alpha, tol, residuals)
+        vanish = _multiplier_product_vanishes(M1, M2, alpha, tol, residuals)
     return ZeroProductReport(zero, match, alpha, vanish, residuals)
 
 
@@ -561,22 +603,12 @@ def cross_space_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> CrossSpa
     Both conjugation factor orders are tried when looking for the class
     membership; the report records which one succeeded.
     """
-    from .modelspace import conjugation_C, conjugation_U
-
     u = B.domain.generator
     uh = B.codomain.generator
     if uh != u.hat():
         raise NotTHO("expected an operator from K_u into the hat space")
     _require_tho(B)
-    n = B.domain.dim
-    gram = B.matrix.conj().T @ B.matrix
-    cogram = B.matrix @ B.matrix.conj().T
-    iso = float(np.linalg.norm(gram - np.eye(n))) < tol
-    coiso = float(np.linalg.norm(cogram - np.eye(n))) < tol
-    c3 = is_tto(OperatorMatrix(gram - np.eye(n), B.domain, B.domain),
-                recover=False).is_member
-    c4 = is_tto(OperatorMatrix(cogram - np.eye(n), B.codomain, B.codomain),
-                recover=False).is_member
+    iso_res, coiso_res, c3, c4 = _gram_conditions(B)
 
     candidates = {
         "hat-then-natural": conjugation_U(uh) @ B @ conjugation_C(u),
@@ -587,21 +619,15 @@ def cross_space_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> CrossSpa
     class_ok = False
     residuals = {}
     for name, M in candidates.items():
-        rep = sedlock_class(M)
+        rep, unimodular, _, class_ok = _unimodular_class(M, tol)
         residuals[name] = rep.commutator_residual
-        if rep.membership == "all":
-            c = rep.scalar or 0.0
-            if abs(abs(c) - 1.0) < tol:
-                class_ok, order = True, name
-                break
-        if rep.membership == "finite" and abs(rep.alpha.modulus() - 1.0) < 1e-6:
-            clark = clark_points(u, rep.alpha.value / abs(rep.alpha.value))
-            vals = spectral_values(M, clark)
-            if all(abs(abs(v) - 1.0) < tol for v in vals):
-                alpha, order, class_ok = rep.alpha, name, True
-                break
-            alpha = rep.alpha
-    return CrossSpaceUnitaryReport(iso, coiso, c3, c4, class_ok, alpha, order, residuals)
+        if unimodular is not None:
+            alpha = unimodular
+        if class_ok:
+            order = name
+            break
+    return CrossSpaceUnitaryReport(iso_res < tol, coiso_res < tol, c3, c4, class_ok,
+                                   alpha, order, residuals)
 
 
 def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix,
@@ -614,37 +640,17 @@ def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix,
     transported operators multiply to zero, which reduces to the symmetric
     analysis.
     """
-    from .modelspace import conjugation_C, conjugation_U
-
     u = B2.domain.generator
     _require_tho(B1)
     _require_tho(B2)
-    prod = B1 @ B2
-    scale = max(1.0, float(np.linalg.norm(B1.matrix)) * float(np.linalg.norm(B2.matrix)))
-    pnorm = float(np.linalg.norm(prod.matrix))
-    zero = pnorm < tol * scale
     m1 = conjugation_C(u) @ B1 @ conjugation_U(u)          # K_u -> K_u, linear
     m2 = conjugation_U(u.hat()) @ B2 @ conjugation_C(u)    # K_u -> K_u, linear
-    r1 = sedlock_class(m1)
-    r2 = sedlock_class(m2)
-    match = r1.matches(r2)
-    alpha = None
-    for rep in (r1, r2):
-        if rep.membership in ("finite", "infinity"):
-            alpha = rep.alpha
-            break
-    vanish = None
-    residuals = {"product_norm": pnorm, "class1": r1.commutator_residual,
-                 "class2": r2.commutator_residual}
-    if zero and match and alpha is not None:
-        vanish = _multiplier_product_vanishes(u, m1, m2, alpha, tol, residuals)
-    return ZeroProductReport(zero, match, alpha, vanish, residuals)
+    return _zero_product_report(B1, B2, m1, m2, tol)
 
 
-def _multiplier_product_vanishes(u, M1: OperatorMatrix, M2: OperatorMatrix,
+def _multiplier_product_vanishes(M1: OperatorMatrix, M2: OperatorMatrix,
                                  alpha: ExtendedScalar, tol, residuals) -> bool:
-    from .operators import clark_perturbation
-
+    u = M1.domain.generator
     n = u.degree
     if not alpha.is_infinity and abs(alpha.modulus() - 1.0) < 1e-6:
         clark = clark_points(u, alpha.value / abs(alpha.value))

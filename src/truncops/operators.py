@@ -122,17 +122,6 @@ def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
     return bool(np.max(np.abs(lhs.matrix - rhs.matrix)) < tol)
 
 
-def sedlock_symbol(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> RationalSymbol:
-    """The class symbol phi + alpha conj(S C phi) + c (alpha = inf gives conj(phi))."""
-    alpha = ExtendedScalar.of(alpha)
-    if phi.space != tm_basis(u):
-        raise SpaceMismatch("phi must live in K_u")
-    if alpha.is_infinity:
-        return phi.rep().conj_circle() + complex(c)
-    scphi = shift(u).apply(conjugation_C(u).apply(phi))
-    return phi.rep() + alpha.value * scphi.rep().conj_circle() + complex(c)
-
-
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0,
                settings: QuadratureSettings | None = None) -> OperatorMatrix:
     """A member of the Sedlock class with parameter alpha, built from its symbol.

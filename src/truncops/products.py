@@ -22,9 +22,12 @@ import numpy as np
 
 from .blaschke import ExtendedScalar, InnerFunction
 from .classify import (
+    class_form_fit,
+    class_form_terms,
     cross_decompose,
     is_tho,
     is_tto,
+    lstsq_fit,
     sedlock_class,
     MEMBERSHIP_TOL,
 )
@@ -41,6 +44,7 @@ from .modelspace import (
 from .operators import (
     clark_perturbation,
     rank_one,
+    sedlock_op,
     shift,
     symmetric_involution,
     tho_matrix,
@@ -133,8 +137,6 @@ def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0,
                          tol: float = 1e-6) -> dict:
     """Class transport under the coefficient conjugation, plus the two
     operator identities tying the perturbed shifts across the hat spaces."""
-    from .operators import sedlock_op
-
     alpha = ExtendedScalar.of(alpha)
     A = sedlock_op(u, alpha, phi, c)
     moved = conjugation_U(u) @ A @ conjugation_U(u.hat())
@@ -287,8 +289,6 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
 
     Scalar multiples of the involution are outside the hypothesis and raise.
     """
-    from .modelspace import conjugation_C as _cC
-
     u = B1.domain.generator
     verdict = tho_product_tto_test(B1, B2)
     if verdict.details.get("case") == "scalar":
@@ -296,46 +296,9 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     if not verdict.in_class:
         raise NoCertificate("factors do not share a class")
     alpha = verdict.witness
-    space = B1.domain
-    n = space.dim
-    ubar = u.conj_symbol()
-    usym = u.as_symbol()
-    smat = shift(u)
-    cmap = _cC(u)
-
-    def sc(k):
-        unit = np.zeros(n)
-        unit[k] = 1.0
-        return smat.apply(cmap.apply(space.element(unit))).rep()
-
-    if alpha.is_infinity:
-        # at the point at infinity the class is the antianalytic one and the
-        # two congruences swap their analytic/conjugate parametrizations
-        left_terms = [[(1.0, ubar * f)] for f in space.functions]
-        right_terms = [[(1.0, ubar * f.conj_circle())] for f in space.functions]
-    else:
-        a = alpha.value
-        left_terms = [[(1.0, ubar * f.conj_circle()), (a, ubar * sc(k))]
-                      for k, f in enumerate(space.functions)]
-        right_terms = [[(1.0, ubar * f), (a, (usym * sc(k)).conj_circle())]
-                       for k, f in enumerate(space.functions)]
-    left_terms.append([(1.0, ubar)])
-    right_terms.append([(1.0, ubar)])
-
-    def fit(B, term_lists):
-        # matrices summed per addend: pairing is linear in the symbol and
-        # composite denominators would stack pole multiplicities
-        cols = [
-            sum(complex(wgt) * tho_matrix(u, u, s).matrix for wgt, s in terms).ravel()
-            for terms in term_lists
-        ]
-        stack = np.column_stack(cols)
-        x, *_ = np.linalg.lstsq(stack, B.matrix.ravel(), rcond=None)
-        res = float(np.max(np.abs((stack @ x).reshape(B.matrix.shape) - B.matrix)))
-        return x, res
-
-    _, lres = fit(B1, left_terms)
-    _, rres = fit(B2, right_terms)
+    left_terms, right_terms = class_form_terms(B1.domain, alpha)
+    _, lres = class_form_fit(B1, left_terms)
+    _, rres = class_form_fit(B2, right_terms)
     if max(lres, rres) >= rebuild_tol * max(
             1.0, float(np.linalg.norm(B1.matrix)), float(np.linalg.norm(B2.matrix))):
         raise NoCertificate(f"class-form rebuild residuals {lres:g}, {rres:g}")
@@ -345,32 +308,19 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
         return cert
 
     # rational multiplier forms away from the unimodular circle
+    inside = mod < 1.0
+    cert.regime = "inside" if inside else "outside"
+    form = multiplier_symbol if inside else outside_multiplier_symbol
     dop = symmetric_involution(u)
-    if mod < 1.0:
-        cert.regime = "inside"
-        base = [multiplier_symbol(u, alpha.value, RationalSymbol.monomial(k))
-                for k in range(n)]
-        mats1 = [(tto_matrix(u, u, s) @ dop).matrix.ravel() for s in base]
-        mats2 = [(dop @ tto_matrix(u, u, s)).matrix.ravel() for s in base]
-        x1, *_ = np.linalg.lstsq(np.column_stack(mats1), B1.matrix.ravel(), rcond=None)
-        x2, *_ = np.linalg.lstsq(np.column_stack(mats2), B2.matrix.ravel(), rcond=None)
-        p1, p2 = x1, x2
-        prod_sym = multiplier_symbol(
-            u, alpha.value,
-            RationalSymbol.polynomial(np.polynomial.polynomial.polymul(p1, p2)))
-    else:
-        cert.regime = "outside"
-        base = [outside_multiplier_symbol(u, alpha.value, RationalSymbol.monomial(k))
-                for k in range(n)]
-        mats1 = [(tto_matrix(u, u, s) @ dop).matrix.ravel() for s in base]
-        mats2 = [(dop @ tto_matrix(u, u, s)).matrix.ravel() for s in base]
-        y1, *_ = np.linalg.lstsq(np.column_stack(mats1), B1.matrix.ravel(), rcond=None)
-        y2, *_ = np.linalg.lstsq(np.column_stack(mats2), B2.matrix.ravel(), rcond=None)
-        # the symbol map is antilinear in the multiplier coefficients
-        p1, p2 = np.conj(y1), np.conj(y2)
-        prod_sym = outside_multiplier_symbol(
-            u, alpha.value,
-            RationalSymbol.polynomial(np.polynomial.polynomial.polymul(p1, p2)))
+    base = [form(u, alpha.value, RationalSymbol.monomial(k)) for k in range(u.degree)]
+    x1, _ = lstsq_fit(np.column_stack(
+        [(tto_matrix(u, u, s) @ dop).matrix.ravel() for s in base]), B1.matrix)
+    x2, _ = lstsq_fit(np.column_stack(
+        [(dop @ tto_matrix(u, u, s)).matrix.ravel() for s in base]), B2.matrix)
+    # outside the disk the symbol map is antilinear in the multiplier coefficients
+    p1, p2 = (x1, x2) if inside else (np.conj(x1), np.conj(x2))
+    prod_sym = form(u, alpha.value,
+                    RationalSymbol.polynomial(np.polynomial.polynomial.polymul(p1, p2)))
     cert.left_multiplier = p1
     cert.right_multiplier = p2
     prod = tto_matrix(u, u, prod_sym)

@@ -32,7 +32,7 @@ from truncops import (
     zero_product_analysis,
 )
 from truncops.blaschke import clark_points
-from truncops.classify import spectral_values
+from truncops.classify import class_form_fit, class_form_terms, spectral_values
 from truncops.errors import NotRealSymmetric, NotTHO, ZeroAnchor
 
 
@@ -244,6 +244,16 @@ class TestInverseReport:
         assert rep.certificate.residual < 1e-8
         assert rep.inverse_certificate.residual < 1e-8
 
+    def test_class_at_infinity(self, u_sym, rng):
+        # the involution-shifted class of B is the antianalytic one
+        phi = tm_basis(u_sym).random_element(rng)
+        B = symmetric_involution(u_sym) @ sedlock_op(u_sym, None, phi, 0.3)
+        rep = tho_inverse_class(B)
+        assert rep.inverse_is_tho and rep.alpha.is_infinity
+        assert rep.reciprocal_law_holds
+        assert rep.certificate.residual < 1e-8
+        assert rep.inverse_certificate.residual < 1e-8
+
     def test_generic_inverse_leaves_class(self, rng):
         # degree >= 3 so that generic Toeplitz operators sit in no class
         u = blaschke_new([0.5j, -0.5j, 0.3], constant=-1)
@@ -255,6 +265,20 @@ class TestInverseReport:
                 assert not tho_inverse_class(B).inverse_is_tho
                 return
         pytest.skip("no well-conditioned generic operator sampled")
+
+
+@pytest.mark.parametrize("alpha", [0.4 - 0.2j, 1 / np.conj(0.3 + 0.2j), np.exp(0.9j), None],
+                         ids=["inside", "outside", "unimodular", "infinity"])
+def test_class_form_terms_fit_both_sides(u_sym, rng, alpha):
+    """B = A D fits the left term lists and B = D A the right ones, for A in the class."""
+    alpha = ExtendedScalar.of(alpha)
+    dop = symmetric_involution(u_sym)
+    A = sedlock_op(u_sym, alpha, tm_basis(u_sym).random_element(rng), 0.3 - 0.1j)
+    left, right = class_form_terms(tm_basis(u_sym), alpha)
+    assert class_form_fit(A @ dop, left)[1] < 1e-8
+    assert class_form_fit(dop @ A, right)[1] < 1e-8
+    # the two sides are different forms
+    assert class_form_fit(dop @ A, left)[1] > 1e-3
 
 
 class TestZeroProducts:

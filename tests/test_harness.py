@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,9 +221,12 @@ class TestCLI:
         assert "kernel-core" in out
 
     def test_console_script_installed(self):
+        # the child imports the same truncops as this process, installed or not
+        path = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run([sys.executable, "-m", "truncops.cli", "clark",
                                "--u", "z2", "--alpha", "1,0"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))))
         assert proc.returncode == 0
         assert "orientation" in proc.stdout
 
