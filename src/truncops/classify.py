@@ -15,11 +15,11 @@ Symbols are non-unique, so recovered parts are gauged by <right, a> = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import quadrature
 from .blaschke import ExtendedScalar, InnerFunction, clark_points
 from .errors import (
     NoCertificate,
@@ -148,7 +148,7 @@ def lstsq_fit(stack: np.ndarray, target: np.ndarray):
     return x, float(np.max(np.abs((stack @ x).reshape(target.shape) - target)))
 
 
-@lru_cache(maxsize=256)
+@quadrature.memoized(256)
 def _tho_symbol_stack(u: InnerFunction, v: InnerFunction):
     """Hankel matrices of conj(basis of K_{u hat(v)}), stacked for least squares."""
     w = u * v.hat()

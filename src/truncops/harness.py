@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -917,9 +917,10 @@ def check_quadrature_hygiene(p: ProblemSpec) -> TrialResult:
         "toeplitz_oracle": _opnorm(A.matrix - toeplitz_exact),
         "hankel_oracle": _opnorm(B.matrix - hankel_exact),
     }
-    fine = quadrature.QuadratureSettings(start=2048)
-    A2 = tto_matrix(u, u, sym, settings=fine)
-    B2 = tho_matrix(u, u, sym, settings=fine)
+    quad = quadrature.current().settings
+    with quadrature.override(replace(quad, start=2 * quad.start)):
+        A2 = tto_matrix(u, u, sym)
+        B2 = tho_matrix(u, u, sym)
     r["toeplitz_node_doubling"] = _opnorm(A.matrix - A2.matrix)
     r["hankel_node_doubling"] = _opnorm(B.matrix - B2.matrix)
     tol = p.tolerances.get("main", 1e-11)
@@ -1110,37 +1111,19 @@ def _sanitize(obj):
     return str(obj)
 
 
-def _reset_state():
-    """Clear memoized spaces/operators so suite runs are cache-independent.
-
-    Reports embed quadrature statistics; with warm caches those counters
-    would depend on what ran earlier in the process, breaking the
-    byte-identical-for-fixed-seed guarantee.
-    """
-    from . import classify as _classify
-    from . import operators as _operators
-    from .modelspace import tm_basis as _tm
-
-    _tm.cache_clear()
-    _operators.shift.cache_clear()
-    _classify._tho_symbol_stack.cache_clear()
-    quadrature.STATS.reset()
-
-
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     cfg = config or SuiteConfig()
     ids = cfg.checks or list(CHECKS)
     for cid in ids:
         if cid not in CHECKS:
             raise InvalidRange(f"unknown check id {cid!r}; known: {sorted(CHECKS)}")
-    _reset_state()
+    # a fresh evaluation: counters and memoized builds do not depend on what
+    # ran before, so reports are byte-identical for a fixed seed
+    evaluation = quadrature.Evaluation(cfg.quad or quadrature.QuadratureSettings())
     t0 = time.perf_counter()
     out = []
     overall = True
-    ctx = quadrature.override(cfg.quad) if cfg.quad else None
-    try:
-        if ctx:
-            ctx.__enter__()
+    with quadrature.use(evaluation):
         for cid in ids:
             check = CHECKS[cid]
             passes = 0
@@ -1177,8 +1160,5 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
                 "max_residual": max_resid,
                 "counterexamples": counterexamples[:8],
             })
-    finally:
-        if ctx:
-            ctx.__exit__(None, None, None)
     wall = time.perf_counter() - t0
-    return SuiteReport(cfg.seed, out, quadrature.STATS.snapshot(), overall, wall)
+    return SuiteReport(cfg.seed, out, evaluation.stats.snapshot(), overall, wall)

@@ -14,15 +14,13 @@ share between threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import InnerFunction
 from .errors import SpaceMismatch, SymbolNotInClass, ZeroAnchor
-from .quadrature import QuadratureSettings, pairing_matrix, pairing_vector
+from .quadrature import pairing_matrix, pairing_vector
 from .ratfun import RationalSymbol
 
 GRAM_TOL = 1e-10
@@ -35,7 +33,7 @@ class ModelSpaceBasis:
     For u = z^n this is the monomial basis {1, z, ..., z^(n-1)}.
     """
 
-    def __init__(self, generator: InnerFunction, settings: QuadratureSettings | None = None):
+    def __init__(self, generator: InnerFunction):
         self.generator = generator
         zs = generator.zeros
         n = len(zs)
@@ -64,7 +62,7 @@ class ModelSpaceBasis:
         self._lifted = [
             npoly.polymul(raw, t) for raw, t in zip(raw_nums, tails)
         ]
-        gram = pairing_matrix(self.values, self.values, settings)
+        gram = pairing_matrix(self.values, self.values)
         self.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
         if self.gram_residual > GRAM_TOL:
             raise ArithmeticError(
@@ -119,9 +117,9 @@ class ModelSpaceBasis:
         return self.element(coords)
 
 
-@lru_cache(maxsize=512)
+@quadrature.memoized(512)
 def tm_basis(u: InnerFunction) -> ModelSpaceBasis:
-    """The (cached) orthonormal basis of K_u."""
+    """The orthonormal basis of K_u, memoized in the current evaluation."""
     return ModelSpaceBasis(u)
 
 
@@ -175,29 +173,26 @@ class SpaceElement:
 # pairings, projection, membership
 
 
-def inner_product(f: RationalSymbol, g: RationalSymbol,
-                  settings: QuadratureSettings | None = None) -> complex:
+def inner_product(f: RationalSymbol, g: RationalSymbol) -> complex:
     """(1/2pi) int f(e^it) conj(g(e^it)) dt by adaptive trapezoid quadrature."""
-    return complex(pairing_matrix([f], [g], settings)[0, 0])
+    return complex(pairing_matrix([f], [g])[0, 0])
 
 
-def project(u: InnerFunction, sym: RationalSymbol,
-            settings: QuadratureSettings | None = None) -> SpaceElement:
+def project(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
     """P_u sym: expansion of the symbol against the orthonormal basis of K_u."""
     space = tm_basis(u)
-    coords = pairing_vector(sym, space.values, settings)
+    coords = pairing_vector(sym, space.values)
     return SpaceElement(space, coords)
 
 
-def embed(u: InnerFunction, sym: RationalSymbol, tol: float = 1e-9,
-          settings: QuadratureSettings | None = None) -> SpaceElement:
+def embed(u: InnerFunction, sym: RationalSymbol, tol: float = 1e-9) -> SpaceElement:
     """Like project, but certifies the symbol actually lies in K_u.
 
     Raises SymbolNotInClass when the projection loses more than tol of the
     symbol's norm (squared-norm defect measured against the L2 pairing).
     """
-    el = project(u, sym, settings)
-    total = inner_product(sym, sym, settings).real
+    el = project(u, sym)
+    total = inner_product(sym, sym).real
     defect = abs(total - float(np.vdot(el.coords, el.coords).real))
     if defect > tol * max(1.0, total):
         raise SymbolNotInClass(
@@ -259,10 +254,9 @@ def conj_kernel_symbol(u: InnerFunction, lam: complex) -> RationalSymbol:
                           provider=provider)
 
 
-def conj_kernel(u: InnerFunction, lam: complex,
-                settings: QuadratureSettings | None = None) -> SpaceElement:
+def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     """Coordinates of the conjugate kernel (the natural conjugation of the kernel)."""
-    return project(u, conj_kernel_symbol(u, lam), settings)
+    return project(u, conj_kernel_symbol(u, lam))
 
 
 def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
@@ -411,7 +405,7 @@ class OperatorMatrix:
 ConjugateLinearMap = OperatorMatrix
 
 
-def conjugation_C(u: InnerFunction, settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
 
     As a coefficient operation, C f = u * J(hat f), so each column is an
@@ -426,11 +420,11 @@ def conjugation_C(u: InnerFunction, settings: QuadratureSettings | None = None) 
         flipped_hat = np.conj(quadrature.nodes(m))[:, None] * np.conj(space.values(m))
         return usym.values_at(m)[:, None] * flipped_hat
 
-    mat = pairing_matrix(images, space.values, settings)
+    mat = pairing_matrix(images, space.values)
     return OperatorMatrix(mat, space, space, antilinear=True)
 
 
-def conjugation_U(u: InnerFunction, settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def conjugation_U(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u)."""
     space = tm_basis(u)
     target = tm_basis(u.hat())
@@ -438,11 +432,11 @@ def conjugation_U(u: InnerFunction, settings: QuadratureSettings | None = None) 
     def images(m):
         return np.conj(space.values(m)[quadrature.reflection(m)])   # hat e_k
 
-    mat = pairing_matrix(images, target.values, settings)
+    mat = pairing_matrix(images, target.values)
     return OperatorMatrix(mat, space, target, antilinear=True)
 
 
-def conjugation_U_on(u: InnerFunction, settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as a map K_u -> K_u.
 
     Only meaningful when u equals its hat as a function (real symmetric u):
@@ -455,7 +449,7 @@ def conjugation_U_on(u: InnerFunction, settings: QuadratureSettings | None = Non
     cols = []
     for f in space.functions:
         img = f.hat()
-        coords = pairing_vector(img, space.values, settings)
+        coords = pairing_vector(img, space.values)
         if abs(1.0 - float(np.vdot(coords, coords).real)) > 1e-9:
             raise SymbolNotInClass(
                 "hat image leaves the space; generator is not real symmetric"

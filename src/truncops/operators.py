@@ -15,8 +15,6 @@ symbol per basis function.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import quadrature
@@ -34,7 +32,7 @@ from .modelspace import (
     boundary_kernel,
     tm_basis,
 )
-from .quadrature import QuadratureSettings, pairing_matrix
+from .quadrature import pairing_matrix
 from .ratfun import RationalSymbol
 
 
@@ -49,9 +47,9 @@ def _flipped(space: ModelSpaceBasis):
                       * space.values(m)[quadrature.reflection(m)])
 
 
-@lru_cache(maxsize=512)
+@quadrature.memoized(512)
 def shift(u: InnerFunction) -> OperatorMatrix:
-    """The compressed shift on K_u: f -> P_u(z f)."""
+    """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation."""
     space = tm_basis(u)
     images = _images(RationalSymbol.monomial(1), space)
     return OperatorMatrix(pairing_matrix(images, space.values), space, space)
@@ -92,16 +90,14 @@ def clark_perturbation(u: InnerFunction, alpha) -> OperatorMatrix:
     return shift(u) + (alpha / denom) * bump
 
 
-def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
-               settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
     """Truncated Toeplitz operator f -> P_v(sym * f) from K_u into K_v."""
     dom = tm_basis(u)
     cod = tm_basis(v)
-    return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.values, settings), dom, cod)
+    return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.values), dom, cod)
 
 
-def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
-               settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
     """Truncated Hankel operator f -> P_v J (I-P)(sym * f) from K_u into K_v.
 
     Since J is self-adjoint, J e_i lies entirely in the antianalytic part,
@@ -110,8 +106,7 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
     """
     dom = tm_basis(u)
     cod = tm_basis(v)
-    return OperatorMatrix(pairing_matrix(_images(sym, dom), _flipped(cod), settings),
-                          dom, cod)
+    return OperatorMatrix(pairing_matrix(_images(sym, dom), _flipped(cod)), dom, cod)
 
 
 def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
@@ -122,8 +117,7 @@ def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
     return bool(np.max(np.abs(lhs.matrix - rhs.matrix)) < tol)
 
 
-def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0,
-               settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
     """A member of the Sedlock class with parameter alpha, built from its symbol.
 
     The two symbol parts are paired separately (the builder is linear in the
@@ -134,13 +128,12 @@ def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0,
         raise SpaceMismatch("phi must live in K_u")
     space = phi.space
     if alpha.is_infinity:
-        out = tto_matrix(u, u, phi.rep().conj_circle(), settings)
+        out = tto_matrix(u, u, phi.rep().conj_circle())
     else:
-        out = tto_matrix(u, u, phi.rep(), settings)
+        out = tto_matrix(u, u, phi.rep())
         if alpha.value != 0:
             scphi = shift(u).apply(conjugation_C(u).apply(phi))
-            out = out + alpha.value * tto_matrix(u, u, scphi.rep().conj_circle(),
-                                                 settings)
+            out = out + alpha.value * tto_matrix(u, u, scphi.rep().conj_circle())
     return out + complex(c) * OperatorMatrix.identity(space)
 
 
@@ -158,8 +151,7 @@ def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorM
     return OperatorMatrix(mat, space, space)
 
 
-def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol,
-                        settings: QuadratureSettings | None = None) -> OperatorMatrix:
+def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> OperatorMatrix:
     """psi evaluated on the shift perturbation, per the parameter regime.
 
     |alpha| < 1: the Toeplitz operator with symbol psi u/(u - alpha)
@@ -182,12 +174,12 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol,
                              check_poles=False)
         _guard_circle(den, unum.size - 1)
         sym = psi * u.as_symbol() / den
-        return tto_matrix(u, u, sym, settings)
+        return tto_matrix(u, u, sym)
     den = RationalSymbol(np.polynomial.polynomial.polyadd(a * uden, -unum), uden,
                          check_poles=False)
     _guard_circle(den, unum.size - 1)
     sym = a * psi.conj_circle() / den
-    return tto_matrix(u, u, sym, settings)
+    return tto_matrix(u, u, sym)
 
 
 def _guard_circle(sym: RationalSymbol, degree: int):

@@ -313,10 +313,9 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     form = multiplier_symbol if inside else outside_multiplier_symbol
     dop = symmetric_involution(u)
     base = [form(u, alpha.value, RationalSymbol.monomial(k)) for k in range(u.degree)]
-    x1, _ = lstsq_fit(np.column_stack(
-        [(tto_matrix(u, u, s) @ dop).matrix.ravel() for s in base]), B1.matrix)
-    x2, _ = lstsq_fit(np.column_stack(
-        [(dop @ tto_matrix(u, u, s)).matrix.ravel() for s in base]), B2.matrix)
+    toeplitz = [tto_matrix(u, u, s) for s in base]
+    x1, _ = lstsq_fit(np.column_stack([(T @ dop).matrix.ravel() for T in toeplitz]), B1.matrix)
+    x2, _ = lstsq_fit(np.column_stack([(dop @ T).matrix.ravel() for T in toeplitz]), B2.matrix)
     # outside the disk the symbol map is antilinear in the multiplier coefficients
     p1, p2 = (x1, x2) if inside else (np.conj(x1), np.conj(x2))
     prod_sym = form(u, alpha.value,

@@ -14,11 +14,20 @@ A side of a pairing is either a sequence of symbols, stacked column by
 column, or a block: a function of m that returns all of its columns at once
 as one (m, k) array.  ``ModelSpaceBasis.values`` is the block of a basis,
 and operator builders pass the images of a whole basis as one.
+
+Every pairing runs under the current ``Evaluation``: its settings, its
+counters and its memo of per-generator builds (bases, shifts, Hankel symbol
+stacks).  A ``contextvars.ContextVar`` holds it, so a thread or a suite run
+can have its own; library sessions share a default one, whose counters are
+``STATS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import asdict, dataclass, field, replace
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -36,40 +45,12 @@ class QuadratureSettings:
     cap: int = QUAD_CAP
 
 
-DEFAULT = QuadratureSettings()
-
-_active: list[QuadratureSettings] = [DEFAULT]
-
-
-def current() -> QuadratureSettings:
-    return _active[-1]
-
-
-class override:
-    """Context manager swapping the default settings (used by the CLI/harness)."""
-
-    def __init__(self, settings: QuadratureSettings):
-        self.settings = settings
-
-    def __enter__(self):
-        _active.append(self.settings)
-        return self.settings
-
-    def __exit__(self, *exc):
-        _active.pop()
-        return False
-
-
-_nodes_cache: dict[int, np.ndarray] = {}
-_reflection_cache: dict[int, np.ndarray] = {}
-
-
+@dataclass
 class _Stats:
     """Running counters, snapshotted into suite reports."""
 
-    def __init__(self):
-        self.pairings = 0
-        self.max_nodes = 0
+    pairings: int = 0
+    max_nodes: int = 0
 
     def record(self, m: int):
         self.pairings += 1
@@ -77,14 +58,66 @@ class _Stats:
             self.max_nodes = m
 
     def snapshot(self) -> dict:
-        return {"pairings": self.pairings, "max_nodes": self.max_nodes}
+        return asdict(self)
 
     def reset(self):
         self.pairings = 0
         self.max_nodes = 0
 
 
-STATS = _Stats()
+@dataclass(frozen=True, eq=False)
+class Evaluation:
+    """The state every pairing runs under: settings, counters and memoized builds.
+
+    The memo maps each ``memoized`` builder to its own bounded
+    least-recently-used table.  ``override`` runs under a copy with other
+    settings that shares the counters and the memo.
+    """
+
+    settings: QuadratureSettings = field(default_factory=QuadratureSettings)
+    stats: _Stats = field(default_factory=_Stats)
+    memo: dict = field(default_factory=dict)
+
+
+# library sessions run under the default evaluation; STATS are its counters
+_current: ContextVar[Evaluation] = ContextVar("truncops_evaluation", default=Evaluation())
+STATS = _current.get().stats
+
+
+def current() -> Evaluation:
+    return _current.get()
+
+
+@contextmanager
+def use(evaluation: Evaluation):
+    """Run a block under the given evaluation (per thread and per context)."""
+    token = _current.set(evaluation)
+    try:
+        yield evaluation
+    finally:
+        _current.reset(token)
+
+
+def override(settings: QuadratureSettings):
+    """Run a block under other settings, keeping the current counters and memo."""
+    return use(replace(current(), settings=settings))
+
+
+def memoized(maxsize: int):
+    """Memoize a builder in the current evaluation, keeping its maxsize latest builds."""
+    def wrap(build):
+        @wraps(build)
+        def lookup(*args):
+            memo = _current.get().memo
+            table = memo.get(build) or memo.setdefault(build, lru_cache(maxsize)(build))
+            return table(*args)
+        return lookup
+    return wrap
+
+
+# pure functions of m, shared by every evaluation
+_nodes_cache: dict[int, np.ndarray] = {}
+_reflection_cache: dict[int, np.ndarray] = {}
 
 
 def nodes(m: int) -> np.ndarray:
@@ -115,37 +148,37 @@ def _value_matrix(side, m: int) -> np.ndarray:
     return np.column_stack([s.values_at(m) for s in side])
 
 
-def pairing_matrix(fs, gs, settings: QuadratureSettings | None = None) -> np.ndarray:
+def pairing_matrix(fs, gs) -> np.ndarray:
     """G[i, j] = (1/2pi) \\int fs[j](e^{it}) conj(gs[i](e^{it})) dt.
 
     fs and gs are sequences of objects exposing ``values_at(m)``
     (RationalSymbol does), or blocks: functions of m returning all their
     columns as one (m, k) array (``ModelSpaceBasis.values`` is one).
-    Adaptive: doubles the node count until the whole matrix is stable to
-    ``settings.tol`` in max norm.
+    Adaptive: doubles the node count, starting from 2 * start nodes, until
+    the whole matrix is stable to the current settings' tol in max norm; no
+    level above cap nodes is evaluated.
     """
-    s = settings or current()
+    ev = _current.get()
+    s = ev.settings
     m = s.start
-    F2 = _value_matrix(fs, 2 * m)
-    G2 = _value_matrix(gs, 2 * m)
     while True:
-        full = G2.conj().T @ F2 / (2 * m)
-        half = G2[::2].conj().T @ F2[::2] / m
-        # the roundoff floor of the mean grows with the integrand magnitude,
-        # so the stopping rule is relative to it (never below tol itself)
-        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2))))
-        if np.max(np.abs(full - half)) < s.tol * scale:
-            STATS.record(2 * m)
-            return full
-        m *= 2
         if 2 * m > s.cap:
             raise NoConvergence(
                 f"circle quadrature did not stabilize to {s.tol:g} within {s.cap} nodes"
             )
         F2 = _value_matrix(fs, 2 * m)
         G2 = _value_matrix(gs, 2 * m)
+        full = G2.conj().T @ F2 / (2 * m)
+        half = G2[::2].conj().T @ F2[::2] / m
+        # the roundoff floor of the mean grows with the integrand magnitude,
+        # so the stopping rule is relative to it (never below tol itself)
+        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2))))
+        if np.max(np.abs(full - half)) < s.tol * scale:
+            ev.stats.record(2 * m)
+            return full
+        m *= 2
 
 
-def pairing_vector(f, gs, settings: QuadratureSettings | None = None) -> np.ndarray:
+def pairing_vector(f, gs) -> np.ndarray:
     """Column of pairings <f, gs[i]> as a 1-d array."""
-    return pairing_matrix([f], gs, settings)[:, 0]
+    return pairing_matrix([f], gs)[:, 0]

@@ -136,6 +136,41 @@ class TestSuite:
         assert result.error is None
 
 
+class TestEvaluationContext:
+    def test_threaded_suites_match_sequential(self):
+        from concurrent.futures import ThreadPoolExecutor
+        cfgs = [SuiteConfig(seed=7, trials=1), SuiteConfig(seed=8, trials=1)]
+        sequential = [run_suite(c).json_bytes() for c in cfgs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = [r.json_bytes() for r in pool.map(run_suite, cfgs)]
+        assert threaded == sequential
+
+    def test_suite_leaves_session_state_alone(self, u_generic):
+        from truncops import quadrature
+        from truncops.modelspace import tm_basis
+        space = tm_basis(u_generic)
+        before = quadrature.STATS.snapshot()
+        run_suite(SuiteConfig(seed=1, trials=1, checks=["kernel-core"]))
+        assert tm_basis(u_generic) is space
+        assert quadrature.STATS.snapshot() == before
+
+    def test_quadrature_cap_below_first_level(self):
+        rep = run_suite(SuiteConfig(seed=3, trials=1, quad=QuadratureSettings(cap=128)))
+        # the suite completes, every trial fails on the cap, and nothing is paired
+        assert rep.quadrature_stats["pairings"] == 0
+        for c in rep.checks:
+            assert c["failures"] == c["trials"] == 1, c["id"]
+            assert "NoConvergence" in c["counterexamples"][0]["error"]
+
+    def test_hygiene_honours_suite_settings(self):
+        # node doubling starts at twice the start, 2048, whose first level
+        # of 4096 nodes is over the cap; every other check stays under it
+        rep = run_suite(SuiteConfig(seed=7, trials=1, quad=QuadratureSettings(cap=2048)))
+        failed = {c["id"]: c for c in rep.checks if c["failures"]}
+        assert list(failed) == ["quadrature-hygiene"]
+        assert "NoConvergence" in failed["quadrature-hygiene"]["counterexamples"][0]["error"]
+
+
 class TestCLI:
     def test_clark_example(self, capsys):
         rc = main(["clark", "--u", '{"zeros":[[0,0],[0,0]],"constant":[1,0]}',

@@ -19,6 +19,7 @@ from truncops import (
 )
 from truncops.errors import NoConvergence, SpaceMismatch, SymbolNotInClass
 from truncops.modelspace import boundary_kernel_symbol, conj_kernel_symbol
+from truncops import quadrature
 from truncops.quadrature import QuadratureSettings
 
 
@@ -69,8 +70,8 @@ class TestInnerProduct:
         r = 1.0 + 5e-3
         f = RationalSymbol([1.0], [1.0, -1.0 / r])
         tight = QuadratureSettings(tol=1e-12, start=1024, cap=4096)
-        with pytest.raises(NoConvergence):
-            inner_product(f, f, settings=tight)
+        with pytest.raises(NoConvergence), quadrature.override(tight):
+            inner_product(f, f)
 
 
 class TestKernels:
