@@ -42,6 +42,7 @@ from .operators import (
 from .classify import (
     CrossDecomposition,
     SedlockReport,
+    class_multipliers,
     cross_decompose,
     cross_space_unitary_report,
     cross_space_zero_product,
@@ -65,8 +66,6 @@ from .products import (
     membership_transport_chain,
     membership_transports,
     mixed_product_test,
-    multiplier_symbol,
-    outside_multiplier_symbol,
     tho_product_symbol_forms,
     tho_product_tto_test,
 )

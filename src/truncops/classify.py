@@ -526,14 +526,6 @@ class ZeroProductReport:
     residuals: dict = field(default_factory=dict)
 
 
-def _poly_multiplier_fit(mat: np.ndarray, base: np.ndarray, n: int):
-    """Least-squares polynomial p of degree < n with p(base) = mat."""
-    powers = [np.eye(len(base), dtype=complex)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ base)
-    return lstsq_fit(np.column_stack([p.ravel() for p in powers]), mat)
-
-
 def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
                           tol: float = MEMBERSHIP_TOL) -> ZeroProductReport:
     """Analyze when the product of two Hankel operators vanishes.
@@ -648,31 +640,46 @@ def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix,
     return _zero_product_report(B1, B2, m1, m2, tol)
 
 
+def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
+    """Polynomial multipliers of members of the Sedlock class alpha on K_u.
+
+    A member of the class is a polynomial in the shift perturbation
+    (Sedlock 2011): p(S^alpha) for |alpha| <= 1, and conj(p)((S^beta)*) with
+    beta = 1/conj(alpha) outside the disk (beta = 0 at infinity), conj(p)
+    having the conjugated coefficients.  Each member is fitted over the
+    powers below n = dim K_u of that base, and the coefficients of p are
+    returned, so that inside and outside the disk the member is
+    `functional_calculus(u, alpha, p)`.  Returns (level, multipliers,
+    residuals): the parameter of the base perturbation, whose level set of u
+    carries the spectrum of every member, one coefficient array per member,
+    and the max-entry rebuild residual of each fit.
+    """
+    u = members[0].domain.generator
+    outside = alpha.modulus() > 1.0
+    level = alpha.reciprocal_conjugate().value if outside else alpha.value
+    base = clark_perturbation(u, level)
+    if outside:
+        base = base.adjoint()
+    powers = [np.eye(u.degree, dtype=complex)]
+    for _ in range(u.degree - 1):
+        powers.append(powers[-1] @ base.matrix)
+    stack = np.column_stack([p.ravel() for p in powers])
+    fits = [lstsq_fit(stack, M.matrix) for M in members]
+    multipliers = [np.conj(x) if outside else x for x, _ in fits]
+    return level, multipliers, [res for _, res in fits]
+
+
 def _multiplier_product_vanishes(M1: OperatorMatrix, M2: OperatorMatrix,
                                  alpha: ExtendedScalar, tol, residuals) -> bool:
     u = M1.domain.generator
-    n = u.degree
     if not alpha.is_infinity and abs(alpha.modulus() - 1.0) < 1e-6:
         clark = clark_points(u, alpha.value / abs(alpha.value))
         v1 = spectral_values(M1, clark)
         v2 = spectral_values(M2, clark)
         residuals["pointwise_products"] = [abs(a * b) for a, b in zip(v1, v2)]
         return all(abs(a * b) < tol * 10 for a, b in zip(v1, v2))
-    if alpha.is_infinity or alpha.modulus() > 1.0:
-        level = alpha.reciprocal_conjugate().value if not alpha.is_infinity else 0.0
-        base = clark_perturbation(u, level).adjoint().matrix
-        m1 = M1.matrix.conj().T
-        m2 = M2.matrix.conj().T
-        p1, res1 = _poly_multiplier_fit(m1, base, n)
-        p2, res2 = _poly_multiplier_fit(m2, base, n)
-        p1 = np.conj(p1)
-        p2 = np.conj(p2)
-    else:
-        level = alpha.value
-        base = clark_perturbation(u, level).matrix
-        p1, res1 = _poly_multiplier_fit(M1.matrix, base, n)
-        p2, res2 = _poly_multiplier_fit(M2.matrix, base, n)
-    residuals["multiplier_fits"] = [res1, res2]
+    level, (p1, p2), fits = class_multipliers(alpha, M1, M2)
+    residuals["multiplier_fits"] = fits
     level_poly = npoly.polyadd(u.num_coeffs, -level * u.den_coeffs)
     prod_poly = npoly.polymul(np.atleast_1d(p1), np.atleast_1d(p2))
     if prod_poly.size < level_poly.size:

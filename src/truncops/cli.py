@@ -96,8 +96,16 @@ def _cmd_build_op(args) -> int:
     return 0
 
 
+def _read_input(path: str) -> str:
+    """The text of a file, or of standard input when the path is "-"."""
+    if path == "-":
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
 def _cmd_classify(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    raw = _read_input(args.input)
     op = OperatorMatrix.from_json(json.loads(raw))
     tol = args.tol
     reports = {}
@@ -121,7 +129,7 @@ def _cmd_product_test(args) -> int:
         print(f"unknown criterion {args.theorem!r}; known: {', '.join(sorted(harness.CHECKS))}",
               file=sys.stderr)
         return 2
-    raw = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
+    raw = _read_input(args.spec)
     problem = harness.ProblemSpec.from_json(json.loads(raw))
     problem.operation = args.theorem
     result = harness.run_trial(args.theorem, problem)

@@ -220,19 +220,6 @@ def _generator_den_values(u: InnerFunction, m: int) -> np.ndarray:
     return out
 
 
-def kernel_symbol(u: InnerFunction, lam: complex) -> RationalSymbol:
-    """The reproducing kernel at an interior point, as a rational function:
-    (1 - conj(u(lam)) u(z)) / (1 - conj(lam) z)."""
-    lam = complex(lam)
-    w = np.conj(u(lam))
-    num = npoly.polyadd(u.den_coeffs, -w * u.num_coeffs)
-    den = npoly.polymul(u.den_coeffs, np.array([1.0, -np.conj(lam)], dtype=complex))
-    def provider(m):
-        return ((1.0 - w * u.boundary_values(m))
-                / (1.0 - np.conj(lam) * quadrature.nodes(m)))
-    return RationalSymbol(num, den, check_poles=False, provider=provider)
-
-
 def kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     """Coordinates of the reproducing kernel: <f, k_lam> = f(lam) for f in K_u.
 
@@ -278,10 +265,8 @@ def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
 
 
 def boundary_kernel(u: InnerFunction, eta: complex) -> SpaceElement:
-    """Coordinates of the boundary kernel; exact via conj(e_k(eta))."""
-    space = tm_basis(u)
-    coords = np.conj(np.array([f(eta) for f in space.functions]))
-    return SpaceElement(space, coords)
+    """Coordinates of the boundary kernel; exact via conj(e_k(eta)), as for `kernel`."""
+    return kernel(u, eta)
 
 
 def flip_J(sym: RationalSymbol) -> RationalSymbol:
@@ -370,12 +355,6 @@ class OperatorMatrix:
 
     def __neg__(self):
         return OperatorMatrix(-self.matrix, self.domain, self.codomain, self.antilinear)
-
-    def fro_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-    def op_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
 
     def __repr__(self):
         tag = "antilinear" if self.antilinear else "linear"

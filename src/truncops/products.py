@@ -24,10 +24,10 @@ from .blaschke import ExtendedScalar, InnerFunction
 from .classify import (
     class_form_fit,
     class_form_terms,
+    class_multipliers,
     cross_decompose,
     is_tho,
     is_tto,
-    lstsq_fit,
     sedlock_class,
     MEMBERSHIP_TOL,
 )
@@ -43,6 +43,7 @@ from .modelspace import (
 )
 from .operators import (
     clark_perturbation,
+    functional_calculus,
     rank_one,
     sedlock_op,
     shift,
@@ -284,8 +285,9 @@ class SymbolFormCertificates:
 def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
                              rebuild_tol: float = 1e-8) -> SymbolFormCertificates:
     """Solve the class-form symbol congruences for a Hankel pair whose
-    product is Toeplitz, and (off the unimodular circle) the rational
-    multiplier forms together with the product identity.
+    product is Toeplitz, and (inside and outside the disk) the polynomial
+    multipliers of `classify.class_multipliers` together with the product
+    identity B1 B2 = functional_calculus(u, alpha, p1 p2).
 
     Scalar multiples of the involution are outside the hypothesis and raise.
     """
@@ -302,46 +304,25 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     if max(lres, rres) >= rebuild_tol * max(
             1.0, float(np.linalg.norm(B1.matrix)), float(np.linalg.norm(B2.matrix))):
         raise NoCertificate(f"class-form rebuild residuals {lres:g}, {rres:g}")
-    cert = SymbolFormCertificates(alpha, lres, rres, regime="unimodular")
     mod = alpha.modulus()
-    if alpha.is_infinity or abs(mod - 1.0) < 1e-6:
+    regime = ("infinity" if alpha.is_infinity else "unimodular" if abs(mod - 1.0) < 1e-6
+              else "inside" if mod < 1.0 else "outside")
+    cert = SymbolFormCertificates(alpha, lres, rres, regime)
+    if regime in ("infinity", "unimodular"):
         return cert
 
-    # rational multiplier forms away from the unimodular circle
-    inside = mod < 1.0
-    cert.regime = "inside" if inside else "outside"
-    form = multiplier_symbol if inside else outside_multiplier_symbol
+    # polynomial multipliers away from the unimodular circle: B1 D and D B2
+    # are p1 and p2 of the class's shift perturbation, and B1 B2 is p1 p2 of it
     dop = symmetric_involution(u)
-    base = [form(u, alpha.value, RationalSymbol.monomial(k)) for k in range(u.degree)]
-    toeplitz = [tto_matrix(u, u, s) for s in base]
-    x1, _ = lstsq_fit(np.column_stack([(T @ dop).matrix.ravel() for T in toeplitz]), B1.matrix)
-    x2, _ = lstsq_fit(np.column_stack([(dop @ T).matrix.ravel() for T in toeplitz]), B2.matrix)
-    # outside the disk the symbol map is antilinear in the multiplier coefficients
-    p1, p2 = (x1, x2) if inside else (np.conj(x1), np.conj(x2))
-    prod_sym = form(u, alpha.value,
-                    RationalSymbol.polynomial(np.polynomial.polynomial.polymul(p1, p2)))
+    _, (p1, p2), _ = class_multipliers(alpha, B1 @ dop, dop @ B2)
     cert.left_multiplier = p1
     cert.right_multiplier = p2
-    prod = tto_matrix(u, u, prod_sym)
+    prod = functional_calculus(u, alpha, RationalSymbol.polynomial(
+        np.polynomial.polynomial.polymul(p1, p2)))
     cert.product_residual = float(np.max(np.abs(prod.matrix - (B1 @ B2).matrix)))
     if cert.product_residual >= 1e-8 * max(1.0, float(np.linalg.norm(prod.matrix))):
         raise NoCertificate(f"product symbol residual {cert.product_residual:g}")
     return cert
-
-
-def multiplier_symbol(u: InnerFunction, alpha: complex, psi: RationalSymbol) -> RationalSymbol:
-    """psi/(1 - alpha conj(u)) realized as the rational symbol psi u/(u - alpha)."""
-    num = np.polynomial.polynomial.polyadd(u.num_coeffs, -complex(alpha) * u.den_coeffs)
-    den = RationalSymbol(num, u.den_coeffs, check_poles=False)
-    return psi * u.as_symbol() / den
-
-
-def outside_multiplier_symbol(u: InnerFunction, alpha: complex,
-                              psi: RationalSymbol) -> RationalSymbol:
-    """alpha conj(psi)/(alpha - u) as a rational symbol (parameter outside the disk)."""
-    num = np.polynomial.polynomial.polyadd(complex(alpha) * u.den_coeffs, -u.num_coeffs)
-    den = RationalSymbol(num, u.den_coeffs, check_poles=False)
-    return complex(alpha) * psi.conj_circle() / den
 
 
 def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB",

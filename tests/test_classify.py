@@ -6,6 +6,7 @@ from truncops import (
     OperatorMatrix,
     RationalSymbol,
     blaschke_new,
+    class_multipliers,
     conj_kernel,
     conjugation_C,
     conjugation_U,
@@ -294,19 +295,29 @@ class TestZeroProducts:
         assert rep.multiplier_product_vanishes
         assert abs(rep.alpha.modulus() - 1.0) < 1e-6
 
-    def test_interior_split(self, u_sym):
-        a0 = 0.3 + 0.1j
+    @pytest.mark.parametrize("alpha", [0.3 + 0.1j, 1.6 + 1.1j, None],
+                             ids=["inside", "outside", "infinity"])
+    def test_level_set_split(self, u_sym, alpha):
+        # the multipliers split the level set of u at the parameter of the
+        # class's shift perturbation: alpha inside the disk, 1/conj(alpha)
+        # outside it and 0 at infinity, where the factors are p(S)*
+        alpha = ExtendedScalar.of(alpha)
+        beta = alpha.value if alpha.modulus() < 1.0 else alpha.reciprocal_conjugate().value
         dop = symmetric_involution(u_sym)
         level = np.polynomial.polynomial.polyadd(u_sym.num_coeffs,
-                                                 -a0 * u_sym.den_coeffs)
+                                                 -beta * u_sym.den_coeffs)
         roots = np.polynomial.polynomial.polyroots(level)
         p1 = RationalSymbol.polynomial(np.polynomial.polynomial.polyfromroots(roots[:1]))
         p2 = RationalSymbol.polynomial(np.polynomial.polynomial.polyfromroots(roots[1:]))
-        B1 = dop @ functional_calculus(u_sym, a0, p1)
-        B2 = functional_calculus(u_sym, a0, p2) @ dop
-        rep = zero_product_analysis(B1, B2)
+        if alpha.is_infinity:
+            m1, m2 = (functional_calculus(u_sym, 0.0, p).adjoint() for p in (p1, p2))
+        else:
+            m1, m2 = (functional_calculus(u_sym, alpha.value, p) for p in (p1, p2))
+        rep = zero_product_analysis(dop @ m1, m2 @ dop)
         assert rep.product_is_zero and rep.classes_match
+        assert rep.alpha.isclose(alpha, 1e-6)
         assert rep.multiplier_product_vanishes
+        assert max(rep.residuals["multiplier_fits"]) < 1e-12
 
     def test_trivial_zero_factor(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
@@ -352,6 +363,25 @@ class TestCrossSpaceReports:
         rep = cross_space_zero_product(B1, B2)
         assert rep.product_is_zero and rep.classes_match
         assert rep.multiplier_product_vanishes
+
+
+@pytest.mark.parametrize("alpha", [0.4 - 0.2j, 1.6 + 1.1j, None],
+                         ids=["inside", "outside", "infinity"])
+def test_class_multipliers_recover_calculus_polynomial(u_generic, alpha):
+    # inside and outside the disk the member is functional_calculus(u, alpha, p);
+    # at infinity it is p(S)*
+    p = np.array([0.8, -0.5 + 0.3j, 0.2j])
+    alpha = ExtendedScalar.of(alpha)
+    if alpha.is_infinity:
+        member = functional_calculus(u_generic, 0.0, RationalSymbol.polynomial(p)).adjoint()
+    else:
+        member = functional_calculus(u_generic, alpha.value, RationalSymbol.polynomial(p))
+    level, (got,), (res,) = class_multipliers(alpha, member)
+    assert np.max(np.abs(got - p)) < 1e-10
+    assert res < 1e-12
+    want_level = 0.0 if alpha.is_infinity else (
+        alpha.value if alpha.modulus() < 1.0 else 1.0 / np.conj(alpha.value))
+    assert abs(level - want_level) < 1e-15
 
 
 def test_spectral_values_diagonalize_class_members(u_sym, rng):

@@ -20,8 +20,6 @@ from truncops import (
     membership_transport_chain,
     membership_transports,
     mixed_product_test,
-    multiplier_symbol,
-    outside_multiplier_symbol,
     rank_one,
     sedlock_op,
     shift,
@@ -35,6 +33,7 @@ from truncops import (
 )
 from truncops.blaschke import clark_points
 from truncops.errors import NoCertificate
+from truncops.harness import random_inner
 from truncops.products import symmetric_witness
 
 
@@ -175,21 +174,21 @@ class TestSymbolForms:
         dop = symmetric_involution(u_sym)
         p1 = RationalSymbol.polynomial([0.8, 0.5, 0.3])
         p2 = RationalSymbol.polynomial([1.1, -0.2, 0.15j])
-        B1 = tto_matrix(u_sym, u_sym, multiplier_symbol(u_sym, a0, p1)) @ dop
-        B2 = dop @ tto_matrix(u_sym, u_sym, multiplier_symbol(u_sym, a0, p2))
+        B1 = functional_calculus(u_sym, a0, p1) @ dop
+        B2 = dop @ functional_calculus(u_sym, a0, p2)
         cert = tho_product_symbol_forms(B1, B2)
         assert cert.regime == "inside"
         assert max(cert.left_residual, cert.right_residual) < 1e-10
         assert cert.product_residual < 1e-9
         # the product equals the Toeplitz operator with the product multiplier
-        want = tto_matrix(u_sym, u_sym, multiplier_symbol(u_sym, a0, p1 * p2))
+        want = functional_calculus(u_sym, a0, p1 * p2)
         assert np.max(np.abs((B1 @ B2).matrix - want.matrix)) < 1e-9
 
     def test_alpha_zero_shift_square(self, u_sym):
         dop = symmetric_involution(u_sym)
         z = RationalSymbol.monomial(1)
-        B1 = tto_matrix(u_sym, u_sym, multiplier_symbol(u_sym, 0.0, z)) @ dop
-        B2 = dop @ tto_matrix(u_sym, u_sym, multiplier_symbol(u_sym, 0.0, z))
+        B1 = functional_calculus(u_sym, 0.0, z) @ dop
+        B2 = dop @ functional_calculus(u_sym, 0.0, z)
         want = np.linalg.matrix_power(shift(u_sym).matrix, 2)
         assert np.max(np.abs((B1 @ B2).matrix - want)) < 1e-10
 
@@ -198,8 +197,8 @@ class TestSymbolForms:
         dop = symmetric_involution(u_sym)
         p1 = RationalSymbol.polynomial([0.8, 0.5])
         p2 = RationalSymbol.polynomial([1.1, -0.2])
-        B1 = tto_matrix(u_sym, u_sym, outside_multiplier_symbol(u_sym, a1, p1)) @ dop
-        B2 = dop @ tto_matrix(u_sym, u_sym, outside_multiplier_symbol(u_sym, a1, p2))
+        B1 = functional_calculus(u_sym, a1, p1) @ dop
+        B2 = dop @ functional_calculus(u_sym, a1, p2)
         cert = tho_product_symbol_forms(B1, B2)
         assert cert.regime == "outside"
         assert cert.product_residual < 1e-9
@@ -211,6 +210,17 @@ class TestSymbolForms:
         m2 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         cert = tho_product_symbol_forms(m1 @ dop, dop @ m2)
         assert cert.regime == "unimodular"
+        assert max(cert.left_residual, cert.right_residual) < 1e-8
+
+    def test_infinity_regime_congruences_only(self):
+        # factors p(S)* sit in the antianalytic class at infinity
+        u = random_inner(np.random.default_rng(5), 4, real_symmetric=True)
+        dop = symmetric_involution(u)
+        m1 = functional_calculus(u, 0.0, RationalSymbol.polynomial([0.6, 1.0, -0.3j, 0.2]))
+        m2 = functional_calculus(u, 0.0, RationalSymbol.polynomial([1.1, 0.4j, 0.5, -0.7]))
+        cert = tho_product_symbol_forms(m1.adjoint() @ dop, dop @ m2.adjoint())
+        assert cert.alpha.is_infinity
+        assert cert.regime == "infinity"
         assert max(cert.left_residual, cert.right_residual) < 1e-8
 
     def test_involution_multiple_excluded(self, u_sym, rng):
@@ -290,10 +300,8 @@ class TestAsymHankelProduct:
     def test_true_instance_from_class_pair(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
         a0 = 0.4
-        B1 = tto_matrix(u_sym, u_sym,
-                        multiplier_symbol(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5]))) @ dop
-        B2 = dop @ tto_matrix(u_sym, u_sym,
-                              multiplier_symbol(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2])))
+        B1 = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5])) @ dop
+        B2 = dop @ functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2]))
         s1, s2 = is_tho(B1), is_tho(B2)
         pv = atho_product_tto_test(s1.symbol, s2.symbol, u_sym, u_sym, u_sym)
         assert pv.in_class and pv.direct
@@ -383,10 +391,8 @@ class TestProductChains:
     def test_true_instance(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
         a0 = 0.4
-        B1 = tto_matrix(u_sym, u_sym,
-                        multiplier_symbol(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5]))) @ dop
-        B2 = dop @ tto_matrix(u_sym, u_sym,
-                              multiplier_symbol(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2])))
+        B1 = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5])) @ dop
+        B2 = dop @ functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2]))
         s1, s2 = is_tho(B1), is_tho(B2)
         res = membership_transport_chain(s1.symbol, s2.symbol, u_sym, u_sym, u_sym)
         assert all(res["toeplitz"])
