@@ -48,6 +48,7 @@ class InnerFunction:
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "_bvals", {})
+        object.__setattr__(self, "_poles", np.array([1.0 / np.conj(a) for a in zs if a != 0]))
         # cheap sampled unimodularity guard; exact by construction, this
         # catches corrupted coefficient data early
         sample = self(np.exp(1j * np.linspace(0.3, 6.0, 8)))
@@ -96,7 +97,7 @@ class InnerFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        self._guard_poles(z)
+        self.guard_poles(z)
         # factorwise evaluation: each Blaschke factor is well conditioned, so
         # clustered zeros cost only a few ulps (the expanded coefficients do not)
         out = np.full(z.shape, self.constant, dtype=complex)
@@ -104,15 +105,19 @@ class InnerFunction:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
         return out if z.ndim else complex(out)
 
-    def _guard_poles(self, z):
-        for a in self.zeros:
-            if a != 0 and np.any(np.abs(z - 1.0 / np.conj(a)) < 1e-12):
-                raise PoleHit(f"evaluation at pole 1/conj({a:g})")
+    def guard_poles(self, z):
+        """Raise PoleHit if a point lies within 1e-12 of a pole 1/conj(a), off the closed disk."""
+        z = np.asarray(z)
+        poles = self._poles
+        if poles.size and np.max(np.abs(z), initial=0.0) > np.min(np.abs(poles)) - 1e-12:
+            near = np.abs(z[..., None] - poles) < 1e-12
+            if np.any(near):
+                raise PoleHit(f"evaluation at the pole {poles[np.nonzero(near)[-1][0]]:g}")
 
     def derivative(self, z) -> complex:
         """u'(z); logarithmic-derivative sum away from zeros of u, product rule at them."""
         z = complex(z)
-        self._guard_poles(np.asarray(z))
+        self.guard_poles(z)
         zs = np.array(self.zeros)
         if np.min(np.abs(z - zs)) > 1e-6:
             log_der = np.sum(1.0 / (z - zs) + np.conj(zs) / (1.0 - np.conj(zs) * z))
@@ -281,5 +286,5 @@ def clark_points(u: InnerFunction, alpha) -> ClarkData:
             raise DegenerateSpectrum("two Clark eigenvalues coincide; numerical failure")
     points = tuple(complex(z / abs(z)) for z in eigvals)
     weights = tuple(1.0 / abs(u.derivative(p)) for p in points)
-    u_values = tuple(complex(u(p)) for p in points)
+    u_values = tuple(complex(v) for v in u(np.array(points)))
     return ClarkData(alpha, points, weights, u_values)

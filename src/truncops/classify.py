@@ -33,13 +33,12 @@ from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
-    boundary_kernel,
     conj_kernel,
     conjugation_C,
     conjugation_U,
     kernel,
-    normalized,
     tm_basis,
+    unit_kernels,
 )
 from .operators import (
     clark_perturbation,
@@ -291,12 +290,8 @@ def sedlock_class(A: OperatorMatrix, tol: float = CLASS_TOL) -> SedlockReport:
 def spectral_values(A: OperatorMatrix, clark) -> list[complex]:
     """Diagonal values of a class member at the Clark points: q* A q over
     normalized boundary kernels q."""
-    u = A.domain.generator
-    out = []
-    for p in clark.points:
-        q = normalized(boundary_kernel(u, p)).coords
-        out.append(complex(np.vdot(q, A.matrix @ q)))
-    return out
+    q = unit_kernels(A.domain.generator, clark.points)
+    return [complex(v) for v in np.sum(np.conj(q) * (q @ A.matrix.T), axis=1)]
 
 
 # ---------------------------------------------------------------------------

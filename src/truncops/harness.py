@@ -30,6 +30,7 @@ from .modelspace import (
     kernel,
     project,
     tm_basis,
+    unit_kernels,
 )
 from .operators import (
     clark_perturbation,
@@ -407,14 +408,13 @@ def check_clark_unitary(p: ProblemSpec) -> TrialResult:
     cdat = clark_points(u, alpha)
     evals, evecs = np.linalg.eig(sa.matrix)
     align = 0.0
-    for point in cdat.points:
+    for point, q in zip(cdat.points, unit_kernels(u, cdat.points)):
         i = int(np.argmin(np.abs(evals - point)))
         vec = evecs[:, i] / np.linalg.norm(evecs[:, i])
-        q = boundary_kernel(u, point)
-        align = max(align, 1.0 - abs(np.vdot(q.coords / q.norm(), vec)))
+        align = max(align, 1.0 - abs(np.vdot(q, vec)))
     r["eigvec_alignment"] = align
     f = tm_basis(u).random_element(rng)
-    quad = sum(wgt * abs(f(pt)) ** 2 for wgt, pt in zip(cdat.weights, cdat.points))
+    quad = float(np.sum(np.array(cdat.weights) * np.abs(f(cdat.points)) ** 2))
     r["quadrature_identity"] = abs(quad - f.norm() ** 2)
     r["orientation"] = cdat.orientation()
     inner_alpha = 0.8 * np.sqrt(rng.uniform()) * _unit(rng)

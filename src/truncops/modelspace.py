@@ -7,6 +7,13 @@ and provides coordinates for the reproducing kernels, the projection onto
 K_u, and the three conjugate-linear symmetries: the natural conjugation on
 K_u, the coefficient conjugation onto the hat space, and the flip J.
 
+Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
+e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
+once for all k, so kernels, boundary kernels at the Clark points and element
+values need neither expanded coefficients nor pairings; the grid block
+``values`` is the same product on the circle nodes.  The hat map is one
+block pairing of the reflected, conjugated basis values against a basis.
+
 Every function space object is immutable after construction; bases cache
 their Gram certificate and boundary values, after which they are safe to
 share between threads.
@@ -14,12 +21,14 @@ share between threads.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import InnerFunction
-from .errors import SpaceMismatch, SymbolNotInClass, ZeroAnchor
+from .errors import SpaceMismatch, SymbolNotInClass
 from .quadrature import pairing_matrix, pairing_vector
 from .ratfun import RationalSymbol
 
@@ -35,39 +44,43 @@ class ModelSpaceBasis:
 
     def __init__(self, generator: InnerFunction):
         self.generator = generator
-        zs = generator.zeros
-        n = len(zs)
+        n = len(generator.zeros)
         self._value_cache: dict[int, np.ndarray] = {}
-        funcs = []
-        raw_nums = []
-        num = np.ones(1, dtype=complex)  # running prod_{j<k} (z - a_j)
-        den = np.ones(1, dtype=complex)  # running prod_{j<=k} (1 - conj(a_j) z)
-        for k, a in enumerate(zs):
-            den = npoly.polymul(den, np.array([1.0, -np.conj(a)], dtype=complex))
-            scale = np.sqrt(1.0 - abs(a) ** 2)
-            raw_nums.append(scale * num)
-            funcs.append(RationalSymbol(
-                scale * num, den, check_poles=False,
-                provider=(lambda m, _k=k: self.values(m)[:, _k])))
-            num = npoly.polymul(num, np.array([-a, 1.0], dtype=complex))
-        self.functions = funcs
+        # pairings and point evaluation read only the factored values, so
+        # coefficients are expanded on the first read of num or den
+        self.functions = [
+            RationalSymbol(provider=(lambda m, _k=k: self.values(m)[:, _k]),
+                           expand=(lambda _k=k: self._expansions[0][_k]))
+            for k in range(n)]
         self.dim = n
-        # lifted numerators: e_k = lifted_num[k] / u_den over the shared
-        # (unnormalized) denominator of the generator, so linear combinations
-        # stay degree <= n-1 over a degree-n denominator
-        tails = [np.ones(1, dtype=complex)]
-        for a in reversed(zs[1:]):
-            tails.append(npoly.polymul(tails[-1], np.array([1.0, -np.conj(a)], dtype=complex)))
-        tails.reverse()
-        self._lifted = [
-            npoly.polymul(raw, t) for raw, t in zip(raw_nums, tails)
-        ]
         gram = pairing_matrix(self.values, self.values)
         self.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
         if self.gram_residual > GRAM_TOL:
             raise ArithmeticError(
                 f"basis Gram matrix off identity by {self.gram_residual:g}"
             )
+
+    @cached_property
+    def _expansions(self):
+        """Raw (numerator, denominator) of every e_k, and the lifted numerators.
+
+        e_k = lifted[k] / u_den over the shared (unnormalized) denominator of
+        the generator, so linear combinations stay degree <= n-1 over a
+        degree-n denominator.
+        """
+        zs = self.generator.zeros
+        raw = []
+        num = np.ones(1, dtype=complex)  # running prod_{j<k} (z - a_j)
+        den = np.ones(1, dtype=complex)  # running prod_{j<=k} (1 - conj(a_j) z)
+        for a in zs:
+            den = npoly.polymul(den, np.array([1.0, -np.conj(a)], dtype=complex))
+            raw.append((np.sqrt(1.0 - abs(a) ** 2) * num, den))
+            num = npoly.polymul(num, np.array([-a, 1.0], dtype=complex))
+        tails = [np.ones(1, dtype=complex)]
+        for a in reversed(zs[1:]):
+            tails.append(npoly.polymul(tails[-1], np.array([1.0, -np.conj(a)], dtype=complex)))
+        tails.reverse()
+        return raw, [npoly.polymul(r, t) for (r, _), t in zip(raw, tails)]
 
     def __eq__(self, other):
         return isinstance(other, ModelSpaceBasis) and self.generator == other.generator
@@ -78,21 +91,31 @@ class ModelSpaceBasis:
     def __repr__(self):
         return f"ModelSpaceBasis(deg={self.dim}, generator={self.generator.to_json()})"
 
+    def at(self, z) -> np.ndarray:
+        """Factored values e_k(z) of every basis function: shape z.shape + (dim,).
+
+        Runs the product over the zero list once for all k, so no expanded
+        coefficients are evaluated.  Raises PoleHit where some 1 - conj(a_k) z
+        nearly vanishes, which happens only off the closed disk.
+        """
+        z = np.asarray(z, dtype=complex)
+        self.generator.guard_poles(z)
+        cols = []
+        running = np.ones(z.shape, dtype=complex)   # prod_{j<k} (z-a_j)/(1-conj(a_j) z)
+        for a in self.generator.zeros:
+            factor_den = 1.0 - np.conj(a) * z
+            cols.append(np.sqrt(1.0 - abs(a) ** 2) * running / factor_den)
+            running = running * (z - a) / factor_den
+        return np.stack(cols, axis=-1)
+
     def values(self, m: int) -> np.ndarray:
-        """Factored boundary values of the basis, stacked (m, dim); cached, read-only.
+        """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
         This block is the basis side of every pairing against the basis.
         """
         got = self._value_cache.get(m)
         if got is None:
-            z = quadrature.nodes(m)
-            cols = []
-            running = np.ones(m, dtype=complex)   # prod_{j<k} (z-a_j)/(1-conj(a_j) z)
-            for a in self.generator.zeros:
-                factor_den = 1.0 - np.conj(a) * z
-                cols.append(np.sqrt(1.0 - abs(a) ** 2) * running / factor_den)
-                running = running * (z - a) / factor_den
-            got = np.column_stack(cols)
+            got = self.at(quadrature.nodes(m))
             got.flags.writeable = False
             self._value_cache[m] = got
         return got
@@ -101,7 +124,7 @@ class ModelSpaceBasis:
         """The element with the given coordinates, as a rational function."""
         coords = np.asarray(coords, dtype=complex)
         num = np.zeros(1, dtype=complex)
-        for c, lift in zip(coords, self._lifted):
+        for c, lift in zip(coords, self._expansions[1]):
             if c != 0:
                 num = npoly.polyadd(num, c * lift)
         return RationalSymbol(num, self.generator.den_coeffs, check_poles=False,
@@ -142,8 +165,7 @@ class SpaceElement:
         return self.space.combine(self.coords)
 
     def __call__(self, z):
-        vals = [f(z) for f in self.space.functions]
-        return sum(c * v for c, v in zip(self.coords, vals))
+        return self.space.at(z) @ self.coords
 
     def inner(self, other: "SpaceElement") -> complex:
         if other.space != self.space:
@@ -223,22 +245,27 @@ def _generator_den_values(u: InnerFunction, m: int) -> np.ndarray:
 def kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     """Coordinates of the reproducing kernel: <f, k_lam> = f(lam) for f in K_u.
 
-    Exact: the k-th coordinate is conj(e_k(lam)).
+    Exact: the k-th coordinate is conj(e_k(lam)), with no pairing.
     """
     space = tm_basis(u)
-    coords = np.conj(np.array([f(lam) for f in space.functions]))
-    return SpaceElement(space, coords)
+    return SpaceElement(space, np.conj(space.at(complex(lam))))
+
+
+def unit_kernels(u: InnerFunction, points) -> np.ndarray:
+    """Normalized kernel coordinates at each point (e.g. the Clark points), one row each."""
+    rows = np.conj(tm_basis(u).at(np.asarray(points, dtype=complex)))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
 def conj_kernel_symbol(u: InnerFunction, lam: complex) -> RationalSymbol:
     """(u(z) - u(lam)) / (z - lam) with the removable singularity divided out."""
     lam = complex(lam)
     ulam = complex(u(lam))
-    num = npoly.polyadd(u.num_coeffs, -ulam * u.den_coeffs)
     def provider(m):
         return (u.boundary_values(m) - ulam) / (quadrature.nodes(m) - lam)
-    return RationalSymbol(_deflate(num, lam), u.den_coeffs, check_poles=False,
-                          provider=provider)
+    def expand():   # pairings read only the grid values
+        return _deflate(npoly.polyadd(u.num_coeffs, -ulam * u.den_coeffs), lam), u.den_coeffs
+    return RationalSymbol(provider=provider, expand=expand)
 
 
 def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
@@ -403,16 +430,18 @@ def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     return OperatorMatrix(mat, space, space, antilinear=True)
 
 
+def _hat_map(space: ModelSpaceBasis, target: ModelSpaceBasis) -> np.ndarray:
+    """One block pairing of the hat images conj(e_k(conj z)) against the target basis."""
+    def images(m):
+        return np.conj(space.values(m)[quadrature.reflection(m)])
+    return pairing_matrix(images, target.values)
+
+
 def conjugation_U(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u)."""
     space = tm_basis(u)
     target = tm_basis(u.hat())
-
-    def images(m):
-        return np.conj(space.values(m)[quadrature.reflection(m)])   # hat e_k
-
-    mat = pairing_matrix(images, target.values)
-    return OperatorMatrix(mat, space, target, antilinear=True)
+    return OperatorMatrix(_hat_map(space, target), space, target, antilinear=True)
 
 
 def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
@@ -421,24 +450,10 @@ def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
     Only meaningful when u equals its hat as a function (real symmetric u):
     then K_hat(u) and K_u are the same space even though the stored zero
     lists may order conjugate pairs differently.  Completeness of each image
-    expansion is certified.
+    expansion is certified: every column must keep unit norm.
     """
     space = tm_basis(u)
-    n = space.dim
-    cols = []
-    for f in space.functions:
-        img = f.hat()
-        coords = pairing_vector(img, space.values)
-        if abs(1.0 - float(np.vdot(coords, coords).real)) > 1e-9:
-            raise SymbolNotInClass(
-                "hat image leaves the space; generator is not real symmetric"
-            )
-        cols.append(coords)
-    return OperatorMatrix(np.column_stack(cols), space, space, antilinear=True)
-
-
-def normalized(el: SpaceElement) -> SpaceElement:
-    n = el.norm()
-    if n < 1e-12:
-        raise ZeroAnchor("cannot normalize a numerically zero element")
-    return SpaceElement(el.space, el.coords / n)
+    mat = _hat_map(space, space)
+    if np.max(np.abs(1.0 - np.sum(np.abs(mat) ** 2, axis=0))) > 1e-9:
+        raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
+    return OperatorMatrix(mat, space, space, antilinear=True)

@@ -28,9 +28,8 @@ from .modelspace import (
     conjugation_U_on,
     kernel,
     conj_kernel,
-    normalized,
-    boundary_kernel,
     tm_basis,
+    unit_kernels,
 )
 from .quadrature import pairing_matrix
 from .ratfun import RationalSymbol
@@ -143,11 +142,9 @@ def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorM
     Projectors are built from normalized boundary kernels rather than raw
     eigenvectors, which pins phases deterministically.
     """
+    q = unit_kernels(u, clark.points)
+    mat = q.T @ (np.asarray(values, dtype=complex)[:, None] * np.conj(q))
     space = tm_basis(u)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for val, point in zip(values, clark.points):
-        q = normalized(boundary_kernel(u, point)).coords
-        mat += complex(val) * np.outer(q, np.conj(q))
     return OperatorMatrix(mat, space, space)
 
 

@@ -135,6 +135,22 @@ class TestSuite:
         assert result.details["error"] == "unitary factor not Hankel"
         assert result.error is None
 
+    def test_unitary_hankel_factor_is_member_at_degree_32(self):
+        # suite seed 329, degrees 30-32: the first trial of atho-product-true.
+        # With boundary kernels evaluated through expanded coefficients,
+        # is_tho rejected this factor, Hankel by construction.
+        check = CHECKS["atho-product-true"]
+        seed = harness._trial_seed(329, check.id, 0)
+        assert seed == 3549765280
+        problem = generate_instance(seed, (30, 32), SuiteConfig().symbol_degree_range,
+                                    dict(check.constraints, operation=check.id))
+        u = problem.inner_u()
+        assert u.degree == 32
+        rng = np.random.default_rng(problem.seed)
+        harness._class_hankel_pair(u, harness.ExtendedScalar.finite(problem.param_c("alpha")),
+                                   rng)
+        assert classify.is_tho(harness._unitary_hankel(u, rng)).is_member
+
 
 class TestEvaluationContext:
     def test_threaded_suites_match_sequential(self):

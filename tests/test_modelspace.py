@@ -17,8 +17,8 @@ from truncops import (
     project,
     tm_basis,
 )
-from truncops.errors import NoConvergence, SpaceMismatch, SymbolNotInClass
-from truncops.modelspace import boundary_kernel_symbol, conj_kernel_symbol
+from truncops.errors import NoConvergence, PoleHit, SpaceMismatch, SymbolNotInClass
+from truncops.modelspace import _deflate, boundary_kernel_symbol, conj_kernel_symbol
 from truncops import quadrature
 from truncops.quadrature import QuadratureSettings
 
@@ -117,6 +117,82 @@ class TestKernels:
         eta = np.exp(2.3j)
         el = project(u_generic, boundary_kernel_symbol(u_generic, eta))
         assert np.max(np.abs(el.coords - boundary_kernel(u_generic, eta).coords)) < 1e-10
+
+
+def _random_inner(rng, n, radius=0.8):
+    zeros = radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return blaschke_new(zeros, np.exp(1j * rng.uniform()))
+
+
+class TestFactoredEvaluation:
+    def test_values_are_at_on_the_grid_bitwise(self, rng):
+        space = tm_basis(_random_inner(rng, 12))
+        for m in (64, 2048):
+            z = quadrature.nodes(m)
+            cols, running = [], np.ones(m, dtype=complex)
+            for a in space.generator.zeros:     # the column-by-column running product
+                factor_den = 1.0 - np.conj(a) * z
+                cols.append(np.sqrt(1.0 - abs(a) ** 2) * running / factor_den)
+                running = running * (z - a) / factor_den
+            assert space.values(m).tobytes() == space.at(z).tobytes()
+            assert space.values(m).tobytes() == np.column_stack(cols).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_at_matches_expanded_coefficients(self, rng, n):
+        space = tm_basis(_random_inner(rng, n))
+        pts = 0.9 * np.sqrt(rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))
+        got = space.at(pts)
+        assert got.shape == (6, n) and space.at(pts[0]).shape == (n,)
+        assert all(f._coeffs is None for f in space.functions)   # expanded on demand
+        want = np.array([[f(z) for f in space.functions] for z in pts])
+        assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_reproducing_property_high_degree(self, rng, n):
+        u = _random_inner(rng, n)
+        f = tm_basis(u).random_element(rng, norm=1.0)
+        points = [0.0, 0.9 * np.exp(0.4j), -0.5 + 0.3j, np.exp(1j), np.exp(-2.5j)]
+        for lam in points:
+            ulam = complex(u(lam))
+            def kvals(m, lam=lam, ulam=ulam):   # closed-form k_lam, factored through u
+                z = quadrature.nodes(m)
+                return ((1.0 - np.conj(ulam) * u.boundary_values(m))
+                        / (1.0 - np.conj(lam) * z))[:, None]
+            pairing = quadrature.pairing_matrix(
+                lambda m: (f.space.values(m) @ f.coords)[:, None], kvals)[0, 0]
+            assert abs(f.inner(kernel(u, lam)) - f(lam)) < 1e-12 * max(1.0, abs(f(lam)))
+            assert abs(pairing - f(lam)) < 1e-12 * max(1.0, abs(f(lam)))
+
+    def test_pole_hit_at_reciprocal_conjugate_zero(self, u_generic):
+        pole = 1.0 / np.conj(u_generic.zeros[0])
+        with pytest.raises(PoleHit):
+            kernel(u_generic, pole)
+        with pytest.raises(PoleHit):
+            u_generic(np.array([0.1, pole, -0.2j]))
+
+    def test_kernels_make_no_pairing(self, u_generic):
+        tm_basis(u_generic)
+        before = quadrature.STATS.pairings
+        kernel(u_generic, 0.3 - 0.1j)
+        boundary_kernel(u_generic, np.exp(0.7j))
+        assert quadrature.STATS.pairings == before
+
+    def test_hat_map_is_one_pairing(self, u_sym, u_generic):
+        tm_basis(u_sym)
+        before = quadrature.STATS.pairings
+        conjugation_U_on(u_sym)
+        assert quadrature.STATS.pairings == before + 1
+        with pytest.raises(SymbolNotInClass):
+            conjugation_U_on(u_generic)
+
+    def test_conj_kernel_coefficients_on_demand(self, u_generic):
+        lam = 0.2 - 0.3j
+        sym = conj_kernel_symbol(u_generic, lam)
+        want = RationalSymbol(_deflate(u_generic.num_coeffs - complex(u_generic(lam))
+                                       * u_generic.den_coeffs, lam),
+                              u_generic.den_coeffs, check_poles=False)
+        assert sym._coeffs is None
+        assert np.array_equal(sym.num, want.num) and np.array_equal(sym.den, want.den)
 
 
 class TestProjection:
