@@ -42,6 +42,7 @@ from .modelspace import (
 )
 from .operators import (
     clark_perturbation,
+    class_level,
     shift,
     shift_adj,
     symmetric_involution,
@@ -638,29 +639,28 @@ def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix,
 def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
     """Polynomial multipliers of members of the Sedlock class alpha on K_u.
 
-    A member of the class is a polynomial in the shift perturbation
-    (Sedlock 2011): p(S^alpha) for |alpha| <= 1, and conj(p)((S^beta)*) with
-    beta = 1/conj(alpha) outside the disk (beta = 0 at infinity), conj(p)
-    having the conjugated coefficients.  Each member is fitted over the
-    powers below n = dim K_u of that base, and the coefficients of p are
-    returned, so that inside and outside the disk the member is
-    `functional_calculus(u, alpha, p)`.  Returns (level, multipliers,
-    residuals): the parameter of the base perturbation, whose level set of u
-    carries the spectrum of every member, one coefficient array per member,
-    and the max-entry rebuild residual of each fit.
+    A member of the class is p(S^alpha) for |alpha| <= 1, and p(S^beta)*
+    outside the closed disk (Sedlock 2011), with the level beta of
+    `operators.class_level`.  Each member is fitted over the powers below
+    n = dim K_u of S^beta, or of its adjoint outside the disk, and the
+    coefficients of p are returned (conjugated back outside), so that the
+    member is `functional_calculus(u, alpha, p)` in every regime.  Returns
+    (level, multipliers, residuals): the parameter of the base perturbation,
+    whose level set of u carries the spectrum of every member, one
+    coefficient array per member, and the max-entry rebuild residual of
+    each fit.
     """
     u = members[0].domain.generator
-    outside = alpha.modulus() > 1.0
-    level = alpha.reciprocal_conjugate().value if outside else alpha.value
+    level, adjoint = class_level(alpha)
     base = clark_perturbation(u, level)
-    if outside:
+    if adjoint:
         base = base.adjoint()
     powers = [np.eye(u.degree, dtype=complex)]
     for _ in range(u.degree - 1):
         powers.append(powers[-1] @ base.matrix)
     stack = np.column_stack([p.ravel() for p in powers])
     fits = [lstsq_fit(stack, M.matrix) for M in members]
-    multipliers = [np.conj(x) if outside else x for x, _ in fits]
+    multipliers = [np.conj(x) if adjoint else x for x, _ in fits]
     return level, multipliers, [res for _, res in fits]
 
 

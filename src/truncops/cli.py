@@ -64,7 +64,15 @@ def _emit(obj, as_json: bool, human: str | None = None):
         print(human if human is not None else json.dumps(obj, sort_keys=True, indent=1))
 
 
+# the flags each build-op kind reads; a missing one is a usage error
+_BUILD_OP_NEEDS = {"tto": ("symbol",), "tho": ("symbol",), "clark-perturbation": ("alpha",),
+                   "sedlock": ("symbol", "alpha"), "calculus": ("symbol", "alpha")}
+
+
 def _cmd_build_op(args) -> int:
+    missing = [f"--{k}" for k in _BUILD_OP_NEEDS.get(args.op, ()) if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"--op {args.op} needs {' and '.join(missing)}")
     u = parse_inner(args.u)
     v = parse_inner(args.v) if args.v else u
     sym = parse_symbol(args.symbol) if args.symbol else None

@@ -2,23 +2,25 @@
 
 Builders for the compressed shift and its rank-one perturbations, truncated
 Toeplitz and Hankel operators (symmetric and asymmetric), the Sedlock-class
-constructors, functional calculus in the three parameter regimes, and the
+constructors, the functional calculus of the Sedlock classes, and the
 unitary involution available over a real symmetric generator.
 
-Matrix entries are pairings of exact rational symbols, so the only numeric
-step is the adaptive circle quadrature.  conj(u) on the circle is realized
-as the rational function 1/u, keeping all symbol algebra exact.  Pairings
-read boundary values only, so the builders pair whole blocks of basis
-values (symbol times basis, and the flipped basis) rather than making one
-symbol per basis function.
+Builder entries are pairings of exact rational symbols, so their only
+numeric step is the adaptive circle quadrature.  The functional calculus
+makes no pairing of its own: it is matrix algebra on the shift
+perturbation.  conj(u) on the circle is realized as the rational function
+1/u, keeping all symbol algebra exact.  Pairings read boundary values only,
+so the builders pair whole blocks of basis values (symbol times basis, and
+the flipped basis) rather than making one symbol per basis function.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
-from .blaschke import ClarkData, ExtendedScalar, InnerFunction, clark_points
+from .blaschke import ClarkData, ExtendedScalar, InnerFunction
 from .errors import NotRealSymmetric, SingularDenominator, SpaceMismatch
 from .modelspace import (
     ModelSpaceBasis,
@@ -32,7 +34,7 @@ from .modelspace import (
     unit_kernels,
 )
 from .quadrature import pairing_matrix
-from .ratfun import RationalSymbol
+from .ratfun import CIRCLE_POLE_MARGIN, RationalSymbol
 
 
 def _images(sym: RationalSymbol, space: ModelSpaceBasis):
@@ -148,42 +150,45 @@ def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorM
     return OperatorMatrix(mat, space, space)
 
 
-def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> OperatorMatrix:
-    """psi evaluated on the shift perturbation, per the parameter regime.
+def class_level(alpha) -> tuple[complex, bool]:
+    """The shift perturbation that carries the Sedlock class alpha.
 
-    |alpha| < 1: the Toeplitz operator with symbol psi u/(u - alpha)
-    (psi/(1 - alpha conj(u)) realized rationally).  |alpha| > 1: symbol
-    alpha conj(psi) u_den/(alpha u_den - u_num).  |alpha| = 1: spectral sum
-    over the Clark points.
+    Members of the class are polynomials in S^alpha for |alpha| <= 1, and
+    adjoints of polynomials in S^beta with beta = 1/conj(alpha) outside the
+    closed disk (beta = 0 at infinity).  Returns (level, adjoint): the
+    parameter of that perturbation and whether members are adjoints.
     """
     alpha = ExtendedScalar.of(alpha)
-    if alpha.is_infinity:
-        raise SingularDenominator("functional calculus needs a finite parameter")
-    a = alpha.value
-    mod = abs(a)
-    unum = u.num_coeffs
-    uden = u.den_coeffs
-    if abs(mod - 1.0) <= 1e-12:
-        clark = clark_points(u, a)
-        return spectral_multiplier(u, clark, [psi(p) for p in clark.points])
-    if mod < 1.0:
-        den = RationalSymbol(np.polynomial.polynomial.polyadd(unum, -a * uden), uden,
-                             check_poles=False)
-        _guard_circle(den, unum.size - 1)
-        sym = psi * u.as_symbol() / den
-        return tto_matrix(u, u, sym)
-    den = RationalSymbol(np.polynomial.polynomial.polyadd(a * uden, -unum), uden,
-                         check_poles=False)
-    _guard_circle(den, unum.size - 1)
-    sym = a * psi.conj_circle() / den
-    return tto_matrix(u, u, sym)
+    if alpha.modulus() > 1.0:
+        return alpha.reciprocal_conjugate().value, True
+    return alpha.value, False
 
 
-def _guard_circle(sym: RationalSymbol, degree: int):
-    """Raise if a calculus denominator u - alpha (or alpha - u) nearly vanishes on the circle."""
-    sample = sym.values_at(max(64, 8 * max(degree, 1)))
-    if np.min(np.abs(sample)) < 1e-8:
-        raise SingularDenominator("calculus denominator vanishes on the circle")
+def _horner(coeffs: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] mat^k by Horner's rule."""
+    eye = np.eye(mat.shape[0], dtype=complex)
+    out = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
+        out = out @ mat + c * eye
+    return out
+
+
+def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> OperatorMatrix:
+    """psi(S^alpha) for |alpha| <= 1, and psi(S^beta)* with beta = 1/conj(alpha)
+    outside the closed disk (beta = 0 at infinity); see `class_level`.
+
+    Exact: Horner on the shift perturbation for psi's numerator and
+    denominator, then one solve.  psi must be analytic on the closed disk,
+    where the spectrum of S^beta lies.
+    """
+    den = psi.den
+    if den.size > 1 and np.min(np.abs(npoly.polyroots(den))) <= 1.0 + CIRCLE_POLE_MARGIN:
+        raise SingularDenominator("calculus symbol has a pole in the closed disk")
+    level, adjoint = class_level(alpha)
+    base = clark_perturbation(u, level)
+    mat = np.linalg.solve(_horner(den, base.matrix), _horner(psi.num, base.matrix))
+    out = OperatorMatrix(mat, base.domain, base.codomain)
+    return out.adjoint() if adjoint else out
 
 
 def symmetric_involution(u: InnerFunction) -> OperatorMatrix:

@@ -277,17 +277,17 @@ class SymbolFormCertificates:
     left_residual: float
     right_residual: float
     regime: str
-    left_multiplier: np.ndarray | None = None
-    right_multiplier: np.ndarray | None = None
-    product_residual: float | None = None
+    left_multiplier: np.ndarray
+    right_multiplier: np.ndarray
+    product_residual: float
 
 
 def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
                              rebuild_tol: float = 1e-8) -> SymbolFormCertificates:
     """Solve the class-form symbol congruences for a Hankel pair whose
-    product is Toeplitz, and (inside and outside the disk) the polynomial
-    multipliers of `classify.class_multipliers` together with the product
-    identity B1 B2 = functional_calculus(u, alpha, p1 p2).
+    product is Toeplitz, and the polynomial multipliers of
+    `classify.class_multipliers` together with the product identity
+    B1 B2 = functional_calculus(u, alpha, p1 p2), in every regime.
 
     Scalar multiples of the involution are outside the hypothesis and raise.
     """
@@ -307,22 +307,16 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     mod = alpha.modulus()
     regime = ("infinity" if alpha.is_infinity else "unimodular" if abs(mod - 1.0) < 1e-6
               else "inside" if mod < 1.0 else "outside")
-    cert = SymbolFormCertificates(alpha, lres, rres, regime)
-    if regime in ("infinity", "unimodular"):
-        return cert
-
-    # polynomial multipliers away from the unimodular circle: B1 D and D B2
-    # are p1 and p2 of the class's shift perturbation, and B1 B2 is p1 p2 of it
+    # B1 D and D B2 are p1 and p2 of the class's shift perturbation (adjoints
+    # outside the disk), and B1 B2 is p1 p2 of it
     dop = symmetric_involution(u)
     _, (p1, p2), _ = class_multipliers(alpha, B1 @ dop, dop @ B2)
-    cert.left_multiplier = p1
-    cert.right_multiplier = p2
     prod = functional_calculus(u, alpha, RationalSymbol.polynomial(
         np.polynomial.polynomial.polymul(p1, p2)))
-    cert.product_residual = float(np.max(np.abs(prod.matrix - (B1 @ B2).matrix)))
-    if cert.product_residual >= 1e-8 * max(1.0, float(np.linalg.norm(prod.matrix))):
-        raise NoCertificate(f"product symbol residual {cert.product_residual:g}")
-    return cert
+    presid = float(np.max(np.abs(prod.matrix - (B1 @ B2).matrix)))
+    if presid >= 1e-8 * max(1.0, float(np.linalg.norm(prod.matrix))):
+        raise NoCertificate(f"product symbol residual {presid:g}")
+    return SymbolFormCertificates(alpha, lres, rres, regime, p1, p2, presid)
 
 
 def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB",

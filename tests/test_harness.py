@@ -9,10 +9,9 @@ import pytest
 
 from truncops import CHECKS, ProblemSpec, SuiteConfig, generate_instance, replay, run_suite
 from truncops import classify, harness
-from truncops.blaschke import InnerFunction
 from truncops.cli import main, parse_inner, parse_scalar
 from truncops.errors import InvalidRange
-from truncops.harness import clamp_level, random_inner, run_trial
+from truncops.harness import run_trial
 from truncops.quadrature import QuadratureSettings
 
 
@@ -47,28 +46,21 @@ class TestGeneration:
         assert q.to_json() == p.to_json()
 
 
-class TestClampLevel:
-    def test_keeps_safe_parameters(self):
-        u = InnerFunction((0.0, 0.0), 1.0)
-        assert clamp_level(u, 0.3) == pytest.approx(0.3)
-
-    def test_shrinks_unsafe_parameters(self, rng):
-        u = random_inner(rng, 4)
-        a = clamp_level(u, 0.89 * np.exp(0.3j))
-        from truncops.harness import _level_radius
-        assert _level_radius(u, a) <= 0.92 + 1e-9
-
-    def test_unimodular_untouched(self, rng):
-        u = random_inner(rng, 3)
-        a = np.exp(0.7j)
-        assert clamp_level(u, a) == a
-
-
 class TestSuite:
     def test_small_run_passes(self):
         rep = run_suite(SuiteConfig(seed=3, trials=2))
         assert rep.overall_pass, rep.human_summary()
         assert {c["id"] for c in rep.checks} == set(CHECKS)
+
+    @pytest.mark.parametrize("seed, check", [(303, "atho-atto-true"),
+                                             (329, "atho-product-true")])
+    def test_high_degree_class_products_pass(self, seed, check):
+        # both trials failed while the calculus paired a Toeplitz symbol by
+        # quadrature: criterion and direct test disagreed at seed 303, and the
+        # first factor pair came out not in class at seed 329
+        rep = run_suite(SuiteConfig(seed=seed, trials=1, degree_range=(30, 32),
+                                    checks=[check]))
+        assert rep.overall_pass, rep.human_summary()
 
     def test_byte_determinism(self):
         r1 = run_suite(SuiteConfig(seed=7, trials=2))
@@ -204,6 +196,30 @@ class TestCLI:
         out = json.loads(capsys.readouterr().out)
         mat = np.array([[complex(a, b) for a, b in row] for row in out["matrix"]])
         assert np.allclose(mat, [[0, 0], [1, 0]], atol=1e-12)
+
+    def test_build_op_calculus_at_infinity(self, capsys):
+        # at infinity the member is p(S)*; on K_{z^3}, S is the down shift
+        rc = main(["build-op", "--op", "calculus", "--u", "z3", "--alpha", "inf",
+                   "--symbol", '{"laurent":{"0":[1,0],"1":[0.5,0]}}', "--json"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        mat = np.array([[complex(a, b) for a, b in row] for row in out["matrix"]])
+        assert np.allclose(mat, [[1, 0.5, 0], [0, 1, 0.5], [0, 0, 1]], atol=1e-12)
+
+    def test_build_op_calculus_pole_in_disk(self, capsys):
+        rc = main(["build-op", "--op", "calculus", "--u", "z3", "--alpha", "0.3",
+                   "--symbol", '{"laurent":{"-1":[1,0]}}', "--json"])
+        assert rc == 1
+        assert "SingularDenominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op, given", [("calculus", ["--symbol", '{"laurent":{"1":[1,0]}}']),
+                                           ("clark-perturbation", []),
+                                           ("tto", ["--alpha", "0.3"])])
+    def test_build_op_missing_flag_is_usage_error(self, capsys, op, given):
+        rc = main(["build-op", "--op", op, "--u", "z3", *given])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err or "--symbol" in err
 
     def test_classify_pipe(self, tmp_path, capsys):
         rc = main(["build-op", "--op", "shift", "--u", "z3", "--json"])

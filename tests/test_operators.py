@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from truncops import (
     ExtendedScalar,
@@ -28,6 +29,7 @@ from truncops import (
 from truncops.blaschke import clark_points
 from truncops.classify import is_tho
 from truncops.errors import NotRealSymmetric, SingularDenominator
+from truncops.harness import random_inner
 from truncops.modelspace import boundary_kernel_symbol
 from truncops.quadrature import pairing_matrix
 
@@ -255,6 +257,56 @@ class TestFunctionalCalculus:
         cdat = clark_points(u_sym, 1.0)
         m = spectral_multiplier(u_sym, cdat, [1.0] * 3)
         assert np.max(np.abs(m.matrix - np.eye(3))) < 1e-10
+
+
+def _quadrature_calculus_symbol(u, a, psi):
+    """The Toeplitz symbol of psi on the class a, paired by circle quadrature:
+    psi u/(u - a) inside the disk and a conj(psi) u_den/(a u_den - u_num)
+    outside it."""
+    num, den = u.num_coeffs, u.den_coeffs
+    if abs(a) < 1.0:
+        level = RationalSymbol(npoly.polyadd(num, -a * den), den, check_poles=False)
+        return psi * u.as_symbol() / level
+    level = RationalSymbol(npoly.polyadd(a * den, -num), den, check_poles=False)
+    return a * psi.conj_circle() / level
+
+
+CALCULUS_SYMBOLS = {
+    "polynomial": RationalSymbol.polynomial([0.5, -1j, 0.25, 0.3 + 0.1j]),
+    "pole-at-2": RationalSymbol([1.0], [-2.0, 1.0]),
+}
+
+
+class TestCalculusOracle:
+    """The exact calculus against the quadrature pairing of its Toeplitz symbol."""
+
+    @pytest.mark.parametrize("name", sorted(CALCULUS_SYMBOLS))
+    @pytest.mark.parametrize("modulus", [0.5, 0.9, 2.0])
+    @pytest.mark.parametrize("degree", [3, 16, 32])
+    def test_matches_quadrature_symbol(self, degree, modulus, name):
+        u = random_inner(np.random.default_rng(degree), degree)
+        a = modulus * np.exp(0.6j)
+        psi = CALCULUS_SYMBOLS[name]
+        want = tto_matrix(u, u, _quadrature_calculus_symbol(u, a, psi)).matrix
+        got = functional_calculus(u, a, psi).matrix
+        assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+    def test_infinity_is_adjoint_polynomial_of_shift(self, u_generic):
+        s = shift(u_generic).matrix
+        want = (0.6 * np.eye(3) + s - 0.3j * s @ s).conj().T
+        got = functional_calculus(u_generic, ExtendedScalar.infinity(),
+                                  RationalSymbol.polynomial([0.6, 1.0, -0.3j]))
+        assert np.max(np.abs(got.matrix - want)) < 1e-12
+
+    @pytest.mark.parametrize("psi", [RationalSymbol.monomial(-1),
+                                     RationalSymbol([1.0], [-0.5j, 1.0]),
+                                     RationalSymbol([2.0, 1.0], [0.9, 0.0, 1.0])],
+                             ids=["1/z", "1/(z-0.5i)", "(2+z)/(z^2+0.9)"])
+    @pytest.mark.parametrize("alpha", [0.3, np.exp(0.7j), 2.0 - 1j, None],
+                             ids=["inside", "unimodular", "outside", "infinity"])
+    def test_pole_in_closed_disk_raises(self, u_generic, psi, alpha):
+        with pytest.raises(SingularDenominator):
+            functional_calculus(u_generic, alpha, psi)
 
 
 class TestInvolution:

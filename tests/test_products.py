@@ -203,7 +203,7 @@ class TestSymbolForms:
         assert cert.regime == "outside"
         assert cert.product_residual < 1e-9
 
-    def test_unimodular_regime_congruences_only(self, u_sym, rng):
+    def test_unimodular_regime_product_identity(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
         cdat = clark_points(u_sym, np.exp(1.2j))
         m1 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -211,8 +211,9 @@ class TestSymbolForms:
         cert = tho_product_symbol_forms(m1 @ dop, dop @ m2)
         assert cert.regime == "unimodular"
         assert max(cert.left_residual, cert.right_residual) < 1e-8
+        assert cert.product_residual < 1e-9
 
-    def test_infinity_regime_congruences_only(self):
+    def test_infinity_regime_product_identity(self):
         # factors p(S)* sit in the antianalytic class at infinity
         u = random_inner(np.random.default_rng(5), 4, real_symmetric=True)
         dop = symmetric_involution(u)
@@ -222,6 +223,7 @@ class TestSymbolForms:
         assert cert.alpha.is_infinity
         assert cert.regime == "infinity"
         assert max(cert.left_residual, cert.right_residual) < 1e-8
+        assert cert.product_residual < 1e-9
 
     def test_involution_multiple_excluded(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
