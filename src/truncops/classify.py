@@ -10,6 +10,10 @@ The shared engine is a cross decomposition: writing a matrix as
 (left (x) a) + (b (x) right) for anchor vectors a, b.  Membership in the
 operator classes is equivalent to the shift displacement having that shape.
 Symbols are non-unique, so recovered parts are gauged by <right, a> = 0.
+
+Class membership has one certificate, the polynomial fit of
+`class_multipliers`; Hankel inverses and product symbol forms read theirs
+off it for D B or B D, with D the involution.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .errors import (
     ZeroAnchor,
 )
 from .modelspace import (
-    ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
     conj_kernel,
@@ -390,78 +393,21 @@ def _unimodular_class(M: OperatorMatrix, tol: float):
 
 @dataclass
 class ClassSymbolCertificate:
-    coords: np.ndarray
-    constant: complex
-    symbol: RationalSymbol
+    """A member of the class alpha as `functional_calculus(u, alpha, p)`: the
+    level of its Clark perturbation, the coefficients of p and the max-entry
+    residual of their rebuild, as `class_multipliers` returns them."""
+
+    level: complex
+    multiplier: np.ndarray
     residual: float
 
 
-def _class_symbol_fit(B: OperatorMatrix, alpha: ExtendedScalar,
-                      rebuild_tol: float = REBUILD_TOL) -> ClassSymbolCertificate:
-    """Solve B = D A with A in the class alpha for its class-form symbol.
-
-    The fit runs over the right-hand term lists of `class_form_terms`;
-    the symbol is the weighted sum of their addends.
-    """
-    _, terms = class_form_terms(B.domain, alpha)
-    x, resid = class_form_fit(B, terms)
-    if resid > rebuild_tol * max(1.0, float(np.linalg.norm(B.matrix))):
-        raise NoCertificate(f"class-symbol rebuild residual {resid:g}")
-    coords = x[:-1]
-    const = complex(x[-1])
-    symbol = B.domain.generator.conj_symbol() * const
-    for c, addends in zip(coords, terms[:-1]):
-        for wgt, s in addends:
-            symbol = symbol + complex(c) * complex(wgt) * s
-    return ClassSymbolCertificate(coords, const, symbol, resid)
-
-
-def class_form_terms(space: ModelSpaceBasis, alpha: ExtendedScalar):
-    """The class-form symbols of Sedlock's parametrization of the class alpha on K_u.
-
-    Returns term lists (left, right): B = A D is Hankel(sum_k x_k left_k) and
-    B = D A is Hankel(sum_k x_k right_k) for A in the class and D the
-    involution.  Entry k < n belongs to the basis function e_k, with addends
-    conj(u) conj(e_k) + alpha conj(u) S C e_k on the left and conj(u) e_k +
-    alpha conj(u S C e_k) on the right; at alpha = inf the class is the
-    antianalytic one and the entries are conj(u) e_k and conj(u) conj(e_k).
-    The last entry is the constant direction conj(u).  Each entry is a list
-    of (weight, symbol) addends: matrices are summed per addend, since adding
-    unrelated denominators stacks pole multiplicities and loses precision.
-    """
-    u = space.generator
-    ubar = u.conj_symbol()
-    usym = u.as_symbol()
-    smat = shift(u)
-    cmap = conjugation_C(u)
-    left, right = [], []
-    for k, f in enumerate(space.functions):
-        if alpha.is_infinity:
-            left.append([(1.0, ubar * f)])
-            right.append([(1.0, ubar * f.conj_circle())])
-            continue
-        left.append([(1.0, ubar * f.conj_circle())])
-        right.append([(1.0, ubar * f)])
-        if alpha.value != 0:
-            unit = np.zeros(space.dim)
-            unit[k] = 1.0
-            sc = smat.apply(cmap.apply(space.element(unit))).rep()
-            left[-1].append((alpha.value, ubar * sc))
-            right[-1].append((alpha.value, (usym * sc).conj_circle()))
-    left.append([(1.0, ubar)])
-    right.append([(1.0, ubar)])
-    return left, right
-
-
-def class_form_fit(B: OperatorMatrix, terms):
-    """Least-squares weights of B over the Hankel operators of the term
-    lists from `class_form_terms`, and the max-entry rebuild residual."""
-    u = B.domain.generator
-    stack = np.column_stack([
-        sum(complex(wgt) * tho_matrix(u, u, s).matrix for wgt, s in addends).ravel()
-        for addends in terms
-    ])
-    return lstsq_fit(stack, B.matrix)
+def _class_certificate(M: OperatorMatrix, alpha: ExtendedScalar) -> ClassSymbolCertificate:
+    """Certify the Toeplitz operator M as a member of the class alpha."""
+    level, (multiplier,), (resid,) = class_multipliers(alpha, M)
+    if resid >= REBUILD_TOL * max(1.0, float(np.linalg.norm(M.matrix))):
+        raise NoCertificate(f"class-multiplier rebuild residual {resid:g}")
+    return ClassSymbolCertificate(level, multiplier, resid)
 
 
 @dataclass
@@ -479,8 +425,10 @@ def tho_inverse_class(B: OperatorMatrix, tol: float = 1e-6,
     """Invert a Hankel operator and test whether the inverse stays Hankel.
 
     When it does, the involution-shifted classes of B and its inverse are
-    reciprocal parameters, and both admit class-form symbols; the
-    certificates carry the rebuilt symbols and their residuals.
+    reciprocal parameters: D B is a member of the class alpha and D B^-1 of
+    the class 1/alpha.  Each is certified by the polynomial fit of
+    `class_multipliers`, a rebuild independent of the commutator fit that
+    found the class; NoCertificate is raised when a rebuild misses.
     """
     u = B.domain.generator
     _require_symmetric(u)
@@ -492,8 +440,10 @@ def tho_inverse_class(B: OperatorMatrix, tol: float = 1e-6,
     if not inv_member:
         return InverseReport(False, None, None, False, None, None)
     dop = symmetric_involution(u)
-    rep_b = sedlock_class(dop @ B)
-    rep_i = sedlock_class(dop @ binv)
+    m_b = dop @ B
+    m_i = dop @ binv
+    rep_b = sedlock_class(m_b)
+    rep_i = sedlock_class(m_i)
     # scalar multiples of the involution lie in every class: use the
     # self-reciprocal parameter so the law and certificates stay meaningful
     one = ExtendedScalar.finite(1.0)
@@ -508,8 +458,8 @@ def tho_inverse_class(B: OperatorMatrix, tol: float = 1e-6,
     )
     cert = icert = None
     if alpha is not None and ialpha is not None:
-        cert = _class_symbol_fit(B, alpha)
-        icert = _class_symbol_fit(binv, ialpha)
+        cert = _class_certificate(m_b, alpha)
+        icert = _class_certificate(m_i, ialpha)
     return InverseReport(True, alpha, ialpha, law, cert, icert)
 
 

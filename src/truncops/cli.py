@@ -167,13 +167,13 @@ def _cmd_clark(args) -> int:
 
 def _cmd_verify_suite(args) -> int:
     quad = None
-    if args.quad_cap or args.quad_tol:
+    if args.quad_cap is not None or args.quad_tol is not None:
         quad = quadrature.QuadratureSettings(
-            tol=args.quad_tol or quadrature.QUAD_TOL,
-            cap=args.quad_cap or quadrature.QUAD_CAP,
+            tol=quadrature.QUAD_TOL if args.quad_tol is None else args.quad_tol,
+            cap=quadrature.QUAD_CAP if args.quad_cap is None else args.quad_cap,
         )
     tolerances = {}
-    if args.tol:
+    if args.tol is not None:
         tolerances = {cid: {"main": args.tol} for cid in harness.CHECKS}
     cfg = harness.SuiteConfig(
         seed=args.seed, trials=args.trials,

@@ -67,7 +67,7 @@ class SymbolNotInClass(TruncOpsError):
 
 
 class NoCertificate(TruncOpsError):
-    """A symbol certificate rebuild exceeded its tolerance."""
+    """A certificate rebuild (a symbol or a class multiplier) exceeded its tolerance."""
 
 
 class Singular(TruncOpsError):

@@ -11,7 +11,8 @@ Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
 once for all k, so kernels, boundary kernels at the Clark points and element
 values need neither expanded coefficients nor pairings; the grid block
-``values`` is the same product on the circle nodes.  The hat map is one
+``values`` is the same product on the circle nodes, and conjugate kernels
+are the mirrored product over the zeros after k.  The hat map is one
 block pairing of the reflected, conjugated basis values against a basis.
 
 Every function space object is immutable after construction; bases cache
@@ -269,8 +270,19 @@ def conj_kernel_symbol(u: InnerFunction, lam: complex) -> RationalSymbol:
 
 
 def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
-    """Coordinates of the conjugate kernel (the natural conjugation of the kernel)."""
-    return project(u, conj_kernel_symbol(u, lam))
+    """Coordinates of the conjugate kernel (the natural conjugation of the kernel).
+
+    Exact: the k-th coordinate is (C e_k)(lam) = c sqrt(1-|a_k|^2)/(1 - conj(a_k) lam)
+    * prod_{j>k} b_j(lam), with c the constant and b_j the zero factors of u,
+    so no pairing is made.  The projection of `conj_kernel_symbol` is its oracle.
+    """
+    lam = complex(lam)
+    u.guard_poles(lam)
+    a = np.array(u.zeros)
+    factor_den = 1.0 - np.conj(a) * lam
+    tails = np.cumprod(((lam - a) / factor_den)[:0:-1])[::-1]     # prod_{j>k} b_j(lam)
+    coords = u.constant * np.sqrt(1.0 - np.abs(a) ** 2) / factor_den * np.append(tails, 1.0)
+    return SpaceElement(tm_basis(u), coords)
 
 
 def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:

@@ -22,8 +22,6 @@ import numpy as np
 
 from .blaschke import ExtendedScalar, InnerFunction
 from .classify import (
-    class_form_fit,
-    class_form_terms,
     class_multipliers,
     cross_decompose,
     is_tho,
@@ -284,12 +282,14 @@ class SymbolFormCertificates:
 
 def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
                              rebuild_tol: float = 1e-8) -> SymbolFormCertificates:
-    """Solve the class-form symbol congruences for a Hankel pair whose
-    product is Toeplitz, and the polynomial multipliers of
-    `classify.class_multipliers` together with the product identity
-    B1 B2 = functional_calculus(u, alpha, p1 p2), in every regime.
+    """Certify the class forms of a Hankel pair whose product is Toeplitz.
 
-    Scalar multiples of the involution are outside the hypothesis and raise.
+    B1 D and D B2 are members of the common class alpha, p1 and p2 of its
+    shift perturbation (adjoints outside the disk); the residuals of
+    `classify.class_multipliers` certify both, and B1 B2 =
+    functional_calculus(u, alpha, p1 p2) certifies the product, in every
+    regime.  Scalar multiples of the involution are outside the hypothesis
+    and raise.
     """
     u = B1.domain.generator
     verdict = tho_product_tto_test(B1, B2)
@@ -298,19 +298,14 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     if not verdict.in_class:
         raise NoCertificate("factors do not share a class")
     alpha = verdict.witness
-    left_terms, right_terms = class_form_terms(B1.domain, alpha)
-    _, lres = class_form_fit(B1, left_terms)
-    _, rres = class_form_fit(B2, right_terms)
+    dop = symmetric_involution(u)
+    _, (p1, p2), (lres, rres) = class_multipliers(alpha, B1 @ dop, dop @ B2)
     if max(lres, rres) >= rebuild_tol * max(
             1.0, float(np.linalg.norm(B1.matrix)), float(np.linalg.norm(B2.matrix))):
-        raise NoCertificate(f"class-form rebuild residuals {lres:g}, {rres:g}")
+        raise NoCertificate(f"class-multiplier rebuild residuals {lres:g}, {rres:g}")
     mod = alpha.modulus()
     regime = ("infinity" if alpha.is_infinity else "unimodular" if abs(mod - 1.0) < 1e-6
               else "inside" if mod < 1.0 else "outside")
-    # B1 D and D B2 are p1 and p2 of the class's shift perturbation (adjoints
-    # outside the disk), and B1 B2 is p1 p2 of it
-    dop = symmetric_involution(u)
-    _, (p1, p2), _ = class_multipliers(alpha, B1 @ dop, dop @ B2)
     prod = functional_calculus(u, alpha, RationalSymbol.polynomial(
         np.polynomial.polynomial.polymul(p1, p2)))
     presid = float(np.max(np.abs(prod.matrix - (B1 @ B2).matrix)))

@@ -33,8 +33,8 @@ from truncops import (
     zero_product_analysis,
 )
 from truncops.blaschke import clark_points
-from truncops.classify import class_form_fit, class_form_terms, spectral_values
-from truncops.errors import NotRealSymmetric, NotTHO, ZeroAnchor
+from truncops.classify import _class_certificate, spectral_values
+from truncops.errors import NoCertificate, NotRealSymmetric, NotTHO, ZeroAnchor
 
 
 class TestCrossDecompose:
@@ -270,16 +270,25 @@ class TestInverseReport:
 
 @pytest.mark.parametrize("alpha", [0.4 - 0.2j, 1 / np.conj(0.3 + 0.2j), np.exp(0.9j), None],
                          ids=["inside", "outside", "unimodular", "infinity"])
-def test_class_form_terms_fit_both_sides(u_sym, rng, alpha):
-    """B = A D fits the left term lists and B = D A the right ones, for A in the class."""
+def test_class_multipliers_certify_both_involution_sides(u_sym, rng, alpha):
+    """A member of the class, built by quadrature, fits the exact calculus; so do
+    the operators D (D A) and (A D) D that the Hankel certificates fit, and
+    the involution-conjugated D A D does not."""
     alpha = ExtendedScalar.of(alpha)
     dop = symmetric_involution(u_sym)
     A = sedlock_op(u_sym, alpha, tm_basis(u_sym).random_element(rng), 0.3 - 0.1j)
-    left, right = class_form_terms(tm_basis(u_sym), alpha)
-    assert class_form_fit(A @ dop, left)[1] < 1e-8
-    assert class_form_fit(dop @ A, right)[1] < 1e-8
-    # the two sides are different forms
-    assert class_form_fit(dop @ A, left)[1] > 1e-3
+    _, _, fits = class_multipliers(alpha, A, (A @ dop) @ dop, dop @ (dop @ A))
+    assert max(fits) < 1e-8
+    assert class_multipliers(alpha, dop @ A @ dop)[2][0] > 1e-3
+
+
+def test_class_certificate_rebuild_gate(u_sym, rng):
+    """A member certified against another class raises NoCertificate."""
+    alpha = ExtendedScalar.finite(0.4 - 0.2j)
+    A = sedlock_op(u_sym, alpha, tm_basis(u_sym).random_element(rng), 0.3 - 0.1j)
+    assert _class_certificate(A, alpha).residual < 1e-8
+    with pytest.raises(NoCertificate):
+        _class_certificate(A, ExtendedScalar.finite(-0.5 + 0.3j))
 
 
 class TestZeroProducts:

@@ -243,6 +243,15 @@ class TestCLI:
                      "--quad-tol", "1e-18", "--quad-cap", "128"]) == 1
         capsys.readouterr()
 
+    def test_verify_suite_zero_quad_cap_is_not_ignored(self, capsys):
+        # a cap of 0 nodes admits no quadrature level: every pairing fails
+        assert main(["verify-suite", "--seed", "3", "--trials", "1", "--json",
+                     "--theorem", "quadrature-hygiene", "--quad-cap", "0"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        (check,) = report["checks"]
+        assert check["failures"] == 1
+        assert "NoConvergence" in json.dumps(check["counterexamples"])
+
     def test_verify_suite_byte_identical(self, capsys):
         main(["verify-suite", "--seed", "7", "--trials", "1", "--json",
               "--theorem", "kernel-core"])

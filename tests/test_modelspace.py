@@ -175,7 +175,15 @@ class TestFactoredEvaluation:
         before = quadrature.STATS.pairings
         kernel(u_generic, 0.3 - 0.1j)
         boundary_kernel(u_generic, np.exp(0.7j))
+        conj_kernel(u_generic, 0.3 - 0.1j)
         assert quadrature.STATS.pairings == before
+
+    @pytest.mark.parametrize("n", [3, 16, 32])
+    def test_conj_kernel_matches_projected_symbol(self, rng, n):
+        u = _random_inner(rng, n)
+        for lam in [0.0, 0.6 * np.exp(2.1j), np.exp(-0.8j)]:
+            want = project(u, conj_kernel_symbol(u, lam)).coords
+            assert np.max(np.abs(conj_kernel(u, lam).coords - want)) <= 1e-13
 
     def test_hat_map_is_one_pairing(self, u_sym, u_generic):
         tm_basis(u_sym)
