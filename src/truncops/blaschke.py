@@ -22,6 +22,7 @@ from .errors import (
     PoleHit,
     ZeroOnOrOutsideCircle,
 )
+from .quadrature import Reach
 from .ratfun import RationalSymbol
 
 ZERO_MARGIN = 1e-9
@@ -70,6 +71,12 @@ class InnerFunction:
             out = npoly.polymul(out, np.array([1.0, -np.conj(a)], dtype=complex))
         return out
 
+    @cached_property
+    def reach(self) -> Reach:
+        """The reach of u on the circle: rho = 1/max|a| over the nonzero zeros,
+        and the zeros at 0 as the degree of its finite part."""
+        return Reach.of_poles(self._poles, sum(a == 0 for a in self.zeros))
+
     def boundary_values(self, m: int) -> np.ndarray:
         """Values on the m-point circle grid, evaluated factor by factor.
 
@@ -89,7 +96,7 @@ class InnerFunction:
 
     def as_symbol(self) -> RationalSymbol:
         return RationalSymbol(self.num_coeffs, self.den_coeffs, check_poles=False,
-                              provider=self.boundary_values)
+                              provider=self.boundary_values, reach=self.reach)
 
     def conj_symbol(self) -> RationalSymbol:
         """conj(u) on the circle, i.e. 1/u, as an exact rational symbol."""

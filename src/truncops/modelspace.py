@@ -11,9 +11,10 @@ Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
 once for all k, so kernels, boundary kernels at the Clark points and element
 values need neither expanded coefficients nor pairings; the grid block
-``values`` is the same product on the circle nodes, and conjugate kernels
-are the mirrored product over the zeros after k.  The hat map is one
-block pairing of the reflected, conjugated basis values against a basis.
+``values`` is the same product on the circle nodes (``block`` pairs it with
+the generator's reach), and conjugate kernels are the mirrored product over
+the zeros after k.  The hat map is one block pairing of the reflected,
+conjugated basis values against a basis.
 
 Every function space object is immutable after construction; bases cache
 their Gram certificate and boundary values, after which they are safe to
@@ -30,7 +31,7 @@ from numpy.polynomial import polynomial as npoly
 from . import quadrature
 from .blaschke import InnerFunction
 from .errors import SpaceMismatch, SymbolNotInClass
-from .quadrature import pairing_matrix, pairing_vector
+from .quadrature import Block, pairing_matrix, pairing_vector
 from .ratfun import RationalSymbol
 
 GRAM_TOL = 1e-10
@@ -51,10 +52,14 @@ class ModelSpaceBasis:
         # coefficients are expanded on the first read of num or den
         self.functions = [
             RationalSymbol(provider=(lambda m, _k=k: self.values(m)[:, _k]),
-                           expand=(lambda _k=k: self._expansions[0][_k]))
+                           expand=(lambda _k=k: self._expansions[0][_k]),
+                           reach=generator.reach)
             for k in range(n)]
         self.dim = n
-        gram = pairing_matrix(self.values, self.values)
+        # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
+        # most the zeros at 0 as the degree of its finite part
+        self.block = Block(self.values, generator.reach)
+        gram = pairing_matrix(self.block, self.block)
         self.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
         if self.gram_residual > GRAM_TOL:
             raise ArithmeticError(
@@ -129,7 +134,8 @@ class ModelSpaceBasis:
             if c != 0:
                 num = npoly.polyadd(num, c * lift)
         return RationalSymbol(num, self.generator.den_coeffs, check_poles=False,
-                              provider=lambda m: self.values(m) @ coords)
+                              provider=lambda m: self.values(m) @ coords,
+                              reach=self.generator.reach)
 
     def element(self, coords) -> "SpaceElement":
         return SpaceElement(self, np.asarray(coords, dtype=complex))
@@ -204,7 +210,7 @@ def inner_product(f: RationalSymbol, g: RationalSymbol) -> complex:
 def project(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
     """P_u sym: expansion of the symbol against the orthonormal basis of K_u."""
     space = tm_basis(u)
-    coords = pairing_vector(sym, space.values)
+    coords = pairing_vector(sym, space.block)
     return SpaceElement(space, coords)
 
 
@@ -266,7 +272,7 @@ def conj_kernel_symbol(u: InnerFunction, lam: complex) -> RationalSymbol:
         return (u.boundary_values(m) - ulam) / (quadrature.nodes(m) - lam)
     def expand():   # pairings read only the grid values
         return _deflate(npoly.polyadd(u.num_coeffs, -ulam * u.den_coeffs), lam), u.den_coeffs
-    return RationalSymbol(provider=provider, expand=expand)
+    return RationalSymbol(provider=provider, expand=expand, reach=u.reach)
 
 
 def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
@@ -300,7 +306,8 @@ def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
     def provider(m):
         z = quadrature.nodes(m)
         return npoly.polyval(z, num) / _generator_den_values(u, m)
-    return RationalSymbol(num, u.den_coeffs, check_poles=False, provider=provider)
+    return RationalSymbol(num, u.den_coeffs, check_poles=False, provider=provider,
+                          reach=u.reach)
 
 
 def boundary_kernel(u: InnerFunction, eta: complex) -> SpaceElement:
@@ -438,7 +445,8 @@ def conjugation_C(u: InnerFunction) -> OperatorMatrix:
         flipped_hat = np.conj(quadrature.nodes(m))[:, None] * np.conj(space.values(m))
         return usym.values_at(m)[:, None] * flipped_hat
 
-    mat = pairing_matrix(images, space.values)
+    reach = usym.reach.times(u.reach.flipped())
+    mat = pairing_matrix(Block(images, reach), space.block)
     return OperatorMatrix(mat, space, space, antilinear=True)
 
 
@@ -446,7 +454,7 @@ def _hat_map(space: ModelSpaceBasis, target: ModelSpaceBasis) -> np.ndarray:
     """One block pairing of the hat images conj(e_k(conj z)) against the target basis."""
     def images(m):
         return np.conj(space.values(m)[quadrature.reflection(m)])
-    return pairing_matrix(images, target.values)
+    return pairing_matrix(Block(images, space.generator.reach), target.block)
 
 
 def conjugation_U(u: InnerFunction) -> OperatorMatrix:

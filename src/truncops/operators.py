@@ -33,19 +33,21 @@ from .modelspace import (
     tm_basis,
     unit_kernels,
 )
-from .quadrature import pairing_matrix
+from .quadrature import Block, pairing_matrix
 from .ratfun import CIRCLE_POLE_MARGIN, RationalSymbol
 
 
-def _images(sym: RationalSymbol, space: ModelSpaceBasis):
+def _images(sym: RationalSymbol, space: ModelSpaceBasis) -> Block:
     """The block of values of sym * e_j, one column per basis function e_j."""
-    return lambda m: sym.values_at(m)[:, None] * space.values(m)
+    return Block(lambda m: sym.values_at(m)[:, None] * space.values(m),
+                 sym.reach.times(space.generator.reach))
 
 
-def _flipped(space: ModelSpaceBasis):
+def _flipped(space: ModelSpaceBasis) -> Block:
     """The block of values of J e_i = conj(z) e_i(conj z), one column per basis function."""
-    return lambda m: (np.conj(quadrature.nodes(m))[:, None]
-                      * space.values(m)[quadrature.reflection(m)])
+    return Block(lambda m: (np.conj(quadrature.nodes(m))[:, None]
+                            * space.values(m)[quadrature.reflection(m)]),
+                 space.generator.reach.flipped())
 
 
 @quadrature.memoized(512)
@@ -53,7 +55,7 @@ def shift(u: InnerFunction) -> OperatorMatrix:
     """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation."""
     space = tm_basis(u)
     images = _images(RationalSymbol.monomial(1), space)
-    return OperatorMatrix(pairing_matrix(images, space.values), space, space)
+    return OperatorMatrix(pairing_matrix(images, space.block), space, space)
 
 
 def shift_adj(u: InnerFunction) -> OperatorMatrix:
@@ -95,7 +97,7 @@ def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     """Truncated Toeplitz operator f -> P_v(sym * f) from K_u into K_v."""
     dom = tm_basis(u)
     cod = tm_basis(v)
-    return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.values), dom, cod)
+    return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.block), dom, cod)
 
 
 def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:

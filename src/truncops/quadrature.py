@@ -1,19 +1,31 @@
-"""Adaptive trapezoid quadrature on the unit circle.
+"""Trapezoid quadrature on the unit circle, with an a priori first level.
 
 All pairings in the package reduce to means of products of rational
-functions over uniform grids on the circle.  Integrands are analytic in an
-annulus around the circle (denominator roots are certified to stay at least
-1e-6 away), so the periodic trapezoid rule converges geometrically; the node
-count is doubled until two successive levels agree, and hitting the cap is a
-hard error rather than a silent inaccuracy.
+functions over uniform grids on the circle.  The M-point mean of a Laurent
+series is exact up to its aliases, the coefficients at nonzero multiples of
+M (Trefethen and Weideman, *The exponentially convergent trapezoidal rule*,
+SIAM Review 2014).  So each side of a pairing states its ``Reach``: the
+annulus rho^-1 < |z| < rho in which it is analytic apart from its poles at 0
+and infinity, and a bound D on the |frequency| of the finite part those
+poles give.  The first half level is the smallest power of two that is at
+least the ``start`` floor, D_f + D_g + 1 (so the finite part of the
+integrand is integrated exactly and no frequency aliases onto the mean,
+whatever its size) and ln(1/tol)/ln(rho) (so the analytic part's aliases
+fall below tol).  From there the a posteriori certificate is unchanged: the
+node count doubles until two successive levels agree, and hitting the cap
+is a hard error rather than a silent inaccuracy.  An a priori level above
+the cap is clamped so that the cap level is still evaluated; a ``start``
+floor whose first level exceeds the cap raises at once.
 
 The M-point grid is the even-index subset of the 2M-point grid, so each
 refinement reuses every previously computed value.
 
 A side of a pairing is either a sequence of symbols, stacked column by
 column, or a block: a function of m that returns all of its columns at once
-as one (m, k) array.  ``ModelSpaceBasis.values`` is the block of a basis,
-and operator builders pass the images of a whole basis as one.
+as one (m, k) array.  A ``Block`` carries the reach of its columns
+(``ModelSpaceBasis.block`` is the block of a basis, and operator builders
+pass the images of a whole basis as one); a bare function states nothing, so
+its pairings start at the floor.
 
 Every pairing runs under the current ``Evaluation``: its settings, its
 counters and its memo of per-generator builds (bases, shifts, Hankel symbol
@@ -24,6 +36,7 @@ can have its own; library sessions share a default one, whose counters are
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
@@ -34,7 +47,7 @@ import numpy as np
 from .errors import NoConvergence
 
 QUAD_TOL = 1e-12
-QUAD_START = 1024
+QUAD_START = 16     # a floor: the first level is chosen per pairing
 QUAD_CAP = 65536
 
 
@@ -43,6 +56,53 @@ class QuadratureSettings:
     tol: float = QUAD_TOL
     start: int = QUAD_START
     cap: int = QUAD_CAP
+
+
+@dataclass(frozen=True)
+class Reach:
+    """What one side of a pairing states about its boundary values.
+
+    rho > 1: apart from its poles at 0 and infinity the side is analytic in
+    the annulus 1/rho < |z| < rho, so its other Fourier coefficients decay
+    like rho^-|k|.  degree: a bound on the |frequency| of its finite part,
+    the terms its poles at 0 and infinity give.
+    """
+
+    rho: float = math.inf
+    degree: int = 0
+
+    @classmethod
+    def of_poles(cls, poles, degree: int) -> "Reach":
+        """The reach of a rational function with these finite poles (0 among them or not)."""
+        r = np.abs(np.asarray(poles, dtype=complex))
+        r = r[r != 0]
+        rho = float(np.min(np.maximum(r, 1.0 / r))) if r.size else math.inf
+        return cls(rho, int(degree))
+
+    def join(self, other: "Reach") -> "Reach":
+        """The reach of a sum, or of the columns of one side together."""
+        return Reach(min(self.rho, other.rho), max(self.degree, other.degree))
+
+    def times(self, other: "Reach") -> "Reach":
+        """The reach of a product."""
+        return Reach(min(self.rho, other.rho), self.degree + other.degree)
+
+    def flipped(self) -> "Reach":
+        """The reach of the flip (1/z) f(1/z): frequency k goes to -k-1."""
+        return Reach(self.rho, self.degree + 1)
+
+
+class Block:
+    """A pairing side given as one (m, k) array of boundary values per grid, with its reach."""
+
+    __slots__ = ("values", "reach")
+
+    def __init__(self, values, reach: Reach):
+        self.values = values
+        self.reach = reach
+
+    def __call__(self, m: int) -> np.ndarray:
+        return self.values(m)
 
 
 @dataclass
@@ -63,6 +123,10 @@ class _Stats:
     def reset(self):
         self.pairings = 0
         self.max_nodes = 0
+
+    def add(self, other: "_Stats"):
+        self.pairings += other.pairings
+        self.max_nodes = max(self.max_nodes, other.max_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +165,18 @@ def use(evaluation: Evaluation):
 def override(settings: QuadratureSettings):
     """Run a block under other settings, keeping the current counters and memo."""
     return use(replace(current(), settings=settings))
+
+
+@contextmanager
+def tally():
+    """Count the pairings of a block on their own, then add them to the current counters."""
+    ev = _current.get()
+    own = _Stats()
+    try:
+        with use(replace(ev, stats=own)):
+            yield own
+    finally:
+        ev.stats.add(own)
 
 
 def memoized(maxsize: int):
@@ -148,19 +224,57 @@ def _value_matrix(side, m: int) -> np.ndarray:
     return np.column_stack([s.values_at(m) for s in side])
 
 
+def _reach(side) -> Reach:
+    if callable(side):
+        return getattr(side, "reach", Reach())
+    out = Reach()
+    for s in side:
+        out = out.join(s.reach)
+    return out
+
+
+def first_level(f: Reach, g: Reach, settings: QuadratureSettings) -> int:
+    """The half level m0 of a pairing's first comparison (2 * m0 against m0 nodes).
+
+    The smallest power of two at least the start floor, f.degree + g.degree + 1
+    and ln(1/tol)/ln(rho), clamped so that the first level stays under the
+    cap.  A floor whose own first level is over the cap is returned as it is.
+    """
+    m = 1
+    while m < settings.start:
+        m *= 2
+    if 2 * m > settings.cap:
+        return m
+    rho = min(f.rho, g.rho)
+    if rho == math.inf:
+        aliased = 0.0
+    elif rho > 1 and settings.tol > 0:
+        aliased = math.log(1.0 / settings.tol) / math.log(rho)
+    else:
+        aliased = math.inf
+    need = max(f.degree + g.degree + 1, aliased)
+    while m < need and 4 * m <= settings.cap:
+        m *= 2
+    return m
+
+
 def pairing_matrix(fs, gs) -> np.ndarray:
     """G[i, j] = (1/2pi) \\int fs[j](e^{it}) conj(gs[i](e^{it})) dt.
 
-    fs and gs are sequences of objects exposing ``values_at(m)``
-    (RationalSymbol does), or blocks: functions of m returning all their
-    columns as one (m, k) array (``ModelSpaceBasis.values`` is one).
-    Adaptive: doubles the node count, starting from 2 * start nodes, until
-    the whole matrix is stable to the current settings' tol in max norm; no
-    level above cap nodes is evaluated.
+    fs and gs are sequences of objects exposing ``values_at(m)`` and
+    ``reach`` (RationalSymbol does), or blocks: functions of m returning all
+    their columns as one (m, k) array (a ``Block`` also states their reach).
+    The first level, 2 * m0 nodes against m0, comes from the two reaches
+    (`first_level`), so the finite part of the integrand is exact and no
+    frequency aliases onto the result; from there the node count doubles
+    until the whole matrix is stable to the current settings' tol in max
+    norm.  No level above cap nodes is evaluated: an a priori level above it
+    is clamped to it, and a start floor whose first level exceeds it raises
+    NoConvergence at once.
     """
     ev = _current.get()
     s = ev.settings
-    m = s.start
+    m = first_level(_reach(fs), _reach(gs), s)
     while True:
         if 2 * m > s.cap:
             raise NoConvergence(

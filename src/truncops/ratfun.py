@@ -18,6 +18,13 @@ denominator must be certified.
 Construction from raw coefficients certifies that no denominator root lies
 within 1e-6 of the circle; arithmetic on certified symbols cannot create
 new poles, so intermediate results skip the (cubic-cost) root check.
+
+Every symbol states its ``quadrature.Reach``, which picks the first level of
+its pairings: the constructors know it (a Laurent polynomial's degree, a
+certified denominator's root moduli, a generator's zeros), and arithmetic,
+hat, flip and conjugation on the circle combine their operands' reaches.  A
+symbol built from uncertified coefficients with no stated reach finds its
+poles on the first read.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
+from .quadrature import Reach
 from .errors import PoleHit, PoleOnCircle
 
 CIRCLE_POLE_MARGIN = 1e-6
@@ -52,7 +60,7 @@ def _is_zero_num(num: np.ndarray) -> bool:
     return num.size == 1 and num[0] == 0
 
 
-def _canonical(num, den, check_poles: bool):
+def _canonical(num, den):
     """Trimmed coefficients over a monic denominator, read-only; zero is num = [0], den = [1]."""
     num = _trim(_as_coeffs(num))
     den = _trim(_as_coeffs(den))
@@ -63,8 +71,6 @@ def _canonical(num, den, check_poles: bool):
     num = num / lead
     if _is_zero_num(num):
         den = np.ones(1, dtype=complex)
-    if check_poles:
-        _certify_den(den)
     num.flags.writeable = False
     den.flags.writeable = False
     return num, den
@@ -85,18 +91,21 @@ class RationalSymbol:
     symbol shared between threads may be forced from any of them.
     """
 
-    __slots__ = ("_coeffs", "_expand", "_vals", "_provider")
+    __slots__ = ("_coeffs", "_expand", "_vals", "_provider", "_reach")
 
     def __init__(self, num=None, den=(1.0,), *, check_poles: bool = True, provider=None,
-                 expand=None):
+                 expand=None, reach: Reach | None = None):
         self._vals: dict[int, np.ndarray] = {}
+        self._reach = reach
         if expand is not None:
             # arithmetic result: certified operands cannot create poles
             self._coeffs = None
             self._expand = expand
             self._provider = provider
             return
-        num, den = _canonical(num, den, check_poles)
+        num, den = _canonical(num, den)
+        if check_poles:
+            self._reach = _reach_of(num, den, _certify_den(den))
         self._coeffs = (num, den)
         self._expand = None
         # the canonical zero evaluates directly to exact zeros
@@ -108,7 +117,7 @@ class RationalSymbol:
             expand = self._expand
             if expand is None:      # another thread finished expanding meanwhile
                 return self._coeffs
-            coeffs = _canonical(*expand(), check_poles=False)
+            coeffs = _canonical(*expand())
             self._coeffs = coeffs
             self._expand = None     # releases the operands
         return coeffs
@@ -121,41 +130,51 @@ class RationalSymbol:
     def den(self) -> np.ndarray:
         return self._expanded()[1]
 
+    @property
+    def reach(self) -> Reach:
+        """Where the symbol is analytic and how far its finite part reaches (see quadrature)."""
+        got = self._reach
+        if got is None:     # uncertified coefficients with no stated reach
+            num, den = self._expanded()
+            got = self._reach = _reach_of(num, den, npoly.polyroots(den))
+        return got
+
     @staticmethod
-    def _derived(operands, provider, expand) -> "RationalSymbol":
+    def _derived(operands, provider, expand, reach: Reach) -> "RationalSymbol":
         """The result of an operation, its coefficients expanded on demand.
 
         An operation on the canonical zero expands at once, so a zero result
         is recognized and evaluates to exact zeros, as eager expansion did.
         """
         if any(o._coeffs is not None and _is_zero_num(o._coeffs[0]) for o in operands):
-            return RationalSymbol(*expand(), check_poles=False, provider=provider)
-        return RationalSymbol(provider=provider, expand=expand)
+            return RationalSymbol(*expand(), check_poles=False, provider=provider, reach=reach)
+        return RationalSymbol(provider=provider, expand=expand, reach=reach)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RationalSymbol":
-        return cls([0.0], [1.0], check_poles=False)
+        return cls([0.0], [1.0], check_poles=False, reach=Reach())
 
     @classmethod
     def one(cls) -> "RationalSymbol":
-        return cls([1.0], [1.0], check_poles=False)
+        return cls([1.0], [1.0], check_poles=False, reach=Reach())
 
     @classmethod
     def constant(cls, c) -> "RationalSymbol":
-        return cls([complex(c)], [1.0], check_poles=False)
+        return cls([complex(c)], [1.0], check_poles=False, reach=Reach())
 
     @classmethod
     def monomial(cls, k: int, coeff=1.0) -> "RationalSymbol":
         """coeff * z**k for any integer k (negative k puts z**|k| downstairs)."""
+        reach = Reach(degree=abs(k))
         if k >= 0:
             num = np.zeros(k + 1, dtype=complex)
             num[k] = coeff
-            return cls(num, [1.0], check_poles=False)
+            return cls(num, [1.0], check_poles=False, reach=reach)
         den = np.zeros(-k + 1, dtype=complex)
         den[-k] = 1.0
-        return cls([coeff], den, check_poles=False)
+        return cls([coeff], den, check_poles=False, reach=reach)
 
     @classmethod
     def from_laurent(cls, coeffs: dict) -> "RationalSymbol":
@@ -169,11 +188,13 @@ class RationalSymbol:
             num[int(k) - lo] += complex(c)
         den = np.zeros(1 - lo, dtype=complex)
         den[-1] = 1.0
-        return cls(num, den, check_poles=False)
+        return cls(num, den, check_poles=False,
+                   reach=Reach(degree=max(-lo, powers[-1])))
 
     @classmethod
     def polynomial(cls, coeffs) -> "RationalSymbol":
-        return cls(coeffs, [1.0], check_poles=False)
+        coeffs = _as_coeffs(coeffs)
+        return cls(coeffs, [1.0], check_poles=False, reach=Reach(degree=coeffs.size - 1))
 
     # -- algebra -----------------------------------------------------------
 
@@ -192,13 +213,14 @@ class RationalSymbol:
             (self, o), lambda m: self.values_at(m) + o.values_at(m),
             lambda: (npoly.polyadd(npoly.polymul(self.num, o.den),
                                    npoly.polymul(o.num, self.den)),
-                     npoly.polymul(self.den, o.den)))
+                     npoly.polymul(self.den, o.den)),
+            self.reach.join(o.reach))
 
     __radd__ = __add__
 
     def __neg__(self):
         return self._derived((self,), lambda m: -self.values_at(m),
-                             lambda: (-self.num, self.den))
+                             lambda: (-self.num, self.den), self.reach)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -215,7 +237,8 @@ class RationalSymbol:
             return NotImplemented
         return self._derived(
             (self, o), lambda m: self.values_at(m) * o.values_at(m),
-            lambda: (npoly.polymul(self.num, o.num), npoly.polymul(self.den, o.den)))
+            lambda: (npoly.polymul(self.num, o.num), npoly.polymul(self.den, o.den)),
+            self.reach.times(o.reach))
 
     __rmul__ = __mul__
 
@@ -236,7 +259,7 @@ class RationalSymbol:
     def hat(self) -> "RationalSymbol":
         """Coefficient conjugation: (hat f)(z) = conj(f(conj(z)))."""
         return self._derived((self,), lambda m: np.conj(self._reflected(m)),
-                             lambda: (np.conj(self.num), np.conj(self.den)))
+                             lambda: (np.conj(self.num), np.conj(self.den)), self.reach)
 
     def conj_circle(self) -> "RationalSymbol":
         """The function conj(f(z)) restricted to |z| = 1, as a rational function.
@@ -255,7 +278,7 @@ class RationalSymbol:
                 den = npoly.polymul(den, _zpow(dp - dq))
             return num, den
 
-        return self._derived((self,), lambda m: np.conj(self.values_at(m)), expand)
+        return self._derived((self,), lambda m: np.conj(self.values_at(m)), expand, self.reach)
 
     def flip(self) -> "RationalSymbol":
         """The flip J: (Jf)(z) = conj(z) f(conj(z)) on the circle, i.e. (1/z) f(1/z).
@@ -275,7 +298,8 @@ class RationalSymbol:
             return num, den
 
         return self._derived(
-            (self,), lambda m: np.conj(quadrature.nodes(m)) * self._reflected(m), expand)
+            (self,), lambda m: np.conj(quadrature.nodes(m)) * self._reflected(m), expand,
+            self.reach.flipped())
 
     # -- evaluation ----------------------------------------------------------
 
@@ -341,11 +365,24 @@ def _zpow(k: int) -> np.ndarray:
     return out
 
 
-def _certify_den(den: np.ndarray):
+def _certify_den(den: np.ndarray) -> np.ndarray:
+    """The roots of a denominator, certified to keep off the circle."""
     if den.size <= 1:
-        return
+        return np.zeros(0, dtype=complex)
     roots = npoly.polyroots(den)
     if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < CIRCLE_POLE_MARGIN:
         raise PoleOnCircle(
             f"denominator root within {CIRCLE_POLE_MARGIN:g} of the unit circle"
         )
+    return roots
+
+
+def _reach_of(num: np.ndarray, den: np.ndarray, roots) -> Reach:
+    """The reach of num/den over a monic denominator with these roots.
+
+    The finite part runs from the pole order at 0 (the exact low zeros of
+    den) to the pole order at infinity (deg num - deg den).
+    """
+    at_zero = int(np.argmax(den != 0))
+    at_infinity = max(0, num.size - den.size)
+    return Reach.of_poles(roots, max(at_zero, at_infinity))

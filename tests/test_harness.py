@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from truncops import CHECKS, ProblemSpec, SuiteConfig, generate_instance, replay, run_suite
-from truncops import classify, harness
+from truncops import classify, harness, quadrature
 from truncops.cli import main, parse_inner, parse_scalar
 from truncops.errors import InvalidRange
 from truncops.harness import run_trial
-from truncops.quadrature import QuadratureSettings
+from truncops.quadrature import QUAD_START, QuadratureSettings
 
 
 class TestGeneration:
@@ -61,6 +61,25 @@ class TestSuite:
         rep = run_suite(SuiteConfig(seed=seed, trials=1, degree_range=(30, 32),
                                     checks=[check]))
         assert rep.overall_pass, rep.human_summary()
+
+    @pytest.mark.parametrize("seed", [328, 385])
+    def test_zero_product_gate_scales_with_the_factors(self, seed, monkeypatch):
+        # degrees 23-25: ||B1 B2|| sits near 1e-9 against large factor norms,
+        # a rounding-level product that an absolute 1e-9 gate failed (seed
+        # 328) or failed and passed by the BLAS thread count (seed 385)
+        products = []
+        analyse = classify.zero_product_analysis
+        def spy(B1, B2, *args):
+            products.append((B1.matrix, B2.matrix))
+            return analyse(B1, B2, *args)
+        monkeypatch.setattr(classify, "zero_product_analysis", spy)
+        rep = run_suite(SuiteConfig(seed=seed, trials=1, degree_range=(23, 25),
+                                    checks=["hankel-zero-product"]))
+        assert rep.overall_pass, rep.human_summary()
+        assert len(products) == 2
+        for B1, B2 in products:
+            ratio = np.linalg.norm(B1 @ B2) / (np.linalg.norm(B1) * np.linalg.norm(B2))
+            assert ratio < 1e-12
 
     def test_byte_determinism(self):
         r1 = run_suite(SuiteConfig(seed=7, trials=2))
@@ -163,7 +182,8 @@ class TestEvaluationContext:
         assert quadrature.STATS.snapshot() == before
 
     def test_quadrature_cap_below_first_level(self):
-        rep = run_suite(SuiteConfig(seed=3, trials=1, quad=QuadratureSettings(cap=128)))
+        # the first level of the default start floor is 2 * QUAD_START nodes
+        rep = run_suite(SuiteConfig(seed=3, trials=1, quad=QuadratureSettings(cap=QUAD_START)))
         # the suite completes, every trial fails on the cap, and nothing is paired
         assert rep.quadrature_stats["pairings"] == 0
         for c in rep.checks:
@@ -171,12 +191,42 @@ class TestEvaluationContext:
             assert "NoConvergence" in c["counterexamples"][0]["error"]
 
     def test_hygiene_honours_suite_settings(self):
-        # node doubling starts at twice the start, 2048, whose first level
-        # of 4096 nodes is over the cap; every other check stays under it
-        rep = run_suite(SuiteConfig(seed=7, trials=1, quad=QuadratureSettings(cap=2048)))
-        failed = {c["id"]: c for c in rep.checks if c["failures"]}
-        assert list(failed) == ["quadrature-hygiene"]
-        assert "NoConvergence" in failed["quadrature-hygiene"]["counterexamples"][0]["error"]
+        # the doubled builds run at twice the level the first ones reached:
+        # a cap between the two admits the first builds and stops the doubled
+        # ones, whose error names the suite's tol and cap
+        alone = dict(seed=7, trials=1, checks=["quadrature-hygiene"])
+        doubled = run_suite(SuiteConfig(**alone)).quadrature_stats["max_nodes"]
+        quad = QuadratureSettings(tol=3e-12, cap=doubled - 1)
+        rep = run_suite(SuiteConfig(**alone, quad=quad))
+        (check,) = rep.checks
+        assert check["failures"] == 1
+        assert 0 < rep.quadrature_stats["max_nodes"] <= doubled // 2
+        error = check["counterexamples"][0]["error"]
+        assert error.startswith("NoConvergence")
+        assert f"to 3e-12 within {doubled - 1} nodes" in error
+
+    def test_hygiene_doubles_the_level_of_its_first_builds(self, monkeypatch):
+        levels = []
+        record = quadrature._Stats.record
+        def spy(stats, m):
+            levels.append(m)
+            record(stats, m)
+        monkeypatch.setattr(quadrature._Stats, "record", spy)
+        problem = generate_instance(5, (2, 4), (1, 3), dict(CHECKS["quadrature-hygiene"].constraints,
+                                                            operation="quadrature-hygiene"))
+        with quadrature.use(quadrature.Evaluation()):
+            assert run_trial("quadrature-hygiene", problem).passed
+        # the basis Gram and the first builds, then the two doubled builds
+        first, doubled = levels[:-2], levels[-2:]
+        assert len(first) == 3
+        assert doubled == [2 * max(first)] * 2
+
+    def test_default_suite_pairings_and_levels(self):
+        # the pairing count is fixed by the checks; the first level of each
+        # pairing comes from its sides, so no pairing needs a blind 4096 nodes
+        rep = run_suite(SuiteConfig(seed=7))
+        assert rep.quadrature_stats["pairings"] == 5003
+        assert rep.quadrature_stats["max_nodes"] <= 1024
 
 
 class TestCLI:

@@ -26,7 +26,7 @@ from truncops import (
     tm_basis,
     tto_matrix,
 )
-from truncops.blaschke import clark_points
+from truncops.blaschke import clark_points, monomial_inner
 from truncops.classify import is_tho
 from truncops.errors import NotRealSymmetric, SingularDenominator
 from truncops.harness import random_inner
@@ -137,6 +137,20 @@ class TestToeplitzHankelBuilders:
                            [[0, 1], [1, 0]], atol=1e-12)
         assert np.allclose(tho_matrix(u2, u2, RationalSymbol.monomial(-3)).matrix,
                            [[0, 0], [0, 1]], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_high_frequencies_do_not_alias(self, n):
+        # a fixed grid of 2048 nodes reads z^2048 as 1 and z^2049 as z; the
+        # first level from the symbol's degree integrates every term exactly
+        u = monomial_inner(n)
+        cases = [{2048: 1.0}, {2049: 1.0}, {-2049: 1.0},
+                 {1500: 0.5 - 1j, -1500: 2.0, 1: 0.25j, -2: -1.5, -3: 0.75}]
+        for coeffs in cases:
+            sym = RationalSymbol.from_laurent(coeffs)
+            toeplitz = [[coeffs.get(i - j, 0.0) for j in range(n)] for i in range(n)]
+            hankel = [[coeffs.get(-(i + j + 1), 0.0) for j in range(n)] for i in range(n)]
+            assert np.max(np.abs(tto_matrix(u, u, sym).matrix - toeplitz)) < 1e-12, coeffs
+            assert np.max(np.abs(tho_matrix(u, u, sym).matrix - hankel)) < 1e-12, coeffs
 
     def test_analytic_symbol_gives_zero_hankel(self, u_generic, v_generic):
         sym = RationalSymbol.polynomial([1.0, 2.0, 3j])
