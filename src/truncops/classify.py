@@ -10,10 +10,14 @@ The shared engine is a cross decomposition: writing a matrix as
 (left (x) a) + (b (x) right) for anchor vectors a, b.  Membership in the
 operator classes is equivalent to the shift displacement having that shape.
 Symbols are non-unique, so recovered parts are gauged by <right, a> = 0.
+Both membership tests read a symbol off the two parts in closed form, and
+one rebuild certifies it; the Hankel test is the Toeplitz one moved across
+by the conjugations.
 
 Class membership has one certificate, the polynomial fit of
-`class_multipliers`; Hankel inverses and product symbol forms read theirs
-off it for D B or B D, with D the involution.
+`class_multipliers`, the package's one least-squares fit; Hankel inverses
+and product symbol forms read theirs off it for D B or B D, with D the
+involution.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import quadrature
 from .blaschke import ExtendedScalar, InnerFunction, clark_points
 from .errors import (
     NoCertificate,
@@ -144,48 +147,33 @@ class THOMembership:
     rebuild_residual: float | None = None
 
 
-def lstsq_fit(stack: np.ndarray, target: np.ndarray):
-    """Least-squares weights x with stack @ x = target.ravel(), and the
-    max-entry residual of the rebuild (stack @ x) against target."""
-    x, *_ = np.linalg.lstsq(stack, target.ravel(), rcond=None)
-    return x, float(np.max(np.abs((stack @ x).reshape(target.shape) - target)))
-
-
-@quadrature.memoized(256)
-def _tho_symbol_stack(u: InnerFunction, v: InnerFunction):
-    """Hankel matrices of conj(basis of K_{u hat(v)}), stacked for least squares."""
-    w = u * v.hat()
-    wspace = tm_basis(w)
-    mats = [tho_matrix(u, v, f.conj_circle()).matrix for f in wspace.functions]
-    stack = np.column_stack([m.ravel() for m in mats])
-    return wspace, stack
-
-
 def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
            rebuild_tol: float = REBUILD_TOL, recover: bool = True) -> THOMembership:
-    """Test B - S_v* B S_u* = part1 (x) k0 + (conj kernel at 0) (x) part2.
+    """Test B - S_v B S_u = part1 (x) kt0 + k0 (x) part2 and rebuild the symbol.
 
-    On success recover psi in K_{u hat(v)} with B = Hankel(conj psi) by least
-    squares over the Hankel images of the target basis (the map has a known
-    one-dimensional kernel, so the minimum-norm solution is the gauge).
+    kt0 is the conjugate kernel at 0 in K_u.  This is `is_tto`'s test moved
+    across by the conjugations: U_v S_v = S_hat(v) U_v and C_u S_u* = S_u C_u,
+    so the verdict and residual are those of is_tto(U_v B C_u).  On success
+    psi = S_u part2 + u hat(part1) lies in K_{u hat(v)}, and B equals the
+    Hankel operator with symbol conj(psi); the rebuild residual certifies it.
     """
     u = B.domain.generator
     v = B.codomain.generator
-    disp = B - shift_adj(v) @ B @ shift_adj(u)
-    dec = cross_decompose(disp, kernel(u, 0.0), conj_kernel(v, 0.0), tol)
+    disp = B - shift(v) @ B @ shift(u)
+    dec = cross_decompose(disp, conj_kernel(u, 0.0), kernel(v, 0.0), tol)
     if not dec.success:
         return THOMembership(False, None, None, dec.residual_norm)
     if not recover:
         return THOMembership(True, None, None, dec.residual_norm)
-    wspace, stack = _tho_symbol_stack(u, v)
-    x, rres = lstsq_fit(stack, B.matrix)
-    ok = rres < rebuild_tol * max(1.0, float(np.linalg.norm(B.matrix)))
-    if not ok:
+    # the u-first basis of K_{u hat(v)} is the basis of K_u, then u/const(u)
+    # times the basis of K_hat(v), in which hat(part1) has coordinates conj(part1)
+    psi = tm_basis(u * v.hat()).element(np.concatenate(
+        [shift(u).matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
+    symbol = psi.rep().conj_circle()
+    rres = float(np.max(np.abs(tho_matrix(u, v, symbol).matrix - B.matrix)))
+    if rres >= rebuild_tol * max(1.0, float(np.linalg.norm(B.matrix))):
         return THOMembership(False, None, None, dec.residual_norm, rres)
-    # the stack columns are Hankel matrices of conj(e_k); conjugation on the
-    # circle is antilinear, so psi's coordinates are the conjugated weights
-    psi = SpaceElement(wspace, np.conj(x))
-    return THOMembership(True, psi, psi.rep().conj_circle(), dec.residual_norm, rres)
+    return THOMembership(True, psi, symbol, dec.residual_norm, rres)
 
 
 def symbol_is_zero_tto(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
@@ -609,9 +597,12 @@ def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
     for _ in range(u.degree - 1):
         powers.append(powers[-1] @ base.matrix)
     stack = np.column_stack([p.ravel() for p in powers])
-    fits = [lstsq_fit(stack, M.matrix) for M in members]
-    multipliers = [np.conj(x) if adjoint else x for x, _ in fits]
-    return level, multipliers, [res for _, res in fits]
+    multipliers, residuals = [], []
+    for M in members:
+        x, *_ = np.linalg.lstsq(stack, M.matrix.ravel(), rcond=None)
+        residuals.append(float(np.max(np.abs((stack @ x).reshape(M.matrix.shape) - M.matrix))))
+        multipliers.append(np.conj(x) if adjoint else x)
+    return level, multipliers, residuals
 
 
 def _multiplier_product_vanishes(M1: OperatorMatrix, M2: OperatorMatrix,

@@ -129,12 +129,13 @@ class ModelSpaceBasis:
     def combine(self, coords) -> RationalSymbol:
         """The element with the given coordinates, as a rational function."""
         coords = np.asarray(coords, dtype=complex)
-        num = np.zeros(1, dtype=complex)
-        for c, lift in zip(coords, self._expansions[1]):
-            if c != 0:
-                num = npoly.polyadd(num, c * lift)
-        return RationalSymbol(num, self.generator.den_coeffs, check_poles=False,
-                              provider=lambda m: self.values(m) @ coords,
+        def expand():   # pairings read only the grid values
+            num = np.zeros(1, dtype=complex)
+            for c, lift in zip(coords, self._expansions[1]):
+                if c != 0:
+                    num = npoly.polyadd(num, c * lift)
+            return num, self.generator.den_coeffs
+        return RationalSymbol(provider=lambda m: self.values(m) @ coords, expand=expand,
                               reach=self.generator.reach)
 
     def element(self, coords) -> "SpaceElement":

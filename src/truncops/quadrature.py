@@ -28,10 +28,9 @@ pass the images of a whole basis as one); a bare function states nothing, so
 its pairings start at the floor.
 
 Every pairing runs under the current ``Evaluation``: its settings, its
-counters and its memo of per-generator builds (bases, shifts, Hankel symbol
-stacks).  A ``contextvars.ContextVar`` holds it, so a thread or a suite run
-can have its own; library sessions share a default one, whose counters are
-``STATS``.
+counters and its memo of per-generator builds (bases and shifts).  A
+``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
+own; library sessions share a default one, whose counters are ``STATS``.
 """
 
 from __future__ import annotations

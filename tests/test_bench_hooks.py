@@ -21,7 +21,7 @@ def workloads():
     return mod
 
 
-@pytest.mark.parametrize("name", ["session-reuse", "suite-low"])
+@pytest.mark.parametrize("name", ["session-reuse", "suite-low", "suite-high"])
 def test_smoke_cycles_repeat(workloads, name):
     work = workloads.make(name, 101, smoke=True)
     first, second = work.run_cycle(), work.run_cycle()

@@ -32,9 +32,11 @@ from truncops import (
     tto_matrix,
     zero_product_analysis,
 )
+from truncops import quadrature
 from truncops.blaschke import clark_points
 from truncops.classify import _class_certificate, spectral_values
 from truncops.errors import NoCertificate, NotRealSymmetric, NotTHO, ZeroAnchor
+from truncops.harness import random_inner, random_laurent
 
 
 class TestCrossDecompose:
@@ -105,16 +107,50 @@ class TestIsTTO:
 
 class TestIsTHO:
     def test_roundtrip(self, u_generic, v_generic, rng):
-        sym = RationalSymbol.from_laurent(
-            {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-4, 3)})
-        B = tho_matrix(u_generic, v_generic, sym)
-        m = is_tho(B)
-        assert m.is_member
-        assert m.rebuild_residual < 1e-10
-        rebuilt = tho_matrix(u_generic, v_generic, m.symbol)
-        assert np.max(np.abs(rebuilt.matrix - B.matrix)) < 1e-9
-        # the recovered element lives in the product model space
-        assert m.symbol_element.space.generator == u_generic * v_generic.hat()
+        # at degrees (32, 32) the symbol lives in K_{u hat(v)} of dimension 64
+        for u, v in [(u_generic, v_generic), (random_inner(rng, 32), random_inner(rng, 32))]:
+            sym = RationalSymbol.from_laurent(
+                {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-4, 3)})
+            B = tho_matrix(u, v, sym)
+            m = is_tho(B)
+            assert m.is_member
+            assert m.rebuild_residual < 1e-12 * max(1.0, np.linalg.norm(B.matrix))
+            rebuilt = tho_matrix(u, v, m.symbol)
+            assert np.max(np.abs(rebuilt.matrix - B.matrix)) < 1e-9
+            # the recovered element lives in the product model space
+            assert m.symbol_element.space.generator == u * v.hat()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("zero_at_origin", [False, True])
+    def test_membership_is_the_transported_toeplitz_test(self, rng, n, zero_at_origin):
+        # U_v S_v = S_hat(v) U_v and C_u S_u* = S_u C_u carry the Hankel
+        # displacement onto the Toeplitz one of U_v M C_u
+        u, v = random_inner(rng, n), random_inner(rng, 9 - n)
+        if zero_at_origin:
+            u, v = (blaschke_new((0j,) + w.zeros[1:], w.constant) for w in (u, v))
+        mats = [tho_matrix(u, v, random_laurent(rng, 3)),
+                tto_matrix(u, v, random_laurent(rng, 3)),
+                OperatorMatrix(rng.standard_normal((9 - n, n))
+                               + 1j * rng.standard_normal((9 - n, n)), tm_basis(u), tm_basis(v))]
+        for M in mats:
+            hankel = is_tho(M, recover=False)
+            toeplitz = is_tto(conjugation_U(v) @ M @ conjugation_C(u), recover=False)
+            assert hankel.is_member == toeplitz.is_member
+            assert (abs(hankel.displacement_residual - toeplitz.displacement_residual)
+                    < 1e-12 * max(1.0, np.linalg.norm(M.matrix)))
+        assert is_tho(mats[0], recover=False).is_member
+
+    def test_recovery_pairs_only_its_rebuild(self, u_generic, v_generic, rng):
+        with quadrature.use(quadrature.Evaluation()):
+            B = tho_matrix(u_generic, v_generic, random_laurent(rng, 3))
+            tm_basis(u_generic * v_generic.hat())
+            shift(u_generic), shift(v_generic)
+            with quadrature.tally() as decided:
+                assert is_tho(B, recover=False).is_member
+            with quadrature.tally() as recovered:
+                assert is_tho(B).is_member
+        assert decided.pairings == 0
+        assert recovered.pairings == 1
 
     def test_shift_is_not_tho(self, u3):
         assert not is_tho(shift(u3)).is_member

@@ -141,11 +141,14 @@ class TestFactoredEvaluation:
     def test_at_matches_expanded_coefficients(self, rng, n):
         space = tm_basis(_random_inner(rng, n))
         pts = 0.9 * np.sqrt(rng.uniform(size=6)) * np.exp(2j * np.pi * rng.uniform(size=6))
+        coords = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        combo = space.combine(coords)
         got = space.at(pts)
         assert got.shape == (6, n) and space.at(pts[0]).shape == (n,)
-        assert all(f._coeffs is None for f in space.functions)   # expanded on demand
+        assert all(f._coeffs is None for f in space.functions + [combo])   # expanded on demand
         want = np.array([[f(z) for f in space.functions] for z in pts])
         assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got @ coords - combo(pts))) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_reproducing_property_high_degree(self, rng, n):

@@ -160,8 +160,17 @@ def pair():
 
 
 def test_forced_coefficients_match_eager_polymul(pair):
+    from truncops import blaschke_new
+    from truncops.modelspace import ModelSpaceBasis
+
     f, g = pair
     mul = npoly.polymul
+    basis = ModelSpaceBasis(blaschke_new([0.3 + 0.4j, -0.5, 0.2 - 0.6j, 0.7j]))
+    coords = np.array([1, 2j, 0, -1], dtype=complex)
+    combined = np.zeros(1, dtype=complex)
+    for c, lift in zip(coords, basis._expansions[1]):
+        if c != 0:
+            combined = npoly.polyadd(combined, c * lift)
     cases = {
         "+": (f + g, _eager(npoly.polyadd(mul(f.num, g.den), mul(g.num, f.den)),
                             mul(f.den, g.den))),
@@ -171,6 +180,7 @@ def test_forced_coefficients_match_eager_polymul(pair):
         "hat": (f.hat(), _eager(np.conj(f.num), np.conj(f.den))),
         "flip": (g.flip(), _eager_flip(g)),
         "conj_circle": (f.conj_circle(), _eager_conj_circle(f)),
+        "combine": (basis.combine(coords), _eager(combined, basis.generator.den_coeffs)),
     }
     for op, (lazy, eager) in cases.items():
         assert np.array_equal(lazy.num, eager.num), op
