@@ -139,7 +139,15 @@ class InnerFunction:
         return complex(self.constant * total)
 
     def hat(self) -> "InnerFunction":
-        """conj(u(conj z)): conjugate every zero and the constant.  An exact involution."""
+        """conj(u(conj z)): conjugate every zero and the constant.  An exact involution.
+
+        Built once per instance.  The hat keeps no link back, so u.hat().hat()
+        is a fresh, validated product equal to u.
+        """
+        return self._hat
+
+    @cached_property
+    def _hat(self) -> "InnerFunction":
         return InnerFunction(tuple(np.conj(a) for a in self.zeros), np.conj(self.constant))
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:

@@ -166,6 +166,8 @@ def _cmd_clark(args) -> int:
 
 
 def _cmd_verify_suite(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     quad = None
     if args.quad_cap is not None or args.quad_tol is not None:
         quad = quadrature.QuadratureSettings(

@@ -1082,6 +1082,8 @@ def _sanitize(obj):
 
 def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     cfg = config or SuiteConfig()
+    if cfg.trials < 0:
+        raise InvalidRange(f"trials must be >= 0, got {cfg.trials}")
     ids = cfg.checks or list(CHECKS)
     for cid in ids:
         if cid not in CHECKS:

@@ -17,8 +17,10 @@ the zeros after k.  The hat map is one block pairing of the reflected,
 conjugated basis values against a basis.
 
 Every function space object is immutable after construction; bases cache
-their Gram certificate and boundary values, after which they are safe to
-share between threads.
+their Gram certificate, their boundary values and the kernels k0 and k~0 at
+the origin, all read-only, and are safe to share between threads.  The
+current evaluation memoizes the basis and the conjugations of each
+generator, whose matrices are read-only as well.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from numpy.polynomial import polynomial as npoly
 from . import quadrature
 from .blaschke import InnerFunction
 from .errors import SpaceMismatch, SymbolNotInClass
-from .quadrature import Block, pairing_matrix, pairing_vector
+from .quadrature import Block, pairing_matrix, pairing_vector, readonly
 from .ratfun import RationalSymbol
 
 GRAM_TOL = 1e-10
@@ -97,6 +99,16 @@ class ModelSpaceBasis:
     def __repr__(self):
         return f"ModelSpaceBasis(deg={self.dim}, generator={self.generator.to_json()})"
 
+    @cached_property
+    def k0(self) -> np.ndarray:
+        """Coordinates of the kernel at the origin, conj(e_k(0)); read-only."""
+        return readonly(np.conj(self.at(0j)))
+
+    @cached_property
+    def conj_k0(self) -> np.ndarray:
+        """Coordinates of the conjugate kernel at the origin; read-only."""
+        return readonly(_conj_kernel_coords(self.generator, 0j))
+
     def at(self, z) -> np.ndarray:
         """Factored values e_k(z) of every basis function: shape z.shape + (dim,).
 
@@ -121,9 +133,7 @@ class ModelSpaceBasis:
         """
         got = self._value_cache.get(m)
         if got is None:
-            got = self.at(quadrature.nodes(m))
-            got.flags.writeable = False
-            self._value_cache[m] = got
+            got = self._value_cache[m] = readonly(self.at(quadrature.nodes(m)))
         return got
 
     def combine(self, coords) -> RationalSymbol:
@@ -253,10 +263,12 @@ def _generator_den_values(u: InnerFunction, m: int) -> np.ndarray:
 def kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     """Coordinates of the reproducing kernel: <f, k_lam> = f(lam) for f in K_u.
 
-    Exact: the k-th coordinate is conj(e_k(lam)), with no pairing.
+    Exact: the k-th coordinate is conj(e_k(lam)), with no pairing; the basis
+    caches it at the origin.
     """
     space = tm_basis(u)
-    return SpaceElement(space, np.conj(space.at(complex(lam))))
+    lam = complex(lam)
+    return SpaceElement(space, space.k0 if lam == 0 else np.conj(space.at(lam)))
 
 
 def unit_kernels(u: InnerFunction, points) -> np.ndarray:
@@ -281,15 +293,24 @@ def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
 
     Exact: the k-th coordinate is (C e_k)(lam) = c sqrt(1-|a_k|^2)/(1 - conj(a_k) lam)
     * prod_{j>k} b_j(lam), with c the constant and b_j the zero factors of u,
-    so no pairing is made.  The projection of `conj_kernel_symbol` is its oracle.
+    so no pairing is made; the basis caches it at the origin.  The projection
+    of `conj_kernel_symbol` is its oracle.
     """
     lam = complex(lam)
+    if lam == 0:
+        space = tm_basis(u)
+        return SpaceElement(space, space.conj_k0)
+    coords = _conj_kernel_coords(u, lam)
+    return SpaceElement(tm_basis(u), coords)
+
+
+def _conj_kernel_coords(u: InnerFunction, lam: complex) -> np.ndarray:
+    """The closed form of `conj_kernel` at lam."""
     u.guard_poles(lam)
     a = np.array(u.zeros)
     factor_den = 1.0 - np.conj(a) * lam
     tails = np.cumprod(((lam - a) / factor_den)[:0:-1])[::-1]     # prod_{j>k} b_j(lam)
-    coords = u.constant * np.sqrt(1.0 - np.abs(a) ** 2) / factor_den * np.append(tails, 1.0)
-    return SpaceElement(tm_basis(u), coords)
+    return u.constant * np.sqrt(1.0 - np.abs(a) ** 2) / factor_den * np.append(tails, 1.0)
 
 
 def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
@@ -431,12 +452,13 @@ class OperatorMatrix:
 ConjugateLinearMap = OperatorMatrix
 
 
+@quadrature.memoized(512)
 def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
 
     As a coefficient operation, C f = u * J(hat f), so each column is an
     exact rational symbol paired against the basis.  Antilinear, isometric,
-    involutive.
+    involutive.  Memoized in the current evaluation; the matrix is read-only.
     """
     space = tm_basis(u)
     usym = u.as_symbol()
@@ -448,7 +470,7 @@ def conjugation_C(u: InnerFunction) -> OperatorMatrix:
 
     reach = usym.reach.times(u.reach.flipped())
     mat = pairing_matrix(Block(images, reach), space.block)
-    return OperatorMatrix(mat, space, space, antilinear=True)
+    return OperatorMatrix(readonly(mat), space, space, antilinear=True)
 
 
 def _hat_map(space: ModelSpaceBasis, target: ModelSpaceBasis) -> np.ndarray:
@@ -458,23 +480,30 @@ def _hat_map(space: ModelSpaceBasis, target: ModelSpaceBasis) -> np.ndarray:
     return pairing_matrix(Block(images, space.generator.reach), target.block)
 
 
+@quadrature.memoized(512)
 def conjugation_U(u: InnerFunction) -> OperatorMatrix:
-    """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u)."""
+    """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
+
+    Memoized in the current evaluation; the matrix is read-only.
+    """
     space = tm_basis(u)
     target = tm_basis(u.hat())
-    return OperatorMatrix(_hat_map(space, target), space, target, antilinear=True)
+    return OperatorMatrix(readonly(_hat_map(space, target)), space, target, antilinear=True)
 
 
+@quadrature.memoized(512)
 def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as a map K_u -> K_u.
 
     Only meaningful when u equals its hat as a function (real symmetric u):
     then K_hat(u) and K_u are the same space even though the stored zero
     lists may order conjugate pairs differently.  Completeness of each image
-    expansion is certified: every column must keep unit norm.
+    expansion is certified: every column must keep unit norm.  A build is
+    memoized in the current evaluation, a refusal is not; the matrix is
+    read-only.
     """
     space = tm_basis(u)
     mat = _hat_map(space, space)
     if np.max(np.abs(1.0 - np.sum(np.abs(mat) ** 2, axis=0))) > 1e-9:
         raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
-    return OperatorMatrix(mat, space, space, antilinear=True)
+    return OperatorMatrix(readonly(mat), space, space, antilinear=True)

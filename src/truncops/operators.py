@@ -33,7 +33,7 @@ from .modelspace import (
     tm_basis,
     unit_kernels,
 )
-from .quadrature import Block, pairing_matrix
+from .quadrature import Block, pairing_matrix, readonly
 from .ratfun import CIRCLE_POLE_MARGIN, RationalSymbol
 
 
@@ -52,10 +52,13 @@ def _flipped(space: ModelSpaceBasis) -> Block:
 
 @quadrature.memoized(512)
 def shift(u: InnerFunction) -> OperatorMatrix:
-    """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation."""
+    """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation.
+
+    The matrix is read-only.
+    """
     space = tm_basis(u)
     images = _images(RationalSymbol.monomial(1), space)
-    return OperatorMatrix(pairing_matrix(images, space.block), space, space)
+    return OperatorMatrix(readonly(pairing_matrix(images, space.block)), space, space)
 
 
 def shift_adj(u: InnerFunction) -> OperatorMatrix:
@@ -193,14 +196,18 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
     return out.adjoint() if adjoint else out
 
 
+@quadrature.memoized(512)
 def symmetric_involution(u: InnerFunction) -> OperatorMatrix:
     """The linear unitary involution on K_u over a real symmetric generator.
 
     The composition of the natural conjugation with the coefficient
     conjugation; being a product of two antilinear isometries it is a plain
     unitary, self-adjoint and squaring to the identity.  It also equals the
-    Hankel operator with symbol conj(u); tests pin that identity.
+    Hankel operator with symbol conj(u); tests pin that identity.  Memoized
+    in the current evaluation; the matrix is read-only.
     """
     if not u.is_real_symmetric():
         raise NotRealSymmetric("the involution needs a real symmetric generator")
-    return conjugation_C(u) @ conjugation_U_on(u)
+    out = conjugation_C(u) @ conjugation_U_on(u)
+    readonly(out.matrix)
+    return out

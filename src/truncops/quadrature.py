@@ -28,7 +28,8 @@ pass the images of a whole basis as one); a bare function states nothing, so
 its pairings start at the floor.
 
 Every pairing runs under the current ``Evaluation``: its settings, its
-counters and its memo of per-generator builds (bases and shifts).  A
+counters and its memo of per-generator builds (the basis, the shift, the
+conjugations C_u, U_u and U_u on K_u, and the involution C_u U_u).  A
 ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """
@@ -133,8 +134,10 @@ class Evaluation:
     """The state every pairing runs under: settings, counters and memoized builds.
 
     The memo maps each ``memoized`` builder to its own bounded
-    least-recently-used table.  ``override`` runs under a copy with other
-    settings that shares the counters and the memo.
+    least-recently-used table: ``tm_basis``, ``shift``, ``conjugation_C``,
+    ``conjugation_U``, ``conjugation_U_on`` and ``symmetric_involution``, one
+    build per generator, each operator's matrix read-only.  ``override`` runs
+    under a copy with other settings that shares the counters and the memo.
     """
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
@@ -190,6 +193,13 @@ def memoized(maxsize: int):
     return wrap
 
 
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so that an edit in place raises
+    ValueError instead of corrupting every later reader of the cache."""
+    arr.flags.writeable = False
+    return arr
+
+
 # pure functions of m, shared by every evaluation
 _nodes_cache: dict[int, np.ndarray] = {}
 _reflection_cache: dict[int, np.ndarray] = {}
@@ -200,9 +210,7 @@ def nodes(m: int) -> np.ndarray:
     got = _nodes_cache.get(m)
     if got is None:
         theta = 2.0 * np.pi * np.arange(m) / m
-        got = np.exp(1j * theta)
-        got.flags.writeable = False
-        _nodes_cache[m] = got
+        got = _nodes_cache[m] = readonly(np.exp(1j * theta))
     return got
 
 
@@ -210,9 +218,7 @@ def reflection(m: int) -> np.ndarray:
     """Index of the conjugate of each node of the m-grid: k -> -k mod m."""
     got = _reflection_cache.get(m)
     if got is None:
-        got = (-np.arange(m)) % m
-        got.flags.writeable = False
-        _reflection_cache[m] = got
+        got = _reflection_cache[m] = readonly((-np.arange(m)) % m)
     return got
 
 

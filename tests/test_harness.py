@@ -90,6 +90,10 @@ class TestSuite:
         rep = run_suite(SuiteConfig(seed=1, trials=0, checks=["kernel-core"]))
         assert not rep.overall_pass
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(InvalidRange, match="trials"):
+            run_suite(SuiteConfig(seed=1, trials=-1, checks=["kernel-core"]))
+
     def test_check_filter(self):
         rep = run_suite(SuiteConfig(seed=1, trials=1,
                                     checks=["kernel-core", "clark-unitary"]))
@@ -222,10 +226,11 @@ class TestEvaluationContext:
         assert doubled == [2 * max(first)] * 2
 
     def test_default_suite_pairings_and_levels(self):
-        # the pairing count is fixed by the checks; the first level of each
-        # pairing comes from its sides, so no pairing needs a blind 4096 nodes
+        # the pairing count is fixed by the checks and by the memo of each
+        # generator's builds; the first level of each pairing comes from its
+        # sides, so no pairing needs a blind 4096 nodes
         rep = run_suite(SuiteConfig(seed=7))
-        assert rep.quadrature_stats["pairings"] == 4797
+        assert rep.quadrature_stats["pairings"] == 3868
         assert rep.quadrature_stats["max_nodes"] <= 1024
 
 
@@ -291,6 +296,15 @@ class TestCLI:
         assert main(["verify-suite", "--seed", "3", "--trials", "1",
                      "--theorem", "conjugation-dictionary",
                      "--quad-tol", "1e-18", "--quad-cap", "128"]) == 1
+        capsys.readouterr()
+
+    def test_verify_suite_trial_count(self, capsys):
+        # a negative count is a usage error; zero trials run and fail the suite
+        assert main(["verify-suite", "--trials", "-1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --trials must be >= 0" in captured.err
+        assert main(["verify-suite", "--trials", "0", "--theorem", "kernel-core"]) == 1
         capsys.readouterr()
 
     def test_verify_suite_zero_quad_cap_is_not_ignored(self, capsys):

@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
+
 import numpy as np
 import pytest
 
@@ -15,10 +18,17 @@ from truncops import (
     inner_product,
     kernel,
     project,
+    shift,
+    symmetric_involution,
     tm_basis,
 )
 from truncops.errors import NoConvergence, PoleHit, SpaceMismatch, SymbolNotInClass
-from truncops.modelspace import _deflate, boundary_kernel_symbol, conj_kernel_symbol
+from truncops.modelspace import (
+    _conj_kernel_coords,
+    _deflate,
+    boundary_kernel_symbol,
+    conj_kernel_symbol,
+)
 from truncops import quadrature
 from truncops.quadrature import QuadratureSettings
 
@@ -189,12 +199,14 @@ class TestFactoredEvaluation:
             assert np.max(np.abs(conj_kernel(u, lam).coords - want)) <= 1e-13
 
     def test_hat_map_is_one_pairing(self, u_sym, u_generic):
-        tm_basis(u_sym)
-        before = quadrature.STATS.pairings
-        conjugation_U_on(u_sym)
-        assert quadrature.STATS.pairings == before + 1
-        with pytest.raises(SymbolNotInClass):
-            conjugation_U_on(u_generic)
+        # a fresh evaluation, so the memo holds no earlier build of u_sym
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            tm_basis(u_sym)
+            before = ev.stats.pairings
+            conjugation_U_on(u_sym)
+            assert ev.stats.pairings == before + 1
+            with pytest.raises(SymbolNotInClass):
+                conjugation_U_on(u_generic)
 
     def test_conj_kernel_coefficients_on_demand(self, u_generic):
         lam = 0.2 - 0.3j
@@ -328,3 +340,90 @@ def test_hat_multiplicative_on_rationals():
     g = RationalSymbol([1.0, 0.5j], [1.0, 0.0, 0.25])
     z = np.exp(0.61j)
     assert (f * g).hat()(z) == pytest.approx((f.hat() * g.hat())(z))
+
+
+def _real_symmetric_inner(rng, pairs):
+    """A real symmetric product: conjugate pairs of zeros, one real zero, constant -1."""
+    a = 0.8 * np.sqrt(rng.uniform(size=pairs)) * np.exp(1j * np.pi * rng.uniform(size=pairs))
+    return blaschke_new([*a, *np.conj(a), rng.uniform(-0.8, 0.8)], -1)
+
+
+# the memoized per-generator builders, with the pairings a first build makes
+# once the bases of u and of its hat exist
+MEMOIZED = [(shift, 1), (conjugation_C, 1), (conjugation_U, 1), (conjugation_U_on, 1),
+            (symmetric_involution, 2)]
+BUILDS = [build for build, _ in MEMOIZED]
+
+
+class TestMemo:
+    @pytest.mark.parametrize("build, pairings", MEMOIZED, ids=[b.__name__ for b in BUILDS])
+    def test_builds_once_per_evaluation(self, u_sym, build, pairings):
+        first = []
+        for _ in range(2):
+            with quadrature.use(quadrature.Evaluation()) as ev:
+                tm_basis(u_sym)
+                tm_basis(u_sym.hat())
+                before = ev.stats.pairings
+                op = build(u_sym)
+                assert ev.stats.pairings == before + pairings
+                assert build(u_sym) is op
+                assert ev.stats.pairings == before + pairings
+            first.append(op)
+        # a second evaluation builds again, to the same bits
+        assert first[0] is not first[1]
+        assert np.array_equal(first[0].matrix, first[1].matrix)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_memoized_matrices_are_read_only(self, u_sym, build):
+        mat = build(u_sym).matrix
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            mat *= 2.0
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 32])
+    def test_origin_kernels_are_cached_bitwise(self, rng, n):
+        zeros = list(_random_inner(rng, n).zeros)
+        zeros[0] = 0.0
+        zeros[n // 2] = 0.0
+        u = blaschke_new(zeros, np.exp(0.4j))
+        space = tm_basis(u)
+        assert np.array_equal(space.k0, np.conj(space.at(0.0)))
+        assert np.array_equal(space.conj_k0, _conj_kernel_coords(u, 0j))
+        k, kt = kernel(u, 0.0), conj_kernel(u, 0.0)
+        assert np.shares_memory(k.coords, space.k0)
+        assert np.shares_memory(kt.coords, space.conj_k0)
+        for cached in (space.k0, space.conj_k0, k.coords):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+
+    def test_hat_is_built_once_forward(self, u_generic):
+        assert u_generic.hat() is u_generic.hat()
+        back = u_generic.hat().hat()
+        assert back == u_generic
+        assert back is not u_generic
+
+    def test_threads_share_one_evaluation(self, rng):
+        generators = [_real_symmetric_inner(rng, pairs) for pairs in (1, 4, 8)]
+
+        def run_all():
+            out = []
+            for u in generators:
+                out += [build(u).matrix for build in BUILDS]
+                out += [kernel(u, 0.0).coords, conj_kernel(u, 0.0).coords]
+            return out
+
+        with quadrature.use(quadrature.Evaluation()):
+            want = run_all()
+        shared = quadrature.Evaluation()
+        start = Barrier(4, timeout=60)
+
+        def worker(_):
+            with quadrature.use(shared):
+                start.wait()
+                return run_all()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4)))
+        for got in results:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
