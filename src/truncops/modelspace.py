@@ -18,9 +18,9 @@ conjugated basis values against a basis.
 
 Every function space object is immutable after construction; bases cache
 their Gram certificate, their boundary values and the kernels k0 and k~0 at
-the origin, all read-only, and are safe to share between threads.  The
-current evaluation memoizes the basis and the conjugations of each
-generator, whose matrices are read-only as well.
+the origin, all read-only, and are safe to share between threads.  Each
+``quadrature.memoized`` builder is built once per generator in the current
+evaluation, and its matrix is read-only as well.
 """
 
 from __future__ import annotations
@@ -491,19 +491,16 @@ def conjugation_U(u: InnerFunction) -> OperatorMatrix:
     return OperatorMatrix(readonly(_hat_map(space, target)), space, target, antilinear=True)
 
 
-@quadrature.memoized(512)
 def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as a map K_u -> K_u.
 
     Only meaningful when u equals its hat as a function (real symmetric u):
     then K_hat(u) and K_u are the same space even though the stored zero
     lists may order conjugate pairs differently.  Completeness of each image
-    expansion is certified: every column must keep unit norm.  A build is
-    memoized in the current evaluation, a refusal is not; the matrix is
-    read-only.
+    expansion is certified: every column must keep unit norm.
     """
     space = tm_basis(u)
     mat = _hat_map(space, space)
     if np.max(np.abs(1.0 - np.sum(np.abs(mat) ** 2, axis=0))) > 1e-9:
         raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
-    return OperatorMatrix(readonly(mat), space, space, antilinear=True)
+    return OperatorMatrix(mat, space, space, antilinear=True)

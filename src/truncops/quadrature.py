@@ -28,8 +28,7 @@ pass the images of a whole basis as one); a bare function states nothing, so
 its pairings start at the floor.
 
 Every pairing runs under the current ``Evaluation``: its settings, its
-counters and its memo of per-generator builds (the basis, the shift, the
-conjugations C_u, U_u and U_u on K_u, and the involution C_u U_u).  A
+counters and its memo of per-generator builds (each ``memoized`` builder).  A
 ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """
@@ -134,10 +133,9 @@ class Evaluation:
     """The state every pairing runs under: settings, counters and memoized builds.
 
     The memo maps each ``memoized`` builder to its own bounded
-    least-recently-used table: ``tm_basis``, ``shift``, ``conjugation_C``,
-    ``conjugation_U``, ``conjugation_U_on`` and ``symmetric_involution``, one
-    build per generator, each operator's matrix read-only.  ``override`` runs
-    under a copy with other settings that shares the counters and the memo.
+    least-recently-used table, one build per generator, each operator's
+    matrix read-only.  ``override`` runs under a copy with other settings
+    that shares the counters and the memo.
     """
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
@@ -165,7 +163,14 @@ def use(evaluation: Evaluation):
 
 
 def override(settings: QuadratureSettings):
-    """Run a block under other settings, keeping the current counters and memo."""
+    """Run a block under other settings, keeping the current counters and memo.
+
+    The settings reach the pairings the block runs.  A memoized build is
+    made once per evaluation, so one made before the block is returned as it
+    is, whatever the block's settings, and one first made in the block stays
+    in the memo after it.  To build under other settings from scratch, ``use``
+    a fresh ``Evaluation``.
+    """
     return use(replace(current(), settings=settings))
 
 

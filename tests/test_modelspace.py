@@ -199,14 +199,12 @@ class TestFactoredEvaluation:
             assert np.max(np.abs(conj_kernel(u, lam).coords - want)) <= 1e-13
 
     def test_hat_map_is_one_pairing(self, u_sym, u_generic):
-        # a fresh evaluation, so the memo holds no earlier build of u_sym
-        with quadrature.use(quadrature.Evaluation()) as ev:
-            tm_basis(u_sym)
-            before = ev.stats.pairings
-            conjugation_U_on(u_sym)
-            assert ev.stats.pairings == before + 1
-            with pytest.raises(SymbolNotInClass):
-                conjugation_U_on(u_generic)
+        tm_basis(u_sym)
+        before = quadrature.STATS.pairings
+        conjugation_U_on(u_sym)
+        assert quadrature.STATS.pairings == before + 1
+        with pytest.raises(SymbolNotInClass):
+            conjugation_U_on(u_generic)
 
     def test_conj_kernel_coefficients_on_demand(self, u_generic):
         lam = 0.2 - 0.3j
@@ -350,8 +348,7 @@ def _real_symmetric_inner(rng, pairs):
 
 # the memoized per-generator builders, with the pairings a first build makes
 # once the bases of u and of its hat exist
-MEMOIZED = [(shift, 1), (conjugation_C, 1), (conjugation_U, 1), (conjugation_U_on, 1),
-            (symmetric_involution, 2)]
+MEMOIZED = [(shift, 1), (conjugation_C, 1), (conjugation_U, 1), (symmetric_involution, 2)]
 BUILDS = [build for build, _ in MEMOIZED]
 
 
@@ -396,6 +393,20 @@ class TestMemo:
         for cached in (space.k0, space.conj_k0, k.coords):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_override_reuses_builds_made_before_it(self, u_sym, build):
+        # a cap of 16 nodes is below every first level these builds need
+        tight = QuadratureSettings(cap=16)
+        with quadrature.use(quadrature.Evaluation(settings=tight)):
+            with pytest.raises(NoConvergence):
+                build(u_sym)
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            op = build(u_sym)
+            before = ev.stats.pairings
+            with quadrature.override(tight):
+                assert build(u_sym) is op
+            assert ev.stats.pairings == before
 
     def test_hat_is_built_once_forward(self, u_generic):
         assert u_generic.hat() is u_generic.hat()
