@@ -50,11 +50,8 @@ class InnerFunction:
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "_bvals", {})
         object.__setattr__(self, "_poles", np.array([1.0 / np.conj(a) for a in zs if a != 0]))
-        # cheap sampled unimodularity guard; exact by construction, this
-        # catches corrupted coefficient data early
-        sample = self(np.exp(1j * np.linspace(0.3, 6.0, 8)))
-        if np.max(np.abs(np.abs(sample) - 1.0)) > 1e-10:
-            raise NotUnimodular("product is not unimodular on the circle")
+        # |u| = 1 on the circle follows from |a_k| < 1 and |c| = 1, so it is
+        # not sampled here; the kernel-core check measures it
 
     @property
     def degree(self) -> int:
@@ -95,8 +92,11 @@ class InnerFunction:
         return got
 
     def as_symbol(self) -> RationalSymbol:
-        return RationalSymbol(self.num_coeffs, self.den_coeffs, check_poles=False,
-                              provider=self.boundary_values, reach=self.reach)
+        """u as a rational symbol; pairings read its factored boundary values,
+        and its coefficients are expanded on the first read of num or den."""
+        return RationalSymbol(provider=self.boundary_values,
+                              expand=lambda: (self.num_coeffs, self.den_coeffs),
+                              reach=self.reach)
 
     def conj_symbol(self) -> RationalSymbol:
         """conj(u) on the circle, i.e. 1/u, as an exact rational symbol."""

@@ -132,10 +132,17 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_product_test(args) -> int:
-    if args.theorem not in harness.CHECKS:
-        print(f"unknown criterion {args.theorem!r}; known: {', '.join(sorted(harness.CHECKS))}",
+def _unknown_criteria(ids) -> bool:
+    """Report the ids that name no registered check; True if there were any."""
+    unknown = [cid for cid in ids if cid not in harness.CHECKS]
+    for cid in unknown:
+        print(f"unknown criterion {cid!r}; known: {', '.join(sorted(harness.CHECKS))}",
               file=sys.stderr)
+    return bool(unknown)
+
+
+def _cmd_product_test(args) -> int:
+    if _unknown_criteria([args.theorem]):
         return 2
     raw = _read_input(args.spec)
     problem = harness.ProblemSpec.from_json(json.loads(raw))
@@ -168,6 +175,8 @@ def _cmd_clark(args) -> int:
 def _cmd_verify_suite(args) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if _unknown_criteria(args.theorem or ()):
+        return 2
     quad = None
     if args.quad_cap is not None or args.quad_tol is not None:
         quad = quadrature.QuadratureSettings(

@@ -20,6 +20,7 @@ from . import classify, products, quadrature
 from .blaschke import ExtendedScalar, InnerFunction, clark_points, monomial_inner
 from .errors import InvalidRange, TruncOpsError
 from .modelspace import (
+    GRAM_TOL,
     OperatorMatrix,
     boundary_kernel,
     boundary_kernel_symbol,
@@ -27,6 +28,7 @@ from .modelspace import (
     conj_kernel_symbol,
     conjugation_C,
     conjugation_U,
+    gram_residual,
     kernel,
     project,
     tm_basis,
@@ -261,9 +263,12 @@ def check_kernel_core(p: ProblemSpec) -> TrialResult:
     zs = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
     r["hat_pointwise"] = _mx(*np.abs(np.conj(u.hat()(np.conj(zs))) - u(zs)))
     r["unimodularity"] = _mx(*np.abs(np.abs(u(zs)) - 1.0))
+    # the quadrature oracle of Takenaka-Malmquist orthonormality, held to the
+    # construction tolerance rather than to the main one
+    r["gram"] = gram_residual(space)
     tol = p.tolerances.get("main", 1e-9)
     resid = _mx(*r.values())
-    return TrialResult(resid < tol, resid, r)
+    return TrialResult(resid < tol and r["gram"] <= GRAM_TOL, resid, r)
 
 
 def check_displacement_roundtrip(p: ProblemSpec) -> TrialResult:

@@ -16,11 +16,16 @@ the generator's reach), and conjugate kernels are the mirrored product over
 the zeros after k.  The hat map is one block pairing of the reflected,
 conjugated basis values against a basis.
 
+Takenaka-Malmquist orthonormality is a theorem, so building a basis makes no
+pairing; `gram_residual` measures it by quadrature as an oracle, which the
+kernel-core check gates at GRAM_TOL.
+
 Every function space object is immutable after construction; bases cache
-their Gram certificate, their boundary values and the kernels k0 and k~0 at
-the origin, all read-only, and are safe to share between threads.  Each
-``quadrature.memoized`` builder is built once per generator in the current
-evaluation, and its matrix is read-only as well.
+their boundary values, the conjugates of those values and of the flipped
+values J e_k (the conjugated side of every pairing against the basis), and
+the kernels k0 and k~0 at the origin, all read-only, and are safe to share
+between threads.  Each ``quadrature.memoized`` builder is built once per
+generator in the current evaluation, and its matrix is read-only as well.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ class ModelSpaceBasis:
         self.generator = generator
         n = len(generator.zeros)
         self._value_cache: dict[int, np.ndarray] = {}
+        self._conj_cache: dict[int, np.ndarray] = {}
+        self._conj_flipped_cache: dict[int, np.ndarray] = {}
         # pairings and point evaluation read only the factored values, so
         # coefficients are expanded on the first read of num or den
         self.functions = [
@@ -60,13 +67,10 @@ class ModelSpaceBasis:
         self.dim = n
         # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
         # most the zeros at 0 as the degree of its finite part
-        self.block = Block(self.values, generator.reach)
-        gram = pairing_matrix(self.block, self.block)
-        self.gram_residual = float(np.max(np.abs(gram - np.eye(n))))
-        if self.gram_residual > GRAM_TOL:
-            raise ArithmeticError(
-                f"basis Gram matrix off identity by {self.gram_residual:g}"
-            )
+        self.block = Block(self.values, generator.reach, self.conj_values)
+        # J e_k = conj(z) e_k(conj z), the codomain side of Hankel builds
+        self.flipped = Block(self._flipped_values, generator.reach.flipped(),
+                             self.conj_flipped_values)
 
     @cached_property
     def _expansions(self):
@@ -129,12 +133,21 @@ class ModelSpaceBasis:
     def values(self, m: int) -> np.ndarray:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
-        This block is the basis side of every pairing against the basis.
+        A pairing against the basis reads its conjugates, `conj_values`.
         """
-        got = self._value_cache.get(m)
-        if got is None:
-            got = self._value_cache[m] = readonly(self.at(quadrature.nodes(m)))
-        return got
+        return _grid_cached(self._value_cache, m, lambda m: self.at(quadrature.nodes(m)))
+
+    def conj_values(self, m: int) -> np.ndarray:
+        """conj(values(m)); cached, read-only."""
+        return _grid_cached(self._conj_cache, m, lambda m: np.conj(self.values(m)))
+
+    def _flipped_values(self, m: int) -> np.ndarray:
+        return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]
+
+    def conj_flipped_values(self, m: int) -> np.ndarray:
+        """Conjugated values of the flipped basis J e_k on the m-grid; cached, read-only."""
+        return _grid_cached(self._conj_flipped_cache, m,
+                            lambda m: np.conj(self._flipped_values(m)))
 
     def combine(self, coords) -> RationalSymbol:
         """The element with the given coordinates, as a rational function."""
@@ -156,6 +169,18 @@ class ModelSpaceBasis:
         if norm is not None:
             coords *= norm / np.linalg.norm(coords)
         return self.element(coords)
+
+
+def _grid_cached(cache: dict, m: int, compute) -> np.ndarray:
+    """cache[m], made once and read-only: the even rows of cache[2m] when that
+    grid is cached (its even nodes are the m-grid, so the values are the same
+    bits), else compute(m)."""
+    got = cache.get(m)
+    if got is None:
+        fine = cache.get(2 * m)
+        got = np.ascontiguousarray(fine[::2]) if fine is not None else compute(m)
+        got = cache[m] = readonly(got)
+    return got
 
 
 @quadrature.memoized(512)
@@ -207,6 +232,16 @@ class SpaceElement:
 
     def __repr__(self):
         return f"SpaceElement({list(self.coords)})"
+
+
+def gram_residual(space: ModelSpaceBasis) -> float:
+    """Max entry of G - I for the Gram matrix G of the basis, by one pairing.
+
+    The basis is orthonormal by construction, so this tests the quadrature
+    and the factored values; kernel-core gates it at GRAM_TOL.
+    """
+    gram = pairing_matrix(space.block, space.block)
+    return float(np.max(np.abs(gram - np.eye(space.dim))))
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,6 @@ def _images(sym: RationalSymbol, space: ModelSpaceBasis) -> Block:
                  sym.reach.times(space.generator.reach))
 
 
-def _flipped(space: ModelSpaceBasis) -> Block:
-    """The block of values of J e_i = conj(z) e_i(conj z), one column per basis function."""
-    return Block(lambda m: (np.conj(quadrature.nodes(m))[:, None]
-                            * space.values(m)[quadrature.reflection(m)]),
-                 space.generator.reach.flipped())
-
-
 @quadrature.memoized(512)
 def shift(u: InnerFunction) -> OperatorMatrix:
     """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation.
@@ -112,7 +105,7 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     """
     dom = tm_basis(u)
     cod = tm_basis(v)
-    return OperatorMatrix(pairing_matrix(_images(sym, dom), _flipped(cod)), dom, cod)
+    return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.flipped), dom, cod)
 
 
 def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,

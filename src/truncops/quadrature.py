@@ -25,7 +25,9 @@ column, or a block: a function of m that returns all of its columns at once
 as one (m, k) array.  A ``Block`` carries the reach of its columns
 (``ModelSpaceBasis.block`` is the block of a basis, and operator builders
 pass the images of a whole basis as one); a bare function states nothing, so
-its pairings start at the floor.
+its pairings start at the floor.  A block may also carry the conjugates of
+its values, which a pairing then reads on its conjugated side instead of
+conjugating the values again (a basis caches them per grid).
 
 Every pairing runs under the current ``Evaluation``: its settings, its
 counters and its memo of per-generator builds (each ``memoized`` builder).  A
@@ -92,13 +94,18 @@ class Reach:
 
 
 class Block:
-    """A pairing side given as one (m, k) array of boundary values per grid, with its reach."""
+    """A pairing side given as one (m, k) array of boundary values per grid, with its reach.
 
-    __slots__ = ("values", "reach")
+    ``conj``, when given, returns the conjugates of ``values(m)``, as a
+    C-contiguous (m, k) array.
+    """
 
-    def __init__(self, values, reach: Reach):
+    __slots__ = ("values", "reach", "conj")
+
+    def __init__(self, values, reach: Reach, conj=None):
         self.values = values
         self.reach = reach
+        self.conj = conj
 
     def __call__(self, m: int) -> np.ndarray:
         return self.values(m)
@@ -234,6 +241,20 @@ def _value_matrix(side, m: int) -> np.ndarray:
     return np.column_stack([s.values_at(m) for s in side])
 
 
+def _conj_matrices(side, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Conjugated values of a pairing side on the m-grid and on its even half.
+
+    A block that carries its conjugates gives them for both grids (the half
+    grid's nodes are the even ones of the full grid); other sides are
+    conjugated here.
+    """
+    conj = getattr(side, "conj", None)
+    if conj is not None:
+        return conj(m), conj(m // 2)
+    G = _value_matrix(side, m)
+    return G.conj(), G[::2].conj()
+
+
 def _reach(side) -> Reach:
     if callable(side):
         return getattr(side, "reach", Reach())
@@ -273,7 +294,8 @@ def pairing_matrix(fs, gs) -> np.ndarray:
 
     fs and gs are sequences of objects exposing ``values_at(m)`` and
     ``reach`` (RationalSymbol does), or blocks: functions of m returning all
-    their columns as one (m, k) array (a ``Block`` also states their reach).
+    their columns as one (m, k) array (a ``Block`` also states their reach,
+    and gs is read through its conjugates when it carries them).
     The first level, 2 * m0 nodes against m0, comes from the two reaches
     (`first_level`), so the finite part of the integrand is exact and no
     frequency aliases onto the result; from there the node count doubles
@@ -291,12 +313,12 @@ def pairing_matrix(fs, gs) -> np.ndarray:
                 f"circle quadrature did not stabilize to {s.tol:g} within {s.cap} nodes"
             )
         F2 = _value_matrix(fs, 2 * m)
-        G2 = _value_matrix(gs, 2 * m)
-        full = G2.conj().T @ F2 / (2 * m)
-        half = G2[::2].conj().T @ F2[::2] / m
+        G2c, Gc = _conj_matrices(gs, 2 * m)
+        full = G2c.T @ F2 / (2 * m)
+        half = Gc.T @ F2[::2] / m
         # the roundoff floor of the mean grows with the integrand magnitude,
         # so the stopping rule is relative to it (never below tol itself)
-        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2))))
+        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c))))
         if np.max(np.abs(full - half)) < s.tol * scale:
             ev.stats.record(2 * m)
             return full

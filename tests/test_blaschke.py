@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from truncops import ExtendedScalar, blaschke_new, clark_points, monomial_inner
+from truncops import ExtendedScalar, RationalSymbol, blaschke_new, clark_points, monomial_inner
 from truncops.errors import (
     NotUnimodular,
     PoleHit,
@@ -26,6 +26,25 @@ def test_unimodular_on_circle_sampled():
     theta = np.linspace(0, 2 * np.pi, 16, endpoint=False)
     vals = u(np.exp(1j * theta))
     assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-10
+
+
+def test_zero_next_to_a_circle_point_is_accepted():
+    # |u| = 1 on the circle follows from the zeros and the constant; a sampled
+    # check at the angle next to this zero lost accuracy and refused it
+    a = 0.999999 * np.exp(0.3j)
+    u = blaschke_new([a])
+    assert u.zeros == (a,)
+    assert abs(u(np.exp(2.0j))) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_symbol_coefficients_on_demand_match_eager():
+    u = blaschke_new([0.3 + 0.4j, -0.5, 0.2 - 0.6j, 0.0], constant=np.exp(0.7j))
+    sym = u.as_symbol()
+    assert sym._coeffs is None
+    assert np.array_equal(sym.values_at(64), u.boundary_values(64))
+    eager = RationalSymbol(u.num_coeffs, u.den_coeffs, check_poles=False)
+    assert np.array_equal(sym.num, eager.num) and np.array_equal(sym.den, eager.den)
+    assert sym.reach == u.reach
 
 
 def test_construction_guards():

@@ -12,6 +12,7 @@ from truncops import classify, harness, quadrature
 from truncops.cli import main, parse_inner, parse_scalar
 from truncops.errors import InvalidRange
 from truncops.harness import run_trial
+from truncops.modelspace import GRAM_TOL, ModelSpaceBasis
 from truncops.quadrature import QUAD_START, QuadratureSettings
 
 
@@ -130,6 +131,29 @@ class TestSuite:
         assert r1.passed == r2.passed
         assert r1.residual == r2.residual
 
+    def test_kernel_core_fails_on_corrupted_basis_values(self, monkeypatch):
+        # negative control of the Gram oracle: scaling one basis column by
+        # 1 + 1e-10 moves the Gram matrix off the identity by about 2e-10,
+        # past GRAM_TOL, while every other residual stays under the main 1e-9
+        problem = generate_instance(5, (2, 4), (1, 3),
+                                    dict(CHECKS["kernel-core"].constraints,
+                                         operation="kernel-core"))
+        with quadrature.use(quadrature.Evaluation()):
+            assert run_trial("kernel-core", problem).passed
+        values = ModelSpaceBasis.values
+
+        def corrupted(space, m):
+            out = values(space, m).copy()
+            out[:, 0] *= 1 + 1e-10
+            return out
+
+        monkeypatch.setattr(ModelSpaceBasis, "values", corrupted)
+        with quadrature.use(quadrature.Evaluation()):
+            result = run_trial("kernel-core", problem)
+        assert not result.passed and result.error is None
+        assert GRAM_TOL < result.details["gram"] < 1e-9
+        assert result.residual < problem.tolerances.get("main", 1e-9)
+
     def test_atho_product_true_fails_when_unitary_factor_not_hankel(self, monkeypatch):
         # is_tho rejecting the unitary factor fails the trial instead of raising
         from truncops.modelspace import OperatorMatrix, tm_basis
@@ -220,9 +244,10 @@ class TestEvaluationContext:
                                                             operation="quadrature-hygiene"))
         with quadrature.use(quadrature.Evaluation()):
             assert run_trial("quadrature-hygiene", problem).passed
-        # the basis Gram and the first builds, then the two doubled builds
+        # the two first builds (a basis build makes no pairing), then the two
+        # doubled builds
         first, doubled = levels[:-2], levels[-2:]
-        assert len(first) == 3
+        assert len(first) == 2
         assert doubled == [2 * max(first)] * 2
 
     def test_default_suite_pairings_and_levels(self):
@@ -230,7 +255,7 @@ class TestEvaluationContext:
         # generator's builds; the first level of each pairing comes from its
         # sides, so no pairing needs a blind 4096 nodes
         rep = run_suite(SuiteConfig(seed=7))
-        assert rep.quadrature_stats["pairings"] == 3868
+        assert rep.quadrature_stats["pairings"] == 3084
         assert rep.quadrature_stats["max_nodes"] <= 1024
 
 
@@ -287,6 +312,13 @@ class TestCLI:
         assert out["reports"]["is_tto"]["verdict"] is True
         assert out["reports"]["is_tho"]["verdict"] is False
         assert out["reports"]["sedlock"]["alpha"] == pytest.approx([0.0, 0.0], abs=1e-10)
+
+    def test_verify_suite_unknown_check_is_usage_error(self, capsys):
+        rc = main(["verify-suite", "--trials", "1", "--theorem", "kernel-core",
+                   "--theorem", "no-such-check"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'no-such-check'" in err and "kernel-core" in err and "quadrature-hygiene" in err
 
     def test_verify_suite_exit_codes(self, capsys):
         assert main(["verify-suite", "--seed", "3", "--trials", "1",

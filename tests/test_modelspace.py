@@ -24,10 +24,12 @@ from truncops import (
 )
 from truncops.errors import NoConvergence, PoleHit, SpaceMismatch, SymbolNotInClass
 from truncops.modelspace import (
+    GRAM_TOL,
     _conj_kernel_coords,
     _deflate,
     boundary_kernel_symbol,
     conj_kernel_symbol,
+    gram_residual,
 )
 from truncops import quadrature
 from truncops.quadrature import QuadratureSettings
@@ -49,7 +51,26 @@ class TestBasis:
     def test_gram_certificate_random_degree5(self, rng):
         zeros = 0.8 * np.sqrt(rng.uniform(size=5)) * np.exp(2j * np.pi * rng.uniform(size=5))
         u = blaschke_new(zeros, np.exp(1j * rng.uniform()))
-        assert tm_basis(u).gram_residual < 1e-10
+        assert gram_residual(tm_basis(u)) < GRAM_TOL
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_basis_build_makes_no_pairing(self, rng, n):
+        zeros = 0.85 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        u = blaschke_new(zeros, np.exp(1j * rng.uniform()))
+        with quadrature.use(quadrature.Evaluation()), quadrature.tally() as built:
+            tm_basis(u)
+        assert built.pairings == 0
+
+    def test_conjugated_values_are_cached_bitwise(self, u_generic):
+        space = tm_basis(u_generic)
+        for m in (32, 64):
+            flipped = np.conj(quadrature.nodes(m))[:, None] * space.values(m)[quadrature.reflection(m)]
+            assert np.array_equal(space.conj_values(m), np.conj(space.values(m)))
+            assert np.array_equal(space.conj_flipped_values(m), np.conj(flipped))
+            assert space.conj_values(m) is space.conj_values(m)
+            assert space.conj_flipped_values(m) is space.conj_flipped_values(m)
+            with pytest.raises(ValueError):
+                space.conj_flipped_values(m)[0, 0] = 0
 
     def test_combine_matches_eval(self, u_generic, rng):
         f = tm_basis(u_generic).random_element(rng)
