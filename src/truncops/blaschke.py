@@ -10,7 +10,7 @@ coefficient operation on the stored data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,7 +49,11 @@ class InnerFunction:
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "_bvals", {})
-        object.__setattr__(self, "_poles", np.array([1.0 / np.conj(a) for a in zs if a != 0]))
+        poles = np.array([1.0 / np.conj(a) for a in zs if a != 0])
+        object.__setattr__(self, "_poles", poles)
+        # guard_poles searches for a pole only at points beyond this radius
+        object.__setattr__(self, "_pole_radius",
+                           np.min(np.abs(poles)) - 1e-12 if poles.size else np.inf)
         # |u| = 1 on the circle follows from |a_k| < 1 and |c| = 1, so it is
         # not sampled here; the kernel-core check measures it
 
@@ -102,6 +106,11 @@ class InnerFunction:
         """conj(u) on the circle, i.e. 1/u, as an exact rational symbol."""
         return self.as_symbol().conj_circle()
 
+    @cached_property
+    def origin_value(self) -> complex:
+        """u(0), evaluated once per instance by the same factor loop as ``u(0.0)``."""
+        return self(0.0)
+
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         self.guard_poles(z)
@@ -115,8 +124,8 @@ class InnerFunction:
     def guard_poles(self, z):
         """Raise PoleHit if a point lies within 1e-12 of a pole 1/conj(a), off the closed disk."""
         z = np.asarray(z)
-        poles = self._poles
-        if poles.size and np.max(np.abs(z), initial=0.0) > np.min(np.abs(poles)) - 1e-12:
+        if np.max(np.abs(z), initial=0.0) > self._pole_radius:
+            poles = self._poles
             near = np.abs(z[..., None] - poles) < 1e-12
             if np.any(near):
                 raise PoleHit(f"evaluation at the pole {poles[np.nonzero(near)[-1][0]]:g}")
@@ -248,15 +257,22 @@ class ExtendedScalar:
 class ClarkData:
     """Spectral data of the unitary rank-one perturbation at |alpha| = 1.
 
-    points are the n distinct unimodular eigenvalues, weights the masses
-    1/|u'(point)|, and u_values the boundary values u(point) recorded so the
-    empirical orientation u(point) vs alpha is data rather than an assumption.
+    points are the n distinct unimodular eigenvalues of the perturbation of
+    the shift on K_generator, and u_values the boundary values u(point)
+    recorded so the empirical orientation u(point) vs alpha is data rather
+    than an assumption.  weights, the Clark masses 1/|u'(point)|, are
+    computed on first read, one ``generator.derivative`` per point, since
+    most callers read only the points.
     """
 
+    generator: InnerFunction = field(repr=False)
     alpha: complex
     points: tuple
-    weights: tuple
     u_values: tuple
+
+    @cached_property
+    def weights(self) -> tuple:
+        return tuple(1.0 / abs(self.generator.derivative(p)) for p in self.points)
 
     def orientation(self, tol: float = 1e-8) -> str:
         """Which of u(point) = alpha / conj(alpha) the spectrum satisfies."""
@@ -281,9 +297,9 @@ def clark_points(u: InnerFunction, alpha) -> ClarkData:
     """Eigenvalues and weights of the unitary perturbation of the compressed shift.
 
     Computed by eigendecomposition of the n x n unitary matrix (one code
-    path; the same matrix certifies unitarity).  Weights are 1/|u'(point)|;
-    the quadrature identity sum(w_j |f(point_j)|^2) = ||f||^2 is validated by
-    tests, not assumed.
+    path; the same matrix certifies unitarity).  Weights are 1/|u'(point)|,
+    computed when first read; the quadrature identity
+    sum(w_j |f(point_j)|^2) = ||f||^2 is validated by tests, not assumed.
     """
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
@@ -300,6 +316,5 @@ def clark_points(u: InnerFunction, alpha) -> ClarkData:
         if np.min(gaps) < 1e-10:
             raise DegenerateSpectrum("two Clark eigenvalues coincide; numerical failure")
     points = tuple(complex(z / abs(z)) for z in eigvals)
-    weights = tuple(1.0 / abs(u.derivative(p)) for p in points)
     u_values = tuple(complex(v) for v in u(np.array(points)))
-    return ClarkData(alpha, points, weights, u_values)
+    return ClarkData(u, alpha, points, u_values)

@@ -242,7 +242,7 @@ def _affine_commutant_solve(mat: np.ndarray, u: InnerFunction):
         return (ExtendedScalar.finite(0.0) if res < 1e-13 else None), res
     t = -complex(np.vdot(c1, c0)) / complex(np.vdot(c1, c1))
     res = float(np.linalg.norm(c0 + t * c1))
-    denom = 1.0 + t * np.conj(complex(u(0.0)))
+    denom = 1.0 + t * np.conj(u.origin_value)
     if abs(denom) < 1e-10:
         return None, res
     return ExtendedScalar.finite(t / denom), res

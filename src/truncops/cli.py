@@ -53,6 +53,14 @@ def parse_scalar(text: str):
     return ExtendedScalar.finite(complex(parts[0], parts[1]))
 
 
+def _finite(text: str, flag: str, kind: str = "finite") -> complex:
+    """The value of a scalar flag that cannot be infinity; inf is a usage error."""
+    value = parse_scalar(text)
+    if value.is_infinity:
+        raise ValueError(f"{flag} needs a {kind} value, got {text!r}")
+    return value.value
+
+
 def parse_symbol(text: str) -> RationalSymbol:
     return RationalSymbol.from_json(json.loads(text))
 
@@ -87,12 +95,12 @@ def _cmd_build_op(args) -> int:
     elif op == "shift-adj":
         out = shift_adj(u)
     elif op == "clark-perturbation":
-        out = clark_perturbation(u, alpha.value)
+        out = clark_perturbation(u, _finite(args.alpha, "--alpha"))
     elif op == "involution":
         out = symmetric_involution(u)
     elif op == "sedlock":
         phi = project(u, sym)
-        c = parse_scalar(args.c).value if args.c else 0.0
+        c = _finite(args.c, "--c") if args.c else 0.0
         out = sedlock_op(u, alpha, phi, c)
     elif op == "calculus":
         out = functional_calculus(u, alpha, sym)
@@ -162,8 +170,7 @@ def _cmd_product_test(args) -> int:
 
 def _cmd_clark(args) -> int:
     u = parse_inner(args.u)
-    alpha = parse_scalar(args.alpha)
-    data = clark_points(u, alpha.value)
+    data = clark_points(u, _finite(args.alpha, "--alpha", "unimodular"))
     _emit(data.to_json(), args.json,
           human="\n".join(
               f"point {p.real:+.12f}{p.imag:+.12f}i  weight {w:.12f}"

@@ -22,10 +22,13 @@ kernel-core check gates at GRAM_TOL.
 
 Every function space object is immutable after construction; bases cache
 their boundary values, the conjugates of those values and of the flipped
-values J e_k (the conjugated side of every pairing against the basis), and
-the kernels k0 and k~0 at the origin, all read-only, and are safe to share
-between threads.  Each ``quadrature.memoized`` builder is built once per
-generator in the current evaluation, and its matrix is read-only as well.
+values J e_k (the conjugated side of every pairing against the basis) with
+the max modulus of each (the scale of those pairings), and the kernels k0
+and k~0 at the origin, all read-only, and are safe to share between
+threads.  A basis builds its functions e_k as rational symbols only when
+``functions`` is first read; no pairing or evaluation needs them.  Each
+``quadrature.memoized`` builder is built once per generator in the current
+evaluation, and its matrix is read-only as well.
 """
 
 from __future__ import annotations
@@ -57,20 +60,28 @@ class ModelSpaceBasis:
         self._value_cache: dict[int, np.ndarray] = {}
         self._conj_cache: dict[int, np.ndarray] = {}
         self._conj_flipped_cache: dict[int, np.ndarray] = {}
-        # pairings and point evaluation read only the factored values, so
-        # coefficients are expanded on the first read of num or den
-        self.functions = [
-            RationalSymbol(provider=(lambda m, _k=k: self.values(m)[:, _k]),
-                           expand=(lambda _k=k: self._expansions[0][_k]),
-                           reach=generator.reach)
-            for k in range(n)]
+        self._conj_max_cache: dict[int, float] = {}
+        self._conj_flipped_max_cache: dict[int, float] = {}
         self.dim = n
         # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
         # most the zeros at 0 as the degree of its finite part
-        self.block = Block(self.values, generator.reach, self.conj_values)
+        self.block = Block(self.values, generator.reach, self.conj_values, self.conj_max)
         # J e_k = conj(z) e_k(conj z), the codomain side of Hankel builds
         self.flipped = Block(self._flipped_values, generator.reach.flipped(),
-                             self.conj_flipped_values)
+                             self.conj_flipped_values, self.conj_flipped_max)
+
+    @cached_property
+    def functions(self) -> list[RationalSymbol]:
+        """Every e_k as a rational symbol, built on first read.
+
+        Pairings and point evaluation read the factored values instead, so
+        each symbol's values come from the basis grid block and its
+        coefficients are expanded on the first read of num or den.
+        """
+        return [RationalSymbol(provider=(lambda m, _k=k: self.values(m)[:, _k]),
+                               expand=(lambda _k=k: self._expansions[0][_k]),
+                               reach=self.generator.reach)
+                for k in range(self.dim)]
 
     @cached_property
     def _expansions(self):
@@ -122,13 +133,13 @@ class ModelSpaceBasis:
         """
         z = np.asarray(z, dtype=complex)
         self.generator.guard_poles(z)
-        cols = []
+        out = np.empty(z.shape + (self.dim,), dtype=complex)
         running = np.ones(z.shape, dtype=complex)   # prod_{j<k} (z-a_j)/(1-conj(a_j) z)
-        for a in self.generator.zeros:
+        for k, a in enumerate(self.generator.zeros):
             factor_den = 1.0 - np.conj(a) * z
-            cols.append(np.sqrt(1.0 - abs(a) ** 2) * running / factor_den)
+            out[..., k] = np.sqrt(1.0 - abs(a) ** 2) * running / factor_den
             running = running * (z - a) / factor_den
-        return np.stack(cols, axis=-1)
+        return out
 
     def values(self, m: int) -> np.ndarray:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
@@ -141,6 +152,10 @@ class ModelSpaceBasis:
         """conj(values(m)); cached, read-only."""
         return _grid_cached(self._conj_cache, m, lambda m: np.conj(self.values(m)))
 
+    def conj_max(self, m: int) -> float:
+        """max |conj_values(m)|, the scale of a pairing against the basis; cached."""
+        return _max_cached(self._conj_max_cache, m, self.conj_values)
+
     def _flipped_values(self, m: int) -> np.ndarray:
         return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]
 
@@ -148,6 +163,10 @@ class ModelSpaceBasis:
         """Conjugated values of the flipped basis J e_k on the m-grid; cached, read-only."""
         return _grid_cached(self._conj_flipped_cache, m,
                             lambda m: np.conj(self._flipped_values(m)))
+
+    def conj_flipped_max(self, m: int) -> float:
+        """max |conj_flipped_values(m)|, the scale of a Hankel pairing; cached."""
+        return _max_cached(self._conj_flipped_max_cache, m, self.conj_flipped_values)
 
     def combine(self, coords) -> RationalSymbol:
         """The element with the given coordinates, as a rational function."""
@@ -180,6 +199,14 @@ def _grid_cached(cache: dict, m: int, compute) -> np.ndarray:
         fine = cache.get(2 * m)
         got = np.ascontiguousarray(fine[::2]) if fine is not None else compute(m)
         got = cache[m] = readonly(got)
+    return got
+
+
+def _max_cached(cache: dict, m: int, values) -> float:
+    """cache[m], made once: the max modulus of values(m), as a pairing reduces it."""
+    got = cache.get(m)
+    if got is None:
+        got = cache[m] = float(np.max(np.abs(values(m))))
     return got
 
 

@@ -80,7 +80,7 @@ def clark_perturbation(u: InnerFunction, alpha) -> OperatorMatrix:
     Unitary exactly when |alpha| = 1; a contraction for |alpha| < 1.
     """
     alpha = complex(alpha)
-    denom = 1.0 - alpha * np.conj(complex(u(0.0)))
+    denom = 1.0 - alpha * np.conj(u.origin_value)
     if abs(denom) < 1e-12:
         raise SingularDenominator("1 - alpha conj(u(0)) vanishes")
     if alpha == 0:

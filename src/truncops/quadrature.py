@@ -26,8 +26,9 @@ as one (m, k) array.  A ``Block`` carries the reach of its columns
 (``ModelSpaceBasis.block`` is the block of a basis, and operator builders
 pass the images of a whole basis as one); a bare function states nothing, so
 its pairings start at the floor.  A block may also carry the conjugates of
-its values, which a pairing then reads on its conjugated side instead of
-conjugating the values again (a basis caches them per grid).
+its values, and their max modulus, which a pairing then reads on its
+conjugated side instead of conjugating and reducing the values again (a
+basis caches both per grid).
 
 Every pairing runs under the current ``Evaluation``: its settings, its
 counters and its memo of per-generator builds (each ``memoized`` builder).  A
@@ -97,15 +98,17 @@ class Block:
     """A pairing side given as one (m, k) array of boundary values per grid, with its reach.
 
     ``conj``, when given, returns the conjugates of ``values(m)``, as a
-    C-contiguous (m, k) array.
+    C-contiguous (m, k) array, and ``conj_max``, when given with it, returns
+    their max modulus as a float.
     """
 
-    __slots__ = ("values", "reach", "conj")
+    __slots__ = ("values", "reach", "conj", "conj_max")
 
-    def __init__(self, values, reach: Reach, conj=None):
+    def __init__(self, values, reach: Reach, conj=None, conj_max=None):
         self.values = values
         self.reach = reach
         self.conj = conj
+        self.conj_max = conj_max
 
     def __call__(self, m: int) -> np.ndarray:
         return self.values(m)
@@ -241,18 +244,23 @@ def _value_matrix(side, m: int) -> np.ndarray:
     return np.column_stack([s.values_at(m) for s in side])
 
 
-def _conj_matrices(side, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugated values of a pairing side on the m-grid and on its even half.
+def _conj_matrices(side, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Conjugated values of a pairing side on the m-grid and on its even half,
+    and the max modulus of the first.
 
     A block that carries its conjugates gives them for both grids (the half
-    grid's nodes are the even ones of the full grid); other sides are
-    conjugated here.
+    grid's nodes are the even ones of the full grid), and their max modulus
+    when it carries that too; other sides are conjugated and reduced here.
     """
     conj = getattr(side, "conj", None)
     if conj is not None:
-        return conj(m), conj(m // 2)
-    G = _value_matrix(side, m)
-    return G.conj(), G[::2].conj()
+        full, half = conj(m), conj(m // 2)
+        if side.conj_max is not None:
+            return full, half, side.conj_max(m)
+    else:
+        G = _value_matrix(side, m)
+        full, half = G.conj(), G[::2].conj()
+    return full, half, float(np.max(np.abs(full)))
 
 
 def _reach(side) -> Reach:
@@ -313,12 +321,12 @@ def pairing_matrix(fs, gs) -> np.ndarray:
                 f"circle quadrature did not stabilize to {s.tol:g} within {s.cap} nodes"
             )
         F2 = _value_matrix(fs, 2 * m)
-        G2c, Gc = _conj_matrices(gs, 2 * m)
+        G2c, Gc, g_max = _conj_matrices(gs, 2 * m)
         full = G2c.T @ F2 / (2 * m)
         half = Gc.T @ F2[::2] / m
         # the roundoff floor of the mean grows with the integrand magnitude,
         # so the stopping rule is relative to it (never below tol itself)
-        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c))))
+        scale = max(1.0, float(np.max(np.abs(F2))) * g_max)
         if np.max(np.abs(full - half)) < s.tol * scale:
             ev.stats.record(2 * m)
             return full

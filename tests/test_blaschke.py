@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from truncops import ExtendedScalar, RationalSymbol, blaschke_new, clark_points, monomial_inner
+from truncops.blaschke import InnerFunction
 from truncops.errors import (
     NotUnimodular,
     PoleHit,
@@ -126,6 +129,59 @@ def test_clark_orientation_recorded():
     data = clark_points(u, np.exp(1.3j))
     assert data.orientation() == "u(point) = alpha"
     assert "orientation" in data.to_json()
+
+
+def test_clark_weights_are_computed_on_first_read(monkeypatch):
+    u = blaschke_new([0.3 + 0.4j, -0.5, 0.0, 0.2 - 0.6j], np.exp(0.7j))
+    alpha = np.exp(1.3j)
+    derivative = InnerFunction.derivative
+    calls = []
+
+    def counted(self, z):
+        calls.append(z)
+        return derivative(self, z)
+
+    monkeypatch.setattr(InnerFunction, "derivative", counted)
+    data = clark_points(u, alpha)
+    assert calls == []
+    want = tuple(1.0 / abs(derivative(u, p)) for p in data.points)
+    assert np.array(data.weights).tobytes() == np.array(want).tobytes()
+    assert len(calls) == u.degree
+    data.weights
+    assert len(calls) == u.degree           # read once
+    # the JSON is what the eager weights gave
+    eager = {"alpha": [alpha.real, alpha.imag],
+             "points": [[p.real, p.imag] for p in data.points],
+             "weights": list(want),
+             "orientation": data.orientation()}
+    assert json.dumps(data.to_json(), sort_keys=True) == json.dumps(eager, sort_keys=True)
+
+
+def test_origin_value_is_the_factor_loop_once(monkeypatch):
+    u = blaschke_new([0.3 + 0.4j, -0.5, 0.0, 0.2 - 0.6j, 0.7j], np.exp(0.7j))
+    z = np.asarray(0.0, dtype=complex)
+    want = np.full(z.shape, u.constant, dtype=complex)
+    for a in u.zeros:
+        want = want * (z - a) / (1.0 - np.conj(a) * z)
+    got = u.origin_value
+    assert np.array([got]).tobytes() == np.array([complex(want)]).tobytes()
+    assert np.array([got]).tobytes() == np.array([u(0.0)]).tobytes()
+
+    def refuse(self, z):
+        raise AssertionError("u evaluated again")
+
+    monkeypatch.setattr(InnerFunction, "__call__", refuse)
+    assert u.origin_value is got
+
+
+def test_pole_guard_radius_is_fixed_at_construction():
+    u = blaschke_new([0.5, 0.0, -0.25j])
+    assert u._pole_radius == np.min(np.abs(u._poles)) - 1e-12
+    u.guard_poles(np.array([0.3, 1.9]))      # inside the guard radius, or off every pole
+    with pytest.raises(PoleHit):
+        u.guard_poles(np.array([0.1, 2.0 + 1e-13]))
+    assert monomial_inner(3)._pole_radius == np.inf
+    monomial_inner(3).guard_poles(np.array([1e300]))
 
 
 def test_clark_rejects_interior_alpha():

@@ -286,6 +286,17 @@ class TestCLI:
         mat = np.array([[complex(a, b) for a, b in row] for row in out["matrix"]])
         assert np.allclose(mat, [[1, 0.5, 0], [0, 1, 0.5], [0, 0, 1]], atol=1e-12)
 
+    @pytest.mark.parametrize("argv, need", [
+        (["clark", "--u", "z3", "--alpha", "inf"], "--alpha needs a unimodular value"),
+        (["build-op", "--op", "clark-perturbation", "--u", "z2", "--alpha", "inf"],
+         "--alpha needs a finite value"),
+        (["build-op", "--op", "sedlock", "--u", "z2", "--symbol", '{"laurent":{"1":[1,0]}}',
+          "--alpha", "0.5", "--c", "inf"], "--c needs a finite value"),
+    ], ids=["clark", "clark-perturbation", "sedlock-c"])
+    def test_infinite_value_is_usage_error(self, capsys, argv, need):
+        assert main(argv) == 2
+        assert need in capsys.readouterr().err
+
     def test_build_op_calculus_pole_in_disk(self, capsys):
         rc = main(["build-op", "--op", "calculus", "--u", "z3", "--alpha", "0.3",
                    "--symbol", '{"laurent":{"-1":[1,0]}}', "--json"])

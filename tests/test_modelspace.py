@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from threading import Barrier
 
 import numpy as np
@@ -9,6 +10,7 @@ from truncops import (
     RationalSymbol,
     blaschke_new,
     boundary_kernel,
+    clark_points,
     conj_kernel,
     conjugation_C,
     conjugation_U,
@@ -22,6 +24,7 @@ from truncops import (
     symmetric_involution,
     tm_basis,
 )
+from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence, PoleHit, SpaceMismatch, SymbolNotInClass
 from truncops.modelspace import (
     GRAM_TOL,
@@ -167,6 +170,38 @@ class TestFactoredEvaluation:
                 running = running * (z - a) / factor_den
             assert space.values(m).tobytes() == space.at(z).tobytes()
             assert space.values(m).tobytes() == np.column_stack(cols).tobytes()
+
+    def test_functions_are_built_on_first_read(self, rng, monkeypatch):
+        init = RationalSymbol.__init__
+        made = []
+
+        def counted(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalSymbol, "__init__", counted)
+        u = _random_inner(rng, 6)
+        with quadrature.use(quadrature.Evaluation()):
+            space = tm_basis(u)
+            space.values(64)
+            assert made == []
+            funcs = space.functions
+            assert len(made) == 6 and funcs is space.functions
+            for k, f in enumerate(funcs):
+                assert f.values_at(64).tobytes() == space.values(64)[:, k].tobytes()
+
+    @pytest.mark.parametrize("m, finer_first", [(32, False), (64, True), (1024, False)])
+    def test_grid_maxima_are_cached_reductions(self, rng, m, finer_first):
+        space = tm_basis(_random_inner(rng, 12))
+        if finer_first:     # the m-grid values are then the even rows of the 2m-grid
+            space.conj_values(2 * m)
+            space.conj_flipped_values(2 * m)
+        got = space.conj_max(m)
+        assert got == float(np.max(np.abs(space.conj_values(m))))
+        assert space.block.conj_max(m) is got
+        got = space.conj_flipped_max(m)
+        assert got == float(np.max(np.abs(space.conj_flipped_values(m))))
+        assert space.flipped.conj_max(m) is got
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_at_matches_expanded_coefficients(self, rng, n):
@@ -438,22 +473,35 @@ class TestMemo:
     def test_threads_share_one_evaluation(self, rng):
         generators = [_real_symmetric_inner(rng, pairs) for pairs in (1, 4, 8)]
 
-        def run_all():
+        def fresh():
+            # equal generators whose lazy members are all still unread
+            return [InnerFunction(u.zeros, u.constant) for u in generators]
+
+        def run_all(gens, clarks):
             out = []
-            for u in generators:
+            for u, clark in zip(gens, clarks, strict=True):
                 out += [build(u).matrix for build in BUILDS]
                 out += [kernel(u, 0.0).coords, conj_kernel(u, 0.0).coords]
+                space = tm_basis(u)
+                out += [np.array(clark.weights), np.array([u.origin_value]),
+                        np.array([space.conj_max(m) for m in (64, 256, 512)]),
+                        np.array([space.conj_flipped_max(m) for m in (64, 256, 512)]),
+                        np.concatenate([f.num for f in space.functions])]
             return out
 
         with quadrature.use(quadrature.Evaluation()):
-            want = run_all()
+            gens = fresh()
+            clarks = [clark_points(u, np.exp(0.9j)) for u in gens]
+            want = run_all(gens, clarks)
         shared = quadrature.Evaluation()
+        gens = fresh()
+        clarks = [replace(c, generator=u) for c, u in zip(clarks, gens)]
         start = Barrier(4, timeout=60)
 
         def worker(_):
             with quadrature.use(shared):
                 start.wait()
-                return run_all()
+                return run_all(gens, clarks)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(worker, range(4)))
