@@ -22,7 +22,7 @@ from .errors import (
     PoleHit,
     ZeroOnOrOutsideCircle,
 )
-from .quadrature import Reach
+from .quadrature import Reach, grid_values
 from .ratfun import RationalSymbol
 
 ZERO_MARGIN = 1e-9
@@ -57,6 +57,14 @@ class InnerFunction:
         # |u| = 1 on the circle follows from |a_k| < 1 and |c| = 1, so it is
         # not sampled here; the kernel-core check measures it
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, hash((zeros, constant)), computed on first use only."""
+        return hash((self.zeros, self.constant))
+
     @property
     def degree(self) -> int:
         return len(self.zeros)
@@ -79,21 +87,20 @@ class InnerFunction:
         return Reach.of_poles(self._poles, sum(a == 0 for a in self.zeros))
 
     def boundary_values(self, m: int) -> np.ndarray:
-        """Values on the m-point circle grid, evaluated factor by factor.
+        """Values on the m-point circle grid, evaluated factor by factor; cached, read-only.
 
         Factored evaluation keeps full relative accuracy even when zeros
-        cluster; the expanded coefficients would lose it there.
+        cluster; the expanded coefficients would lose it there.  A grid grows
+        from a cached half grid by its odd nodes alone, or is sliced from a
+        cached double (``quadrature.grid_values``).
         """
-        got = self._bvals.get(m)
-        if got is None:
-            from . import quadrature
+        return grid_values(self._bvals, m, self._factored)
 
-            z = quadrature.nodes(m)
-            got = np.full(m, self.constant, dtype=complex)
-            for a in self.zeros:
-                got = got * (z - a) / (1.0 - np.conj(a) * z)
-            self._bvals[m] = got
-        return got
+    def _factored(self, z: np.ndarray) -> np.ndarray:
+        out = np.full(z.shape, self.constant, dtype=complex)
+        for a in self.zeros:
+            out = out * (z - a) / (1.0 - np.conj(a) * z)
+        return out
 
     def as_symbol(self) -> RationalSymbol:
         """u as a rational symbol; pairings read its factored boundary values,
@@ -116,9 +123,7 @@ class InnerFunction:
         self.guard_poles(z)
         # factorwise evaluation: each Blaschke factor is well conditioned, so
         # clustered zeros cost only a few ulps (the expanded coefficients do not)
-        out = np.full(z.shape, self.constant, dtype=complex)
-        for a in self.zeros:
-            out = out * (z - a) / (1.0 - np.conj(a) * z)
+        out = self._factored(z)
         return out if z.ndim else complex(out)
 
     def guard_poles(self, z):

@@ -18,7 +18,7 @@ import re
 import sys
 
 from . import classify, harness, quadrature
-from .blaschke import ExtendedScalar, InnerFunction, clark_points
+from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction, clark_points
 from .errors import TruncOpsError
 from .modelspace import OperatorMatrix, project
 from .operators import (
@@ -53,11 +53,19 @@ def parse_scalar(text: str):
     return ExtendedScalar.finite(complex(parts[0], parts[1]))
 
 
-def _finite(text: str, flag: str, kind: str = "finite") -> complex:
+def _finite(text: str, flag: str) -> complex:
     """The value of a scalar flag that cannot be infinity; inf is a usage error."""
     value = parse_scalar(text)
     if value.is_infinity:
-        raise ValueError(f"{flag} needs a {kind} value, got {text!r}")
+        raise ValueError(f"{flag} needs a finite value, got {text!r}")
+    return value.value
+
+
+def _unimodular(text: str, flag: str) -> complex:
+    """The value of a scalar flag that must lie on the unit circle; any other is a usage error."""
+    value = parse_scalar(text)
+    if value.is_infinity or abs(abs(value.value) - 1.0) > UNIMODULAR_TOL:
+        raise ValueError(f"{flag} needs a unimodular value, got {text!r}")
     return value.value
 
 
@@ -170,7 +178,7 @@ def _cmd_product_test(args) -> int:
 
 def _cmd_clark(args) -> int:
     u = parse_inner(args.u)
-    data = clark_points(u, _finite(args.alpha, "--alpha", "unimodular"))
+    data = clark_points(u, _unimodular(args.alpha, "--alpha"))
     _emit(data.to_json(), args.json,
           human="\n".join(
               f"point {p.real:+.12f}{p.imag:+.12f}i  weight {w:.12f}"

@@ -106,7 +106,8 @@ class ModelSpaceBasis:
         return raw, [npoly.polymul(r, t) for (r, _), t in zip(raw, tails)]
 
     def __eq__(self, other):
-        return isinstance(other, ModelSpaceBasis) and self.generator == other.generator
+        return self is other or (isinstance(other, ModelSpaceBasis)
+                                 and self.generator == other.generator)
 
     def __hash__(self):
         return hash(self.generator)
@@ -144,9 +145,11 @@ class ModelSpaceBasis:
     def values(self, m: int) -> np.ndarray:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
-        A pairing against the basis reads its conjugates, `conj_values`.
+        A grid grows from a cached half grid by its odd nodes alone, or is
+        sliced from a cached double (``quadrature.grid_values``).  A pairing
+        against the basis reads the conjugates, `conj_values`.
         """
-        return _grid_cached(self._value_cache, m, lambda m: self.at(quadrature.nodes(m)))
+        return quadrature.grid_values(self._value_cache, m, self.at)
 
     def conj_values(self, m: int) -> np.ndarray:
         """conj(values(m)); cached, read-only."""

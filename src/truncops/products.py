@@ -449,18 +449,18 @@ def membership_transport_chain(phi1: RationalSymbol, phi2: RationalSymbol,
     bb = tho_matrix(v, w, phi1) @ tho_matrix(u, v, phi2)
     aa_1 = tto_matrix(vh, w, wsym * phi1.hat()) @ tto_matrix(
         u, vh, (usym * phi2).conj_circle())
-    aa_2 = tto_matrix(v, wh, (vsym * phi1).conj_circle()) @ tto_matrix(
-        uh, v, vsym * phi2.hat())
-    ab = tto_matrix(v, wh, (vsym * phi1).conj_circle()) @ tho_matrix(
-        u, v, (usym * vh.as_symbol() * phi2).conj_circle())
+    # the two Toeplitz factors of aa_2 are shared with ab and ba
+    left = tto_matrix(v, wh, (vsym * phi1).conj_circle())
+    right = tto_matrix(uh, v, vsym * phi2.hat())
+    aa_2 = left @ right
+    ab = left @ tho_matrix(u, v, (usym * vh.as_symbol() * phi2).conj_circle())
     hankel_chain = (
         is_tho(bb, recover=False).is_member,
         is_tho(aa_1, recover=False).is_member,
         is_tho(aa_2, recover=False).is_member,
         is_tto(ab, recover=False).is_member,
     )
-    ba = tho_matrix(v, w, (vsym * wh.as_symbol() * phi1).conj_circle()) @ tto_matrix(
-        uh, v, vsym * phi2.hat())
+    ba = tho_matrix(v, w, (vsym * wh.as_symbol() * phi1).conj_circle()) @ right
     toeplitz_chain = (
         is_tto(bb, recover=False).is_member,
         is_tto(aa_1, recover=False).is_member,

@@ -17,8 +17,17 @@ is a hard error rather than a silent inaccuracy.  An a priori level above
 the cap is clamped so that the cap level is still evaluated; a ``start``
 floor whose first level exceeds the cap raises at once.
 
-The M-point grid is the even-index subset of the 2M-point grid, so each
-refinement reuses every previously computed value.
+The M-point grid is the even-index subset of the 2M-point grid.  A cached
+grid of values therefore serves both ways (``grid_values``): the M-grid is
+the even rows of a cached 2M-grid, and a 2M-grid grows from a cached M-grid
+by evaluating the odd nodes alone.  Values are computed point by point, so a
+grown or sliced grid has the same bits as one evaluated cold, and each
+refinement evaluates only the nodes it adds.
+
+The stopping rule compares the gap between the two levels with
+tol * max(1, max|F| * max|G|), the roundoff floor of the mean.  That scale is
+never below 1, so a gap under tol stops at once and the maxima are reduced
+only when the gap falls between tol and the scaled bound.
 
 A side of a pairing is either a sequence of symbols, stacked column by
 column, or a block: a function of m that returns all of its columns at once
@@ -28,7 +37,7 @@ pass the images of a whole basis as one); a bare function states nothing, so
 its pairings start at the floor.  A block may also carry the conjugates of
 its values, and their max modulus, which a pairing then reads on its
 conjugated side instead of conjugating and reducing the values again (a
-basis caches both per grid).
+basis caches both per grid, the maximum when a stopping rule first reads it).
 
 Every pairing runs under the current ``Evaluation``: its settings, its
 counters and its memo of per-generator builds (each ``memoized`` builder).  A
@@ -42,7 +51,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -58,6 +67,14 @@ class QuadratureSettings:
     tol: float = QUAD_TOL
     start: int = QUAD_START
     cap: int = QUAD_CAP
+
+    @cached_property
+    def floor(self) -> int:
+        """The smallest power of two at least ``start``, the least half level of a pairing."""
+        m = 1
+        while m < self.start:
+            m *= 2
+        return m
 
 
 @dataclass(frozen=True)
@@ -237,6 +254,31 @@ def reflection(m: int) -> np.ndarray:
     return got
 
 
+def grid_values(cache: dict, m: int, at) -> np.ndarray:
+    """cache[m], the values of the pointwise map ``at`` on the m-grid, made once, read-only.
+
+    ``at`` maps an array of nodes to their values, one row per node.  A
+    cached neighbour is reused: the m-grid is the even rows of a cached
+    2m-grid, and when the m/2-grid is cached only the odd nodes are
+    evaluated and interleaved with it.  Each value is computed from its own
+    node alone, so the result is the same bits as ``at(nodes(m))``.
+    """
+    got = cache.get(m)
+    if got is None:
+        fine = cache.get(2 * m)
+        if fine is not None:
+            got = np.ascontiguousarray(fine[::2])
+        elif m % 2 == 0 and (coarse := cache.get(m // 2)) is not None:
+            odd = at(np.ascontiguousarray(nodes(m)[1::2]))
+            got = np.empty((m,) + odd.shape[1:], dtype=odd.dtype)
+            got[::2] = coarse
+            got[1::2] = odd
+        else:
+            got = at(nodes(m))
+        got = cache[m] = readonly(got)
+    return got
+
+
 def _value_matrix(side, m: int) -> np.ndarray:
     """Boundary values of one pairing side, a block or a sequence of symbols, as (m, k)."""
     if callable(side):
@@ -244,28 +286,31 @@ def _value_matrix(side, m: int) -> np.ndarray:
     return np.column_stack([s.values_at(m) for s in side])
 
 
-def _conj_matrices(side, m: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _conj_matrices(side, m: int):
     """Conjugated values of a pairing side on the m-grid and on its even half,
-    and the max modulus of the first.
+    and a thunk for the max modulus of the first.
 
     A block that carries its conjugates gives them for both grids (the half
     grid's nodes are the even ones of the full grid), and their max modulus
-    when it carries that too; other sides are conjugated and reduced here.
+    when it carries that too; other sides are conjugated here, and reduced
+    only if the stopping rule reads the thunk.
     """
     conj = getattr(side, "conj", None)
     if conj is not None:
         full, half = conj(m), conj(m // 2)
         if side.conj_max is not None:
-            return full, half, side.conj_max(m)
+            return full, half, lambda: side.conj_max(m)
     else:
         G = _value_matrix(side, m)
         full, half = G.conj(), G[::2].conj()
-    return full, half, float(np.max(np.abs(full)))
+    return full, half, lambda: float(np.max(np.abs(full)))
 
 
 def _reach(side) -> Reach:
     if callable(side):
         return getattr(side, "reach", Reach())
+    if len(side) == 1:
+        return side[0].reach
     out = Reach()
     for s in side:
         out = out.join(s.reach)
@@ -279,9 +324,7 @@ def first_level(f: Reach, g: Reach, settings: QuadratureSettings) -> int:
     and ln(1/tol)/ln(rho), clamped so that the first level stays under the
     cap.  A floor whose own first level is over the cap is returned as it is.
     """
-    m = 1
-    while m < settings.start:
-        m *= 2
+    m = settings.floor
     if 2 * m > settings.cap:
         return m
     rho = min(f.rho, g.rho)
@@ -325,9 +368,10 @@ def pairing_matrix(fs, gs) -> np.ndarray:
         full = G2c.T @ F2 / (2 * m)
         half = Gc.T @ F2[::2] / m
         # the roundoff floor of the mean grows with the integrand magnitude,
-        # so the stopping rule is relative to it (never below tol itself)
-        scale = max(1.0, float(np.max(np.abs(F2))) * g_max)
-        if np.max(np.abs(full - half)) < s.tol * scale:
+        # so the stopping rule is relative to it; the scale is never below 1,
+        # so a gap under tol itself stops without reducing the maxima
+        gap = np.max(np.abs(full - half))
+        if gap < s.tol or gap < s.tol * max(1.0, float(np.max(np.abs(F2))) * g_max()):
             ev.stats.record(2 * m)
             return full
         m *= 2

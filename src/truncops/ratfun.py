@@ -366,9 +366,12 @@ def _zpow(k: int) -> np.ndarray:
 
 
 def _certify_den(den: np.ndarray) -> np.ndarray:
-    """The roots of a denominator, certified to keep off the circle."""
-    if den.size <= 1:
-        return np.zeros(0, dtype=complex)
+    """The roots of a denominator, certified to keep off the circle.
+
+    A monomial z^k has its k roots at 0 exactly, with no eigenvalue solve.
+    """
+    if not den[:-1].any():
+        return np.zeros(den.size - 1, dtype=complex)
     roots = npoly.polyroots(den)
     if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < CIRCLE_POLE_MARGIN:
         raise PoleOnCircle(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from truncops import ExtendedScalar, RationalSymbol, blaschke_new, clark_points, monomial_inner
+from truncops import blaschke
 from truncops.blaschke import InnerFunction
 from truncops.errors import (
     NotUnimodular,
@@ -172,6 +173,46 @@ def test_origin_value_is_the_factor_loop_once(monkeypatch):
 
     monkeypatch.setattr(InnerFunction, "__call__", refuse)
     assert u.origin_value is got
+
+
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_boundary_values_grow_by_their_odd_nodes_bitwise(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    zeros = 0.85 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    sizes = []
+    factored = InnerFunction._factored
+
+    def counted(self, z):
+        sizes.append(z.size)
+        return factored(self, z)
+
+    monkeypatch.setattr(InnerFunction, "_factored", counted)
+    for m in (16, 64, 512):
+        cold = InnerFunction(tuple(zeros), np.exp(0.3j)).boundary_values(2 * m)
+        u = InnerFunction(tuple(zeros), np.exp(0.3j))
+        u.boundary_values(m)
+        sizes.clear()
+        grown = u.boundary_values(2 * m)
+        assert grown.tobytes() == cold.tobytes()
+        assert sizes == [m]
+        assert not grown.flags.writeable
+        assert u.boundary_values(m).tobytes() == grown[::2].tobytes()
+
+
+def test_hash_is_the_dataclass_hash_computed_once(monkeypatch):
+    calls = []
+
+    def counted(obj):
+        calls.append(obj)
+        return hash(obj)
+
+    u = blaschke_new([0.3 + 0.4j, -0.5, 0.0], np.exp(0.7j))
+    assert "_hash" not in vars(u)       # construction computes no hash
+    monkeypatch.setattr(blaschke, "hash", counted, raising=False)
+    got = [hash(u) for _ in range(3)] + [hash(v) for v in {u: 1, u.hat(): 2}]
+    assert got[:4] == [hash((u.zeros, u.constant))] * 4
+    assert calls.count((u.zeros, u.constant)) == 1
+    assert u == InnerFunction(u.zeros, u.constant) and u != u.hat()
 
 
 def test_pole_guard_radius_is_fixed_at_construction():

@@ -255,7 +255,7 @@ class TestEvaluationContext:
         # generator's builds; the first level of each pairing comes from its
         # sides, so no pairing needs a blind 4096 nodes
         rep = run_suite(SuiteConfig(seed=7))
-        assert rep.quadrature_stats["pairings"] == 3084
+        assert rep.quadrature_stats["pairings"] == 3036
         assert rep.quadrature_stats["max_nodes"] <= 1024
 
 
@@ -296,6 +296,13 @@ class TestCLI:
     def test_infinite_value_is_usage_error(self, capsys, argv, need):
         assert main(argv) == 2
         assert need in capsys.readouterr().err
+
+    def test_clark_alpha_off_the_circle_is_usage_error(self, capsys):
+        assert main(["clark", "--u", "z3", "--alpha", "0.5"]) == 2
+        assert "--alpha needs a unimodular value, got '0.5'" in capsys.readouterr().err
+        # the perturbation itself is a contraction there, so build-op accepts it
+        assert main(["build-op", "--op", "clark-perturbation", "--u", "z3", "--alpha", "0.5",
+                     "--json"]) == 0
 
     def test_build_op_calculus_pole_in_disk(self, capsys):
         rc = main(["build-op", "--op", "calculus", "--u", "z3", "--alpha", "0.3",

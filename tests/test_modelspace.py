@@ -28,6 +28,7 @@ from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence, PoleHit, SpaceMismatch, SymbolNotInClass
 from truncops.modelspace import (
     GRAM_TOL,
+    ModelSpaceBasis,
     _conj_kernel_coords,
     _deflate,
     boundary_kernel_symbol,
@@ -189,6 +190,26 @@ class TestFactoredEvaluation:
             assert len(made) == 6 and funcs is space.functions
             for k, f in enumerate(funcs):
                 assert f.values_at(64).tobytes() == space.values(64)[:, k].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_grid_grows_by_its_odd_nodes_bitwise(self, rng, n, monkeypatch):
+        u = _random_inner(rng, n, radius=0.85)
+        for m in (16, 64, 512):
+            cold = ModelSpaceBasis(u).values(2 * m)
+            space = ModelSpaceBasis(u)
+            space.values(m)
+            evaluated = []
+
+            def at(z, _at=space.at):
+                evaluated.append(z)
+                return _at(z)
+
+            monkeypatch.setattr(space, "at", at)
+            grown = space.values(2 * m)
+            assert grown.tobytes() == cold.tobytes()
+            assert len(evaluated) == 1
+            assert evaluated[0].tobytes() == quadrature.nodes(2 * m)[1::2].tobytes()
+            assert not grown.flags.writeable
 
     @pytest.mark.parametrize("m, finer_first", [(32, False), (64, True), (1024, False)])
     def test_grid_maxima_are_cached_reductions(self, rng, m, finer_first):
@@ -486,7 +507,11 @@ class TestMemo:
                 out += [np.array(clark.weights), np.array([u.origin_value]),
                         np.array([space.conj_max(m) for m in (64, 256, 512)]),
                         np.array([space.conj_flipped_max(m) for m in (64, 256, 512)]),
-                        np.concatenate([f.num for f in space.functions])]
+                        np.concatenate([f.num for f in space.functions]),
+                        np.array([hash(u)])]
+                # grids grown from their halves, racing the other threads' growth
+                out += [space.values(m) for m in (6, 12, 24)]
+                out += [u.boundary_values(m) for m in (6, 12, 24)]
             return out
 
         with quadrature.use(quadrature.Evaluation()):
@@ -507,3 +532,6 @@ class TestMemo:
             results = list(pool.map(worker, range(4)))
         for got in results:
             assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        for u in gens:      # the grown grids are the bits of a cold evaluation
+            assert tm_basis(u).values(24).tobytes() == tm_basis(u).at(quadrature.nodes(24)).tobytes()
+            assert hash(u) == hash((u.zeros, u.constant))

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from truncops import quadrature
+from truncops import modelspace, operators, quadrature
+from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence
-from truncops.quadrature import QuadratureSettings, pairing_matrix
+from truncops.modelspace import conjugation_C, conjugation_U
+from truncops.operators import shift, tho_matrix, tto_matrix
+from truncops.quadrature import QuadratureSettings, Reach, pairing_matrix
 from truncops.ratfun import RationalSymbol
 
 
@@ -33,3 +38,123 @@ def test_cap_is_checked_before_the_first_level():
     with quadrature.use(quadrature.Evaluation(QuadratureSettings(start=512, cap=1024))) as ev:
         assert np.allclose(pairing_matrix([one], [one]), [[1.0]])
         assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": 1024}
+
+
+def _counting_max(value, calls):
+    def conj_max(m):
+        calls.append(m)
+        return value
+    return conj_max
+
+
+def _ones(m):
+    return np.ones((m, 1), dtype=complex)
+
+
+def test_stopping_scale_is_not_read_under_tol():
+    calls = []
+    g = quadrature.Block(_ones, Reach(), _ones, _counting_max(1.0, calls))
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        assert np.array_equal(pairing_matrix([RationalSymbol.constant(2.0)], g), [[2.0]])
+        assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": 32}
+    assert calls == []
+
+
+@pytest.mark.parametrize("g_max, nodes", [(1.0, 32), (0.0, 64)])
+def test_stopping_scale_decides_between_tol_and_scaled_tol(g_max, nodes):
+    # F = A + B z^16: on the first level (32 against 16 nodes) the half grid
+    # aliases z^16 onto the mean, so the gap is |B|, above tol = 1e-12 and
+    # below tol * max|F| * max|G|; the scale the G side reports decides
+    big, small = 1e6, 1e-9
+
+    def f_values(m):
+        return (big + small * quadrature.nodes(m) ** 16)[:, None]
+
+    calls = []
+    g = quadrature.Block(_ones, Reach(), _ones, _counting_max(g_max, calls))
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        got = pairing_matrix(quadrature.Block(f_values, Reach()), g)
+        assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": nodes}
+    assert calls == [32]
+    assert got[0, 0] == pytest.approx(big, rel=1e-15)
+
+
+def test_first_level_floor_is_the_power_of_two_at_least_start():
+    for start, floor in [(1, 1), (2, 2), (3, 4), (16, 16), (17, 32), (1000, 1024)]:
+        settings = QuadratureSettings(start=start)
+        assert settings.floor == floor
+        assert quadrature.first_level(Reach(), Reach(), settings) == floor
+
+
+def test_a_single_symbol_side_reaches_as_the_symbol():
+    sym = RationalSymbol([1.0], [0.3, -2.0])
+    assert quadrature._reach([sym]) == sym.reach
+    assert quadrature._reach([sym, RationalSymbol.monomial(3)]) == Reach(sym.reach.rho, 3)
+
+
+# -- the stopping loop as it was before the scale was deferred, kept as a
+# reference: the pairing path must return the same bytes at the same levels
+
+
+def _reference_pairing_matrix(fs, gs):
+    ev = quadrature.current()
+    s = ev.settings
+    f, g = (side.reach if callable(side) else _joined(side) for side in (fs, gs))
+    m = 1
+    while m < s.start:
+        m *= 2
+    rho = min(f.rho, g.rho)
+    aliased = 0.0 if rho == math.inf else math.log(1.0 / s.tol) / math.log(rho)
+    while m < max(f.degree + g.degree + 1, aliased) and 4 * m <= s.cap:
+        m *= 2
+    while True:
+        if 2 * m > s.cap:
+            raise NoConvergence("reference quadrature did not stabilize")
+        F2 = quadrature._value_matrix(fs, 2 * m)
+        if getattr(gs, "conj", None) is not None:
+            G2c, Gc = gs.conj(2 * m), gs.conj(m)
+        else:
+            G = quadrature._value_matrix(gs, 2 * m)
+            G2c, Gc = G.conj(), G[::2].conj()
+        g_max = float(np.max(np.abs(G2c)))
+        full = G2c.T @ F2 / (2 * m)
+        half = Gc.T @ F2[::2] / m
+        scale = max(1.0, float(np.max(np.abs(F2))) * g_max)
+        if np.max(np.abs(full - half)) < s.tol * scale:
+            ev.stats.record(2 * m)
+            return full
+        m *= 2
+
+
+def _joined(side):
+    out = Reach()
+    for s in side:
+        out = out.join(s.reach)
+    return out
+
+
+def _builds(u):
+    sym = RationalSymbol.from_laurent({-2: 0.3 - 0.1j, 0: 1.0, 1: -0.4j, 3: 0.2})
+    return [tto_matrix(u, u, sym), tto_matrix(u, u, u.as_symbol() + sym),
+            tho_matrix(u, u, sym), tho_matrix(u, u.hat(), sym * u.conj_symbol()),
+            shift(u), conjugation_C(u), conjugation_U(u)]
+
+
+@pytest.mark.parametrize("degree", [2, 8, 16, 32])
+def test_pairing_path_is_bitwise_the_reference_loop(monkeypatch, degree):
+    rng = np.random.default_rng(degree)
+    zeros = 0.85 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    zeros[degree // 2] = 0.0
+
+    def run():
+        # a fresh generator and evaluation, so every grid and basis starts cold
+        u = InnerFunction(tuple(zeros), np.exp(0.7j))
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            mats = [op.matrix.tobytes() for op in _builds(u)]
+            return mats, ev.stats.snapshot()
+
+    got = run()
+    for module in (quadrature, modelspace, operators):
+        monkeypatch.setattr(module, "pairing_matrix", _reference_pairing_matrix)
+    want = run()
+    assert got == want

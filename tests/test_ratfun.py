@@ -236,3 +236,18 @@ def test_shared_symbol_and_basis_are_thread_safe(pair):
     for got in results[1:]:
         for a, b in zip(results[0], got):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 32])
+def test_monomial_denominator_roots_need_no_eigenvalue_solve(k, monkeypatch):
+    from truncops import ratfun
+    num = np.array([0.5, -1.0j, 2.0])
+    den = np.zeros(k + 1, dtype=complex)
+    den[k] = 3.0
+    want = ratfun._reach_of(*ratfun._canonical(num, den), npoly.polyroots(den / 3.0))
+    calls = []
+    monkeypatch.setattr(ratfun.npoly, "polyroots", lambda c: calls.append(c))
+    sym = RationalSymbol(num, den)
+    assert calls == []
+    assert sym.reach == want
+    assert ratfun._certify_den(sym.den).tobytes() == np.zeros(k, dtype=complex).tobytes()
