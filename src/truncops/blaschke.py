@@ -17,7 +17,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import (
-    DegenerateSpectrum,
     NotUnimodular,
     PoleHit,
     ZeroOnOrOutsideCircle,
@@ -166,11 +165,17 @@ class InnerFunction:
 
     def is_real_symmetric(self, tol: float = 1e-12) -> bool:
         """True iff u equals its hat: conjugation-closed zero multiset, real constant."""
-        if abs(self.constant.imag) > tol:
-            return False
-        key = sorted(self.zeros, key=lambda a: (a.real, a.imag))
-        conj_key = sorted((np.conj(a) for a in self.zeros), key=lambda a: (a.real, a.imag))
-        return all(abs(p - q) <= tol for p, q in zip(key, conj_key))
+        return abs(self.constant.imag) <= tol and self.conjugate_order(tol) is not None
+
+    def conjugate_order(self, tol: float = 1e-12) -> tuple | None:
+        """The order tau with conj(zeros[k]) = zeros[tau[k]] to tol, matching the
+        zeros and their conjugates each sorted by (real, imag); None if none does."""
+        zs = self.zeros
+        key = sorted(range(len(zs)), key=lambda k: (zs[k].real, zs[k].imag))
+        conj_key = sorted(range(len(zs)), key=lambda k: (zs[k].real, -zs[k].imag))
+        if any(abs(zs[p] - zs[q].conjugate()) > tol for p, q in zip(key, conj_key)):
+            return None
+        return tuple(p for _, p in sorted(zip(conj_key, key)))
 
     def __mul__(self, other: "InnerFunction") -> "InnerFunction":
         return InnerFunction(self.zeros + other.zeros, self.constant * other.constant)
@@ -301,25 +306,15 @@ class ClarkData:
 def clark_points(u: InnerFunction, alpha) -> ClarkData:
     """Eigenvalues and weights of the unitary perturbation of the compressed shift.
 
-    Computed by eigendecomposition of the n x n unitary matrix (one code
-    path; the same matrix certifies unitarity).  Weights are 1/|u'(point)|,
-    computed when first read; the quadrature identity
-    sum(w_j |f(point_j)|^2) = ||f||^2 is validated by tests, not assumed.
+    The points are `operators.level_points` (the same matrix certifies unitarity).
+    Weights are 1/|u'(point)|, computed when first read; the quadrature
+    identity sum(w_j |f(point_j)|^2) = ||f||^2 is validated by tests, not assumed.
     """
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
         raise NotUnimodular(f"Clark parameter must be unimodular, got |alpha|={abs(alpha)!r}")
-    from .operators import clark_perturbation  # local import: operators builds on this module
+    from .operators import level_points  # local import: operators builds on this module
 
-    mat = clark_perturbation(u, alpha).matrix
-    eigvals = np.linalg.eigvals(mat)
-    order = np.argsort(np.mod(np.angle(eigvals), 2.0 * np.pi))
-    eigvals = eigvals[order]
-    n = u.degree
-    if n > 1:
-        gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(n)
-        if np.min(gaps) < 1e-10:
-            raise DegenerateSpectrum("two Clark eigenvalues coincide; numerical failure")
-    points = tuple(complex(z / abs(z)) for z in eigvals)
+    points = tuple(complex(z / abs(z)) for z in level_points(u, alpha))
     u_values = tuple(complex(v) for v in u(np.array(points)))
     return ClarkData(u, alpha, points, u_values)

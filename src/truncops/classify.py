@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .blaschke import ExtendedScalar, InnerFunction, clark_points
 from .errors import (
@@ -49,6 +48,7 @@ from .modelspace import (
 from .operators import (
     clark_perturbation,
     class_level,
+    level_points,
     shift,
     shift_adj,
     symmetric_involution,
@@ -279,11 +279,11 @@ def sedlock_class(A: OperatorMatrix, tol: float = CLASS_TOL) -> SedlockReport:
     return SedlockReport("none", None, min(dres, ares))
 
 
-def spectral_values(A: OperatorMatrix, clark) -> list[complex]:
-    """Diagonal values of a class member at the Clark points: q* A q over
-    normalized boundary kernels q."""
-    q = unit_kernels(A.domain.generator, clark.points)
-    return [complex(v) for v in np.sum(np.conj(q) * (q @ A.matrix.T), axis=1)]
+def spectral_values(A: OperatorMatrix, points) -> np.ndarray:
+    """Diagonal values of a class member at level points, such as the Clark
+    points: q* A q over the normalized kernels q there."""
+    q = unit_kernels(A.domain.generator, points)
+    return np.sum(np.conj(q) * (q @ A.matrix.T), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def _unimodular_class(M: OperatorMatrix, tol: float):
     if report.membership == "finite" and abs(report.alpha.modulus() - 1.0) < 1e-6:
         alpha = report.alpha
         clark = clark_points(M.domain.generator, alpha.value / abs(alpha.value))
-        values = spectral_values(M, clark)
+        values = [complex(v) for v in spectral_values(M, clark.points)]
         return report, alpha, values, all(abs(abs(v) - 1.0) < tol for v in values)
     return report, None, [], False
 
@@ -465,11 +465,10 @@ def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
     """Analyze when the product of two Hankel operators vanishes.
 
     When it does, both factors sit in involution-shifted copies of one
-    class; at a unimodular parameter the multiplier values must have
-    disjoint supports over the Clark points, otherwise the product of the
-    recovered analytic multipliers must vanish on the level set of the
-    parameter (divisibility by the level-set inner function, tested as
-    polynomial divisibility at finite degree).
+    class, and the product of their multipliers vanishes at every level
+    point of the class's base perturbation: at a unimodular parameter the
+    multiplier values have disjoint supports over the Clark points.  The
+    values are read at the kernels of the level points, in every regime.
     """
     u = B1.domain.generator
     _require_symmetric(u)
@@ -489,11 +488,7 @@ def _zero_product_report(B1: OperatorMatrix, B2: OperatorMatrix,
     r1 = sedlock_class(M1)
     r2 = sedlock_class(M2)
     match = r1.matches(r2)
-    alpha = None
-    for rep in (r1, r2):
-        if rep.membership in ("finite", "infinity"):
-            alpha = rep.alpha
-            break
+    alpha = next((r.alpha for r in (r1, r2) if r.membership in ("finite", "infinity")), None)
     vanish = None
     residuals = {"product_norm": pnorm, "class1": r1.commutator_residual,
                  "class2": r2.commutator_residual}
@@ -607,21 +602,15 @@ def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
 
 def _multiplier_product_vanishes(M1: OperatorMatrix, M2: OperatorMatrix,
                                  alpha: ExtendedScalar, tol, residuals) -> bool:
-    u = M1.domain.generator
-    if not alpha.is_infinity and abs(alpha.modulus() - 1.0) < 1e-6:
-        clark = clark_points(u, alpha.value / abs(alpha.value))
-        v1 = spectral_values(M1, clark)
-        v2 = spectral_values(M2, clark)
-        residuals["pointwise_products"] = [abs(a * b) for a, b in zip(v1, v2)]
-        return all(abs(a * b) < tol * 10 for a, b in zip(v1, v2))
-    level, (p1, p2), fits = class_multipliers(alpha, M1, M2)
-    residuals["multiplier_fits"] = fits
-    level_poly = npoly.polyadd(u.num_coeffs, -level * u.den_coeffs)
-    prod_poly = npoly.polymul(np.atleast_1d(p1), np.atleast_1d(p2))
-    if prod_poly.size < level_poly.size:
-        rem = prod_poly
-    else:
-        _, rem = npoly.polydiv(prod_poly, level_poly)
-    rnorm = float(np.max(np.abs(rem)))
-    residuals["divisibility_remainder"] = rnorm
-    return rnorm < 1e-6 * max(1.0, float(np.max(np.abs(prod_poly))))
+    """Whether the multipliers of two members of the class alpha multiply to
+    zero at the level points of their base perturbation S^beta: a member is
+    p(S^beta) or its adjoint, so q* M q is p or conj(p) there (Clark 1972).
+    """
+    level, _ = class_level(alpha)
+    points = level_points(M1.domain.generator, level)
+    v1 = spectral_values(M1, points)
+    v2 = spectral_values(M2, points)
+    products = np.abs(v1 * v2)
+    residuals["pointwise_products"] = [float(x) for x in products]
+    scale = max(1.0, float(np.max(np.abs(v1))) * float(np.max(np.abs(v2))))
+    return bool(np.max(products) < 10 * tol * scale)

@@ -9,31 +9,23 @@ K_u, the coefficient conjugation onto the hat space, and the flip J.
 
 Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
-once for all k, so kernels, boundary kernels at the Clark points and element
-values need neither expanded coefficients nor pairings; the grid block
-``values`` is the same product on the circle nodes (``block`` pairs it with
-the generator's reach), and conjugate kernels are the mirrored product over
-the zeros after k.  The hat map is one block pairing of the reflected,
-conjugated basis values against a basis.
+once for all k, so kernels and element values need neither expanded
+coefficients nor pairings; ``values`` is the same product on the circle
+nodes.  Basis orthonormality is a theorem, so a basis build makes no
+pairing; `gram_residual` is its quadrature oracle, which kernel-core gates
+at GRAM_TOL.  The conjugations are exact too: both are changes of zero
+order (`reorder`), or the identity for the coefficient conjugation.
 
-Takenaka-Malmquist orthonormality is a theorem, so building a basis makes no
-pairing; `gram_residual` measures it by quadrature as an oracle, which the
-kernel-core check gates at GRAM_TOL.
-
-Every function space object is immutable after construction; bases cache
-their boundary values, the conjugates of those values and of the flipped
-values J e_k (the conjugated side of every pairing against the basis) with
-the max modulus of each (the scale of those pairings), and the kernels k0
-and k~0 at the origin, all read-only, and are safe to share between
-threads.  A basis builds its functions e_k as rational symbols only when
-``functions`` is first read; no pairing or evaluation needs them.  Each
-``quadrature.memoized`` builder is built once per generator in the current
-evaluation, and its matrix is read-only as well.
+Function space objects are immutable after construction.  Bases cache
+their grid values, the conjugates of those and of the flipped values J e_k
+with the max modulus of each (the conjugated side of every pairing against
+the basis, and its scale), and the kernels k0 and k~0 at the origin, all
+read-only, so they are safe to share between threads.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -517,55 +509,82 @@ class OperatorMatrix:
 ConjugateLinearMap = OperatorMatrix
 
 
+def reorder(u: InnerFunction, order) -> np.ndarray:
+    """The unitary change of basis from the basis of K_u in the zero order
+    ``order`` (a list of stored zero indices) to the one in the stored order.
+
+    Swapping adjacent zeros a (at k) and b (at k+1) maps e_k and e_(k+1) to
+    p e_k + q e_(k+1) and r e_k + p e_(k+1), with d = 1 - conj(b) a,
+    p = sqrt(1-|a|^2) sqrt(1-|b|^2)/d, q = -conj(a-b)/d and r = (a-b)/d.
+    """
+    order = tuple(order)
+    if sorted(order) != list(range(u.degree)):
+        raise SpaceMismatch(f"{order} is not an order of the {u.degree} zeros")
+    rounds, left, right = _swap_rounds(order)
+    zs = np.append(u.zeros, 0.0)        # a = b = 0 leaves a pair as it is
+    a, b = zs[left], zs[right]
+    weights = np.sqrt(1.0 - np.abs(zs) ** 2)
+    coeffs = np.stack([weights[left] * weights[right], -np.conj(a - b), a - b])
+    p, q, r = (coeffs / (1.0 - np.conj(b) * a))[:, :, None]
+    out = np.eye(u.degree, dtype=complex)   # row k: the coordinates of the k-th function
+    for start, stop, at in rounds:
+        x, y = out[start:stop:2], out[start + 1:stop:2]
+        sl = slice(at, at + len(x))
+        x[...], y[...] = p[sl] * x + q[sl] * y, r[sl] * x + p[sl] * y
+    return out.T
+
+
+@lru_cache(maxsize=1024)
+def _swap_rounds(order: tuple):
+    """The odd-even transposition rounds that sort the stored order into ``order``:
+    per round, the rows k and k+1 for every k of one parity from ``start`` to
+    ``stop``, and from ``at`` on, the zero indices each pair holds (``left``,
+    ``right``), or n where it stays."""
+    n = len(order)
+    key, perm = np.argsort(order), np.arange(n)
+    rounds, left, right = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for parity in range(n):     # n rounds sort any order
+        ks = np.arange(parity % 2, n - 1, 2)
+        swap = key[perm[ks]] > key[perm[ks + 1]]
+        if swap.any():
+            rounds.append((ks[0], ks[-1] + 2, sum(map(len, left))))
+            left.append(np.where(swap, perm[ks], n))
+            right.append(np.where(swap, perm[ks + 1], n))
+            perm[ks[swap]], perm[ks[swap] + 1] = perm[ks[swap] + 1], perm[ks[swap]]
+    return tuple(rounds), readonly(np.concatenate(left)), readonly(np.concatenate(right))
+
+
 @quadrature.memoized(512)
 def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
 
-    As a coefficient operation, C f = u * J(hat f), so each column is an
-    exact rational symbol paired against the basis.  Antilinear, isometric,
-    involutive.  Memoized in the current evaluation; the matrix is read-only.
+    C e_k = c sqrt(1-|a_k|^2)/(1 - conj(a_k) z) prod_(j>k) b_j is c, the
+    constant of u, times the (n-1-k)-th function in the reversed zero order.
+    Antilinear, isometric, involutive.  Memoized in the current evaluation;
+    the matrix is read-only.
     """
-    space = tm_basis(u)
-    usym = u.as_symbol()
-
-    def images(m):
-        # u * J(hat e_k): J hat reflects the grid twice, leaving conj(z) conj(e_k)
-        flipped_hat = np.conj(quadrature.nodes(m))[:, None] * np.conj(space.values(m))
-        return usym.values_at(m)[:, None] * flipped_hat
-
-    reach = usym.reach.times(u.reach.flipped())
-    mat = pairing_matrix(Block(images, reach), space.block)
-    return OperatorMatrix(readonly(mat), space, space, antilinear=True)
-
-
-def _hat_map(space: ModelSpaceBasis, target: ModelSpaceBasis) -> np.ndarray:
-    """One block pairing of the hat images conj(e_k(conj z)) against the target basis."""
-    def images(m):
-        return np.conj(space.values(m)[quadrature.reflection(m)])
-    return pairing_matrix(Block(images, space.generator.reach), target.block)
+    mat = u.constant * reorder(u, range(u.degree - 1, -1, -1))[:, ::-1]
+    return OperatorMatrix(readonly(mat), tm_basis(u), tm_basis(u), antilinear=True)
 
 
 @quadrature.memoized(512)
 def conjugation_U(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
 
-    Memoized in the current evaluation; the matrix is read-only.
+    The hat of e_k is the k-th basis function of K_hat(u), so the matrix is
+    the identity.  Memoized in the current evaluation; the matrix is read-only.
     """
-    space = tm_basis(u)
-    target = tm_basis(u.hat())
-    return OperatorMatrix(readonly(_hat_map(space, target)), space, target, antilinear=True)
+    eye = readonly(np.eye(u.degree, dtype=complex))
+    return OperatorMatrix(eye, tm_basis(u), tm_basis(u.hat()), antilinear=True)
 
 
 def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
-    """Coefficient conjugation as a map K_u -> K_u.
+    """Coefficient conjugation as a map K_u -> K_u, over a real symmetric u.
 
-    Only meaningful when u equals its hat as a function (real symmetric u):
-    then K_hat(u) and K_u are the same space even though the stored zero
-    lists may order conjugate pairs differently.  Completeness of each image
-    expansion is certified: every column must keep unit norm.
+    K_hat(u) is then K_u with its zeros in their conjugate order, so the map
+    is `reorder` to that order.  Raises SymbolNotInClass otherwise.
     """
-    space = tm_basis(u)
-    mat = _hat_map(space, space)
-    if np.max(np.abs(1.0 - np.sum(np.abs(mat) ** 2, axis=0))) > 1e-9:
+    order = u.conjugate_order()
+    if order is None:
         raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
-    return OperatorMatrix(mat, space, space, antilinear=True)
+    return OperatorMatrix(reorder(u, order), tm_basis(u), tm_basis(u), antilinear=True)

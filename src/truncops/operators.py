@@ -5,13 +5,11 @@ Toeplitz and Hankel operators (symmetric and asymmetric), the Sedlock-class
 constructors, the functional calculus of the Sedlock classes, and the
 unitary involution available over a real symmetric generator.
 
-Builder entries are pairings of exact rational symbols, so their only
-numeric step is the adaptive circle quadrature.  The functional calculus
-makes no pairing of its own: it is matrix algebra on the shift
-perturbation.  conj(u) on the circle is realized as the rational function
-1/u, keeping all symbol algebra exact.  Pairings read boundary values only,
-so the builders pair whole blocks of basis values (symbol times basis, and
-the flipped basis) rather than making one symbol per basis function.
+The shift, its perturbations, the functional calculus and the involution
+are exact matrix algebra.  Toeplitz and Hankel entries are pairings of
+exact rational symbols, whose one numeric step is the circle quadrature;
+conj(u) on the circle is the rational function 1/u.  The builders pair
+whole blocks of basis values (symbol times basis, and the flipped basis).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import ClarkData, ExtendedScalar, InnerFunction
-from .errors import NotRealSymmetric, SingularDenominator, SpaceMismatch
+from .errors import DegenerateSpectrum, NotRealSymmetric, SingularDenominator, SpaceMismatch
 from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
@@ -47,11 +45,18 @@ def _images(sym: RationalSymbol, space: ModelSpaceBasis) -> Block:
 def shift(u: InnerFunction) -> OperatorMatrix:
     """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation.
 
+    Exact (Garcia-Mashreghi-Ross 2018): the zeros a_i on the diagonal and
+    sqrt(1-|a_i|^2) sqrt(1-|a_j|^2) prod_(j<k<i) (-conj(a_k)) below it, a
+    running product down each column, so a zero at 0 needs no division.
     The matrix is read-only.
     """
-    space = tm_basis(u)
-    images = _images(RationalSymbol.monomial(1), space)
-    return OperatorMatrix(readonly(pairing_matrix(images, space.block)), space, space)
+    a = np.array(u.zeros)
+    idx = np.arange(a.size)
+    mat = np.zeros((a.size, a.size), dtype=complex)
+    mat[1:] = np.cumprod(np.where(idx[:, None] > idx, -np.conj(a)[:, None], 1.0), axis=0)[:-1]
+    weights = np.sqrt(1.0 - np.abs(a) ** 2)
+    mat = np.tril(mat * np.outer(weights, weights), -1) + np.diag(a)
+    return OperatorMatrix(readonly(mat), tm_basis(u), tm_basis(u))
 
 
 def shift_adj(u: InnerFunction) -> OperatorMatrix:
@@ -87,6 +92,20 @@ def clark_perturbation(u: InnerFunction, alpha) -> OperatorMatrix:
         return shift(u)
     bump = rank_one(kernel(u, 0.0), conj_kernel(u, 0.0))
     return shift(u) + (alpha / denom) * bump
+
+
+def level_points(u: InnerFunction, level) -> np.ndarray:
+    """The eigenvalues of `clark_perturbation(u, level)`, ordered by argument.
+
+    Raises DegenerateSpectrum when two coincide: the kernels there, the
+    eigenvectors of its adjoint (Clark 1972), then fall short of a basis.
+    """
+    eigvals = np.linalg.eigvals(clark_perturbation(u, level).matrix)
+    eigvals = eigvals[np.argsort(np.mod(np.angle(eigvals), 2.0 * np.pi))]
+    gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(u.degree)
+    if np.min(gaps) < 1e-10:
+        raise DegenerateSpectrum("two level points coincide")
+    return eigvals
 
 
 def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:

@@ -32,16 +32,16 @@ only when the gap falls between tol and the scaled bound.
 A side of a pairing is either a sequence of symbols, stacked column by
 column, or a block: a function of m that returns all of its columns at once
 as one (m, k) array.  A ``Block`` carries the reach of its columns
-(``ModelSpaceBasis.block`` is the block of a basis, and operator builders
-pass the images of a whole basis as one); a bare function states nothing, so
-its pairings start at the floor.  A block may also carry the conjugates of
-its values, and their max modulus, which a pairing then reads on its
-conjugated side instead of conjugating and reducing the values again (a
-basis caches both per grid, the maximum when a stopping rule first reads it).
+(``ModelSpaceBasis.block`` is the block of a basis, and the Toeplitz and
+Hankel builders pass the images of a whole basis as one); a bare function
+states nothing, so its pairings start at the floor.  A block may also carry
+the conjugates of its values, and their max modulus, which a pairing then
+reads on its conjugated side instead of conjugating and reducing the values
+again (a basis caches both per grid, the maximum when first read).
 
-Every pairing runs under the current ``Evaluation``: its settings, its
-counters and its memo of per-generator builds (each ``memoized`` builder).  A
-``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
+Every pairing runs under the current ``Evaluation``, which holds its settings
+and counters and the memo of per-generator builds (``memoized``; none pairs).
+A ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """
 
@@ -190,14 +190,7 @@ def use(evaluation: Evaluation):
 
 
 def override(settings: QuadratureSettings):
-    """Run a block under other settings, keeping the current counters and memo.
-
-    The settings reach the pairings the block runs.  A memoized build is
-    made once per evaluation, so one made before the block is returned as it
-    is, whatever the block's settings, and one first made in the block stays
-    in the memo after it.  To build under other settings from scratch, ``use``
-    a fresh ``Evaluation``.
-    """
+    """Run a block under other settings, keeping the current counters and memo."""
     return use(replace(current(), settings=settings))
 
 

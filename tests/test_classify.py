@@ -33,10 +33,12 @@ from truncops import (
     zero_product_analysis,
 )
 from truncops import quadrature
-from truncops.blaschke import clark_points
+from truncops.blaschke import clark_points, monomial_inner
 from truncops.classify import _class_certificate, spectral_values
-from truncops.errors import NoCertificate, NotRealSymmetric, NotTHO, ZeroAnchor
-from truncops.harness import random_inner, random_laurent
+from truncops.errors import (DegenerateSpectrum, NoCertificate, NotRealSymmetric, NotTHO,
+                             ZeroAnchor)
+from truncops.harness import SuiteConfig, random_inner, random_laurent, run_suite
+from truncops.operators import shift_adj
 
 
 class TestCrossDecompose:
@@ -362,7 +364,24 @@ class TestZeroProducts:
         assert rep.product_is_zero and rep.classes_match
         assert rep.alpha.isclose(alpha, 1e-6)
         assert rep.multiplier_product_vanishes
-        assert max(rep.residuals["multiplier_fits"]) < 1e-12
+        assert max(rep.residuals["pointwise_products"]) < 1e-12
+
+    @pytest.mark.parametrize("suite_seed", [326, 338])
+    def test_high_degree_interior_split(self, suite_seed):
+        # products that are zero to 1e-16 relative to the factors, whose
+        # multipliers split a level set at degree 30-32
+        rep = run_suite(SuiteConfig(seed=suite_seed, trials=1, degree_range=(30, 32),
+                                    checks=["hankel-zero-product"]))
+        assert rep.checks[0]["failures"] == 0, rep.checks[0]["counterexamples"]
+
+    def test_repeated_level_points_raise(self):
+        # S* on K_(z^2) is in the class at infinity, whose level set is the
+        # double zero of z^2; its kernels there fall short of a basis
+        u = monomial_inner(2)
+        dop = symmetric_involution(u)
+        adj = shift_adj(u)
+        with pytest.raises(DegenerateSpectrum):
+            zero_product_analysis(dop @ adj, adj @ dop)
 
     def test_trivial_zero_factor(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
@@ -434,5 +453,5 @@ def test_spectral_values_diagonalize_class_members(u_sym, rng):
     cdat = clark_points(u_sym, alpha)
     vals = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     M = spectral_multiplier(u_sym, cdat, vals)
-    got = spectral_values(M, cdat)
+    got = spectral_values(M, cdat.points)
     assert np.max(np.abs(np.array(got) - vals)) < 1e-9

@@ -212,9 +212,15 @@ class TestEvaluationContext:
     def test_quadrature_cap_below_first_level(self):
         # the first level of the default start floor is 2 * QUAD_START nodes
         rep = run_suite(SuiteConfig(seed=3, trials=1, quad=QuadratureSettings(cap=QUAD_START)))
-        # the suite completes, every trial fails on the cap, and nothing is paired
+        # the suite completes and nothing is paired: every trial fails on the
+        # cap, except those of the checks that make no pairing at all
+        exact = {"clark-unitary", "hankel-zero-product", "hankel-product-symbols",
+                 "rank-one-examples"}
         assert rep.quadrature_stats["pairings"] == 0
         for c in rep.checks:
+            if c["id"] in exact:
+                assert c["failures"] == 0, c["id"]
+                continue
             assert c["failures"] == c["trials"] == 1, c["id"]
             assert "NoConvergence" in c["counterexamples"][0]["error"]
 
@@ -255,7 +261,7 @@ class TestEvaluationContext:
         # generator's builds; the first level of each pairing comes from its
         # sides, so no pairing needs a blind 4096 nodes
         rep = run_suite(SuiteConfig(seed=7))
-        assert rep.quadrature_stats["pairings"] == 3036
+        assert rep.quadrature_stats["pairings"] == 2100
         assert rep.quadrature_stats["max_nodes"] <= 1024
 
 

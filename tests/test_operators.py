@@ -26,13 +26,13 @@ from truncops import (
     tm_basis,
     tto_matrix,
 )
+from truncops import operators, quadrature
 from truncops.blaschke import clark_points, monomial_inner
 from truncops.classify import is_tho
-from truncops.errors import NotRealSymmetric, SingularDenominator
+from truncops.errors import NoConvergence, NotRealSymmetric, SingularDenominator, SpaceMismatch
 from truncops.harness import random_inner
-from truncops.modelspace import boundary_kernel_symbol
-from truncops import quadrature
-from truncops.quadrature import pairing_matrix
+from truncops.modelspace import boundary_kernel_symbol, conjugation_U_on, reorder
+from truncops.quadrature import Block, pairing_matrix
 
 
 class TestShift:
@@ -219,17 +219,116 @@ class TestBlockBuilds:
         space = tm_basis(u_generic)
         z = RationalSymbol.monomial(1)
         want = pairing_matrix([z * f for f in space.functions], space.functions)
-        assert np.array_equal(shift(u_generic).matrix, want)
+        assert np.max(np.abs(shift(u_generic).matrix - want)) <= 1e-13
 
     def test_conjugations_match_symbol_lists(self, u_generic):
         space = tm_basis(u_generic)
         usym = u_generic.as_symbol()
         want = pairing_matrix([usym * f.hat().flip() for f in space.functions],
                               space.functions)
-        assert np.array_equal(conjugation_C(u_generic).matrix, want)
+        assert np.max(np.abs(conjugation_C(u_generic).matrix - want)) <= 1e-13
         want = pairing_matrix([f.hat() for f in space.functions],
                               tm_basis(u_generic.hat()).functions)
-        assert np.array_equal(conjugation_U(u_generic).matrix, want)
+        assert np.max(np.abs(conjugation_U(u_generic).matrix - want)) <= 1e-13
+
+
+# -- the pairing builds of the shift and the conjugations, as they were before
+# the closed forms, kept as quadrature oracles
+
+
+def _reference_shift(u):
+    space = tm_basis(u)
+    return pairing_matrix(operators._images(RationalSymbol.monomial(1), space), space.block)
+
+
+def _reference_conjugation_C(u):
+    space = tm_basis(u)
+    usym = u.as_symbol()
+
+    def images(m):
+        # u * J(hat e_k): J hat reflects the grid twice, leaving conj(z) conj(e_k)
+        flipped_hat = np.conj(quadrature.nodes(m))[:, None] * np.conj(space.values(m))
+        return usym.values_at(m)[:, None] * flipped_hat
+
+    return pairing_matrix(Block(images, usym.reach.times(u.reach.flipped())), space.block)
+
+
+def _reference_hat_map(u, target):
+    """The hat images conj(e_k(conj z)) of the basis of K_u paired against the target's."""
+    space = tm_basis(u)
+
+    def images(m):
+        return np.conj(space.values(m)[quadrature.reflection(m)])
+
+    return pairing_matrix(Block(images, u.reach), tm_basis(target).block)
+
+
+def _reference_symmetric_involution(u):
+    return _reference_conjugation_C(u) @ np.conj(_reference_hat_map(u, u))
+
+
+def _exact_build_input(kind, n):
+    rng = np.random.default_rng(1000 + n)
+    zeros = 0.85 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if kind == "zeros-at-0":
+        zeros[::3] = 0.0
+        return blaschke_new(zeros, np.exp(0.7j))
+    if kind == "repeated":
+        zeros[1::2] = zeros[: n // 2]
+        return blaschke_new(zeros, np.exp(-1.3j))
+    # real symmetric: conjugate pairs and, at odd degree, one real zero
+    a = zeros[: n // 2]
+    if kind == "interleaved":
+        pairs = [z for x in a for z in (x, np.conj(x))]
+    else:
+        pairs = [*a, *np.conj(a)]
+    return blaschke_new(pairs + [0.6 * rng.uniform(-1, 1)] * (n % 2), -1)
+
+
+class TestExactBuilders:
+    """The closed forms of the shift and the conjugations against their pairing builds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+    @pytest.mark.parametrize("kind", ["zeros-at-0", "repeated", "interleaved", "blocked"])
+    def test_match_the_pairing_builds(self, kind, n):
+        u = _exact_build_input(kind, n)
+        builds = {"shift": (shift, _reference_shift),
+                  "C": (conjugation_C, _reference_conjugation_C),
+                  "U": (conjugation_U, lambda u: _reference_hat_map(u, u.hat()))}
+        if kind in ("interleaved", "blocked"):
+            assert u.is_real_symmetric()
+            builds["U_on"] = (conjugation_U_on, lambda u: _reference_hat_map(u, u))
+            builds["D"] = (symmetric_involution, _reference_symmetric_involution)
+        with quadrature.use(quadrature.Evaluation()):
+            for name, (build, reference) in builds.items():
+                with quadrature.tally() as own:
+                    got = build(u).matrix
+                assert own.pairings == 0, name
+                gap = np.max(np.abs(got - reference(u)))
+                assert gap <= 1e-13, (name, gap)
+
+    def test_reorder_needs_an_order_of_the_zeros(self, u_generic):
+        assert np.array_equal(reorder(u_generic, [0, 1, 2]), np.eye(3))
+        for bad in ([0, 1], [0, 1, 1], [1, 2, 3]):
+            with pytest.raises(SpaceMismatch):
+                reorder(u_generic, bad)
+
+    def test_reach_zeros_near_the_circle(self):
+        # four conjugate pairs at radius 0.9999: the pairing builds do not
+        # converge within the default cap, the closed forms need no grid
+        a = 0.9999 * np.exp(1j * np.array([0.3, 1.1, 2.0, 2.9]))
+        u = blaschke_new([*a, *np.conj(a)], 1.0)
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            with pytest.raises(NoConvergence):
+                _reference_conjugation_C(u)
+            pairings = ev.stats.pairings
+            C, S, D = conjugation_C(u), shift(u), symmetric_involution(u)
+            assert ev.stats.pairings == pairings
+        eye = np.eye(8)
+        assert np.max(np.abs(C.matrix.conj().T @ C.matrix - eye)) <= 1e-13
+        assert np.max(np.abs((C @ C).matrix - eye)) <= 1e-13
+        assert np.max(np.abs((C @ S @ C).matrix - S.matrix.conj().T)) <= 1e-13
+        assert np.max(np.abs((D @ D).matrix - eye)) <= 1e-13
 
 
 class TestSedlockOp:

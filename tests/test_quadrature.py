@@ -6,8 +6,7 @@ import pytest
 from truncops import modelspace, operators, quadrature
 from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence
-from truncops.modelspace import conjugation_C, conjugation_U
-from truncops.operators import shift, tho_matrix, tto_matrix
+from truncops.operators import tho_matrix, tto_matrix
 from truncops.quadrature import QuadratureSettings, Reach, pairing_matrix
 from truncops.ratfun import RationalSymbol
 
@@ -136,8 +135,7 @@ def _joined(side):
 def _builds(u):
     sym = RationalSymbol.from_laurent({-2: 0.3 - 0.1j, 0: 1.0, 1: -0.4j, 3: 0.2})
     return [tto_matrix(u, u, sym), tto_matrix(u, u, u.as_symbol() + sym),
-            tho_matrix(u, u, sym), tho_matrix(u, u.hat(), sym * u.conj_symbol()),
-            shift(u), conjugation_C(u), conjugation_U(u)]
+            tho_matrix(u, u, sym), tho_matrix(u, u.hat(), sym * u.conj_symbol())]
 
 
 @pytest.mark.parametrize("degree", [2, 8, 16, 32])
