@@ -9,7 +9,6 @@ from .blaschke import (
     monomial_inner,
 )
 from .modelspace import (
-    ConjugateLinearMap,
     ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,

@@ -163,17 +163,19 @@ class InnerFunction:
     def _hat(self) -> "InnerFunction":
         return InnerFunction(tuple(np.conj(a) for a in self.zeros), np.conj(self.constant))
 
-    def is_real_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_real_symmetric(self) -> bool:
         """True iff u equals its hat: conjugation-closed zero multiset, real constant."""
-        return abs(self.constant.imag) <= tol and self.conjugate_order(tol) is not None
+        return abs(self.constant.imag) <= 1e-12 and self.conjugate_order is not None
 
-    def conjugate_order(self, tol: float = 1e-12) -> tuple | None:
-        """The order tau with conj(zeros[k]) = zeros[tau[k]] to tol, matching the
-        zeros and their conjugates each sorted by (real, imag); None if none does."""
+    @cached_property
+    def conjugate_order(self) -> tuple | None:
+        """The order tau with conj(zeros[k]) = zeros[tau[k]] to 1e-12, matching the
+        zeros and their conjugates each sorted by (real, imag); None if none does.
+        Matched once per instance."""
         zs = self.zeros
         key = sorted(range(len(zs)), key=lambda k: (zs[k].real, zs[k].imag))
         conj_key = sorted(range(len(zs)), key=lambda k: (zs[k].real, -zs[k].imag))
-        if any(abs(zs[p] - zs[q].conjugate()) > tol for p, q in zip(key, conj_key)):
+        if any(abs(zs[p] - zs[q].conjugate()) > 1e-12 for p, q in zip(key, conj_key)):
             return None
         return tuple(p for _, p in sorted(zip(conj_key, key)))
 
@@ -284,13 +286,13 @@ class ClarkData:
     def weights(self) -> tuple:
         return tuple(1.0 / abs(self.generator.derivative(p)) for p in self.points)
 
-    def orientation(self, tol: float = 1e-8) -> str:
-        """Which of u(point) = alpha / conj(alpha) the spectrum satisfies."""
+    def orientation(self) -> str:
+        """Which of u(point) = alpha / conj(alpha) the spectrum satisfies, to 1e-8."""
         direct = max(abs(v - self.alpha) for v in self.u_values)
         flipped = max(abs(v - np.conj(self.alpha)) for v in self.u_values)
-        if direct < tol:
+        if direct < 1e-8:
             return "u(point) = alpha"
-        if flipped < tol:
+        if flipped < 1e-8:
             return "u(point) = conj(alpha)"
         return "mixed"
 

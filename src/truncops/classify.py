@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blaschke import ExtendedScalar, InnerFunction, clark_points
+from .blaschke import ExtendedScalar, InnerFunction
 from .errors import (
     NoCertificate,
     NotRealSymmetric,
@@ -60,6 +60,9 @@ from .ratfun import RationalSymbol
 MEMBERSHIP_TOL = 1e-9
 REBUILD_TOL = 1e-8
 CLASS_TOL = 1e-8
+UNITARY_TOL = 1e-8          # |value| = 1 and the (co)isometry residuals
+PARAMETER_TOL = 1e-6        # closeness of two class parameters, or of one to the circle
+COND_LIMIT = 1e8            # the largest cond(B) that tho_inverse_class inverts
 
 
 @dataclass
@@ -117,7 +120,7 @@ class TTOMembership:
 
 
 def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
-           rebuild_tol: float = REBUILD_TOL, recover: bool = True) -> TTOMembership:
+           recover: bool = True) -> TTOMembership:
     """Test A - S_v A S_u* = part1 (x) k0 + k0 (x) part2 and rebuild the symbol.
 
     On success A equals the Toeplitz operator with symbol
@@ -134,7 +137,7 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     symbol = dec.left.rep() + dec.right.rep().conj_circle()
     rebuilt = tto_matrix(u, v, symbol)
     rres = float(np.max(np.abs(rebuilt.matrix - A.matrix)))
-    ok = rres < rebuild_tol * max(1.0, float(np.linalg.norm(A.matrix)))
+    ok = rres < REBUILD_TOL * max(1.0, float(np.linalg.norm(A.matrix)))
     return TTOMembership(ok, dec.left, dec.right, symbol, dec.residual_norm, rres)
 
 
@@ -148,7 +151,7 @@ class THOMembership:
 
 
 def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
-           rebuild_tol: float = REBUILD_TOL, recover: bool = True) -> THOMembership:
+           recover: bool = True) -> THOMembership:
     """Test B - S_v B S_u = part1 (x) kt0 + k0 (x) part2 and rebuild the symbol.
 
     kt0 is the conjugate kernel at 0 in K_u.  This is `is_tto`'s test moved
@@ -171,19 +174,17 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
         [shift(u).matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
     symbol = psi.rep().conj_circle()
     rres = float(np.max(np.abs(tho_matrix(u, v, symbol).matrix - B.matrix)))
-    if rres >= rebuild_tol * max(1.0, float(np.linalg.norm(B.matrix))):
+    if rres >= REBUILD_TOL * max(1.0, float(np.linalg.norm(B.matrix))):
         return THOMembership(False, None, None, dec.residual_norm, rres)
     return THOMembership(True, psi, symbol, dec.residual_norm, rres)
 
 
-def symbol_is_zero_tto(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
-                       tol: float = MEMBERSHIP_TOL) -> bool:
-    return float(np.max(np.abs(tto_matrix(u, v, sym).matrix))) < tol
+def symbol_is_zero_tto(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> bool:
+    return float(np.max(np.abs(tto_matrix(u, v, sym).matrix))) < MEMBERSHIP_TOL
 
 
-def symbol_is_zero_tho(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
-                       tol: float = MEMBERSHIP_TOL) -> bool:
-    return float(np.max(np.abs(tho_matrix(u, v, sym).matrix))) < tol
+def symbol_is_zero_tho(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> bool:
+    return float(np.max(np.abs(tho_matrix(u, v, sym).matrix))) < MEMBERSHIP_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +198,21 @@ class SedlockReport:
     commutator_residual: float
     scalar: complex | None = None        # set when membership == "all"
 
-    def matches(self, other, tol: float = 1e-6) -> bool:
+    def matches(self, other) -> bool:
         """Whether this report and another describe a common class.
 
         A scalar multiple of the identity lies in every class.
         """
         o = other if isinstance(other, SedlockReport) else None
         if o is None:
-            return self.membership != "none" and ExtendedScalar.of(other).isclose(self.alpha, tol) \
-                if self.membership in ("finite", "infinity") else self.membership == "all"
+            if self.membership in ("finite", "infinity"):
+                return ExtendedScalar.of(other).isclose(self.alpha, PARAMETER_TOL)
+            return self.membership == "all"
         if self.membership == "none" or o.membership == "none":
             return False
         if self.membership == "all" or o.membership == "all":
             return True
-        return self.alpha.isclose(o.alpha, tol)
+        return self.alpha.isclose(o.alpha, PARAMETER_TOL)
 
     def to_json(self) -> dict:
         alpha = None
@@ -248,7 +250,7 @@ def _affine_commutant_solve(mat: np.ndarray, u: InnerFunction):
     return ExtendedScalar.finite(t / denom), res
 
 
-def sedlock_class(A: OperatorMatrix, tol: float = CLASS_TOL) -> SedlockReport:
+def sedlock_class(A: OperatorMatrix) -> SedlockReport:
     """Detect the Sedlock class of a truncated Toeplitz operator on K_u.
 
     Solves the affine commutator fit for A directly (classes indexed inside
@@ -265,14 +267,14 @@ def sedlock_class(A: OperatorMatrix, tol: float = CLASS_TOL) -> SedlockReport:
         return SedlockReport("all", None, 0.0, scalar=0.0)
     mat = A.matrix / nrm
     tr = complex(np.trace(mat)) / n
-    if float(np.linalg.norm(mat - tr * np.eye(n))) < tol:
+    if float(np.linalg.norm(mat - tr * np.eye(n))) < CLASS_TOL:
         return SedlockReport("all", None, 0.0, scalar=complex(np.trace(A.matrix)) / n)
 
     direct, dres = _affine_commutant_solve(mat, u)
-    if dres < tol and direct is not None and direct.modulus() <= 1.0 + 1e-6:
+    if dres < CLASS_TOL and direct is not None and direct.modulus() <= 1.0 + PARAMETER_TOL:
         return SedlockReport("finite", direct, dres)
     adj, ares = _affine_commutant_solve(mat.conj().T, u)
-    if ares < tol and adj is not None:
+    if ares < CLASS_TOL and adj is not None:
         if adj.modulus() < 1e-8:
             return SedlockReport("infinity", ExtendedScalar.infinity(), ares)
         return SedlockReport("finite", adj.reciprocal_conjugate(), ares)
@@ -286,6 +288,16 @@ def spectral_values(A: OperatorMatrix, points) -> np.ndarray:
     return np.sum(np.conj(q) * (q @ A.matrix.T), axis=1)
 
 
+def class_values(alpha: ExtendedScalar, *members: OperatorMatrix) -> list[np.ndarray]:
+    """`spectral_values` of members of the class alpha at the level points of
+    its base perturbation S^beta (`operators.class_level`), one array per
+    member: a member is p(S^beta) or its adjoint, so q* M q is p or conj(p)
+    there (Clark 1972).  At a unimodular alpha these are the Clark points.
+    """
+    points = level_points(members[0].domain.generator, class_level(alpha)[0])
+    return [spectral_values(M, points) for M in members]
+
+
 # ---------------------------------------------------------------------------
 # structural reports for Hankel operators over a real symmetric generator
 
@@ -295,8 +307,8 @@ def _require_symmetric(u: InnerFunction):
         raise NotRealSymmetric("this report needs a real symmetric generator")
 
 
-def _require_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL):
-    if not is_tho(B, tol, recover=False).is_member:
+def _require_tho(B: OperatorMatrix):
+    if not is_tho(B, recover=False).is_member:
         raise NotTHO("operand is not a truncated Hankel operator")
 
 
@@ -323,7 +335,7 @@ class UnitaryReport:
         return len(set(self.conditions)) == 1
 
 
-def tho_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> UnitaryReport:
+def tho_unitary_report(B: OperatorMatrix) -> UnitaryReport:
     """Evaluate the six equivalent unitarity conditions for a Hankel operator.
 
     Conditions: isometry, coisometry, unitary, both Gram defects being
@@ -334,9 +346,9 @@ def tho_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> UnitaryReport:
     _require_symmetric(u)
     _require_tho(B)
     iso_res, coiso_res, c4, c5 = _gram_conditions(B)
-    isometry = iso_res < tol
-    coisometry = coiso_res < tol
-    report, alpha, values, class_ok = _unimodular_class(symmetric_involution(u) @ B, tol)
+    isometry = iso_res < UNITARY_TOL
+    coisometry = coiso_res < UNITARY_TOL
+    report, alpha, values, class_ok = _unimodular_class(symmetric_involution(u) @ B)
     return UnitaryReport(
         isometry, coisometry, isometry and coisometry, c4, c5, class_ok,
         alpha, values,
@@ -359,9 +371,9 @@ def _gram_conditions(B: OperatorMatrix):
     )
 
 
-def _unimodular_class(M: OperatorMatrix, tol: float):
+def _unimodular_class(M: OperatorMatrix):
     """The Sedlock class of a Toeplitz operator M and whether it is unimodular
-    with unimodular multiplier values at every Clark point.
+    with unimodular multiplier values at every Clark point (`class_values`).
 
     Returns (report, alpha, values, ok); alpha is set for a unimodular
     parameter only.  A scalar multiple of the identity lies in every class
@@ -370,12 +382,11 @@ def _unimodular_class(M: OperatorMatrix, tol: float):
     report = sedlock_class(M)
     if report.membership == "all":
         c = complex(report.scalar)
-        return report, None, [c] * M.domain.dim, abs(abs(c) - 1.0) < tol
-    if report.membership == "finite" and abs(report.alpha.modulus() - 1.0) < 1e-6:
-        alpha = report.alpha
-        clark = clark_points(M.domain.generator, alpha.value / abs(alpha.value))
-        values = [complex(v) for v in spectral_values(M, clark.points)]
-        return report, alpha, values, all(abs(abs(v) - 1.0) < tol for v in values)
+        return report, None, [c] * M.domain.dim, abs(abs(c) - 1.0) < UNITARY_TOL
+    if report.membership == "finite" and abs(report.alpha.modulus() - 1.0) < PARAMETER_TOL:
+        values = [complex(v) for v in class_values(report.alpha, M)[0]]
+        return report, report.alpha, values, all(abs(abs(v) - 1.0) < UNITARY_TOL
+                                                 for v in values)
     return report, None, [], False
 
 
@@ -408,8 +419,7 @@ class InverseReport:
     inverse_certificate: ClassSymbolCertificate | None
 
 
-def tho_inverse_class(B: OperatorMatrix, tol: float = 1e-6,
-                      cond_limit: float = 1e8) -> InverseReport:
+def tho_inverse_class(B: OperatorMatrix) -> InverseReport:
     """Invert a Hankel operator and test whether the inverse stays Hankel.
 
     When it does, the involution-shifted classes of B and its inverse are
@@ -421,7 +431,7 @@ def tho_inverse_class(B: OperatorMatrix, tol: float = 1e-6,
     u = B.domain.generator
     _require_symmetric(u)
     _require_tho(B)
-    if np.linalg.cond(B.matrix) > cond_limit:
+    if np.linalg.cond(B.matrix) > COND_LIMIT:
         raise Singular("operator too ill conditioned to invert reliably")
     binv = OperatorMatrix(np.linalg.inv(B.matrix), B.codomain, B.domain)
     inv_member = is_tho(binv, recover=False).is_member
@@ -442,7 +452,7 @@ def tho_inverse_class(B: OperatorMatrix, tol: float = 1e-6,
     law = (
         alpha is not None and ialpha is not None
         and (rep_b.membership == "all" or rep_i.membership == "all"
-             or ialpha.isclose(alpha.reciprocal(), tol))
+             or ialpha.isclose(alpha.reciprocal(), PARAMETER_TOL))
     )
     cert = icert = None
     if alpha is not None and ialpha is not None:
@@ -460,8 +470,7 @@ class ZeroProductReport:
     residuals: dict = field(default_factory=dict)
 
 
-def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
-                          tol: float = MEMBERSHIP_TOL) -> ZeroProductReport:
+def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix) -> ZeroProductReport:
     """Analyze when the product of two Hankel operators vanishes.
 
     When it does, both factors sit in involution-shifted copies of one
@@ -475,16 +484,16 @@ def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix,
     _require_tho(B1)
     _require_tho(B2)
     dop = symmetric_involution(u)
-    return _zero_product_report(B1, B2, dop @ B1, B2 @ dop, tol)
+    return _zero_product_report(B1, B2, dop @ B1, B2 @ dop)
 
 
 def _zero_product_report(B1: OperatorMatrix, B2: OperatorMatrix,
-                         M1: OperatorMatrix, M2: OperatorMatrix, tol) -> ZeroProductReport:
+                         M1: OperatorMatrix, M2: OperatorMatrix) -> ZeroProductReport:
     """Whether B1 B2 vanishes, against the classes of the Toeplitz operators
     M1 and M2 on K_u that the two factors are transported to."""
     scale = max(1.0, float(np.linalg.norm(B1.matrix)) * float(np.linalg.norm(B2.matrix)))
     pnorm = float(np.linalg.norm((B1 @ B2).matrix))
-    zero = pnorm < tol * scale
+    zero = pnorm < MEMBERSHIP_TOL * scale
     r1 = sedlock_class(M1)
     r2 = sedlock_class(M2)
     match = r1.matches(r2)
@@ -493,7 +502,7 @@ def _zero_product_report(B1: OperatorMatrix, B2: OperatorMatrix,
     residuals = {"product_norm": pnorm, "class1": r1.commutator_residual,
                  "class2": r2.commutator_residual}
     if zero and match and alpha is not None:
-        vanish = _multiplier_product_vanishes(M1, M2, alpha, tol, residuals)
+        vanish = _multiplier_product_vanishes(M1, M2, alpha, residuals)
     return ZeroProductReport(zero, match, alpha, vanish, residuals)
 
 
@@ -518,7 +527,7 @@ class CrossSpaceUnitaryReport:
         return len(set(self.conditions)) == 1
 
 
-def cross_space_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> CrossSpaceUnitaryReport:
+def cross_space_unitary_report(B: OperatorMatrix) -> CrossSpaceUnitaryReport:
     """Unitarity equivalences for a Hankel operator from K_u into the hat space.
 
     Both conjugation factor orders are tried when looking for the class
@@ -540,19 +549,18 @@ def cross_space_unitary_report(B: OperatorMatrix, tol: float = 1e-8) -> CrossSpa
     class_ok = False
     residuals = {}
     for name, M in candidates.items():
-        rep, unimodular, _, class_ok = _unimodular_class(M, tol)
+        rep, unimodular, _, class_ok = _unimodular_class(M)
         residuals[name] = rep.commutator_residual
         if unimodular is not None:
             alpha = unimodular
         if class_ok:
             order = name
             break
-    return CrossSpaceUnitaryReport(iso_res < tol, coiso_res < tol, c3, c4, class_ok,
-                                   alpha, order, residuals)
+    return CrossSpaceUnitaryReport(iso_res < UNITARY_TOL, coiso_res < UNITARY_TOL, c3, c4,
+                                   class_ok, alpha, order, residuals)
 
 
-def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix,
-                             tol: float = MEMBERSHIP_TOL) -> ZeroProductReport:
+def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix) -> ZeroProductReport:
     """Zero-product analysis for the hat-space Hankel pair.
 
     B1 maps the hat space into K_u and B2 maps K_u into the hat space;
@@ -566,7 +574,7 @@ def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix,
     _require_tho(B2)
     m1 = conjugation_C(u) @ B1 @ conjugation_U(u)          # K_u -> K_u, linear
     m2 = conjugation_U(u.hat()) @ B2 @ conjugation_C(u)    # K_u -> K_u, linear
-    return _zero_product_report(B1, B2, m1, m2, tol)
+    return _zero_product_report(B1, B2, m1, m2)
 
 
 def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
@@ -601,16 +609,11 @@ def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
 
 
 def _multiplier_product_vanishes(M1: OperatorMatrix, M2: OperatorMatrix,
-                                 alpha: ExtendedScalar, tol, residuals) -> bool:
+                                 alpha: ExtendedScalar, residuals) -> bool:
     """Whether the multipliers of two members of the class alpha multiply to
-    zero at the level points of their base perturbation S^beta: a member is
-    p(S^beta) or its adjoint, so q* M q is p or conj(p) there (Clark 1972).
-    """
-    level, _ = class_level(alpha)
-    points = level_points(M1.domain.generator, level)
-    v1 = spectral_values(M1, points)
-    v2 = spectral_values(M2, points)
+    zero at the level points of their base perturbation (`class_values`)."""
+    v1, v2 = class_values(alpha, M1, M2)
     products = np.abs(v1 * v2)
     residuals["pointwise_products"] = [float(x) for x in products]
     scale = max(1.0, float(np.max(np.abs(v1))) * float(np.max(np.abs(v2))))
-    return bool(np.max(products) < 10 * tol * scale)
+    return bool(np.max(products) < 10 * MEMBERSHIP_TOL * scale)

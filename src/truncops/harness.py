@@ -38,6 +38,7 @@ from .operators import (
     clark_perturbation,
     defects,
     functional_calculus,
+    level_points,
     rank_one,
     sedlock_op,
     shift,
@@ -56,8 +57,8 @@ ZERO_CAP = 0.85  # conditioning guard on random Blaschke zeros
 # instance generation
 
 
-def _random_zero(rng, cap=ZERO_CAP):
-    r = cap * np.sqrt(rng.uniform())
+def _random_zero(rng):
+    r = ZERO_CAP * np.sqrt(rng.uniform())
     return r * np.exp(2j * np.pi * rng.uniform())
 
 
@@ -365,7 +366,7 @@ def check_sedlock_roundtrip(p: ProblemSpec) -> TrialResult:
     prod = A @ B
     mprod = classify.is_tto(prod, recover=False)
     rprod = classify.sedlock_class(prod)
-    ok3 = mprod.is_member and rprod.matches(rep, 1e-6)
+    ok3 = mprod.is_member and rprod.matches(rep)
     r = {
         "recovered_alpha_err": (abs(rep.alpha.value - alpha.value)
                                 if rep.membership == "finite" else np.inf),
@@ -547,11 +548,10 @@ def check_hankel_zero_product(p: ProblemSpec) -> TrialResult:
     r["clark_verdict"] = zp.product_is_zero and zp.classes_match and bool(
         zp.multiplier_product_vanishes)
     ok = ok and r["clark_verdict"]
-    # interior parameter: split the level set of u - alpha
+    # interior parameter: split the points where u = a0, in argument order
     if n >= 2:
         a0 = 0.3 * _unit(rng)
-        roots = np.polynomial.polynomial.polyroots(
-            np.polynomial.polynomial.polyadd(u.num_coeffs, -a0 * u.den_coeffs))
+        roots = level_points(u, a0)
         cut = max(1, n // 2)
         psi1 = RationalSymbol.polynomial(
             np.polynomial.polynomial.polyfromroots(roots[:cut]))
@@ -603,7 +603,7 @@ def check_hankel_product_toeplitz(p: ProblemSpec) -> TrialResult:
     r = {"matched_in_class": pv.in_class, "matched_direct": pv.direct}
     if pv.details.get("case") == "common-class" and "product_class" in pv.details:
         prep = pv.details["product_class"]
-        r["product_class_ok"] = prep.membership != "none" and prep.matches(pv.details["left_class"], 1e-6)
+        r["product_class_ok"] = prep.membership != "none" and prep.matches(pv.details["left_class"])
         ok = ok and r["product_class_ok"]
     dop = symmetric_involution(u)
     pv2 = products.tho_product_tto_test(

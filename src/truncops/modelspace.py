@@ -282,16 +282,16 @@ def project(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
     return SpaceElement(space, coords)
 
 
-def embed(u: InnerFunction, sym: RationalSymbol, tol: float = 1e-9) -> SpaceElement:
+def embed(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
     """Like project, but certifies the symbol actually lies in K_u.
 
-    Raises SymbolNotInClass when the projection loses more than tol of the
+    Raises SymbolNotInClass when the projection loses more than 1e-9 of the
     symbol's norm (squared-norm defect measured against the L2 pairing).
     """
     el = project(u, sym)
     total = inner_product(sym, sym).real
     defect = abs(total - float(np.vdot(el.coords, el.coords).real))
-    if defect > tol * max(1.0, total):
+    if defect > 1e-9 * max(1.0, total):
         raise SymbolNotInClass(
             f"symbol is not in the model space: norm defect {defect:g}"
         )
@@ -505,10 +505,6 @@ class OperatorMatrix:
         return cls(mat, dom, cod, bool(obj.get("antilinear", False)))
 
 
-# the antilinear symmetries are OperatorMatrix values with the flag set
-ConjugateLinearMap = OperatorMatrix
-
-
 def reorder(u: InnerFunction, order) -> np.ndarray:
     """The unitary change of basis from the basis of K_u in the zero order
     ``order`` (a list of stored zero indices) to the one in the stored order.
@@ -584,7 +580,7 @@ def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
     K_hat(u) is then K_u with its zeros in their conjugate order, so the map
     is `reorder` to that order.  Raises SymbolNotInClass otherwise.
     """
-    order = u.conjugate_order()
+    order = u.conjugate_order
     if order is None:
         raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
     return OperatorMatrix(reorder(u, order), tm_basis(u), tm_basis(u), antilinear=True)

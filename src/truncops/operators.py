@@ -127,12 +127,12 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.flipped), dom, cod)
 
 
-def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol,
-                      tol: float = 1e-9) -> bool:
-    """Whether the adjoint of the Hankel operator equals the one with hatted symbol."""
+def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> bool:
+    """Whether the adjoint of the Hankel operator equals the one with hatted
+    symbol, to 1e-9 in max entry."""
     lhs = tho_matrix(u, v, sym).adjoint()
     rhs = tho_matrix(v, u, sym.hat())
-    return bool(np.max(np.abs(lhs.matrix - rhs.matrix)) < tol)
+    return bool(np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-9)
 
 
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:

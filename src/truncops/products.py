@@ -28,6 +28,8 @@ from .classify import (
     is_tto,
     sedlock_class,
     MEMBERSHIP_TOL,
+    PARAMETER_TOL,
+    REBUILD_TOL,
 )
 from .errors import NoCertificate, NotRealSymmetric, NotTHO, NotTTO, SymbolRecoveryFailed
 from .modelspace import (
@@ -132,8 +134,7 @@ def membership_transports(u: InnerFunction, v: InnerFunction,
     }
 
 
-def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0,
-                         tol: float = 1e-6) -> dict:
+def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> dict:
     """Class transport under the coefficient conjugation, plus the two
     operator identities tying the perturbed shifts across the hat spaces."""
     alpha = ExtendedScalar.of(alpha)
@@ -144,7 +145,7 @@ def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0,
         transported_ok = rep.membership == "infinity"
     else:
         transported_ok = rep.membership == "finite" and rep.alpha.isclose(
-            alpha.conjugate(), tol)
+            alpha.conjugate(), PARAMETER_TOL)
     out = {"transported_class": rep, "transport_ok": transported_ok}
     if not alpha.is_infinity and alpha.modulus() <= 1.0:
         a = alpha.value
@@ -199,8 +200,7 @@ def involution_identity_checks(u: InnerFunction, alpha, v: InnerFunction,
 # product criteria
 
 
-def atto_product_test(A: OperatorMatrix, B: OperatorMatrix,
-                      tol: float = MEMBERSHIP_TOL) -> ProductVerdict:
+def atto_product_test(A: OperatorMatrix, B: OperatorMatrix) -> ProductVerdict:
     """Criterion for a product of two Toeplitz operators to stay Toeplitz.
 
     A maps K_v into K_w and B maps K_u into K_v.  The condition matrix
@@ -221,7 +221,7 @@ def atto_product_test(A: OperatorMatrix, B: OperatorMatrix,
     f2 = project(w, vsym * mA.symbol)
     g2 = project(u, vsym * mB.symbol.conj_circle())
     cond = rank_one(mA.analytic_part, mB.conjugate_part) - rank_one(f2, g2)
-    dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0), tol)
+    dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
     direct = is_tto(A @ B, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
@@ -232,8 +232,7 @@ def _involution_scalar_fit(B: OperatorMatrix, dop: OperatorMatrix):
     return c, res
 
 
-def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix,
-                         tol: float = MEMBERSHIP_TOL) -> ProductVerdict:
+def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix) -> ProductVerdict:
     """Criterion for a product of two Hankel operators to be Toeplitz.
 
     Either one factor is a scalar multiple of the involution, or shifting
@@ -253,8 +252,8 @@ def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix,
     c2, r2 = _involution_scalar_fit(B2, dop)
     details: dict = {}
     direct = is_tto(B1 @ B2, recover=False).is_member
-    if r1 < tol * scale1 or r2 < tol * scale2:
-        c = c1 if r1 < tol * scale1 else c2
+    if r1 < MEMBERSHIP_TOL * scale1 or r2 < MEMBERSHIP_TOL * scale2:
+        c = c1 if r1 < MEMBERSHIP_TOL * scale1 else c2
         details["case"] = "scalar"
         return ProductVerdict(True, direct, c, min(r1, r2), details)
     rep1 = sedlock_class(B1 @ dop)
@@ -280,8 +279,7 @@ class SymbolFormCertificates:
     product_residual: float
 
 
-def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
-                             rebuild_tol: float = 1e-8) -> SymbolFormCertificates:
+def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix) -> SymbolFormCertificates:
     """Certify the class forms of a Hankel pair whose product is Toeplitz.
 
     B1 D and D B2 are members of the common class alpha, p1 and p2 of its
@@ -300,11 +298,11 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     alpha = verdict.witness
     dop = symmetric_involution(u)
     _, (p1, p2), (lres, rres) = class_multipliers(alpha, B1 @ dop, dop @ B2)
-    if max(lres, rres) >= rebuild_tol * max(
+    if max(lres, rres) >= REBUILD_TOL * max(
             1.0, float(np.linalg.norm(B1.matrix)), float(np.linalg.norm(B2.matrix))):
         raise NoCertificate(f"class-multiplier rebuild residuals {lres:g}, {rres:g}")
     mod = alpha.modulus()
-    regime = ("infinity" if alpha.is_infinity else "unimodular" if abs(mod - 1.0) < 1e-6
+    regime = ("infinity" if alpha.is_infinity else "unimodular" if abs(mod - 1.0) < PARAMETER_TOL
               else "inside" if mod < 1.0 else "outside")
     prod = functional_calculus(u, alpha, RationalSymbol.polynomial(
         np.polynomial.polynomial.polymul(p1, p2)))
@@ -314,8 +312,7 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix,
     return SymbolFormCertificates(alpha, lres, rres, regime, p1, p2, presid)
 
 
-def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB",
-                       tol: float = MEMBERSHIP_TOL) -> ProductVerdict:
+def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB") -> ProductVerdict:
     """Criterion for a Toeplitz-Hankel mixed product to be Hankel.
 
     order "AB" tests Toeplitz-then-Hankel composition A o B reading right to
@@ -338,10 +335,10 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB",
     prod = A @ B if order == "AB" else B @ A
     direct = is_tho(prod, recover=False).is_member
     details: dict = {"order": order}
-    if rA_scalar < tol * max(1.0, float(np.linalg.norm(A.matrix))):
+    if rA_scalar < MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(A.matrix))):
         details["case"] = "scalar-toeplitz"
         return ProductVerdict(True, direct, trace_scalar, rA_scalar, details)
-    if rB_scalar < tol * max(1.0, float(np.linalg.norm(B.matrix))):
+    if rB_scalar < MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(B.matrix))):
         details["case"] = "scalar-hankel"
         return ProductVerdict(True, direct, cB, rB_scalar, details)
     repA = sedlock_class(A)
@@ -354,8 +351,7 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB",
 
 
 def atho_product_tto_test(phi1: RationalSymbol, phi2: RationalSymbol,
-                          u: InnerFunction, v: InnerFunction, w: InnerFunction,
-                          tol: float = MEMBERSHIP_TOL) -> ProductVerdict:
+                          u: InnerFunction, v: InnerFunction, w: InnerFunction) -> ProductVerdict:
     """Criterion for a product of two asymmetric Hankel operators to be Toeplitz.
 
     phi1 conjugates into the model space of v * hat(w), phi2 into that of
@@ -365,15 +361,15 @@ def atho_product_tto_test(phi1: RationalSymbol, phi2: RationalSymbol,
     rank-one factors act between the model spaces, so each factor enters
     through its projection.
     """
-    embed(v * w.hat(), phi1.conj_circle(), tol=1e-9)
-    embed(u * v.hat(), phi2.conj_circle(), tol=1e-9)
+    embed(v * w.hat(), phi1.conj_circle())
+    embed(u * v.hat(), phi2.conj_circle())
     vhat = v.hat().as_symbol()
     f1 = project(w, (vhat * phi1.hat()).conj_circle())
     g1 = project(u, (vhat * phi2).conj_circle())
     f2 = project(w, phi1.hat().conj_circle())
     g2 = project(u, phi2.conj_circle())
     cond = rank_one(f1, g1) - rank_one(f2, g2)
-    dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0), tol)
+    dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
     prod = tho_matrix(v, w, phi1) @ tho_matrix(u, v, phi2)
     direct = is_tto(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
@@ -398,8 +394,7 @@ def symmetric_witness(dec_left: SpaceElement, dec_right: SpaceElement,
 
 def atho_atto_product_test(phi: RationalSymbol, psi1: SpaceElement, psi2: SpaceElement,
                            u: InnerFunction, v: InnerFunction, w: InnerFunction,
-                           order: str = "hankel_toeplitz",
-                           tol: float = MEMBERSHIP_TOL) -> ProductVerdict:
+                           order: str = "hankel_toeplitz") -> ProductVerdict:
     """Criterion for a mixed asymmetric Hankel/Toeplitz product to stay Hankel.
 
     order "hankel_toeplitz": the Hankel factor (symbol phi, from K_v to K_w)
@@ -410,23 +405,23 @@ def atho_atto_product_test(phi: RationalSymbol, psi1: SpaceElement, psi2: SpaceE
     vsym = v.as_symbol()
     vbar = v.conj_symbol()
     if order == "hankel_toeplitz":
-        embed(v * w.hat(), phi.conj_circle(), tol=1e-9)
+        embed(v * w.hat(), phi.conj_circle())
         f1 = project(w.hat(), (vsym * phi).conj_circle())
         g1 = project(u, vbar * u.as_symbol() * psi1.rep())
         f2 = project(w.hat(), phi.conj_circle())
         g2 = shift(u).apply(conjugation_C(u).apply(psi2))
         cond = rank_one(f1, g1) - rank_one(f2, g2)
-        dec = cross_decompose(cond, kernel(u, 0.0), kernel(w.hat(), 0.0), tol)
+        dec = cross_decompose(cond, kernel(u, 0.0), kernel(w.hat(), 0.0))
         prod = tho_matrix(v, w, phi) @ tto_matrix(
             u, v, psi1.rep() + psi2.rep().conj_circle())
     elif order == "toeplitz_hankel":
-        embed(u * v.hat(), phi.conj_circle(), tol=1e-9)
+        embed(u * v.hat(), phi.conj_circle())
         f1 = project(u.hat(), (vsym * phi.hat()).conj_circle())
         g1 = project(w, vbar * w.as_symbol() * psi2.rep())
         f2 = project(u.hat(), phi.hat().conj_circle())
         g2 = shift(w).apply(conjugation_C(w).apply(psi1))
         cond = rank_one(f1, g1) - rank_one(f2, g2)
-        dec = cross_decompose(cond, kernel(w, 0.0), kernel(u.hat(), 0.0), tol)
+        dec = cross_decompose(cond, kernel(w, 0.0), kernel(u.hat(), 0.0))
         prod = tto_matrix(v, w, psi1.rep() + psi2.rep().conj_circle()) @ tho_matrix(
             u, v, phi)
     else:

@@ -334,8 +334,8 @@ class RationalSymbol:
 
     # -- predicates and export -----------------------------------------------
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.num) <= tol))
+    def is_zero(self) -> bool:
+        return bool(np.all(self.num == 0))
 
     def __repr__(self):
         return f"RationalSymbol(num={list(self.num)}, den={list(self.den)})"

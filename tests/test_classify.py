@@ -27,14 +27,15 @@ from truncops import (
     symmetric_involution,
     tho_inverse_class,
     tho_matrix,
+    tho_product_tto_test,
     tho_unitary_report,
     tm_basis,
     tto_matrix,
     zero_product_analysis,
 )
-from truncops import quadrature
-from truncops.blaschke import clark_points, monomial_inner
-from truncops.classify import _class_certificate, spectral_values
+from truncops import harness, quadrature
+from truncops.blaschke import InnerFunction, clark_points, monomial_inner
+from truncops.classify import _class_certificate, class_values, spectral_values
 from truncops.errors import (DegenerateSpectrum, NoCertificate, NotRealSymmetric, NotTHO,
                              ZeroAnchor)
 from truncops.harness import SuiteConfig, random_inner, random_laurent, run_suite
@@ -366,13 +367,24 @@ class TestZeroProducts:
         assert rep.multiplier_product_vanishes
         assert max(rep.residuals["pointwise_products"]) < 1e-12
 
-    @pytest.mark.parametrize("suite_seed", [326, 338])
-    def test_high_degree_interior_split(self, suite_seed):
+    @pytest.mark.parametrize("suite_seed", [326, 338, 392])
+    def test_high_degree_interior_split(self, suite_seed, monkeypatch):
         # products that are zero to 1e-16 relative to the factors, whose
-        # multipliers split a level set at degree 30-32
+        # multipliers split a level set at degree 30-32.  The split is the
+        # level points of u = a0; polynomial roots of u_num - a0 u_den missed
+        # them by up to 2.8e-9 at seed 326
+        splits = []
+        find = harness.level_points
+        def spy(u, level):
+            points = find(u, level)
+            splits.append(np.abs(u(points) - level))
+            return points
+        monkeypatch.setattr(harness, "level_points", spy)
         rep = run_suite(SuiteConfig(seed=suite_seed, trials=1, degree_range=(30, 32),
                                     checks=["hankel-zero-product"]))
         assert rep.checks[0]["failures"] == 0, rep.checks[0]["counterexamples"]
+        assert len(splits) == 1
+        assert np.max(splits[0]) <= 1e-12
 
     def test_repeated_level_points_raise(self):
         # S* on K_(z^2) is in the class at infinity, whose level set is the
@@ -455,3 +467,30 @@ def test_spectral_values_diagonalize_class_members(u_sym, rng):
     M = spectral_multiplier(u_sym, cdat, vals)
     got = spectral_values(M, cdat.points)
     assert np.max(np.abs(np.array(got) - vals)) < 1e-9
+
+
+@pytest.mark.parametrize("degree", [3, 12])
+def test_class_values_at_a_unimodular_class_are_the_clark_values(degree, rng):
+    # the oracle is the Clark-point path that _unimodular_class used to read
+    u = random_inner(rng, degree, real_symmetric=True)
+    alpha = ExtendedScalar.finite(0.6 + 0.8j)
+    cdat = clark_points(u, alpha.value / abs(alpha.value))
+    vals = rng.standard_normal(degree) + 1j * rng.standard_normal(degree)
+    M = spectral_multiplier(u, cdat, vals)
+    (got,) = class_values(alpha, M)
+    assert np.max(np.abs(got - spectral_values(M, cdat.points))) < 1e-12
+
+
+def test_conjugate_zero_match_runs_once_per_generator(monkeypatch):
+    match = InnerFunction.__dict__["conjugate_order"]
+    runs = []
+    find = match.func
+    monkeypatch.setattr(match, "func", lambda u: runs.append(u) or find(u))
+    u = blaschke_new([0.5j, -0.5j, 0.3, 0.2 + 0.1j, 0.2 - 0.1j], constant=-1)
+    with quadrature.use(quadrature.Evaluation()):
+        dop = symmetric_involution(u)
+        B1 = dop @ functional_calculus(u, 0.25, RationalSymbol.polynomial([0.4, 1.0]))
+        B2 = functional_calculus(u, -0.5j, RationalSymbol.polynomial([1.0, 0.7])) @ dop
+        zero_product_analysis(B1, B2)
+        tho_product_tto_test(B1, B2)
+    assert len(runs) == 1 and runs[0] is u

@@ -82,6 +82,16 @@ class TestSuite:
             ratio = np.linalg.norm(B1 @ B2) / (np.linalg.norm(B1) * np.linalg.norm(B2))
             assert ratio < 1e-12
 
+    @pytest.mark.parametrize("seed", [303, 304, 305])
+    def test_high_degree_sweep_fails_only_hankel_inverse(self, seed):
+        # one trial per check in a low and a high band of suite-high; the
+        # absolute gates of hankel-inverse are a known open defect, and any
+        # other failure here is new
+        for band in ((16, 18), (30, 32)):
+            rep = run_suite(SuiteConfig(seed=seed, trials=1, degree_range=band))
+            failed = {c["id"] for c in rep.checks if c["failures"]}
+            assert failed <= {"hankel-inverse"}, (band, rep.human_summary())
+
     def test_byte_determinism(self):
         r1 = run_suite(SuiteConfig(seed=7, trials=2))
         r2 = run_suite(SuiteConfig(seed=7, trials=2))

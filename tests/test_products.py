@@ -158,7 +158,7 @@ class TestHankelProduct:
         assert pv.in_class and pv.direct
         assert abs(ExtendedScalar.of(pv.witness).modulus() - 1.0) < 1e-6
         prod_rep = pv.details["product_class"]
-        assert prod_rep.matches(pv.details["left_class"], 1e-6)
+        assert prod_rep.matches(pv.details["left_class"])
 
     def test_mismatch(self, u_sym):
         dop = symmetric_involution(u_sym)
