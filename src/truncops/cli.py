@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -67,6 +68,13 @@ def _unimodular(text: str, flag: str) -> complex:
     if value.is_infinity or abs(abs(value.value) - 1.0) > UNIMODULAR_TOL:
         raise ValueError(f"{flag} needs a unimodular value, got {text!r}")
     return value.value
+
+
+def _positive(value: float | None, flag: str) -> float | None:
+    """The value of a tolerance flag, if given; NaN, infinity or <= 0 is a usage error."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{flag} needs a positive finite value, got {value}")
+    return value
 
 
 def parse_symbol(text: str) -> RationalSymbol:
@@ -129,9 +137,9 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_classify(args) -> int:
+    tol = _positive(args.tol, "--tol")
     raw = _read_input(args.input)
     op = OperatorMatrix.from_json(json.loads(raw))
-    tol = args.tol
     reports = {}
     mt = classify.is_tto(op, tol)
     reports["is_tto"] = {"verdict": mt.is_member,
@@ -192,19 +200,18 @@ def _cmd_verify_suite(args) -> int:
         raise ValueError(f"--trials must be >= 0, got {args.trials}")
     if _unknown_criteria(args.theorem or ()):
         return 2
+    tol = _positive(args.tol, "--tol")
+    _positive(args.quad_tol, "--quad-tol")
     quad = None
     if args.quad_cap is not None or args.quad_tol is not None:
         quad = quadrature.QuadratureSettings(
             tol=quadrature.QUAD_TOL if args.quad_tol is None else args.quad_tol,
             cap=quadrature.QUAD_CAP if args.quad_cap is None else args.quad_cap,
         )
-    tolerances = {}
-    if args.tol is not None:
-        tolerances = {cid: {"main": args.tol} for cid in harness.CHECKS}
     cfg = harness.SuiteConfig(
         seed=args.seed, trials=args.trials,
         checks=args.theorem if args.theorem else None,
-        tolerances=tolerances,
+        tol=tol,
         quad=quad,
     )
     report = harness.run_suite(cfg)
@@ -259,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to this criterion id (repeatable)")
     s.add_argument("--tol", type=float,
                    help="override the main residual tolerance, which only these checks "
-                        "have: " + ", ".join(harness.MAIN_TOLERANCE_CHECKS))
+                        "have, with their defaults: "
+                        + ", ".join(f"{cid} ({check.tol:g})"
+                                    for cid, check in harness.CHECKS.items()
+                                    if check.tol is not None))
     s.add_argument("--quad-tol", type=float, help="quadrature stopping tolerance")
     s.add_argument("--quad-cap", type=int, help="quadrature node cap")
     s.add_argument("--list", action="store_true", help="list criterion ids and exit")

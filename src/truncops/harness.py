@@ -267,9 +267,7 @@ def check_kernel_core(p: ProblemSpec) -> TrialResult:
     # the quadrature oracle of Takenaka-Malmquist orthonormality, held to the
     # construction tolerance rather than to the main one
     r["gram"] = gram_residual(space)
-    tol = p.tolerances.get("main", 1e-9)
-    resid = _mx(*r.values())
-    return TrialResult(resid < tol and r["gram"] <= GRAM_TOL, resid, r)
+    return TrialResult(r["gram"] <= GRAM_TOL, _mx(*r.values()), r)
 
 
 def check_displacement_roundtrip(p: ProblemSpec) -> TrialResult:
@@ -286,9 +284,7 @@ def check_displacement_roundtrip(p: ProblemSpec) -> TrialResult:
         "tho_displacement": mB.displacement_residual,
         "tho_rebuild": mB.rebuild_residual if mB.is_member else np.inf,
     }
-    ok = (mA.is_member and mB.is_member
-          and r["tto_rebuild"] < p.tolerances.get("rebuild", 1e-8)
-          and r["tho_rebuild"] < p.tolerances.get("rebuild", 1e-8))
+    ok = mA.is_member and mB.is_member
     if u.degree >= 2 and v.degree >= 2:
         # below that the operator families fill the whole matrix space
         R = _random_matrix_op(rng, tm_basis(u), tm_basis(v))
@@ -338,9 +334,7 @@ def check_defect_rank_one(p: ProblemSpec) -> TrialResult:
     f = tm_basis(u).random_element(np.random.default_rng(p.seed))
     g = tm_basis(u).random_element(np.random.default_rng(p.seed + 1))
     r["trace_identity"] = abs(np.trace(rank_one(f, g).matrix) - f.inner(g))
-    tol = p.tolerances.get("main", 1e-8)
-    resid = _mx(*r.values())
-    return TrialResult(resid < tol, resid, r)
+    return TrialResult(True, _mx(*r.values()), r)
 
 
 def check_sedlock_roundtrip(p: ProblemSpec) -> TrialResult:
@@ -357,11 +351,11 @@ def check_sedlock_roundtrip(p: ProblemSpec) -> TrialResult:
         ok = rep.membership == "all"
         return TrialResult(ok, 0.0 if ok else 1.0, {"membership": rep.membership})
     rep = classify.sedlock_class(A)
-    tol = p.tolerances.get("class", 1e-8)
-    ok1 = rep.membership == "finite" and rep.alpha.isclose(alpha, tol)
+    ok1 = rep.membership == "finite" and rep.alpha.isclose(alpha, 1e-8)
     radj = classify.sedlock_class(A.adjoint())
     expect_adj = alpha.reciprocal_conjugate()
-    ok2 = radj.membership in ("finite", "infinity") and radj.alpha.isclose(expect_adj, 1e-6)
+    ok2 = (radj.membership in ("finite", "infinity")
+           and radj.alpha.isclose(expect_adj, classify.PARAMETER_TOL))
     B = sedlock_op(u, alpha, space.random_element(rng), 0.0)
     prod = A @ B
     mprod = classify.is_tto(prod, recover=False)
@@ -402,10 +396,8 @@ def check_clark_unitary(p: ProblemSpec) -> TrialResult:
     ev = np.linalg.eigvals(si.matrix)
     r["strict_spectrum"] = bool(np.max(np.abs(ev)) < 1.0 - 1e-10)
     r["contraction"] = float(np.linalg.norm(si.matrix, 2)) <= 1.0 + 1e-10
-    tol_u = p.tolerances.get("unitary", 1e-10)
-    tol_a = p.tolerances.get("align", 1e-8)
-    ok = (r["unitarity"] < tol_u and r["eigvec_alignment"] < tol_a
-          and r["quadrature_identity"] < tol_a and r["strict_spectrum"]
+    ok = (r["unitarity"] < 1e-10 and r["eigvec_alignment"] < 1e-8
+          and r["quadrature_identity"] < 1e-8 and r["strict_spectrum"]
           and r["contraction"])
     return TrialResult(ok, _mx(r["unitarity"], r["eigvec_alignment"],
                                r["quadrature_identity"]), r)
@@ -414,9 +406,7 @@ def check_clark_unitary(p: ProblemSpec) -> TrialResult:
 def check_conjugation_dictionary(p: ProblemSpec) -> TrialResult:
     u, v = p.inner_u(), p.inner_v()
     gaps = products.equivalence_transforms(u, v, p.rational())
-    tol = p.tolerances.get("main", 1e-9)
-    resid = _mx(*gaps.values())
-    return TrialResult(resid < tol, resid, gaps)
+    return TrialResult(True, _mx(*gaps.values()), gaps)
 
 
 def check_membership_transport(p: ProblemSpec) -> TrialResult:
@@ -447,14 +437,12 @@ def check_involution_identities(p: ProblemSpec) -> TrialResult:
                                         p.param_c("c"))
     inf_hat = products.hat_transport_checks(u, ExtendedScalar.infinity(),
                                             tm_basis(u).random_element(rng))
-    tol = p.tolerances.get("main", 1e-9)
     resid = _mx(*gaps.values(), hat.get("shift_transport_residual", 0.0),
                 hat.get("shift_conjugation_residual", 0.0))
-    ok = resid < tol and hat["transport_ok"] and inf_hat["transport_ok"]
     details = dict(gaps)
     details["transport_ok"] = hat["transport_ok"]
     details["transport_ok_infinity"] = inf_hat["transport_ok"]
-    return TrialResult(ok, resid, details)
+    return TrialResult(hat["transport_ok"] and inf_hat["transport_ok"], resid, details)
 
 
 def _unitary_hankel(u: InnerFunction, rng) -> OperatorMatrix:
@@ -499,12 +487,11 @@ def check_hankel_inverse(p: ProblemSpec) -> TrialResult:
     u = p.inner_u()
     rng = np.random.default_rng(p.seed)
     B, alpha = _invertible_class_hankel(u, rng)
+    # tho_inverse_class raises NoCertificate unless both class certificates
+    # rebuild to REBUILD_TOL relative to the norm; the law implies both exist
     rep = classify.tho_inverse_class(B)
     ok = (rep.inverse_is_tho and rep.reciprocal_law_holds
-          and rep.certificate is not None
-          and rep.certificate.residual < 1e-8
-          and rep.inverse_certificate.residual < 1e-8
-          and rep.alpha.isclose(ExtendedScalar.finite(alpha), 1e-6))
+          and rep.alpha.isclose(ExtendedScalar.finite(alpha), classify.PARAMETER_TOL))
     r = {
         "alpha": str(rep.alpha), "inverse_alpha": str(rep.inverse_alpha),
         "law": rep.reciprocal_law_holds,
@@ -624,6 +611,7 @@ def check_hankel_product_symbols(p: ProblemSpec) -> TrialResult:
     rng = np.random.default_rng(p.seed)
     alpha = ExtendedScalar.finite(p.param_c("alpha"))
     B1, B2 = _class_hankel_pair(u, alpha, rng)
+    # raises NoCertificate unless every residual is within its norm-relative gate
     cert = products.tho_product_symbol_forms(B1, B2)
     r = {
         "regime": cert.regime,
@@ -631,8 +619,7 @@ def check_hankel_product_symbols(p: ProblemSpec) -> TrialResult:
         "right_residual": cert.right_residual,
         "product_residual": cert.product_residual,
     }
-    ok = max(cert.left_residual, cert.right_residual, cert.product_residual) < 1e-8
-    return TrialResult(ok, _mx(cert.left_residual, cert.right_residual), r)
+    return TrialResult(True, _mx(cert.left_residual, cert.right_residual), r)
 
 
 def check_mixed_product(p: ProblemSpec) -> TrialResult:
@@ -682,14 +669,12 @@ def check_rank_one_examples(p: ProblemSpec) -> TrialResult:
     r["class_is_u_of_lambda"] = (rep.membership == "finite"
                                  and rep.alpha.isclose(exp_alpha, 1e-8))
     pv = products.tho_product_tto_test(b1, b2)
-    r["criterion"] = pv.in_class and pv.direct and (
-        pv.witness is not None and ExtendedScalar.of(pv.witness).isclose(exp_alpha, 1e-6))
+    r["criterion"] = pv.in_class and pv.direct and pv.witness is not None and (
+        ExtendedScalar.of(pv.witness).isclose(exp_alpha, classify.PARAMETER_TOL))
     pvm = products.mixed_product_test(a, b1, "AB")
     r["mixed_criterion"] = pvm.in_class and pvm.direct
-    tol = p.tolerances.get("main", 1e-9)
-    resid = _mx(r["hankel_pair_identity"], r["mixed_identity"])
-    ok = resid < tol and r["class_is_u_of_lambda"] and r["criterion"] and r["mixed_criterion"]
-    return TrialResult(ok, resid, r)
+    ok = r["class_is_u_of_lambda"] and r["criterion"] and r["mixed_criterion"]
+    return TrialResult(ok, _mx(r["hankel_pair_identity"], r["mixed_identity"]), r)
 
 
 def check_atto_product(p: ProblemSpec) -> TrialResult:
@@ -897,9 +882,7 @@ def check_quadrature_hygiene(p: ProblemSpec) -> TrialResult:
         B2 = tho_matrix(u, u, sym)
     r["toeplitz_node_doubling"] = _opnorm(A.matrix - A2.matrix)
     r["hankel_node_doubling"] = _opnorm(B.matrix - B2.matrix)
-    tol = p.tolerances.get("main", 1e-11)
-    resid = _mx(*r.values())
-    return TrialResult(resid < tol, resid, r)
+    return TrialResult(True, _mx(*r.values()), r)
 
 
 @dataclass(frozen=True)
@@ -908,30 +891,25 @@ class CheckDef:
     description: str
     run: object
     constraints: dict
+    tol: float | None   # main tolerance on the trial residual; None: the check has none
 
 
 CHECKS: dict[str, CheckDef] = {}
 
 
-# the checks that bound their residual by tolerances["main"], which is the
-# tolerance `truncops verify-suite --tol` overrides; the others keep theirs
-MAIN_TOLERANCE_CHECKS = ("kernel-core", "defect-rank-one", "conjugation-dictionary",
-                         "involution-identities", "rank-one-examples", "quadrature-hygiene")
-
-
-def _register(id_, description, fn, **constraints):
-    CHECKS[id_] = CheckDef(id_, description, fn, constraints)
+def _register(id_, description, fn, tol=None, **constraints):
+    CHECKS[id_] = CheckDef(id_, description, fn, constraints, tol)
 
 
 _register("kernel-core",
           "reproducing kernels, conjugations, boundary kernels and their transports",
-          check_kernel_core, spaces=1)
+          check_kernel_core, tol=1e-9, spaces=1)
 _register("displacement-roundtrip",
           "shift-displacement membership tests and symbol rebuilds",
           check_displacement_roundtrip, spaces=2)
 _register("defect-rank-one",
           "defect operators and rank-one operator identities/memberships",
-          check_defect_rank_one, spaces=2)
+          check_defect_rank_one, tol=1e-8, spaces=2)
 _register("sedlock-roundtrip",
           "class construction/detection round trip, adjoint law, closure",
           check_sedlock_roundtrip, spaces=1, alpha_mode="disk")
@@ -940,13 +918,13 @@ _register("clark-unitary",
           check_clark_unitary, spaces=1, alpha_mode="unimodular")
 _register("conjugation-dictionary",
           "the eight conjugation identities between operator families",
-          check_conjugation_dictionary, spaces=2)
+          check_conjugation_dictionary, tol=1e-9, spaces=2)
 _register("membership-transport",
           "membership preservation under the six conjugation transports",
           check_membership_transport, spaces=2)
 _register("involution-identities",
           "real-symmetric involution identities and hat class transport",
-          check_involution_identities, spaces=2, real_symmetric=True)
+          check_involution_identities, tol=1e-9, spaces=2, real_symmetric=True)
 _register("hankel-unitary",
           "six-way unitarity report for Hankel operators",
           check_hankel_unitary, spaces=1, real_symmetric=True)
@@ -969,7 +947,7 @@ _register("mixed-product",
           check_mixed_product, spaces=1, real_symmetric=True, alpha_mode="disk")
 _register("rank-one-examples",
           "rank-one product identities and their class parameters",
-          check_rank_one_examples, spaces=1, real_symmetric=True)
+          check_rank_one_examples, tol=1e-9, spaces=1, real_symmetric=True)
 _register("atto-product",
           "when a product of two Toeplitz operators stays Toeplitz",
           check_atto_product, spaces=3, alpha_mode="disk")
@@ -994,7 +972,7 @@ _register("cross-space-unitary",
           check_cross_space_unitary, spaces=1)
 _register("quadrature-hygiene",
           "exact Fourier oracle and node-doubling stability",
-          check_quadrature_hygiene, spaces=1)
+          check_quadrature_hygiene, tol=1e-11, spaces=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +986,7 @@ class SuiteConfig:
     checks: list | None = None            # None = all registered
     degree_range: tuple = (2, 4)
     symbol_degree_range: tuple = (1, 3)
-    tolerances: dict = field(default_factory=dict)
+    tol: float | None = None              # None = each check's registered main tolerance
     quad: quadrature.QuadratureSettings | None = None
 
 
@@ -1054,11 +1032,17 @@ def _trial_seed(seed: int, check_id: str, index: int) -> int:
 
 
 def run_trial(check_id: str, problem: ProblemSpec) -> TrialResult:
+    """Run one trial.  A check with a main tolerance passes only if its residual
+    is below it: the problem's tolerances["main"] if set, else the registered one."""
     check = CHECKS[check_id]
     try:
-        return check.run(problem)
+        result = check.run(problem)
     except (TruncOpsError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return TrialResult(False, float("inf"), {}, error=f"{type(exc).__name__}: {exc}")
+    if check.tol is not None:
+        result.passed = result.passed and result.residual < problem.tolerances.get(
+            "main", check.tol)
+    return result
 
 
 def replay(problem_json) -> TrialResult:
@@ -1089,6 +1073,8 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     cfg = config or SuiteConfig()
     if cfg.trials < 0:
         raise InvalidRange(f"trials must be >= 0, got {cfg.trials}")
+    if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise InvalidRange(f"tol must be positive and finite, got {cfg.tol}")
     ids = cfg.checks or list(CHECKS)
     for cid in ids:
         if cid not in CHECKS:
@@ -1111,7 +1097,8 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
                 problem = generate_instance(
                     _trial_seed(cfg.seed, cid, i), cfg.degree_range,
                     cfg.symbol_degree_range, cons)
-                problem.tolerances = dict(cfg.tolerances.get(cid, {}))
+                if cfg.tol is not None:
+                    problem.tolerances = {"main": cfg.tol}
                 result = run_trial(cid, problem)
                 if np.isfinite(result.residual):
                     max_resid = max(max_resid, result.residual)
