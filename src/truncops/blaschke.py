@@ -21,7 +21,7 @@ from .errors import (
     PoleHit,
     ZeroOnOrOutsideCircle,
 )
-from .quadrature import Reach, grid_values
+from .quadrature import Reach, grid_cached, grown
 from .ratfun import RationalSymbol
 
 ZERO_MARGIN = 1e-9
@@ -91,9 +91,9 @@ class InnerFunction:
         Factored evaluation keeps full relative accuracy even when zeros
         cluster; the expanded coefficients would lose it there.  A grid grows
         from a cached half grid by its odd nodes alone, or is sliced from a
-        cached double (``quadrature.grid_values``).
+        cached double (``quadrature.grid_cached``).
         """
-        return grid_values(self._bvals, m, self._factored)
+        return grid_cached(self._bvals, m, lambda m: grown(self._bvals, m, self._factored))
 
     def _factored(self, z: np.ndarray) -> np.ndarray:
         out = np.full(z.shape, self.constant, dtype=complex)

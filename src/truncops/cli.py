@@ -44,11 +44,14 @@ def parse_inner(text: str) -> InnerFunction:
 
 
 def parse_scalar(text: str):
-    """Parse "re,im", "re", or "inf" into an extended scalar."""
+    """Parse "re,im", "re", or "inf" into an extended scalar; a NaN or infinite part,
+    or a third part, is a usage error."""
     text = text.strip()
     if text.lower() in ("inf", "infinity"):
         return ExtendedScalar.infinity()
     parts = [float(x) for x in text.split(",")]
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise ValueError(f"a scalar is re,im or re with finite parts, or inf; got {text!r}")
     if len(parts) == 1:
         return ExtendedScalar.finite(parts[0])
     return ExtendedScalar.finite(complex(parts[0], parts[1]))
@@ -81,6 +84,14 @@ def parse_symbol(text: str) -> RationalSymbol:
     return RationalSymbol.from_json(json.loads(text))
 
 
+def _decoded(flag: str, text: str, parse):
+    """parse(text) for the text of a flag; JSON of the wrong shape is a usage error naming it."""
+    try:
+        return parse(text)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"{flag} is malformed: {type(exc).__name__}: {exc}") from None
+
+
 def _emit(obj, as_json: bool, human: str | None = None):
     if as_json:
         print(json.dumps(obj, sort_keys=True, indent=1))
@@ -97,9 +108,9 @@ def _cmd_build_op(args) -> int:
     missing = [f"--{k}" for k in _BUILD_OP_NEEDS.get(args.op, ()) if getattr(args, k) is None]
     if missing:
         raise ValueError(f"--op {args.op} needs {' and '.join(missing)}")
-    u = parse_inner(args.u)
-    v = parse_inner(args.v) if args.v else u
-    sym = parse_symbol(args.symbol) if args.symbol else None
+    u = _decoded("--u", args.u, parse_inner)
+    v = _decoded("--v", args.v, parse_inner) if args.v else u
+    sym = _decoded("--symbol", args.symbol, parse_symbol) if args.symbol else None
     alpha = parse_scalar(args.alpha) if args.alpha else None
     op = args.op
     if op == "tto":
@@ -138,8 +149,8 @@ def _read_input(path: str) -> str:
 
 def _cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
-    raw = _read_input(args.input)
-    op = OperatorMatrix.from_json(json.loads(raw))
+    op = _decoded("--input", _read_input(args.input),
+                  lambda text: OperatorMatrix.from_json(json.loads(text)))
     reports = {}
     mt = classify.is_tto(op, tol)
     reports["is_tto"] = {"verdict": mt.is_member,
@@ -168,8 +179,8 @@ def _unknown_criteria(ids) -> bool:
 def _cmd_product_test(args) -> int:
     if _unknown_criteria([args.theorem]):
         return 2
-    raw = _read_input(args.spec)
-    problem = harness.ProblemSpec.from_json(json.loads(raw))
+    problem = _decoded("--spec", _read_input(args.spec),
+                       lambda text: harness.ProblemSpec.from_json(json.loads(text)))
     problem.operation = args.theorem
     result = harness.run_trial(args.theorem, problem)
     payload = {
@@ -185,7 +196,7 @@ def _cmd_product_test(args) -> int:
 
 
 def _cmd_clark(args) -> int:
-    u = parse_inner(args.u)
+    u = _decoded("--u", args.u, parse_inner)
     data = clark_points(u, _unimodular(args.alpha, "--alpha"))
     _emit(data.to_json(), args.json,
           human="\n".join(
@@ -202,6 +213,7 @@ def _cmd_verify_suite(args) -> int:
         return 2
     tol = _positive(args.tol, "--tol")
     _positive(args.quad_tol, "--quad-tol")
+    _positive(args.quad_cap, "--quad-cap")
     quad = None
     if args.quad_cap is not None or args.quad_tol is not None:
         quad = quadrature.QuadratureSettings(

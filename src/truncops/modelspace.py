@@ -17,10 +17,10 @@ at GRAM_TOL.  The conjugations are exact too: both are changes of zero
 order (`reorder`), or the identity for the coefficient conjugation.
 
 Function space objects are immutable after construction.  Bases cache
-their grid values, the conjugates of those and of the flipped values J e_k
-with the max modulus of each (the conjugated side of every pairing against
-the basis, and its scale), and the kernels k0 and k~0 at the origin, all
-read-only, so they are safe to share between threads.
+their grid values and the kernels k0 and k~0 at the origin, and their two
+blocks (the basis and the flipped basis J e_k) cache their conjugates, the
+conjugated side of every pairing against the basis; all are read-only, so
+they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -50,17 +50,12 @@ class ModelSpaceBasis:
         self.generator = generator
         n = len(generator.zeros)
         self._value_cache: dict[int, np.ndarray] = {}
-        self._conj_cache: dict[int, np.ndarray] = {}
-        self._conj_flipped_cache: dict[int, np.ndarray] = {}
-        self._conj_max_cache: dict[int, float] = {}
-        self._conj_flipped_max_cache: dict[int, float] = {}
         self.dim = n
         # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
         # most the zeros at 0 as the degree of its finite part
-        self.block = Block(self.values, generator.reach, self.conj_values, self.conj_max)
+        self.block = Block(self.values, generator.reach)
         # J e_k = conj(z) e_k(conj z), the codomain side of Hankel builds
-        self.flipped = Block(self._flipped_values, generator.reach.flipped(),
-                             self.conj_flipped_values, self.conj_flipped_max)
+        self.flipped = Block(self._flipped_values, generator.reach.flipped())
 
     @cached_property
     def functions(self) -> list[RationalSymbol]:
@@ -138,30 +133,14 @@ class ModelSpaceBasis:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
         A grid grows from a cached half grid by its odd nodes alone, or is
-        sliced from a cached double (``quadrature.grid_values``).  A pairing
-        against the basis reads the conjugates, `conj_values`.
+        sliced from a cached double (``quadrature.grid_cached``).  A pairing
+        against the basis reads the conjugates, ``block.conj``.
         """
-        return quadrature.grid_values(self._value_cache, m, self.at)
-
-    def conj_values(self, m: int) -> np.ndarray:
-        """conj(values(m)); cached, read-only."""
-        return _grid_cached(self._conj_cache, m, lambda m: np.conj(self.values(m)))
-
-    def conj_max(self, m: int) -> float:
-        """max |conj_values(m)|, the scale of a pairing against the basis; cached."""
-        return _max_cached(self._conj_max_cache, m, self.conj_values)
+        cache = self._value_cache
+        return quadrature.grid_cached(cache, m, lambda m: quadrature.grown(cache, m, self.at))
 
     def _flipped_values(self, m: int) -> np.ndarray:
         return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]
-
-    def conj_flipped_values(self, m: int) -> np.ndarray:
-        """Conjugated values of the flipped basis J e_k on the m-grid; cached, read-only."""
-        return _grid_cached(self._conj_flipped_cache, m,
-                            lambda m: np.conj(self._flipped_values(m)))
-
-    def conj_flipped_max(self, m: int) -> float:
-        """max |conj_flipped_values(m)|, the scale of a Hankel pairing; cached."""
-        return _max_cached(self._conj_flipped_max_cache, m, self.conj_flipped_values)
 
     def combine(self, coords) -> RationalSymbol:
         """The element with the given coordinates, as a rational function."""
@@ -183,26 +162,6 @@ class ModelSpaceBasis:
         if norm is not None:
             coords *= norm / np.linalg.norm(coords)
         return self.element(coords)
-
-
-def _grid_cached(cache: dict, m: int, compute) -> np.ndarray:
-    """cache[m], made once and read-only: the even rows of cache[2m] when that
-    grid is cached (its even nodes are the m-grid, so the values are the same
-    bits), else compute(m)."""
-    got = cache.get(m)
-    if got is None:
-        fine = cache.get(2 * m)
-        got = np.ascontiguousarray(fine[::2]) if fine is not None else compute(m)
-        got = cache[m] = readonly(got)
-    return got
-
-
-def _max_cached(cache: dict, m: int, values) -> float:
-    """cache[m], made once: the max modulus of values(m), as a pairing reduces it."""
-    got = cache.get(m)
-    if got is None:
-        got = cache[m] = float(np.max(np.abs(values(m))))
-    return got
 
 
 @quadrature.memoized(512)

@@ -17,12 +17,12 @@ is a hard error rather than a silent inaccuracy.  An a priori level above
 the cap is clamped so that the cap level is still evaluated; a ``start``
 floor whose first level exceeds the cap raises at once.
 
-The M-point grid is the even-index subset of the 2M-point grid.  A cached
-grid of values therefore serves both ways (``grid_values``): the M-grid is
-the even rows of a cached 2M-grid, and a 2M-grid grows from a cached M-grid
-by evaluating the odd nodes alone.  Values are computed point by point, so a
-grown or sliced grid has the same bits as one evaluated cold, and each
-refinement evaluates only the nodes it adds.
+The M-point grid is the even-index subset of the 2M-point grid.  One cache
+of grid values, ``grid_cached``, serves every side of a pairing: the M-grid
+is the even rows of a cached 2M-grid, and a pointwise map grows a 2M-grid
+from a cached M-grid by evaluating the odd nodes alone (``grown``).  Values
+are computed point by point, so a grown or sliced grid has the same bits as
+one evaluated cold, and each refinement evaluates only the nodes it adds.
 
 The stopping rule compares the gap between the two levels with
 tol * max(1, max|F| * max|G|), the roundoff floor of the mean.  That scale is
@@ -33,11 +33,9 @@ A side of a pairing is either a sequence of symbols, stacked column by
 column, or a block: a function of m that returns all of its columns at once
 as one (m, k) array.  A ``Block`` carries the reach of its columns
 (``ModelSpaceBasis.block`` is the block of a basis, and the Toeplitz and
-Hankel builders pass the images of a whole basis as one); a bare function
-states nothing, so its pairings start at the floor.  A block may also carry
-the conjugates of its values, and their max modulus, which a pairing then
-reads on its conjugated side instead of conjugating and reducing the values
-again (a basis caches both per grid, the maximum when first read).
+Hankel builders pass the images of a whole basis as one) and caches the
+conjugates of its values per grid, which a pairing reads on its conjugated
+side; a bare function states nothing, so its pairings start at the floor.
 
 Every pairing runs under the current ``Evaluation``, which holds its settings
 and counters and the memo of per-generator builds (``memoized``; none pairs).
@@ -114,21 +112,21 @@ class Reach:
 class Block:
     """A pairing side given as one (m, k) array of boundary values per grid, with its reach.
 
-    ``conj``, when given, returns the conjugates of ``values(m)``, as a
-    C-contiguous (m, k) array, and ``conj_max``, when given with it, returns
-    their max modulus as a float.
+    ``conj(m)`` is the conjugate of ``values(m)``, cached per grid, read-only.
     """
 
-    __slots__ = ("values", "reach", "conj", "conj_max")
+    __slots__ = ("values", "reach", "_conj")
 
-    def __init__(self, values, reach: Reach, conj=None, conj_max=None):
+    def __init__(self, values, reach: Reach):
         self.values = values
         self.reach = reach
-        self.conj = conj
-        self.conj_max = conj_max
+        self._conj: dict[int, np.ndarray] = {}
 
     def __call__(self, m: int) -> np.ndarray:
         return self.values(m)
+
+    def conj(self, m: int) -> np.ndarray:
+        return grid_cached(self._conj, m, lambda m: np.conj(self.values(m)))
 
 
 @dataclass
@@ -247,28 +245,33 @@ def reflection(m: int) -> np.ndarray:
     return got
 
 
-def grid_values(cache: dict, m: int, at) -> np.ndarray:
-    """cache[m], the values of the pointwise map ``at`` on the m-grid, made once, read-only.
-
-    ``at`` maps an array of nodes to their values, one row per node.  A
-    cached neighbour is reused: the m-grid is the even rows of a cached
-    2m-grid, and when the m/2-grid is cached only the odd nodes are
-    evaluated and interleaved with it.  Each value is computed from its own
-    node alone, so the result is the same bits as ``at(nodes(m))``.
-    """
+def grid_cached(cache: dict, m: int, compute) -> np.ndarray:
+    """cache[m], made once, read-only and C-contiguous: the even rows of a
+    cached 2m-grid (its even nodes are the m-grid, so the values are the same
+    bits), else compute(m)."""
     got = cache.get(m)
     if got is None:
         fine = cache.get(2 * m)
-        if fine is not None:
-            got = np.ascontiguousarray(fine[::2])
-        elif m % 2 == 0 and (coarse := cache.get(m // 2)) is not None:
-            odd = at(np.ascontiguousarray(nodes(m)[1::2]))
-            got = np.empty((m,) + odd.shape[1:], dtype=odd.dtype)
-            got[::2] = coarse
-            got[1::2] = odd
-        else:
-            got = at(nodes(m))
+        got = np.ascontiguousarray(fine[::2]) if fine is not None else compute(m)
         got = cache[m] = readonly(got)
+    return got
+
+
+def grown(cache: dict, m: int, at) -> np.ndarray:
+    """The values of the pointwise map ``at`` on the m-grid, a compute for `grid_cached`.
+
+    ``at`` maps an array of nodes to their values, one row per node.  When
+    the m/2-grid is cached only the odd nodes are evaluated and interleaved
+    with it.  Each value is computed from its own node alone, so the result
+    is the same bits as ``at(nodes(m))``.
+    """
+    coarse = cache.get(m // 2) if m % 2 == 0 else None
+    if coarse is None:
+        return at(nodes(m))
+    odd = at(np.ascontiguousarray(nodes(m)[1::2]))
+    got = np.empty((m,) + odd.shape[1:], dtype=odd.dtype)
+    got[::2] = coarse
+    got[1::2] = odd
     return got
 
 
@@ -280,23 +283,15 @@ def _value_matrix(side, m: int) -> np.ndarray:
 
 
 def _conj_matrices(side, m: int):
-    """Conjugated values of a pairing side on the m-grid and on its even half,
-    and a thunk for the max modulus of the first.
+    """Conjugated values of a pairing side on the m-grid and on its even half.
 
-    A block that carries its conjugates gives them for both grids (the half
-    grid's nodes are the even ones of the full grid), and their max modulus
-    when it carries that too; other sides are conjugated here, and reduced
-    only if the stopping rule reads the thunk.
+    A block gives its cached conjugates for both grids (the half grid's
+    nodes are the even ones of the full grid); other sides are conjugated here.
     """
-    conj = getattr(side, "conj", None)
-    if conj is not None:
-        full, half = conj(m), conj(m // 2)
-        if side.conj_max is not None:
-            return full, half, lambda: side.conj_max(m)
-    else:
-        G = _value_matrix(side, m)
-        full, half = G.conj(), G[::2].conj()
-    return full, half, lambda: float(np.max(np.abs(full)))
+    if isinstance(side, Block):
+        return side.conj(m), side.conj(m // 2)
+    G = _value_matrix(side, m)
+    return G.conj(), G[::2].conj()
 
 
 def _reach(side) -> Reach:
@@ -339,7 +334,7 @@ def pairing_matrix(fs, gs) -> np.ndarray:
     fs and gs are sequences of objects exposing ``values_at(m)`` and
     ``reach`` (RationalSymbol does), or blocks: functions of m returning all
     their columns as one (m, k) array (a ``Block`` also states their reach,
-    and gs is read through its conjugates when it carries them).
+    and a block gs is read through its cached conjugates).
     The first level, 2 * m0 nodes against m0, comes from the two reaches
     (`first_level`), so the finite part of the integrand is exact and no
     frequency aliases onto the result; from there the node count doubles
@@ -357,14 +352,15 @@ def pairing_matrix(fs, gs) -> np.ndarray:
                 f"circle quadrature did not stabilize to {s.tol:g} within {s.cap} nodes"
             )
         F2 = _value_matrix(fs, 2 * m)
-        G2c, Gc, g_max = _conj_matrices(gs, 2 * m)
+        G2c, Gc = _conj_matrices(gs, 2 * m)
         full = G2c.T @ F2 / (2 * m)
         half = Gc.T @ F2[::2] / m
         # the roundoff floor of the mean grows with the integrand magnitude,
         # so the stopping rule is relative to it; the scale is never below 1,
         # so a gap under tol itself stops without reducing the maxima
         gap = np.max(np.abs(full - half))
-        if gap < s.tol or gap < s.tol * max(1.0, float(np.max(np.abs(F2))) * g_max()):
+        if gap < s.tol or gap < s.tol * max(
+                1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c)))):
             ev.stats.record(2 * m)
             return full
         m *= 2

@@ -8,12 +8,13 @@ conjugation on the circle and the flip J are exact coefficient operations;
 only pairings against other symbols are numeric (see quadrature).
 
 Pairings read boundary values on circle grids only, so grid values are the
-working form of a symbol.  Arithmetic, hat, flip and conjugation on the
-circle combine their operands' values and expand coefficients on demand:
-the first read of ``num`` or ``den`` runs the same ``polymul`` sequence the
-operation would have run eagerly, so the coefficients are bit-identical
-either way.  Division is the exception and expands at once, because its new
-denominator must be certified.
+working form of a symbol, cached per grid, read-only, in the one grid cache
+of every pairing side (``quadrature.grid_cached``).  Arithmetic, hat, flip
+and conjugation on the circle combine their operands' values and expand
+coefficients on demand: the first read of ``num`` or ``den`` runs the same
+``polymul`` sequence the operation would have run eagerly, so the
+coefficients are bit-identical either way.  Division is the exception and
+expands at once, because its new denominator must be certified.
 
 Construction from raw coefficients certifies that no denominator root lies
 within 1e-6 of the circle; arithmetic on certified symbols cannot create
@@ -314,23 +315,19 @@ class RationalSymbol:
         return nv / dv
 
     def values_at(self, m: int) -> np.ndarray:
-        """Boundary values on the m-point uniform circle grid (cached).
+        """Boundary values on the m-point uniform circle grid; cached, read-only, C-contiguous.
 
         Computed through the provider chain when one exists; direct
-        evaluation of the stored coefficients is the leaf fallback.
+        evaluation of the stored coefficients is the leaf fallback.  An m-grid
+        read after the 2m-grid is sliced from it (``quadrature.grid_cached``).
         """
-        got = self._vals.get(m)
-        if got is None:
-            fine = self._vals.get(2 * m)
-            if fine is not None:
-                got = fine[::2]
-            elif self._provider is not None:
-                got = np.asarray(self._provider(m), dtype=complex)
-            else:
-                z = quadrature.nodes(m)
-                got = npoly.polyval(z, self.num) / npoly.polyval(z, self.den)
-            self._vals[m] = got
-        return got
+        return quadrature.grid_cached(self._vals, m, self._evaluated)
+
+    def _evaluated(self, m: int) -> np.ndarray:
+        if self._provider is not None:
+            return np.ascontiguousarray(self._provider(m), dtype=complex)
+        z = quadrature.nodes(m)
+        return npoly.polyval(z, self.num) / npoly.polyval(z, self.den)
 
     # -- predicates and export -----------------------------------------------
 

@@ -351,6 +351,42 @@ class TestCLI:
         assert main(argv) == 2
         assert need in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["build-op", "--op", "clark-perturbation", "--u", "z2", "--alpha", "nan"],
+        ["build-op", "--op", "sedlock", "--u", "z2", "--symbol", '{"laurent":{"1":[1,0]}}',
+         "--alpha", "nan"],
+        ["build-op", "--op", "sedlock", "--u", "z2", "--symbol", '{"laurent":{"1":[1,0]}}',
+         "--alpha", "0.5", "--c", "nan"],
+        ["clark", "--u", "z2", "--alpha", "nan"],
+        ["clark", "--u", "z2", "--alpha", "1,0,5"],
+        ["build-op", "--op", "clark-perturbation", "--u", "z2", "--alpha", "1,inf"],
+    ], ids=["clark-perturbation-nan", "sedlock-nan", "sedlock-c-nan", "clark-nan",
+            "clark-three-parts", "clark-perturbation-infinite-part"])
+    def test_bad_scalar_part_is_usage_error(self, capsys, argv):
+        # each used to print a NaN matrix, fail inside numpy or drop the third part
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: a scalar is re,im or re with finite parts, or inf; got {argv[-1]!r}" \
+            in captured.err
+
+    @pytest.mark.parametrize("command, flag, text", [
+        (["product-test", "--theorem", "kernel-core"], "--spec", "{}"),
+        (["product-test", "--theorem", "kernel-core"], "--spec", "[1,2]"),
+        (["product-test", "--theorem", "kernel-core"], "--spec",
+         '{"operation": "kernel-core", "seed": 1}'),
+        (["classify"], "--input", "{}"),
+        (["build-op", "--op", "tto", "--u", "z2"], "--symbol", '{"nu":[[1,0]]}'),
+    ], ids=["spec-empty", "spec-list", "spec-without-u", "classify-empty", "symbol"])
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, command, flag, text):
+        # each used to end in a KeyError or TypeError traceback, exit 1
+        f = tmp_path / "doc.json"
+        f.write_text(text)
+        assert main([*command, flag, text if flag == "--symbol" else str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"usage error: {flag} is malformed" in captured.err
+
     def test_clark_alpha_off_the_circle_is_usage_error(self, capsys):
         assert main(["clark", "--u", "z3", "--alpha", "0.5"]) == 2
         assert "--alpha needs a unimodular value, got '0.5'" in capsys.readouterr().err
@@ -438,10 +474,21 @@ class TestCLI:
         assert captured.out == ""
         assert "usage error: --tol needs a positive finite value" in captured.err
 
+    def test_verify_suite_negative_quad_cap_is_usage_error(self, capsys):
+        assert main(["verify-suite", "--seed", "7", "--trials", "1",
+                     "--theorem", "kernel-core", "--quad-cap=-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --quad-cap needs a positive finite value" in captured.err
+
     def test_verify_suite_zero_quad_cap_is_not_ignored(self, capsys):
-        # a cap of 0 nodes admits no quadrature level: every pairing fails
+        # a cap of 0 nodes admits no quadrature level, so it is a usage error;
+        # a small positive cap is fault injection: every pairing fails
+        assert main(["verify-suite", "--seed", "3", "--trials", "1",
+                     "--theorem", "quadrature-hygiene", "--quad-cap", "0"]) == 2
+        capsys.readouterr()
         assert main(["verify-suite", "--seed", "3", "--trials", "1", "--json",
-                     "--theorem", "quadrature-hygiene", "--quad-cap", "0"]) == 1
+                     "--theorem", "quadrature-hygiene", "--quad-cap", "8"]) == 1
         report = json.loads(capsys.readouterr().out)
         (check,) = report["checks"]
         assert check["failures"] == 1
@@ -513,3 +560,6 @@ class TestParsers:
         assert parse_scalar("1,0").value == 1.0
         assert parse_scalar("0.5,-0.25").value == 0.5 - 0.25j
         assert parse_scalar("inf").is_infinity
+        for bad in ("nan", "1,nan", "1,0,5", "1,inf", "-inf", "1e999"):
+            with pytest.raises(ValueError):
+                parse_scalar(bad)

@@ -69,12 +69,12 @@ class TestBasis:
         space = tm_basis(u_generic)
         for m in (32, 64):
             flipped = np.conj(quadrature.nodes(m))[:, None] * space.values(m)[quadrature.reflection(m)]
-            assert np.array_equal(space.conj_values(m), np.conj(space.values(m)))
-            assert np.array_equal(space.conj_flipped_values(m), np.conj(flipped))
-            assert space.conj_values(m) is space.conj_values(m)
-            assert space.conj_flipped_values(m) is space.conj_flipped_values(m)
+            assert np.array_equal(space.block.conj(m), np.conj(space.values(m)))
+            assert np.array_equal(space.flipped.conj(m), np.conj(flipped))
+            assert space.block.conj(m) is space.block.conj(m)
+            assert space.flipped.conj(m) is space.flipped.conj(m)
             with pytest.raises(ValueError):
-                space.conj_flipped_values(m)[0, 0] = 0
+                space.flipped.conj(m)[0, 0] = 0
 
     def test_combine_matches_eval(self, u_generic, rng):
         f = tm_basis(u_generic).random_element(rng)
@@ -210,19 +210,6 @@ class TestFactoredEvaluation:
             assert len(evaluated) == 1
             assert evaluated[0].tobytes() == quadrature.nodes(2 * m)[1::2].tobytes()
             assert not grown.flags.writeable
-
-    @pytest.mark.parametrize("m, finer_first", [(32, False), (64, True), (1024, False)])
-    def test_grid_maxima_are_cached_reductions(self, rng, m, finer_first):
-        space = tm_basis(_random_inner(rng, 12))
-        if finer_first:     # the m-grid values are then the even rows of the 2m-grid
-            space.conj_values(2 * m)
-            space.conj_flipped_values(2 * m)
-        got = space.conj_max(m)
-        assert got == float(np.max(np.abs(space.conj_values(m))))
-        assert space.block.conj_max(m) is got
-        got = space.conj_flipped_max(m)
-        assert got == float(np.max(np.abs(space.conj_flipped_values(m))))
-        assert space.flipped.conj_max(m) is got
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_at_matches_expanded_coefficients(self, rng, n):
@@ -492,35 +479,41 @@ class TestMemo:
             # equal generators whose lazy members are all still unread
             return [InnerFunction(u.zeros, u.constant) for u in generators]
 
-        def run_all(gens, clarks):
+        def run_all(gens, clarks, syms):
             out = []
-            for u, clark in zip(gens, clarks, strict=True):
+            for u, clark, sym in zip(gens, clarks, syms, strict=True):
                 out += [build(u).matrix for build in BUILDS]
                 out += [kernel(u, 0.0).coords, conj_kernel(u, 0.0).coords]
                 space = tm_basis(u)
                 out += [np.array(clark.weights), np.array([u.origin_value]),
-                        np.array([space.conj_max(m) for m in (64, 256, 512)]),
-                        np.array([space.conj_flipped_max(m) for m in (64, 256, 512)]),
                         np.concatenate([f.num for f in space.functions]),
                         np.array([hash(u)])]
+                out += [space.block.conj(m) for m in (512, 256, 64)]
+                out += [space.flipped.conj(m) for m in (512, 256, 64)]
                 # grids grown from their halves, racing the other threads' growth
                 out += [space.values(m) for m in (6, 12, 24)]
                 out += [u.boundary_values(m) for m in (6, 12, 24)]
+                # a shared symbol's grids, sliced from their doubles
+                out += [sym.values_at(m) for m in (48, 24, 12)]
             return out
+
+        def symbols(gens):
+            return [(u.as_symbol() + RationalSymbol.monomial(-2)).flip() for u in gens]
 
         with quadrature.use(quadrature.Evaluation()):
             gens = fresh()
             clarks = [clark_points(u, np.exp(0.9j)) for u in gens]
-            want = run_all(gens, clarks)
+            want = run_all(gens, clarks, symbols(gens))
         shared = quadrature.Evaluation()
         gens = fresh()
         clarks = [replace(c, generator=u) for c, u in zip(clarks, gens)]
+        syms = symbols(gens)
         start = Barrier(4, timeout=60)
 
         def worker(_):
             with quadrature.use(shared):
                 start.wait()
-                return run_all(gens, clarks)
+                return run_all(gens, clarks, syms)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(worker, range(4)))

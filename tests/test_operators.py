@@ -199,22 +199,6 @@ class TestBlockBuilds:
                               [f.flip() for f in cod.functions])
         assert np.array_equal(tho_matrix(u_generic, v_generic, sym).matrix, want)
 
-    def test_builds_match_recomputed_maxima(self, u_generic, v_generic, sym):
-        def build():
-            return [tto_matrix(u_generic, v_generic, sym).matrix.tobytes(),
-                    tho_matrix(u_generic, v_generic, sym).matrix.tobytes(),
-                    tho_matrix(v_generic, u_generic, sym.hat()).matrix.tobytes()]
-
-        with quadrature.use(quadrature.Evaluation()):
-            cached = build()
-        with quadrature.use(quadrature.Evaluation()):
-            spaces = [tm_basis(u_generic), tm_basis(v_generic)]
-            for space in spaces:        # each pairing then reduces the conjugated side
-                space.block.conj_max = space.flipped.conj_max = None
-            recomputed = build()
-            assert all(not s._conj_max_cache and not s._conj_flipped_max_cache for s in spaces)
-        assert cached == recomputed
-
     def test_shift_matches_symbol_list(self, u_generic):
         space = tm_basis(u_generic)
         z = RationalSymbol.monomial(1)

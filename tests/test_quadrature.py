@@ -6,6 +6,7 @@ import pytest
 from truncops import modelspace, operators, quadrature
 from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence
+from truncops.modelspace import ModelSpaceBasis
 from truncops.operators import tho_matrix, tto_matrix
 from truncops.quadrature import QuadratureSettings, Reach, pairing_matrix
 from truncops.ratfun import RationalSymbol
@@ -39,43 +40,41 @@ def test_cap_is_checked_before_the_first_level():
         assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": 1024}
 
 
-def _counting_max(value, calls):
-    def conj_max(m):
-        calls.append(m)
-        return value
-    return conj_max
-
-
-def _ones(m):
-    return np.ones((m, 1), dtype=complex)
-
-
-def test_stopping_scale_is_not_read_under_tol():
-    calls = []
-    g = quadrature.Block(_ones, Reach(), _ones, _counting_max(1.0, calls))
-    with quadrature.use(quadrature.Evaluation()) as ev:
-        assert np.array_equal(pairing_matrix([RationalSymbol.constant(2.0)], g), [[2.0]])
-        assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": 32}
-    assert calls == []
-
-
-@pytest.mark.parametrize("g_max, nodes", [(1.0, 32), (0.0, 64)])
-def test_stopping_scale_decides_between_tol_and_scaled_tol(g_max, nodes):
-    # F = A + B z^16: on the first level (32 against 16 nodes) the half grid
-    # aliases z^16 onto the mean, so the gap is |B|, above tol = 1e-12 and
-    # below tol * max|F| * max|G|; the scale the G side reports decides
-    big, small = 1e6, 1e-9
+@pytest.mark.parametrize("big, nodes", [(1e6, 32), (0.5, 64)])
+def test_stopping_scale_decides_between_tol_and_scaled_tol(big, nodes):
+    # F = big + small z^16 against G = 1: on the first level (32 against 16
+    # nodes) the half grid aliases z^16 onto the mean, so the gap is small,
+    # above tol = 1e-12 and below tol * max(1, max|F| * max|G|) for big = 1e6
+    # only; for big = 0.5 the next level integrates z^16 exactly
+    small = 1e-9
 
     def f_values(m):
         return (big + small * quadrature.nodes(m) ** 16)[:, None]
 
-    calls = []
-    g = quadrature.Block(_ones, Reach(), _ones, _counting_max(g_max, calls))
+    ones = quadrature.Block(lambda m: np.ones((m, 1), dtype=complex), Reach())
     with quadrature.use(quadrature.Evaluation()) as ev:
-        got = pairing_matrix(quadrature.Block(f_values, Reach()), g)
+        got = pairing_matrix(quadrature.Block(f_values, Reach()), ones)
         assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": nodes}
-    assert calls == [32]
     assert got[0, 0] == pytest.approx(big, rel=1e-15)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda u: ModelSpaceBasis(u).values,
+    lambda u: u.boundary_values,
+    lambda u: ModelSpaceBasis(u).functions[1].values_at,                       # a provider
+    lambda u: RationalSymbol(u.num_coeffs, [1.0, -0.4j, 0.1]).values_at,     # coefficients
+    lambda u: ModelSpaceBasis(u).flipped.conj,
+], ids=["basis", "inner", "symbol-provider", "symbol-coefficients", "block-conj"])
+def test_grid_read_after_its_double_is_a_cold_contiguous_readonly_copy(reader):
+    m = 32
+    zeros = (0.3 + 0.4j, -0.5, 0.2 - 0.6j, 0.7j)
+    cold = reader(InnerFunction(zeros))(m)
+    read = reader(InnerFunction(zeros))
+    read(2 * m)
+    got = read(m)
+    assert got.tobytes() == cold.tobytes()
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert read(m) is got
 
 
 def test_first_level_floor_is_the_power_of_two_at_least_start():
