@@ -33,6 +33,7 @@ from .errors import (
     NotTHO,
     NotTTO,
     Singular,
+    SpaceMismatch,
     ZeroAnchor,
 )
 from .modelspace import (
@@ -126,6 +127,7 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     On success A equals the Toeplitz operator with symbol
     part1 + conj(part2); the rebuild residual certifies it.
     """
+    _require_linear(A, "is_tto")
     u = A.domain.generator
     v = A.codomain.generator
     disp = A - shift(v) @ A @ shift_adj(u)
@@ -160,6 +162,7 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     psi = S_u part2 + u hat(part1) lies in K_{u hat(v)}, and B equals the
     Hankel operator with symbol conj(psi); the rebuild residual certifies it.
     """
+    _require_linear(B, "is_tho")
     u = B.domain.generator
     v = B.codomain.generator
     disp = B - shift(v) @ B @ shift(u)
@@ -258,6 +261,7 @@ def sedlock_class(A: OperatorMatrix) -> SedlockReport:
     reciprocal-conjugate parameter, which covers the outside and infinity).
     Scalar multiples of the identity belong to every class.
     """
+    _require_linear(A, "sedlock_class")
     if A.domain != A.codomain:
         raise NotTTO("Sedlock classification needs an operator on a single K_u")
     u = A.domain.generator
@@ -300,6 +304,11 @@ def class_values(alpha: ExtendedScalar, *members: OperatorMatrix) -> list[np.nda
 
 # ---------------------------------------------------------------------------
 # structural reports for Hankel operators over a real symmetric generator
+
+
+def _require_linear(M: OperatorMatrix, caller: str):
+    if M.antilinear:
+        raise SpaceMismatch(f"{caller} needs a linear operator; Toeplitz and Hankel are linear")
 
 
 def _require_symmetric(u: InnerFunction):

@@ -181,6 +181,10 @@ def _cmd_product_test(args) -> int:
         return 2
     problem = _decoded("--spec", _read_input(args.spec),
                        lambda text: harness.ProblemSpec.from_json(json.loads(text)))
+    spaces = harness.CHECKS[args.theorem].constraints.get("spaces", 1)
+    missing = [k for k, n in (("v", 2), ("w", 3)) if spaces >= n and getattr(problem, k) is None]
+    if missing:
+        raise ValueError(f"--spec lacks {' and '.join(missing)}, which {args.theorem} needs")
     problem.operation = args.theorem
     result = harness.run_trial(args.theorem, problem)
     payload = {

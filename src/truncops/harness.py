@@ -90,7 +90,7 @@ def _unit(rng):
 
 @dataclass
 class ProblemSpec:
-    """A fully serialized trial instance."""
+    """A fully serialized trial instance, kept as given; its views decode each field once."""
 
     operation: str
     seed: int
@@ -101,6 +101,7 @@ class ProblemSpec:
     params: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     schema: str = SCHEMA
+    _decoded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {"schema": self.schema, "operation": self.operation, "seed": self.seed,
@@ -119,27 +120,40 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, obj) -> "ProblemSpec":
+        """Decode a spec with what `generate_instance` always writes: u, the
+        symbol and the params alpha, lambda, eta and c as [re, im] pairs.  A
+        missing or malformed field raises KeyError, IndexError or TypeError."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        return cls(
+        spec = cls(
             operation=obj["operation"], seed=int(obj["seed"]), u=obj["u"],
-            v=obj.get("v"), w=obj.get("w"), symbol=obj.get("symbol"),
+            v=obj.get("v"), w=obj.get("w"), symbol=obj["symbol"],
             params=obj.get("params", {}), tolerances=obj.get("tolerances", {}),
             schema=obj.get("schema", SCHEMA),
         )
+        for key in ("u", "symbol") + tuple(k for k in ("v", "w") if obj.get(k) is not None):
+            spec._decode(key)
+        for name in ("alpha", "lambda", "eta", "c"):
+            spec.param_c(name)
+        return spec
 
-    # hydrated views
+    def _decode(self, key: str):
+        if key not in self._decoded:
+            parse = RationalSymbol.from_json if key == "symbol" else InnerFunction.from_json
+            self._decoded[key] = parse(getattr(self, key))
+        return self._decoded[key]
+
     def inner_u(self) -> InnerFunction:
-        return InnerFunction.from_json(self.u)
+        return self._decode("u")
 
     def inner_v(self) -> InnerFunction:
-        return InnerFunction.from_json(self.v)
+        return self._decode("v")
 
     def inner_w(self) -> InnerFunction:
-        return InnerFunction.from_json(self.w)
+        return self._decode("w")
 
     def rational(self) -> RationalSymbol:
-        return RationalSymbol.from_json(self.symbol)
+        return self._decode("symbol")
 
     def param_c(self, name: str) -> complex:
         re, im = self.params[name]
@@ -1075,7 +1089,7 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
         raise InvalidRange(f"trials must be >= 0, got {cfg.trials}")
     if cfg.tol is not None and not (np.isfinite(cfg.tol) and cfg.tol > 0):
         raise InvalidRange(f"tol must be positive and finite, got {cfg.tol}")
-    ids = cfg.checks or list(CHECKS)
+    ids = list(dict.fromkeys(cfg.checks or CHECKS))     # repeated ids run once
     for cid in ids:
         if cid not in CHECKS:
             raise InvalidRange(f"unknown check id {cid!r}; known: {sorted(CHECKS)}")

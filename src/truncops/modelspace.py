@@ -33,7 +33,7 @@ from numpy.polynomial import polynomial as npoly
 from . import quadrature
 from .blaschke import InnerFunction
 from .errors import SpaceMismatch, SymbolNotInClass
-from .quadrature import Block, pairing_matrix, pairing_vector, readonly
+from .quadrature import Block, pairing_matrix, readonly
 from .ratfun import RationalSymbol
 
 GRAM_TOL = 1e-10
@@ -231,13 +231,13 @@ def gram_residual(space: ModelSpaceBasis) -> float:
 
 def inner_product(f: RationalSymbol, g: RationalSymbol) -> complex:
     """(1/2pi) int f(e^it) conj(g(e^it)) dt by adaptive trapezoid quadrature."""
-    return complex(pairing_matrix([f], [g])[0, 0])
+    return complex(pairing_matrix(Block.of(f), Block.of(g))[0, 0])
 
 
 def project(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
     """P_u sym: expansion of the symbol against the orthonormal basis of K_u."""
     space = tm_basis(u)
-    coords = pairing_vector(sym, space.block)
+    coords = pairing_matrix(Block.of(sym), space.block)[:, 0]
     return SpaceElement(space, coords)
 
 

@@ -29,13 +29,12 @@ tol * max(1, max|F| * max|G|), the roundoff floor of the mean.  That scale is
 never below 1, so a gap under tol stops at once and the maxima are reduced
 only when the gap falls between tol and the scaled bound.
 
-A side of a pairing is either a sequence of symbols, stacked column by
-column, or a block: a function of m that returns all of its columns at once
-as one (m, k) array.  A ``Block`` carries the reach of its columns
-(``ModelSpaceBasis.block`` is the block of a basis, and the Toeplitz and
-Hankel builders pass the images of a whole basis as one) and caches the
-conjugates of its values per grid, which a pairing reads on its conjugated
-side; a bare function states nothing, so its pairings start at the floor.
+Each side of a pairing is a ``Block``: a function of m that returns all of
+its columns at once as one (m, k) array, with the reach of those columns.
+``ModelSpaceBasis.block`` is the block of a basis, the Toeplitz and Hankel
+builders pass the images of a whole basis as one, and ``Block.of`` stacks
+symbols as columns.  A block caches the conjugates of its values per grid,
+which a pairing reads on its conjugated side.
 
 Every pairing runs under the current ``Evaluation``, which holds its settings
 and counters and the memo of per-generator builds (``memoized``; none pairs).
@@ -49,7 +48,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, reduce, wraps
 
 import numpy as np
 
@@ -122,8 +121,11 @@ class Block:
         self.reach = reach
         self._conj: dict[int, np.ndarray] = {}
 
-    def __call__(self, m: int) -> np.ndarray:
-        return self.values(m)
+    @classmethod
+    def of(cls, *symbols) -> "Block":
+        """The block of these symbols as columns, with their joined reach."""
+        return cls(lambda m: np.column_stack([s.values_at(m) for s in symbols]),
+                   reduce(Reach.join, (s.reach for s in symbols), Reach()))
 
     def conj(self, m: int) -> np.ndarray:
         return grid_cached(self._conj, m, lambda m: np.conj(self.values(m)))
@@ -275,36 +277,6 @@ def grown(cache: dict, m: int, at) -> np.ndarray:
     return got
 
 
-def _value_matrix(side, m: int) -> np.ndarray:
-    """Boundary values of one pairing side, a block or a sequence of symbols, as (m, k)."""
-    if callable(side):
-        return side(m)
-    return np.column_stack([s.values_at(m) for s in side])
-
-
-def _conj_matrices(side, m: int):
-    """Conjugated values of a pairing side on the m-grid and on its even half.
-
-    A block gives its cached conjugates for both grids (the half grid's
-    nodes are the even ones of the full grid); other sides are conjugated here.
-    """
-    if isinstance(side, Block):
-        return side.conj(m), side.conj(m // 2)
-    G = _value_matrix(side, m)
-    return G.conj(), G[::2].conj()
-
-
-def _reach(side) -> Reach:
-    if callable(side):
-        return getattr(side, "reach", Reach())
-    if len(side) == 1:
-        return side[0].reach
-    out = Reach()
-    for s in side:
-        out = out.join(s.reach)
-    return out
-
-
 def first_level(f: Reach, g: Reach, settings: QuadratureSettings) -> int:
     """The half level m0 of a pairing's first comparison (2 * m0 against m0 nodes).
 
@@ -329,12 +301,9 @@ def first_level(f: Reach, g: Reach, settings: QuadratureSettings) -> int:
 
 
 def pairing_matrix(fs, gs) -> np.ndarray:
-    """G[i, j] = (1/2pi) \\int fs[j](e^{it}) conj(gs[i](e^{it})) dt.
+    """G[i, j] = (1/2pi) \\int fs[j](e^{it}) conj(gs[i](e^{it})) dt for two blocks.
 
-    fs and gs are sequences of objects exposing ``values_at(m)`` and
-    ``reach`` (RationalSymbol does), or blocks: functions of m returning all
-    their columns as one (m, k) array (a ``Block`` also states their reach,
-    and a block gs is read through its cached conjugates).
+    fs is read through its values and gs through its cached conjugates.
     The first level, 2 * m0 nodes against m0, comes from the two reaches
     (`first_level`), so the finite part of the integrand is exact and no
     frequency aliases onto the result; from there the node count doubles
@@ -345,14 +314,14 @@ def pairing_matrix(fs, gs) -> np.ndarray:
     """
     ev = _current.get()
     s = ev.settings
-    m = first_level(_reach(fs), _reach(gs), s)
+    m = first_level(fs.reach, gs.reach, s)
     while True:
         if 2 * m > s.cap:
             raise NoConvergence(
                 f"circle quadrature did not stabilize to {s.tol:g} within {s.cap} nodes"
             )
-        F2 = _value_matrix(fs, 2 * m)
-        G2c, Gc = _conj_matrices(gs, 2 * m)
+        F2 = fs.values(2 * m)
+        G2c, Gc = gs.conj(2 * m), gs.conj(m)
         full = G2c.T @ F2 / (2 * m)
         half = Gc.T @ F2[::2] / m
         # the roundoff floor of the mean grows with the integrand magnitude,
@@ -364,8 +333,3 @@ def pairing_matrix(fs, gs) -> np.ndarray:
             ev.stats.record(2 * m)
             return full
         m *= 2
-
-
-def pairing_vector(f, gs) -> np.ndarray:
-    """Column of pairings <f, gs[i]> as a 1-d array."""
-    return pairing_matrix([f], gs)[:, 0]

@@ -37,7 +37,7 @@ from truncops import harness, quadrature
 from truncops.blaschke import InnerFunction, clark_points, monomial_inner
 from truncops.classify import _class_certificate, class_values, spectral_values
 from truncops.errors import (DegenerateSpectrum, NoCertificate, NotRealSymmetric, NotTHO,
-                             ZeroAnchor)
+                             SpaceMismatch, ZeroAnchor)
 from truncops.harness import SuiteConfig, random_inner, random_laurent, run_suite
 from truncops.operators import shift_adj
 
@@ -106,6 +106,15 @@ class TestIsTTO:
         M = OperatorMatrix(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
                            space, space)
         assert not is_tto(M, recover=False).is_member
+
+
+@pytest.mark.parametrize("test", [is_tto, is_tho, sedlock_class])
+def test_an_antilinear_operand_is_rejected(test):
+    # x -> S conj(x) used to be a Toeplitz member of class 0
+    u = monomial_inner(3)
+    op = OperatorMatrix(shift(u).matrix, tm_basis(u), tm_basis(u), antilinear=True)
+    with pytest.raises(SpaceMismatch, match="linear operator"):
+        test(op)
 
 
 class TestIsTHO:

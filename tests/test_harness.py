@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -127,9 +128,12 @@ class TestSuite:
             assert ce["error"].startswith("NoCertificate"), ce["error"]
 
     def test_byte_determinism(self):
-        r1 = run_suite(SuiteConfig(seed=7, trials=2))
-        r2 = run_suite(SuiteConfig(seed=7, trials=2))
+        r1 = run_suite(SuiteConfig(seed=7))
+        r2 = run_suite(SuiteConfig(seed=7))
         assert r1.json_bytes() == r2.json_bytes()
+        # a change that moves the reports on purpose updates this digest
+        assert hashlib.sha256(r1.json_bytes()).hexdigest() == \
+            "0336a4f9c884edc032983649f7ea8adb6df539f627788ac59a3cc2dbb0e5b4e1"
 
     def test_zero_trials_fails_build(self):
         rep = run_suite(SuiteConfig(seed=1, trials=0, checks=["kernel-core"]))
@@ -143,6 +147,11 @@ class TestSuite:
         rep = run_suite(SuiteConfig(seed=1, trials=1,
                                     checks=["kernel-core", "clark-unitary"]))
         assert [c["id"] for c in rep.checks] == ["kernel-core", "clark-unitary"]
+
+    def test_repeated_check_runs_once(self):
+        rep = run_suite(SuiteConfig(seed=1, trials=1,
+                                    checks=["clark-unitary", "kernel-core", "clark-unitary"]))
+        assert [c["id"] for c in rep.checks] == ["clark-unitary", "kernel-core"]
 
     def test_unknown_check_rejected(self):
         with pytest.raises(InvalidRange):
@@ -386,6 +395,36 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"usage error: {flag} is malformed" in captured.err
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda spec: spec.update(u={}), "KeyError: 'zeros'"),
+        (lambda spec: spec.pop("params"), "KeyError: 'alpha'"),
+        (lambda spec: spec["params"].update({"lambda": 0.2}), "TypeError"),
+        (lambda spec: spec.pop("v"), "--spec lacks v, which displacement-roundtrip needs"),
+        (lambda spec: spec.pop("symbol"), "KeyError: 'symbol'"),
+    ], ids=["u-empty", "no-params", "lambda-scalar", "no-v", "no-symbol"])
+    def test_incomplete_spec_is_usage_error(self, tmp_path, capsys, edit, says):
+        # each used to end in a KeyError or TypeError traceback, exit 1
+        spec = generate_instance(4, (2, 3), (1, 2), {"spaces": 2}).to_json()
+        edit(spec)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        assert main(["product-test", "--theorem", "displacement-roundtrip", "--spec", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage error: --spec" in captured.err and says in captured.err
+
+    def test_classify_antilinear_is_an_error(self, tmp_path, capsys):
+        # x -> S conj(x) used to be classified as a Toeplitz operator
+        assert main(["build-op", "--op", "shift", "--u", "z3", "--json"]) == 0
+        op = json.loads(capsys.readouterr().out)
+        op["antilinear"] = True
+        f = tmp_path / "op.json"
+        f.write_text(json.dumps(op))
+        assert main(["classify", "--input", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: SpaceMismatch: is_tto needs a linear operator" in captured.err
 
     def test_clark_alpha_off_the_circle_is_usage_error(self, capsys):
         assert main(["clark", "--u", "z3", "--alpha", "0.5"]) == 2

@@ -36,7 +36,7 @@ from truncops.modelspace import (
     gram_residual,
 )
 from truncops import quadrature
-from truncops.quadrature import QuadratureSettings
+from truncops.quadrature import Block, QuadratureSettings, Reach
 
 
 class TestBasis:
@@ -236,7 +236,8 @@ class TestFactoredEvaluation:
                 return ((1.0 - np.conj(ulam) * u.boundary_values(m))
                         / (1.0 - np.conj(lam) * z))[:, None]
             pairing = quadrature.pairing_matrix(
-                lambda m: (f.space.values(m) @ f.coords)[:, None], kvals)[0, 0]
+                Block(lambda m: (f.space.values(m) @ f.coords)[:, None], Reach()),
+                Block(kvals, Reach()))[0, 0]
             assert abs(f.inner(kernel(u, lam)) - f(lam)) < 1e-12 * max(1.0, abs(f(lam)))
             assert abs(pairing - f(lam)) < 1e-12 * max(1.0, abs(f(lam)))
 

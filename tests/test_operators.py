@@ -190,29 +190,31 @@ class TestBlockBuilds:
 
     def test_tto_matches_symbol_list(self, u_generic, v_generic, sym):
         dom, cod = tm_basis(u_generic), tm_basis(v_generic)
-        want = pairing_matrix([sym * f for f in dom.functions], cod.functions)
+        want = pairing_matrix(Block.of(*[sym * f for f in dom.functions]),
+                              Block.of(*cod.functions))
         assert np.array_equal(tto_matrix(u_generic, v_generic, sym).matrix, want)
 
     def test_tho_matches_symbol_list(self, u_generic, v_generic, sym):
         dom, cod = tm_basis(u_generic), tm_basis(v_generic)
-        want = pairing_matrix([sym * f for f in dom.functions],
-                              [f.flip() for f in cod.functions])
+        want = pairing_matrix(Block.of(*[sym * f for f in dom.functions]),
+                              Block.of(*[f.flip() for f in cod.functions]))
         assert np.array_equal(tho_matrix(u_generic, v_generic, sym).matrix, want)
 
     def test_shift_matches_symbol_list(self, u_generic):
         space = tm_basis(u_generic)
         z = RationalSymbol.monomial(1)
-        want = pairing_matrix([z * f for f in space.functions], space.functions)
+        want = pairing_matrix(Block.of(*[z * f for f in space.functions]),
+                              Block.of(*space.functions))
         assert np.max(np.abs(shift(u_generic).matrix - want)) <= 1e-13
 
     def test_conjugations_match_symbol_lists(self, u_generic):
         space = tm_basis(u_generic)
         usym = u_generic.as_symbol()
-        want = pairing_matrix([usym * f.hat().flip() for f in space.functions],
-                              space.functions)
+        want = pairing_matrix(Block.of(*[usym * f.hat().flip() for f in space.functions]),
+                              Block.of(*space.functions))
         assert np.max(np.abs(conjugation_C(u_generic).matrix - want)) <= 1e-13
-        want = pairing_matrix([f.hat() for f in space.functions],
-                              tm_basis(u_generic.hat()).functions)
+        want = pairing_matrix(Block.of(*[f.hat() for f in space.functions]),
+                              Block.of(*tm_basis(u_generic.hat()).functions))
         assert np.max(np.abs(conjugation_U(u_generic).matrix - want)) <= 1e-13
 
 

@@ -6,9 +6,9 @@ import pytest
 from truncops import modelspace, operators, quadrature
 from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence
-from truncops.modelspace import ModelSpaceBasis
+from truncops.modelspace import ModelSpaceBasis, inner_product, project
 from truncops.operators import tho_matrix, tto_matrix
-from truncops.quadrature import QuadratureSettings, Reach, pairing_matrix
+from truncops.quadrature import Block, QuadratureSettings, Reach, pairing_matrix
 from truncops.ratfun import RationalSymbol
 
 
@@ -30,13 +30,13 @@ def test_override_shares_counters_and_memo():
 
 
 def test_cap_is_checked_before_the_first_level():
-    one = RationalSymbol.one()
+    one = Block.of(RationalSymbol.one())
     with quadrature.use(quadrature.Evaluation(QuadratureSettings(start=1024, cap=1024))) as ev:
         with pytest.raises(NoConvergence):
-            pairing_matrix([one], [one])
+            pairing_matrix(one, one)
         assert ev.stats.snapshot() == {"pairings": 0, "max_nodes": 0}
     with quadrature.use(quadrature.Evaluation(QuadratureSettings(start=512, cap=1024))) as ev:
-        assert np.allclose(pairing_matrix([one], [one]), [[1.0]])
+        assert np.allclose(pairing_matrix(one, one), [[1.0]])
         assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": 1024}
 
 
@@ -51,9 +51,9 @@ def test_stopping_scale_decides_between_tol_and_scaled_tol(big, nodes):
     def f_values(m):
         return (big + small * quadrature.nodes(m) ** 16)[:, None]
 
-    ones = quadrature.Block(lambda m: np.ones((m, 1), dtype=complex), Reach())
+    ones = Block(lambda m: np.ones((m, 1), dtype=complex), Reach())
     with quadrature.use(quadrature.Evaluation()) as ev:
-        got = pairing_matrix(quadrature.Block(f_values, Reach()), ones)
+        got = pairing_matrix(Block(f_values, Reach()), ones)
         assert ev.stats.snapshot() == {"pairings": 1, "max_nodes": nodes}
     assert got[0, 0] == pytest.approx(big, rel=1e-15)
 
@@ -86,8 +86,8 @@ def test_first_level_floor_is_the_power_of_two_at_least_start():
 
 def test_a_single_symbol_side_reaches_as_the_symbol():
     sym = RationalSymbol([1.0], [0.3, -2.0])
-    assert quadrature._reach([sym]) == sym.reach
-    assert quadrature._reach([sym, RationalSymbol.monomial(3)]) == Reach(sym.reach.rho, 3)
+    assert Block.of(sym).reach == sym.reach
+    assert Block.of(sym, RationalSymbol.monomial(3)).reach == Reach(sym.reach.rho, 3)
 
 
 # -- the stopping loop as it was before the scale was deferred, kept as a
@@ -97,7 +97,7 @@ def test_a_single_symbol_side_reaches_as_the_symbol():
 def _reference_pairing_matrix(fs, gs):
     ev = quadrature.current()
     s = ev.settings
-    f, g = (side.reach if callable(side) else _joined(side) for side in (fs, gs))
+    f, g = fs.reach, gs.reach
     m = 1
     while m < s.start:
         m *= 2
@@ -108,12 +108,10 @@ def _reference_pairing_matrix(fs, gs):
     while True:
         if 2 * m > s.cap:
             raise NoConvergence("reference quadrature did not stabilize")
-        F2 = quadrature._value_matrix(fs, 2 * m)
-        if getattr(gs, "conj", None) is not None:
-            G2c, Gc = gs.conj(2 * m), gs.conj(m)
-        else:
-            G = quadrature._value_matrix(gs, 2 * m)
-            G2c, Gc = G.conj(), G[::2].conj()
+        F2 = fs.values(2 * m)
+        # conjugated here, not read from the block's cache
+        G = gs.values(2 * m)
+        G2c, Gc = G.conj(), G[::2].conj()
         g_max = float(np.max(np.abs(G2c)))
         full = G2c.T @ F2 / (2 * m)
         half = Gc.T @ F2[::2] / m
@@ -124,17 +122,12 @@ def _reference_pairing_matrix(fs, gs):
         m *= 2
 
 
-def _joined(side):
-    out = Reach()
-    for s in side:
-        out = out.join(s.reach)
-    return out
-
-
 def _builds(u):
     sym = RationalSymbol.from_laurent({-2: 0.3 - 0.1j, 0: 1.0, 1: -0.4j, 3: 0.2})
-    return [tto_matrix(u, u, sym), tto_matrix(u, u, u.as_symbol() + sym),
-            tho_matrix(u, u, sym), tho_matrix(u, u.hat(), sym * u.conj_symbol())]
+    ops = [tto_matrix(u, u, sym), tto_matrix(u, u, u.as_symbol() + sym),
+           tho_matrix(u, u, sym), tho_matrix(u, u.hat(), sym * u.conj_symbol())]
+    return [op.matrix for op in ops] + [project(u, sym).coords,
+                                        np.array(inner_product(sym, sym))]
 
 
 @pytest.mark.parametrize("degree", [2, 8, 16, 32])
@@ -147,7 +140,7 @@ def test_pairing_path_is_bitwise_the_reference_loop(monkeypatch, degree):
         # a fresh generator and evaluation, so every grid and basis starts cold
         u = InnerFunction(tuple(zeros), np.exp(0.7j))
         with quadrature.use(quadrature.Evaluation()) as ev:
-            mats = [op.matrix.tobytes() for op in _builds(u)]
+            mats = [mat.tobytes() for mat in _builds(u)]
             return mats, ev.stats.snapshot()
 
     got = run()
