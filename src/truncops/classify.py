@@ -53,7 +53,9 @@ from .operators import (
     shift,
     shift_adj,
     symmetric_involution,
+    tho_by_pairing,
     tho_matrix,
+    tto_by_pairing,
     tto_matrix,
 )
 from .ratfun import RationalSymbol
@@ -137,7 +139,8 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     if not recover:
         return TTOMembership(True, dec.left, dec.right, None, dec.residual_norm)
     symbol = dec.left.rep() + dec.right.rep().conj_circle()
-    rebuilt = tto_matrix(u, v, symbol)
+    # by quadrature, whatever the generators: a path apart from the closed forms
+    rebuilt = tto_by_pairing(u, v, symbol)
     rres = float(np.max(np.abs(rebuilt.matrix - A.matrix)))
     ok = rres < REBUILD_TOL * max(1.0, float(np.linalg.norm(A.matrix)))
     return TTOMembership(ok, dec.left, dec.right, symbol, dec.residual_norm, rres)
@@ -176,7 +179,7 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     psi = tm_basis(u * v.hat()).element(np.concatenate(
         [shift(u).matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
     symbol = psi.rep().conj_circle()
-    rres = float(np.max(np.abs(tho_matrix(u, v, symbol).matrix - B.matrix)))
+    rres = float(np.max(np.abs(tho_by_pairing(u, v, symbol).matrix - B.matrix)))
     if rres >= REBUILD_TOL * max(1.0, float(np.linalg.norm(B.matrix))):
         return THOMembership(False, None, None, dec.residual_norm, rres)
     return THOMembership(True, psi, symbol, dec.residual_norm, rres)

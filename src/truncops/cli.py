@@ -85,10 +85,11 @@ def parse_symbol(text: str) -> RationalSymbol:
 
 
 def _decoded(flag: str, text: str, parse):
-    """parse(text) for the text of a flag; JSON of the wrong shape is a usage error naming it."""
+    """parse(text) for the text of a flag; JSON of the wrong shape or with a
+    value of the wrong kind is a usage error naming it."""
     try:
         return parse(text)
-    except (KeyError, IndexError, TypeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{flag} is malformed: {type(exc).__name__}: {exc}") from None
 
 

@@ -6,13 +6,22 @@ constructors, the functional calculus of the Sedlock classes, and the
 unitary involution available over a real symmetric generator.
 
 The shift, its perturbations, the functional calculus and the involution
-are exact matrix algebra.  Toeplitz and Hankel entries are pairings of
-exact rational symbols, whose one numeric step is the circle quadrature;
-conj(u) on the circle is the rational function 1/u.  The builders pair
-whole blocks of basis values (symbol times basis, and the flipped basis).
+are exact matrix algebra.  So are the Toeplitz and Hankel builders for a
+Laurent symbol sum(c_k z^k, -N <= k <= M), whose poles lie at 0 and
+infinity only: A = phi_+(S_v) G + G phi_-(S_u)* (Sarason 2007), with
+phi_+ = sum_(k>=0) c_k z^k, phi_- = sum_(k>=1) conj(c_-k) z^k and G = P_v|K_u
+the cross Gram matrix (`cross_gram`), and
+B = sum_(p>=0) c_-(p+1) sum_(m<=p) (S_v^(p-m) k0_v)(S_u^m k0_u)^H.
+For any other symbol the entries are pairings of exact rational symbols,
+whose one numeric step is the circle quadrature (`tto_by_pairing`,
+`tho_by_pairing`); conj(u) on the circle is the rational function 1/u.
+Those builders pair whole blocks of basis values (symbol times basis, and
+the flipped basis).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -108,15 +117,114 @@ def level_points(u: InnerFunction, level) -> np.ndarray:
     return eigvals
 
 
+@quadrature.memoized(512)
+def cross_gram(u: InnerFunction, v: InnerFunction) -> OperatorMatrix:
+    """G = P_v restricted to K_u, G[i, j] = <e_j, e_i> across the two bases,
+    memoized in the current evaluation; the matrix is read-only.
+
+    Exact: P_v(z h) = S_v P_v h for every h in H^2, since (I - P_v) h lies in
+    v H^2, and f = f(0) + z S_u* f on K_u, so G - S_v G S_u* = k0_v k0_u^H.
+    S_u is lower triangular with the zeros a_j of u on its diagonal, so
+    column j solves (I - conj(a_j) S_v) g_j = conj(k0_u[j]) k0_v
+    + S_v sum_(l<j) conj(S_u[j, l]) g_l, by forward substitution.  Row i of
+    S_v is b_i on the diagonal and w_i w_l prod_(l<k<i) (-conj(b_k)) before it
+    (`shift`), so its sum over the earlier rows is w_i t_i, with
+    t_(i+1) = w_i y_i - conj(b_i) t_i: each solve takes O(deg v) steps.
+    G = I when u and v share their zeros.
+    """
+    dom, cod = tm_basis(u), tm_basis(v)
+    if u.zeros == v.zeros:
+        return OperatorMatrix(readonly(np.eye(dom.dim, dtype=complex)), dom, cod)
+    su, sv = shift(u).matrix, shift(v).matrix
+    rows = [(b, math.sqrt(1.0 - abs(b) ** 2)) for b in v.zeros]
+    gram = np.outer(cod.k0, np.conj(dom.k0))    # column j turns into g_j in turn
+    for j, a in enumerate(u.zeros):
+        lam = a.conjugate()
+        rhs = gram[:, j] + sv @ (gram[:, :j] @ np.conj(su[j, :j]))
+        col, t = [], 0j
+        for (b, w), x in zip(rows, rhs.tolist()):
+            y = (x + lam * w * t) / (1.0 - lam * b)
+            col.append(y)
+            t = w * y - b.conjugate() * t
+        gram[:, j] = col
+    return OperatorMatrix(readonly(gram), dom, cod)
+
+
+def _laurent(sym: RationalSymbol) -> tuple[np.ndarray, int] | None:
+    """(c, N) with sym = sum_k c[k + N] z^k, c holding at least c_-N..c_0, when
+    every pole of sym lies at 0 or infinity; None for any other symbol."""
+    if sym.reach.rho != math.inf:
+        return None
+    num, order = sym.num, sym.den.size - 1     # the monic denominator is z^N
+    if num.size <= order:
+        num = np.concatenate([num, np.zeros(order + 1 - num.size, dtype=complex)])
+    return num, order
+
+
+def _krylov(mat: np.ndarray, vec: np.ndarray, count: int) -> np.ndarray:
+    """The columns vec, mat vec, ..., mat^(count-1) vec."""
+    out = np.empty((vec.size, count), dtype=complex)
+    out[:, 0] = vec
+    for k in range(1, count):
+        out[:, k] = mat @ out[:, k - 1]
+    return out
+
+
 def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
-    """Truncated Toeplitz operator f -> P_v(sym * f) from K_u into K_v."""
+    """Truncated Toeplitz operator f -> P_v(sym * f) from K_u into K_v.
+
+    Exact for a Laurent symbol: phi_+(S_v) G + G phi_-(S_u)*, by Horner's rule
+    on G = `cross_gram(u, v)`, which makes no pairing.  Any other symbol is
+    paired (`tto_by_pairing`).
+    """
+    laurent = _laurent(sym)
+    if laurent is None:
+        return tto_by_pairing(u, v, sym)
+    c, order = laurent
+    c = c.tolist()      # scalar products with Python numbers are cheaper
+    gram = cross_gram(u, v)
+    # phi_+(S_v) G as the transpose of G^T phi_+(S_v)^T
+    mat = _horner(c[order:], shift(v).matrix.T, gram.matrix.T).T
+    if order:   # G phi_-(S_u)* = (sum_(k>=1) c_-k G (S_u*)^(k-1)) S_u*
+        adj = shift(u).matrix.conj().T
+        mat += _horner(c[order - 1::-1], adj, gram.matrix) @ adj
+    return OperatorMatrix(mat, gram.domain, gram.codomain)
+
+
+def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
+    """Truncated Hankel operator f -> P_v J (I-P)(sym * f) from K_u into K_v.
+
+    Exact for a Laurent symbol: <e_j, z^m> = conj((S_u^m k0_u)_j), so with
+    h_p = c_-(p+1) the matrix is sum_(a+b<N) h_(a+b) x_a y_b^H over the
+    columns x_a = S_v^a k0_v and y_b = S_u^b k0_u; the analytic part of the
+    symbol gives 0.  Any other symbol is paired (`tho_by_pairing`).
+    """
+    laurent = _laurent(sym)
+    if laurent is None:
+        return tho_by_pairing(u, v, sym)
+    c, order = laurent
+    dom, cod = tm_basis(u), tm_basis(v)
+    if not order:
+        return OperatorMatrix(np.zeros((cod.dim, dom.dim), dtype=complex), dom, cod)
+    h = c[order - 1::-1]
+    x = _krylov(shift(v).matrix, cod.k0, order)
+    yh = _krylov(shift(u).matrix, dom.k0, order).conj().T
+    rows = np.empty((order, dom.dim), dtype=complex)    # rows[a] = sum_b h_(a+b) y_b^H
+    for a in range(order):
+        rows[a] = h[a:] @ yh[:order - a]
+    return OperatorMatrix(x @ rows, dom, cod)
+
+
+def tto_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
+    """`tto_matrix` by circle quadrature, for any symbol: the entries
+    <sym * e_j, e_i> paired as one block."""
     dom = tm_basis(u)
     cod = tm_basis(v)
     return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.block), dom, cod)
 
 
-def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
-    """Truncated Hankel operator f -> P_v J (I-P)(sym * f) from K_u into K_v.
+def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
+    """`tho_matrix` by circle quadrature, for any symbol.
 
     Since J is self-adjoint, J e_i lies entirely in the antianalytic part,
     and (I-P) is an orthogonal projection, the entries reduce to
@@ -181,12 +289,12 @@ def class_level(alpha) -> tuple[complex, bool]:
     return alpha.value, False
 
 
-def _horner(coeffs: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] mat^k by Horner's rule."""
-    eye = np.eye(mat.shape[0], dtype=complex)
-    out = coeffs[-1] * eye
+def _horner(coeffs, mat: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] base mat^k by Horner's rule."""
+    out = coeffs[-1] * base
     for c in coeffs[-2::-1]:
-        out = out @ mat + c * eye
+        out = out @ mat
+        out += c * base
     return out
 
 
@@ -203,7 +311,8 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
         raise SingularDenominator("calculus symbol has a pole in the closed disk")
     level, adjoint = class_level(alpha)
     base = clark_perturbation(u, level)
-    mat = np.linalg.solve(_horner(den, base.matrix), _horner(psi.num, base.matrix))
+    eye = np.eye(u.degree, dtype=complex)
+    mat = np.linalg.solve(_horner(den, base.matrix, eye), _horner(psi.num, base.matrix, eye))
     out = OperatorMatrix(mat, base.domain, base.codomain)
     return out.adjoint() if adjoint else out
 

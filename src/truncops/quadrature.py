@@ -31,13 +31,14 @@ only when the gap falls between tol and the scaled bound.
 
 Each side of a pairing is a ``Block``: a function of m that returns all of
 its columns at once as one (m, k) array, with the reach of those columns.
-``ModelSpaceBasis.block`` is the block of a basis, the Toeplitz and Hankel
-builders pass the images of a whole basis as one, and ``Block.of`` stacks
-symbols as columns.  A block caches the conjugates of its values per grid,
-which a pairing reads on its conjugated side.
+``ModelSpaceBasis.block`` is the block of a basis, the pairing builds of
+Toeplitz and Hankel operators pass the images of a whole basis as one, and
+``Block.of`` stacks symbols as columns.  A block caches the conjugates of its
+values per grid, which a pairing reads on its conjugated side.
 
 Every pairing runs under the current ``Evaluation``, which holds its settings
-and counters and the memo of per-generator builds (``memoized``; none pairs).
+and counters and the memo of per-generator and per-pair builds (``memoized``;
+none pairs).
 A ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """
@@ -160,9 +161,9 @@ class Evaluation:
     """The state every pairing runs under: settings, counters and memoized builds.
 
     The memo maps each ``memoized`` builder to its own bounded
-    least-recently-used table, one build per generator, each operator's
-    matrix read-only.  ``override`` runs under a copy with other settings
-    that shares the counters and the memo.
+    least-recently-used table, one build per generator (or pair of
+    generators), each operator's matrix read-only.  ``override`` runs under
+    a copy with other settings that shares the counters and the memo.
     """
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)

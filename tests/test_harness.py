@@ -133,7 +133,7 @@ class TestSuite:
         assert r1.json_bytes() == r2.json_bytes()
         # a change that moves the reports on purpose updates this digest
         assert hashlib.sha256(r1.json_bytes()).hexdigest() == \
-            "0336a4f9c884edc032983649f7ea8adb6df539f627788ac59a3cc2dbb0e5b4e1"
+            "9e808dd66f4e37a064471cc8a03d4a786c650978ef499addcd605f39f8394320"
 
     def test_zero_trials_fails_build(self):
         rep = run_suite(SuiteConfig(seed=1, trials=0, checks=["kernel-core"]))
@@ -271,8 +271,9 @@ class TestEvaluationContext:
         rep = run_suite(SuiteConfig(seed=3, trials=1, quad=QuadratureSettings(cap=QUAD_START)))
         # the suite completes and nothing is paired: every trial fails on the
         # cap, except those of the checks that make no pairing at all
+        # (membership-transport builds from a Laurent symbol, in closed form)
         exact = {"clark-unitary", "hankel-zero-product", "hankel-product-symbols",
-                 "rank-one-examples"}
+                 "rank-one-examples", "membership-transport"}
         assert rep.quadrature_stats["pairings"] == 0
         for c in rep.checks:
             if c["id"] in exact:
@@ -316,9 +317,10 @@ class TestEvaluationContext:
     def test_default_suite_pairings_and_levels(self):
         # the pairing count is fixed by the checks and by the memo of each
         # generator's builds; the first level of each pairing comes from its
-        # sides, so no pairing needs a blind 4096 nodes
+        # sides, so no pairing needs a blind 4096 nodes; a Laurent symbol's
+        # Toeplitz and Hankel builds are closed forms and pair nothing
         rep = run_suite(SuiteConfig(seed=7))
-        assert rep.quadrature_stats["pairings"] == 2100
+        assert rep.quadrature_stats["pairings"] == 1956
         assert rep.quadrature_stats["max_nodes"] <= 1024
 
 
@@ -402,7 +404,13 @@ class TestCLI:
         (lambda spec: spec["params"].update({"lambda": 0.2}), "TypeError"),
         (lambda spec: spec.pop("v"), "--spec lacks v, which displacement-roundtrip needs"),
         (lambda spec: spec.pop("symbol"), "KeyError: 'symbol'"),
-    ], ids=["u-empty", "no-params", "lambda-scalar", "no-v", "no-symbol"])
+        # these two named no flag: a wrong value is a ValueError, not a KeyError
+        (lambda spec: spec["params"].update({"lambda": [0.1, 0.2, 0.3]}),
+         "--spec is malformed: ValueError: too many values to unpack"),
+        (lambda spec: spec.update(seed="x"),
+         "--spec is malformed: ValueError: invalid literal for int()"),
+    ], ids=["u-empty", "no-params", "lambda-scalar", "no-v", "no-symbol", "lambda-three-parts",
+            "seed-not-a-number"])
     def test_incomplete_spec_is_usage_error(self, tmp_path, capsys, edit, says):
         # each used to end in a KeyError or TypeError traceback, exit 1
         spec = generate_instance(4, (2, 3), (1, 2), {"spaces": 2}).to_json()

@@ -23,6 +23,7 @@ from truncops import (
     shift,
     symmetric_involution,
     tm_basis,
+    tto_matrix,
 )
 from truncops.blaschke import InnerFunction
 from truncops.errors import NoConvergence, PoleHit, SpaceMismatch, SymbolNotInClass
@@ -35,7 +36,7 @@ from truncops.modelspace import (
     conj_kernel_symbol,
     gram_residual,
 )
-from truncops import quadrature
+from truncops import operators, quadrature
 from truncops.quadrature import Block, QuadratureSettings, Reach
 
 
@@ -412,6 +413,7 @@ def _real_symmetric_inner(rng, pairs):
 
 # the memoized per-generator builders; each is a closed form, making no pairing
 BUILDS = [shift, conjugation_C, conjugation_U, symmetric_involution]
+LAURENT = RationalSymbol.from_laurent({-2: 0.5j, -1: 0.3, 0: 1.0, 2: -0.4 + 0.1j})
 
 
 class TestMemo:
@@ -496,6 +498,10 @@ class TestMemo:
                 out += [u.boundary_values(m) for m in (6, 12, 24)]
                 # a shared symbol's grids, sliced from their doubles
                 out += [sym.values_at(m) for m in (48, 24, 12)]
+            # asymmetric Laurent builds on fresh pairs, racing for each cross Gram
+            for u, w in zip(gens, gens[1:] + gens[:1]):
+                out += [tto_matrix(u, w, LAURENT).matrix, tto_matrix(w, u, LAURENT).matrix,
+                        operators.cross_gram(u, w).matrix]
             return out
 
         def symbols(gens):

@@ -142,7 +142,8 @@ class TestToeplitzHankelBuilders:
     @pytest.mark.parametrize("n", [2, 4])
     def test_high_frequencies_do_not_alias(self, n):
         # a fixed grid of 2048 nodes reads z^2048 as 1 and z^2049 as z; the
-        # first level from the symbol's degree integrates every term exactly
+        # first level from the symbol's degree integrates every term exactly,
+        # and the closed forms read no grid
         u = monomial_inner(n)
         cases = [{2048: 1.0}, {2049: 1.0}, {-2049: 1.0},
                  {1500: 0.5 - 1j, -1500: 2.0, 1: 0.25j, -2: -1.5, -3: 0.75}]
@@ -150,8 +151,10 @@ class TestToeplitzHankelBuilders:
             sym = RationalSymbol.from_laurent(coeffs)
             toeplitz = [[coeffs.get(i - j, 0.0) for j in range(n)] for i in range(n)]
             hankel = [[coeffs.get(-(i + j + 1), 0.0) for j in range(n)] for i in range(n)]
-            assert np.max(np.abs(tto_matrix(u, u, sym).matrix - toeplitz)) < 1e-12, coeffs
-            assert np.max(np.abs(tho_matrix(u, u, sym).matrix - hankel)) < 1e-12, coeffs
+            for build in (tto_matrix, operators.tto_by_pairing):
+                assert np.max(np.abs(build(u, u, sym).matrix - toeplitz)) < 1e-12, coeffs
+            for build in (tho_matrix, operators.tho_by_pairing):
+                assert np.max(np.abs(build(u, u, sym).matrix - hankel)) < 1e-12, coeffs
 
     def test_analytic_symbol_gives_zero_hankel(self, u_generic, v_generic):
         sym = RationalSymbol.polynomial([1.0, 2.0, 3j])
@@ -192,13 +195,15 @@ class TestBlockBuilds:
         dom, cod = tm_basis(u_generic), tm_basis(v_generic)
         want = pairing_matrix(Block.of(*[sym * f for f in dom.functions]),
                               Block.of(*cod.functions))
-        assert np.array_equal(tto_matrix(u_generic, v_generic, sym).matrix, want)
+        assert np.array_equal(_reference_tto(u_generic, v_generic, sym), want)
+        assert np.array_equal(operators.tto_by_pairing(u_generic, v_generic, sym).matrix, want)
 
     def test_tho_matches_symbol_list(self, u_generic, v_generic, sym):
         dom, cod = tm_basis(u_generic), tm_basis(v_generic)
         want = pairing_matrix(Block.of(*[sym * f for f in dom.functions]),
                               Block.of(*[f.flip() for f in cod.functions]))
-        assert np.array_equal(tho_matrix(u_generic, v_generic, sym).matrix, want)
+        assert np.array_equal(_reference_tho(u_generic, v_generic, sym), want)
+        assert np.array_equal(operators.tho_by_pairing(u_generic, v_generic, sym).matrix, want)
 
     def test_shift_matches_symbol_list(self, u_generic):
         space = tm_basis(u_generic)
@@ -218,8 +223,17 @@ class TestBlockBuilds:
         assert np.max(np.abs(conjugation_U(u_generic).matrix - want)) <= 1e-13
 
 
-# -- the pairing builds of the shift and the conjugations, as they were before
-# the closed forms, kept as quadrature oracles
+# -- the pairing builds of the shift, the conjugations and the Toeplitz and
+# Hankel operators of a Laurent symbol, as they were before the closed forms,
+# kept as quadrature oracles
+
+
+def _reference_tto(u, v, sym):
+    return pairing_matrix(operators._images(sym, tm_basis(u)), tm_basis(v).block)
+
+
+def _reference_tho(u, v, sym):
+    return pairing_matrix(operators._images(sym, tm_basis(u)), tm_basis(v).flipped)
 
 
 def _reference_shift(u):
@@ -315,6 +329,87 @@ class TestExactBuilders:
         assert np.max(np.abs((C @ C).matrix - eye)) <= 1e-13
         assert np.max(np.abs((C @ S @ C).matrix - S.matrix.conj().T)) <= 1e-13
         assert np.max(np.abs((D @ D).matrix - eye)) <= 1e-13
+
+
+def _laurent_pair(kind, n):
+    """Generators of degree n and, across, n + 1 (or both n for z^n)."""
+    rng = np.random.default_rng(3000 + n)
+    if kind == "z^n":
+        return monomial_inner(n), monomial_inner(n)
+    if kind == "z^n-cross":
+        return monomial_inner(n), random_inner(rng, n + 1)
+    u, v = random_inner(rng, n), random_inner(rng, n + 1)
+    if kind == "zero-at-0":
+        u = blaschke_new((0.0,) + u.zeros[1:], u.constant)
+        v = blaschke_new(v.zeros[:-1] + (0.0,), v.constant)
+    return (u, u) if kind == "same" else (u, v)
+
+
+LAURENT_SYMBOLS = {
+    "two-sided": {-3: 0.5 - 1j, -2: 0.1j, -1: 0.4, 0: 2j, 1: -0.3, 2: -0.7 + 0.2j, 3: 0.25},
+    "antianalytic": {-4: 1.0 - 0.5j},
+    "analytic": {0: 0.3j, 2: -1.2},
+}
+
+
+class TestLaurentBuilders:
+    """The closed forms of the Toeplitz and Hankel builders against their pairing builds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+    @pytest.mark.parametrize("kind", ["same", "cross", "zero-at-0", "z^n", "z^n-cross"])
+    def test_match_the_pairing_builds(self, kind, n):
+        u, v = _laurent_pair(kind, n)
+        with quadrature.use(quadrature.Evaluation()):
+            for name, coeffs in LAURENT_SYMBOLS.items():
+                sym = RationalSymbol.from_laurent(coeffs)
+                for build, reference in ((tto_matrix, _reference_tto),
+                                         (tho_matrix, _reference_tho)):
+                    with quadrature.tally() as own:
+                        got = build(u, v, sym).matrix
+                    assert own.pairings == 0, (name, build.__name__)
+                    want = reference(u, v, sym)
+                    gap = np.max(np.abs(got - want))
+                    assert gap <= 1e-13 * max(1.0, np.linalg.norm(want)), \
+                        (name, build.__name__, gap)
+
+    def test_derived_laurent_symbol_pairs_nothing(self, u_generic, v_generic):
+        # arithmetic on Laurent symbols keeps every pole at 0 and infinity
+        z = RationalSymbol.monomial(1)
+        sym = (z.flip() * 0.5 - z * z).conj_circle() + RationalSymbol.constant(1j)
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            got = [tto_matrix(u_generic, v_generic, sym).matrix,
+                   tho_matrix(u_generic, v_generic, sym).matrix]
+            assert ev.stats.pairings == 0
+        want = [_reference_tto(u_generic, v_generic, sym),
+                _reference_tho(u_generic, v_generic, sym)]
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 32])
+    def test_cross_gram_is_the_reordered_embedding(self, n):
+        rng = np.random.default_rng(4000 + n)
+        pairs = [(random_inner(rng, n), random_inner(rng, n + 1)),
+                 (random_inner(rng, n + 1), random_inner(rng, n))]
+        # zeros at radius 0.9999, clustered and interleaved across the pair
+        angles = 0.5 + 0.01 * np.arange(n)
+        pairs.append((blaschke_new(0.9999 * np.exp(1j * angles), 1.0),
+                      blaschke_new(0.9999 * np.exp(1j * (angles + 0.005)), -1.0)))
+        for u, v in pairs:
+            uv = blaschke_new(u.zeros + v.zeros, 1.0)
+            v_first = [*range(u.degree, uv.degree), *range(u.degree)]
+            e_v = reorder(uv, v_first)[:, :v.degree]
+            want = e_v.conj().T[:, :u.degree]       # E_v^H E_u in K_uv
+            with quadrature.use(quadrature.Evaluation()) as ev:
+                got = operators.cross_gram(u, v)
+                assert operators.cross_gram(u, v) is got
+                assert ev.stats.pairings == 0
+            assert np.max(np.abs(got.matrix - want)) <= 1e-12
+            with pytest.raises(ValueError):
+                got.matrix[0, 0] = 0.0
+
+    def test_cross_gram_of_one_space_is_the_identity(self, u_generic):
+        other = blaschke_new(u_generic.zeros, -u_generic.constant)
+        assert np.array_equal(operators.cross_gram(u_generic, other).matrix, np.eye(3))
 
 
 class TestSedlockOp:

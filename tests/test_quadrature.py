@@ -123,9 +123,12 @@ def _reference_pairing_matrix(fs, gs):
 
 
 def _builds(u):
+    # the Toeplitz and Hankel symbols have poles off 0 and infinity, so they
+    # pair; a Laurent symbol's builds are closed forms
     sym = RationalSymbol.from_laurent({-2: 0.3 - 0.1j, 0: 1.0, 1: -0.4j, 3: 0.2})
-    ops = [tto_matrix(u, u, sym), tto_matrix(u, u, u.as_symbol() + sym),
-           tho_matrix(u, u, sym), tho_matrix(u, u.hat(), sym * u.conj_symbol())]
+    rational = sym + RationalSymbol([1.0], [-2.0, 1.0])
+    ops = [tto_matrix(u, u, rational), tto_matrix(u, u, u.as_symbol() + sym),
+           tho_matrix(u, u, rational), tho_matrix(u, u.hat(), sym * u.conj_symbol())]
     return [op.matrix for op in ops] + [project(u, sym).coords,
                                         np.array(inner_product(sym, sym))]
 
@@ -144,6 +147,7 @@ def test_pairing_path_is_bitwise_the_reference_loop(monkeypatch, degree):
             return mats, ev.stats.snapshot()
 
     got = run()
+    assert got[1]["pairings"] == 6      # every build pairs
     for module in (quadrature, modelspace, operators):
         monkeypatch.setattr(module, "pairing_matrix", _reference_pairing_matrix)
     want = run()
