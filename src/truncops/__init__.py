@@ -17,7 +17,6 @@ from .modelspace import (
     conjugation_C,
     conjugation_U,
     conjugation_U_on,
-    embed,
     flip_J,
     inner_product,
     kernel,

@@ -7,7 +7,9 @@ Subcommands:
   clark         spectral points and weights of the unitary shift perturbation
   verify-suite  run the verification suite and report per-check results
 
-Exit codes: 0 success, 1 verification failure, 2 usage errors.
+Exit codes: 0 success, 1 verification failure, 2 usage errors.  A generator out
+of range (a zero on or outside the circle, degree 0, or a degree above
+harness.MAX_DEGREE, refused before anything is built) is a typed failure, exit 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 
 from . import classify, harness, quadrature
 from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction, clark_points
-from .errors import TruncOpsError
+from .errors import InvalidRange, TruncOpsError
 from .modelspace import OperatorMatrix, project
 from .operators import (
     clark_perturbation,
@@ -36,11 +38,13 @@ from .ratfun import RationalSymbol
 
 
 def parse_inner(text: str) -> InnerFunction:
-    """Accept the z^n shorthand ("z2", "z^3") or InnerFunction JSON."""
+    """Accept the z^n shorthand ("z2", "z^3") or InnerFunction JSON of degree <= MAX_DEGREE."""
     m = re.fullmatch(r"z\^?(\d+)", text.strip())
-    if m:
-        return InnerFunction((0.0,) * int(m.group(1)), 1.0)
-    return InnerFunction.from_json(json.loads(text))
+    obj = None if m else json.loads(text)
+    degree = int(m.group(1)) if m else len(obj["zeros"])
+    if degree > harness.MAX_DEGREE:
+        raise InvalidRange(f"degree {degree} above the largest, {harness.MAX_DEGREE}")
+    return InnerFunction((0.0,) * degree, 1.0) if m else InnerFunction.from_json(obj)
 
 
 def parse_scalar(text: str):

@@ -22,6 +22,7 @@ from .errors import InvalidRange, TruncOpsError
 from .modelspace import (
     GRAM_TOL,
     OperatorMatrix,
+    SpaceElement,
     boundary_kernel,
     boundary_kernel_symbol,
     conj_kernel,
@@ -31,6 +32,7 @@ from .modelspace import (
     gram_residual,
     kernel,
     project,
+    reorder,
     tm_basis,
     unit_kernels,
 )
@@ -53,6 +55,7 @@ from .ratfun import RationalSymbol
 
 SCHEMA = "v1"
 ZERO_CAP = 0.85  # conditioning guard on random Blaschke zeros
+MAX_DEGREE = 32  # the largest generator degree instances and the CLI accept
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +179,8 @@ def generate_instance(seed: int, degree_range=(2, 4), symbol_degree_range=(1, 3)
     alpha_mode ("disk" | "unimodular" | "sphere").
     """
     lo, hi = degree_range
-    if not (1 <= lo <= hi <= 32):
-        raise InvalidRange(f"degree range {degree_range} outside [1, 32]")
+    if not (1 <= lo <= hi <= MAX_DEGREE):
+        raise InvalidRange(f"degree range {degree_range} outside [1, {MAX_DEGREE}]")
     slo, shi = symbol_degree_range
     if not (0 <= slo <= shi <= 64):
         raise InvalidRange(f"symbol degree range {symbol_degree_range} invalid")
@@ -468,10 +471,13 @@ def _unitary_hankel(u: InnerFunction, rng) -> OperatorMatrix:
     return symmetric_involution(u) @ spectral_multiplier(u, cdat, phases)
 
 
+def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> SpaceElement:
+    """A random psi in K_{a hat(b)}, the symbol conj(psi) of a Hankel K_a -> K_b."""
+    return tm_basis(a * b.hat()).random_element(rng)
+
+
 def _generic_hankel(u: InnerFunction, v: InnerFunction, rng) -> OperatorMatrix:
-    w = u * v.hat()
-    psi = tm_basis(w).random_element(rng)
-    return tho_matrix(u, v, psi.rep().conj_circle())
+    return tho_matrix(u, v, _atho_symbol(u, v, rng).rep().conj_circle())
 
 
 def check_hankel_unitary(p: ProblemSpec) -> TrialResult:
@@ -717,8 +723,12 @@ def check_atto_product(p: ProblemSpec) -> TrialResult:
     return TrialResult(ok, 0.0 if ok else 1.0, r)
 
 
-def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> RationalSymbol:
-    return tm_basis(a * b.hat()).random_element(rng).rep().conj_circle()
+def hatted_symbol(psi: SpaceElement, a: InnerFunction, b: InnerFunction) -> SpaceElement:
+    """hat(psi) for psi in K_{b hat(a)}, in the a-first basis of K_{a hat(b)}: its
+    coordinates conj(psi) are in that basis with the two zero blocks swapped."""
+    target = a * b.hat()
+    order = [*range(a.degree, target.degree), *range(a.degree)]
+    return tm_basis(target).element(reorder(target, order) @ np.conj(psi.coords))
 
 
 def check_atho_product_toeplitz(p: ProblemSpec) -> TrialResult:
@@ -729,8 +739,8 @@ def check_atho_product_toeplitz(p: ProblemSpec) -> TrialResult:
                                         _atho_symbol(u, v, rng), u, v, w)
     r["random_consistent"] = pv.consistent
     # zero second factor
-    zero_sym = kernel(u * v.hat(), 0.0).rep().conj_circle()
-    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng), zero_sym, u, v, w)
+    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng), kernel(u * v.hat(), 0.0),
+                                        u, v, w)
     r["zero_factor"] = pv.in_class and pv.direct
     ok = all(bool(x) for x in r.values())
     return TrialResult(ok, 0.0 if ok else 1.0, r)
@@ -746,14 +756,15 @@ def check_atho_product_true(p: ProblemSpec) -> TrialResult:
     s2 = classify.is_tho(B2)
     if not (s1.is_member and s2.is_member):
         return TrialResult(False, 1.0, {"error": "construction not Hankel"})
-    pv = products.atho_product_tto_test(s1.symbol, s2.symbol, u, u, u)
+    pv = products.atho_product_tto_test(s1.symbol_element, s2.symbol_element, u, u, u)
     r = {"in_class": pv.in_class, "direct": pv.direct, "residual": pv.lhs_residual}
     # equal-witness specialization: a unitary factor against its adjoint
     Bu = _unitary_hankel(u, rng)
     su = classify.is_tho(Bu)
     if not su.is_member:
         return TrialResult(False, 1.0, dict(r, error="unitary factor not Hankel"))
-    pv2 = products.atho_product_tto_test(su.symbol, su.symbol.hat(), u, u, u)
+    pv2 = products.atho_product_tto_test(su.symbol_element,
+                                         hatted_symbol(su.symbol_element, u, u), u, u, u)
     r["adjoint_pair"] = pv2.in_class and pv2.direct
     gap = np.inf
     if pv2.in_class:
@@ -768,23 +779,21 @@ def check_atho_atto_product(p: ProblemSpec) -> TrialResult:
     u, v, w = p.inner_u(), p.inner_v(), p.inner_w()
     rng = np.random.default_rng(p.seed)
     r = {}
-    phi = _atho_symbol(v, w, rng)
     pv = products.atho_atto_product_test(
-        phi, tm_basis(v).random_element(rng), tm_basis(u).random_element(rng),
+        _atho_symbol(v, w, rng), tm_basis(v).random_element(rng), tm_basis(u).random_element(rng),
         u, v, w, "hankel_toeplitz")
     r["random_ht_consistent"] = pv.consistent
-    phi2 = _atho_symbol(u, v, rng)
     pv = products.atho_atto_product_test(
-        phi2, tm_basis(w).random_element(rng), tm_basis(v).random_element(rng),
+        _atho_symbol(u, v, rng), tm_basis(w).random_element(rng), tm_basis(v).random_element(rng),
         u, v, w, "toeplitz_hankel")
     r["random_th_consistent"] = pv.consistent
     # adjoint transport: the reversed-order criterion run on adjoint data
-    phi3 = _atho_symbol(u, v, rng)
+    psi3 = _atho_symbol(u, v, rng)
     psi1 = tm_basis(w).random_element(rng)
     psi2 = tm_basis(v).random_element(rng)
-    pv_th = products.atho_atto_product_test(phi3, psi1, psi2, u, v, w,
+    pv_th = products.atho_atto_product_test(psi3, psi1, psi2, u, v, w,
                                             "toeplitz_hankel")
-    pv_adj = products.atho_atto_product_test(phi3.hat(), psi2, psi1, w, v, u,
+    pv_adj = products.atho_atto_product_test(hatted_symbol(psi3, v, u), psi2, psi1, w, v, u,
                                              "hankel_toeplitz")
     r["adjoint_agreement"] = pv_th.direct == pv_adj.direct and pv_th.in_class == pv_adj.in_class
     ok = all(bool(x) for x in r.values())
@@ -806,13 +815,13 @@ def check_atho_atto_true(p: ProblemSpec) -> TrialResult:
     mB = classify.is_tho(B_ht)
     if not (mA.is_member and mB.is_member):
         return TrialResult(False, 1.0, {"error": "construction failed"})
-    pv1 = products.atho_atto_product_test(mB.symbol, mA.analytic_part,
+    pv1 = products.atho_atto_product_test(mB.symbol_element, mA.analytic_part,
                                           mA.conjugate_part, u, u, u,
                                           "hankel_toeplitz")
     B_th = functional_calculus(u, alpha, RationalSymbol.polynomial(
         rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ dop
     mB2 = classify.is_tho(B_th)
-    pv2 = products.atho_atto_product_test(mB2.symbol, mA.analytic_part,
+    pv2 = products.atho_atto_product_test(mB2.symbol_element, mA.analytic_part,
                                           mA.conjugate_part, u, u, u,
                                           "toeplitz_hankel")
     r = {"hankel_toeplitz": (pv1.in_class, pv1.direct),
@@ -824,8 +833,9 @@ def check_atho_atto_true(p: ProblemSpec) -> TrialResult:
 def check_product_chain(p: ProblemSpec) -> TrialResult:
     u, v, w = p.inner_u(), p.inner_v(), p.inner_w()
     rng = np.random.default_rng(p.seed)
-    res = products.membership_transport_chain(_atho_symbol(v, w, rng),
-                                              _atho_symbol(u, v, rng), u, v, w)
+    res = products.membership_transport_chain(_atho_symbol(v, w, rng).rep().conj_circle(),
+                                              _atho_symbol(u, v, rng).rep().conj_circle(),
+                                              u, v, w)
     r = {"hankel_chain": res["hankel"], "toeplitz_chain": res["toeplitz"]}
     ok = len(set(res["hankel"])) == 1 and len(set(res["toeplitz"])) == 1
     # a chain on an engineered true instance

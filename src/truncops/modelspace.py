@@ -104,8 +104,11 @@ class ModelSpaceBasis:
 
     @cached_property
     def k0(self) -> np.ndarray:
-        """Coordinates of the kernel at the origin, conj(e_k(0)); read-only."""
-        return readonly(np.conj(self.at(0j)))
+        """Coordinates of the kernel at the origin, conj(e_k(0)) with
+        e_k(0) = sqrt(1-|a_k|^2) prod_{j<k} (-a_j); read-only."""
+        zs = np.array(self.generator.zeros)
+        running = np.cumprod(np.concatenate(([1.0], -zs[:-1])))
+        return readonly(np.conj(np.sqrt(1.0 - np.abs(zs) ** 2) * running))
 
     @cached_property
     def conj_k0(self) -> np.ndarray:
@@ -226,7 +229,7 @@ def gram_residual(space: ModelSpaceBasis) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pairings, projection, membership
+# pairings and projection
 
 
 def inner_product(f: RationalSymbol, g: RationalSymbol) -> complex:
@@ -241,30 +244,13 @@ def project(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
     return SpaceElement(space, coords)
 
 
-def embed(u: InnerFunction, sym: RationalSymbol) -> SpaceElement:
-    """Like project, but certifies the symbol actually lies in K_u.
-
-    Raises SymbolNotInClass when the projection loses more than 1e-9 of the
-    symbol's norm (squared-norm defect measured against the L2 pairing).
-    """
-    el = project(u, sym)
-    total = inner_product(sym, sym).real
-    defect = abs(total - float(np.vdot(el.coords, el.coords).real))
-    if defect > 1e-9 * max(1.0, total):
-        raise SymbolNotInClass(
-            f"symbol is not in the model space: norm defect {defect:g}"
-        )
-    return el
-
-
 # ---------------------------------------------------------------------------
 # kernels
 
 
 def _deflate(num: np.ndarray, root: complex) -> np.ndarray:
     """Exact-ish division of a polynomial by (z - root); remainder is discarded."""
-    quot, rem = npoly.polydiv(num, np.array([-root, 1.0], dtype=complex))
-    return quot
+    return npoly.polydiv(num, np.array([-root, 1.0], dtype=complex))[0]
 
 
 def _generator_den_values(u: InnerFunction, m: int) -> np.ndarray:
@@ -312,12 +298,9 @@ def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     so no pairing is made; the basis caches it at the origin.  The projection
     of `conj_kernel_symbol` is its oracle.
     """
+    space = tm_basis(u)
     lam = complex(lam)
-    if lam == 0:
-        space = tm_basis(u)
-        return SpaceElement(space, space.conj_k0)
-    coords = _conj_kernel_coords(u, lam)
-    return SpaceElement(tm_basis(u), coords)
+    return SpaceElement(space, space.conj_k0 if lam == 0 else _conj_kernel_coords(u, lam))
 
 
 def _conj_kernel_coords(u: InnerFunction, lam: complex) -> np.ndarray:

@@ -10,8 +10,8 @@ harness requires them to agree.
 
 Composite conjugate-linear expressions are assembled with the flagged
 composition rule of OperatorMatrix: no hand-derived sign conventions.
-Symbol expressions such as conj(v phi) on the circle are normalized to
-rational functions before any pairing.
+The asymmetric Hankel criteria take each symbol conj(psi) as the element psi:
+projections that are coordinate blocks of psi are read off, the others pair.
 """
 
 from __future__ import annotations
@@ -31,15 +31,16 @@ from .classify import (
     PARAMETER_TOL,
     REBUILD_TOL,
 )
-from .errors import NoCertificate, NotRealSymmetric, NotTHO, NotTTO, SymbolRecoveryFailed
+from .errors import (NoCertificate, NotRealSymmetric, NotTHO, NotTTO, SpaceMismatch,
+                     SymbolRecoveryFailed)
 from .modelspace import (
     OperatorMatrix,
     SpaceElement,
     conjugation_C,
     conjugation_U,
-    embed,
     kernel,
     project,
+    tm_basis,
 )
 from .operators import (
     clark_perturbation,
@@ -71,6 +72,11 @@ class ProductVerdict:
 # the conjugation dictionary
 
 
+def _gap(lhs: OperatorMatrix, rhs: OperatorMatrix) -> float:
+    """The largest entry of lhs - rhs."""
+    return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+
+
 def equivalence_transforms(u: InnerFunction, v: InnerFunction,
                            phi: RationalSymbol) -> dict[str, float]:
     """Both sides of the eight conjugation identities; max-entry discrepancies.
@@ -88,29 +94,24 @@ def equivalence_transforms(u: InnerFunction, v: InnerFunction,
     usym = u.as_symbol()
     vsym = v.as_symbol()
     vhat = v.hat()
-
-    def gap(lhs: OperatorMatrix, rhs: OperatorMatrix) -> float:
-        return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
-
-    out = {
-        "tto_natural_sandwich": gap(
+    return {
+        "tto_natural_sandwich": _gap(
             cv @ A @ cu, tto_matrix(u, v, ubar * vsym * phi.conj_circle())),
-        "tto_hat_sandwich": gap(
+        "tto_hat_sandwich": _gap(
             uv @ A @ uuh, tto_matrix(u.hat(), v.hat(), phi.hat())),
-        "tho_natural_sandwich": gap(
+        "tho_natural_sandwich": _gap(
             cv @ B @ cu, tho_matrix(u, v, (usym * vhat.as_symbol() * phi).conj_circle())),
-        "tho_hat_sandwich": gap(
+        "tho_hat_sandwich": _gap(
             uv @ B @ uuh, tho_matrix(u.hat(), v.hat(), phi.hat())),
-        "tto_to_tho_left": gap(
+        "tto_to_tho_left": _gap(
             cv @ A @ uuh, tho_matrix(u.hat(), v, vhat.conj_symbol() * phi.hat())),
-        "tto_to_tho_right": gap(
+        "tto_to_tho_right": _gap(
             uv @ A @ cu, tho_matrix(u, v.hat(), ubar * phi.conj_circle())),
-        "tho_to_tto_left": gap(
+        "tho_to_tto_left": _gap(
             uv @ B @ cu, tto_matrix(u, v.hat(), (usym * phi).conj_circle())),
-        "tho_to_tto_right": gap(
+        "tho_to_tto_right": _gap(
             cv @ B @ uuh, tto_matrix(u.hat(), v, vsym * phi.hat())),
     }
-    return out
 
 
 def membership_transports(u: InnerFunction, v: InnerFunction,
@@ -151,11 +152,10 @@ def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> d
         a = alpha.value
         lhs = conjugation_U(u.hat()) @ clark_perturbation(u.hat(), a) @ conjugation_U(u)
         rhs = clark_perturbation(u, np.conj(a))
-        out["shift_transport_residual"] = float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+        out["shift_transport_residual"] = _gap(lhs, rhs)
         cu = conjugation_C(u)
         sa = clark_perturbation(u, a)
-        out["shift_conjugation_residual"] = float(
-            np.max(np.abs((cu @ sa @ cu).matrix - sa.adjoint().matrix)))
+        out["shift_conjugation_residual"] = _gap(cu @ sa @ cu, sa.adjoint())
     return out
 
 
@@ -168,31 +168,27 @@ def involution_identity_checks(u: InnerFunction, alpha, v: InnerFunction,
     dop = symmetric_involution(u)
     n = u.degree
     out = {
-        "involution_vs_hankel": float(np.max(np.abs(
-            dop.matrix - tho_matrix(u, u, u.conj_symbol()).matrix))),
+        "involution_vs_hankel": _gap(dop, tho_matrix(u, u, u.conj_symbol())),
         "involution_squared": float(np.max(np.abs((dop @ dop).matrix - np.eye(n)))),
-        "involution_self_adjoint": float(np.max(np.abs(
-            dop.matrix - dop.adjoint().matrix))),
+        "involution_self_adjoint": _gap(dop, dop.adjoint()),
     }
     a = ExtendedScalar.of(alpha)
     if not a.is_infinity and a.modulus() <= 1.0:
         sa = clark_perturbation(u, a.value)
         sac = clark_perturbation(u, np.conj(a.value))
-        out["involution_shift_swap"] = float(np.max(np.abs(
-            (dop @ sa).matrix - (sac.adjoint() @ dop).matrix)))
+        out["involution_shift_swap"] = _gap(dop @ sa, sac.adjoint() @ dop)
     bu = tho_matrix(u, u, phi)
-    out["involution_hankel_left"] = float(np.max(np.abs(
-        (dop @ bu).matrix - tto_matrix(u, u, u.as_symbol() * phi).matrix)))
-    out["involution_hankel_right"] = float(np.max(np.abs(
-        (bu @ dop).matrix - tto_matrix(u, u, (u.as_symbol() * phi.hat()).conj_circle()).matrix)))
+    out["involution_hankel_left"] = _gap(dop @ bu, tto_matrix(u, u, u.as_symbol() * phi))
+    out["involution_hankel_right"] = _gap(
+        bu @ dop, tto_matrix(u, u, (u.as_symbol() * phi.hat()).conj_circle()))
     # mixed identities across a second space
     buv = tho_matrix(u, v, phi)
     lhs1 = conjugation_C(v.hat()) @ (conjugation_U(v) @ buv)
     rhs1 = tto_matrix(u, v.hat(), v.hat().as_symbol() * phi)
-    out["mixed_left"] = float(np.max(np.abs(lhs1.matrix - rhs1.matrix)))
+    out["mixed_left"] = _gap(lhs1, rhs1)
     lhs2 = buv @ conjugation_C(u) @ conjugation_U(u.hat())
     rhs2 = tto_matrix(u.hat(), v, (u.hat().as_symbol() * phi.hat()).conj_circle())
-    out["mixed_right"] = float(np.max(np.abs(lhs2.matrix - rhs2.matrix)))
+    out["mixed_right"] = _gap(lhs2, rhs2)
     return out
 
 
@@ -213,8 +209,7 @@ def atto_product_test(A: OperatorMatrix, B: OperatorMatrix) -> ProductVerdict:
     u = B.domain.generator
     if B.codomain.generator != v:
         raise NotTTO("factors do not compose through a common middle space")
-    mA = is_tto(A)
-    mB = is_tto(B)
+    mA, mB = is_tto(A), is_tto(B)
     if not (mA.is_member and mB.is_member):
         raise SymbolRecoveryFailed("factors are not Toeplitz; no symbol parts")
     vsym = v.as_symbol()
@@ -228,8 +223,7 @@ def atto_product_test(A: OperatorMatrix, B: OperatorMatrix) -> ProductVerdict:
 
 def _involution_scalar_fit(B: OperatorMatrix, dop: OperatorMatrix):
     c = complex(np.vdot(dop.matrix, B.matrix)) / complex(np.vdot(dop.matrix, dop.matrix))
-    res = float(np.linalg.norm(B.matrix - c * dop.matrix))
-    return c, res
+    return c, float(np.linalg.norm(B.matrix - c * dop.matrix))
 
 
 def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix) -> ProductVerdict:
@@ -262,8 +256,7 @@ def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix) -> ProductVerdi
     alpha = rep1.alpha if rep1.membership in ("finite", "infinity") else rep2.alpha
     details.update({"case": "common-class", "left_class": rep1, "right_class": rep2})
     if match and alpha is not None:
-        prod_rep = sedlock_class(B1 @ B2)
-        details["product_class"] = prod_rep
+        details["product_class"] = sedlock_class(B1 @ B2)
     residual = max(rep1.commutator_residual, rep2.commutator_residual)
     return ProductVerdict(match, direct, alpha if match else None, residual, details)
 
@@ -306,7 +299,7 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix) -> SymbolFo
               else "inside" if mod < 1.0 else "outside")
     prod = functional_calculus(u, alpha, RationalSymbol.polynomial(
         np.polynomial.polynomial.polymul(p1, p2)))
-    presid = float(np.max(np.abs(prod.matrix - (B1 @ B2).matrix)))
+    presid = _gap(prod, B1 @ B2)
     if presid >= 1e-8 * max(1.0, float(np.linalg.norm(prod.matrix))):
         raise NoCertificate(f"product symbol residual {presid:g}")
     return SymbolFormCertificates(alpha, lres, rres, regime, p1, p2, presid)
@@ -350,27 +343,38 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB") 
     return ProductVerdict(match, direct, alpha if match else None, residual, details)
 
 
-def atho_product_tto_test(phi1: RationalSymbol, phi2: RationalSymbol,
+def _symbol_blocks(psi: SpaceElement, a: InnerFunction, b: InnerFunction) -> tuple:
+    """P_a psi and P_hat(b)(conj(a) psi) for psi in K_{a hat(b)}, read off its coordinates.
+
+    The a-first basis of K_{a hat(b)} is that of K_a, then a/c_a times that of
+    K_hat(b) (Garcia-Mashreghi-Ross 2016), so psi = x + (a/c_a) g gives x and
+    g/c_a.  Any other space or zero order raises SpaceMismatch.
+    """
+    if psi.space.generator != a * b.hat():
+        raise SpaceMismatch("psi is not in the a-first basis of K_{a hat(b)}")
+    n = a.degree
+    return (tm_basis(a).element(psi.coords[:n]),
+            tm_basis(b.hat()).element(psi.coords[n:] / a.constant))
+
+
+def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement,
                           u: InnerFunction, v: InnerFunction, w: InnerFunction) -> ProductVerdict:
     """Criterion for a product of two asymmetric Hankel operators to be Toeplitz.
 
-    phi1 conjugates into the model space of v * hat(w), phi2 into that of
-    u * hat(v) (certified; SymbolNotInClass otherwise).  The condition
-    matrix pairs the conjugation-transported symbols against their bare
-    projections and must cross-decompose at the kernels at zero.  The
-    rank-one factors act between the model spaces, so each factor enters
-    through its projection.
+    The factors have the symbols conj(psi1), K_v -> K_w, and conj(psi2),
+    K_u -> K_v, with psi1 in K_{v hat(w)} and psi2 in K_{u hat(v)}.  The
+    condition matrix pairs the conjugation-transported symbols against their
+    bare projections and must cross-decompose at the kernels at zero.  P_u psi2
+    and P_w hat(conj(v) psi1), the hat of a block, are coordinate reads.
     """
-    embed(v * w.hat(), phi1.conj_circle())
-    embed(u * v.hat(), phi2.conj_circle())
-    vhat = v.hat().as_symbol()
-    f1 = project(w, (vhat * phi1.hat()).conj_circle())
-    g1 = project(u, (vhat * phi2).conj_circle())
-    f2 = project(w, phi1.hat().conj_circle())
-    g2 = project(u, phi2.conj_circle())
+    _, tail1 = _symbol_blocks(psi1, v, w)
+    g2, _ = _symbol_blocks(psi2, u, v)
+    f1 = conjugation_U(w.hat()).apply(tail1)
+    g1 = project(u, v.hat().conj_symbol() * psi2.rep())
+    f2 = project(w, psi1.rep().hat())
     cond = rank_one(f1, g1) - rank_one(f2, g2)
     dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
-    prod = tho_matrix(v, w, phi1) @ tho_matrix(u, v, phi2)
+    prod = tho_matrix(v, w, psi1.rep().conj_circle()) @ tho_matrix(u, v, psi2.rep().conj_circle())
     direct = is_tto(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
@@ -392,40 +396,37 @@ def symmetric_witness(dec_left: SpaceElement, dec_right: SpaceElement,
     return SpaceElement(anchor.space, (left + right) / 2.0), gap
 
 
-def atho_atto_product_test(phi: RationalSymbol, psi1: SpaceElement, psi2: SpaceElement,
+def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceElement,
                            u: InnerFunction, v: InnerFunction, w: InnerFunction,
                            order: str = "hankel_toeplitz") -> ProductVerdict:
     """Criterion for a mixed asymmetric Hankel/Toeplitz product to stay Hankel.
 
-    order "hankel_toeplitz": the Hankel factor (symbol phi, from K_v to K_w)
-    composed after the Toeplitz factor (parts psi1 in K_v, psi2 in K_u).
-    order "toeplitz_hankel": Toeplitz factor (parts psi1 in K_w, psi2 in
-    K_v) composed after the Hankel factor (symbol phi, from K_u to K_v).
+    order "hankel_toeplitz": the Hankel factor (symbol conj(psi), psi in
+    K_{v hat(w)}, from K_v to K_w) after the Toeplitz factor (parts psi1 in
+    K_v, psi2 in K_u), with P_hat(w)(conj(v) psi) read off psi.  Order
+    "toeplitz_hankel": the Toeplitz factor (parts psi1 in K_w, psi2 in K_v)
+    after the Hankel factor (psi in K_{u hat(v)}, from K_u to K_v), with
+    P_hat(u) hat(psi) read off psi.
     """
-    vsym = v.as_symbol()
     vbar = v.conj_symbol()
+    toeplitz = psi1.rep() + psi2.rep().conj_circle()
     if order == "hankel_toeplitz":
-        embed(v * w.hat(), phi.conj_circle())
-        f1 = project(w.hat(), (vsym * phi).conj_circle())
+        _, f1 = _symbol_blocks(psi, v, w)
         g1 = project(u, vbar * u.as_symbol() * psi1.rep())
-        f2 = project(w.hat(), phi.conj_circle())
+        f2 = project(w.hat(), psi.rep())
         g2 = shift(u).apply(conjugation_C(u).apply(psi2))
-        cond = rank_one(f1, g1) - rank_one(f2, g2)
-        dec = cross_decompose(cond, kernel(u, 0.0), kernel(w.hat(), 0.0))
-        prod = tho_matrix(v, w, phi) @ tto_matrix(
-            u, v, psi1.rep() + psi2.rep().conj_circle())
+        prod = tho_matrix(v, w, psi.rep().conj_circle()) @ tto_matrix(u, v, toeplitz)
     elif order == "toeplitz_hankel":
-        embed(u * v.hat(), phi.conj_circle())
-        f1 = project(u.hat(), (vsym * phi.hat()).conj_circle())
+        head, _ = _symbol_blocks(psi, u, v)
+        f1 = project(u.hat(), vbar * psi.rep().hat())
         g1 = project(w, vbar * w.as_symbol() * psi2.rep())
-        f2 = project(u.hat(), phi.hat().conj_circle())
+        f2 = conjugation_U(u).apply(head)
         g2 = shift(w).apply(conjugation_C(w).apply(psi1))
-        cond = rank_one(f1, g1) - rank_one(f2, g2)
-        dec = cross_decompose(cond, kernel(w, 0.0), kernel(u.hat(), 0.0))
-        prod = tto_matrix(v, w, psi1.rep() + psi2.rep().conj_circle()) @ tho_matrix(
-            u, v, phi)
+        prod = tto_matrix(v, w, toeplitz) @ tho_matrix(u, v, psi.rep().conj_circle())
     else:
         raise ValueError(f"unknown order {order!r}")
+    cond = rank_one(f1, g1) - rank_one(f2, g2)
+    dec = cross_decompose(cond, kernel(g1.space.generator, 0.0), kernel(f1.space.generator, 0.0))
     direct = is_tho(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 

@@ -383,6 +383,8 @@ def _reach_of(num: np.ndarray, den: np.ndarray, roots) -> Reach:
     The finite part runs from the pole order at 0 (the exact low zeros of
     den) to the pole order at infinity (deg num - deg den).
     """
+    if not den[:-1].any():      # z^N: every pole at 0, of order N
+        return Reach(np.inf, max(den.size - 1, num.size - den.size))
     at_zero = int(np.argmax(den != 0))
     at_infinity = max(0, num.size - den.size)
     return Reach.of_poles(roots, max(at_zero, at_infinity))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from truncops import CHECKS, ProblemSpec, SuiteConfig, generate_instance, replay, run_suite
-from truncops import classify, harness, products, quadrature
+from truncops import classify, cli, harness, products, quadrature
 from truncops.cli import main, parse_inner, parse_scalar
 from truncops.errors import InvalidRange
 from truncops.harness import run_trial
@@ -133,7 +133,7 @@ class TestSuite:
         assert r1.json_bytes() == r2.json_bytes()
         # a change that moves the reports on purpose updates this digest
         assert hashlib.sha256(r1.json_bytes()).hexdigest() == \
-            "9e808dd66f4e37a064471cc8a03d4a786c650978ef499addcd605f39f8394320"
+            "a4d7b31bb508846ae408a5a2da5d2629baa5689a67c5895ddad7695a860c6aa1"
 
     def test_zero_trials_fails_build(self):
         rep = run_suite(SuiteConfig(seed=1, trials=0, checks=["kernel-core"]))
@@ -320,7 +320,7 @@ class TestEvaluationContext:
         # sides, so no pairing needs a blind 4096 nodes; a Laurent symbol's
         # Toeplitz and Hankel builds are closed forms and pair nothing
         rep = run_suite(SuiteConfig(seed=7))
-        assert rep.quadrature_stats["pairings"] == 1956
+        assert rep.quadrature_stats["pairings"] == 1452
         assert rep.quadrature_stats["max_nodes"] <= 1024
 
 
@@ -567,6 +567,30 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["build-op"])            # missing required arguments
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("u", ["z99999", json.dumps({"zeros": [[0.1, 0.0]] * 33})])
+    def test_degree_above_bound_exits_1_before_building(self, u, capsys, monkeypatch):
+        built = []
+
+        class Unbuilt:      # records any attempt to build the generator
+            def __init__(self, *args):
+                built.append(args)
+
+            @classmethod
+            def from_json(cls, obj):
+                built.append(obj)
+
+        monkeypatch.setattr(cli, "InnerFunction", Unbuilt)
+        assert main(["build-op", "--op", "shift", "--u", u]) == 1
+        assert "InvalidRange" in capsys.readouterr().err
+        assert built == []
+
+    def test_degree_at_bound_accepted(self, capsys):
+        assert harness.MAX_DEGREE == 32
+        assert parse_inner("z32").degree == 32
+        assert parse_inner(json.dumps({"zeros": [[0.1, 0.0]] * 32})).degree == 32
+        assert main(["build-op", "--op", "shift", "--u", "z32", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["matrix"]) == 32
 
     def test_product_test_subcommand(self, tmp_path, capsys):
         p = generate_instance(9, (2, 3), (1, 2),

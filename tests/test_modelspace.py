@@ -15,7 +15,6 @@ from truncops import (
     conjugation_C,
     conjugation_U,
     conjugation_U_on,
-    embed,
     flip_J,
     inner_product,
     kernel,
@@ -65,6 +64,16 @@ class TestBasis:
         with quadrature.use(quadrature.Evaluation()), quadrature.tally() as built:
             tm_basis(u)
         assert built.pairings == 0
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    @pytest.mark.parametrize("zero_at_origin", [False, True])
+    def test_origin_kernel_closed_form(self, n, zero_at_origin):
+        rng = np.random.default_rng(n)
+        zeros = 0.85 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        if zero_at_origin:
+            zeros[n // 2] = 0.0
+        space = ModelSpaceBasis(blaschke_new(zeros, np.exp(1j * rng.uniform())))
+        assert np.max(np.abs(space.k0 - np.conj(space.at(0j)))) <= 1e-15
 
     def test_conjugated_values_are_cached_bitwise(self, u_generic):
         space = tm_basis(u_generic)
@@ -293,13 +302,6 @@ class TestProjection:
         once = project(u_generic, sym)
         twice = project(u_generic, once.rep())
         assert np.max(np.abs(once.coords - twice.coords)) < 1e-10
-
-    def test_embed_certificate(self, u_generic, rng):
-        f = tm_basis(u_generic).random_element(rng)
-        el = embed(u_generic, f.rep())
-        assert np.max(np.abs(el.coords - f.coords)) < 1e-10
-        with pytest.raises(SymbolNotInClass):
-            embed(u_generic, RationalSymbol.monomial(7))
 
 
 class TestConjugations:

@@ -10,6 +10,7 @@ from truncops import (
     atto_product_test,
     blaschke_new,
     conj_kernel,
+    conjugation_U,
     equivalence_transforms,
     functional_calculus,
     hat_transport_checks,
@@ -20,6 +21,7 @@ from truncops import (
     membership_transport_chain,
     membership_transports,
     mixed_product_test,
+    project,
     rank_one,
     sedlock_op,
     shift,
@@ -32,9 +34,9 @@ from truncops import (
     tto_matrix,
 )
 from truncops.blaschke import clark_points
-from truncops.errors import NoCertificate
-from truncops.harness import random_inner
-from truncops.products import symmetric_witness
+from truncops.errors import NoCertificate, SpaceMismatch
+from truncops.harness import hatted_symbol, random_inner
+from truncops.products import _symbol_blocks, symmetric_witness
 
 
 class TestConjugationDictionary:
@@ -269,7 +271,99 @@ class TestMixedProduct:
 
 
 def _atho_symbol(a, b, rng):
-    return tm_basis(a * b.hat()).random_element(rng).rep().conj_circle()
+    """A random psi in K_{a hat(b)}: the Hankel operator K_a -> K_b with symbol conj(psi)."""
+    return tm_basis(a * b.hat()).random_element(rng)
+
+
+def _conj_symbol(psi):
+    return psi.rep().conj_circle()
+
+
+# the projections that the asymmetric Hankel criteria now read off coordinates
+
+
+def _reference_product_f1(psi1, v, w):
+    return project(w, (v.hat().as_symbol() * _conj_symbol(psi1).hat()).conj_circle())
+
+
+def _reference_product_g2(psi2, u):
+    return project(u, _conj_symbol(psi2).conj_circle())
+
+
+def _reference_ht_f1(psi, v, w):
+    return project(w.hat(), (v.as_symbol() * _conj_symbol(psi)).conj_circle())
+
+
+def _reference_th_f2(psi, u):
+    return project(u.hat(), _conj_symbol(psi).hat().conj_circle())
+
+
+def _three_spaces(kind, n, rng):
+    if kind == "real-symmetric":
+        u = random_inner(rng, n, real_symmetric=True)
+        return u, u, u
+    spaces = [random_inner(rng, n) for _ in range(3)]
+    if kind == "zero-at-origin":
+        spaces = [blaschke_new((0.0,) + s.zeros[1:], s.constant) for s in spaces]
+    return spaces
+
+
+def _assert_read_matches(read, reference):
+    assert read.space == reference.space
+    gap = np.linalg.norm(read.coords - reference.coords)
+    assert gap <= 1e-12 * max(1.0, reference.norm())
+
+
+SPACE_CASES = [(n, kind) for n in (1, 2, 8, 16, 32)
+               for kind in ("generic", "zero-at-origin", "real-symmetric")]
+
+
+class TestSymbolBlocks:
+    """Each coordinate read of the asymmetric criteria against the projection it replaces."""
+
+    @pytest.mark.parametrize("n, kind", SPACE_CASES)
+    def test_product_f1(self, n, kind):
+        rng = np.random.default_rng(n)
+        u, v, w = _three_spaces(kind, n, rng)
+        psi1 = _atho_symbol(v, w, rng)
+        _, tail = _symbol_blocks(psi1, v, w)
+        _assert_read_matches(conjugation_U(w.hat()).apply(tail),
+                             _reference_product_f1(psi1, v, w))
+
+    @pytest.mark.parametrize("n, kind", SPACE_CASES)
+    def test_product_g2(self, n, kind):
+        rng = np.random.default_rng(n)
+        u, v, w = _three_spaces(kind, n, rng)
+        psi2 = _atho_symbol(u, v, rng)
+        head, _ = _symbol_blocks(psi2, u, v)
+        _assert_read_matches(head, _reference_product_g2(psi2, u))
+
+    @pytest.mark.parametrize("n, kind", SPACE_CASES)
+    def test_hankel_toeplitz_f1(self, n, kind):
+        rng = np.random.default_rng(n)
+        u, v, w = _three_spaces(kind, n, rng)
+        psi = _atho_symbol(v, w, rng)
+        _, tail = _symbol_blocks(psi, v, w)
+        _assert_read_matches(tail, _reference_ht_f1(psi, v, w))
+
+    @pytest.mark.parametrize("n, kind", SPACE_CASES)
+    def test_toeplitz_hankel_f2(self, n, kind):
+        rng = np.random.default_rng(n)
+        u, v, w = _three_spaces(kind, n, rng)
+        psi = _atho_symbol(u, v, rng)
+        head, _ = _symbol_blocks(psi, u, v)
+        _assert_read_matches(conjugation_U(u).apply(head), _reference_th_f2(psi, u))
+
+    def test_symbol_in_swapped_space_raises(self, u_generic, v_generic, rng):
+        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        swapped = tm_basis(w.hat() * v_generic).random_element(rng)     # K_{hat(w) v}
+        with pytest.raises(SpaceMismatch):
+            atho_product_tto_test(swapped, _atho_symbol(u_generic, v_generic, rng),
+                                  u_generic, v_generic, w)
+        with pytest.raises(SpaceMismatch):
+            atho_atto_product_test(swapped, tm_basis(v_generic).random_element(rng),
+                                   tm_basis(u_generic).random_element(rng),
+                                   u_generic, v_generic, w, "hankel_toeplitz")
 
 
 class TestAsymHankelProduct:
@@ -282,17 +376,20 @@ class TestAsymHankelProduct:
             assert pv.consistent
 
     def test_zero_factor(self, u_generic, v_generic, rng):
-        zero_sym = kernel(u_generic * v_generic.hat(), 0.0).rep().conj_circle()
-        assert np.max(np.abs(tho_matrix(u_generic, v_generic, zero_sym).matrix)) < 1e-10
+        zero_sym = kernel(u_generic * v_generic.hat(), 0.0)
+        assert np.max(np.abs(
+            tho_matrix(u_generic, v_generic, _conj_symbol(zero_sym)).matrix)) < 1e-10
         w = blaschke_new([0.6], constant=1.0)
         pv = atho_product_tto_test(_atho_symbol(v_generic, w, rng), zero_sym,
                                    u_generic, v_generic, w)
         assert pv.in_class and pv.direct
 
     def test_two_by_two_hand_case(self, u2):
-        # both factors are the antidiagonal-corner Hankel operators
+        # both factors are the antidiagonal-corner Hankel operators: the
+        # symbol conj(z), so psi = z in K_{z^4}
         zbar = RationalSymbol.monomial(-1)
-        pv = atho_product_tto_test(zbar, zbar, u2, u2, u2)
+        psi = tm_basis(u2 * u2.hat()).element([0, 1, 0, 0])
+        pv = atho_product_tto_test(psi, psi, u2, u2, u2)
         prod = tho_matrix(u2, u2, zbar) @ tho_matrix(u2, u2, zbar)
         # product is diag(1, 0) acting through rank-one corners: a Toeplitz
         # operator iff the direct test says so; the criterion must agree
@@ -305,7 +402,7 @@ class TestAsymHankelProduct:
         B1 = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5])) @ dop
         B2 = dop @ functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2]))
         s1, s2 = is_tho(B1), is_tho(B2)
-        pv = atho_product_tto_test(s1.symbol, s2.symbol, u_sym, u_sym, u_sym)
+        pv = atho_product_tto_test(s1.symbol_element, s2.symbol_element, u_sym, u_sym, u_sym)
         assert pv.in_class and pv.direct
 
     def test_equal_witness_specialization(self, u_sym, rng):
@@ -317,7 +414,8 @@ class TestAsymHankelProduct:
         s = is_tho(B)
         prod = tho_matrix(u_sym, u_sym, s.symbol) @ tho_matrix(u_sym, u_sym, s.symbol.hat())
         assert np.max(np.abs(prod.matrix - np.eye(3))) < 1e-9
-        pv = atho_product_tto_test(s.symbol, s.symbol.hat(), u_sym, u_sym, u_sym)
+        pv = atho_product_tto_test(s.symbol_element, hatted_symbol(s.symbol_element, u_sym, u_sym),
+                                   u_sym, u_sym, u_sym)
         assert pv.in_class and pv.direct
         _, gap = symmetric_witness(pv.witness[0], pv.witness[1], kernel(u_sym, 0.0))
         assert gap < 1e-8
@@ -339,10 +437,10 @@ class TestAsymMixedProduct:
 
     def test_constant_toeplitz_factor(self, u_generic, v_generic, rng):
         w = blaschke_new([0.6], constant=1.0)
-        phi = _atho_symbol(v_generic, w, rng)
+        psi = _atho_symbol(v_generic, w, rng)
         psi1 = 2.0 * kernel(v_generic, 0.0)     # the symbol of twice the identity
         psi2 = tm_basis(u_generic).element(np.zeros(u_generic.degree))
-        pv = atho_atto_product_test(phi, psi1, psi2, u_generic, v_generic, w,
+        pv = atho_atto_product_test(psi, psi1, psi2, u_generic, v_generic, w,
                                     "hankel_toeplitz")
         assert pv.in_class and pv.direct
 
@@ -356,19 +454,19 @@ class TestAsymMixedProduct:
                          ("toeplitz_hankel",
                           functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.0, 0.4])) @ dop)):
             mB = is_tho(B)
-            pv = atho_atto_product_test(mB.symbol, mA.analytic_part,
+            pv = atho_atto_product_test(mB.symbol_element, mA.analytic_part,
                                         mA.conjugate_part, u_sym, u_sym, u_sym, order)
             assert pv.in_class and pv.direct, order
 
     def test_adjoint_transport_agreement(self, u_generic, v_generic, rng):
         w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
-        phi = _atho_symbol(u_generic, v_generic, rng)
+        psi = _atho_symbol(u_generic, v_generic, rng)
         psi1 = tm_basis(w).random_element(rng)
         psi2 = tm_basis(v_generic).random_element(rng)
-        pv_th = atho_atto_product_test(phi, psi1, psi2, u_generic, v_generic, w,
+        pv_th = atho_atto_product_test(psi, psi1, psi2, u_generic, v_generic, w,
                                        "toeplitz_hankel")
-        pv_adj = atho_atto_product_test(phi.hat(), psi2, psi1, w, v_generic,
-                                        u_generic, "hankel_toeplitz")
+        pv_adj = atho_atto_product_test(hatted_symbol(psi, v_generic, u_generic), psi2, psi1,
+                                        w, v_generic, u_generic, "hankel_toeplitz")
         assert pv_th.in_class == pv_adj.in_class
         assert pv_th.direct == pv_adj.direct
 
@@ -377,8 +475,8 @@ class TestProductChains:
     def test_random_chains_agree(self, u_generic, v_generic, rng):
         w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         for _ in range(3):
-            res = membership_transport_chain(_atho_symbol(v_generic, w, rng),
-                                             _atho_symbol(u_generic, v_generic, rng),
+            res = membership_transport_chain(_conj_symbol(_atho_symbol(v_generic, w, rng)),
+                                             _conj_symbol(_atho_symbol(u_generic, v_generic, rng)),
                                              u_generic, v_generic, w)
             assert len(set(res["hankel"])) == 1
             assert len(set(res["toeplitz"])) == 1
@@ -386,7 +484,7 @@ class TestProductChains:
     def test_analytic_first_symbol_gives_zero(self, u_generic, v_generic, rng):
         w = blaschke_new([0.6], constant=1.0)
         res = membership_transport_chain(RationalSymbol.polynomial([1.0, 0.5]),
-                                         _atho_symbol(u_generic, v_generic, rng),
+                                         _conj_symbol(_atho_symbol(u_generic, v_generic, rng)),
                                          u_generic, v_generic, w)
         assert all(res["hankel"]) and all(res["toeplitz"])
 

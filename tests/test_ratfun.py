@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from truncops.errors import PoleHit, PoleOnCircle
+from truncops.quadrature import Reach
 from truncops.ratfun import RationalSymbol
 
 coeff = st.complex_numbers(min_magnitude=0, max_magnitude=3,
@@ -251,3 +252,15 @@ def test_monomial_denominator_roots_need_no_eigenvalue_solve(k, monkeypatch):
     assert calls == []
     assert sym.reach == want
     assert ratfun._certify_den(sym.den).tobytes() == np.zeros(k, dtype=complex).tobytes()
+
+
+def test_laurent_reach_matches_the_general_path():
+    from truncops.harness import random_laurent
+    rng = np.random.default_rng(11)
+    for degree in range(6):
+        sym = RationalSymbol.from_json(random_laurent(rng, degree).to_json())
+        num, den = sym.num, sym.den
+        assert not den[:-1].any()      # z^N: the fast path
+        general = Reach.of_poles(npoly.polyroots(den), max(int(np.argmax(den != 0)),
+                                                           max(0, num.size - den.size)))
+        assert sym.reach == general
