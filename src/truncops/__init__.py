@@ -1,37 +1,28 @@
 """Truncated Toeplitz/Hankel operators on finite-dimensional model spaces."""
 
-from .blaschke import (
-    ClarkData,
-    ExtendedScalar,
-    InnerFunction,
-    blaschke_new,
-    clark_points,
-    monomial_inner,
-)
+from .blaschke import ExtendedScalar, InnerFunction, monomial_inner
 from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
-    boundary_kernel,
     conj_kernel,
     conjugation_C,
     conjugation_U,
     conjugation_U_on,
-    flip_J,
     inner_product,
     kernel,
     project,
     tm_basis,
 )
 from .operators import (
-    adjoint_tho_check,
+    ClarkData,
     clark_perturbation,
+    clark_points,
     defects,
     functional_calculus,
     rank_one,
     sedlock_op,
     shift,
-    shift_adj,
     spectral_multiplier,
     symmetric_involution,
     tho_matrix,
@@ -47,8 +38,6 @@ from .classify import (
     is_tho,
     is_tto,
     sedlock_class,
-    symbol_is_zero_tho,
-    symbol_is_zero_tto,
     tho_inverse_class,
     tho_unitary_report,
     zero_product_analysis,

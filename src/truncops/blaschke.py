@@ -10,17 +10,13 @@ coefficient operation on the stored data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (
-    NotUnimodular,
-    PoleHit,
-    ZeroOnOrOutsideCircle,
-)
+from .errors import NotUnimodular, PoleHit, ZeroOnOrOutsideCircle
 from .quadrature import Reach, grid_cached, grown
 from .ratfun import RationalSymbol
 
@@ -195,11 +191,6 @@ class InnerFunction:
         return cls(zeros, complex(cre, cim))
 
 
-def blaschke_new(zeros, constant=1.0) -> InnerFunction:
-    """Validated construction of a finite Blaschke product."""
-    return InnerFunction(tuple(zeros), constant)
-
-
 def monomial_inner(n: int) -> InnerFunction:
     """u(z) = z**n."""
     return InnerFunction((0.0,) * n, 1.0)
@@ -263,60 +254,3 @@ class ExtendedScalar:
 
     def __str__(self):
         return "inf" if self.is_infinity else f"{self.value:g}"
-
-
-@dataclass(frozen=True)
-class ClarkData:
-    """Spectral data of the unitary rank-one perturbation at |alpha| = 1.
-
-    points are the n distinct unimodular eigenvalues of the perturbation of
-    the shift on K_generator, and u_values the boundary values u(point)
-    recorded so the empirical orientation u(point) vs alpha is data rather
-    than an assumption.  weights, the Clark masses 1/|u'(point)|, are
-    computed on first read, one ``generator.derivative`` per point, since
-    most callers read only the points.
-    """
-
-    generator: InnerFunction = field(repr=False)
-    alpha: complex
-    points: tuple
-    u_values: tuple
-
-    @cached_property
-    def weights(self) -> tuple:
-        return tuple(1.0 / abs(self.generator.derivative(p)) for p in self.points)
-
-    def orientation(self) -> str:
-        """Which of u(point) = alpha / conj(alpha) the spectrum satisfies, to 1e-8."""
-        direct = max(abs(v - self.alpha) for v in self.u_values)
-        flipped = max(abs(v - np.conj(self.alpha)) for v in self.u_values)
-        if direct < 1e-8:
-            return "u(point) = alpha"
-        if flipped < 1e-8:
-            return "u(point) = conj(alpha)"
-        return "mixed"
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": [self.alpha.real, self.alpha.imag],
-            "points": [[p.real, p.imag] for p in self.points],
-            "weights": list(self.weights),
-            "orientation": self.orientation(),
-        }
-
-
-def clark_points(u: InnerFunction, alpha) -> ClarkData:
-    """Eigenvalues and weights of the unitary perturbation of the compressed shift.
-
-    The points are `operators.level_points` (the same matrix certifies unitarity).
-    Weights are 1/|u'(point)|, computed when first read; the quadrature
-    identity sum(w_j |f(point_j)|^2) = ||f||^2 is validated by tests, not assumed.
-    """
-    alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
-        raise NotUnimodular(f"Clark parameter must be unimodular, got |alpha|={abs(alpha)!r}")
-    from .operators import level_points  # local import: operators builds on this module
-
-    points = tuple(complex(z / abs(z)) for z in level_points(u, alpha))
-    u_values = tuple(complex(v) for v in u(np.array(points)))
-    return ClarkData(u, alpha, points, u_values)

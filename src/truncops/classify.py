@@ -51,12 +51,9 @@ from .operators import (
     class_level,
     level_points,
     shift,
-    shift_adj,
     symmetric_involution,
     tho_by_pairing,
-    tho_matrix,
     tto_by_pairing,
-    tto_matrix,
 )
 from .ratfun import RationalSymbol
 
@@ -132,7 +129,7 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     _require_linear(A, "is_tto")
     u = A.domain.generator
     v = A.codomain.generator
-    disp = A - shift(v) @ A @ shift_adj(u)
+    disp = A - shift(v) @ A @ shift(u).adjoint()
     dec = cross_decompose(disp, kernel(u, 0.0), kernel(v, 0.0), tol)
     if not dec.success:
         return TTOMembership(False, None, None, None, dec.residual_norm)
@@ -185,14 +182,6 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     return THOMembership(True, psi, symbol, dec.residual_norm, rres)
 
 
-def symbol_is_zero_tto(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> bool:
-    return float(np.max(np.abs(tto_matrix(u, v, sym).matrix))) < MEMBERSHIP_TOL
-
-
-def symbol_is_zero_tho(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> bool:
-    return float(np.max(np.abs(tho_matrix(u, v, sym).matrix))) < MEMBERSHIP_TOL
-
-
 # ---------------------------------------------------------------------------
 # Sedlock class detection
 
@@ -204,21 +193,21 @@ class SedlockReport:
     commutator_residual: float
     scalar: complex | None = None        # set when membership == "all"
 
-    def matches(self, other) -> bool:
+    def matches(self, other: "SedlockReport") -> bool:
         """Whether this report and another describe a common class.
 
         A scalar multiple of the identity lies in every class.
         """
-        o = other if isinstance(other, SedlockReport) else None
-        if o is None:
-            if self.membership in ("finite", "infinity"):
-                return ExtendedScalar.of(other).isclose(self.alpha, PARAMETER_TOL)
-            return self.membership == "all"
-        if self.membership == "none" or o.membership == "none":
+        if self.membership == "none" or other.membership == "none":
             return False
-        if self.membership == "all" or o.membership == "all":
+        if self.membership == "all" or other.membership == "all":
             return True
-        return self.alpha.isclose(o.alpha, PARAMETER_TOL)
+        return self.alpha.isclose(other.alpha, PARAMETER_TOL)
+
+    def common_alpha(self, other: "SedlockReport") -> ExtendedScalar | None:
+        """The parameter of the first of this report and the other that names one."""
+        return next((r.alpha for r in (self, other) if r.membership in ("finite", "infinity")),
+                    None)
 
     def to_json(self) -> dict:
         alpha = None
@@ -314,14 +303,28 @@ def _require_linear(M: OperatorMatrix, caller: str):
         raise SpaceMismatch(f"{caller} needs a linear operator; Toeplitz and Hankel are linear")
 
 
-def _require_symmetric(u: InnerFunction):
+def require_symmetric(u: InnerFunction, caller: str):
     if not u.is_real_symmetric():
-        raise NotRealSymmetric("this report needs a real symmetric generator")
+        raise NotRealSymmetric(f"{caller} needs a real symmetric generator")
 
 
-def _require_tho(B: OperatorMatrix):
+def require_tto(A: OperatorMatrix, caller: str):
+    if not is_tto(A, recover=False).is_member:
+        raise NotTTO(f"{caller} needs a truncated Toeplitz operator")
+
+
+def require_tho(B: OperatorMatrix, caller: str):
     if not is_tho(B, recover=False).is_member:
-        raise NotTHO("operand is not a truncated Hankel operator")
+        raise NotTHO(f"{caller} needs a truncated Hankel operator")
+
+
+def scalar_multiple(M: OperatorMatrix, base: OperatorMatrix) -> tuple[complex, float, bool]:
+    """The least-squares c with M = c base, the Frobenius residual of that fit,
+    and whether it passes MEMBERSHIP_TOL max(1, |M|_F): whether M is a
+    scalar multiple of base, such as the identity or the involution."""
+    c = complex(np.vdot(base.matrix, M.matrix)) / complex(np.vdot(base.matrix, base.matrix))
+    residual = float(np.linalg.norm(M.matrix - c * base.matrix))
+    return c, residual, residual < MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(M.matrix)))
 
 
 @dataclass
@@ -342,10 +345,6 @@ class UnitaryReport:
                 self.gram_defect_is_tto, self.cogram_defect_is_tto,
                 self.class_unimodular]
 
-    @property
-    def all_agree(self) -> bool:
-        return len(set(self.conditions)) == 1
-
 
 def tho_unitary_report(B: OperatorMatrix) -> UnitaryReport:
     """Evaluate the six equivalent unitarity conditions for a Hankel operator.
@@ -355,8 +354,8 @@ def tho_unitary_report(B: OperatorMatrix) -> UnitaryReport:
     class with unimodular multiplier values at every Clark point.
     """
     u = B.domain.generator
-    _require_symmetric(u)
-    _require_tho(B)
+    require_symmetric(u, "tho_unitary_report")
+    require_tho(B, "tho_unitary_report")
     iso_res, coiso_res, c4, c5 = _gram_conditions(B)
     isometry = iso_res < UNITARY_TOL
     coisometry = coiso_res < UNITARY_TOL
@@ -441,8 +440,8 @@ def tho_inverse_class(B: OperatorMatrix) -> InverseReport:
     found the class; NoCertificate is raised when a rebuild misses.
     """
     u = B.domain.generator
-    _require_symmetric(u)
-    _require_tho(B)
+    require_symmetric(u, "tho_inverse_class")
+    require_tho(B, "tho_inverse_class")
     if np.linalg.cond(B.matrix) > COND_LIMIT:
         raise Singular("operator too ill conditioned to invert reliably")
     binv = OperatorMatrix(np.linalg.inv(B.matrix), B.codomain, B.domain)
@@ -492,9 +491,9 @@ def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix) -> ZeroProduct
     values are read at the kernels of the level points, in every regime.
     """
     u = B1.domain.generator
-    _require_symmetric(u)
-    _require_tho(B1)
-    _require_tho(B2)
+    require_symmetric(u, "zero_product_analysis")
+    require_tho(B1, "zero_product_analysis")
+    require_tho(B2, "zero_product_analysis")
     dop = symmetric_involution(u)
     return _zero_product_report(B1, B2, dop @ B1, B2 @ dop)
 
@@ -509,7 +508,7 @@ def _zero_product_report(B1: OperatorMatrix, B2: OperatorMatrix,
     r1 = sedlock_class(M1)
     r2 = sedlock_class(M2)
     match = r1.matches(r2)
-    alpha = next((r.alpha for r in (r1, r2) if r.membership in ("finite", "infinity")), None)
+    alpha = r1.common_alpha(r2)
     vanish = None
     residuals = {"product_norm": pnorm, "class1": r1.commutator_residual,
                  "class2": r2.commutator_residual}
@@ -534,10 +533,6 @@ class CrossSpaceUnitaryReport:
         return [self.isometry, self.coisometry, self.gram_defect_is_tto,
                 self.cogram_defect_is_tto, self.class_unimodular]
 
-    @property
-    def all_agree(self) -> bool:
-        return len(set(self.conditions)) == 1
-
 
 def cross_space_unitary_report(B: OperatorMatrix) -> CrossSpaceUnitaryReport:
     """Unitarity equivalences for a Hankel operator from K_u into the hat space.
@@ -549,7 +544,7 @@ def cross_space_unitary_report(B: OperatorMatrix) -> CrossSpaceUnitaryReport:
     uh = B.codomain.generator
     if uh != u.hat():
         raise NotTHO("expected an operator from K_u into the hat space")
-    _require_tho(B)
+    require_tho(B, "cross_space_unitary_report")
     iso_res, coiso_res, c3, c4 = _gram_conditions(B)
 
     candidates = {
@@ -582,8 +577,8 @@ def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix) -> ZeroProd
     analysis.
     """
     u = B2.domain.generator
-    _require_tho(B1)
-    _require_tho(B2)
+    require_tho(B1, "cross_space_zero_product")
+    require_tho(B2, "cross_space_zero_product")
     m1 = conjugation_C(u) @ B1 @ conjugation_U(u)          # K_u -> K_u, linear
     m2 = conjugation_U(u.hat()) @ B2 @ conjugation_C(u)    # K_u -> K_u, linear
     return _zero_product_report(B1, B2, m1, m2)

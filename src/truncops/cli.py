@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage errors.  A generator out
 of range (a zero on or outside the circle, degree 0, or a degree above
-harness.MAX_DEGREE, refused before anything is built) is a typed failure, exit 1.
+harness.MAX_DEGREE) is a typed failure, exit 1, and so is a symbol above
+harness.MAX_SYMBOL_DEGREE; both bounds are checked before anything is built.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ import re
 import sys
 
 from . import classify, harness, quadrature
-from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction, clark_points
-from .errors import InvalidRange, TruncOpsError
+from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction
+from .errors import TruncOpsError
 from .modelspace import OperatorMatrix, project
 from .operators import (
     clark_perturbation,
+    clark_points,
     functional_calculus,
     sedlock_op,
     shift,
-    shift_adj,
     symmetric_involution,
     tho_matrix,
     tto_matrix,
@@ -40,11 +41,10 @@ from .ratfun import RationalSymbol
 def parse_inner(text: str) -> InnerFunction:
     """Accept the z^n shorthand ("z2", "z^3") or InnerFunction JSON of degree <= MAX_DEGREE."""
     m = re.fullmatch(r"z\^?(\d+)", text.strip())
-    obj = None if m else json.loads(text)
-    degree = int(m.group(1)) if m else len(obj["zeros"])
-    if degree > harness.MAX_DEGREE:
-        raise InvalidRange(f"degree {degree} above the largest, {harness.MAX_DEGREE}")
-    return InnerFunction((0.0,) * degree, 1.0) if m else InnerFunction.from_json(obj)
+    if m is None:
+        return harness.inner_from_json(json.loads(text))
+    degree = harness.require_at_most("degree", int(m.group(1)), harness.MAX_DEGREE)
+    return InnerFunction((0.0,) * degree, 1.0)
 
 
 def parse_scalar(text: str):
@@ -85,7 +85,8 @@ def _positive(value: float | None, flag: str) -> float | None:
 
 
 def parse_symbol(text: str) -> RationalSymbol:
-    return RationalSymbol.from_json(json.loads(text))
+    """Accept RationalSymbol JSON of Laurent degree <= MAX_SYMBOL_DEGREE."""
+    return harness.symbol_from_json(json.loads(text))
 
 
 def _decoded(flag: str, text: str, parse):
@@ -93,7 +94,7 @@ def _decoded(flag: str, text: str, parse):
     value of the wrong kind is a usage error naming it."""
     try:
         return parse(text)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{flag} is malformed: {type(exc).__name__}: {exc}") from None
 
 
@@ -125,7 +126,7 @@ def _cmd_build_op(args) -> int:
     elif op == "shift":
         out = shift(u)
     elif op == "shift-adj":
-        out = shift_adj(u)
+        out = shift(u).adjoint()
     elif op == "clark-perturbation":
         out = clark_perturbation(u, _finite(args.alpha, "--alpha"))
     elif op == "involution":

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import json
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import classify, products, quadrature
-from .blaschke import ExtendedScalar, InnerFunction, clark_points, monomial_inner
+from .blaschke import ExtendedScalar, InnerFunction, monomial_inner
 from .errors import InvalidRange, TruncOpsError
 from .modelspace import (
     GRAM_TOL,
     OperatorMatrix,
     SpaceElement,
-    boundary_kernel,
     boundary_kernel_symbol,
     conj_kernel,
     conj_kernel_symbol,
@@ -38,6 +38,7 @@ from .modelspace import (
 )
 from .operators import (
     clark_perturbation,
+    clark_points,
     defects,
     functional_calculus,
     level_points,
@@ -55,7 +56,33 @@ from .ratfun import RationalSymbol
 
 SCHEMA = "v1"
 ZERO_CAP = 0.85  # conditioning guard on random Blaschke zeros
-MAX_DEGREE = 32  # the largest generator degree instances and the CLI accept
+MAX_DEGREE = 32  # the largest generator degree instances, specs and the CLI accept
+MAX_SYMBOL_DEGREE = 64  # their largest Laurent degree: 129 num and 65 den coefficients
+
+
+def require_at_most(what: str, size: int, most: int) -> int:
+    """size, or InvalidRange if it is above most; callers check before they build."""
+    if size > most:
+        raise InvalidRange(f"{what} {size} above the largest, {most}")
+    return size
+
+
+def inner_from_json(obj) -> InnerFunction:
+    """`InnerFunction.from_json`, refusing more than MAX_DEGREE zeros first."""
+    require_at_most("degree", len(obj["zeros"]), MAX_DEGREE)
+    return InnerFunction.from_json(obj)
+
+
+def symbol_from_json(obj) -> RationalSymbol:
+    """`RationalSymbol.from_json`, refusing first a symbol above MAX_SYMBOL_DEGREE,
+    so that no huge denominator is ever solved."""
+    if "laurent" in obj:
+        require_at_most("Laurent degree", max((abs(int(k)) for k in obj["laurent"]), default=0),
+                        MAX_SYMBOL_DEGREE)
+    else:
+        require_at_most("numerator length", len(obj["num"]), 2 * MAX_SYMBOL_DEGREE + 1)
+        require_at_most("denominator length", len(obj.get("den", ())), MAX_SYMBOL_DEGREE + 1)
+    return RationalSymbol.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +154,9 @@ class ProblemSpec:
     def from_json(cls, obj) -> "ProblemSpec":
         """Decode a spec with what `generate_instance` always writes: u, the
         symbol and the params alpha, lambda, eta and c as [re, im] pairs.  A
-        missing or malformed field raises KeyError, IndexError or TypeError."""
+        missing or malformed field raises KeyError, IndexError or TypeError; a
+        generator or symbol above MAX_DEGREE or MAX_SYMBOL_DEGREE raises
+        InvalidRange before it is built."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         spec = cls(
@@ -144,7 +173,7 @@ class ProblemSpec:
 
     def _decode(self, key: str):
         if key not in self._decoded:
-            parse = RationalSymbol.from_json if key == "symbol" else InnerFunction.from_json
+            parse = symbol_from_json if key == "symbol" else inner_from_json
             self._decoded[key] = parse(getattr(self, key))
         return self._decoded[key]
 
@@ -182,7 +211,7 @@ def generate_instance(seed: int, degree_range=(2, 4), symbol_degree_range=(1, 3)
     if not (1 <= lo <= hi <= MAX_DEGREE):
         raise InvalidRange(f"degree range {degree_range} outside [1, {MAX_DEGREE}]")
     slo, shi = symbol_degree_range
-    if not (0 <= slo <= shi <= 64):
+    if not (0 <= slo <= shi <= MAX_SYMBOL_DEGREE):
         raise InvalidRange(f"symbol degree range {symbol_degree_range} invalid")
     cons = constraints or {}
     rng = np.random.default_rng(seed)
@@ -263,7 +292,7 @@ def check_kernel_core(p: ProblemSpec) -> TrialResult:
     kt = conj_kernel(u, lam)
     cmap = conjugation_C(u)
     umap = conjugation_U(u)
-    ke = boundary_kernel(u, eta)
+    ke = kernel(u, eta)
     kte = project(u, conj_kernel_symbol(u, eta))
     r = {
         "reproducing": abs(f.inner(k) - f(lam)),
@@ -324,21 +353,19 @@ def check_defect_rank_one(p: ProblemSpec) -> TrialResult:
         "defect_right": _opnorm(d2.matrix - (np.eye(n) - smat.conj().T @ smat)),
     }
     # rank-one operators with explicit rational symbols
-    sym1 = RationalSymbol(v.num_coeffs,
-                          np.polynomial.polynomial.polymul(
-                              v.den_coeffs, np.array([-lam, 1.0])),
-                          check_poles=False)
+    sym1 = RationalSymbol(v.num_coeffs, np.polynomial.polynomial.polymul(
+        v.den_coeffs, np.array([-lam, 1.0])))
     r["rank_one_interior_1"] = _opnorm(
         rank_one(conj_kernel(v, lam), kernel(u, lam)).matrix
         - tto_matrix(u, v, sym1).matrix)
-    zoverl = RationalSymbol([0.0, 1.0], [1.0, -np.conj(lam)], check_poles=False)
+    zoverl = RationalSymbol([0.0, 1.0], [1.0, -np.conj(lam)])
     sym2 = u.conj_symbol() * zoverl
     r["rank_one_interior_2"] = _opnorm(
         rank_one(kernel(v, lam), conj_kernel(u, lam)).matrix
         - tto_matrix(u, v, sym2).matrix)
     sym3 = boundary_kernel_symbol(v, eta) + boundary_kernel_symbol(u, eta).conj_circle() - 1.0
     r["rank_one_boundary"] = _opnorm(
-        rank_one(boundary_kernel(v, eta), boundary_kernel(u, eta)).matrix
+        rank_one(kernel(v, eta), kernel(u, eta)).matrix
         - tto_matrix(u, v, sym3).matrix)
     # Hankel memberships of the paired rank-one operators
     hank = [
@@ -1052,8 +1079,6 @@ class SuiteReport:
 
 def _trial_seed(seed: int, check_id: str, index: int) -> int:
     # zlib.crc32 rather than hash(): process-independent determinism
-    import zlib
-
     h = np.random.SeedSequence([seed, zlib.crc32(check_id.encode()), index])
     return int(h.generate_state(1)[0])
 

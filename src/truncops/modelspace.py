@@ -4,8 +4,9 @@ For a finite Blaschke product u of degree n the model space K_u (the
 orthogonal complement of u H^2 in H^2) is n dimensional.  This module fixes
 the Takenaka-Malmquist orthonormal basis ordered by the stored zero list,
 and provides coordinates for the reproducing kernels, the projection onto
-K_u, and the three conjugate-linear symmetries: the natural conjugation on
-K_u, the coefficient conjugation onto the hat space, and the flip J.
+K_u, and the conjugate-linear symmetries: the natural conjugation on K_u
+and the coefficient conjugation onto the hat space (the flip J of symbols
+is `RationalSymbol.flip`).
 
 Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
@@ -160,14 +161,11 @@ class ModelSpaceBasis:
     def element(self, coords) -> "SpaceElement":
         return SpaceElement(self, np.asarray(coords, dtype=complex))
 
-    def random_element(self, rng, norm=None) -> "SpaceElement":
-        coords = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        if norm is not None:
-            coords *= norm / np.linalg.norm(coords)
-        return self.element(coords)
+    def random_element(self, rng) -> "SpaceElement":
+        return self.element(rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim))
 
 
-@quadrature.memoized(512)
+@quadrature.memoized
 def tm_basis(u: InnerFunction) -> ModelSpaceBasis:
     """The orthonormal basis of K_u, memoized in the current evaluation."""
     return ModelSpaceBasis(u)
@@ -327,18 +325,7 @@ def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
     def provider(m):
         z = quadrature.nodes(m)
         return npoly.polyval(z, num) / _generator_den_values(u, m)
-    return RationalSymbol(num, u.den_coeffs, check_poles=False, provider=provider,
-                          reach=u.reach)
-
-
-def boundary_kernel(u: InnerFunction, eta: complex) -> SpaceElement:
-    """Coordinates of the boundary kernel; exact via conj(e_k(eta)), as for `kernel`."""
-    return kernel(u, eta)
-
-
-def flip_J(sym: RationalSymbol) -> RationalSymbol:
-    """The flip (Jf)(z) = conj(z) f(conj z); z^k goes to z^(-k-1)."""
-    return sym.flip()
+    return RationalSymbol(num, u.den_coeffs, provider=provider, reach=u.reach)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +479,7 @@ def _swap_rounds(order: tuple):
     return tuple(rounds), readonly(np.concatenate(left)), readonly(np.concatenate(right))
 
 
-@quadrature.memoized(512)
+@quadrature.memoized
 def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
 
@@ -505,7 +492,7 @@ def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     return OperatorMatrix(readonly(mat), tm_basis(u), tm_basis(u), antilinear=True)
 
 
-@quadrature.memoized(512)
+@quadrature.memoized
 def conjugation_U(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
 

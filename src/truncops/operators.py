@@ -1,9 +1,10 @@
 """Matrix realizations of the operators on model spaces.
 
-Builders for the compressed shift and its rank-one perturbations, truncated
-Toeplitz and Hankel operators (symmetric and asymmetric), the Sedlock-class
-constructors, the functional calculus of the Sedlock classes, and the
-unitary involution available over a real symmetric generator.
+Builders for the compressed shift and its rank-one perturbations (with the
+Clark points and weights of the unitary ones), truncated Toeplitz and Hankel
+operators (symmetric and asymmetric), the Sedlock-class constructors, the
+functional calculus of the Sedlock classes, and the unitary involution
+available over a real symmetric generator.
 
 The shift, its perturbations, the functional calculus and the involution
 are exact matrix algebra.  So are the Toeplitz and Hankel builders for a
@@ -22,13 +23,16 @@ the flipped basis).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
-from .blaschke import ClarkData, ExtendedScalar, InnerFunction
-from .errors import DegenerateSpectrum, NotRealSymmetric, SingularDenominator, SpaceMismatch
+from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction
+from .errors import (DegenerateSpectrum, NotRealSymmetric, NotUnimodular, SingularDenominator,
+                     SpaceMismatch)
 from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
@@ -50,7 +54,7 @@ def _images(sym: RationalSymbol, space: ModelSpaceBasis) -> Block:
                  sym.reach.times(space.generator.reach))
 
 
-@quadrature.memoized(512)
+@quadrature.memoized
 def shift(u: InnerFunction) -> OperatorMatrix:
     """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation.
 
@@ -66,11 +70,6 @@ def shift(u: InnerFunction) -> OperatorMatrix:
     weights = np.sqrt(1.0 - np.abs(a) ** 2)
     mat = np.tril(mat * np.outer(weights, weights), -1) + np.diag(a)
     return OperatorMatrix(readonly(mat), tm_basis(u), tm_basis(u))
-
-
-def shift_adj(u: InnerFunction) -> OperatorMatrix:
-    """Adjoint of the compressed shift, (f(z) - f(0))/z; conjugate transpose here."""
-    return shift(u).adjoint()
 
 
 def rank_one(f: SpaceElement, g: SpaceElement) -> OperatorMatrix:
@@ -117,7 +116,62 @@ def level_points(u: InnerFunction, level) -> np.ndarray:
     return eigvals
 
 
-@quadrature.memoized(512)
+@dataclass(frozen=True)
+class ClarkData:
+    """Spectral data of the unitary rank-one perturbation at |alpha| = 1.
+
+    points are the n distinct unimodular eigenvalues of the perturbation of
+    the shift on K_generator, and u_values the boundary values u(point)
+    recorded so the empirical orientation u(point) vs alpha is data rather
+    than an assumption.  weights, the Clark masses 1/|u'(point)|, are
+    computed on first read, one ``generator.derivative`` per point, since
+    most callers read only the points.
+    """
+
+    generator: InnerFunction = field(repr=False)
+    alpha: complex
+    points: tuple
+    u_values: tuple
+
+    @cached_property
+    def weights(self) -> tuple:
+        return tuple(1.0 / abs(self.generator.derivative(p)) for p in self.points)
+
+    def orientation(self) -> str:
+        """Which of u(point) = alpha / conj(alpha) the spectrum satisfies, to 1e-8."""
+        direct = max(abs(v - self.alpha) for v in self.u_values)
+        flipped = max(abs(v - np.conj(self.alpha)) for v in self.u_values)
+        if direct < 1e-8:
+            return "u(point) = alpha"
+        if flipped < 1e-8:
+            return "u(point) = conj(alpha)"
+        return "mixed"
+
+    def to_json(self) -> dict:
+        return {
+            "alpha": [self.alpha.real, self.alpha.imag],
+            "points": [[p.real, p.imag] for p in self.points],
+            "weights": list(self.weights),
+            "orientation": self.orientation(),
+        }
+
+
+def clark_points(u: InnerFunction, alpha) -> ClarkData:
+    """Eigenvalues and weights of the unitary perturbation of the compressed shift.
+
+    The points are `level_points` (the same matrix certifies unitarity).
+    Weights are 1/|u'(point)|, computed when first read; the quadrature
+    identity sum(w_j |f(point_j)|^2) = ||f||^2 is validated by tests, not assumed.
+    """
+    alpha = complex(alpha)
+    if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
+        raise NotUnimodular(f"Clark parameter must be unimodular, got |alpha|={abs(alpha)!r}")
+    points = tuple(complex(z / abs(z)) for z in level_points(u, alpha))
+    u_values = tuple(complex(v) for v in u(np.array(points)))
+    return ClarkData(u, alpha, points, u_values)
+
+
+@quadrature.memoized
 def cross_gram(u: InnerFunction, v: InnerFunction) -> OperatorMatrix:
     """G = P_v restricted to K_u, G[i, j] = <e_j, e_i> across the two bases,
     memoized in the current evaluation; the matrix is read-only.
@@ -235,14 +289,6 @@ def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> O
     return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.flipped), dom, cod)
 
 
-def adjoint_tho_check(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> bool:
-    """Whether the adjoint of the Hankel operator equals the one with hatted
-    symbol, to 1e-9 in max entry."""
-    lhs = tho_matrix(u, v, sym).adjoint()
-    rhs = tho_matrix(v, u, sym.hat())
-    return bool(np.max(np.abs(lhs.matrix - rhs.matrix)) < 1e-9)
-
-
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
     """A member of the Sedlock class with parameter alpha, built from its symbol.
 
@@ -317,7 +363,7 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
     return out.adjoint() if adjoint else out
 
 
-@quadrature.memoized(512)
+@quadrature.memoized
 def symmetric_involution(u: InnerFunction) -> OperatorMatrix:
     """The linear unitary involution on K_u over a real symmetric generator.
 

@@ -26,13 +26,15 @@ from .classify import (
     cross_decompose,
     is_tho,
     is_tto,
+    require_symmetric,
+    require_tho,
+    require_tto,
+    scalar_multiple,
     sedlock_class,
-    MEMBERSHIP_TOL,
     PARAMETER_TOL,
     REBUILD_TOL,
 )
-from .errors import (NoCertificate, NotRealSymmetric, NotTHO, NotTTO, SpaceMismatch,
-                     SymbolRecoveryFailed)
+from .errors import NoCertificate, NotTTO, SpaceMismatch, SymbolRecoveryFailed
 from .modelspace import (
     OperatorMatrix,
     SpaceElement,
@@ -163,8 +165,7 @@ def involution_identity_checks(u: InnerFunction, alpha, v: InnerFunction,
                                phi: RationalSymbol) -> dict[str, float]:
     """Residuals of the identities satisfied by the real-symmetric involution
     and the two mixed conjugation-Hankel identities on a second space."""
-    if not u.is_real_symmetric():
-        raise NotRealSymmetric("involution identities need a real symmetric generator")
+    require_symmetric(u, "involution_identity_checks")
     dop = symmetric_involution(u)
     n = u.degree
     out = {
@@ -221,11 +222,6 @@ def atto_product_test(A: OperatorMatrix, B: OperatorMatrix) -> ProductVerdict:
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
 
-def _involution_scalar_fit(B: OperatorMatrix, dop: OperatorMatrix):
-    c = complex(np.vdot(dop.matrix, B.matrix)) / complex(np.vdot(dop.matrix, dop.matrix))
-    return c, float(np.linalg.norm(B.matrix - c * dop.matrix))
-
-
 def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix) -> ProductVerdict:
     """Criterion for a product of two Hankel operators to be Toeplitz.
 
@@ -234,27 +230,20 @@ def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix) -> ProductVerdi
     case the product itself belongs to that class.
     """
     u = B1.domain.generator
-    if not u.is_real_symmetric():
-        raise NotRealSymmetric("the Hankel product criterion needs real symmetry")
-    for Bi in (B1, B2):
-        if not is_tho(Bi, recover=False).is_member:
-            raise NotTHO("factor is not a truncated Hankel operator")
+    require_symmetric(u, "tho_product_tto_test")
+    require_tho(B1, "tho_product_tto_test")
+    require_tho(B2, "tho_product_tto_test")
     dop = symmetric_involution(u)
-    scale1 = max(1.0, float(np.linalg.norm(B1.matrix)))
-    scale2 = max(1.0, float(np.linalg.norm(B2.matrix)))
-    c1, r1 = _involution_scalar_fit(B1, dop)
-    c2, r2 = _involution_scalar_fit(B2, dop)
-    details: dict = {}
+    c1, r1, scalar1 = scalar_multiple(B1, dop)
+    c2, r2, scalar2 = scalar_multiple(B2, dop)
     direct = is_tto(B1 @ B2, recover=False).is_member
-    if r1 < MEMBERSHIP_TOL * scale1 or r2 < MEMBERSHIP_TOL * scale2:
-        c = c1 if r1 < MEMBERSHIP_TOL * scale1 else c2
-        details["case"] = "scalar"
-        return ProductVerdict(True, direct, c, min(r1, r2), details)
+    if scalar1 or scalar2:
+        return ProductVerdict(True, direct, c1 if scalar1 else c2, min(r1, r2), {"case": "scalar"})
     rep1 = sedlock_class(B1 @ dop)
     rep2 = sedlock_class(dop @ B2)
     match = rep1.matches(rep2)
-    alpha = rep1.alpha if rep1.membership in ("finite", "infinity") else rep2.alpha
-    details.update({"case": "common-class", "left_class": rep1, "right_class": rep2})
+    alpha = rep1.common_alpha(rep2)
+    details = {"case": "common-class", "left_class": rep1, "right_class": rep2}
     if match and alpha is not None:
         details["product_class"] = sedlock_class(B1 @ B2)
     residual = max(rep1.commutator_residual, rep2.commutator_residual)
@@ -314,31 +303,23 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB") 
     matches the involution-shifted class of B on the appropriate side.
     """
     u = A.domain.generator
-    if not u.is_real_symmetric():
-        raise NotRealSymmetric("the mixed product criterion needs real symmetry")
-    if not is_tto(A, recover=False).is_member:
-        raise NotTTO("first factor is not a truncated Toeplitz operator")
-    if not is_tho(B, recover=False).is_member:
-        raise NotTHO("second factor is not a truncated Hankel operator")
+    require_symmetric(u, "mixed_product_test")
+    require_tto(A, "mixed_product_test")
+    require_tho(B, "mixed_product_test")
     dop = symmetric_involution(u)
-    n = u.degree
-    trace_scalar = complex(np.trace(A.matrix)) / n
-    rA_scalar = float(np.linalg.norm(A.matrix - trace_scalar * np.eye(n)))
-    cB, rB_scalar = _involution_scalar_fit(B, dop)
+    cA, rA, scalarA = scalar_multiple(A, OperatorMatrix.identity(A.domain))
+    cB, rB, scalarB = scalar_multiple(B, dop)
     prod = A @ B if order == "AB" else B @ A
     direct = is_tho(prod, recover=False).is_member
-    details: dict = {"order": order}
-    if rA_scalar < MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(A.matrix))):
-        details["case"] = "scalar-toeplitz"
-        return ProductVerdict(True, direct, trace_scalar, rA_scalar, details)
-    if rB_scalar < MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(B.matrix))):
-        details["case"] = "scalar-hankel"
-        return ProductVerdict(True, direct, cB, rB_scalar, details)
+    if scalarA or scalarB:
+        case, c, r = ("scalar-toeplitz", cA, rA) if scalarA else ("scalar-hankel", cB, rB)
+        return ProductVerdict(True, direct, c, r, {"order": order, "case": case})
     repA = sedlock_class(A)
     repB = sedlock_class(B @ dop if order == "AB" else dop @ B)
     match = repA.matches(repB)
-    alpha = repA.alpha if repA.membership in ("finite", "infinity") else repB.alpha
-    details.update({"case": "common-class", "toeplitz_class": repA, "hankel_class": repB})
+    alpha = repA.common_alpha(repB)
+    details = {"order": order, "case": "common-class", "toeplitz_class": repA,
+               "hankel_class": repB}
     residual = max(repA.commutator_residual, repB.commutator_residual)
     return ProductVerdict(match, direct, alpha if match else None, residual, details)
 

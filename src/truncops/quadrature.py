@@ -58,6 +58,7 @@ from .errors import NoConvergence
 QUAD_TOL = 1e-12
 QUAD_START = 16     # a floor: the first level is chosen per pairing
 QUAD_CAP = 65536
+MEMO_SIZE = 512     # the latest builds each memoized builder keeps per evaluation
 
 
 @dataclass(frozen=True)
@@ -207,16 +208,14 @@ def tally():
         ev.stats.add(own)
 
 
-def memoized(maxsize: int):
-    """Memoize a builder in the current evaluation, keeping its maxsize latest builds."""
-    def wrap(build):
-        @wraps(build)
-        def lookup(*args):
-            memo = _current.get().memo
-            table = memo.get(build) or memo.setdefault(build, lru_cache(maxsize)(build))
-            return table(*args)
-        return lookup
-    return wrap
+def memoized(build):
+    """Memoize a builder in the current evaluation, keeping its MEMO_SIZE latest builds."""
+    @wraps(build)
+    def lookup(*args):
+        memo = _current.get().memo
+        table = memo.get(build) or memo.setdefault(build, lru_cache(MEMO_SIZE)(build))
+        return table(*args)
+    return lookup
 
 
 def readonly(arr: np.ndarray) -> np.ndarray:

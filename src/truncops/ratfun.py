@@ -16,16 +16,14 @@ coefficients on demand: the first read of ``num`` or ``den`` runs the same
 coefficients are bit-identical either way.  Division is the exception and
 expands at once, because its new denominator must be certified.
 
-Construction from raw coefficients certifies that no denominator root lies
-within 1e-6 of the circle; arithmetic on certified symbols cannot create
-new poles, so intermediate results skip the (cubic-cost) root check.
-
 Every symbol states its ``quadrature.Reach``, which picks the first level of
 its pairings: the constructors know it (a Laurent polynomial's degree, a
-certified denominator's root moduli, a generator's zeros), and arithmetic,
-hat, flip and conjugation on the circle combine their operands' reaches.  A
-symbol built from uncertified coefficients with no stated reach finds its
-poles on the first read.
+generator's zeros), and arithmetic, hat, flip and conjugation on the circle
+combine their operands' reaches.  A stated reach means the coefficients are
+trusted.  Coefficients given with no reach are certified at construction:
+no denominator root may lie within 1e-6 of the circle, and the reach is read
+off the root moduli.  Arithmetic on certified symbols cannot create new
+poles, so its results skip the (cubic-cost) root check.
 """
 
 from __future__ import annotations
@@ -88,14 +86,14 @@ class RationalSymbol:
     of truth for exact algebra, certificates and serialization; symbols made
     by arithmetic expand them on the first read of ``num`` or ``den``
     (``expand`` returns the raw pair, which is then canonicalized as
-    construction would).  Expansion is idempotent and deterministic, so a
+    construction would, and comes with the stated reach).  Expansion is idempotent and deterministic, so a
     symbol shared between threads may be forced from any of them.
     """
 
     __slots__ = ("_coeffs", "_expand", "_vals", "_provider", "_reach")
 
-    def __init__(self, num=None, den=(1.0,), *, check_poles: bool = True, provider=None,
-                 expand=None, reach: Reach | None = None):
+    def __init__(self, num=None, den=(1.0,), *, provider=None, expand=None,
+                 reach: Reach | None = None):
         self._vals: dict[int, np.ndarray] = {}
         self._reach = reach
         if expand is not None:
@@ -105,7 +103,7 @@ class RationalSymbol:
             self._provider = provider
             return
         num, den = _canonical(num, den)
-        if check_poles:
+        if reach is None:   # uncertified coefficients
             self._reach = _reach_of(num, den, _certify_den(den))
         self._coeffs = (num, den)
         self._expand = None
@@ -134,11 +132,7 @@ class RationalSymbol:
     @property
     def reach(self) -> Reach:
         """Where the symbol is analytic and how far its finite part reaches (see quadrature)."""
-        got = self._reach
-        if got is None:     # uncertified coefficients with no stated reach
-            num, den = self._expanded()
-            got = self._reach = _reach_of(num, den, npoly.polyroots(den))
-        return got
+        return self._reach
 
     @staticmethod
     def _derived(operands, provider, expand, reach: Reach) -> "RationalSymbol":
@@ -148,22 +142,22 @@ class RationalSymbol:
         is recognized and evaluates to exact zeros, as eager expansion did.
         """
         if any(o._coeffs is not None and _is_zero_num(o._coeffs[0]) for o in operands):
-            return RationalSymbol(*expand(), check_poles=False, provider=provider, reach=reach)
+            return RationalSymbol(*expand(), provider=provider, reach=reach)
         return RationalSymbol(provider=provider, expand=expand, reach=reach)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "RationalSymbol":
-        return cls([0.0], [1.0], check_poles=False, reach=Reach())
+        return cls([0.0], [1.0], reach=Reach())
 
     @classmethod
     def one(cls) -> "RationalSymbol":
-        return cls([1.0], [1.0], check_poles=False, reach=Reach())
+        return cls([1.0], [1.0], reach=Reach())
 
     @classmethod
     def constant(cls, c) -> "RationalSymbol":
-        return cls([complex(c)], [1.0], check_poles=False, reach=Reach())
+        return cls([complex(c)], [1.0], reach=Reach())
 
     @classmethod
     def monomial(cls, k: int, coeff=1.0) -> "RationalSymbol":
@@ -172,10 +166,10 @@ class RationalSymbol:
         if k >= 0:
             num = np.zeros(k + 1, dtype=complex)
             num[k] = coeff
-            return cls(num, [1.0], check_poles=False, reach=reach)
+            return cls(num, [1.0], reach=reach)
         den = np.zeros(-k + 1, dtype=complex)
         den[-k] = 1.0
-        return cls([coeff], den, check_poles=False, reach=reach)
+        return cls([coeff], den, reach=reach)
 
     @classmethod
     def from_laurent(cls, coeffs: dict) -> "RationalSymbol":
@@ -189,13 +183,12 @@ class RationalSymbol:
             num[int(k) - lo] += complex(c)
         den = np.zeros(1 - lo, dtype=complex)
         den[-1] = 1.0
-        return cls(num, den, check_poles=False,
-                   reach=Reach(degree=max(-lo, powers[-1])))
+        return cls(num, den, reach=Reach(degree=max(-lo, powers[-1])))
 
     @classmethod
     def polynomial(cls, coeffs) -> "RationalSymbol":
         coeffs = _as_coeffs(coeffs)
-        return cls(coeffs, [1.0], check_poles=False, reach=Reach(degree=coeffs.size - 1))
+        return cls(coeffs, [1.0], reach=Reach(degree=coeffs.size - 1))
 
     # -- algebra -----------------------------------------------------------
 
@@ -330,9 +323,6 @@ class RationalSymbol:
         return npoly.polyval(z, self.num) / npoly.polyval(z, self.den)
 
     # -- predicates and export -----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.num == 0))
 
     def __repr__(self):
         return f"RationalSymbol(num={list(self.num)}, den={list(self.den)})"

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncops import CHECKS, ProblemSpec, SuiteConfig, generate_instance, replay, run_suite
 from truncops import classify, cli, harness, products, quadrature
@@ -46,6 +48,17 @@ class TestGeneration:
         p = generate_instance(5, (2, 3), (1, 2), {"spaces": 2, "operation": "x"})
         q = ProblemSpec.from_json(json.dumps(p.to_json()))
         assert q.to_json() == p.to_json()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), check=st.sampled_from(sorted(CHECKS)),
+           degrees=st.lists(st.integers(1, 32), min_size=2, max_size=2).map(sorted),
+           symbol_degrees=st.lists(st.integers(0, 8), min_size=2, max_size=2).map(sorted))
+    def test_every_generated_spec_round_trips(self, seed, check, degrees, symbol_degrees):
+        # every registered check's constraints, at degrees across [1, MAX_DEGREE]
+        constraints = dict(CHECKS[check].constraints, operation=check)
+        s = generate_instance(seed, tuple(degrees), tuple(symbol_degrees), constraints)
+        text = json.dumps(s.to_json())
+        assert ProblemSpec.from_json(json.loads(text)).to_json() == s.to_json()
 
 
 class TestSuite:
@@ -388,7 +401,9 @@ class TestCLI:
          '{"operation": "kernel-core", "seed": 1}'),
         (["classify"], "--input", "{}"),
         (["build-op", "--op", "tto", "--u", "z2"], "--symbol", '{"nu":[[1,0]]}'),
-    ], ids=["spec-empty", "spec-list", "spec-without-u", "classify-empty", "symbol"])
+        (["build-op", "--op", "tto", "--u", "z2"], "--symbol", '{"laurent":[1]}'),
+    ], ids=["spec-empty", "spec-list", "spec-without-u", "classify-empty", "symbol",
+            "symbol-laurent-list"])
     def test_malformed_json_is_usage_error(self, tmp_path, capsys, command, flag, text):
         # each used to end in a KeyError or TypeError traceback, exit 1
         f = tmp_path / "doc.json"
@@ -581,6 +596,7 @@ class TestCLI:
                 built.append(obj)
 
         monkeypatch.setattr(cli, "InnerFunction", Unbuilt)
+        monkeypatch.setattr(harness, "InnerFunction", Unbuilt)     # the JSON decoder's
         assert main(["build-op", "--op", "shift", "--u", u]) == 1
         assert "InvalidRange" in capsys.readouterr().err
         assert built == []
@@ -591,6 +607,50 @@ class TestCLI:
         assert parse_inner(json.dumps({"zeros": [[0.1, 0.0]] * 32})).degree == 32
         assert main(["build-op", "--op", "shift", "--u", "z32", "--json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["matrix"]) == 32
+
+    @staticmethod
+    def _spec_file(tmp_path, **fields) -> str:
+        spec = generate_instance(4, (2, 3), (1, 2), {"spaces": 2}).to_json()
+        spec.update(fields)
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        return str(f)
+
+    @pytest.mark.parametrize("field", ["u", "v"])
+    def test_spec_generator_above_bound_exits_1(self, tmp_path, capsys, field):
+        # a 40-zero u used to run kernel-core and pass
+        spec = self._spec_file(tmp_path, **{field: {"zeros": [[0.1, 0.0]] * 40}})
+        assert main(["product-test", "--theorem", "displacement-roundtrip", "--spec", spec]) == 1
+        assert "InvalidRange: degree 40 above the largest, 32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("symbol", [
+        {"laurent": {str(k): [1.0, 0.0] for k in (-8000, 0, 3)}},
+        {"num": [[1.0, 0.0]] * 16001, "den": [[0.5, 0.0]] * 8000 + [[1.0, 0.0]]},
+        {"num": [[1.0, 0.0]], "den": [[0.5, 0.0]] * 66},
+    ], ids=["laurent", "num-den", "den-only"])
+    def test_spec_symbol_above_bound_exits_1_before_building(self, tmp_path, capsys,
+                                                              monkeypatch, symbol):
+        # a degree-8000 Laurent symbol used to take seconds in the row loop of
+        # the Hankel build, and a degree-8000 denominator a polyroots solve
+        spec = self._spec_file(tmp_path, symbol=symbol)
+        built = []
+        monkeypatch.setattr(harness.RationalSymbol, "from_json", built.append)
+        assert main(["product-test", "--theorem", "displacement-roundtrip", "--spec", spec]) == 1
+        assert "InvalidRange" in capsys.readouterr().err
+        assert built == []
+        assert main(["build-op", "--op", "tho", "--u", "z2", "--symbol", json.dumps(symbol)]) == 1
+        assert "InvalidRange" in capsys.readouterr().err
+        assert built == []
+
+    def test_spec_at_bounds_accepted(self, tmp_path, capsys):
+        assert harness.MAX_SYMBOL_DEGREE == 64
+        laurent = {str(k): [0.01, 0.0] for k in range(-64, 65)}
+        spec = self._spec_file(tmp_path, u={"zeros": [[0.1 * (-1) ** k, 0.0] for k in range(32)]},
+                               symbol={"laurent": laurent})
+        assert main(["product-test", "--theorem", "displacement-roundtrip", "--spec", spec]) == 0
+        capsys.readouterr()
+        widest = {"num": [[0.01, 0.0]] * 129, "den": [[0.0, 0.0]] * 64 + [[1.0, 0.0]]}
+        assert cli.parse_symbol(json.dumps(widest)).reach.degree == 64
 
     def test_product_test_subcommand(self, tmp_path, capsys):
         p = generate_instance(9, (2, 3), (1, 2),

@@ -8,14 +8,11 @@ import pytest
 from truncops import (
     OperatorMatrix,
     RationalSymbol,
-    blaschke_new,
-    boundary_kernel,
     clark_points,
     conj_kernel,
     conjugation_C,
     conjugation_U,
     conjugation_U_on,
-    flip_J,
     inner_product,
     kernel,
     project,
@@ -46,7 +43,7 @@ class TestBasis:
             assert f(0.7j) == pytest.approx((0.7j) ** k)
 
     def test_degree_one(self):
-        u = blaschke_new([0.5], 1)
+        u = InnerFunction([0.5], 1)
         b = tm_basis(u)
         z = 0.3 + 0.1j
         assert b.functions[0](z) == pytest.approx(np.sqrt(0.75) / (1 - 0.5 * z))
@@ -54,13 +51,13 @@ class TestBasis:
 
     def test_gram_certificate_random_degree5(self, rng):
         zeros = 0.8 * np.sqrt(rng.uniform(size=5)) * np.exp(2j * np.pi * rng.uniform(size=5))
-        u = blaschke_new(zeros, np.exp(1j * rng.uniform()))
+        u = InnerFunction(zeros, np.exp(1j * rng.uniform()))
         assert gram_residual(tm_basis(u)) < GRAM_TOL
 
     @pytest.mark.parametrize("n", [2, 32])
     def test_basis_build_makes_no_pairing(self, rng, n):
         zeros = 0.85 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-        u = blaschke_new(zeros, np.exp(1j * rng.uniform()))
+        u = InnerFunction(zeros, np.exp(1j * rng.uniform()))
         with quadrature.use(quadrature.Evaluation()), quadrature.tally() as built:
             tm_basis(u)
         assert built.pairings == 0
@@ -72,7 +69,7 @@ class TestBasis:
         zeros = 0.85 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
         if zero_at_origin:
             zeros[n // 2] = 0.0
-        space = ModelSpaceBasis(blaschke_new(zeros, np.exp(1j * rng.uniform())))
+        space = ModelSpaceBasis(InnerFunction(zeros, np.exp(1j * rng.uniform())))
         assert np.max(np.abs(space.k0 - np.conj(space.at(0j)))) <= 1e-15
 
     def test_conjugated_values_are_cached_bitwise(self, u_generic):
@@ -147,13 +144,13 @@ class TestKernels:
         assert sym(lam) == pytest.approx(u_generic.derivative(lam))
 
     def test_boundary_kernel_monomial(self, u2):
-        ke = boundary_kernel(u2, 1.0)
+        ke = kernel(u2, 1.0)
         assert np.allclose(ke.coords, [1.0, 1.0])
         assert ke.norm() ** 2 == pytest.approx(2.0)   # equals |u'(1)|
 
     def test_boundary_relation(self, u_generic):
         eta = np.exp(0.9j)
-        ke = boundary_kernel(u_generic, eta)
+        ke = kernel(u_generic, eta)
         kte = project(u_generic, conj_kernel_symbol(u_generic, eta))
         rel = np.conj(u_generic(eta)) * eta * kte.coords
         assert np.max(np.abs(ke.coords - rel)) < 1e-9
@@ -161,12 +158,12 @@ class TestKernels:
     def test_boundary_symbol_matches_coords(self, u_generic):
         eta = np.exp(2.3j)
         el = project(u_generic, boundary_kernel_symbol(u_generic, eta))
-        assert np.max(np.abs(el.coords - boundary_kernel(u_generic, eta).coords)) < 1e-10
+        assert np.max(np.abs(el.coords - kernel(u_generic, eta).coords)) < 1e-10
 
 
 def _random_inner(rng, n, radius=0.8):
     zeros = radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
-    return blaschke_new(zeros, np.exp(1j * rng.uniform()))
+    return InnerFunction(zeros, np.exp(1j * rng.uniform()))
 
 
 class TestFactoredEvaluation:
@@ -237,7 +234,8 @@ class TestFactoredEvaluation:
     @pytest.mark.parametrize("n", [16, 32])
     def test_reproducing_property_high_degree(self, rng, n):
         u = _random_inner(rng, n)
-        f = tm_basis(u).random_element(rng, norm=1.0)
+        f = tm_basis(u).random_element(rng)
+        f = f * (1.0 / f.norm())
         points = [0.0, 0.9 * np.exp(0.4j), -0.5 + 0.3j, np.exp(1j), np.exp(-2.5j)]
         for lam in points:
             ulam = complex(u(lam))
@@ -262,7 +260,7 @@ class TestFactoredEvaluation:
         tm_basis(u_generic)
         before = quadrature.STATS.pairings
         kernel(u_generic, 0.3 - 0.1j)
-        boundary_kernel(u_generic, np.exp(0.7j))
+        kernel(u_generic, np.exp(0.7j))
         conj_kernel(u_generic, 0.3 - 0.1j)
         assert quadrature.STATS.pairings == before
 
@@ -285,7 +283,7 @@ class TestFactoredEvaluation:
         sym = conj_kernel_symbol(u_generic, lam)
         want = RationalSymbol(_deflate(u_generic.num_coeffs - complex(u_generic(lam))
                                        * u_generic.den_coeffs, lam),
-                              u_generic.den_coeffs, check_poles=False)
+                              u_generic.den_coeffs)
         assert sym._coeffs is None
         assert np.array_equal(sym.num, want.num) and np.array_equal(sym.den, want.den)
 
@@ -344,14 +342,14 @@ class TestConjugations:
 
 class TestFlip:
     def test_monomial_images(self):
-        assert flip_J(RationalSymbol.one())(2.0) == pytest.approx(0.5)
-        assert flip_J(RationalSymbol.monomial(3))(2.0) == pytest.approx(2.0**-4)
-        assert flip_J(RationalSymbol.monomial(-2))(2.0) == pytest.approx(2.0)
+        assert RationalSymbol.one().flip()(2.0) == pytest.approx(0.5)
+        assert RationalSymbol.monomial(3).flip()(2.0) == pytest.approx(2.0**-4)
+        assert RationalSymbol.monomial(-2).flip()(2.0) == pytest.approx(2.0)
 
     def test_pairing_preserved(self):
         f = RationalSymbol.from_laurent({-1: 1j, 2: 0.5})
         g = RationalSymbol.from_laurent({0: 2.0, 1: -1.0})
-        assert inner_product(flip_J(f), flip_J(g)) == pytest.approx(
+        assert inner_product(f.flip(), g.flip()) == pytest.approx(
             inner_product(f, g), abs=1e-10)
 
 
@@ -410,7 +408,7 @@ def test_hat_multiplicative_on_rationals():
 def _real_symmetric_inner(rng, pairs):
     """A real symmetric product: conjugate pairs of zeros, one real zero, constant -1."""
     a = 0.8 * np.sqrt(rng.uniform(size=pairs)) * np.exp(1j * np.pi * rng.uniform(size=pairs))
-    return blaschke_new([*a, *np.conj(a), rng.uniform(-0.8, 0.8)], -1)
+    return InnerFunction([*a, *np.conj(a), rng.uniform(-0.8, 0.8)], -1)
 
 
 # the memoized per-generator builders; each is a closed form, making no pairing
@@ -445,7 +443,7 @@ class TestMemo:
         zeros = list(_random_inner(rng, n).zeros)
         zeros[0] = 0.0
         zeros[n // 2] = 0.0
-        u = blaschke_new(zeros, np.exp(0.4j))
+        u = InnerFunction(zeros, np.exp(0.4j))
         space = tm_basis(u)
         assert np.array_equal(space.k0, np.conj(space.at(0.0)))
         assert np.array_equal(space.conj_k0, _conj_kernel_coords(u, 0j))

@@ -3,12 +3,12 @@ import pytest
 
 from truncops import (
     ExtendedScalar,
+    InnerFunction,
     OperatorMatrix,
     RationalSymbol,
     atho_atto_product_test,
     atho_product_tto_test,
     atto_product_test,
-    blaschke_new,
     conj_kernel,
     conjugation_U,
     equivalence_transforms,
@@ -33,7 +33,7 @@ from truncops import (
     tm_basis,
     tto_matrix,
 )
-from truncops.blaschke import clark_points
+from truncops.operators import clark_points
 from truncops.errors import NoCertificate, SpaceMismatch
 from truncops.harness import hatted_symbol, random_inner
 from truncops.products import _symbol_blocks, symmetric_witness
@@ -121,7 +121,7 @@ class TestAttoProduct:
         assert not pv.in_class and not pv.direct
 
     def test_asymmetric_spaces_consistent(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         A = tto_matrix(v_generic, w, RationalSymbol.from_laurent({-1: 1.0, 1: 0.5j}))
         B = tto_matrix(u_generic, v_generic, RationalSymbol.from_laurent({-2: 0.3, 0: 1.0}))
         pv = atto_product_test(A, B)
@@ -304,7 +304,7 @@ def _three_spaces(kind, n, rng):
         return u, u, u
     spaces = [random_inner(rng, n) for _ in range(3)]
     if kind == "zero-at-origin":
-        spaces = [blaschke_new((0.0,) + s.zeros[1:], s.constant) for s in spaces]
+        spaces = [InnerFunction((0.0,) + s.zeros[1:], s.constant) for s in spaces]
     return spaces
 
 
@@ -355,7 +355,7 @@ class TestSymbolBlocks:
         _assert_read_matches(conjugation_U(u).apply(head), _reference_th_f2(psi, u))
 
     def test_symbol_in_swapped_space_raises(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         swapped = tm_basis(w.hat() * v_generic).random_element(rng)     # K_{hat(w) v}
         with pytest.raises(SpaceMismatch):
             atho_product_tto_test(swapped, _atho_symbol(u_generic, v_generic, rng),
@@ -368,7 +368,7 @@ class TestSymbolBlocks:
 
 class TestAsymHankelProduct:
     def test_random_consistent(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         for _ in range(3):
             pv = atho_product_tto_test(_atho_symbol(v_generic, w, rng),
                                        _atho_symbol(u_generic, v_generic, rng),
@@ -379,7 +379,7 @@ class TestAsymHankelProduct:
         zero_sym = kernel(u_generic * v_generic.hat(), 0.0)
         assert np.max(np.abs(
             tho_matrix(u_generic, v_generic, _conj_symbol(zero_sym)).matrix)) < 1e-10
-        w = blaschke_new([0.6], constant=1.0)
+        w = InnerFunction([0.6], constant=1.0)
         pv = atho_product_tto_test(_atho_symbol(v_generic, w, rng), zero_sym,
                                    u_generic, v_generic, w)
         assert pv.in_class and pv.direct
@@ -423,7 +423,7 @@ class TestAsymHankelProduct:
 
 class TestAsymMixedProduct:
     def test_random_both_orders(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         pv = atho_atto_product_test(
             _atho_symbol(v_generic, w, rng), tm_basis(v_generic).random_element(rng),
             tm_basis(u_generic).random_element(rng), u_generic, v_generic, w,
@@ -436,7 +436,7 @@ class TestAsymMixedProduct:
         assert pv.consistent
 
     def test_constant_toeplitz_factor(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6], constant=1.0)
+        w = InnerFunction([0.6], constant=1.0)
         psi = _atho_symbol(v_generic, w, rng)
         psi1 = 2.0 * kernel(v_generic, 0.0)     # the symbol of twice the identity
         psi2 = tm_basis(u_generic).element(np.zeros(u_generic.degree))
@@ -459,7 +459,7 @@ class TestAsymMixedProduct:
             assert pv.in_class and pv.direct, order
 
     def test_adjoint_transport_agreement(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         psi = _atho_symbol(u_generic, v_generic, rng)
         psi1 = tm_basis(w).random_element(rng)
         psi2 = tm_basis(v_generic).random_element(rng)
@@ -473,7 +473,7 @@ class TestAsymMixedProduct:
 
 class TestProductChains:
     def test_random_chains_agree(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
+        w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         for _ in range(3):
             res = membership_transport_chain(_conj_symbol(_atho_symbol(v_generic, w, rng)),
                                              _conj_symbol(_atho_symbol(u_generic, v_generic, rng)),
@@ -482,7 +482,7 @@ class TestProductChains:
             assert len(set(res["toeplitz"])) == 1
 
     def test_analytic_first_symbol_gives_zero(self, u_generic, v_generic, rng):
-        w = blaschke_new([0.6], constant=1.0)
+        w = InnerFunction([0.6], constant=1.0)
         res = membership_transport_chain(RationalSymbol.polynomial([1.0, 0.5]),
                                          _conj_symbol(_atho_symbol(u_generic, v_generic, rng)),
                                          u_generic, v_generic, w)
