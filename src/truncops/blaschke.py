@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NotUnimodular, PoleHit, ZeroOnOrOutsideCircle
-from .quadrature import Reach, grid_cached, grown
+from .quadrature import Reach, conj_reflected, grid_cached, grown, unsigned_zeros
 from .ratfun import RationalSymbol
 
 ZERO_MARGIN = 1e-9
@@ -44,7 +44,15 @@ class InnerFunction:
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "_bvals", {})
-        poles = np.array([1.0 / np.conj(a) for a in zs if a != 0])
+        # how this generator was made, if by `hat` (its source) or `__mul__`
+        # (its two factors), whose grids its own derive from; not fields, so
+        # equality, hashing and JSON ignore them
+        object.__setattr__(self, "_hat_of", None)
+        object.__setattr__(self, "_factors", None)
+        # a zero below 1e-300 has its pole 1/conj(a) beyond 1e300, past every
+        # grid, and for a subnormal zero the division overflows: as for a zero
+        # at 0, no pole is kept
+        poles = np.array([1.0 / np.conj(a) for a in zs if abs(a) > 1e-300])
         object.__setattr__(self, "_poles", poles)
         # guard_poles searches for a pole only at points beyond this radius
         object.__setattr__(self, "_pole_radius",
@@ -87,15 +95,23 @@ class InnerFunction:
         Factored evaluation keeps full relative accuracy even when zeros
         cluster; the expanded coefficients would lose it there.  A grid grows
         from a cached half grid by its odd nodes alone, or is sliced from a
-        cached double (``quadrature.grid_cached``).
+        cached double (``quadrature.grid_cached``).  A hat whose source has
+        the m-grid (or its double) cached conjugates that grid instead
+        (``quadrature.conj_reflected``); every way gives the same bits.
         """
-        return grid_cached(self._bvals, m, lambda m: grown(self._bvals, m, self._factored))
+        return grid_cached(self._bvals, m, self._boundary_grid)
+
+    def _boundary_grid(self, m: int) -> np.ndarray:
+        src = self._hat_of
+        if src is not None and (m in src._bvals or 2 * m in src._bvals):
+            return conj_reflected(src.boundary_values(m))
+        return grown(self._bvals, m, self._factored)
 
     def _factored(self, z: np.ndarray) -> np.ndarray:
         out = np.full(z.shape, self.constant, dtype=complex)
         for a in self.zeros:
             out = out * (z - a) / (1.0 - np.conj(a) * z)
-        return out
+        return unsigned_zeros(out)
 
     def as_symbol(self) -> RationalSymbol:
         """u as a rational symbol; pairings read its factored boundary values,
@@ -150,14 +166,18 @@ class InnerFunction:
     def hat(self) -> "InnerFunction":
         """conj(u(conj z)): conjugate every zero and the constant.  An exact involution.
 
-        Built once per instance.  The hat keeps no link back, so u.hat().hat()
-        is a fresh, validated product equal to u.
+        Built once per instance.  The hat records u as its source, so its
+        grids and its basis grids derive from u's where those are cached;
+        u.hat().hat() is a fresh, validated product equal to u, with u.hat()
+        as its source.
         """
         return self._hat
 
     @cached_property
     def _hat(self) -> "InnerFunction":
-        return InnerFunction(tuple(np.conj(a) for a in self.zeros), np.conj(self.constant))
+        hat = InnerFunction(tuple(np.conj(a) for a in self.zeros), np.conj(self.constant))
+        object.__setattr__(hat, "_hat_of", self)
+        return hat
 
     def is_real_symmetric(self) -> bool:
         """True iff u equals its hat: conjugation-closed zero multiset, real constant."""
@@ -176,7 +196,11 @@ class InnerFunction:
         return tuple(p for _, p in sorted(zip(conj_key, key)))
 
     def __mul__(self, other: "InnerFunction") -> "InnerFunction":
-        return InnerFunction(self.zeros + other.zeros, self.constant * other.constant)
+        """The product, zeros of self first; it records its factors, so its basis
+        grids continue the first factor's where those are cached."""
+        product = InnerFunction(self.zeros + other.zeros, self.constant * other.constant)
+        object.__setattr__(product, "_factors", (self, other))
+        return product
 
     def to_json(self) -> dict:
         return {

@@ -282,8 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=_cmd_clark)
 
     s = sub.add_parser("verify-suite", help="run the verification suite")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--trials", type=int, default=12)
+    s.add_argument("--seed", type=int, default=0,
+                   help="suite seed; each trial's instance is drawn from it, the check id "
+                        "and the trial index, so a fixed seed gives the same report (default 0)")
+    s.add_argument("--trials", type=int, default=12,
+                   help="trials per check (default 12); with 0 no check passes and the "
+                        "suite fails")
     s.add_argument("--theorem", action="append",
                    help="restrict to this criterion id (repeatable)")
     s.add_argument("--tol", type=float,
@@ -295,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--quad-tol", type=float, help="quadrature stopping tolerance")
     s.add_argument("--quad-cap", type=int, help="quadrature node cap")
     s.add_argument("--list", action="store_true", help="list criterion ids and exit")
-    s.add_argument("--json", action="store_true")
+    s.add_argument("--json", action="store_true",
+                   help="print the report as JSON, byte-identical for a fixed seed and "
+                        "settings, instead of the per-check summary")
     s.set_defaults(func=_cmd_verify_suite)
     return ap
 

@@ -12,7 +12,12 @@ Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
 once for all k, so kernels and element values need neither expanded
 coefficients nor pairings; ``values`` is the same product on the circle
-nodes.  Basis orthonormality is a theorem, so a basis build makes no
+nodes.  The grid of a hat basis is derived from its source's, since
+e^_k(z) = conj(e_k(conj z)), and a product basis continues its first
+factor's grid, since the basis of K_{u w} is the basis of K_u followed by
+(u/c_u) times the basis of K_w (Garcia-Mashreghi-Ross, *Introduction to
+Model Spaces and their Operators*, 2016); either way the bits are those of
+a cold evaluation.  Basis orthonormality is a theorem, so a basis build makes no
 pairing; `gram_residual` is its quadrature oracle, which kernel-core gates
 at GRAM_TOL.  The conjugations are exact too: both are changes of zero
 order (`reorder`), or the identity for the coefficient conjugation.
@@ -51,6 +56,8 @@ class ModelSpaceBasis:
         self.generator = generator
         n = len(generator.zeros)
         self._value_cache: dict[int, np.ndarray] = {}
+        # prod_j b_j over every zero factor per grid, which a product's basis continues
+        self._running_cache: dict[int, np.ndarray] = {}
         self.dim = n
         # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
         # most the zeros at 0 as the degree of its finite part
@@ -123,25 +130,67 @@ class ModelSpaceBasis:
         coefficients are evaluated.  Raises PoleHit where some 1 - conj(a_k) z
         nearly vanishes, which happens only off the closed disk.
         """
+        return self._evaluate(z)[0]
+
+    def _evaluate(self, z):
+        """e_k(z) for every k, and prod_j b_j(z) over every zero factor."""
         z = np.asarray(z, dtype=complex)
         self.generator.guard_poles(z)
         out = np.empty(z.shape + (self.dim,), dtype=complex)
-        running = np.ones(z.shape, dtype=complex)   # prod_{j<k} (z-a_j)/(1-conj(a_j) z)
-        for k, a in enumerate(self.generator.zeros):
+        return self._continue(out, np.ones(z.shape, dtype=complex), z, 0)
+
+    def _continue(self, out, running, z, start: int):
+        """Fill out[..., start:] from running = prod_{j<start} b_j(z), zero by
+        zero; return it and the final running product, their zeros unsigned
+        (``quadrature.unsigned_zeros``)."""
+        for k, a in enumerate(self.generator.zeros[start:], start):
             factor_den = 1.0 - np.conj(a) * z
-            out[..., k] = np.sqrt(1.0 - abs(a) ** 2) * running / factor_den
+            np.divide(np.sqrt(1.0 - abs(a) ** 2) * running, factor_den, out=out[..., k])
             running = running * (z - a) / factor_den
-        return out
+        return quadrature.unsigned_zeros(out), quadrature.unsigned_zeros(running)
 
     def values(self, m: int) -> np.ndarray:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
-        A grid grows from a cached half grid by its odd nodes alone, or is
-        sliced from a cached double (``quadrature.grid_cached``).  A pairing
-        against the basis reads the conjugates, ``block.conj``.
+        A grid is sliced from a cached double (``quadrature.grid_cached``).
+        Else the grid of a hat whose source's basis holds it, or its double,
+        in the current evaluation is that grid conjugated
+        (``quadrature.conj_reflected``).  Else it grows from a cached half
+        grid by its odd nodes alone (``quadrature.grown``).  Else a product's
+        grid copies its first factor's and continues the running product
+        over the second factor's zeros, and any other grid is evaluated cold.
+        Every way runs the same operations on the same values up to the sign
+        of a zero, which is dropped, so the bits are those of ``at(nodes(m))``,
+        whichever equal generator the memo holds.  A pairing against the basis
+        reads the conjugates, ``block.conj``.
         """
-        cache = self._value_cache
-        return quadrature.grid_cached(cache, m, lambda m: quadrature.grown(cache, m, self.at))
+        return quadrature.grid_cached(self._value_cache, m, self._values_grid)
+
+    def _values_grid(self, m: int) -> np.ndarray:
+        u = self.generator
+        if u._hat_of is not None:
+            source = tm_basis(u._hat_of)
+            if m in source._value_cache or 2 * m in source._value_cache:
+                return quadrature.conj_reflected(source.values(m))
+        if m % 2 == 0 and m // 2 in self._value_cache:
+            return quadrature.grown(self._value_cache, m, self.at)
+        if u._factors is not None:
+            first = tm_basis(u._factors[0])
+            out = np.empty((m, self.dim), dtype=complex)
+            out[:, :first.dim] = first.values(m)
+            values, running = self._continue(out, first._running(m), quadrature.nodes(m),
+                                             first.dim)
+        else:
+            values, running = self._evaluate(quadrature.nodes(m))
+        quadrature.grid_cached(self._running_cache, m, lambda m: running)
+        return values
+
+    def _running(self, m: int) -> np.ndarray:
+        """prod_j b_j over every zero factor on the m-grid; cached, read-only.
+        An evaluation of the values that runs it keeps it; else it is evaluated again."""
+        cache = self._running_cache
+        return quadrature.grid_cached(
+            cache, m, lambda m: quadrature.grown(cache, m, lambda z: self._evaluate(z)[1]))
 
     def _flipped_values(self, m: int) -> np.ndarray:
         return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]

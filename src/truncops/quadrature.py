@@ -17,14 +17,22 @@ is a hard error rather than a silent inaccuracy.  An a priori level above
 the cap is clamped so that the cap level is still evaluated; a ``start``
 floor whose first level exceeds the cap raises at once.
 
-The M-point grid is the even-index subset of the 2M-point grid.  One cache
-of grid values, ``grid_cached``, serves every side of a pairing: the M-grid
-is the even rows of a cached 2M-grid, and a pointwise map grows a 2M-grid
-from a cached M-grid by evaluating the odd nodes alone (``grown``).  Values
-are computed point by point, so a grown or sliced grid has the same bits as
-one evaluated cold, and each refinement evaluates only the nodes it adds.
+The M-point grid is the even-index subset of the 2M-point grid, and the
+nodes are conjugation symmetric: node M-k is stored as exactly conj(node k).
+One cache of grid values, ``grid_cached``, serves every side of a pairing:
+the M-grid is the even rows of a cached 2M-grid, and a pointwise map grows a
+2M-grid from a cached M-grid by evaluating the odd nodes alone (``grown``).
+The grid of conj(f(conj z)) is the grid of f conjugated at the reflected
+nodes (``conj_reflected``), which the hats of generators use.  Values are
+computed point by point, so a grown or sliced grid has the same bits as one
+evaluated cold, and each refinement evaluates only the nodes it adds.  A
+derived grid has them too, since generator and basis grids have their zeros
+unsigned (``unsigned_zeros``).
 
-The stopping rule compares the gap between the two levels with
+Each level is one matrix product over the (M, 2, k) views of the two
+2M-grids, which gives the sums over the even and the odd nodes; the 2M-node
+mean is their sum over 2M, and the gap to the M-node mean is their
+difference over 2M.  The stopping rule compares that gap with
 tol * max(1, max|F| * max|G|), the roundoff floor of the mean.  That scale is
 never below 1, so a gap under tol stops at once and the maxima are reduced
 only when the gap falls between tol and the scaled bound.
@@ -231,11 +239,21 @@ _reflection_cache: dict[int, np.ndarray] = {}
 
 
 def nodes(m: int) -> np.ndarray:
-    """The m-th roots of unity, exp(2*pi*i*k/m) for k = 0..m-1."""
+    """The m-th roots of unity, exp(2*pi*i*k/m) for k = 0..m-1, conjugation symmetric.
+
+    Nodes 0..m/2 are evaluated, node m/2 (m even) is exactly -1 and node m-k
+    is stored as conj(node k), so `reflection` maps each node to its exact
+    conjugate and nodes(2m)[::2] is nodes(m) bit for bit.
+    """
     got = _nodes_cache.get(m)
     if got is None:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        got = _nodes_cache[m] = readonly(np.exp(1j * theta))
+        half = m // 2
+        got = np.empty(m, dtype=complex)
+        got[:half + 1] = np.exp(1j * (2.0 * np.pi * np.arange(half + 1) / m))
+        if m % 2 == 0:
+            got[half] = -1.0
+        got[half + 1:] = np.conj(got[m - half - 1:0:-1])
+        got = _nodes_cache[m] = readonly(got)
     return got
 
 
@@ -245,6 +263,32 @@ def reflection(m: int) -> np.ndarray:
     if got is None:
         got = _reflection_cache[m] = readonly((-np.arange(m)) % m)
     return got
+
+
+def unsigned_zeros(values):
+    """values with every -0.0 part made +0.0, in place where it is an array.
+
+    The sign of a zero is the only bit in which a grid evaluated at conjugate
+    nodes from conjugate data can differ from the conjugate of the grid, so
+    every evaluated grid drops it and `conj_reflected` has a cold grid's bits.
+    """
+    values += 0.0
+    return values
+
+
+def conj_reflected(values: np.ndarray) -> np.ndarray:
+    """The grid of conj(f(conj z)) from the m-grid of f, rows on the node axis.
+
+    Row k is the conjugate of row -k mod m.  Complex +, -, *, / and real sqrt
+    commute with conjugation up to the sign of a zero, so from a grid whose
+    zeros are unsigned this is the same bits as evaluating the conjugated
+    data cold at `nodes` (whose node -k is conj(node k)) and unsigning.
+    """
+    out = np.empty_like(values)
+    out[:1] = values[:1]
+    out[1:] = values[:0:-1]
+    np.subtract(0.0, out.imag, out=out.imag)    # conjugates and unsigns the zeros
+    return out
 
 
 def grid_cached(cache: dict, m: int, compute) -> np.ndarray:
@@ -303,7 +347,8 @@ def first_level(f: Reach, g: Reach, settings: QuadratureSettings) -> int:
 def pairing_matrix(fs, gs) -> np.ndarray:
     """G[i, j] = (1/2pi) \\int fs[j](e^{it}) conj(gs[i](e^{it})) dt for two blocks.
 
-    fs is read through its values and gs through its cached conjugates.
+    fs is read through its values and gs through its cached conjugates,
+    each on the 2 * m grid only.
     The first level, 2 * m0 nodes against m0, comes from the two reaches
     (`first_level`), so the finite part of the integrand is exact and no
     frequency aliases onto the result; from there the node count doubles
@@ -320,14 +365,17 @@ def pairing_matrix(fs, gs) -> np.ndarray:
             raise NoConvergence(
                 f"circle quadrature did not stabilize to {s.tol:g} within {s.cap} nodes"
             )
-        F2 = fs.values(2 * m)
-        G2c, Gc = gs.conj(2 * m), gs.conj(m)
-        full = G2c.T @ F2 / (2 * m)
-        half = Gc.T @ F2[::2] / m
-        # the roundoff floor of the mean grows with the integrand magnitude,
-        # so the stopping rule is relative to it; the scale is never below 1,
-        # so a gap under tol itself stops without reducing the maxima
-        gap = np.max(np.abs(full - half))
+        F2, G2c = fs.values(2 * m), gs.conj(2 * m)
+        # the sums over the even nodes (the m-grid) and the odd nodes, as one
+        # product of the (2, k, m) and (2, m, k) views of the 2m-grids
+        even, odd = np.matmul(G2c.reshape(m, 2, -1).transpose(1, 2, 0),
+                              F2.reshape(m, 2, -1).transpose(1, 0, 2))
+        full = (even + odd) / (2 * m)
+        # the gap between the two levels, full - even / m; the roundoff floor
+        # of the mean grows with the integrand magnitude, so the stopping rule
+        # is relative to it; the scale is never below 1, so a gap under tol
+        # itself stops without reducing the maxima
+        gap = np.max(np.abs(odd - even)) / (2 * m)
         if gap < s.tol or gap < s.tol * max(
                 1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c)))):
             ev.stats.record(2 * m)

@@ -225,6 +225,15 @@ def test_pole_guard_radius_is_fixed_at_construction():
     monomial_inner(3).guard_poles(np.array([1e300]))
 
 
+def test_subnormal_zero_has_no_pole():
+    # 1/conj(a) overflowed to a NaN pole, with overflow warnings, for a
+    # subnormal zero such as the one a CLI generator can carry
+    u = InnerFunction([2.2e-309, 0.5j])
+    assert u._poles.tolist() == [2j] and u.reach.rho == 2.0
+    assert np.all(np.isfinite(u.boundary_values(16)))
+    assert InnerFunction([2.2e-309])._pole_radius == np.inf
+
+
 def test_clark_rejects_interior_alpha():
     with pytest.raises(NotUnimodular):
         clark_points(monomial_inner(2), 0.5)

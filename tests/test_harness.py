@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,23 @@ from truncops.errors import InvalidRange
 from truncops.harness import run_trial
 from truncops.modelspace import GRAM_TOL, ModelSpaceBasis
 from truncops.quadrature import QUAD_START, QuadratureSettings
+
+
+SEED7_REPORT = Path(__file__).parent / "data" / "seed7_report.json"
+
+
+def _first_difference(got: dict, want: dict) -> str:
+    """Where a report first differs from the wanted one: a top-level field,
+    else the first check and field, by the wanted report's order."""
+    for key in dict.fromkeys([*want, *got]):
+        if key != "checks" and got.get(key) != want.get(key):
+            return f"field {key!r}: {want.get(key)!r} -> {got.get(key)!r}"
+    for g, w in zip_longest(got.get("checks", []), want.get("checks", []), fillvalue={}):
+        for field in dict.fromkeys([*w, *g]):
+            if g.get(field) != w.get(field):
+                return (f"check {w.get('id', g.get('id'))!r}, field {field!r}: "
+                        f"{w.get(field)!r} -> {g.get(field)!r}")
+    return "no field differs"
 
 
 class TestGeneration:
@@ -143,10 +161,26 @@ class TestSuite:
     def test_byte_determinism(self):
         r1 = run_suite(SuiteConfig(seed=7))
         r2 = run_suite(SuiteConfig(seed=7))
-        assert r1.json_bytes() == r2.json_bytes()
-        # a change that moves the reports on purpose updates this digest
-        assert hashlib.sha256(r1.json_bytes()).hexdigest() == \
-            "a4d7b31bb508846ae408a5a2da5d2629baa5689a67c5895ddad7695a860c6aa1"
+        got = r1.json_bytes()
+        assert got == r2.json_bytes()
+        # a change that moves the reports on purpose rewrites the committed
+        # report (`truncops verify-suite --seed 7 --json > tests/data/seed7_report.json`)
+        # and this digest; a mismatch names the first check and field that moved
+        want = SEED7_REPORT.read_bytes()
+        assert got + b"\n" == want, _first_difference(json.loads(got), json.loads(want))
+        assert hashlib.sha256(got).hexdigest() == \
+            "4fb0759e2d8e69ed7915180b48d908ff50e1760b6b672572613ba02943760b7a"
+
+    def test_first_difference_names_the_check_and_field(self):
+        want = json.loads(SEED7_REPORT.read_bytes())
+        got = json.loads(SEED7_REPORT.read_bytes())
+        assert _first_difference(got, want) == "no field differs"
+        got["checks"][3]["max_residual"] *= 2
+        got["checks"][5]["passes"] -= 1
+        said = _first_difference(got, want)
+        assert said.startswith(f"check {want['checks'][3]['id']!r}, field 'max_residual': ")
+        got["quadrature"]["pairings"] += 1
+        assert _first_difference(got, want).startswith("field 'quadrature': ")
 
     def test_zero_trials_fails_build(self):
         rep = run_suite(SuiteConfig(seed=1, trials=0, checks=["kernel-core"]))
@@ -577,6 +611,20 @@ class TestCLI:
             main(["verify-suite", "--help"])
         help_text = "".join(capsys.readouterr().out.split())   # undo line wrapping
         assert all(cid in help_text for cid in main_checks)
+
+    def test_zero_trials_prints_no_pass(self, capsys):
+        # each check used to print "[PASS] <id>: 0/0 trials" under "overall FAIL"
+        argv = ["verify-suite", "--trials", "0", "--theorem", "kernel-core",
+                "--theorem", "clark-unitary"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "overall FAIL" in lines[0]
+        assert lines[1:] == [f"  [FAIL] {cid}: 0/0 trials, max residual 0"
+                             for cid in ("kernel-core", "clark-unitary")]
+        assert main([*argv, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall_pass"] is False
+        assert [(c["trials"], c["failures"]) for c in report["checks"]] == [(0, 0), (0, 0)]
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -288,6 +288,165 @@ class TestFactoredEvaluation:
         assert np.array_equal(sym.num, want.num) and np.array_equal(sym.den, want.den)
 
 
+def _unlinked(u):
+    """An equal generator that records neither a source nor factors."""
+    return InnerFunction(u.zeros, u.constant)
+
+
+# factor pairs (a, b): a zero at 0, real zeros (whose grids have exact zero
+# imaginary parts at z = 1 and -1), repeated zeros, zeros clustered at radius
+# 0.9999, and factors of degree 1 and 32
+GRID_FACTORS = {
+    "zero-at-0": lambda rng: (InnerFunction((0.0,)), InnerFunction((0.0, 0.4 - 0.3j))),
+    "real": lambda rng: (InnerFunction((0.5, -0.3, 0.0), -1), InnerFunction((0.7,))),
+    "repeated": lambda rng: (InnerFunction((0.3 + 0.2j,) * 5, 1j), InnerFunction((-0.5j,) * 3)),
+    "clustered": lambda rng: (
+        InnerFunction(tuple(0.9999 * np.exp(2j * np.pi * (0.1 + 1e-4 * np.arange(4))))),
+        InnerFunction(tuple(0.9999 * np.exp(2j * np.pi * (0.6 + 1e-4 * np.arange(3)))))),
+    "degree-1-32": lambda rng: (_random_inner(rng, 1), _random_inner(rng, 32, radius=0.9)),
+    "degree-32-1": lambda rng: (_random_inner(rng, 32, radius=0.9), _random_inner(rng, 1)),
+}
+
+
+def _primed(*pairs):
+    """Read tm_basis(g).values(m) for each (g, m), in order."""
+    for g, m in pairs:
+        tm_basis(g).values(m)
+
+
+# each way makes a target generator from the factors, reads some grids first,
+# and states the evaluations (start, nodes) that reading the target's m-grid
+# then runs: start is the first zero evaluated, so a copied factor shows as start > 0
+def _hat_cold(a, b, m):
+    return a.hat(), [(0, m)]
+
+
+def _hat_of_held(a, b, m):
+    _primed((a, m))
+    return a.hat(), []
+
+
+def _hat_of_held_double(a, b, m):
+    _primed((a, 2 * m))
+    return a.hat(), []
+
+
+def _hat_grown(a, b, m):
+    h = a.hat()
+    _primed((h, m // 2))
+    return h, [(0, m // 2)]
+
+
+def _product_cold(a, b, m):
+    return a * b, [(0, m), (a.degree, m)]
+
+
+def _product_of_held(a, b, m):
+    _primed((a, m))
+    return a * b, [(a.degree, m)]
+
+
+def _product_of_held_double(a, b, m):
+    _primed((a, 2 * m))
+    return a * b, [(a.degree, m)]
+
+
+def _product_of_grown(a, b, m):
+    # a grown grid keeps no running product, so it is evaluated again
+    _primed((a, m // 2), (a, m))
+    return a * b, [(0, m // 2), (a.degree, m)]
+
+
+def _product_grown(a, b, m):
+    w = a * b
+    _primed((w, m // 2))
+    return w, [(0, m // 2)]
+
+
+def _product_of_hat(a, b, m):
+    # the hat's grid is derived and its running product evaluated, unless the
+    # hat equals a, whose basis the memo then returns for it
+    _primed((a, m))
+    return a.hat() * b, [(0, m)] * (a.hat() != a) + [(a.degree, m)]
+
+
+def _hat_of_product(a, b, m):
+    w = a * b
+    _primed((w, m))
+    return w.hat(), []
+
+
+GRID_WAYS = [_hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown, _product_cold,
+             _product_of_held, _product_of_held_double, _product_of_grown, _product_grown,
+             _product_of_hat, _hat_of_product]
+
+
+class TestDerivedGrids:
+    @pytest.mark.parametrize("way", GRID_WAYS, ids=lambda f: f.__name__.lstrip("_"))
+    @pytest.mark.parametrize("factors", GRID_FACTORS)
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_grid_is_the_bits_of_a_cold_evaluation(self, rng, monkeypatch, factors, way, m):
+        a, b = GRID_FACTORS[factors](rng)
+        runs = []
+        run = ModelSpaceBasis._continue
+
+        def recorded(space, out, running, z, start):
+            runs.append((start, np.size(z)))
+            return run(space, out, running, z, start)
+
+        with quadrature.use(quadrature.Evaluation()):
+            target, want_runs = way(a, b, m)
+            monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+            got = tm_basis(target).values(m)
+            monkeypatch.undo()
+        assert runs == want_runs
+        cold = ModelSpaceBasis(_unlinked(target)).at(quadrature.nodes(m))
+        assert got.tobytes() == cold.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
+
+    @pytest.mark.parametrize("factors", GRID_FACTORS)
+    @pytest.mark.parametrize("held", [1, 2])
+    def test_hat_boundary_values_are_the_bits_of_a_cold_evaluation(self, rng, factors, held):
+        u = GRID_FACTORS[factors](rng)[0]
+        m = 32
+        u.boundary_values(held * m)
+        hat = u.hat()
+        factored = hat._factored
+        calls = []
+        object.__setattr__(hat, "_factored", lambda z: calls.append(z) or factored(z))
+        got = hat.boundary_values(m)
+        assert calls == []
+        assert got.tobytes() == _unlinked(hat).boundary_values(m).tobytes()
+        assert got.tobytes() == _unlinked(u.hat().hat().hat()).boundary_values(m).tobytes()
+
+    def test_grids_have_unsigned_zeros(self):
+        # at z = -1 the running product over the real zeros 0.5 and -0.3 is
+        # 1 - 0j when evaluated as it stands; a product basis continues it
+        def signed(arr):
+            return bool(np.any((np.signbit(arr.real) & (arr.real == 0))
+                               | (np.signbit(arr.imag) & (arr.imag == 0))))
+
+        u = InnerFunction((0.5, -0.3, 0.0, complex(0.2, -0.0)), -1)
+        space = tm_basis(u)
+        for m in (4, 8):
+            z = quadrature.nodes(m)
+            assert not signed(space.values(m)) and not signed(space._running(m))
+            assert not signed(u.boundary_values(m)) and not signed(u.hat().boundary_values(m))
+            assert np.any(z.imag == 0) and not signed(z)
+
+    def test_links_leave_equality_hash_and_json_alone(self, rng):
+        a, b = _random_inner(rng, 3), _random_inner(rng, 2)
+        h, w = a.hat(), a * b
+        assert h._hat_of is a and w._factors == (a, b)
+        assert h.hat() == a and h.hat()._hat_of is h
+        for linked in (h, w, w.hat()):
+            plain = _unlinked(linked)
+            assert plain._hat_of is None and plain._factors is None
+            assert linked == plain and hash(linked) == hash(plain)
+            assert linked.to_json() == plain.to_json()
+            assert InnerFunction.from_json(linked.to_json()) == linked
+
+
 class TestProjection:
     def test_truncation(self, u2):
         assert project(u2, RationalSymbol.monomial(3)).norm() < 1e-12
@@ -482,7 +641,7 @@ class TestMemo:
             # equal generators whose lazy members are all still unread
             return [InnerFunction(u.zeros, u.constant) for u in generators]
 
-        def run_all(gens, clarks, syms):
+        def run_all(gens, clarks, syms, linked=True):
             out = []
             for u, clark, sym in zip(gens, clarks, syms, strict=True):
                 out += [build(u).matrix for build in BUILDS]
@@ -502,7 +661,17 @@ class TestMemo:
             for u, w in zip(gens, gens[1:] + gens[:1]):
                 out += [tto_matrix(u, w, LAURENT).matrix, tto_matrix(w, u, LAURENT).matrix,
                         operators.cross_gram(u, w).matrix]
+            # hat and product bases: linked generators derive their grids from
+            # their sources' and factors', equal ones decoded from JSON, which
+            # record neither, evaluate them cold; the memo holds either
+            for g in derived(gens):
+                g = g if linked else InnerFunction.from_json(g.to_json())
+                out += [tm_basis(g).values(m) for m in (64, 32, 128)]
             return out
+
+        def derived(gens):
+            return [g for u, w in zip(gens, gens[1:] + gens[:1])
+                    for g in (u.hat(), u * w.hat(), (w * u).hat())]
 
         def symbols(gens):
             return [(u.as_symbol() + RationalSymbol.monomial(-2)).flip() for u in gens]
@@ -517,10 +686,10 @@ class TestMemo:
         syms = symbols(gens)
         start = Barrier(4, timeout=60)
 
-        def worker(_):
+        def worker(i):
             with quadrature.use(shared):
                 start.wait()
-                return run_all(gens, clarks, syms)
+                return run_all(gens, clarks, syms, linked=i % 2 == 0)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(worker, range(4)))
@@ -529,3 +698,7 @@ class TestMemo:
         for u in gens:      # the grown grids are the bits of a cold evaluation
             assert tm_basis(u).values(24).tobytes() == tm_basis(u).at(quadrature.nodes(24)).tobytes()
             assert hash(u) == hash((u.zeros, u.constant))
+        with quadrature.use(shared):
+            for g in derived(gens):
+                cold = ModelSpaceBasis(_unlinked(g)).at(quadrature.nodes(64))
+                assert tm_basis(g).values(64).tobytes() == cold.tobytes()

@@ -77,6 +77,21 @@ def test_grid_read_after_its_double_is_a_cold_contiguous_readonly_copy(reader):
     assert read(m) is got
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 16, 24, 1024, 65536])
+def test_nodes_are_conjugation_symmetric_and_nested(m):
+    z = quadrature.nodes(m)
+    k = np.arange(m)
+    assert np.max(np.abs(z - np.exp(2j * np.pi * k / m))) <= 2e-15
+    # node m-k is conj(node k) bit for bit; nodes 0 and m/2 are exactly 1 and -1,
+    # whose conjugates differ from them in the sign of a zero only
+    pair = k[(k != 0) & (2 * k != m)]
+    assert z[m - pair].tobytes() == np.conj(z[pair]).tobytes()
+    assert z[0] == 1 and (m % 2 or z[m // 2] == -1)
+    assert np.array_equal(z[quadrature.reflection(m)], np.conj(z))
+    assert quadrature.nodes(2 * m)[::2].tobytes() == z.tobytes()
+    assert not z.flags.writeable
+
+
 def test_first_level_floor_is_the_power_of_two_at_least_start():
     for start, floor in [(1, 1), (2, 2), (3, 4), (16, 16), (17, 32), (1000, 1024)]:
         settings = QuadratureSettings(start=start)
@@ -90,11 +105,13 @@ def test_a_single_symbol_side_reaches_as_the_symbol():
     assert Block.of(sym, RationalSymbol.monomial(3)).reach == Reach(sym.reach.rho, 3)
 
 
-# -- the stopping loop as it was before the scale was deferred, kept as a
-# reference: the pairing path must return the same bytes at the same levels
+# -- the stopping loop as a reference: the sums over the even and the odd
+# nodes of the 2m-grid, each its own product, give the 2m-node mean
+# (even + odd)/2m and the gap to the m-node mean, (odd - even)/2m; the pairing
+# path must return the same bytes at the same levels
 
 
-def _reference_pairing_matrix(fs, gs):
+def _reference_pairing_matrix(fs, gs, levels=None):
     ev = quadrature.current()
     s = ev.settings
     f, g = fs.reach, gs.reach
@@ -110,15 +127,15 @@ def _reference_pairing_matrix(fs, gs):
             raise NoConvergence("reference quadrature did not stabilize")
         F2 = fs.values(2 * m)
         # conjugated here, not read from the block's cache
-        G = gs.values(2 * m)
-        G2c, Gc = G.conj(), G[::2].conj()
-        g_max = float(np.max(np.abs(G2c)))
-        full = G2c.T @ F2 / (2 * m)
-        half = Gc.T @ F2[::2] / m
-        scale = max(1.0, float(np.max(np.abs(F2))) * g_max)
-        if np.max(np.abs(full - half)) < s.tol * scale:
+        G2c = gs.values(2 * m).conj()
+        if levels is not None:
+            levels.append((F2, G2c))
+        even = G2c[::2].T @ F2[::2]
+        odd = G2c[1::2].T @ F2[1::2]
+        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c))))
+        if np.max(np.abs(odd - even)) / (2 * m) < s.tol * scale:
             ev.stats.record(2 * m)
-            return full
+            return (even + odd) / (2 * m)
         m *= 2
 
 
@@ -152,3 +169,24 @@ def test_pairing_path_is_bitwise_the_reference_loop(monkeypatch, degree):
         monkeypatch.setattr(module, "pairing_matrix", _reference_pairing_matrix)
     want = run()
     assert got == want
+
+
+@pytest.mark.parametrize("degree", [2, 8, 16, 32])
+def test_even_odd_mean_is_the_one_product_mean_to_roundoff(monkeypatch, degree):
+    # the 2m-node mean as one product over all the nodes, G2c.T @ F2 / 2m, and
+    # as the even and odd sums apart agree to roundoff at every level reached
+    rng = np.random.default_rng(degree)
+    zeros = 0.85 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    levels = []
+    for module in (quadrature, modelspace, operators):
+        monkeypatch.setattr(module, "pairing_matrix",
+                            lambda fs, gs: _reference_pairing_matrix(fs, gs, levels))
+    with quadrature.use(quadrature.Evaluation()):
+        _builds(InnerFunction(tuple(zeros), np.exp(0.7j)))
+    assert len(levels) >= 6
+    eps = np.finfo(float).eps
+    for F2, G2c in levels:
+        m = len(F2) // 2
+        full = (G2c[::2].T @ F2[::2] + G2c[1::2].T @ F2[1::2]) / (2 * m)
+        scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c))))
+        assert np.max(np.abs(full - G2c.T @ F2 / (2 * m))) <= 4 * eps * scale
