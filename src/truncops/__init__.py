@@ -9,6 +9,8 @@ from .modelspace import (
     conjugation_C,
     conjugation_U,
     conjugation_U_on,
+    hankel_space,
+    hankel_symbol,
     inner_product,
     kernel,
     project,

@@ -42,8 +42,9 @@ from .modelspace import (
     conj_kernel,
     conjugation_C,
     conjugation_U,
+    hankel_space,
+    hankel_symbol,
     kernel,
-    tm_basis,
     unit_kernels,
 )
 from .operators import (
@@ -90,15 +91,15 @@ def cross_decompose(M, a: SpaceElement, b: SpaceElement,
         raise ZeroAnchor("cross decomposition anchors must be nonzero")
     scale = max(1.0, float(np.linalg.norm(mat)))
 
-    proj_b = np.outer(bv, np.conj(bv)) / nb2
-    q_b = np.eye(len(bv)) - proj_b
-    left = (q_b @ mat @ av) / na2        # component along (x) a
-    right = mat.conj().T @ bv / nb2      # component along b (x)
+    ma = mat @ av
+    bhm = np.conj(bv) @ mat
+    left = (ma - bv * (complex(bhm @ av) / nb2)) / na2     # Q_b M a: component along (x) a
+    right = np.conj(bhm) / nb2                              # M^H b: component along b (x)
     # re-gauge: move the a-parallel part of right into left
     g = complex(np.vdot(av, right)) / na2
     right = right - g * av
     left = left + np.conj(g) * bv
-    resid = mat - np.outer(left, np.conj(av)) - np.outer(bv, np.conj(right))
+    resid = mat - left[:, None] * np.conj(av) - bv[:, None] * np.conj(right)
     residual = float(np.linalg.norm(resid))
     ok = residual < tol * scale
     return CrossDecomposition(
@@ -129,7 +130,7 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     _require_linear(A, "is_tto")
     u = A.domain.generator
     v = A.codomain.generator
-    disp = A - shift(v) @ A @ shift(u).adjoint()
+    disp = A.matrix - shift(v).matrix @ A.matrix @ shift(u).matrix.conj().T
     dec = cross_decompose(disp, kernel(u, 0.0), kernel(v, 0.0), tol)
     if not dec.success:
         return TTOMembership(False, None, None, None, dec.residual_norm)
@@ -165,7 +166,7 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     _require_linear(B, "is_tho")
     u = B.domain.generator
     v = B.codomain.generator
-    disp = B - shift(v) @ B @ shift(u)
+    disp = B.matrix - shift(v).matrix @ B.matrix @ shift(u).matrix
     dec = cross_decompose(disp, conj_kernel(u, 0.0), kernel(v, 0.0), tol)
     if not dec.success:
         return THOMembership(False, None, None, dec.residual_norm)
@@ -173,9 +174,9 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
         return THOMembership(True, None, None, dec.residual_norm)
     # the u-first basis of K_{u hat(v)} is the basis of K_u, then u/const(u)
     # times the basis of K_hat(v), in which hat(part1) has coordinates conj(part1)
-    psi = tm_basis(u * v.hat()).element(np.concatenate(
+    psi = hankel_space(u, v).element(np.concatenate(
         [shift(u).matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
-    symbol = psi.rep().conj_circle()
+    symbol = hankel_symbol(psi, u, v).conj_circle()
     rres = float(np.max(np.abs(tho_by_pairing(u, v, symbol).matrix - B.matrix)))
     if rres >= REBUILD_TOL * max(1.0, float(np.linalg.norm(B.matrix))):
         return THOMembership(False, None, None, dec.residual_norm, rres)

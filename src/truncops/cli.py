@@ -24,7 +24,7 @@ import sys
 from . import classify, harness, quadrature
 from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction
 from .errors import TruncOpsError
-from .modelspace import OperatorMatrix, project
+from .modelspace import project
 from .operators import (
     clark_perturbation,
     clark_points,
@@ -156,7 +156,7 @@ def _read_input(path: str) -> str:
 def _cmd_classify(args) -> int:
     tol = _positive(args.tol, "--tol")
     op = _decoded("--input", _read_input(args.input),
-                  lambda text: OperatorMatrix.from_json(json.loads(text)))
+                  lambda text: harness.operator_from_json(json.loads(text)))
     reports = {}
     mt = classify.is_tto(op, tol)
     reports["is_tto"] = {"verdict": mt.is_member,

@@ -30,6 +30,8 @@ from .modelspace import (
     conjugation_C,
     conjugation_U,
     gram_residual,
+    hankel_space,
+    hankel_symbol,
     kernel,
     project,
     reorder,
@@ -71,6 +73,16 @@ def inner_from_json(obj) -> InnerFunction:
     """`InnerFunction.from_json`, refusing more than MAX_DEGREE zeros first."""
     require_at_most("degree", len(obj["zeros"]), MAX_DEGREE)
     return InnerFunction.from_json(obj)
+
+
+def operator_from_json(obj) -> OperatorMatrix:
+    """`OperatorMatrix.from_json` with the domain and codomain decoded by
+    `inner_from_json`, so that a generator above MAX_DEGREE is refused before
+    any basis is built."""
+    domain, codomain = inner_from_json(obj["domain"]), inner_from_json(obj["codomain"])
+    mat = np.array([[complex(re, im) for re, im in row] for row in obj["matrix"]], dtype=complex)
+    return OperatorMatrix(mat, tm_basis(domain), tm_basis(codomain),
+                          bool(obj.get("antilinear", False)))
 
 
 def symbol_from_json(obj) -> RationalSymbol:
@@ -500,11 +512,11 @@ def _unitary_hankel(u: InnerFunction, rng) -> OperatorMatrix:
 
 def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> SpaceElement:
     """A random psi in K_{a hat(b)}, the symbol conj(psi) of a Hankel K_a -> K_b."""
-    return tm_basis(a * b.hat()).random_element(rng)
+    return hankel_space(a, b).random_element(rng)
 
 
 def _generic_hankel(u: InnerFunction, v: InnerFunction, rng) -> OperatorMatrix:
-    return tho_matrix(u, v, _atho_symbol(u, v, rng).rep().conj_circle())
+    return tho_matrix(u, v, hankel_symbol(_atho_symbol(u, v, rng), u, v).conj_circle())
 
 
 def check_hankel_unitary(p: ProblemSpec) -> TrialResult:
@@ -753,9 +765,9 @@ def check_atto_product(p: ProblemSpec) -> TrialResult:
 def hatted_symbol(psi: SpaceElement, a: InnerFunction, b: InnerFunction) -> SpaceElement:
     """hat(psi) for psi in K_{b hat(a)}, in the a-first basis of K_{a hat(b)}: its
     coordinates conj(psi) are in that basis with the two zero blocks swapped."""
-    target = a * b.hat()
-    order = [*range(a.degree, target.degree), *range(a.degree)]
-    return tm_basis(target).element(reorder(target, order) @ np.conj(psi.coords))
+    space = hankel_space(a, b)
+    order = [*range(a.degree, space.dim), *range(a.degree)]
+    return space.element(reorder(space.generator, order) @ np.conj(psi.coords))
 
 
 def check_atho_product_toeplitz(p: ProblemSpec) -> TrialResult:
@@ -766,8 +778,8 @@ def check_atho_product_toeplitz(p: ProblemSpec) -> TrialResult:
                                         _atho_symbol(u, v, rng), u, v, w)
     r["random_consistent"] = pv.consistent
     # zero second factor
-    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng), kernel(u * v.hat(), 0.0),
-                                        u, v, w)
+    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng),
+                                        kernel(hankel_space(u, v).generator, 0.0), u, v, w)
     r["zero_factor"] = pv.in_class and pv.direct
     ok = all(bool(x) for x in r.values())
     return TrialResult(ok, 0.0 if ok else 1.0, r)
@@ -860,8 +872,10 @@ def check_atho_atto_true(p: ProblemSpec) -> TrialResult:
 def check_product_chain(p: ProblemSpec) -> TrialResult:
     u, v, w = p.inner_u(), p.inner_v(), p.inner_w()
     rng = np.random.default_rng(p.seed)
-    res = products.membership_transport_chain(_atho_symbol(v, w, rng).rep().conj_circle(),
-                                              _atho_symbol(u, v, rng).rep().conj_circle(),
+    psi1 = _atho_symbol(v, w, rng)
+    psi2 = _atho_symbol(u, v, rng)
+    res = products.membership_transport_chain(hankel_symbol(psi1, v, w).conj_circle(),
+                                              hankel_symbol(psi2, u, v).conj_circle(),
                                               u, v, w)
     r = {"hankel_chain": res["hankel"], "toeplitz_chain": res["toeplitz"]}
     ok = len(set(res["hankel"])) == 1 and len(set(res["toeplitz"])) == 1

@@ -12,15 +12,20 @@ Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
 once for all k, so kernels and element values need neither expanded
 coefficients nor pairings; ``values`` is the same product on the circle
-nodes.  The grid of a hat basis is derived from its source's, since
+nodes.  The grid of a hat basis is its source's grid conjugated, since
 e^_k(z) = conj(e_k(conj z)), and a product basis continues its first
 factor's grid, since the basis of K_{u w} is the basis of K_u followed by
 (u/c_u) times the basis of K_w (Garcia-Mashreghi-Ross, *Introduction to
 Model Spaces and their Operators*, 2016); either way the bits are those of
-a cold evaluation.  Basis orthonormality is a theorem, so a basis build makes no
-pairing; `gram_residual` is its quadrature oracle, which kernel-core gates
-at GRAM_TOL.  The conjugations are exact too: both are changes of zero
-order (`reorder`), or the identity for the coefficient conjugation.
+a cold evaluation.  The same split serves the symbols conj(psi) of Hankel
+operators K_a -> K_b: psi lives in K_{a hat(b)} (`hankel_space`, memoized
+per pair), its two coordinate blocks are projections (`symbol_blocks`),
+and `hankel_symbol` evaluates psi through them from the grids of K_a and
+K_hat(b), so no grid of K_{a hat(b)} is evaluated.  Basis orthonormality
+is a theorem, so a basis build makes no pairing; `gram_residual` is its
+quadrature oracle, which kernel-core gates at GRAM_TOL.  The conjugations
+are exact too: both are changes of zero order (`reorder`), or the
+identity for the coefficient conjugation.
 
 Function space objects are immutable after construction.  Bases cache
 their grid values and the kernels k0 and k~0 at the origin, and their two
@@ -153,25 +158,37 @@ class ModelSpaceBasis:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
         A grid is sliced from a cached double (``quadrature.grid_cached``).
-        Else the grid of a hat whose source's basis holds it, or its double,
-        in the current evaluation is that grid conjugated
-        (``quadrature.conj_reflected``).  Else it grows from a cached half
-        grid by its odd nodes alone (``quadrature.grown``).  Else a product's
-        grid copies its first factor's and continues the running product
-        over the second factor's zeros, and any other grid is evaluated cold.
-        Every way runs the same operations on the same values up to the sign
-        of a zero, which is dropped, so the bits are those of ``at(nodes(m))``,
-        whichever equal generator the memo holds.  A pairing against the basis
-        reads the conjugates, ``block.conj``.
+        Else a hat's grid is its source's basis grid in the current
+        evaluation, made by the source's own path and cached there,
+        conjugated (``quadrature.conj_reflected``).  A basis's own path grows
+        a grid from a cached half grid by its odd nodes alone
+        (``quadrature.grown``), else copies a product's first factor's grid
+        and continues the running product over the second factor's zeros,
+        else evaluates it cold.  Every way runs the same operations on the
+        same values up to the sign of a zero, which is dropped, so the bits
+        are those of ``at(nodes(m))``, whichever equal generator the memo
+        holds.  A pairing against the basis reads the conjugates, ``block.conj``.
         """
         return quadrature.grid_cached(self._value_cache, m, self._values_grid)
 
     def _values_grid(self, m: int) -> np.ndarray:
+        source = self._hat_source()
+        if source is not None:
+            return quadrature.conj_reflected(
+                quadrature.grid_cached(source._value_cache, m, source._own_grid))
+        return self._own_grid(m)
+
+    def _hat_source(self) -> "ModelSpaceBasis | None":
+        """The basis of the generator this one's is the hat of, unless the memo
+        makes that this basis itself (a generator equal to its hat, or a hat of a hat)."""
+        src = self.generator._hat_of
+        source = None if src is None else tm_basis(src)
+        return None if source is self else source
+
+    def _own_grid(self, m: int) -> np.ndarray:
+        """The m-grid by this basis's own path, never through a hat's source: grown
+        from its half grid, continued from a product's first factor, or cold."""
         u = self.generator
-        if u._hat_of is not None:
-            source = tm_basis(u._hat_of)
-            if m in source._value_cache or 2 * m in source._value_cache:
-                return quadrature.conj_reflected(source.values(m))
         if m % 2 == 0 and m // 2 in self._value_cache:
             return quadrature.grown(self._value_cache, m, self.at)
         if u._factors is not None:
@@ -187,8 +204,13 @@ class ModelSpaceBasis:
 
     def _running(self, m: int) -> np.ndarray:
         """prod_j b_j over every zero factor on the m-grid; cached, read-only.
-        An evaluation of the values that runs it keeps it; else it is evaluated again."""
+        An evaluation of the values that runs it keeps it; a hat conjugates its
+        source's; else it is evaluated again."""
         cache = self._running_cache
+        source = self._hat_source()
+        if source is not None:
+            return quadrature.grid_cached(
+                cache, m, lambda m: quadrature.conj_reflected(source._running(m)))
         return quadrature.grid_cached(
             cache, m, lambda m: quadrature.grown(cache, m, lambda z: self._evaluate(z)[1]))
 
@@ -198,14 +220,18 @@ class ModelSpaceBasis:
     def combine(self, coords) -> RationalSymbol:
         """The element with the given coordinates, as a rational function."""
         coords = np.asarray(coords, dtype=complex)
-        def expand():   # pairings read only the grid values
-            num = np.zeros(1, dtype=complex)
-            for c, lift in zip(coords, self._expansions[1]):
-                if c != 0:
-                    num = npoly.polyadd(num, c * lift)
-            return num, self.generator.den_coeffs
-        return RationalSymbol(provider=lambda m: self.values(m) @ coords, expand=expand,
+        return RationalSymbol(provider=lambda m: self.values(m) @ coords,
+                              expand=lambda: self._coefficients(coords),
                               reach=self.generator.reach)
+
+    def _coefficients(self, coords) -> tuple[np.ndarray, np.ndarray]:
+        """Raw (numerator, denominator) of the element with these coordinates;
+        pairings read only grid values, so symbols expand this on demand."""
+        num = np.zeros(1, dtype=complex)
+        for c, lift in zip(coords, self._expansions[1]):
+            if c != 0:
+                num = npoly.polyadd(num, c * lift)
+        return num, self.generator.den_coeffs
 
     def element(self, coords) -> "SpaceElement":
         return SpaceElement(self, np.asarray(coords, dtype=complex))
@@ -218,6 +244,50 @@ class ModelSpaceBasis:
 def tm_basis(u: InnerFunction) -> ModelSpaceBasis:
     """The orthonormal basis of K_u, memoized in the current evaluation."""
     return ModelSpaceBasis(u)
+
+
+@quadrature.memoized
+def hankel_space(a: InnerFunction, b: InnerFunction) -> ModelSpaceBasis:
+    """The a-first basis of K_{a hat(b)}, where psi lives for the Hankel operator
+    K_a -> K_b with symbol conj(psi); memoized in the current evaluation, so a
+    repeated pair builds no product generator."""
+    return tm_basis(a * b.hat())
+
+
+def _require_hankel_space(psi: "SpaceElement", a: InnerFunction, b: InnerFunction):
+    if psi.space != hankel_space(a, b):
+        raise SpaceMismatch("psi is not in the a-first basis of K_{a hat(b)}")
+
+
+def symbol_blocks(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> tuple:
+    """P_a psi and P_hat(b)(conj(a) psi) for psi in K_{a hat(b)}, read off its coordinates.
+
+    The a-first basis of K_{a hat(b)} is that of K_a, then a/c_a times that of
+    K_hat(b) (Garcia-Mashreghi-Ross 2016), so psi = x + (a/c_a) g gives x and
+    g/c_a.  Any other space or zero order raises SpaceMismatch.
+    """
+    _require_hankel_space(psi, a, b)
+    n = a.degree
+    return (tm_basis(a).element(psi.coords[:n]),
+            tm_basis(b.hat()).element(psi.coords[n:] / a.constant))
+
+
+def hankel_symbol(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> RationalSymbol:
+    """psi in K_{a hat(b)} as a rational symbol, evaluated through its blocks.
+
+    With x and y the first deg a and the last deg b coordinates, the grid
+    values are E_a x + (prod_j b_j)(E_hat(b) y), the running product over a's
+    zero factors kept with a's basis grid, so no grid of K_{a hat(b)} is
+    evaluated.  The reach is psi's and the coefficients are psi.rep()'s,
+    expanded on the first read.  Any other space or zero order raises
+    SpaceMismatch.
+    """
+    _require_hankel_space(psi, a, b)
+    head, tail = tm_basis(a), tm_basis(b.hat())
+    x, y = psi.coords[:head.dim], psi.coords[head.dim:]
+    return RationalSymbol(
+        provider=lambda m: head.values(m) @ x + head._running(m) * (tail.values(m) @ y),
+        expand=lambda: psi.space._coefficients(psi.coords), reach=psi.space.generator.reach)
 
 
 class SpaceElement:

@@ -292,21 +292,23 @@ def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> O
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
     """A member of the Sedlock class with parameter alpha, built from its symbol.
 
-    The two symbol parts are paired separately (the builder is linear in the
-    symbol); a combined rational would stack the denominators of both parts.
+    The symbol is phi + alpha conj(S C phi) for finite alpha (Sarason 2007),
+    and conj(phi) at infinity; it is built in one call.  A sum of symbols
+    reads its parts' grid values, and its coefficients are expanded only
+    if read, so the two parts cost one pairing together.
     """
     alpha = ExtendedScalar.of(alpha)
     if phi.space != tm_basis(u):
         raise SpaceMismatch("phi must live in K_u")
     space = phi.space
     if alpha.is_infinity:
-        out = tto_matrix(u, u, phi.rep().conj_circle())
+        symbol = phi.rep().conj_circle()
     else:
-        out = tto_matrix(u, u, phi.rep())
+        symbol = phi.rep()
         if alpha.value != 0:
             scphi = shift(u).apply(conjugation_C(u).apply(phi))
-            out = out + alpha.value * tto_matrix(u, u, scphi.rep().conj_circle())
-    return out + complex(c) * OperatorMatrix.identity(space)
+            symbol = symbol + (np.conj(alpha.value) * scphi).rep().conj_circle()
+    return tto_matrix(u, u, symbol) + complex(c) * OperatorMatrix.identity(space)
 
 
 def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorMatrix:

@@ -34,15 +34,16 @@ from .classify import (
     PARAMETER_TOL,
     REBUILD_TOL,
 )
-from .errors import NoCertificate, NotTTO, SpaceMismatch, SymbolRecoveryFailed
+from .errors import NoCertificate, NotTTO, SymbolRecoveryFailed
 from .modelspace import (
     OperatorMatrix,
     SpaceElement,
     conjugation_C,
     conjugation_U,
+    hankel_symbol,
     kernel,
     project,
-    tm_basis,
+    symbol_blocks,
 )
 from .operators import (
     clark_perturbation,
@@ -324,20 +325,6 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB") 
     return ProductVerdict(match, direct, alpha if match else None, residual, details)
 
 
-def _symbol_blocks(psi: SpaceElement, a: InnerFunction, b: InnerFunction) -> tuple:
-    """P_a psi and P_hat(b)(conj(a) psi) for psi in K_{a hat(b)}, read off its coordinates.
-
-    The a-first basis of K_{a hat(b)} is that of K_a, then a/c_a times that of
-    K_hat(b) (Garcia-Mashreghi-Ross 2016), so psi = x + (a/c_a) g gives x and
-    g/c_a.  Any other space or zero order raises SpaceMismatch.
-    """
-    if psi.space.generator != a * b.hat():
-        raise SpaceMismatch("psi is not in the a-first basis of K_{a hat(b)}")
-    n = a.degree
-    return (tm_basis(a).element(psi.coords[:n]),
-            tm_basis(b.hat()).element(psi.coords[n:] / a.constant))
-
-
 def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement,
                           u: InnerFunction, v: InnerFunction, w: InnerFunction) -> ProductVerdict:
     """Criterion for a product of two asymmetric Hankel operators to be Toeplitz.
@@ -348,14 +335,15 @@ def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement,
     bare projections and must cross-decompose at the kernels at zero.  P_u psi2
     and P_w hat(conj(v) psi1), the hat of a block, are coordinate reads.
     """
-    _, tail1 = _symbol_blocks(psi1, v, w)
-    g2, _ = _symbol_blocks(psi2, u, v)
+    _, tail1 = symbol_blocks(psi1, v, w)
+    g2, _ = symbol_blocks(psi2, u, v)
+    sym1, sym2 = hankel_symbol(psi1, v, w), hankel_symbol(psi2, u, v)
     f1 = conjugation_U(w.hat()).apply(tail1)
-    g1 = project(u, v.hat().conj_symbol() * psi2.rep())
-    f2 = project(w, psi1.rep().hat())
+    g1 = project(u, v.hat().conj_symbol() * sym2)
+    f2 = project(w, sym1.hat())
     cond = rank_one(f1, g1) - rank_one(f2, g2)
     dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
-    prod = tho_matrix(v, w, psi1.rep().conj_circle()) @ tho_matrix(u, v, psi2.rep().conj_circle())
+    prod = tho_matrix(v, w, sym1.conj_circle()) @ tho_matrix(u, v, sym2.conj_circle())
     direct = is_tto(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
@@ -392,18 +380,20 @@ def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceEle
     vbar = v.conj_symbol()
     toeplitz = psi1.rep() + psi2.rep().conj_circle()
     if order == "hankel_toeplitz":
-        _, f1 = _symbol_blocks(psi, v, w)
+        _, f1 = symbol_blocks(psi, v, w)
+        sym = hankel_symbol(psi, v, w)
         g1 = project(u, vbar * u.as_symbol() * psi1.rep())
-        f2 = project(w.hat(), psi.rep())
+        f2 = project(w.hat(), sym)
         g2 = shift(u).apply(conjugation_C(u).apply(psi2))
-        prod = tho_matrix(v, w, psi.rep().conj_circle()) @ tto_matrix(u, v, toeplitz)
+        prod = tho_matrix(v, w, sym.conj_circle()) @ tto_matrix(u, v, toeplitz)
     elif order == "toeplitz_hankel":
-        head, _ = _symbol_blocks(psi, u, v)
-        f1 = project(u.hat(), vbar * psi.rep().hat())
+        head, _ = symbol_blocks(psi, u, v)
+        sym = hankel_symbol(psi, u, v)
+        f1 = project(u.hat(), vbar * sym.hat())
         g1 = project(w, vbar * w.as_symbol() * psi2.rep())
         f2 = conjugation_U(u).apply(head)
         g2 = shift(w).apply(conjugation_C(w).apply(psi1))
-        prod = tto_matrix(v, w, toeplitz) @ tho_matrix(u, v, psi.rep().conj_circle())
+        prod = tto_matrix(v, w, toeplitz) @ tho_matrix(u, v, sym.conj_circle())
     else:
         raise ValueError(f"unknown order {order!r}")
     cond = rank_one(f1, g1) - rank_one(f2, g2)

@@ -21,10 +21,14 @@ def workloads():
     return mod
 
 
+# the pairings of one smoke cycle: one per Sedlock build and one per membership rebuild
+SMOKE_PAIRINGS = {"session-reuse": 15, "suite-low": 115, "suite-high": 115}
+
+
 @pytest.mark.parametrize("name", ["session-reuse", "suite-low", "suite-high"])
 def test_smoke_cycles_repeat(workloads, name):
     work = workloads.make(name, 101, smoke=True)
     first, second = work.run_cycle(), work.run_cycle()
     assert first.verdicts == second.verdicts
     assert first.samples and second.samples
-    assert first.quad["pairings"] > 0 and second.quad["pairings"] > 0
+    assert first.quad["pairings"] == second.quad["pairings"] == SMOKE_PAIRINGS[name]

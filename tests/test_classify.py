@@ -39,7 +39,64 @@ from truncops.harness import SuiteConfig, random_inner, random_laurent, run_suit
 from truncops.operators import clark_points
 
 
+def _reference_cross_decompose(M, a, b, tol=MEMBERSHIP_TOL):
+    """The former projector formula: (success, left, right, residual)."""
+    mat, av, bv = M.matrix, a.coords, b.coords
+    na2 = float(np.vdot(av, av).real)
+    nb2 = float(np.vdot(bv, bv).real)
+    if na2 < 1e-24 or nb2 < 1e-24:
+        raise ZeroAnchor("cross decomposition anchors must be nonzero")
+    q_b = np.eye(len(bv)) - np.outer(bv, np.conj(bv)) / nb2
+    left = (q_b @ mat @ av) / na2
+    right = mat.conj().T @ bv / nb2
+    g = complex(np.vdot(av, right)) / na2
+    right = right - g * av
+    left = left + np.conj(g) * bv
+    resid = mat - np.outer(left, np.conj(av)) - np.outer(bv, np.conj(right))
+    residual = float(np.linalg.norm(resid))
+    return residual < tol * max(1.0, float(np.linalg.norm(mat))), left, right, residual
+
+
 class TestCrossDecompose:
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("degrees", [(3, 2), (16, 12)])
+    def test_matches_the_projector_formula(self, rng, degrees, side):
+        du, dv = (tm_basis(random_inner(rng, n)) for n in degrees)
+        a, b = du.random_element(rng), dv.random_element(rng)
+        left, right = dv.random_element(rng), du.random_element(rng)
+        # a part that no cross decomposition at these anchors absorbs:
+        # Q_b R P_(a-perp), scaled to 1e-9 of the decomposable part
+        q_b = np.eye(dv.dim) - np.outer(b.coords, np.conj(b.coords)) / b.norm() ** 2
+        p_a = np.eye(du.dim) - np.outer(a.coords, np.conj(a.coords)) / a.norm() ** 2
+        noise = q_b @ (rng.standard_normal((dv.dim, du.dim))
+                       + 1j * rng.standard_normal((dv.dim, du.dim))) @ p_a
+        base = rank_one(left, a) + rank_one(b, right)
+        M = base + OperatorMatrix(1e-9 * np.linalg.norm(base.matrix) / np.linalg.norm(noise)
+                                  * noise, du, dv)
+        scale = max(1.0, float(np.linalg.norm(M.matrix)))
+        residual = _reference_cross_decompose(M, a, b)[3]
+        tol = residual / scale * (1.001 if side == "below" else 0.999)
+        ok, want_left, want_right, want_residual = _reference_cross_decompose(M, a, b, tol)
+        dec = cross_decompose(M, a, b, tol)
+        assert ok == (side == "below") and dec.success == ok
+        assert abs(dec.residual_norm - want_residual) <= 1e-14 * scale
+        if ok:
+            assert np.max(np.abs(dec.left.coords - want_left)) <= 1e-14 * scale
+            assert np.max(np.abs(dec.right.coords - want_right)) <= 1e-14 * scale
+            assert abs(dec.right.inner(a)) <= 1e-14 * scale      # the gauge
+        else:
+            assert dec.left is None and dec.right is None
+
+    def test_zero_anchors_raise_as_before(self, u_generic, v_generic):
+        du, dv = tm_basis(u_generic), tm_basis(v_generic)
+        M = OperatorMatrix(np.ones((dv.dim, du.dim)), du, dv)
+        for a, b in ((du.element(np.zeros(du.dim)), dv.element(np.ones(dv.dim))),
+                     (du.element(np.ones(du.dim)), dv.element(np.zeros(dv.dim)))):
+            with pytest.raises(ZeroAnchor):
+                _reference_cross_decompose(M, a, b)
+            with pytest.raises(ZeroAnchor):
+                cross_decompose(M, a, b)
+
     def test_forward_recovery(self, u_generic, v_generic, rng):
         du, dv = tm_basis(u_generic), tm_basis(v_generic)
         a, b = du.random_element(rng), dv.random_element(rng)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from truncops import CHECKS, errors, generate_instance
 from truncops.blaschke import InnerFunction
 from truncops.cli import build_parser, main
-from truncops.modelspace import OperatorMatrix, tm_basis
+from truncops.modelspace import ModelSpaceBasis, OperatorMatrix, tm_basis
 
 TYPED = {name for name, obj in vars(errors).items()
          if isinstance(obj, type) and issubclass(obj, errors.TruncOpsError)}
@@ -69,6 +69,10 @@ SPECS = {
     "operator-antilinear": lambda: OperatorMatrix(
         [[1, 0], [0, 1]], tm_basis(InnerFunction((0.3, 0.1))),
         tm_basis(InnerFunction((0.3, 0.1))), antilinear=True).to_json(),
+    "operator-big": lambda: {
+        "domain": {"zeros": [[0.1, 0.0]] * 33}, "codomain": {"zeros": [[0.1, 0.0]] * 33},
+        "antilinear": False,
+        "matrix": [[[float(i == j), 0.0] for j in range(33)] for i in range(33)]},
 }
 
 
@@ -163,3 +167,14 @@ def test_main_returns_a_code_and_never_a_traceback(files, data):
     if code == 1 and text.startswith("error: "):
         assert text.split(":")[1].strip() in TYPED, (argv, text)
     assert "Traceback" not in text, (argv, text)
+
+
+def test_classify_refuses_a_generator_above_the_bound_before_building(files, monkeypatch,
+                                                                     capsys):
+    built = []
+    init = ModelSpaceBasis.__init__
+    monkeypatch.setattr(ModelSpaceBasis, "__init__",
+                        lambda self, generator: built.append(generator) or init(self, generator))
+    assert main(["classify", "--input", files["operator-big"]]) == 1
+    assert capsys.readouterr().err.startswith("error: InvalidRange: degree 33")
+    assert built == []

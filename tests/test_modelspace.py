@@ -31,6 +31,8 @@ from truncops.modelspace import (
     boundary_kernel_symbol,
     conj_kernel_symbol,
     gram_residual,
+    hankel_space,
+    hankel_symbol,
 )
 from truncops import operators, quadrature
 from truncops.quadrature import Block, QuadratureSettings, Reach
@@ -364,10 +366,10 @@ def _product_grown(a, b, m):
 
 
 def _product_of_hat(a, b, m):
-    # the hat's grid is derived and its running product evaluated, unless the
+    # the hat's grid and its running product are both derived from a's, or the
     # hat equals a, whose basis the memo then returns for it
     _primed((a, m))
-    return a.hat() * b, [(0, m)] * (a.hat() != a) + [(a.degree, m)]
+    return a.hat() * b, [(a.degree, m)]
 
 
 def _hat_of_product(a, b, m):
@@ -381,7 +383,54 @@ GRID_WAYS = [_hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown, _product_
              _product_of_hat, _hat_of_product]
 
 
+def _generic_and_its_hat(rng):
+    u = _random_inner(rng, 6)
+    return u, u.hat()
+
+
+def _real_and_its_hat(rng):
+    # every zero real: the hat equals u, and the memo returns one basis for both
+    u = InnerFunction((0.5, -0.3, 0.0), -1)
+    return u, u.hat()
+
+
+def _symmetric_and_its_hat(rng):
+    u = _real_symmetric_inner(rng, 2)
+    return u, u.hat()
+
+
+def _generic_and_its_hat_of_hat(rng):
+    # u.hat().hat() equals u and has u.hat() as its source, whose source u the
+    # memo then maps back to the first basis asked
+    u = _random_inner(rng, 6)
+    return u, u.hat().hat()
+
+
+HATS_FIRST = [_generic_and_its_hat, _real_and_its_hat, _symmetric_and_its_hat,
+              _generic_and_its_hat_of_hat]
+
+
 class TestDerivedGrids:
+    @pytest.mark.parametrize("case", HATS_FIRST, ids=lambda f: f.__name__.lstrip("_"))
+    def test_hat_asked_first_evaluates_its_source_once(self, rng, monkeypatch, case):
+        u, target = case(rng)
+        m = 64
+        runs = []
+        run = ModelSpaceBasis._continue
+
+        def recorded(space, out, running, z, start):
+            runs.append((start, np.size(z)))
+            return run(space, out, running, z, start)
+
+        with quadrature.use(quadrature.Evaluation()):
+            monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+            got = {g: tm_basis(g).values(m) for g in (target, u, u.hat())}
+            monkeypatch.undo()
+        assert runs == [(0, m)]
+        for g, values in got.items():
+            cold = ModelSpaceBasis(_unlinked(g)).at(quadrature.nodes(m))
+            assert values.tobytes() == cold.tobytes()
+
     @pytest.mark.parametrize("way", GRID_WAYS, ids=lambda f: f.__name__.lstrip("_"))
     @pytest.mark.parametrize("factors", GRID_FACTORS)
     @pytest.mark.parametrize("m", [8, 64])
@@ -564,6 +613,64 @@ def test_hat_multiplicative_on_rationals():
     assert (f * g).hat()(z) == pytest.approx((f.hat() * g.hat())(z))
 
 
+def _reference_hankel_values(psi, m):
+    """psi.rep()'s grid values, the K_{a hat(b)} basis grid times the coordinates,
+    from a cold basis of an equal generator, so the basis of psi caches nothing."""
+    return ModelSpaceBasis(_unlinked(psi.space.generator)).at(quadrature.nodes(m)) @ psi.coords
+
+
+# generator pairs (a, b) for symbols in K_{a hat(b)}: degree pairs, a zero at 0,
+# repeated zeros and zeros clustered at radius 0.9999
+HANKEL_PAIRS = {
+    **{f"degrees-{p}-{q}": (lambda rng, p=p, q=q: (_random_inner(rng, p, radius=0.9),
+                                                   _random_inner(rng, q, radius=0.9)))
+       for p, q in ((1, 1), (2, 3), (8, 8), (16, 16), (32, 32))},
+    **{k: GRID_FACTORS[k] for k in ("zero-at-0", "repeated", "clustered")},
+}
+
+
+class TestHankelSymbols:
+    @pytest.mark.parametrize("pair", HANKEL_PAIRS)
+    def test_values_match_the_element_and_no_product_grid_is_made(self, rng, pair):
+        a, b = HANKEL_PAIRS[pair](rng)
+        with quadrature.use(quadrature.Evaluation()):
+            space = hankel_space(a, b)
+            psi = space.random_element(rng)
+            sym = hankel_symbol(psi, a, b)
+            for m in (32, 64, 512):
+                want = _reference_hankel_values(psi, m)
+                gap = np.max(np.abs(sym.values_at(m) - want))
+                assert gap <= 1e-13 * max(1.0, float(np.max(np.abs(want))))
+            rep = psi.rep()
+            assert sym.reach == rep.reach
+            assert np.array_equal(sym.num, rep.num) and np.array_equal(sym.den, rep.den)
+            assert space._value_cache == {}
+
+    def test_hankel_space_is_memoized_per_pair(self, u_generic, v_generic, monkeypatch):
+        u_copy = InnerFunction(u_generic.zeros, u_generic.constant)
+        v_copy = InnerFunction(v_generic.zeros, v_generic.constant)
+        with quadrature.use(quadrature.Evaluation()):
+            space = hankel_space(u_generic, v_generic)
+            assert space.generator == u_generic * v_generic.hat()
+            assert space is tm_basis(u_generic * v_generic.hat())
+            built = []
+            post_init = InnerFunction.__post_init__
+            monkeypatch.setattr(InnerFunction, "__post_init__",
+                                lambda self: built.append(self) or post_init(self))
+            assert hankel_space(u_generic, v_generic) is space
+            assert hankel_space(u_copy, v_copy) is space
+            monkeypatch.undo()
+        assert built == []
+
+    def test_other_space_raises(self, rng, u_generic, v_generic):
+        psi = hankel_space(v_generic, u_generic).random_element(rng)
+        with pytest.raises(SpaceMismatch):
+            hankel_symbol(psi, u_generic, v_generic)
+        with pytest.raises(SpaceMismatch):
+            hankel_symbol(tm_basis(u_generic * v_generic).random_element(rng),
+                          u_generic, v_generic)
+
+
 def _real_symmetric_inner(rng, pairs):
     """A real symmetric product: conjugate pairs of zeros, one real zero, constant -1."""
     a = 0.8 * np.sqrt(rng.uniform(size=pairs)) * np.exp(1j * np.pi * rng.uniform(size=pairs))
@@ -667,6 +774,12 @@ class TestMemo:
             for g in derived(gens):
                 g = g if linked else InnerFunction.from_json(g.to_json())
                 out += [tm_basis(g).values(m) for m in (64, 32, 128)]
+            # Hankel symbols through their blocks: the memo of K_{u hat(w)} holds
+            # the linked product or the one decoded from JSON, whichever came first
+            for u, w in zip(gens, gens[1:] + gens[:1]):
+                space = hankel_space(u, w)
+                psi = space.element(np.arange(space.dim) + 0.5j)
+                out += [hankel_symbol(psi, u, w).values_at(m) for m in (64, 32, 128)]
             return out
 
         def derived(gens):

@@ -4,6 +4,7 @@ from numpy.polynomial import polynomial as npoly
 
 from truncops import (
     ExtendedScalar,
+    OperatorMatrix,
     RationalSymbol,
     clark_perturbation,
     conj_kernel,
@@ -411,7 +412,34 @@ class TestLaurentBuilders:
         assert np.array_equal(operators.cross_gram(u_generic, other).matrix, np.eye(3))
 
 
+def _reference_sedlock(u, alpha, phi, c=0.0):
+    """The former build: the Toeplitz operators of phi and of conj(S C phi),
+    one pairing each, summed with weight alpha."""
+    alpha = ExtendedScalar.of(alpha)
+    if alpha.is_infinity:
+        out = tto_matrix(u, u, phi.rep().conj_circle())
+    else:
+        out = tto_matrix(u, u, phi.rep())
+        if alpha.value != 0:
+            scphi = shift(u).apply(conjugation_C(u).apply(phi))
+            out = out + alpha.value * tto_matrix(u, u, scphi.rep().conj_circle())
+    return out + complex(c) * OperatorMatrix.identity(phi.space)
+
+
 class TestSedlockOp:
+    @pytest.mark.parametrize("alpha", [0.0, 0.3 * np.exp(1j), np.exp(0.7j), None],
+                             ids=["zero", "inside", "unimodular", "infinity"])
+    @pytest.mark.parametrize("degree", [1, 2, 8, 16, 32])
+    def test_one_pairing_matches_the_two_pairing_build(self, rng, degree, alpha):
+        u = random_inner(rng, degree)
+        phi = tm_basis(u).random_element(rng)
+        with quadrature.use(quadrature.Evaluation()):
+            with quadrature.tally() as own:
+                got = sedlock_op(u, ExtendedScalar.of(alpha), phi, 0.4 - 0.2j)
+            assert own.pairings == 1
+        want = _reference_sedlock(u, alpha, phi, 0.4 - 0.2j).matrix
+        assert np.max(np.abs(got.matrix - want)) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
     def test_shift_is_class_zero_member(self, u2):
         phi = tm_basis(u2).element([0.0, 1.0])       # the function z
         assert np.allclose(sedlock_op(u2, 0.0, phi).matrix, shift(u2).matrix,

@@ -36,7 +36,8 @@ from truncops import (
 from truncops.operators import clark_points
 from truncops.errors import NoCertificate, SpaceMismatch
 from truncops.harness import hatted_symbol, random_inner
-from truncops.products import _symbol_blocks, symmetric_witness
+from truncops.modelspace import symbol_blocks
+from truncops.products import symmetric_witness
 
 
 class TestConjugationDictionary:
@@ -326,7 +327,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi1 = _atho_symbol(v, w, rng)
-        _, tail = _symbol_blocks(psi1, v, w)
+        _, tail = symbol_blocks(psi1, v, w)
         _assert_read_matches(conjugation_U(w.hat()).apply(tail),
                              _reference_product_f1(psi1, v, w))
 
@@ -335,7 +336,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi2 = _atho_symbol(u, v, rng)
-        head, _ = _symbol_blocks(psi2, u, v)
+        head, _ = symbol_blocks(psi2, u, v)
         _assert_read_matches(head, _reference_product_g2(psi2, u))
 
     @pytest.mark.parametrize("n, kind", SPACE_CASES)
@@ -343,7 +344,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi = _atho_symbol(v, w, rng)
-        _, tail = _symbol_blocks(psi, v, w)
+        _, tail = symbol_blocks(psi, v, w)
         _assert_read_matches(tail, _reference_ht_f1(psi, v, w))
 
     @pytest.mark.parametrize("n, kind", SPACE_CASES)
@@ -351,7 +352,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi = _atho_symbol(u, v, rng)
-        head, _ = _symbol_blocks(psi, u, v)
+        head, _ = symbol_blocks(psi, u, v)
         _assert_read_matches(conjugation_U(u).apply(head), _reference_th_f2(psi, u))
 
     def test_symbol_in_swapped_space_raises(self, u_generic, v_generic, rng):
