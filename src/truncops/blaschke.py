@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import NotUnimodular, PoleHit, ZeroOnOrOutsideCircle
-from .quadrature import Reach, conj_reflected, grid_cached, grown, unsigned_zeros
+from .quadrature import Reach, generator_grid, unsigned_zeros
 from .ratfun import RationalSymbol
 
 ZERO_MARGIN = 1e-9
@@ -44,11 +44,10 @@ class InnerFunction:
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "_bvals", {})
-        # how this generator was made, if by `hat` (its source) or `__mul__`
-        # (its two factors), whose grids its own derive from; not fields, so
-        # equality, hashing and JSON ignore them
+        # the generator this one is the hat of, if made by `hat`, whose grids
+        # its own derive from; not a field, so equality, hashing and JSON
+        # ignore it
         object.__setattr__(self, "_hat_of", None)
-        object.__setattr__(self, "_factors", None)
         # a zero below 1e-300 has its pole 1/conj(a) beyond 1e300, past every
         # grid, and for a subnormal zero the division overflows: as for a zero
         # at 0, no pole is kept
@@ -93,19 +92,20 @@ class InnerFunction:
         """Values on the m-point circle grid, evaluated factor by factor; cached, read-only.
 
         Factored evaluation keeps full relative accuracy even when zeros
-        cluster; the expanded coefficients would lose it there.  A grid grows
-        from a cached half grid by its odd nodes alone, or is sliced from a
-        cached double (``quadrature.grid_cached``).  A hat whose source has
-        the m-grid (or its double) cached conjugates that grid instead
-        (``quadrature.conj_reflected``); every way gives the same bits.
+        cluster; the expanded coefficients would lose it there.  The grid
+        comes from the generator ladder (``quadrature.generator_grid``): sliced
+        from a cached double, for a hat its source's grid conjugated, grown
+        from a cached half grid by its odd nodes alone, or evaluated cold;
+        every way gives the same bits.
         """
-        return grid_cached(self._bvals, m, self._boundary_grid)
+        return generator_grid(m, self._bvals, self._pointwise, self._hat_source)[0]
 
-    def _boundary_grid(self, m: int) -> np.ndarray:
+    def _pointwise(self, z: np.ndarray) -> tuple:
+        return (self._factored(z),)
+
+    def _hat_source(self):
         src = self._hat_of
-        if src is not None and (m in src._bvals or 2 * m in src._bvals):
-            return conj_reflected(src.boundary_values(m))
-        return grown(self._bvals, m, self._factored)
+        return None if src is None else (src._bvals, src._pointwise)
 
     def _factored(self, z: np.ndarray) -> np.ndarray:
         out = np.full(z.shape, self.constant, dtype=complex)
@@ -167,9 +167,9 @@ class InnerFunction:
         """conj(u(conj z)): conjugate every zero and the constant.  An exact involution.
 
         Built once per instance.  The hat records u as its source, so its
-        grids and its basis grids derive from u's where those are cached;
-        u.hat().hat() is a fresh, validated product equal to u, with u.hat()
-        as its source.
+        boundary grids and its basis grids are u's, made by u's own path and
+        conjugated; u.hat().hat() is a fresh, validated product equal to u,
+        with u.hat() as its source.
         """
         return self._hat
 
@@ -196,11 +196,8 @@ class InnerFunction:
         return tuple(p for _, p in sorted(zip(conj_key, key)))
 
     def __mul__(self, other: "InnerFunction") -> "InnerFunction":
-        """The product, zeros of self first; it records its factors, so its basis
-        grids continue the first factor's where those are cached."""
-        product = InnerFunction(self.zeros + other.zeros, self.constant * other.constant)
-        object.__setattr__(product, "_factors", (self, other))
-        return product
+        """The product, zeros of self first."""
+        return InnerFunction(self.zeros + other.zeros, self.constant * other.constant)
 
     def to_json(self) -> dict:
         return {

@@ -12,23 +12,23 @@ Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
 once for all k, so kernels and element values need neither expanded
 coefficients nor pairings; ``values`` is the same product on the circle
-nodes.  The grid of a hat basis is its source's grid conjugated, since
-e^_k(z) = conj(e_k(conj z)), and a product basis continues its first
-factor's grid, since the basis of K_{u w} is the basis of K_u followed by
-(u/c_u) times the basis of K_w (Garcia-Mashreghi-Ross, *Introduction to
-Model Spaces and their Operators*, 2016); either way the bits are those of
-a cold evaluation.  The same split serves the symbols conj(psi) of Hankel
-operators K_a -> K_b: psi lives in K_{a hat(b)} (`hankel_space`, memoized
-per pair), its two coordinate blocks are projections (`symbol_blocks`),
-and `hankel_symbol` evaluates psi through them from the grids of K_a and
-K_hat(b), so no grid of K_{a hat(b)} is evaluated.  Basis orthonormality
+nodes, kept per grid with the running product prod_j b_j from the same
+evaluation.  The grid of a hat basis is its source's grid conjugated, since
+e^_k(z) = conj(e_k(conj z)), with the bits of a cold evaluation.  The basis
+of K_{a w} is the basis of K_a followed by (a/c_a) times the basis of K_w
+(Garcia-Mashreghi-Ross, *Introduction to Model Spaces and their Operators*,
+2016), which serves the symbols conj(psi) of Hankel operators K_a -> K_b:
+psi lives in K_{a hat(b)} (`hankel_space`, memoized per pair), its two
+coordinate blocks are projections (`symbol_blocks`), and `hankel_symbol`
+evaluates psi through them from the grids of K_a and K_hat(b), so no grid
+of K_{a hat(b)} is evaluated.  Basis orthonormality
 is a theorem, so a basis build makes no pairing; `gram_residual` is its
 quadrature oracle, which kernel-core gates at GRAM_TOL.  The conjugations
 are exact too: both are changes of zero order (`reorder`), or the
 identity for the coefficient conjugation.
 
 Function space objects are immutable after construction.  Bases cache
-their grid values and the kernels k0 and k~0 at the origin, and their two
+their grids and the kernels k0 and k~0 at the origin, and their two
 blocks (the basis and the flipped basis J e_k) cache their conjugates, the
 conjugated side of every pairing against the basis; all are read-only, so
 they are safe to share between threads.
@@ -60,9 +60,8 @@ class ModelSpaceBasis:
     def __init__(self, generator: InnerFunction):
         self.generator = generator
         n = len(generator.zeros)
-        self._value_cache: dict[int, np.ndarray] = {}
-        # prod_j b_j over every zero factor per grid, which a product's basis continues
-        self._running_cache: dict[int, np.ndarray] = {}
+        # per grid, the values and prod_j b_j over every zero factor
+        self._value_cache: dict[int, tuple] = {}
         self.dim = n
         # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
         # most the zeros at 0 as the degree of its finite part
@@ -157,62 +156,33 @@ class ModelSpaceBasis:
     def values(self, m: int) -> np.ndarray:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
 
-        A grid is sliced from a cached double (``quadrature.grid_cached``).
-        Else a hat's grid is its source's basis grid in the current
-        evaluation, made by the source's own path and cached there,
-        conjugated (``quadrature.conj_reflected``).  A basis's own path grows
-        a grid from a cached half grid by its odd nodes alone
-        (``quadrature.grown``), else copies a product's first factor's grid
-        and continues the running product over the second factor's zeros,
-        else evaluates it cold.  Every way runs the same operations on the
-        same values up to the sign of a zero, which is dropped, so the bits
-        are those of ``at(nodes(m))``, whichever equal generator the memo
-        holds.  A pairing against the basis reads the conjugates, ``block.conj``.
+        The grid and the running product come from one evaluation, through the
+        generator ladder (``quadrature.generator_grid``): sliced from a cached
+        double, for a hat its source's basis grid, made by the source's own
+        path, conjugated, grown from a cached half grid by its odd nodes, or
+        evaluated cold.  Every way runs the same operations on the same values
+        up to the sign of a zero, which is dropped, so the bits are those of
+        ``at(nodes(m))``, whichever equal generator the memo holds.  A pairing
+        against the basis reads the conjugates, ``block.conj``.
         """
-        return quadrature.grid_cached(self._value_cache, m, self._values_grid)
-
-    def _values_grid(self, m: int) -> np.ndarray:
-        source = self._hat_source()
-        if source is not None:
-            return quadrature.conj_reflected(
-                quadrature.grid_cached(source._value_cache, m, source._own_grid))
-        return self._own_grid(m)
-
-    def _hat_source(self) -> "ModelSpaceBasis | None":
-        """The basis of the generator this one's is the hat of, unless the memo
-        makes that this basis itself (a generator equal to its hat, or a hat of a hat)."""
-        src = self.generator._hat_of
-        source = None if src is None else tm_basis(src)
-        return None if source is self else source
-
-    def _own_grid(self, m: int) -> np.ndarray:
-        """The m-grid by this basis's own path, never through a hat's source: grown
-        from its half grid, continued from a product's first factor, or cold."""
-        u = self.generator
-        if m % 2 == 0 and m // 2 in self._value_cache:
-            return quadrature.grown(self._value_cache, m, self.at)
-        if u._factors is not None:
-            first = tm_basis(u._factors[0])
-            out = np.empty((m, self.dim), dtype=complex)
-            out[:, :first.dim] = first.values(m)
-            values, running = self._continue(out, first._running(m), quadrature.nodes(m),
-                                             first.dim)
-        else:
-            values, running = self._evaluate(quadrature.nodes(m))
-        quadrature.grid_cached(self._running_cache, m, lambda m: running)
-        return values
+        return self._grid(m)[0]
 
     def _running(self, m: int) -> np.ndarray:
-        """prod_j b_j over every zero factor on the m-grid; cached, read-only.
-        An evaluation of the values that runs it keeps it; a hat conjugates its
-        source's; else it is evaluated again."""
-        cache = self._running_cache
-        source = self._hat_source()
-        if source is not None:
-            return quadrature.grid_cached(
-                cache, m, lambda m: quadrature.conj_reflected(source._running(m)))
-        return quadrature.grid_cached(
-            cache, m, lambda m: quadrature.grown(cache, m, lambda z: self._evaluate(z)[1]))
+        """prod_j b_j over every zero factor on the m-grid; cached, read-only."""
+        return self._grid(m)[1]
+
+    def _grid(self, m: int) -> tuple:
+        """The values and the running product on the m-grid, from one evaluation."""
+        return quadrature.generator_grid(m, self._value_cache, self._evaluate,
+                                         self._hat_source)
+
+    def _hat_source(self):
+        """The grid cache and evaluation of the basis of the generator this one's
+        is the hat of, unless the memo makes that this basis itself (a generator
+        equal to its hat, or a hat of a hat)."""
+        src = self.generator._hat_of
+        source = self if src is None else tm_basis(src)
+        return None if source is self else (source._value_cache, source._evaluate)
 
     def _flipped_values(self, m: int) -> np.ndarray:
         return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]
@@ -277,7 +247,7 @@ def hankel_symbol(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> Ra
 
     With x and y the first deg a and the last deg b coordinates, the grid
     values are E_a x + (prod_j b_j)(E_hat(b) y), the running product over a's
-    zero factors kept with a's basis grid, so no grid of K_{a hat(b)} is
+    zero factors read from a's basis grid, so no grid of K_{a hat(b)} is
     evaluated.  The reach is psi's and the coefficients are psi.rep()'s,
     expanded on the first read.  Any other space or zero order raises
     SpaceMismatch.

@@ -19,15 +19,16 @@ floor whose first level exceeds the cap raises at once.
 
 The M-point grid is the even-index subset of the 2M-point grid, and the
 nodes are conjugation symmetric: node M-k is stored as exactly conj(node k).
-One cache of grid values, ``grid_cached``, serves every side of a pairing:
-the M-grid is the even rows of a cached 2M-grid, and a pointwise map grows a
-2M-grid from a cached M-grid by evaluating the odd nodes alone (``grown``).
-The grid of conj(f(conj z)) is the grid of f conjugated at the reflected
-nodes (``conj_reflected``), which the hats of generators use.  Values are
+A cached 2M-grid thus gives the M-grid as its even rows (``grid_cached``,
+for symbols and block conjugates).  Generator grids (an inner function's, or
+a basis's with its running product) come from one ladder, ``generator_grid``:
+the cached M-grid, the even rows of a cached 2M-grid, for a hat its source's
+grid at the reflected nodes (``conj_reflected``), the cached M/2-grid grown
+by its odd nodes alone (``grown``), else a cold evaluation.  Values are
 computed point by point, so a grown or sliced grid has the same bits as one
 evaluated cold, and each refinement evaluates only the nodes it adds.  A
-derived grid has them too, since generator and basis grids have their zeros
-unsigned (``unsigned_zeros``).
+derived grid has them too, since generator grids have their zeros unsigned
+(``unsigned_zeros``).
 
 Each level is one matrix product over the (M, 2, k) views of the two
 2M-grids, which gives the sums over the even and the odd nodes; the 2M-node
@@ -303,21 +304,42 @@ def grid_cached(cache: dict, m: int, compute) -> np.ndarray:
     return got
 
 
-def grown(cache: dict, m: int, at) -> np.ndarray:
-    """The values of the pointwise map ``at`` on the m-grid, a compute for `grid_cached`.
+def grown(cache: dict, m: int, at) -> tuple:
+    """The record of the pointwise map ``at`` on the m-grid.
 
-    ``at`` maps an array of nodes to their values, one row per node.  When
-    the m/2-grid is cached only the odd nodes are evaluated and interleaved
-    with it.  Each value is computed from its own node alone, so the result
-    is the same bits as ``at(nodes(m))``.
+    ``at`` maps an array of nodes to a record, a tuple of arrays with one row
+    per node.  When the m/2-grid is cached only the odd nodes are evaluated
+    and interleaved with it.  Each value is computed from its own node alone,
+    so the result is the same bits as ``at(nodes(m))``.
     """
     coarse = cache.get(m // 2) if m % 2 == 0 else None
     if coarse is None:
         return at(nodes(m))
     odd = at(np.ascontiguousarray(nodes(m)[1::2]))
-    got = np.empty((m,) + odd.shape[1:], dtype=odd.dtype)
-    got[::2] = coarse
-    got[1::2] = odd
+    return tuple(np.stack((c, o), axis=1).reshape((m,) + o.shape[1:])
+                 for c, o in zip(coarse, odd, strict=True))
+
+
+def generator_grid(m: int, cache: dict, at, source=None) -> tuple:
+    """The m-grid record of a generator, from ``cache`` (one record per level)
+    and its pointwise map ``at``; each array read-only and C-contiguous.
+
+    The rungs: the cached m-grid; the even rows of the cached 2m-grid; for a
+    hat, whose ``source()`` gives the (cache, at) of its source, the source's
+    m-grid by this ladder without a source (so a memo that maps the source
+    back to the hat cannot loop), through `conj_reflected`; `grown`, from the
+    m/2-grid or cold.  Each rung makes the whole record, to the cold bits.
+    """
+    got = cache.get(m)
+    if got is None:
+        fine = cache.get(2 * m)
+        if fine is not None:
+            got = tuple(np.ascontiguousarray(f[::2]) for f in fine)
+        elif source is not None and (hat_of := source()) is not None:
+            got = tuple(map(conj_reflected, generator_grid(m, *hat_of)))
+        else:
+            got = grown(cache, m, at)
+        got = cache[m] = tuple(map(readonly, got))
     return got
 
 

@@ -34,7 +34,7 @@ from truncops.modelspace import (
     hankel_space,
     hankel_symbol,
 )
-from truncops import operators, quadrature
+from truncops import harness, operators, quadrature
 from truncops.quadrature import Block, QuadratureSettings, Reach
 
 
@@ -209,11 +209,11 @@ class TestFactoredEvaluation:
             space.values(m)
             evaluated = []
 
-            def at(z, _at=space.at):
+            def evaluate(z, _evaluate=space._evaluate):
                 evaluated.append(z)
-                return _at(z)
+                return _evaluate(z)
 
-            monkeypatch.setattr(space, "at", at)
+            monkeypatch.setattr(space, "_evaluate", evaluate)
             grown = space.values(2 * m)
             assert grown.tobytes() == cold.tobytes()
             assert len(evaluated) == 1
@@ -297,7 +297,7 @@ def _unlinked(u):
 
 # factor pairs (a, b): a zero at 0, real zeros (whose grids have exact zero
 # imaginary parts at z = 1 and -1), repeated zeros, zeros clustered at radius
-# 0.9999, and factors of degree 1 and 32
+# 0.9999, and degrees 1 and 32; the grid ways read the first of each pair
 GRID_FACTORS = {
     "zero-at-0": lambda rng: (InnerFunction((0.0,)), InnerFunction((0.0, 0.4 - 0.3j))),
     "real": lambda rng: (InnerFunction((0.5, -0.3, 0.0), -1), InnerFunction((0.7,))),
@@ -316,71 +316,49 @@ def _primed(*pairs):
         tm_basis(g).values(m)
 
 
-# each way makes a target generator from the factors, reads some grids first,
-# and states the evaluations (start, nodes) that reading the target's m-grid
-# then runs: start is the first zero evaluated, so a copied factor shows as start > 0
-def _hat_cold(a, b, m):
-    return a.hat(), [(0, m)]
+def _signed(arr):
+    """Whether some real or imaginary part of arr is a zero with its sign set."""
+    return bool(np.any((np.signbit(arr.real) & (arr.real == 0))
+                       | (np.signbit(arr.imag) & (arr.imag == 0))))
 
 
-def _hat_of_held(a, b, m):
-    _primed((a, m))
-    return a.hat(), []
+# each way makes a target generator from u, reads some grids first, and
+# states the evaluations (start, nodes) that reading the target's m-grid then runs
+def _cold(u, m):
+    return u, [(0, m)]
 
 
-def _hat_of_held_double(a, b, m):
-    _primed((a, 2 * m))
-    return a.hat(), []
+def _sliced(u, m):
+    _primed((u, 2 * m))
+    return u, []
 
 
-def _hat_grown(a, b, m):
-    h = a.hat()
+def _grown(u, m):
+    _primed((u, m // 2))
+    return u, [(0, m // 2)]
+
+
+def _hat_cold(u, m):
+    return u.hat(), [(0, m)]
+
+
+def _hat_of_held(u, m):
+    _primed((u, m))
+    return u.hat(), []
+
+
+def _hat_of_held_double(u, m):
+    _primed((u, 2 * m))
+    return u.hat(), []
+
+
+def _hat_grown(u, m):
+    h = u.hat()
     _primed((h, m // 2))
     return h, [(0, m // 2)]
 
 
-def _product_cold(a, b, m):
-    return a * b, [(0, m), (a.degree, m)]
-
-
-def _product_of_held(a, b, m):
-    _primed((a, m))
-    return a * b, [(a.degree, m)]
-
-
-def _product_of_held_double(a, b, m):
-    _primed((a, 2 * m))
-    return a * b, [(a.degree, m)]
-
-
-def _product_of_grown(a, b, m):
-    # a grown grid keeps no running product, so it is evaluated again
-    _primed((a, m // 2), (a, m))
-    return a * b, [(0, m // 2), (a.degree, m)]
-
-
-def _product_grown(a, b, m):
-    w = a * b
-    _primed((w, m // 2))
-    return w, [(0, m // 2)]
-
-
-def _product_of_hat(a, b, m):
-    # the hat's grid and its running product are both derived from a's, or the
-    # hat equals a, whose basis the memo then returns for it
-    _primed((a, m))
-    return a.hat() * b, [(a.degree, m)]
-
-
-def _hat_of_product(a, b, m):
-    w = a * b
-    _primed((w, m))
-    return w.hat(), []
-
-
-GRID_WAYS = [_hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown, _product_cold,
-             _product_of_held, _product_of_held_double, _product_of_grown, _product_grown,
-             _product_of_hat, _hat_of_product]
+GRID_WAYS = [_cold, _sliced, _grown, _hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown]
 
 
 def _generic_and_its_hat(rng):
@@ -415,43 +393,69 @@ class TestDerivedGrids:
     def test_hat_asked_first_evaluates_its_source_once(self, rng, monkeypatch, case):
         u, target = case(rng)
         m = 64
-        runs = []
+        runs, factored = [], []
         run = ModelSpaceBasis._continue
+        factor_loop = InnerFunction._factored
 
         def recorded(space, out, running, z, start):
             runs.append((start, np.size(z)))
             return run(space, out, running, z, start)
 
+        def recorded_factored(g, z):
+            factored.append((g, np.size(z)))
+            return factor_loop(g, z)
+
+        generators = (target, u, u.hat())
         with quadrature.use(quadrature.Evaluation()):
             monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
-            got = {g: tm_basis(g).values(m) for g in (target, u, u.hat())}
+            monkeypatch.setattr(InnerFunction, "_factored", recorded_factored)
+            got = {g: tm_basis(g).values(m) for g in generators}
+            boundary = [g.boundary_values(m) for g in generators]
             monkeypatch.undo()
         assert runs == [(0, m)]
         for g, values in got.items():
             cold = ModelSpaceBasis(_unlinked(g)).at(quadrature.nodes(m))
             assert values.tobytes() == cold.tobytes()
+        # the boundary grids follow the same rule: a hat's grid is its source's,
+        # so each source is evaluated once; no memo joins u.hat().hat() to u,
+        # so there u is evaluated as well
+        sources = list({id(s): s for s in (g._hat_of or g for g in generators)}.values())
+        assert [(id(g), size) for g, size in factored] == [(id(s), m) for s in sources]
+        for g, values in zip(generators, boundary):
+            assert values.tobytes() == _unlinked(g).boundary_values(m).tobytes()
 
     @pytest.mark.parametrize("way", GRID_WAYS, ids=lambda f: f.__name__.lstrip("_"))
     @pytest.mark.parametrize("factors", GRID_FACTORS)
     @pytest.mark.parametrize("m", [8, 64])
     def test_grid_is_the_bits_of_a_cold_evaluation(self, rng, monkeypatch, factors, way, m):
-        a, b = GRID_FACTORS[factors](rng)
-        runs = []
+        u = GRID_FACTORS[factors](rng)[0]
         run = ModelSpaceBasis._continue
+        # the values and the running product come from one evaluation per
+        # level, whichever of the two is read first
+        for first in ("values", "running"):
+            runs = []
 
-        def recorded(space, out, running, z, start):
-            runs.append((start, np.size(z)))
-            return run(space, out, running, z, start)
+            def recorded(space, out, running, z, start):
+                runs.append((start, np.size(z)))
+                return run(space, out, running, z, start)
 
-        with quadrature.use(quadrature.Evaluation()):
-            target, want_runs = way(a, b, m)
-            monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
-            got = tm_basis(target).values(m)
-            monkeypatch.undo()
-        assert runs == want_runs
-        cold = ModelSpaceBasis(_unlinked(target)).at(quadrature.nodes(m))
-        assert got.tobytes() == cold.tobytes()
-        assert got.flags.c_contiguous and not got.flags.writeable
+            with quadrature.use(quadrature.Evaluation()):
+                target, want_runs = way(u, m)
+                space = tm_basis(target)
+                monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+                if first == "running":
+                    running, got = space._running(m), space.values(m)
+                else:
+                    got, running = space.values(m), space._running(m)
+                monkeypatch.undo()
+            assert runs == want_runs
+            cold, cold_running = ModelSpaceBasis(_unlinked(target))._evaluate(
+                quadrature.nodes(m))
+            assert got.tobytes() == cold.tobytes()
+            assert running.tobytes() == cold_running.tobytes()
+            for grid in (got, running):
+                assert grid.flags.c_contiguous and not grid.flags.writeable
+                assert not _signed(grid)
 
     @pytest.mark.parametrize("factors", GRID_FACTORS)
     @pytest.mark.parametrize("held", [1, 2])
@@ -470,30 +474,51 @@ class TestDerivedGrids:
 
     def test_grids_have_unsigned_zeros(self):
         # at z = -1 the running product over the real zeros 0.5 and -0.3 is
-        # 1 - 0j when evaluated as it stands; a product basis continues it
-        def signed(arr):
-            return bool(np.any((np.signbit(arr.real) & (arr.real == 0))
-                               | (np.signbit(arr.imag) & (arr.imag == 0))))
-
+        # 1 - 0j when evaluated as it stands; a Hankel symbol reads it
         u = InnerFunction((0.5, -0.3, 0.0, complex(0.2, -0.0)), -1)
         space = tm_basis(u)
         for m in (4, 8):
             z = quadrature.nodes(m)
-            assert not signed(space.values(m)) and not signed(space._running(m))
-            assert not signed(u.boundary_values(m)) and not signed(u.hat().boundary_values(m))
-            assert np.any(z.imag == 0) and not signed(z)
+            assert not _signed(space.values(m)) and not _signed(space._running(m))
+            assert not _signed(u.boundary_values(m)) and not _signed(u.hat().boundary_values(m))
+            assert np.any(z.imag == 0) and not _signed(z)
 
     def test_links_leave_equality_hash_and_json_alone(self, rng):
         a, b = _random_inner(rng, 3), _random_inner(rng, 2)
         h, w = a.hat(), a * b
-        assert h._hat_of is a and w._factors == (a, b)
+        assert h._hat_of is a
         assert h.hat() == a and h.hat()._hat_of is h
         for linked in (h, w, w.hat()):
             plain = _unlinked(linked)
-            assert plain._hat_of is None and plain._factors is None
+            assert plain._hat_of is None
             assert linked == plain and hash(linked) == hash(plain)
             assert linked.to_json() == plain.to_json()
             assert InnerFunction.from_json(linked.to_json()) == linked
+
+    # suite-high trials whose Hankel symbols read a running product after its
+    # basis grid was grown from a half grid
+    @pytest.mark.parametrize("seed, band, check", [
+        (303, (16, 18), "hankel-unitary"),
+        (304, (23, 25), "hankel-inverse"),
+        (305, (30, 32), "product-chain"),
+    ])
+    def test_no_basis_evaluates_a_grid_node_twice(self, monkeypatch, seed, band, check):
+        grid = set(quadrature.nodes(quadrature.QUAD_CAP).tolist())
+        evaluated = {}
+        run = ModelSpaceBasis._continue
+
+        def recorded(space, out, running, z, start):
+            seen = evaluated.setdefault(id(space), (space, []))[1]
+            seen += [(start, node) for node in np.ravel(z).tolist() if node in grid]
+            return run(space, out, running, z, start)
+
+        monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+        harness.run_suite(harness.SuiteConfig(seed=seed, trials=1, checks=[check],
+                                              degree_range=band))
+        monkeypatch.undo()
+        assert evaluated
+        for space, seen in evaluated.values():
+            assert len(seen) == len(set(seen)), space
 
 
 class TestProjection:
@@ -768,12 +793,15 @@ class TestMemo:
             for u, w in zip(gens, gens[1:] + gens[:1]):
                 out += [tto_matrix(u, w, LAURENT).matrix, tto_matrix(w, u, LAURENT).matrix,
                         operators.cross_gram(u, w).matrix]
-            # hat and product bases: linked generators derive their grids from
-            # their sources' and factors', equal ones decoded from JSON, which
-            # record neither, evaluate them cold; the memo holds either
+            # hat and product bases: linked hats derive their grids, running
+            # products and boundary grids from their sources', equal ones
+            # decoded from JSON, which record no source, evaluate them cold;
+            # the memo holds either
             for g in derived(gens):
                 g = g if linked else InnerFunction.from_json(g.to_json())
                 out += [tm_basis(g).values(m) for m in (64, 32, 128)]
+                out += [tm_basis(g)._running(m) for m in (128, 16, 256)]
+                out += [g.boundary_values(m) for m in (64, 32, 128)]
             # Hankel symbols through their blocks: the memo of K_{u hat(w)} holds
             # the linked product or the one decoded from JSON, whichever came first
             for u, w in zip(gens, gens[1:] + gens[:1]):
@@ -815,3 +843,7 @@ class TestMemo:
             for g in derived(gens):
                 cold = ModelSpaceBasis(_unlinked(g)).at(quadrature.nodes(64))
                 assert tm_basis(g).values(64).tobytes() == cold.tobytes()
+                cold = ModelSpaceBasis(_unlinked(g))._evaluate(quadrature.nodes(16))[1]
+                assert tm_basis(g)._running(16).tobytes() == cold.tobytes()
+                cold = _unlinked(g).boundary_values(32)
+                assert g.boundary_values(32).tobytes() == cold.tobytes()
