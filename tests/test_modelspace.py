@@ -297,7 +297,7 @@ def _unlinked(u):
 
 # factor pairs (a, b): a zero at 0, real zeros (whose grids have exact zero
 # imaginary parts at z = 1 and -1), repeated zeros, zeros clustered at radius
-# 0.9999, and degrees 1 and 32; the grid ways read the first of each pair
+# 0.9999, and factors of degree 1 and 32
 GRID_FACTORS = {
     "zero-at-0": lambda rng: (InnerFunction((0.0,)), InnerFunction((0.0, 0.4 - 0.3j))),
     "real": lambda rng: (InnerFunction((0.5, -0.3, 0.0), -1), InnerFunction((0.7,))),
@@ -322,43 +322,84 @@ def _signed(arr):
                        | (np.signbit(arr.imag) & (arr.imag == 0))))
 
 
-# each way makes a target generator from u, reads some grids first, and
-# states the evaluations (start, nodes) that reading the target's m-grid then runs
-def _cold(u, m):
-    return u, [(0, m)]
+# each way makes a target generator from the factors a and b, reads some grids
+# first, and states the evaluations (start, nodes) that reading the target's
+# m-grid then runs: start is the first zero evaluated, so a continued factor
+# would show as start > 0
+def _cold(a, b, m):
+    return a, [(0, m)]
 
 
-def _sliced(u, m):
-    _primed((u, 2 * m))
-    return u, []
+def _sliced(a, b, m):
+    _primed((a, 2 * m))
+    return a, []
 
 
-def _grown(u, m):
-    _primed((u, m // 2))
-    return u, [(0, m // 2)]
+def _grown(a, b, m):
+    _primed((a, m // 2))
+    return a, [(0, m // 2)]
 
 
-def _hat_cold(u, m):
-    return u.hat(), [(0, m)]
+def _hat_cold(a, b, m):
+    return a.hat(), [(0, m)]
 
 
-def _hat_of_held(u, m):
-    _primed((u, m))
-    return u.hat(), []
+def _hat_of_held(a, b, m):
+    _primed((a, m))
+    return a.hat(), []
 
 
-def _hat_of_held_double(u, m):
-    _primed((u, 2 * m))
-    return u.hat(), []
+def _hat_of_held_double(a, b, m):
+    _primed((a, 2 * m))
+    return a.hat(), []
 
 
-def _hat_grown(u, m):
-    h = u.hat()
+def _hat_grown(a, b, m):
+    h = a.hat()
     _primed((h, m // 2))
     return h, [(0, m // 2)]
 
 
-GRID_WAYS = [_cold, _sliced, _grown, _hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown]
+# a product records no factors, so a factor's held grids leave its grid cold
+def _product_cold(a, b, m):
+    return a * b, [(0, m)]
+
+
+def _product_of_held(a, b, m):
+    _primed((a, m))
+    return a * b, [(0, m)]
+
+
+def _product_of_held_double(a, b, m):
+    _primed((a, 2 * m))
+    return a * b, [(0, m)]
+
+
+def _product_of_grown(a, b, m):
+    _primed((a, m // 2), (a, m))
+    return a * b, [(0, m)]
+
+
+def _product_grown(a, b, m):
+    w = a * b
+    _primed((w, m // 2))
+    return w, [(0, m // 2)]
+
+
+def _product_of_hat(a, b, m):
+    _primed((a, m))
+    return a.hat() * b, [(0, m)]
+
+
+def _hat_of_product(a, b, m):
+    w = a * b
+    _primed((w, m))
+    return w.hat(), []
+
+
+GRID_WAYS = [_cold, _sliced, _grown, _hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown,
+             _product_cold, _product_of_held, _product_of_held_double, _product_of_grown,
+             _product_grown, _product_of_hat, _hat_of_product]
 
 
 def _generic_and_its_hat(rng):
@@ -428,7 +469,7 @@ class TestDerivedGrids:
     @pytest.mark.parametrize("factors", GRID_FACTORS)
     @pytest.mark.parametrize("m", [8, 64])
     def test_grid_is_the_bits_of_a_cold_evaluation(self, rng, monkeypatch, factors, way, m):
-        u = GRID_FACTORS[factors](rng)[0]
+        a, b = GRID_FACTORS[factors](rng)
         run = ModelSpaceBasis._continue
         # the values and the running product come from one evaluation per
         # level, whichever of the two is read first
@@ -440,7 +481,7 @@ class TestDerivedGrids:
                 return run(space, out, running, z, start)
 
             with quadrature.use(quadrature.Evaluation()):
-                target, want_runs = way(u, m)
+                target, want_runs = way(a, b, m)
                 space = tm_basis(target)
                 monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
                 if first == "running":
