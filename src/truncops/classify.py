@@ -22,6 +22,7 @@ involution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +49,13 @@ from .modelspace import (
     unit_kernels,
 )
 from .operators import (
+    _element_tho,
+    _sarason_tto,
     clark_perturbation,
     class_level,
     level_points,
     shift,
     symmetric_involution,
-    tho_by_pairing,
-    tto_by_pairing,
 )
 from .ratfun import RationalSymbol
 
@@ -64,6 +65,15 @@ CLASS_TOL = 1e-8
 UNITARY_TOL = 1e-8          # |value| = 1 and the (co)isometry residuals
 PARAMETER_TOL = 1e-6        # closeness of two class parameters, or of one to the circle
 COND_LIMIT = 1e8            # the largest cond(B) that tho_inverse_class inverts
+
+
+def _fro(mat: np.ndarray) -> float:
+    """The Frobenius norm of a complex array with the bits of np.linalg.norm(mat):
+    the entries in memory order (ravel order K), then re.re + im.im, then the
+    square root, without its argument handling."""
+    flat = mat.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 @dataclass
@@ -89,19 +99,17 @@ def cross_decompose(M, a: SpaceElement, b: SpaceElement,
     nb2 = float(np.vdot(bv, bv).real)
     if na2 < 1e-24 or nb2 < 1e-24:
         raise ZeroAnchor("cross decomposition anchors must be nonzero")
-    scale = max(1.0, float(np.linalg.norm(mat)))
-
-    ma = mat @ av
     bhm = np.conj(bv) @ mat
-    left = (ma - bv * (complex(bhm @ av) / nb2)) / na2     # Q_b M a: component along (x) a
-    right = np.conj(bhm) / nb2                              # M^H b: component along b (x)
+    left = (mat @ av - bv * (complex(bhm @ av) / nb2)) / na2   # Q_b M a: component along (x) a
+    right = np.conj(bhm) / nb2                                  # M^H b: component along b (x)
     # re-gauge: move the a-parallel part of right into left
     g = complex(np.vdot(av, right)) / na2
-    right = right - g * av
-    left = left + np.conj(g) * bv
-    resid = mat - left[:, None] * np.conj(av) - bv[:, None] * np.conj(right)
-    residual = float(np.linalg.norm(resid))
-    ok = residual < tol * scale
+    right -= g * av
+    left += np.conj(g) * bv
+    resid = mat - left[:, None] * np.conj(av)
+    resid -= bv[:, None] * np.conj(right)
+    residual = _fro(resid)
+    ok = residual < tol * max(1.0, _fro(mat))
     return CrossDecomposition(
         ok,
         SpaceElement(b.space, left) if ok else None,
@@ -125,7 +133,8 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     """Test A - S_v A S_u* = part1 (x) k0 + k0 (x) part2 and rebuild the symbol.
 
     On success A equals the Toeplitz operator with symbol
-    part1 + conj(part2); the rebuild residual certifies it.
+    part1 + conj(part2); the rebuild residual certifies it.  The rebuild pairs
+    the two parts' coordinates whatever the generators, apart from the closed forms.
     """
     _require_linear(A, "is_tto")
     u = A.domain.generator
@@ -137,10 +146,9 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     if not recover:
         return TTOMembership(True, dec.left, dec.right, None, dec.residual_norm)
     symbol = dec.left.rep() + dec.right.rep().conj_circle()
-    # by quadrature, whatever the generators: a path apart from the closed forms
-    rebuilt = tto_by_pairing(u, v, symbol)
-    rres = float(np.max(np.abs(rebuilt.matrix - A.matrix)))
-    ok = rres < REBUILD_TOL * max(1.0, float(np.linalg.norm(A.matrix)))
+    rebuilt = _sarason_tto(u, v, dec.left, dec.right, exact=False)
+    rres = float(np.abs(rebuilt.matrix - A.matrix).max())
+    ok = rres < REBUILD_TOL * max(1.0, _fro(A.matrix))
     return TTOMembership(ok, dec.left, dec.right, symbol, dec.residual_norm, rres)
 
 
@@ -162,6 +170,7 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     so the verdict and residual are those of is_tto(U_v B C_u).  On success
     psi = S_u part2 + u hat(part1) lies in K_{u hat(v)}, and B equals the
     Hankel operator with symbol conj(psi); the rebuild residual certifies it.
+    The rebuild pairs psi's coordinates whatever the generators, apart from the closed forms.
     """
     _require_linear(B, "is_tho")
     u = B.domain.generator
@@ -177,8 +186,8 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     psi = hankel_space(u, v).element(np.concatenate(
         [shift(u).matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
     symbol = hankel_symbol(psi, u, v).conj_circle()
-    rres = float(np.max(np.abs(tho_by_pairing(u, v, symbol).matrix - B.matrix)))
-    if rres >= REBUILD_TOL * max(1.0, float(np.linalg.norm(B.matrix))):
+    rres = float(np.abs(_element_tho(psi, u, v, exact=False).matrix - B.matrix).max())
+    if rres >= REBUILD_TOL * max(1.0, _fro(B.matrix)):
         return THOMembership(False, None, None, dec.residual_norm, rres)
     return THOMembership(True, psi, symbol, dec.residual_norm, rres)
 
@@ -234,12 +243,12 @@ def _affine_commutant_solve(mat: np.ndarray, u: InnerFunction):
     kt0 = conj_kernel(u, 0.0).coords
     c0 = mat @ smat - smat @ mat
     c1 = np.outer(mat @ k0, np.conj(kt0)) - np.outer(k0, np.conj(mat.conj().T @ kt0))
-    n1 = float(np.linalg.norm(c1))
+    n1 = _fro(c1)
     if n1 < 1e-13:
-        res = float(np.linalg.norm(c0))
+        res = _fro(c0)
         return (ExtendedScalar.finite(0.0) if res < 1e-13 else None), res
     t = -complex(np.vdot(c1, c0)) / complex(np.vdot(c1, c1))
-    res = float(np.linalg.norm(c0 + t * c1))
+    res = _fro(c0 + t * c1)
     denom = 1.0 + t * np.conj(u.origin_value)
     if abs(denom) < 1e-10:
         return None, res
@@ -259,12 +268,12 @@ def sedlock_class(A: OperatorMatrix) -> SedlockReport:
         raise NotTTO("Sedlock classification needs an operator on a single K_u")
     u = A.domain.generator
     n = A.domain.dim
-    nrm = float(np.linalg.norm(A.matrix))
+    nrm = _fro(A.matrix)
     if nrm < 1e-13:
         return SedlockReport("all", None, 0.0, scalar=0.0)
     mat = A.matrix / nrm
     tr = complex(np.trace(mat)) / n
-    if float(np.linalg.norm(mat - tr * np.eye(n))) < CLASS_TOL:
+    if _fro(mat - tr * np.eye(n)) < CLASS_TOL:
         return SedlockReport("all", None, 0.0, scalar=complex(np.trace(A.matrix)) / n)
 
     direct, dres = _affine_commutant_solve(mat, u)
@@ -324,8 +333,8 @@ def scalar_multiple(M: OperatorMatrix, base: OperatorMatrix) -> tuple[complex, f
     and whether it passes MEMBERSHIP_TOL max(1, |M|_F): whether M is a
     scalar multiple of base, such as the identity or the involution."""
     c = complex(np.vdot(base.matrix, M.matrix)) / complex(np.vdot(base.matrix, base.matrix))
-    residual = float(np.linalg.norm(M.matrix - c * base.matrix))
-    return c, residual, residual < MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(M.matrix)))
+    residual = _fro(M.matrix - c * base.matrix)
+    return c, residual, residual < MEMBERSHIP_TOL * max(1.0, _fro(M.matrix))
 
 
 @dataclass
@@ -376,8 +385,8 @@ def _gram_conditions(B: OperatorMatrix):
     gram = B.matrix.conj().T @ B.matrix - eye
     cogram = B.matrix @ B.matrix.conj().T - eye
     return (
-        float(np.linalg.norm(gram)),
-        float(np.linalg.norm(cogram)),
+        _fro(gram),
+        _fro(cogram),
         is_tto(OperatorMatrix(gram, B.domain, B.domain), recover=False).is_member,
         is_tto(OperatorMatrix(cogram, B.codomain, B.codomain), recover=False).is_member,
     )
@@ -416,7 +425,7 @@ class ClassSymbolCertificate:
 def _class_certificate(M: OperatorMatrix, alpha: ExtendedScalar) -> ClassSymbolCertificate:
     """Certify the Toeplitz operator M as a member of the class alpha."""
     level, (multiplier,), (resid,) = class_multipliers(alpha, M)
-    if resid >= REBUILD_TOL * max(1.0, float(np.linalg.norm(M.matrix))):
+    if resid >= REBUILD_TOL * max(1.0, _fro(M.matrix)):
         raise NoCertificate(f"class-multiplier rebuild residual {resid:g}")
     return ClassSymbolCertificate(level, multiplier, resid)
 
@@ -503,8 +512,8 @@ def _zero_product_report(B1: OperatorMatrix, B2: OperatorMatrix,
                          M1: OperatorMatrix, M2: OperatorMatrix) -> ZeroProductReport:
     """Whether B1 B2 vanishes, against the classes of the Toeplitz operators
     M1 and M2 on K_u that the two factors are transported to."""
-    scale = max(1.0, float(np.linalg.norm(B1.matrix)) * float(np.linalg.norm(B2.matrix)))
-    pnorm = float(np.linalg.norm((B1 @ B2).matrix))
+    scale = max(1.0, _fro(B1.matrix) * _fro(B2.matrix))
+    pnorm = _fro((B1 @ B2).matrix)
     zero = pnorm < MEMBERSHIP_TOL * scale
     r1 = sedlock_class(M1)
     r2 = sedlock_class(M2)

@@ -39,6 +39,7 @@ from .modelspace import (
     unit_kernels,
 )
 from .operators import (
+    _element_tho,
     clark_perturbation,
     clark_points,
     defects,
@@ -516,7 +517,7 @@ def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> SpaceElement:
 
 
 def _generic_hankel(u: InnerFunction, v: InnerFunction, rng) -> OperatorMatrix:
-    return tho_matrix(u, v, hankel_symbol(_atho_symbol(u, v, rng), u, v).conj_circle())
+    return _element_tho(_atho_symbol(u, v, rng), u, v)
 
 
 def check_hankel_unitary(p: ProblemSpec) -> TrialResult:

@@ -17,14 +17,15 @@ For any other symbol the entries are pairings of exact rational symbols,
 whose one numeric step is the circle quadrature (`tto_by_pairing`,
 `tho_by_pairing`); conj(u) on the circle is the rational function 1/u.
 Those builders pair whole blocks of basis values (symbol times basis, and
-the flipped basis).
+the flipped basis).  A Sarason pair x + conj(y), or conj(psi) for a Hankel
+element psi, is paired from its coordinates (`_sarason_tto`, `_element_tho`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,10 +42,12 @@ from .modelspace import (
     conjugation_U_on,
     kernel,
     conj_kernel,
+    hankel_space,
+    hankel_symbol,
     tm_basis,
     unit_kernels,
 )
-from .quadrature import Block, pairing_matrix, readonly
+from .quadrature import Block, Reach, pairing_matrix, readonly
 from .ratfun import CIRCLE_POLE_MARGIN, RationalSymbol
 
 
@@ -289,26 +292,76 @@ def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> O
     return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.flipped), dom, cod)
 
 
+def _sarason_tto(u: InnerFunction, v: InnerFunction, x: SpaceElement | None,
+                 y: SpaceElement | None, exact: bool = True) -> OperatorMatrix:
+    """`tto_matrix(u, v, x + conj(y))` for a Sarason pair x in K_v and y in K_u,
+    either None for 0, made from their coordinates.
+
+    With exact, a Laurent symbol (every zero of the parts' spaces at 0) takes
+    the closed form.  Otherwise the block (E_v x + conj(E_u y)) e_j is formed
+    from the basis grids and paired once, with the reach and the bits of
+    `tto_by_pairing` on the symbol, which is never built.
+    """
+    reach = reduce(Reach.join, [p.space.generator.reach for p in (x, y) if p is not None])
+    if exact and reach.rho == math.inf:
+        terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
+        return tto_matrix(u, v, sum(terms[1:], terms[0]))
+    dom, cod = tm_basis(u), tm_basis(v)
+
+    def images(m):
+        part = None if x is None else x.space.values(m) @ x.coords
+        if y is not None:
+            bar = np.conj(y.space.values(m) @ y.coords)
+            part = bar if part is None else part + bar
+        return part[:, None] * dom.values(m)
+
+    return OperatorMatrix(pairing_matrix(Block(images, reach.times(u.reach)), cod.block),
+                          dom, cod)
+
+
+def _element_tho(psi: SpaceElement, u: InnerFunction, v: InnerFunction,
+                 exact: bool = True) -> OperatorMatrix:
+    """`tho_matrix(u, v, conj(psi))` for psi in K_{u hat(v)} (`hankel_space`),
+    made from its coordinates.
+
+    With exact, every zero of u and v at 0 takes the closed form.  Otherwise
+    the block conj(psi) e_j is formed from the basis grids, psi through its
+    blocks as `hankel_symbol` evaluates it, and paired once against J e_i,
+    with the reach and the bits of `tho_by_pairing` on conj(psi).
+    """
+    if psi.space != hankel_space(u, v):
+        raise SpaceMismatch("psi is not in the u-first basis of K_{u hat(v)}")
+    reach = psi.space.generator.reach
+    if exact and reach.rho == math.inf:
+        return tho_matrix(u, v, hankel_symbol(psi, u, v).conj_circle())
+    head, tail, cod = tm_basis(u), tm_basis(v.hat()), tm_basis(v)
+    x, y = psi.coords[:head.dim], psi.coords[head.dim:]
+
+    def images(m):
+        e = head.values(m)
+        return np.conj(e @ x + head._running(m) * (tail.values(m) @ y))[:, None] * e
+
+    return OperatorMatrix(pairing_matrix(Block(images, reach.times(u.reach)), cod.flipped),
+                          head, cod)
+
+
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
     """A member of the Sedlock class with parameter alpha, built from its symbol.
 
     The symbol is phi + alpha conj(S C phi) for finite alpha (Sarason 2007),
-    and conj(phi) at infinity; it is built in one call.  A sum of symbols
-    reads its parts' grid values, and its coefficients are expanded only
-    if read, so the two parts cost one pairing together.
+    and conj(phi) at infinity: a Sarason pair, built from its coordinates by
+    one pairing, or in closed form when every zero of u is 0.
     """
     alpha = ExtendedScalar.of(alpha)
     if phi.space != tm_basis(u):
         raise SpaceMismatch("phi must live in K_u")
-    space = phi.space
     if alpha.is_infinity:
-        symbol = phi.rep().conj_circle()
+        x, y = None, phi
+    elif alpha.value == 0:
+        x, y = phi, None
     else:
-        symbol = phi.rep()
-        if alpha.value != 0:
-            scphi = shift(u).apply(conjugation_C(u).apply(phi))
-            symbol = symbol + (np.conj(alpha.value) * scphi).rep().conj_circle()
-    return tto_matrix(u, u, symbol) + complex(c) * OperatorMatrix.identity(space)
+        x, y = phi, np.conj(alpha.value) * shift(u).apply(conjugation_C(u).apply(phi))
+    return _sarason_tto(u, u, x, y) + complex(c) * OperatorMatrix.identity(phi.space)
 
 
 def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorMatrix:

@@ -46,6 +46,8 @@ from .modelspace import (
     symbol_blocks,
 )
 from .operators import (
+    _element_tho,
+    _sarason_tto,
     clark_perturbation,
     functional_calculus,
     rank_one,
@@ -343,7 +345,7 @@ def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement,
     f2 = project(w, sym1.hat())
     cond = rank_one(f1, g1) - rank_one(f2, g2)
     dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
-    prod = tho_matrix(v, w, sym1.conj_circle()) @ tho_matrix(u, v, sym2.conj_circle())
+    prod = _element_tho(psi1, v, w) @ _element_tho(psi2, u, v)
     direct = is_tto(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
@@ -378,14 +380,13 @@ def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceEle
     P_hat(u) hat(psi) read off psi.
     """
     vbar = v.conj_symbol()
-    toeplitz = psi1.rep() + psi2.rep().conj_circle()
     if order == "hankel_toeplitz":
         _, f1 = symbol_blocks(psi, v, w)
         sym = hankel_symbol(psi, v, w)
         g1 = project(u, vbar * u.as_symbol() * psi1.rep())
         f2 = project(w.hat(), sym)
         g2 = shift(u).apply(conjugation_C(u).apply(psi2))
-        prod = tho_matrix(v, w, sym.conj_circle()) @ tto_matrix(u, v, toeplitz)
+        prod = _element_tho(psi, v, w) @ _sarason_tto(u, v, psi1, psi2)
     elif order == "toeplitz_hankel":
         head, _ = symbol_blocks(psi, u, v)
         sym = hankel_symbol(psi, u, v)
@@ -393,7 +394,7 @@ def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceEle
         g1 = project(w, vbar * w.as_symbol() * psi2.rep())
         f2 = conjugation_U(u).apply(head)
         g2 = shift(w).apply(conjugation_C(w).apply(psi1))
-        prod = tto_matrix(v, w, toeplitz) @ tho_matrix(u, v, sym.conj_circle())
+        prod = _sarason_tto(v, w, psi1, psi2) @ _element_tho(psi, u, v)
     else:
         raise ValueError(f"unknown order {order!r}")
     cond = rank_one(f1, g1) - rank_one(f2, g2)

@@ -20,11 +20,12 @@ floor whose first level exceeds the cap raises at once.
 The M-point grid is the even-index subset of the 2M-point grid, and the
 nodes are conjugation symmetric: node M-k is stored as exactly conj(node k).
 A cached 2M-grid thus gives the M-grid as its even rows (``grid_cached``,
-for symbols and block conjugates).  Generator grids (an inner function's, or
-a basis's with its running product) come from one ladder, ``generator_grid``:
-the cached M-grid, the even rows of a cached 2M-grid, for a hat its source's
-grid at the reflected nodes (``conj_reflected``), the cached M/2-grid grown
-by its odd nodes alone (``grown``), else a cold evaluation.  Values are
+for symbols and block conjugates), and by induction every (2^k)-th row of a
+cached 2^k M-grid is the M-grid.  Generator grids (an inner function's, or a
+basis's with its running product) come from one ladder, ``generator_grid``:
+the cached M-grid, the rows of the nearest cached finer level, for a hat its
+source's grid at the reflected nodes (``conj_reflected``), the cached M/2-grid
+grown by its odd nodes alone (``grown``), else a cold evaluation.  Values are
 computed point by point, so a grown or sliced grid has the same bits as one
 evaluated cold, and each refinement evaluates only the nodes it adds.  A
 derived grid has them too, since generator grids have their zeros unsigned
@@ -324,17 +325,20 @@ def generator_grid(m: int, cache: dict, at, source=None) -> tuple:
     """The m-grid record of a generator, from ``cache`` (one record per level)
     and its pointwise map ``at``; each array read-only and C-contiguous.
 
-    The rungs: the cached m-grid; the even rows of the cached 2m-grid; for a
-    hat, whose ``source()`` gives the (cache, at) of its source, the source's
-    m-grid by this ladder without a source (so a memo that maps the source
-    back to the hat cannot loop), through `conj_reflected`; `grown`, from the
-    m/2-grid or cold.  Each rung makes the whole record, to the cold bits.
+    The rungs: the cached m-grid; every (2^k)-th row of the nearest cached
+    finer level, the 2^k m-grid; for a hat, whose ``source()`` gives the
+    (cache, at) of its source, the source's m-grid by this ladder without a
+    source (so a memo that maps the source back to the hat cannot loop),
+    through `conj_reflected`; `grown`, from the m/2-grid or cold.  Each rung
+    makes the whole record, to the cold bits.
     """
     got = cache.get(m)
     if got is None:
-        fine = cache.get(2 * m)
-        if fine is not None:
-            got = tuple(np.ascontiguousarray(f[::2]) for f in fine)
+        fine, finest = 2 * m, max(cache, default=0)
+        while fine < finest and fine not in cache:
+            fine *= 2
+        if fine in cache:
+            got = tuple(np.ascontiguousarray(f[::fine // m]) for f in cache[fine])
         elif source is not None and (hat_of := source()) is not None:
             got = tuple(map(conj_reflected, generator_grid(m, *hat_of)))
         else:
@@ -397,7 +401,7 @@ def pairing_matrix(fs, gs) -> np.ndarray:
         # of the mean grows with the integrand magnitude, so the stopping rule
         # is relative to it; the scale is never below 1, so a gap under tol
         # itself stops without reducing the maxima
-        gap = np.max(np.abs(odd - even)) / (2 * m)
+        gap = np.abs(odd - even).max() / (2 * m)
         if gap < s.tol or gap < s.tol * max(
                 1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c)))):
             ev.stats.record(2 * m)

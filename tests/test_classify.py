@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truncops import (
     ExtendedScalar,
@@ -32,7 +34,8 @@ from truncops import (
 )
 from truncops import harness, quadrature
 from truncops.blaschke import InnerFunction, monomial_inner
-from truncops.classify import MEMBERSHIP_TOL, _class_certificate, class_values, spectral_values
+from truncops.classify import (MEMBERSHIP_TOL, _class_certificate, _fro, class_values,
+                               spectral_values)
 from truncops.errors import (DegenerateSpectrum, NoCertificate, NotRealSymmetric, NotTHO,
                              SpaceMismatch, ZeroAnchor)
 from truncops.harness import SuiteConfig, random_inner, random_laurent, run_suite
@@ -55,6 +58,17 @@ def _reference_cross_decompose(M, a, b, tol=MEMBERSHIP_TOL):
     resid = mat - np.outer(left, np.conj(av)) - np.outer(bv, np.conj(right))
     residual = float(np.linalg.norm(resid))
     return residual < tol * max(1.0, float(np.linalg.norm(mat))), left, right, residual
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       layout=st.sampled_from(["C", "F", "adjoint", "1-D"]))
+def test_frobenius_norm_has_the_bits_of_numpy(seed, shape, layout):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-8, 9)
+    mat = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    arr = {"C": mat, "F": np.asfortranarray(mat), "adjoint": mat.conj().T, "1-D": mat[0]}[layout]
+    assert _fro(arr) == float(np.linalg.norm(arr))
 
 
 class TestCrossDecompose:

@@ -335,6 +335,11 @@ def _sliced(a, b, m):
     return a, []
 
 
+def _sliced_from_finer(a, b, m):
+    _primed((a, 8 * m))
+    return a, []
+
+
 def _grown(a, b, m):
     _primed((a, m // 2))
     return a, [(0, m // 2)]
@@ -397,8 +402,8 @@ def _hat_of_product(a, b, m):
     return w.hat(), []
 
 
-GRID_WAYS = [_cold, _sliced, _grown, _hat_cold, _hat_of_held, _hat_of_held_double, _hat_grown,
-             _product_cold, _product_of_held, _product_of_held_double, _product_of_grown,
+GRID_WAYS = [_cold, _sliced, _sliced_from_finer, _grown, _hat_cold, _hat_of_held,
+             _hat_of_held_double, _hat_grown, _product_cold, _product_of_held, _product_of_held_double, _product_of_grown,
              _product_grown, _product_of_hat, _hat_of_product]
 
 
@@ -542,6 +547,8 @@ class TestDerivedGrids:
         (303, (16, 18), "hankel-unitary"),
         (304, (23, 25), "hankel-inverse"),
         (305, (30, 32), "product-chain"),
+        # a suite-low trial that reads a basis's 128-grid after its 512-grid
+        (409, (2, 4), "product-chain"),
     ])
     def test_no_basis_evaluates_a_grid_node_twice(self, monkeypatch, seed, band, check):
         grid = set(quadrature.nodes(quadrature.QUAD_CAP).tolist())

@@ -26,10 +26,11 @@ from truncops import (
 from truncops import operators, quadrature
 from truncops.blaschke import InnerFunction, monomial_inner
 from truncops.operators import clark_points
-from truncops.classify import is_tho
+from truncops.classify import is_tho, is_tto
 from truncops.errors import NoConvergence, NotRealSymmetric, SingularDenominator, SpaceMismatch
 from truncops.harness import random_inner
-from truncops.modelspace import boundary_kernel_symbol, conjugation_U_on, reorder
+from truncops.modelspace import (boundary_kernel_symbol, conjugation_U_on, hankel_space,
+                                 hankel_symbol, reorder)
 from truncops.quadrature import Block, pairing_matrix
 
 
@@ -204,6 +205,29 @@ class TestBlockBuilds:
                               Block.of(*[f.flip() for f in cod.functions]))
         assert np.array_equal(_reference_tho(u_generic, v_generic, sym), want)
         assert np.array_equal(operators.tho_by_pairing(u_generic, v_generic, sym).matrix, want)
+
+    def test_sarason_pair_matches_its_symbol(self, u_generic, v_generic, rng):
+        # the coordinate block has the bits of the pairing build of the symbol
+        x = tm_basis(v_generic).random_element(rng)
+        y = tm_basis(u_generic).random_element(rng)
+        for parts, sym in (((x, y), x.rep() + y.rep().conj_circle()),
+                           ((x, None), x.rep()), ((None, y), y.rep().conj_circle())):
+            with quadrature.use(quadrature.Evaluation()):
+                want = operators.tto_by_pairing(u_generic, v_generic, sym).matrix
+            with quadrature.use(quadrature.Evaluation()):
+                got = operators._sarason_tto(u_generic, v_generic, *parts).matrix
+            assert np.array_equal(got, want)
+
+    def test_hankel_element_matches_its_symbol(self, u_generic, v_generic, rng):
+        psi = hankel_space(u_generic, v_generic).random_element(rng)
+        with quadrature.use(quadrature.Evaluation()):
+            want = operators.tho_by_pairing(u_generic, v_generic,
+                                            hankel_symbol(psi, u_generic, v_generic).conj_circle())
+        with quadrature.use(quadrature.Evaluation()):
+            got = operators._element_tho(psi, u_generic, v_generic)
+        assert np.array_equal(got.matrix, want.matrix)
+        with pytest.raises(SpaceMismatch):
+            operators._element_tho(psi, v_generic, u_generic)
 
     def test_shift_matches_symbol_list(self, u_generic):
         space = tm_basis(u_generic)
@@ -460,6 +484,33 @@ class TestSedlockOp:
         A = sedlock_op(u_generic, a, tm_basis(u_generic).random_element(rng), 0.2)
         sa = clark_perturbation(u_generic, a).matrix
         assert np.max(np.abs(A.matrix @ sa - sa @ A.matrix)) < 1e-10
+
+
+class TestCoordinateBuildDispatch:
+    """Builds from coordinates take the closed forms where every zero is 0,
+    and the membership rebuilds pair once whatever the generators."""
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_zeros_at_the_origin(self, n, rng):
+        u = monomial_inner(n)
+        with quadrature.use(quadrature.Evaluation()):
+            phi = tm_basis(u).random_element(rng)
+            psi = hankel_space(u, u).random_element(rng)
+            toeplitz = []
+            for alpha in (0.0, 0.3, None):
+                with quadrature.tally() as own:
+                    toeplitz.append(sedlock_op(u, ExtendedScalar.of(alpha), phi))
+                assert own.pairings == 0, alpha
+            with quadrature.tally() as own:
+                hankel = operators._element_tho(psi, u, u)
+            assert own.pairings == 0
+            for A in toeplitz:
+                with quadrature.tally() as own:
+                    assert is_tto(A).is_member
+                assert own.pairings == 1
+            with quadrature.tally() as own:
+                assert is_tho(hankel).is_member
+            assert own.pairings == 1
 
 
 class TestFunctionalCalculus:

@@ -33,6 +33,7 @@ from truncops import (
     tm_basis,
     tto_matrix,
 )
+from truncops import products
 from truncops.operators import clark_points
 from truncops.errors import NoCertificate, SpaceMismatch
 from truncops.harness import hatted_symbol, random_inner
@@ -227,6 +228,17 @@ class TestSymbolForms:
         assert cert.regime == "infinity"
         assert max(cert.left_residual, cert.right_residual) < 1e-8
         assert cert.product_residual < 1e-9
+
+    def test_product_gate(self, u_sym, monkeypatch):
+        # a product form that misses B1 B2 is refused, though both fits pass
+        dop = symmetric_involution(u_sym)
+        B1 = functional_calculus(u_sym, 0.4, RationalSymbol.polynomial([0.8, 0.5])) @ dop
+        B2 = dop @ functional_calculus(u_sym, 0.4, RationalSymbol.polynomial([1.1, -0.2]))
+        exact = products.functional_calculus
+        monkeypatch.setattr(products, "functional_calculus",
+                            lambda u, alpha, psi: exact(u, alpha, psi) * (1.0 + 1e-6))
+        with pytest.raises(NoCertificate, match="product symbol residual"):
+            tho_product_symbol_forms(B1, B2)
 
     def test_involution_multiple_excluded(self, u_sym, rng):
         dop = symmetric_involution(u_sym)
