@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,14 +39,14 @@ from .errors import (
     ZeroAnchor,
 )
 from .modelspace import (
+    KernelElement,
+    ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
-    conj_kernel,
     conjugation_C,
     conjugation_U,
     hankel_space,
     hankel_symbol,
-    kernel,
     unit_kernels,
 )
 from .operators import (
@@ -54,7 +55,6 @@ from .operators import (
     clark_perturbation,
     class_level,
     level_points,
-    shift,
     symmetric_involution,
 )
 from .ratfun import RationalSymbol
@@ -76,6 +76,20 @@ def _fro(mat: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _within(residual: float, tol: float, mat: np.ndarray) -> bool:
+    """Whether residual < tol max(1, |mat|_F); a residual under tol itself
+    passes without the norm, which cannot change the verdict."""
+    return residual < tol or residual < tol * max(1.0, _fro(mat))
+
+
+def _anchor(e: SpaceElement) -> tuple:
+    """The coordinates of an anchor, their conjugates and their squared norm,
+    as a held kernel (`KernelElement`) keeps them."""
+    if isinstance(e, KernelElement):
+        return e.coords, e.conj, e.norm2
+    return e.coords, np.conj(e.coords), float(np.vdot(e.coords, e.coords).real)
+
+
 @dataclass
 class CrossDecomposition:
     success: bool
@@ -93,23 +107,21 @@ def cross_decompose(M, a: SpaceElement, b: SpaceElement,
     making round trips well posed despite symbol non-uniqueness.
     """
     mat = M.matrix if isinstance(M, OperatorMatrix) else np.asarray(M, dtype=complex)
-    av = a.coords
-    bv = b.coords
-    na2 = float(np.vdot(av, av).real)
-    nb2 = float(np.vdot(bv, bv).real)
+    av, av_conj, na2 = _anchor(a)
+    bv, bv_conj, nb2 = _anchor(b)
     if na2 < 1e-24 or nb2 < 1e-24:
         raise ZeroAnchor("cross decomposition anchors must be nonzero")
-    bhm = np.conj(bv) @ mat
+    bhm = bv_conj @ mat
     left = (mat @ av - bv * (complex(bhm @ av) / nb2)) / na2   # Q_b M a: component along (x) a
     right = np.conj(bhm) / nb2                                  # M^H b: component along b (x)
     # re-gauge: move the a-parallel part of right into left
     g = complex(np.vdot(av, right)) / na2
     right -= g * av
     left += np.conj(g) * bv
-    resid = mat - left[:, None] * np.conj(av)
+    resid = mat - left[:, None] * av_conj
     resid -= bv[:, None] * np.conj(right)
     residual = _fro(resid)
-    ok = residual < tol * max(1.0, _fro(mat))
+    ok = _within(residual, tol, mat)
     return CrossDecomposition(
         ok,
         SpaceElement(b.space, left) if ok else None,
@@ -123,9 +135,15 @@ class TTOMembership:
     is_member: bool
     analytic_part: SpaceElement | None      # lives in the codomain space
     conjugate_part: SpaceElement | None     # lives in the domain space
-    symbol: RationalSymbol | None
     displacement_residual: float
-    rebuild_residual: float | None = None
+    rebuild_residual: float | None = None   # set when the symbol was recovered
+
+    @cached_property
+    def symbol(self) -> RationalSymbol | None:
+        """part1 + conj(part2), built on first read; None unless recovered."""
+        if self.rebuild_residual is None:
+            return None
+        return self.analytic_part.rep() + self.conjugate_part.rep().conj_circle()
 
 
 def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
@@ -133,32 +151,40 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     """Test A - S_v A S_u* = part1 (x) k0 + k0 (x) part2 and rebuild the symbol.
 
     On success A equals the Toeplitz operator with symbol
-    part1 + conj(part2); the rebuild residual certifies it.  The rebuild pairs
-    the two parts' coordinates whatever the generators, apart from the closed forms.
+    part1 + conj(part2), built when first read; the rebuild residual
+    certifies it.  The rebuild pairs the two parts' coordinates whatever the
+    generators, apart from the closed forms.  The shifts and kernels are
+    those A's bases hold.
     """
     _require_linear(A, "is_tto")
-    u = A.domain.generator
-    v = A.codomain.generator
-    disp = A.matrix - shift(v).matrix @ A.matrix @ shift(u).matrix.conj().T
-    dec = cross_decompose(disp, kernel(u, 0.0), kernel(v, 0.0), tol)
+    dom, cod = A.domain, A.codomain
+    disp = A.matrix - cod.shift.matrix @ A.matrix @ dom.shift_adjoint.matrix
+    dec = cross_decompose(disp, dom.kernel0, cod.kernel0, tol)
     if not dec.success:
-        return TTOMembership(False, None, None, None, dec.residual_norm)
+        return TTOMembership(False, None, None, dec.residual_norm)
     if not recover:
-        return TTOMembership(True, dec.left, dec.right, None, dec.residual_norm)
-    symbol = dec.left.rep() + dec.right.rep().conj_circle()
-    rebuilt = _sarason_tto(u, v, dec.left, dec.right, exact=False)
+        return TTOMembership(True, dec.left, dec.right, dec.residual_norm)
+    rebuilt = _sarason_tto(dom, cod, dec.left, dec.right, exact=False)
     rres = float(np.abs(rebuilt.matrix - A.matrix).max())
-    ok = rres < REBUILD_TOL * max(1.0, _fro(A.matrix))
-    return TTOMembership(ok, dec.left, dec.right, symbol, dec.residual_norm, rres)
+    return TTOMembership(_within(rres, REBUILD_TOL, A.matrix), dec.left, dec.right,
+                         dec.residual_norm, rres)
 
 
 @dataclass
 class THOMembership:
     is_member: bool
     symbol_element: SpaceElement | None     # psi with B = Hankel(conj psi), psi in K_{u hat(v)}
-    symbol: RationalSymbol | None
     displacement_residual: float
     rebuild_residual: float | None = None
+    # the generators (u, v) of a certified psi, whose symbol is built on first read
+    _pair: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def symbol(self) -> RationalSymbol | None:
+        """conj(psi), built on first read; None unless certified."""
+        if self._pair is None:
+            return None
+        return hankel_symbol(self.symbol_element, *self._pair).conj_circle()
 
 
 def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
@@ -169,27 +195,31 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     across by the conjugations: U_v S_v = S_hat(v) U_v and C_u S_u* = S_u C_u,
     so the verdict and residual are those of is_tto(U_v B C_u).  On success
     psi = S_u part2 + u hat(part1) lies in K_{u hat(v)}, and B equals the
-    Hankel operator with symbol conj(psi); the rebuild residual certifies it.
-    The rebuild pairs psi's coordinates whatever the generators, apart from the closed forms.
+    Hankel operator with symbol conj(psi), built when first read; the rebuild
+    residual certifies it.  The rebuild pairs psi's coordinates whatever the
+    generators, apart from the closed forms.  The shifts and kernels are
+    those B's bases hold, and the bases of the rebuild those that
+    `hankel_space(u, v)` holds.
     """
     _require_linear(B, "is_tho")
-    u = B.domain.generator
-    v = B.codomain.generator
-    disp = B.matrix - shift(v).matrix @ B.matrix @ shift(u).matrix
-    dec = cross_decompose(disp, conj_kernel(u, 0.0), kernel(v, 0.0), tol)
+    dom, cod = B.domain, B.codomain
+    disp = B.matrix - cod.shift.matrix @ B.matrix @ dom.shift.matrix
+    dec = cross_decompose(disp, dom.conj_kernel0, cod.kernel0, tol)
     if not dec.success:
-        return THOMembership(False, None, None, dec.residual_norm)
+        return THOMembership(False, None, dec.residual_norm)
     if not recover:
-        return THOMembership(True, None, None, dec.residual_norm)
+        return THOMembership(True, None, dec.residual_norm)
+    u, v = dom.generator, cod.generator
     # the u-first basis of K_{u hat(v)} is the basis of K_u, then u/const(u)
     # times the basis of K_hat(v), in which hat(part1) has coordinates conj(part1)
     psi = hankel_space(u, v).element(np.concatenate(
-        [shift(u).matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
-    symbol = hankel_symbol(psi, u, v).conj_circle()
+        [dom.shift.matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
     rres = float(np.abs(_element_tho(psi, u, v, exact=False).matrix - B.matrix).max())
-    if rres >= REBUILD_TOL * max(1.0, _fro(B.matrix)):
-        return THOMembership(False, None, None, dec.residual_norm, rres)
-    return THOMembership(True, psi, symbol, dec.residual_norm, rres)
+    # the gate of _within, stated as its failure: a residual under the
+    # tolerance itself skips the norm
+    if rres >= REBUILD_TOL and rres >= REBUILD_TOL * max(1.0, _fro(B.matrix)):
+        return THOMembership(False, None, dec.residual_norm, rres)
+    return THOMembership(True, psi, dec.residual_norm, rres, (u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +261,20 @@ class SedlockReport:
         }
 
 
-def _affine_commutant_solve(mat: np.ndarray, u: InnerFunction):
-    """Fit the one-parameter family of shift-perturbation commutators.
+def _affine_commutant_solve(mat: np.ndarray, space: ModelSpaceBasis):
+    """Fit the one-parameter family of shift-perturbation commutators on K_u.
 
     [A, S^alpha] = C0 + g(alpha) C1 with g(alpha) = alpha/(1 - alpha conj(u(0))),
-    C0 = [A, S], C1 = (A k0) (x) kt0 - k0 (x) (A* kt0).  Returns
-    (alpha or None, residual) for the least-squares g.
+    C0 = [A, S], C1 = (A k0) (x) kt0 - k0 (x) (A* kt0), with the shift and the
+    kernels that the basis of K_u holds.  Returns (alpha or None, residual)
+    for the least-squares g.
     """
-    smat = shift(u).matrix
-    k0 = kernel(u, 0.0).coords
-    kt0 = conj_kernel(u, 0.0).coords
+    u = space.generator
+    smat = space.shift.matrix
+    k0, kt0 = space.kernel0, space.conj_kernel0
     c0 = mat @ smat - smat @ mat
-    c1 = np.outer(mat @ k0, np.conj(kt0)) - np.outer(k0, np.conj(mat.conj().T @ kt0))
+    c1 = (np.outer(mat @ k0.coords, kt0.conj)
+          - np.outer(k0.coords, np.conj(mat.conj().T @ kt0.coords)))
     n1 = _fro(c1)
     if n1 < 1e-13:
         res = _fro(c0)
@@ -266,8 +298,8 @@ def sedlock_class(A: OperatorMatrix) -> SedlockReport:
     _require_linear(A, "sedlock_class")
     if A.domain != A.codomain:
         raise NotTTO("Sedlock classification needs an operator on a single K_u")
-    u = A.domain.generator
-    n = A.domain.dim
+    space = A.domain
+    n = space.dim
     nrm = _fro(A.matrix)
     if nrm < 1e-13:
         return SedlockReport("all", None, 0.0, scalar=0.0)
@@ -276,10 +308,10 @@ def sedlock_class(A: OperatorMatrix) -> SedlockReport:
     if _fro(mat - tr * np.eye(n)) < CLASS_TOL:
         return SedlockReport("all", None, 0.0, scalar=complex(np.trace(A.matrix)) / n)
 
-    direct, dres = _affine_commutant_solve(mat, u)
+    direct, dres = _affine_commutant_solve(mat, space)
     if dres < CLASS_TOL and direct is not None and direct.modulus() <= 1.0 + PARAMETER_TOL:
         return SedlockReport("finite", direct, dres)
-    adj, ares = _affine_commutant_solve(mat.conj().T, u)
+    adj, ares = _affine_commutant_solve(mat.conj().T, space)
     if ares < CLASS_TOL and adj is not None:
         if adj.modulus() < 1e-8:
             return SedlockReport("infinity", ExtendedScalar.infinity(), ares)
@@ -334,7 +366,7 @@ def scalar_multiple(M: OperatorMatrix, base: OperatorMatrix) -> tuple[complex, f
     scalar multiple of base, such as the identity or the involution."""
     c = complex(np.vdot(base.matrix, M.matrix)) / complex(np.vdot(base.matrix, base.matrix))
     residual = _fro(M.matrix - c * base.matrix)
-    return c, residual, residual < MEMBERSHIP_TOL * max(1.0, _fro(M.matrix))
+    return c, residual, _within(residual, MEMBERSHIP_TOL, M.matrix)
 
 
 @dataclass

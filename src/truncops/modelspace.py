@@ -27,11 +27,15 @@ quadrature oracle, which kernel-core gates at GRAM_TOL.  The conjugations
 are exact too: both are changes of zero order (`reorder`), or the
 identity for the coefficient conjugation.
 
-Function space objects are immutable after construction.  Bases cache
-their grids and the kernels k0 and k~0 at the origin, and their two
-blocks (the basis and the flipped basis J e_k) cache their conjugates, the
-conjugated side of every pairing against the basis; all are read-only, so
-they are safe to share between threads.
+Function space objects are immutable after construction.  A basis is the
+one per-generator cache: it holds its grids, the kernels k0 and k~0 at the
+origin (as arrays and as elements with their conjugates and squared norms),
+the compressed shift and its adjoint, the conjugations and the involution,
+each built on first read; the basis of K_{a hat(b)} that `hankel_space`
+returns also holds the bases of K_a, K_hat(b) and K_b.  Its two blocks (the
+basis and the flipped basis J e_k) cache their conjugates, the conjugated
+side of every pairing against the basis.  All are read-only, so they are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import InnerFunction
-from .errors import SpaceMismatch, SymbolNotInClass
+from .errors import NotRealSymmetric, SpaceMismatch, SymbolNotInClass
 from .quadrature import Block, pairing_matrix, readonly
 from .ratfun import RationalSymbol
 
@@ -56,6 +60,10 @@ class ModelSpaceBasis:
     e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z).
     For u = z^n this is the monomial basis {1, z, ..., z^(n-1)}.
     """
+
+    # on the basis of K_{a hat(b)}, the bases of K_a, K_hat(b) and K_b, set by
+    # the first `hankel_space` build of a pair whose product it is
+    hankel_parts: tuple | None = None
 
     def __init__(self, generator: InnerFunction):
         self.generator = generator
@@ -126,6 +134,75 @@ class ModelSpaceBasis:
     def conj_k0(self) -> np.ndarray:
         """Coordinates of the conjugate kernel at the origin; read-only."""
         return readonly(_conj_kernel_coords(self.generator, 0j))
+
+    @cached_property
+    def kernel0(self) -> "KernelElement":
+        """The kernel at the origin, `k0`, as an element."""
+        return KernelElement(self, self.k0)
+
+    @cached_property
+    def conj_kernel0(self) -> "KernelElement":
+        """The conjugate kernel at the origin, `conj_k0`, as an element."""
+        return KernelElement(self, self.conj_k0)
+
+    # the per-generator operators, each built on first read; `operators.shift`,
+    # `conjugation_C`, `conjugation_U`, `conjugation_U_on` and
+    # `operators.symmetric_involution` read them
+
+    @cached_property
+    def shift(self) -> "OperatorMatrix":
+        """The compressed shift on K_u: f -> P_u(z f).
+
+        Exact (Garcia-Mashreghi-Ross 2018): the zeros a_i on the diagonal and
+        sqrt(1-|a_i|^2) sqrt(1-|a_j|^2) prod_(j<k<i) (-conj(a_k)) below it, a
+        running product down each column, so a zero at 0 needs no division.
+        """
+        a = np.array(self.generator.zeros)
+        idx = np.arange(a.size)
+        mat = np.zeros((a.size, a.size), dtype=complex)
+        mat[1:] = np.cumprod(np.where(idx[:, None] > idx, -np.conj(a)[:, None], 1.0),
+                             axis=0)[:-1]
+        weights = np.sqrt(1.0 - np.abs(a) ** 2)
+        mat = np.tril(mat * np.outer(weights, weights), -1) + np.diag(a)
+        return OperatorMatrix(readonly(mat), self, self)
+
+    @cached_property
+    def shift_adjoint(self) -> "OperatorMatrix":
+        """S_u*, whose matrix is the conjugate transpose view of the shift's."""
+        out = self.shift.adjoint()
+        readonly(out.matrix)
+        return out
+
+    @cached_property
+    def conjugation_C(self) -> "OperatorMatrix":
+        """The natural conjugation on K_u (`conjugation_C`)."""
+        u = self.generator
+        mat = u.constant * reorder(u, range(u.degree - 1, -1, -1))[:, ::-1]
+        return OperatorMatrix(readonly(mat), self, self, antilinear=True)
+
+    @cached_property
+    def conjugation_U(self) -> "OperatorMatrix":
+        """The coefficient conjugation from K_u onto K_hat(u) (`conjugation_U`)."""
+        eye = readonly(np.eye(self.dim, dtype=complex))
+        return OperatorMatrix(eye, self, tm_basis(self.generator.hat()), antilinear=True)
+
+    @cached_property
+    def conjugation_U_on(self) -> "OperatorMatrix":
+        """The coefficient conjugation as a map K_u -> K_u (`conjugation_U_on`)."""
+        order = self.generator.conjugate_order
+        if order is None:
+            raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
+        return OperatorMatrix(readonly(reorder(self.generator, order)), self, self,
+                              antilinear=True)
+
+    @cached_property
+    def symmetric_involution(self) -> "OperatorMatrix":
+        """The unitary involution C U on K_u (`operators.symmetric_involution`)."""
+        if not self.generator.is_real_symmetric():
+            raise NotRealSymmetric("the involution needs a real symmetric generator")
+        out = self.conjugation_C @ self.conjugation_U_on
+        readonly(out.matrix)
+        return out
 
     def at(self, z) -> np.ndarray:
         """Factored values e_k(z) of every basis function: shape z.shape + (dim,).
@@ -220,13 +297,25 @@ def tm_basis(u: InnerFunction) -> ModelSpaceBasis:
 def hankel_space(a: InnerFunction, b: InnerFunction) -> ModelSpaceBasis:
     """The a-first basis of K_{a hat(b)}, where psi lives for the Hankel operator
     K_a -> K_b with symbol conj(psi); memoized in the current evaluation, so a
-    repeated pair builds no product generator."""
-    return tm_basis(a * b.hat())
+    repeated pair builds no product generator.  It holds the bases of K_a,
+    K_hat(b) and K_b (``hankel_parts``) for the readers of psi."""
+    space = tm_basis(a * b.hat())
+    if space.hankel_parts is None:
+        space.hankel_parts = (tm_basis(a), tm_basis(b.hat()), tm_basis(b))
+    return space
 
 
-def _require_hankel_space(psi: "SpaceElement", a: InnerFunction, b: InnerFunction):
+def _hankel_parts(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> tuple:
+    """The bases of K_a, K_hat(b) and K_b for psi in K_{a hat(b)}, as psi's space
+    holds them.  A space that holds another pair's (an equal product of other
+    factors) or none is checked against `hankel_space(a, b)`; any other space
+    or zero order raises SpaceMismatch."""
+    parts = psi.space.hankel_parts
+    if parts is not None and parts[0].generator == a and parts[2].generator == b:
+        return parts
     if psi.space != hankel_space(a, b):
         raise SpaceMismatch("psi is not in the a-first basis of K_{a hat(b)}")
+    return tm_basis(a), tm_basis(b.hat()), tm_basis(b)
 
 
 def symbol_blocks(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> tuple:
@@ -236,10 +325,9 @@ def symbol_blocks(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> tu
     K_hat(b) (Garcia-Mashreghi-Ross 2016), so psi = x + (a/c_a) g gives x and
     g/c_a.  Any other space or zero order raises SpaceMismatch.
     """
-    _require_hankel_space(psi, a, b)
-    n = a.degree
-    return (tm_basis(a).element(psi.coords[:n]),
-            tm_basis(b.hat()).element(psi.coords[n:] / a.constant))
+    head, tail, _ = _hankel_parts(psi, a, b)
+    n = head.dim
+    return head.element(psi.coords[:n]), tail.element(psi.coords[n:] / a.constant)
 
 
 def hankel_symbol(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> RationalSymbol:
@@ -252,8 +340,7 @@ def hankel_symbol(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> Ra
     expanded on the first read.  Any other space or zero order raises
     SpaceMismatch.
     """
-    _require_hankel_space(psi, a, b)
-    head, tail = tm_basis(a), tm_basis(b.hat())
+    head, tail, _ = _hankel_parts(psi, a, b)
     x, y = psi.coords[:head.dim], psi.coords[head.dim:]
     return RationalSymbol(
         provider=lambda m: head.values(m) @ x + head._running(m) * (tail.values(m) @ y),
@@ -305,6 +392,18 @@ class SpaceElement:
         return f"SpaceElement({list(self.coords)})"
 
 
+class KernelElement(SpaceElement):
+    """A kernel that a basis holds: an element with its conjugate coordinates
+    and squared norm, which `cross_decompose` reads off an anchor; read-only."""
+
+    __slots__ = ("conj", "norm2")
+
+    def __init__(self, space: ModelSpaceBasis, coords):
+        super().__init__(space, coords)
+        self.conj = readonly(np.conj(self.coords))
+        self.norm2 = float(np.vdot(self.coords, self.coords).real)
+
+
 def gram_residual(space: ModelSpaceBasis) -> float:
     """Max entry of G - I for the Gram matrix G of the basis, by one pairing.
 
@@ -353,11 +452,11 @@ def kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     """Coordinates of the reproducing kernel: <f, k_lam> = f(lam) for f in K_u.
 
     Exact: the k-th coordinate is conj(e_k(lam)), with no pairing; the basis
-    caches it at the origin.
+    holds it at the origin.
     """
     space = tm_basis(u)
     lam = complex(lam)
-    return SpaceElement(space, space.k0 if lam == 0 else np.conj(space.at(lam)))
+    return space.kernel0 if lam == 0 else SpaceElement(space, np.conj(space.at(lam)))
 
 
 def unit_kernels(u: InnerFunction, points) -> np.ndarray:
@@ -382,12 +481,13 @@ def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
 
     Exact: the k-th coordinate is (C e_k)(lam) = c sqrt(1-|a_k|^2)/(1 - conj(a_k) lam)
     * prod_{j>k} b_j(lam), with c the constant and b_j the zero factors of u,
-    so no pairing is made; the basis caches it at the origin.  The projection
+    so no pairing is made; the basis holds it at the origin.  The projection
     of `conj_kernel_symbol` is its oracle.
     """
     space = tm_basis(u)
     lam = complex(lam)
-    return SpaceElement(space, space.conj_k0 if lam == 0 else _conj_kernel_coords(u, lam))
+    return (space.conj_kernel0 if lam == 0
+            else SpaceElement(space, _conj_kernel_coords(u, lam)))
 
 
 def _conj_kernel_coords(u: InnerFunction, lam: complex) -> np.ndarray:
@@ -409,8 +509,11 @@ def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
     ueta = complex(u(eta))
     num = npoly.polyadd(u.den_coeffs, -np.conj(ueta) * u.num_coeffs)
     num = _deflate(num, eta) / (-np.conj(eta))
-    # the deflated numerator is already cancellation free; pair it with the
-    # factorwise denominator so clustered zeros do not degrade grid values
+    # the denominator is evaluated factorwise, but the numerator from its
+    # expanded, deflated coefficients, which lose precision when zeros cluster
+    # on one side: the grid values then drift from the factored formula
+    # (1 - conj(u(eta)) u(z))/(1 - conj(eta) z), by about 3e-9, 1e-5 and 0.3
+    # at degrees 16, 24 and 32 (ROADMAP item 2)
     def provider(m):
         z = quadrature.nodes(m)
         return npoly.polyval(z, num) / _generator_den_values(u, m)
@@ -568,37 +671,32 @@ def _swap_rounds(order: tuple):
     return tuple(rounds), readonly(np.concatenate(left)), readonly(np.concatenate(right))
 
 
-@quadrature.memoized
 def conjugation_C(u: InnerFunction) -> OperatorMatrix:
     """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
 
     C e_k = c sqrt(1-|a_k|^2)/(1 - conj(a_k) z) prod_(j>k) b_j is c, the
     constant of u, times the (n-1-k)-th function in the reversed zero order.
-    Antilinear, isometric, involutive.  Memoized in the current evaluation;
-    the matrix is read-only.
+    Antilinear, isometric, involutive.  Held by the basis of K_u in the
+    current evaluation; the matrix is read-only.
     """
-    mat = u.constant * reorder(u, range(u.degree - 1, -1, -1))[:, ::-1]
-    return OperatorMatrix(readonly(mat), tm_basis(u), tm_basis(u), antilinear=True)
+    return tm_basis(u).conjugation_C
 
 
-@quadrature.memoized
 def conjugation_U(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
 
     The hat of e_k is the k-th basis function of K_hat(u), so the matrix is
-    the identity.  Memoized in the current evaluation; the matrix is read-only.
+    the identity.  Held by the basis of K_u in the current evaluation; the
+    matrix is read-only.
     """
-    eye = readonly(np.eye(u.degree, dtype=complex))
-    return OperatorMatrix(eye, tm_basis(u), tm_basis(u.hat()), antilinear=True)
+    return tm_basis(u).conjugation_U
 
 
 def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
     """Coefficient conjugation as a map K_u -> K_u, over a real symmetric u.
 
     K_hat(u) is then K_u with its zeros in their conjugate order, so the map
-    is `reorder` to that order.  Raises SymbolNotInClass otherwise.
+    is `reorder` to that order.  Raises SymbolNotInClass otherwise.  Held by
+    the basis of K_u in the current evaluation; the matrix is read-only.
     """
-    order = u.conjugate_order
-    if order is None:
-        raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
-    return OperatorMatrix(reorder(u, order), tm_basis(u), tm_basis(u), antilinear=True)
+    return tm_basis(u).conjugation_U_on

@@ -32,17 +32,12 @@ from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction
-from .errors import (DegenerateSpectrum, NotRealSymmetric, NotUnimodular, SingularDenominator,
-                     SpaceMismatch)
+from .errors import DegenerateSpectrum, NotUnimodular, SingularDenominator, SpaceMismatch
 from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
-    conjugation_C,
-    conjugation_U_on,
-    kernel,
-    conj_kernel,
-    hankel_space,
+    _hankel_parts,
     hankel_symbol,
     tm_basis,
     unit_kernels,
@@ -57,22 +52,11 @@ def _images(sym: RationalSymbol, space: ModelSpaceBasis) -> Block:
                  sym.reach.times(space.generator.reach))
 
 
-@quadrature.memoized
 def shift(u: InnerFunction) -> OperatorMatrix:
-    """The compressed shift on K_u: f -> P_u(z f), memoized in the current evaluation.
-
-    Exact (Garcia-Mashreghi-Ross 2018): the zeros a_i on the diagonal and
-    sqrt(1-|a_i|^2) sqrt(1-|a_j|^2) prod_(j<k<i) (-conj(a_k)) below it, a
-    running product down each column, so a zero at 0 needs no division.
-    The matrix is read-only.
-    """
-    a = np.array(u.zeros)
-    idx = np.arange(a.size)
-    mat = np.zeros((a.size, a.size), dtype=complex)
-    mat[1:] = np.cumprod(np.where(idx[:, None] > idx, -np.conj(a)[:, None], 1.0), axis=0)[:-1]
-    weights = np.sqrt(1.0 - np.abs(a) ** 2)
-    mat = np.tril(mat * np.outer(weights, weights), -1) + np.diag(a)
-    return OperatorMatrix(readonly(mat), tm_basis(u), tm_basis(u))
+    """The compressed shift on K_u: f -> P_u(z f), held by the basis of K_u in
+    the current evaluation (`ModelSpaceBasis.shift`, a closed form); the
+    matrix is read-only."""
+    return tm_basis(u).shift
 
 
 def rank_one(f: SpaceElement, g: SpaceElement) -> OperatorMatrix:
@@ -85,8 +69,8 @@ def defects(u: InnerFunction) -> tuple[OperatorMatrix, OperatorMatrix]:
 
     Equal to the algebraic combinations by construction; tests assert it.
     """
-    k0 = kernel(u, 0.0)
-    kt0 = conj_kernel(u, 0.0)
+    space = tm_basis(u)
+    k0, kt0 = space.kernel0, space.conj_kernel0
     return rank_one(k0, k0), rank_one(kt0, kt0)
 
 
@@ -99,10 +83,11 @@ def clark_perturbation(u: InnerFunction, alpha) -> OperatorMatrix:
     denom = 1.0 - alpha * np.conj(u.origin_value)
     if abs(denom) < 1e-12:
         raise SingularDenominator("1 - alpha conj(u(0)) vanishes")
+    space = tm_basis(u)
     if alpha == 0:
-        return shift(u)
-    bump = rank_one(kernel(u, 0.0), conj_kernel(u, 0.0))
-    return shift(u) + (alpha / denom) * bump
+        return space.shift
+    bump = rank_one(space.kernel0, space.conj_kernel0)
+    return space.shift + (alpha / denom) * bump
 
 
 def level_points(u: InnerFunction, level) -> np.ndarray:
@@ -192,7 +177,7 @@ def cross_gram(u: InnerFunction, v: InnerFunction) -> OperatorMatrix:
     dom, cod = tm_basis(u), tm_basis(v)
     if u.zeros == v.zeros:
         return OperatorMatrix(readonly(np.eye(dom.dim, dtype=complex)), dom, cod)
-    su, sv = shift(u).matrix, shift(v).matrix
+    su, sv = dom.shift.matrix, cod.shift.matrix
     rows = [(b, math.sqrt(1.0 - abs(b) ** 2)) for b in v.zeros]
     gram = np.outer(cod.k0, np.conj(dom.k0))    # column j turns into g_j in turn
     for j, a in enumerate(u.zeros):
@@ -241,9 +226,9 @@ def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     c = c.tolist()      # scalar products with Python numbers are cheaper
     gram = cross_gram(u, v)
     # phi_+(S_v) G as the transpose of G^T phi_+(S_v)^T
-    mat = _horner(c[order:], shift(v).matrix.T, gram.matrix.T).T
+    mat = _horner(c[order:], gram.codomain.shift.matrix.T, gram.matrix.T).T
     if order:   # G phi_-(S_u)* = (sum_(k>=1) c_-k G (S_u*)^(k-1)) S_u*
-        adj = shift(u).matrix.conj().T
+        adj = gram.domain.shift_adjoint.matrix
         mat += _horner(c[order - 1::-1], adj, gram.matrix) @ adj
     return OperatorMatrix(mat, gram.domain, gram.codomain)
 
@@ -264,8 +249,8 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     if not order:
         return OperatorMatrix(np.zeros((cod.dim, dom.dim), dtype=complex), dom, cod)
     h = c[order - 1::-1]
-    x = _krylov(shift(v).matrix, cod.k0, order)
-    yh = _krylov(shift(u).matrix, dom.k0, order).conj().T
+    x = _krylov(cod.shift.matrix, cod.k0, order)
+    yh = _krylov(dom.shift.matrix, dom.k0, order).conj().T
     rows = np.empty((order, dom.dim), dtype=complex)    # rows[a] = sum_b h_(a+b) y_b^H
     for a in range(order):
         rows[a] = h[a:] @ yh[:order - a]
@@ -292,10 +277,11 @@ def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> O
     return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.flipped), dom, cod)
 
 
-def _sarason_tto(u: InnerFunction, v: InnerFunction, x: SpaceElement | None,
+def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | None,
                  y: SpaceElement | None, exact: bool = True) -> OperatorMatrix:
-    """`tto_matrix(u, v, x + conj(y))` for a Sarason pair x in K_v and y in K_u,
-    either None for 0, made from their coordinates.
+    """`tto_matrix(u, v, x + conj(y))` from dom = K_u into cod = K_v, for a
+    Sarason pair x in K_v and y in K_u, either None for 0, made from their
+    coordinates.
 
     With exact, a Laurent symbol (every zero of the parts' spaces at 0) takes
     the closed form.  Otherwise the block (E_v x + conj(E_u y)) e_j is formed
@@ -305,8 +291,7 @@ def _sarason_tto(u: InnerFunction, v: InnerFunction, x: SpaceElement | None,
     reach = reduce(Reach.join, [p.space.generator.reach for p in (x, y) if p is not None])
     if exact and reach.rho == math.inf:
         terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
-        return tto_matrix(u, v, sum(terms[1:], terms[0]))
-    dom, cod = tm_basis(u), tm_basis(v)
+        return tto_matrix(dom.generator, cod.generator, sum(terms[1:], terms[0]))
 
     def images(m):
         part = None if x is None else x.space.values(m) @ x.coords
@@ -315,8 +300,8 @@ def _sarason_tto(u: InnerFunction, v: InnerFunction, x: SpaceElement | None,
             part = bar if part is None else part + bar
         return part[:, None] * dom.values(m)
 
-    return OperatorMatrix(pairing_matrix(Block(images, reach.times(u.reach)), cod.block),
-                          dom, cod)
+    return OperatorMatrix(
+        pairing_matrix(Block(images, reach.times(dom.generator.reach)), cod.block), dom, cod)
 
 
 def _element_tho(psi: SpaceElement, u: InnerFunction, v: InnerFunction,
@@ -329,12 +314,10 @@ def _element_tho(psi: SpaceElement, u: InnerFunction, v: InnerFunction,
     blocks as `hankel_symbol` evaluates it, and paired once against J e_i,
     with the reach and the bits of `tho_by_pairing` on conj(psi).
     """
-    if psi.space != hankel_space(u, v):
-        raise SpaceMismatch("psi is not in the u-first basis of K_{u hat(v)}")
+    head, tail, cod = _hankel_parts(psi, u, v)
     reach = psi.space.generator.reach
     if exact and reach.rho == math.inf:
         return tho_matrix(u, v, hankel_symbol(psi, u, v).conj_circle())
-    head, tail, cod = tm_basis(u), tm_basis(v.hat()), tm_basis(v)
     x, y = psi.coords[:head.dim], psi.coords[head.dim:]
 
     def images(m):
@@ -350,18 +333,21 @@ def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMat
 
     The symbol is phi + alpha conj(S C phi) for finite alpha (Sarason 2007),
     and conj(phi) at infinity: a Sarason pair, built from its coordinates by
-    one pairing, or in closed form when every zero of u is 0.
+    one pairing, or in closed form when every zero of u is 0.  Its operators
+    come from phi's basis, and c I is added to the built array.
     """
     alpha = ExtendedScalar.of(alpha)
-    if phi.space != tm_basis(u):
+    space = phi.space
+    if space.generator != u:
         raise SpaceMismatch("phi must live in K_u")
     if alpha.is_infinity:
         x, y = None, phi
     elif alpha.value == 0:
         x, y = phi, None
     else:
-        x, y = phi, np.conj(alpha.value) * shift(u).apply(conjugation_C(u).apply(phi))
-    return _sarason_tto(u, u, x, y) + complex(c) * OperatorMatrix.identity(phi.space)
+        x, y = phi, np.conj(alpha.value) * space.shift.apply(space.conjugation_C.apply(phi))
+    mat = _sarason_tto(space, space, x, y).matrix
+    return OperatorMatrix(mat + complex(c) * np.eye(space.dim, dtype=complex), space, space)
 
 
 def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorMatrix:
@@ -418,18 +404,14 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
     return out.adjoint() if adjoint else out
 
 
-@quadrature.memoized
 def symmetric_involution(u: InnerFunction) -> OperatorMatrix:
     """The linear unitary involution on K_u over a real symmetric generator.
 
     The composition of the natural conjugation with the coefficient
     conjugation; being a product of two antilinear isometries it is a plain
     unitary, self-adjoint and squaring to the identity.  It also equals the
-    Hankel operator with symbol conj(u); tests pin that identity.  Memoized
-    in the current evaluation; the matrix is read-only.
+    Hankel operator with symbol conj(u); tests pin that identity.  Raises
+    NotRealSymmetric otherwise.  Held by the basis of K_u in the current
+    evaluation; the matrix is read-only.
     """
-    if not u.is_real_symmetric():
-        raise NotRealSymmetric("the involution needs a real symmetric generator")
-    out = conjugation_C(u) @ conjugation_U_on(u)
-    readonly(out.matrix)
-    return out
+    return tm_basis(u).symmetric_involution

@@ -44,6 +44,7 @@ from .modelspace import (
     kernel,
     project,
     symbol_blocks,
+    tm_basis,
 )
 from .operators import (
     _element_tho,
@@ -386,7 +387,7 @@ def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceEle
         g1 = project(u, vbar * u.as_symbol() * psi1.rep())
         f2 = project(w.hat(), sym)
         g2 = shift(u).apply(conjugation_C(u).apply(psi2))
-        prod = _element_tho(psi, v, w) @ _sarason_tto(u, v, psi1, psi2)
+        prod = _element_tho(psi, v, w) @ _sarason_tto(tm_basis(u), tm_basis(v), psi1, psi2)
     elif order == "toeplitz_hankel":
         head, _ = symbol_blocks(psi, u, v)
         sym = hankel_symbol(psi, u, v)
@@ -394,7 +395,7 @@ def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceEle
         g1 = project(w, vbar * w.as_symbol() * psi2.rep())
         f2 = conjugation_U(u).apply(head)
         g2 = shift(w).apply(conjugation_C(w).apply(psi1))
-        prod = _sarason_tto(v, w, psi1, psi2) @ _element_tho(psi, u, v)
+        prod = _sarason_tto(tm_basis(v), tm_basis(w), psi1, psi2) @ _element_tho(psi, u, v)
     else:
         raise ValueError(f"unknown order {order!r}")
     cond = rank_one(f1, g1) - rank_one(f2, g2)

@@ -24,10 +24,11 @@ for symbols and block conjugates), and by induction every (2^k)-th row of a
 cached 2^k M-grid is the M-grid.  Generator grids (an inner function's, or a
 basis's with its running product) come from one ladder, ``generator_grid``:
 the cached M-grid, the rows of the nearest cached finer level, for a hat its
-source's grid at the reflected nodes (``conj_reflected``), the cached M/2-grid
-grown by its odd nodes alone (``grown``), else a cold evaluation.  Values are
-computed point by point, so a grown or sliced grid has the same bits as one
-evaluated cold, and each refinement evaluates only the nodes it adds.  A
+source's grid at the reflected nodes (``conj_reflected``), the nearest cached
+coarser level (M/2, M/4, ...) grown by the nodes it lacks alone (``grown``),
+else a cold evaluation.  Values are computed point by point, so a grown or
+sliced grid has the same bits as one evaluated cold, and each refinement
+evaluates only the nodes it adds.  A
 derived grid has them too, since generator grids have their zeros unsigned
 (``unsigned_zeros``).
 
@@ -47,8 +48,10 @@ Toeplitz and Hankel operators pass the images of a whole basis as one, and
 values per grid, which a pairing reads on its conjugated side.
 
 Every pairing runs under the current ``Evaluation``, which holds its settings
-and counters and the memo of per-generator and per-pair builds (``memoized``;
-none pairs).
+and counters and the memo (``memoized``) of three builders, none of which
+pairs: the basis of each generator, which holds that generator's operators,
+the basis of each Hankel pair's product space, and the cross Gram matrix of
+each pair.
 A ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """
@@ -309,16 +312,25 @@ def grown(cache: dict, m: int, at) -> tuple:
     """The record of the pointwise map ``at`` on the m-grid.
 
     ``at`` maps an array of nodes to a record, a tuple of arrays with one row
-    per node.  When the m/2-grid is cached only the odd nodes are evaluated
-    and interleaved with it.  Each value is computed from its own node alone,
-    so the result is the same bits as ``at(nodes(m))``.
+    per node.  When an (m/k)-grid is cached, k = 2, 4, ..., the nearest such
+    level gives every k-th row, and only the other nodes are evaluated and
+    woven in.  Each value is computed from its own node alone, so the result
+    is the same bits as ``at(nodes(m))``.
     """
-    coarse = cache.get(m // 2) if m % 2 == 0 else None
-    if coarse is None:
+    step = 2
+    while m % step == 0 and m // step not in cache:
+        step *= 2
+    if m % step:
         return at(nodes(m))
-    odd = at(np.ascontiguousarray(nodes(m)[1::2]))
-    return tuple(np.stack((c, o), axis=1).reshape((m,) + o.shape[1:])
-                 for c, o in zip(coarse, odd, strict=True))
+    rows = m // step
+    added = at(nodes(m).reshape(rows, step)[:, 1:].ravel())
+    out = []
+    for c, a in zip(cache[rows], added, strict=True):
+        full = np.empty((rows, step) + a.shape[1:], dtype=a.dtype)
+        full[:, 0] = c
+        full[:, 1:] = a.reshape((rows, step - 1) + a.shape[1:])
+        out.append(full.reshape((m,) + a.shape[1:]))
+    return tuple(out)
 
 
 def generator_grid(m: int, cache: dict, at, source=None) -> tuple:
@@ -329,8 +341,8 @@ def generator_grid(m: int, cache: dict, at, source=None) -> tuple:
     finer level, the 2^k m-grid; for a hat, whose ``source()`` gives the
     (cache, at) of its source, the source's m-grid by this ladder without a
     source (so a memo that maps the source back to the hat cannot loop),
-    through `conj_reflected`; `grown`, from the m/2-grid or cold.  Each rung
-    makes the whole record, to the cold bits.
+    through `conj_reflected`; `grown`, from the nearest cached coarser level or
+    cold.  Each rung makes the whole record, to the cold bits.
     """
     got = cache.get(m)
     if got is None:

@@ -15,6 +15,7 @@ from truncops import (
     cross_space_unitary_report,
     cross_space_zero_product,
     functional_calculus,
+    hankel_symbol,
     is_tho,
     is_tto,
     kernel,
@@ -576,3 +577,62 @@ def test_conjugate_zero_match_runs_once_per_generator(monkeypatch):
         zero_product_analysis(B1, B2)
         tho_product_tto_test(B1, B2)
     assert len(runs) == 1 and runs[0] is u
+
+
+def _memo_lookups() -> int:
+    """Every lookup the current evaluation's memo tables have answered."""
+    return sum(t.cache_info().hits + t.cache_info().misses
+               for t in quadrature.current().memo.values())
+
+
+@pytest.mark.parametrize("test", [is_tto, is_tho, sedlock_class])
+def test_a_warm_test_reads_its_operand_bases(rng, test):
+    # the shifts, kernels and Hankel parts come from the bases the operand
+    # carries, so a repeat makes at most the one hankel_space lookup of is_tho
+    with quadrature.use(quadrature.Evaluation()):
+        u, v = random_inner(rng, 5), random_inner(rng, 4)
+        if test is is_tto:
+            op = tto_matrix(u, v, random_laurent(rng, 3))
+        elif test is is_tho:
+            op = tho_matrix(u, v, random_laurent(rng, 3))
+        else:
+            op = sedlock_op(u, 0.3 + 0.2j, tm_basis(u).random_element(rng), 0.5)
+        first = test(op)
+        before = _memo_lookups()
+        again = test(op)
+        assert _memo_lookups() - before <= 1
+    assert repr(again) == repr(first)
+
+
+def _symbol_bits(sym) -> list[bytes]:
+    grids = [sym.values_at(m).tobytes() for m in (32, 64, 512)]
+    return [sym.num.tobytes(), sym.den.tobytes(), repr(sym.reach).encode(), *grids]
+
+
+class TestLazySymbols:
+    def test_built_on_first_read_with_the_eager_bits(self, rng):
+        u, v = random_inner(rng, 6), random_inner(rng, 5)
+        A = tto_matrix(u, v, random_laurent(rng, 3))
+        B = tho_matrix(u, v, random_laurent(rng, 3))
+        with quadrature.use(quadrature.Evaluation()):
+            mt, mh = is_tto(A), is_tho(B)
+            assert "symbol" not in vars(mt) and "symbol" not in vars(mh)
+            # the construction is_tto and is_tho made before symbols were lazy
+            eager = [mt.analytic_part.rep() + mt.conjugate_part.rep().conj_circle(),
+                     hankel_symbol(mh.symbol_element, u, v).conj_circle()]
+            want = [_symbol_bits(s) for s in eager]
+        # read later, under another evaluation whose grids are cold
+        with quadrature.use(quadrature.Evaluation()):
+            got = [_symbol_bits(m.symbol) for m in (mt, mh)]
+        assert got == want
+        assert mt.symbol is mt.symbol and mh.symbol is mh.symbol
+
+    def test_a_failed_or_unrecovered_membership_has_none(self, u_generic, v_generic, rng):
+        M = OperatorMatrix(rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+                           tm_basis(u_generic), tm_basis(v_generic))
+        for test in (is_tto, is_tho):
+            assert not test(M).is_member and test(M).symbol is None
+        A = tto_matrix(u_generic, v_generic, random_laurent(rng, 2))
+        B = tho_matrix(u_generic, v_generic, random_laurent(rng, 2))
+        for m in (is_tto(A, recover=False), is_tho(B, recover=False)):
+            assert m.is_member and m.symbol is None

@@ -14,10 +14,15 @@ from truncops import (
     conjugation_U,
     conjugation_U_on,
     inner_product,
+    is_tho,
+    is_tto,
     kernel,
     project,
+    sedlock_class,
+    sedlock_op,
     shift,
     symmetric_involution,
+    tho_matrix,
     tm_basis,
     tto_matrix,
 )
@@ -345,6 +350,11 @@ def _grown(a, b, m):
     return a, [(0, m // 2)]
 
 
+def _grown_from_quarter(a, b, m):
+    _primed((a, m // 4))
+    return a, [(0, m - m // 4)]
+
+
 def _hat_cold(a, b, m):
     return a.hat(), [(0, m)]
 
@@ -402,9 +412,10 @@ def _hat_of_product(a, b, m):
     return w.hat(), []
 
 
-GRID_WAYS = [_cold, _sliced, _sliced_from_finer, _grown, _hat_cold, _hat_of_held,
-             _hat_of_held_double, _hat_grown, _product_cold, _product_of_held, _product_of_held_double, _product_of_grown,
-             _product_grown, _product_of_hat, _hat_of_product]
+GRID_WAYS = [_cold, _sliced, _sliced_from_finer, _grown, _grown_from_quarter, _hat_cold,
+             _hat_of_held, _hat_of_held_double, _hat_grown, _product_cold, _product_of_held,
+             _product_of_held_double, _product_of_grown, _product_grown, _product_of_hat,
+             _hat_of_product]
 
 
 def _generic_and_its_hat(rng):
@@ -549,6 +560,10 @@ class TestDerivedGrids:
         (305, (30, 32), "product-chain"),
         # a suite-low trial that reads a basis's 128-grid after its 512-grid
         (409, (2, 4), "product-chain"),
+        # suite-low trials that read a basis's m-grid while only its m/4-grid
+        # (or a coarser one) is held
+        (300, (2, 4), "involution-identities"),
+        (345, (2, 4), "product-chain"),
     ])
     def test_no_basis_evaluates_a_grid_node_twice(self, monkeypatch, seed, band, check):
         grid = set(quadrature.nodes(quadrature.QUAD_CAP).tolist())
@@ -856,7 +871,24 @@ class TestMemo:
                 space = hankel_space(u, w)
                 psi = space.element(np.arange(space.dim) + 0.5j)
                 out += [hankel_symbol(psi, u, w).values_at(m) for m in (64, 32, 128)]
+            # memberships with recovery and Sedlock classes read the shifts,
+            # kernels and Hankel parts their operands' bases hold; the
+            # recovered symbols are built on first read
+            for m in memberships(gens):
+                out += [np.array([m.is_member, m.displacement_residual, m.rebuild_residual])]
+                out += symbol_grids([m])
+            for u in gens:
+                phi = tm_basis(u).element(np.arange(u.degree) + 0.5j)
+                rep = sedlock_class(sedlock_op(u, 0.4 + 0.3j, phi, 0.2))
+                out += [np.array([rep.alpha.value, rep.commutator_residual])]
             return out
+
+        def memberships(gens):
+            return [test(build(u, w, LAURENT)) for u, w in zip(gens, gens[1:] + gens[:1])
+                    for test, build in ((is_tto, tto_matrix), (is_tho, tho_matrix))]
+
+        def symbol_grids(held):
+            return [g for m in held for g in (m.symbol.num, m.symbol.den, m.symbol.values_at(64))]
 
         def derived(gens):
             return [g for u, w in zip(gens, gens[1:] + gens[:1])
@@ -869,6 +901,10 @@ class TestMemo:
             gens = fresh()
             clarks = [clark_points(u, np.exp(0.9j)) for u in gens]
             want = run_all(gens, clarks, symbols(gens))
+            want += symbol_grids(memberships(fresh()))
+        # memberships whose symbols the threads read first, racing each other
+        with quadrature.use(quadrature.Evaluation()):
+            held = memberships(fresh())
         shared = quadrature.Evaluation()
         gens = fresh()
         clarks = [replace(c, generator=u) for c, u in zip(clarks, gens)]
@@ -878,7 +914,7 @@ class TestMemo:
         def worker(i):
             with quadrature.use(shared):
                 start.wait()
-                return run_all(gens, clarks, syms, linked=i % 2 == 0)
+                return run_all(gens, clarks, syms, linked=i % 2 == 0) + symbol_grids(held)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(worker, range(4)))
