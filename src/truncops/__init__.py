@@ -6,9 +6,6 @@ from .modelspace import (
     OperatorMatrix,
     SpaceElement,
     conj_kernel,
-    conjugation_C,
-    conjugation_U,
-    conjugation_U_on,
     hankel_space,
     hankel_symbol,
     inner_product,
@@ -24,9 +21,7 @@ from .operators import (
     functional_calculus,
     rank_one,
     sedlock_op,
-    shift,
     spectral_multiplier,
-    symmetric_involution,
     tho_matrix,
     tto_matrix,
 )

@@ -43,8 +43,6 @@ from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
     SpaceElement,
-    conjugation_C,
-    conjugation_U,
     hankel_space,
     hankel_symbol,
     unit_kernels,
@@ -55,7 +53,6 @@ from .operators import (
     clark_perturbation,
     class_level,
     level_points,
-    symmetric_involution,
 )
 from .ratfun import RationalSymbol
 
@@ -76,10 +73,11 @@ def _fro(mat: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _within(residual: float, tol: float, mat: np.ndarray) -> bool:
-    """Whether residual < tol max(1, |mat|_F); a residual under tol itself
-    passes without the norm, which cannot change the verdict."""
-    return residual < tol or residual < tol * max(1.0, _fro(mat))
+def _within(residual: float, tol: float, *mats: np.ndarray) -> bool:
+    """Whether residual < tol max(1, |mat|_F) over every mat; a residual under
+    tol itself passes without the norms, which cannot change the verdict.  A
+    NaN residual fails."""
+    return residual < tol or residual < tol * max(1.0, *map(_fro, mats))
 
 
 def _anchor(e: SpaceElement) -> tuple:
@@ -215,9 +213,7 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     psi = hankel_space(u, v).element(np.concatenate(
         [dom.shift.matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
     rres = float(np.abs(_element_tho(psi, u, v, exact=False).matrix - B.matrix).max())
-    # the gate of _within, stated as its failure: a residual under the
-    # tolerance itself skips the norm
-    if rres >= REBUILD_TOL and rres >= REBUILD_TOL * max(1.0, _fro(B.matrix)):
+    if not _within(rres, REBUILD_TOL, B.matrix):
         return THOMembership(False, None, dec.residual_norm, rres)
     return THOMembership(True, psi, dec.residual_norm, rres, (u, v))
 
@@ -401,7 +397,7 @@ def tho_unitary_report(B: OperatorMatrix) -> UnitaryReport:
     iso_res, coiso_res, c4, c5 = _gram_conditions(B)
     isometry = iso_res < UNITARY_TOL
     coisometry = coiso_res < UNITARY_TOL
-    report, alpha, values, class_ok = _unimodular_class(symmetric_involution(u) @ B)
+    report, alpha, values, class_ok = _unimodular_class(B.domain.symmetric_involution @ B)
     return UnitaryReport(
         isometry, coisometry, isometry and coisometry, c4, c5, class_ok,
         alpha, values,
@@ -457,7 +453,7 @@ class ClassSymbolCertificate:
 def _class_certificate(M: OperatorMatrix, alpha: ExtendedScalar) -> ClassSymbolCertificate:
     """Certify the Toeplitz operator M as a member of the class alpha."""
     level, (multiplier,), (resid,) = class_multipliers(alpha, M)
-    if resid >= REBUILD_TOL * max(1.0, _fro(M.matrix)):
+    if not _within(resid, REBUILD_TOL, M.matrix):
         raise NoCertificate(f"class-multiplier rebuild residual {resid:g}")
     return ClassSymbolCertificate(level, multiplier, resid)
 
@@ -490,7 +486,7 @@ def tho_inverse_class(B: OperatorMatrix) -> InverseReport:
     inv_member = is_tho(binv, recover=False).is_member
     if not inv_member:
         return InverseReport(False, None, None, False, None, None)
-    dop = symmetric_involution(u)
+    dop = B.domain.symmetric_involution
     m_b = dop @ B
     m_i = dop @ binv
     rep_b = sedlock_class(m_b)
@@ -536,7 +532,7 @@ def zero_product_analysis(B1: OperatorMatrix, B2: OperatorMatrix) -> ZeroProduct
     require_symmetric(u, "zero_product_analysis")
     require_tho(B1, "zero_product_analysis")
     require_tho(B2, "zero_product_analysis")
-    dop = symmetric_involution(u)
+    dop = B1.domain.symmetric_involution
     return _zero_product_report(B1, B2, dop @ B1, B2 @ dop)
 
 
@@ -589,9 +585,10 @@ def cross_space_unitary_report(B: OperatorMatrix) -> CrossSpaceUnitaryReport:
     require_tho(B, "cross_space_unitary_report")
     iso_res, coiso_res, c3, c4 = _gram_conditions(B)
 
+    cu, uuh = B.domain.conjugation_C, B.codomain.conjugation_U     # uuh: K_uhat -> K_u
     candidates = {
-        "hat-then-natural": conjugation_U(uh) @ B @ conjugation_C(u),
-        "natural-then-hat": conjugation_C(u) @ (conjugation_U(uh) @ B),
+        "hat-then-natural": uuh @ B @ cu,
+        "natural-then-hat": cu @ (uuh @ B),
     }
     alpha = None
     order = None
@@ -618,11 +615,11 @@ def cross_space_zero_product(B1: OperatorMatrix, B2: OperatorMatrix) -> ZeroProd
     transported operators multiply to zero, which reduces to the symmetric
     analysis.
     """
-    u = B2.domain.generator
     require_tho(B1, "cross_space_zero_product")
     require_tho(B2, "cross_space_zero_product")
-    m1 = conjugation_C(u) @ B1 @ conjugation_U(u)          # K_u -> K_u, linear
-    m2 = conjugation_U(u.hat()) @ B2 @ conjugation_C(u)    # K_u -> K_u, linear
+    cu, uu = B2.domain.conjugation_C, B2.domain.conjugation_U   # on K_u; uu: K_u -> K_uhat
+    m1 = cu @ B1 @ uu                                       # K_u -> K_u, linear
+    m2 = uu.codomain.conjugation_U @ B2 @ cu                # K_u -> K_u, linear
     return _zero_product_report(B1, B2, m1, m2)
 
 

@@ -24,14 +24,12 @@ import sys
 from . import classify, harness, quadrature
 from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction
 from .errors import TruncOpsError
-from .modelspace import project
+from .modelspace import project, tm_basis
 from .operators import (
     clark_perturbation,
     clark_points,
     functional_calculus,
     sedlock_op,
-    shift,
-    symmetric_involution,
     tho_matrix,
     tto_matrix,
 )
@@ -115,25 +113,26 @@ def _cmd_build_op(args) -> int:
     if missing:
         raise ValueError(f"--op {args.op} needs {' and '.join(missing)}")
     u = _decoded("--u", args.u, parse_inner)
-    v = _decoded("--v", args.v, parse_inner) if args.v else u
-    sym = _decoded("--symbol", args.symbol, parse_symbol) if args.symbol else None
-    alpha = parse_scalar(args.alpha) if args.alpha else None
+    # an empty value is parsed, and so is malformed, rather than taken as absent
+    v = _decoded("--v", args.v, parse_inner) if args.v is not None else u
+    sym = _decoded("--symbol", args.symbol, parse_symbol) if args.symbol is not None else None
+    alpha = parse_scalar(args.alpha) if args.alpha is not None else None
     op = args.op
     if op == "tto":
         out = tto_matrix(u, v, sym)
     elif op == "tho":
         out = tho_matrix(u, v, sym)
     elif op == "shift":
-        out = shift(u)
+        out = tm_basis(u).shift
     elif op == "shift-adj":
-        out = shift(u).adjoint()
+        out = tm_basis(u).shift_adjoint
     elif op == "clark-perturbation":
         out = clark_perturbation(u, _finite(args.alpha, "--alpha"))
     elif op == "involution":
-        out = symmetric_involution(u)
+        out = tm_basis(u).symmetric_involution
     elif op == "sedlock":
         phi = project(u, sym)
-        c = _finite(args.c, "--c") if args.c else 0.0
+        c = _finite(args.c, "--c") if args.c is not None else 0.0
         out = sedlock_op(u, alpha, phi, c)
     elif op == "calculus":
         out = functional_calculus(u, alpha, sym)

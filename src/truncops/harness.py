@@ -27,8 +27,6 @@ from .modelspace import (
     boundary_kernel_symbol,
     conj_kernel,
     conj_kernel_symbol,
-    conjugation_C,
-    conjugation_U,
     gram_residual,
     hankel_space,
     hankel_symbol,
@@ -47,9 +45,7 @@ from .operators import (
     level_points,
     rank_one,
     sedlock_op,
-    shift,
     spectral_multiplier,
-    symmetric_involution,
     tho_by_pairing,
     tho_matrix,
     tto_by_pairing,
@@ -303,8 +299,8 @@ def check_kernel_core(p: ProblemSpec) -> TrialResult:
     f = space.random_element(rng)
     k = kernel(u, lam)
     kt = conj_kernel(u, lam)
-    cmap = conjugation_C(u)
-    umap = conjugation_U(u)
+    cmap = space.conjugation_C
+    umap = space.conjugation_U
     ke = kernel(u, eta)
     kte = project(u, conj_kernel_symbol(u, eta))
     r = {
@@ -360,7 +356,7 @@ def check_defect_rank_one(p: ProblemSpec) -> TrialResult:
     eta = p.param_c("eta")
     d1, d2 = defects(u)
     n = u.degree
-    smat = shift(u).matrix
+    smat = tm_basis(u).shift.matrix
     r = {
         "defect_left": _opnorm(d1.matrix - (np.eye(n) - smat @ smat.conj().T)),
         "defect_right": _opnorm(d2.matrix - (np.eye(n) - smat.conj().T @ smat)),
@@ -508,7 +504,7 @@ def _unitary_hankel(u: InnerFunction, rng) -> OperatorMatrix:
     alpha = _unit(rng)
     cdat = clark_points(u, alpha)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, u.degree))
-    return symmetric_involution(u) @ spectral_multiplier(u, cdat, phases)
+    return tm_basis(u).symmetric_involution @ spectral_multiplier(u, cdat, phases)
 
 
 def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> SpaceElement:
@@ -542,7 +538,7 @@ def _invertible_class_hankel(u: InnerFunction, rng):
     roots = 2.0 + rng.uniform(0, 2, u.degree - 1) if u.degree > 1 else []
     psi = RationalSymbol.polynomial(np.polynomial.polynomial.polyfromroots(roots)
                                     if len(roots) else [1.0])
-    return symmetric_involution(u) @ functional_calculus(u, alpha, psi), alpha
+    return tm_basis(u).symmetric_involution @ functional_calculus(u, alpha, psi), alpha
 
 
 def check_hankel_inverse(p: ProblemSpec) -> TrialResult:
@@ -578,7 +574,7 @@ def check_hankel_inverse(p: ProblemSpec) -> TrialResult:
 def check_hankel_zero_product(p: ProblemSpec) -> TrialResult:
     u = p.inner_u()
     rng = np.random.default_rng(p.seed)
-    dop = symmetric_involution(u)
+    dop = tm_basis(u).symmetric_involution
     n = u.degree
     r = {}
     ok = True
@@ -626,7 +622,7 @@ def check_hankel_zero_product(p: ProblemSpec) -> TrialResult:
 
 def _class_hankel_pair(u: InnerFunction, alpha: ExtendedScalar, rng):
     """A pair (B1, B2) with B1 in class-after-involution and B2 in involution-after-class."""
-    dop = symmetric_involution(u)
+    dop = tm_basis(u).symmetric_involution
     n = u.degree
     if not alpha.is_infinity and abs(alpha.modulus() - 1.0) < 1e-9:
         cdat = clark_points(u, alpha.value)
@@ -654,7 +650,7 @@ def check_hankel_product_toeplitz(p: ProblemSpec) -> TrialResult:
         prep = pv.details["product_class"]
         r["product_class_ok"] = prep.membership != "none" and prep.matches(pv.details["left_class"])
         ok = ok and r["product_class_ok"]
-    dop = symmetric_involution(u)
+    dop = tm_basis(u).symmetric_involution
     pv2 = products.tho_product_tto_test(
         complex(rng.standard_normal() + 1j * rng.standard_normal()) * dop,
         _generic_hankel(u, u, rng))
@@ -688,7 +684,7 @@ def check_mixed_product(p: ProblemSpec) -> TrialResult:
     u = p.inner_u()
     rng = np.random.default_rng(p.seed)
     alpha = p.param_c("alpha")
-    dop = symmetric_involution(u)
+    dop = tm_basis(u).symmetric_involution
     n = u.degree
     A = functional_calculus(u, alpha,
                             RationalSymbol.polynomial(rng.standard_normal(n)
@@ -845,7 +841,7 @@ def check_atho_atto_true(p: ProblemSpec) -> TrialResult:
     u = p.inner_u()
     rng = np.random.default_rng(p.seed)
     alpha = p.param_c("alpha")
-    dop = symmetric_involution(u)
+    dop = tm_basis(u).symmetric_involution
     n = u.degree
     A = functional_calculus(u, alpha, RationalSymbol.polynomial(
         rng.standard_normal(n) + 1j * rng.standard_normal(n)))
@@ -898,7 +894,9 @@ def check_cross_space_unitary(p: ProblemSpec) -> TrialResult:
     cdat = clark_points(u, alpha)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, u.degree))
     mult = spectral_multiplier(u, cdat, phases)
-    B = conjugation_U(u) @ conjugation_C(u) @ mult          # K_u -> K_uhat
+    space = tm_basis(u)
+    cu, uu = space.conjugation_C, space.conjugation_U
+    B = uu @ cu @ mult                                      # K_u -> K_uhat
     rep = classify.cross_space_unitary_report(B)
     r = {"unitary_conditions": rep.conditions, "factor_order": rep.factor_order}
     ok = all(rep.conditions)
@@ -913,8 +911,8 @@ def check_cross_space_unitary(p: ProblemSpec) -> TrialResult:
     v2 = np.zeros(n, dtype=complex)
     v1[:cut] = 1.0
     v2[cut:] = 1.0
-    B1 = conjugation_C(u) @ spectral_multiplier(u, cdat, v1) @ conjugation_U(u.hat())
-    B2 = conjugation_U(u) @ spectral_multiplier(u, cdat, v2) @ conjugation_C(u)
+    B1 = cu @ spectral_multiplier(u, cdat, v1) @ uu.codomain.conjugation_U
+    B2 = uu @ spectral_multiplier(u, cdat, v2) @ cu
     zp = classify.cross_space_zero_product(B1, B2)
     r["zero_product"] = (zp.product_is_zero, zp.classes_match,
                          bool(zp.multiplier_product_vanishes))

@@ -5,8 +5,8 @@ orthogonal complement of u H^2 in H^2) is n dimensional.  This module fixes
 the Takenaka-Malmquist orthonormal basis ordered by the stored zero list,
 and provides coordinates for the reproducing kernels, the projection onto
 K_u, and the conjugate-linear symmetries: the natural conjugation on K_u
-and the coefficient conjugation onto the hat space (the flip J of symbols
-is `RationalSymbol.flip`).
+and the coefficient conjugation onto the hat space, which the basis holds
+(the flip J of symbols is `RationalSymbol.flip`).
 
 Point evaluation is factored: ``ModelSpaceBasis.at`` runs the product
 e_k(z) = sqrt(1-|a_k|^2)/(1 - conj(a_k) z) * prod_{j<k} (z-a_j)/(1 - conj(a_j) z)
@@ -31,11 +31,13 @@ Function space objects are immutable after construction.  A basis is the
 one per-generator cache: it holds its grids, the kernels k0 and k~0 at the
 origin (as arrays and as elements with their conjugates and squared norms),
 the compressed shift and its adjoint, the conjugations and the involution,
-each built on first read; the basis of K_{a hat(b)} that `hankel_space`
-returns also holds the bases of K_a, K_hat(b) and K_b.  Its two blocks (the
-basis and the flipped basis J e_k) cache their conjugates, the conjugated
-side of every pairing against the basis.  All are read-only, so they are
-safe to share between threads.
+each built on first read.  They have no other home: a caller reads them
+off the bases of the operators it holds, or off `tm_basis(u)`.  The basis of
+K_{a hat(b)} that `hankel_space` returns also holds the bases of K_a,
+K_hat(b) and K_b.  The two blocks of a basis (the basis and the flipped
+basis J e_k) cache their conjugates, the conjugated side of every pairing
+against the basis.  All are read-only, so they are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -145,9 +147,8 @@ class ModelSpaceBasis:
         """The conjugate kernel at the origin, `conj_k0`, as an element."""
         return KernelElement(self, self.conj_k0)
 
-    # the per-generator operators, each built on first read; `operators.shift`,
-    # `conjugation_C`, `conjugation_U`, `conjugation_U_on` and
-    # `operators.symmetric_involution` read them
+    # the per-generator operators, each built on first read, with read-only
+    # matrices; a caller that holds an operator reads them off its bases
 
     @cached_property
     def shift(self) -> "OperatorMatrix":
@@ -175,20 +176,33 @@ class ModelSpaceBasis:
 
     @cached_property
     def conjugation_C(self) -> "OperatorMatrix":
-        """The natural conjugation on K_u (`conjugation_C`)."""
+        """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
+
+        C e_k = c sqrt(1-|a_k|^2)/(1 - conj(a_k) z) prod_(j>k) b_j is c, the
+        constant of u, times the (n-1-k)-th function in the reversed zero order.
+        Antilinear, isometric, involutive.
+        """
         u = self.generator
         mat = u.constant * reorder(u, range(u.degree - 1, -1, -1))[:, ::-1]
         return OperatorMatrix(readonly(mat), self, self, antilinear=True)
 
     @cached_property
     def conjugation_U(self) -> "OperatorMatrix":
-        """The coefficient conjugation from K_u onto K_hat(u) (`conjugation_U`)."""
+        """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
+
+        The hat of e_k is the k-th basis function of K_hat(u), so the matrix is
+        the identity.
+        """
         eye = readonly(np.eye(self.dim, dtype=complex))
         return OperatorMatrix(eye, self, tm_basis(self.generator.hat()), antilinear=True)
 
     @cached_property
     def conjugation_U_on(self) -> "OperatorMatrix":
-        """The coefficient conjugation as a map K_u -> K_u (`conjugation_U_on`)."""
+        """Coefficient conjugation as a map K_u -> K_u, over a real symmetric u.
+
+        K_hat(u) is then K_u with its zeros in their conjugate order, so the map
+        is `reorder` to that order.  Raises SymbolNotInClass otherwise.
+        """
         order = self.generator.conjugate_order
         if order is None:
             raise SymbolNotInClass("hat image leaves the space; generator is not real symmetric")
@@ -197,7 +211,14 @@ class ModelSpaceBasis:
 
     @cached_property
     def symmetric_involution(self) -> "OperatorMatrix":
-        """The unitary involution C U on K_u (`operators.symmetric_involution`)."""
+        """The linear unitary involution C U on K_u over a real symmetric generator.
+
+        The composition of the natural conjugation with the coefficient
+        conjugation; being a product of two antilinear isometries it is a plain
+        unitary, self-adjoint and squaring to the identity.  It also equals the
+        Hankel operator with symbol conj(u); tests pin that identity.  Raises
+        NotRealSymmetric otherwise.
+        """
         if not self.generator.is_real_symmetric():
             raise NotRealSymmetric("the involution needs a real symmetric generator")
         out = self.conjugation_C @ self.conjugation_U_on
@@ -214,17 +235,13 @@ class ModelSpaceBasis:
         return self._evaluate(z)[0]
 
     def _evaluate(self, z):
-        """e_k(z) for every k, and prod_j b_j(z) over every zero factor."""
+        """e_k(z) for every k, and prod_j b_j(z) over every zero factor, zero by
+        zero; their zeros unsigned (``quadrature.unsigned_zeros``)."""
         z = np.asarray(z, dtype=complex)
         self.generator.guard_poles(z)
         out = np.empty(z.shape + (self.dim,), dtype=complex)
-        return self._continue(out, np.ones(z.shape, dtype=complex), z, 0)
-
-    def _continue(self, out, running, z, start: int):
-        """Fill out[..., start:] from running = prod_{j<start} b_j(z), zero by
-        zero; return it and the final running product, their zeros unsigned
-        (``quadrature.unsigned_zeros``)."""
-        for k, a in enumerate(self.generator.zeros[start:], start):
+        running = np.ones(z.shape, dtype=complex)
+        for k, a in enumerate(self.generator.zeros):
             factor_den = 1.0 - np.conj(a) * z
             np.divide(np.sqrt(1.0 - abs(a) ** 2) * running, factor_den, out=out[..., k])
             running = running * (z - a) / factor_den
@@ -669,34 +686,3 @@ def _swap_rounds(order: tuple):
             right.append(np.where(swap, perm[ks + 1], n))
             perm[ks[swap]], perm[ks[swap] + 1] = perm[ks[swap] + 1], perm[ks[swap]]
     return tuple(rounds), readonly(np.concatenate(left)), readonly(np.concatenate(right))
-
-
-def conjugation_C(u: InnerFunction) -> OperatorMatrix:
-    """The natural conjugation on K_u: f -> u * conj(z f) on the circle.
-
-    C e_k = c sqrt(1-|a_k|^2)/(1 - conj(a_k) z) prod_(j>k) b_j is c, the
-    constant of u, times the (n-1-k)-th function in the reversed zero order.
-    Antilinear, isometric, involutive.  Held by the basis of K_u in the
-    current evaluation; the matrix is read-only.
-    """
-    return tm_basis(u).conjugation_C
-
-
-def conjugation_U(u: InnerFunction) -> OperatorMatrix:
-    """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
-
-    The hat of e_k is the k-th basis function of K_hat(u), so the matrix is
-    the identity.  Held by the basis of K_u in the current evaluation; the
-    matrix is read-only.
-    """
-    return tm_basis(u).conjugation_U
-
-
-def conjugation_U_on(u: InnerFunction) -> OperatorMatrix:
-    """Coefficient conjugation as a map K_u -> K_u, over a real symmetric u.
-
-    K_hat(u) is then K_u with its zeros in their conjugate order, so the map
-    is `reorder` to that order.  Raises SymbolNotInClass otherwise.  Held by
-    the basis of K_u in the current evaluation; the matrix is read-only.
-    """
-    return tm_basis(u).conjugation_U_on

@@ -1,10 +1,12 @@
 """Matrix realizations of the operators on model spaces.
 
-Builders for the compressed shift and its rank-one perturbations (with the
+Builders for the rank-one perturbations of the compressed shift (with the
 Clark points and weights of the unitary ones), truncated Toeplitz and Hankel
-operators (symmetric and asymmetric), the Sedlock-class constructors, the
-functional calculus of the Sedlock classes, and the unitary involution
-available over a real symmetric generator.
+operators (symmetric and asymmetric), the Sedlock-class constructors and
+the functional calculus of the Sedlock classes.  The shift itself, the
+conjugations and the unitary involution over a real symmetric generator
+are held by the basis of K_u (`ModelSpaceBasis.shift`, `.conjugation_C`,
+`.conjugation_U`, `.symmetric_involution`), and read off it.
 
 The shift, its perturbations, the functional calculus and the involution
 are exact matrix algebra.  So are the Toeplitz and Hankel builders for a
@@ -50,13 +52,6 @@ def _images(sym: RationalSymbol, space: ModelSpaceBasis) -> Block:
     """The block of values of sym * e_j, one column per basis function e_j."""
     return Block(lambda m: sym.values_at(m)[:, None] * space.values(m),
                  sym.reach.times(space.generator.reach))
-
-
-def shift(u: InnerFunction) -> OperatorMatrix:
-    """The compressed shift on K_u: f -> P_u(z f), held by the basis of K_u in
-    the current evaluation (`ModelSpaceBasis.shift`, a closed form); the
-    matrix is read-only."""
-    return tm_basis(u).shift
 
 
 def rank_one(f: SpaceElement, g: SpaceElement) -> OperatorMatrix:
@@ -170,7 +165,7 @@ def cross_gram(u: InnerFunction, v: InnerFunction) -> OperatorMatrix:
     column j solves (I - conj(a_j) S_v) g_j = conj(k0_u[j]) k0_v
     + S_v sum_(l<j) conj(S_u[j, l]) g_l, by forward substitution.  Row i of
     S_v is b_i on the diagonal and w_i w_l prod_(l<k<i) (-conj(b_k)) before it
-    (`shift`), so its sum over the earlier rows is w_i t_i, with
+    (`ModelSpaceBasis.shift`), so its sum over the earlier rows is w_i t_i, with
     t_(i+1) = w_i y_i - conj(b_i) t_i: each solve takes O(deg v) steps.
     G = I when u and v share their zeros.
     """
@@ -402,16 +397,3 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
     mat = np.linalg.solve(_horner(den, base.matrix, eye), _horner(psi.num, base.matrix, eye))
     out = OperatorMatrix(mat, base.domain, base.codomain)
     return out.adjoint() if adjoint else out
-
-
-def symmetric_involution(u: InnerFunction) -> OperatorMatrix:
-    """The linear unitary involution on K_u over a real symmetric generator.
-
-    The composition of the natural conjugation with the coefficient
-    conjugation; being a product of two antilinear isometries it is a plain
-    unitary, self-adjoint and squaring to the identity.  It also equals the
-    Hankel operator with symbol conj(u); tests pin that identity.  Raises
-    NotRealSymmetric otherwise.  Held by the basis of K_u in the current
-    evaluation; the matrix is read-only.
-    """
-    return tm_basis(u).symmetric_involution

@@ -22,6 +22,7 @@ import numpy as np
 
 from .blaschke import ExtendedScalar, InnerFunction
 from .classify import (
+    _within,
     class_multipliers,
     cross_decompose,
     is_tho,
@@ -38,10 +39,7 @@ from .errors import NoCertificate, NotTTO, SymbolRecoveryFailed
 from .modelspace import (
     OperatorMatrix,
     SpaceElement,
-    conjugation_C,
-    conjugation_U,
     hankel_symbol,
-    kernel,
     project,
     symbol_blocks,
     tm_basis,
@@ -53,8 +51,6 @@ from .operators import (
     functional_calculus,
     rank_one,
     sedlock_op,
-    shift,
-    symmetric_involution,
     tho_matrix,
     tto_matrix,
 )
@@ -93,9 +89,9 @@ def equivalence_transforms(u: InnerFunction, v: InnerFunction,
     """
     A = tto_matrix(u, v, phi)
     B = tho_matrix(u, v, phi)
-    cu, cv = conjugation_C(u), conjugation_C(v)
-    uv = conjugation_U(v)                  # K_v -> K_vhat
-    uuh = conjugation_U(u.hat())           # K_uhat -> K_u
+    cu, cv = A.domain.conjugation_C, A.codomain.conjugation_C
+    uv = A.codomain.conjugation_U                           # K_v -> K_vhat
+    uuh = A.domain.conjugation_U.codomain.conjugation_U     # K_uhat -> K_u
     ubar = u.conj_symbol()
     usym = u.as_symbol()
     vsym = v.as_symbol()
@@ -126,9 +122,10 @@ def membership_transports(u: InnerFunction, v: InnerFunction,
 
     Each entry is (membership before, membership after); they must agree.
     """
-    cu, cv = conjugation_C(u), conjugation_C(v)
-    uv = conjugation_U(v)
-    uuh = conjugation_U(u.hat())
+    su, sv = tm_basis(u), tm_basis(v)
+    cu, cv = su.conjugation_C, sv.conjugation_C
+    uv = sv.conjugation_U
+    uuh = su.conjugation_U.codomain.conjugation_U
     t_orig = is_tto(M, recover=False).is_member
     h_orig = is_tho(M, recover=False).is_member
     return {
@@ -146,7 +143,9 @@ def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> d
     operator identities tying the perturbed shifts across the hat spaces."""
     alpha = ExtendedScalar.of(alpha)
     A = sedlock_op(u, alpha, phi, c)
-    moved = conjugation_U(u) @ A @ conjugation_U(u.hat())
+    uu = A.domain.conjugation_U                 # K_u -> K_uhat
+    uuh = uu.codomain.conjugation_U             # K_uhat -> K_u
+    moved = uu @ A @ uuh
     rep = sedlock_class(moved)
     if alpha.is_infinity:
         transported_ok = rep.membership == "infinity"
@@ -156,10 +155,10 @@ def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> d
     out = {"transported_class": rep, "transport_ok": transported_ok}
     if not alpha.is_infinity and alpha.modulus() <= 1.0:
         a = alpha.value
-        lhs = conjugation_U(u.hat()) @ clark_perturbation(u.hat(), a) @ conjugation_U(u)
+        lhs = uuh @ clark_perturbation(u.hat(), a) @ uu
         rhs = clark_perturbation(u, np.conj(a))
         out["shift_transport_residual"] = _gap(lhs, rhs)
-        cu = conjugation_C(u)
+        cu = A.domain.conjugation_C
         sa = clark_perturbation(u, a)
         out["shift_conjugation_residual"] = _gap(cu @ sa @ cu, sa.adjoint())
     return out
@@ -170,7 +169,8 @@ def involution_identity_checks(u: InnerFunction, alpha, v: InnerFunction,
     """Residuals of the identities satisfied by the real-symmetric involution
     and the two mixed conjugation-Hankel identities on a second space."""
     require_symmetric(u, "involution_identity_checks")
-    dop = symmetric_involution(u)
+    space = tm_basis(u)
+    dop = space.symmetric_involution
     n = u.degree
     out = {
         "involution_vs_hankel": _gap(dop, tho_matrix(u, u, u.conj_symbol())),
@@ -188,10 +188,11 @@ def involution_identity_checks(u: InnerFunction, alpha, v: InnerFunction,
         bu @ dop, tto_matrix(u, u, (u.as_symbol() * phi.hat()).conj_circle()))
     # mixed identities across a second space
     buv = tho_matrix(u, v, phi)
-    lhs1 = conjugation_C(v.hat()) @ (conjugation_U(v) @ buv)
+    uv = buv.codomain.conjugation_U             # K_v -> K_vhat
+    lhs1 = uv.codomain.conjugation_C @ (uv @ buv)
     rhs1 = tto_matrix(u, v.hat(), v.hat().as_symbol() * phi)
     out["mixed_left"] = _gap(lhs1, rhs1)
-    lhs2 = buv @ conjugation_C(u) @ conjugation_U(u.hat())
+    lhs2 = buv @ space.conjugation_C @ space.conjugation_U.codomain.conjugation_U
     rhs2 = tto_matrix(u.hat(), v, (u.hat().as_symbol() * phi.hat()).conj_circle())
     out["mixed_right"] = _gap(lhs2, rhs2)
     return out
@@ -221,7 +222,7 @@ def atto_product_test(A: OperatorMatrix, B: OperatorMatrix) -> ProductVerdict:
     f2 = project(w, vsym * mA.symbol)
     g2 = project(u, vsym * mB.symbol.conj_circle())
     cond = rank_one(mA.analytic_part, mB.conjugate_part) - rank_one(f2, g2)
-    dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
+    dec = cross_decompose(cond, cond.domain.kernel0, cond.codomain.kernel0)
     direct = is_tto(A @ B, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
@@ -237,7 +238,7 @@ def tho_product_tto_test(B1: OperatorMatrix, B2: OperatorMatrix) -> ProductVerdi
     require_symmetric(u, "tho_product_tto_test")
     require_tho(B1, "tho_product_tto_test")
     require_tho(B2, "tho_product_tto_test")
-    dop = symmetric_involution(u)
+    dop = B1.domain.symmetric_involution
     c1, r1, scalar1 = scalar_multiple(B1, dop)
     c2, r2, scalar2 = scalar_multiple(B2, dop)
     direct = is_tto(B1 @ B2, recover=False).is_member
@@ -282,10 +283,9 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix) -> SymbolFo
     if not verdict.in_class:
         raise NoCertificate("factors do not share a class")
     alpha = verdict.witness
-    dop = symmetric_involution(u)
+    dop = B1.domain.symmetric_involution
     _, (p1, p2), (lres, rres) = class_multipliers(alpha, B1 @ dop, dop @ B2)
-    if max(lres, rres) >= REBUILD_TOL * max(
-            1.0, float(np.linalg.norm(B1.matrix)), float(np.linalg.norm(B2.matrix))):
+    if not all(_within(r, REBUILD_TOL, B1.matrix, B2.matrix) for r in (lres, rres)):
         raise NoCertificate(f"class-multiplier rebuild residuals {lres:g}, {rres:g}")
     mod = alpha.modulus()
     regime = ("infinity" if alpha.is_infinity else "unimodular" if abs(mod - 1.0) < PARAMETER_TOL
@@ -293,7 +293,7 @@ def tho_product_symbol_forms(B1: OperatorMatrix, B2: OperatorMatrix) -> SymbolFo
     prod = functional_calculus(u, alpha, RationalSymbol.polynomial(
         np.polynomial.polynomial.polymul(p1, p2)))
     presid = _gap(prod, B1 @ B2)
-    if presid >= 1e-8 * max(1.0, float(np.linalg.norm(prod.matrix))):
+    if not _within(presid, 1e-8, prod.matrix):
         raise NoCertificate(f"product symbol residual {presid:g}")
     return SymbolFormCertificates(alpha, lres, rres, regime, p1, p2, presid)
 
@@ -310,7 +310,7 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB") 
     require_symmetric(u, "mixed_product_test")
     require_tto(A, "mixed_product_test")
     require_tho(B, "mixed_product_test")
-    dop = symmetric_involution(u)
+    dop = A.domain.symmetric_involution
     cA, rA, scalarA = scalar_multiple(A, OperatorMatrix.identity(A.domain))
     cB, rB, scalarB = scalar_multiple(B, dop)
     prod = A @ B if order == "AB" else B @ A
@@ -341,11 +341,11 @@ def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement,
     _, tail1 = symbol_blocks(psi1, v, w)
     g2, _ = symbol_blocks(psi2, u, v)
     sym1, sym2 = hankel_symbol(psi1, v, w), hankel_symbol(psi2, u, v)
-    f1 = conjugation_U(w.hat()).apply(tail1)
+    f1 = tail1.space.conjugation_U.apply(tail1)
     g1 = project(u, v.hat().conj_symbol() * sym2)
     f2 = project(w, sym1.hat())
     cond = rank_one(f1, g1) - rank_one(f2, g2)
-    dec = cross_decompose(cond, kernel(u, 0.0), kernel(w, 0.0))
+    dec = cross_decompose(cond, cond.domain.kernel0, cond.codomain.kernel0)
     prod = _element_tho(psi1, v, w) @ _element_tho(psi2, u, v)
     direct = is_tto(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
@@ -386,20 +386,20 @@ def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceEle
         sym = hankel_symbol(psi, v, w)
         g1 = project(u, vbar * u.as_symbol() * psi1.rep())
         f2 = project(w.hat(), sym)
-        g2 = shift(u).apply(conjugation_C(u).apply(psi2))
+        g2 = psi2.space.shift.apply(psi2.space.conjugation_C.apply(psi2))
         prod = _element_tho(psi, v, w) @ _sarason_tto(tm_basis(u), tm_basis(v), psi1, psi2)
     elif order == "toeplitz_hankel":
         head, _ = symbol_blocks(psi, u, v)
         sym = hankel_symbol(psi, u, v)
         f1 = project(u.hat(), vbar * sym.hat())
         g1 = project(w, vbar * w.as_symbol() * psi2.rep())
-        f2 = conjugation_U(u).apply(head)
-        g2 = shift(w).apply(conjugation_C(w).apply(psi1))
+        f2 = head.space.conjugation_U.apply(head)
+        g2 = psi1.space.shift.apply(psi1.space.conjugation_C.apply(psi1))
         prod = _sarason_tto(tm_basis(v), tm_basis(w), psi1, psi2) @ _element_tho(psi, u, v)
     else:
         raise ValueError(f"unknown order {order!r}")
     cond = rank_one(f1, g1) - rank_one(f2, g2)
-    dec = cross_decompose(cond, kernel(g1.space.generator, 0.0), kernel(f1.space.generator, 0.0))
+    dec = cross_decompose(cond, cond.domain.kernel0, cond.codomain.kernel0)
     direct = is_tho(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 

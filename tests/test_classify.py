@@ -9,8 +9,6 @@ from truncops import (
     RationalSymbol,
     class_multipliers,
     conj_kernel,
-    conjugation_C,
-    conjugation_U,
     cross_decompose,
     cross_space_unitary_report,
     cross_space_zero_product,
@@ -19,12 +17,11 @@ from truncops import (
     is_tho,
     is_tto,
     kernel,
+    mixed_product_test,
     rank_one,
     sedlock_class,
     sedlock_op,
-    shift,
     spectral_multiplier,
-    symmetric_involution,
     tho_inverse_class,
     tho_matrix,
     tho_product_tto_test,
@@ -33,7 +30,7 @@ from truncops import (
     tto_matrix,
     zero_product_analysis,
 )
-from truncops import harness, quadrature
+from truncops import classify, harness, quadrature
 from truncops.blaschke import InnerFunction, monomial_inner
 from truncops.classify import (MEMBERSHIP_TOL, _class_certificate, _fro, class_values,
                                spectral_values)
@@ -181,12 +178,21 @@ class TestIsTTO:
 def test_an_antilinear_operand_is_rejected(test):
     # x -> S conj(x) used to be a Toeplitz member of class 0
     u = monomial_inner(3)
-    op = OperatorMatrix(shift(u).matrix, tm_basis(u), tm_basis(u), antilinear=True)
+    op = OperatorMatrix(tm_basis(u).shift.matrix, tm_basis(u), tm_basis(u), antilinear=True)
     with pytest.raises(SpaceMismatch, match="linear operator"):
         test(op)
 
 
 class TestIsTHO:
+    def test_a_nan_rebuild_is_refused(self, u_generic, v_generic, rng, monkeypatch):
+        B = tho_matrix(u_generic, v_generic, random_laurent(rng, 2))
+        assert is_tho(B).is_member
+        monkeypatch.setattr(classify, "_element_tho", lambda psi, u, v, exact=True:
+                            OperatorMatrix(np.full(B.matrix.shape, np.nan), B.domain, B.codomain))
+        m = is_tho(B)
+        assert not m.is_member and np.isnan(m.rebuild_residual)
+        assert m.symbol_element is None and m.symbol is None
+
     def test_roundtrip(self, u_generic, v_generic, rng):
         # at degrees (32, 32) the symbol lives in K_{u hat(v)} of dimension 64
         for u, v in [(u_generic, v_generic), (random_inner(rng, 32), random_inner(rng, 32))]:
@@ -215,7 +221,7 @@ class TestIsTHO:
                                + 1j * rng.standard_normal((9 - n, n)), tm_basis(u), tm_basis(v))]
         for M in mats:
             hankel = is_tho(M, recover=False)
-            toeplitz = is_tto(conjugation_U(v) @ M @ conjugation_C(u), recover=False)
+            toeplitz = is_tto(tm_basis(v).conjugation_U @ M @ tm_basis(u).conjugation_C, recover=False)
             assert hankel.is_member == toeplitz.is_member
             assert (abs(hankel.displacement_residual - toeplitz.displacement_residual)
                     < 1e-12 * max(1.0, np.linalg.norm(M.matrix)))
@@ -225,7 +231,7 @@ class TestIsTHO:
         with quadrature.use(quadrature.Evaluation()):
             B = tho_matrix(u_generic, v_generic, random_laurent(rng, 3))
             tm_basis(u_generic * v_generic.hat())
-            shift(u_generic), shift(v_generic)
+            tm_basis(u_generic).shift, tm_basis(v_generic).shift
             with quadrature.tally() as decided:
                 assert is_tho(B, recover=False).is_member
             with quadrature.tally() as recovered:
@@ -234,7 +240,7 @@ class TestIsTHO:
         assert recovered.pairings == 1
 
     def test_shift_is_not_tho(self, u3):
-        assert not is_tho(shift(u3)).is_member
+        assert not is_tho(tm_basis(u3).shift).is_member
 
     def test_zero_operator(self, u2):
         space = tm_basis(u2)
@@ -267,7 +273,7 @@ class TestZeroSymbolTests:
 
 class TestSedlockClass:
     def test_shift_is_class_zero(self, u_generic):
-        rep = sedlock_class(shift(u_generic))
+        rep = sedlock_class(tm_basis(u_generic).shift)
         assert rep.membership == "finite"
         assert abs(rep.alpha.value) < 1e-10
 
@@ -316,11 +322,11 @@ class TestSedlockClass:
 
 class TestUnitaryReport:
     def test_involution_all_true(self, u_sym):
-        rep = tho_unitary_report(symmetric_involution(u_sym))
+        rep = tho_unitary_report(tm_basis(u_sym).symmetric_involution)
         assert all(rep.conditions)
 
     def test_scaled_involution(self, u_sym):
-        rep = tho_unitary_report(0.5 * symmetric_involution(u_sym))
+        rep = tho_unitary_report(0.5 * tm_basis(u_sym).symmetric_involution)
         # the metric and class conditions fail; the two Toeplitz-defect
         # conditions hold trivially for scalar multiples of the involution
         assert not rep.isometry and not rep.coisometry and not rep.unitary
@@ -330,7 +336,7 @@ class TestUnitaryReport:
     def test_constructed_unitary(self, u_sym, rng):
         cdat = clark_points(u_sym, np.exp(0.8j))
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        B = symmetric_involution(u_sym) @ spectral_multiplier(u_sym, cdat, phases)
+        B = tm_basis(u_sym).symmetric_involution @ spectral_multiplier(u_sym, cdat, phases)
         rep = tho_unitary_report(B)
         assert all(rep.conditions)
         assert abs(rep.alpha.modulus() - 1.0) < 1e-6
@@ -347,18 +353,18 @@ class TestUnitaryReport:
         with pytest.raises(NotRealSymmetric):
             tho_unitary_report(OperatorMatrix.identity(tm_basis(u_generic)))
         with pytest.raises(NotTHO):
-            tho_unitary_report(shift(u_sym))
+            tho_unitary_report(tm_basis(u_sym).shift)
 
 
 class TestInverseReport:
     def test_involution_inverse(self, u_sym):
-        rep = tho_inverse_class(symmetric_involution(u_sym))
+        rep = tho_inverse_class(tm_basis(u_sym).symmetric_involution)
         assert rep.inverse_is_tho and rep.reciprocal_law_holds
 
     def test_constructed_chain(self, u_sym):
         a0 = 0.4
         psi = RationalSymbol.polynomial([1.2, 0.5, 0.3])
-        B = symmetric_involution(u_sym) @ functional_calculus(u_sym, a0, psi)
+        B = tm_basis(u_sym).symmetric_involution @ functional_calculus(u_sym, a0, psi)
         rep = tho_inverse_class(B)
         assert rep.inverse_is_tho
         assert rep.alpha.isclose(ExtendedScalar.finite(a0), 1e-8)
@@ -370,7 +376,7 @@ class TestInverseReport:
     def test_class_at_infinity(self, u_sym, rng):
         # the involution-shifted class of B is the antianalytic one
         phi = tm_basis(u_sym).random_element(rng)
-        B = symmetric_involution(u_sym) @ sedlock_op(u_sym, None, phi, 0.3)
+        B = tm_basis(u_sym).symmetric_involution @ sedlock_op(u_sym, None, phi, 0.3)
         rep = tho_inverse_class(B)
         assert rep.inverse_is_tho and rep.alpha.is_infinity
         assert rep.reciprocal_law_holds
@@ -397,7 +403,7 @@ def test_class_multipliers_certify_both_involution_sides(u_sym, rng, alpha):
     the operators D (D A) and (A D) D that the Hankel certificates fit, and
     the involution-conjugated D A D does not."""
     alpha = ExtendedScalar.of(alpha)
-    dop = symmetric_involution(u_sym)
+    dop = tm_basis(u_sym).symmetric_involution
     A = sedlock_op(u_sym, alpha, tm_basis(u_sym).random_element(rng), 0.3 - 0.1j)
     _, _, fits = class_multipliers(alpha, A, (A @ dop) @ dop, dop @ (dop @ A))
     assert max(fits) < 1e-8
@@ -413,9 +419,19 @@ def test_class_certificate_rebuild_gate(u_sym, rng):
         _class_certificate(A, ExtendedScalar.finite(-0.5 + 0.3j))
 
 
+def test_class_certificate_refuses_a_nan_residual(u_sym, rng, monkeypatch):
+    alpha = ExtendedScalar.finite(0.4 - 0.2j)
+    A = sedlock_op(u_sym, alpha, tm_basis(u_sym).random_element(rng), 0.3 - 0.1j)
+    fit = classify.class_multipliers
+    monkeypatch.setattr(classify, "class_multipliers",
+                        lambda a, *members: (*fit(a, *members)[:2], [np.nan]))
+    with pytest.raises(NoCertificate):
+        _class_certificate(A, alpha)
+
+
 class TestZeroProducts:
     def test_unimodular_split(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         cdat = clark_points(u_sym, np.exp(0.8j))
         v1 = np.array([1.0, 1.0, 0.0])
         v2 = np.array([0.0, 0.0, 1.0])
@@ -434,7 +450,7 @@ class TestZeroProducts:
         # outside it and 0 at infinity, where the factors are p(S)*
         alpha = ExtendedScalar.of(alpha)
         beta = alpha.value if alpha.modulus() < 1.0 else alpha.reciprocal_conjugate().value
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         level = np.polynomial.polynomial.polyadd(u_sym.num_coeffs,
                                                  -beta * u_sym.den_coeffs)
         roots = np.polynomial.polynomial.polyroots(level)
@@ -473,20 +489,20 @@ class TestZeroProducts:
         # S* on K_(z^2) is in the class at infinity, whose level set is the
         # double zero of z^2; its kernels there fall short of a basis
         u = monomial_inner(2)
-        dop = symmetric_involution(u)
-        adj = shift(u).adjoint()
+        dop = tm_basis(u).symmetric_involution
+        adj = tm_basis(u).shift.adjoint()
         with pytest.raises(DegenerateSpectrum):
             zero_product_analysis(dop @ adj, adj @ dop)
 
     def test_trivial_zero_factor(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         B1 = dop @ functional_calculus(u_sym, 0.2, RationalSymbol.polynomial([1.0, 0.5]))
         space = tm_basis(u_sym)
         rep = zero_product_analysis(B1, OperatorMatrix(np.zeros((3, 3)), space, space))
         assert rep.product_is_zero
 
     def test_cross_class_nonzero(self, u_sym):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         B1 = dop @ functional_calculus(u_sym, 0.25, RationalSymbol.polynomial([0.4, 1.0]))
         B2 = functional_calculus(u_sym, -0.5j, RationalSymbol.polynomial([1.0, 0.7])) @ dop
         rep = zero_product_analysis(B1, B2)
@@ -499,7 +515,7 @@ class TestCrossSpaceReports:
         cdat = clark_points(u_generic, np.exp(0.5j))
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
         mult = spectral_multiplier(u_generic, cdat, phases)
-        B = conjugation_U(u_generic) @ conjugation_C(u_generic) @ mult
+        B = tm_basis(u_generic).conjugation_U @ tm_basis(u_generic).conjugation_C @ mult
         rep = cross_space_unitary_report(B)
         assert all(rep.conditions)
         assert rep.factor_order is not None
@@ -516,9 +532,9 @@ class TestCrossSpaceReports:
         n = u_generic.degree
         v1 = np.zeros(n); v1[:1] = 1.0
         v2 = np.zeros(n); v2[1:] = 1.0
-        cu = conjugation_C(u_generic)
-        B1 = cu @ spectral_multiplier(u_generic, cdat, v1) @ conjugation_U(u_generic.hat())
-        B2 = conjugation_U(u_generic) @ spectral_multiplier(u_generic, cdat, v2) @ cu
+        cu = tm_basis(u_generic).conjugation_C
+        B1 = cu @ spectral_multiplier(u_generic, cdat, v1) @ tm_basis(u_generic.hat()).conjugation_U
+        B2 = tm_basis(u_generic).conjugation_U @ spectral_multiplier(u_generic, cdat, v2) @ cu
         rep = cross_space_zero_product(B1, B2)
         assert rep.product_is_zero and rep.classes_match
         assert rep.multiplier_product_vanishes
@@ -571,7 +587,7 @@ def test_conjugate_zero_match_runs_once_per_generator(monkeypatch):
     monkeypatch.setattr(match, "func", lambda u: runs.append(u) or find(u))
     u = InnerFunction([0.5j, -0.5j, 0.3, 0.2 + 0.1j, 0.2 - 0.1j], constant=-1)
     with quadrature.use(quadrature.Evaluation()):
-        dop = symmetric_involution(u)
+        dop = tm_basis(u).symmetric_involution
         B1 = dop @ functional_calculus(u, 0.25, RationalSymbol.polynomial([0.4, 1.0]))
         B2 = functional_calculus(u, -0.5j, RationalSymbol.polynomial([1.0, 0.7])) @ dop
         zero_product_analysis(B1, B2)
@@ -585,22 +601,54 @@ def _memo_lookups() -> int:
                for t in quadrature.current().memo.values())
 
 
-@pytest.mark.parametrize("test", [is_tto, is_tho, sedlock_class])
-def test_a_warm_test_reads_its_operand_bases(rng, test):
-    # the shifts, kernels and Hankel parts come from the bases the operand
-    # carries, so a repeat makes at most the one hankel_space lookup of is_tho
-    with quadrature.use(quadrature.Evaluation()):
+def _warm_operands(rng, test) -> tuple:
+    """Operands for one of the tests of WARM_LOOKUPS, built in the current evaluation."""
+    if test in (is_tto, is_tho, sedlock_class):
         u, v = random_inner(rng, 5), random_inner(rng, 4)
         if test is is_tto:
-            op = tto_matrix(u, v, random_laurent(rng, 3))
-        elif test is is_tho:
-            op = tho_matrix(u, v, random_laurent(rng, 3))
-        else:
-            op = sedlock_op(u, 0.3 + 0.2j, tm_basis(u).random_element(rng), 0.5)
-        first = test(op)
+            return (tto_matrix(u, v, random_laurent(rng, 3)),)
+        if test is is_tho:
+            return (tho_matrix(u, v, random_laurent(rng, 3)),)
+        return (sedlock_op(u, 0.3 + 0.2j, tm_basis(u).random_element(rng), 0.5),)
+    u = random_inner(rng, 5, real_symmetric=test is not cross_space_zero_product)
+    space = tm_basis(u)
+    cdat = clark_points(u, np.exp(0.8j))
+    halves = np.zeros((2, u.degree), dtype=complex)
+    halves[0, :2] = halves[1, 2:] = 1.0
+    m1, m2 = (spectral_multiplier(u, cdat, h) for h in halves)
+    if test is cross_space_zero_product:
+        cu, uu = space.conjugation_C, space.conjugation_U
+        return cu @ m1 @ uu.codomain.conjugation_U, uu @ m2 @ cu
+    dop = space.symmetric_involution
+    if test is tho_unitary_report:
+        return (dop @ spectral_multiplier(u, cdat, np.exp(1j * rng.uniform(0, 6, u.degree))),)
+    if test is zero_product_analysis:
+        return dop @ m1, m2 @ dop
+    p1, p2 = (RationalSymbol.polynomial(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+              for _ in range(2))
+    a1, a2 = functional_calculus(u, 0.3, p1), functional_calculus(u, 0.3, p2)
+    if test is mixed_product_test:
+        return a1, a2 @ dop
+    return a1 @ dop, dop @ a2
+
+
+# the memo lookups of a warm repeat: the shifts, kernels, conjugations,
+# involutions and Hankel parts come from the bases the operands carry, so
+# what is left is the one hankel_space lookup of is_tho, and the level points
+# and kernels that class values look up by generator
+WARM_LOOKUPS = {is_tto: 0, is_tho: 1, sedlock_class: 0, tho_product_tto_test: 0,
+                mixed_product_test: 0, tho_unitary_report: 2, zero_product_analysis: 3,
+                cross_space_zero_product: 3}
+
+
+@pytest.mark.parametrize("test", list(WARM_LOOKUPS))
+def test_a_warm_test_reads_its_operand_bases(rng, test):
+    with quadrature.use(quadrature.Evaluation()):
+        ops = _warm_operands(rng, test)
+        first = test(*ops)
         before = _memo_lookups()
-        again = test(op)
-        assert _memo_lookups() - before <= 1
+        again = test(*ops)
+        assert _memo_lookups() - before == WARM_LOOKUPS[test]
     assert repr(again) == repr(first)
 
 

@@ -16,7 +16,8 @@ from truncops import classify, cli, harness, products, quadrature
 from truncops.cli import main, parse_inner, parse_scalar
 from truncops.errors import InvalidRange
 from truncops.harness import run_trial
-from truncops.modelspace import GRAM_TOL, ModelSpaceBasis
+from truncops.blaschke import InnerFunction
+from truncops.modelspace import GRAM_TOL, ModelSpaceBasis, tm_basis
 from truncops.quadrature import QUAD_START, QuadratureSettings
 
 
@@ -516,6 +517,26 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert "--alpha" in err or "--symbol" in err
+
+    @pytest.mark.parametrize("flag", ["--symbol", "--alpha", "--v", "--c"])
+    def test_build_op_empty_value_is_usage_error(self, capsys, flag):
+        # an empty --symbol used to reach tto_matrix as None, a traceback
+        given = {"--symbol": '{"laurent":{"1":[1,0]}}', "--alpha": "0.3", "--c": "0.5"}
+        given[flag] = ""
+        rc = main(["build-op", "--op", "sedlock", "--u", "z3",
+                   *(item for pair in given.items() for item in pair)])
+        assert rc == 2
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op, attr", [("shift", "shift"), ("shift-adj", "shift_adjoint"),
+                                          ("involution", "symmetric_involution")])
+    def test_build_op_emits_the_operator_the_basis_holds(self, capsys, op, attr):
+        u = InnerFunction([0.5j, -0.5j, 0.3, 0.2 + 0.1j, 0.2 - 0.1j], constant=-1)
+        assert main(["build-op", "--op", op, "--u", json.dumps(u.to_json()), "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        with quadrature.use(quadrature.Evaluation()):
+            want = getattr(tm_basis(u), attr).to_json()
+        assert got == json.loads(json.dumps(want))
 
     def test_classify_pipe(self, tmp_path, capsys):
         rc = main(["build-op", "--op", "shift", "--u", "z3", "--json"])

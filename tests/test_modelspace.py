@@ -10,9 +10,6 @@ from truncops import (
     RationalSymbol,
     clark_points,
     conj_kernel,
-    conjugation_C,
-    conjugation_U,
-    conjugation_U_on,
     inner_product,
     is_tho,
     is_tto,
@@ -20,8 +17,6 @@ from truncops import (
     project,
     sedlock_class,
     sedlock_op,
-    shift,
-    symmetric_involution,
     tho_matrix,
     tm_basis,
     tto_matrix,
@@ -141,7 +136,7 @@ class TestKernels:
 
     def test_conj_kernel_is_conjugation_image(self, u_generic):
         lam = 0.3 + 0.25j
-        want = conjugation_C(u_generic).apply(kernel(u_generic, lam))
+        want = tm_basis(u_generic).conjugation_C.apply(kernel(u_generic, lam))
         got = conj_kernel(u_generic, lam)
         assert np.max(np.abs(want.coords - got.coords)) < 1e-10
 
@@ -280,10 +275,10 @@ class TestFactoredEvaluation:
 
     def test_hat_map_makes_no_pairing(self, u_sym, u_generic):
         before = quadrature.STATS.pairings
-        conjugation_U_on(u_sym)
+        tm_basis(u_sym).conjugation_U_on
         assert quadrature.STATS.pairings == before
         with pytest.raises(SymbolNotInClass):
-            conjugation_U_on(u_generic)
+            tm_basis(u_generic).conjugation_U_on
 
     def test_conj_kernel_coefficients_on_demand(self, u_generic):
         lam = 0.2 - 0.3j
@@ -328,11 +323,10 @@ def _signed(arr):
 
 
 # each way makes a target generator from the factors a and b, reads some grids
-# first, and states the evaluations (start, nodes) that reading the target's
-# m-grid then runs: start is the first zero evaluated, so a continued factor
-# would show as start > 0
+# first, and states the node count of each evaluation that reading the
+# target's m-grid then runs; every evaluation runs over all the zeros
 def _cold(a, b, m):
-    return a, [(0, m)]
+    return a, [m]
 
 
 def _sliced(a, b, m):
@@ -347,16 +341,16 @@ def _sliced_from_finer(a, b, m):
 
 def _grown(a, b, m):
     _primed((a, m // 2))
-    return a, [(0, m // 2)]
+    return a, [m // 2]
 
 
 def _grown_from_quarter(a, b, m):
     _primed((a, m // 4))
-    return a, [(0, m - m // 4)]
+    return a, [m - m // 4]
 
 
 def _hat_cold(a, b, m):
-    return a.hat(), [(0, m)]
+    return a.hat(), [m]
 
 
 def _hat_of_held(a, b, m):
@@ -372,38 +366,38 @@ def _hat_of_held_double(a, b, m):
 def _hat_grown(a, b, m):
     h = a.hat()
     _primed((h, m // 2))
-    return h, [(0, m // 2)]
+    return h, [m // 2]
 
 
 # a product records no factors, so a factor's held grids leave its grid cold
 def _product_cold(a, b, m):
-    return a * b, [(0, m)]
+    return a * b, [m]
 
 
 def _product_of_held(a, b, m):
     _primed((a, m))
-    return a * b, [(0, m)]
+    return a * b, [m]
 
 
 def _product_of_held_double(a, b, m):
     _primed((a, 2 * m))
-    return a * b, [(0, m)]
+    return a * b, [m]
 
 
 def _product_of_grown(a, b, m):
     _primed((a, m // 2), (a, m))
-    return a * b, [(0, m)]
+    return a * b, [m]
 
 
 def _product_grown(a, b, m):
     w = a * b
     _primed((w, m // 2))
-    return w, [(0, m // 2)]
+    return w, [m // 2]
 
 
 def _product_of_hat(a, b, m):
     _primed((a, m))
-    return a.hat() * b, [(0, m)]
+    return a.hat() * b, [m]
 
 
 def _hat_of_product(a, b, m):
@@ -451,12 +445,12 @@ class TestDerivedGrids:
         u, target = case(rng)
         m = 64
         runs, factored = [], []
-        run = ModelSpaceBasis._continue
+        run = ModelSpaceBasis._evaluate
         factor_loop = InnerFunction._factored
 
-        def recorded(space, out, running, z, start):
-            runs.append((start, np.size(z)))
-            return run(space, out, running, z, start)
+        def recorded(space, z):
+            runs.append(np.size(z))
+            return run(space, z)
 
         def recorded_factored(g, z):
             factored.append((g, np.size(z)))
@@ -464,12 +458,12 @@ class TestDerivedGrids:
 
         generators = (target, u, u.hat())
         with quadrature.use(quadrature.Evaluation()):
-            monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+            monkeypatch.setattr(ModelSpaceBasis, "_evaluate", recorded)
             monkeypatch.setattr(InnerFunction, "_factored", recorded_factored)
             got = {g: tm_basis(g).values(m) for g in generators}
             boundary = [g.boundary_values(m) for g in generators]
             monkeypatch.undo()
-        assert runs == [(0, m)]
+        assert runs == [m]
         for g, values in got.items():
             cold = ModelSpaceBasis(_unlinked(g)).at(quadrature.nodes(m))
             assert values.tobytes() == cold.tobytes()
@@ -486,20 +480,20 @@ class TestDerivedGrids:
     @pytest.mark.parametrize("m", [8, 64])
     def test_grid_is_the_bits_of_a_cold_evaluation(self, rng, monkeypatch, factors, way, m):
         a, b = GRID_FACTORS[factors](rng)
-        run = ModelSpaceBasis._continue
+        run = ModelSpaceBasis._evaluate
         # the values and the running product come from one evaluation per
         # level, whichever of the two is read first
         for first in ("values", "running"):
             runs = []
 
-            def recorded(space, out, running, z, start):
-                runs.append((start, np.size(z)))
-                return run(space, out, running, z, start)
+            def recorded(space, z):
+                runs.append(np.size(z))
+                return run(space, z)
 
             with quadrature.use(quadrature.Evaluation()):
                 target, want_runs = way(a, b, m)
                 space = tm_basis(target)
-                monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+                monkeypatch.setattr(ModelSpaceBasis, "_evaluate", recorded)
                 if first == "running":
                     running, got = space._running(m), space.values(m)
                 else:
@@ -568,14 +562,14 @@ class TestDerivedGrids:
     def test_no_basis_evaluates_a_grid_node_twice(self, monkeypatch, seed, band, check):
         grid = set(quadrature.nodes(quadrature.QUAD_CAP).tolist())
         evaluated = {}
-        run = ModelSpaceBasis._continue
+        run = ModelSpaceBasis._evaluate
 
-        def recorded(space, out, running, z, start):
+        def recorded(space, z):
             seen = evaluated.setdefault(id(space), (space, []))[1]
-            seen += [(start, node) for node in np.ravel(z).tolist() if node in grid]
-            return run(space, out, running, z, start)
+            seen += [node for node in np.ravel(z).tolist() if node in grid]
+            return run(space, z)
 
-        monkeypatch.setattr(ModelSpaceBasis, "_continue", recorded)
+        monkeypatch.setattr(ModelSpaceBasis, "_evaluate", recorded)
         harness.run_suite(harness.SuiteConfig(seed=seed, trials=1, checks=[check],
                                               degree_range=band))
         monkeypatch.undo()
@@ -600,40 +594,40 @@ class TestProjection:
 
 class TestConjugations:
     def test_natural_conjugation_monomial(self, u2):
-        c = conjugation_C(u2)
+        c = tm_basis(u2).conjugation_C
         x = tm_basis(u2).element([1 + 2j, 3 - 1j])
         assert np.allclose(c.apply(x).coords, [3 + 1j, 1 - 2j])
 
     def test_involution_and_isometry(self, u_generic, rng):
-        c = conjugation_C(u_generic)
+        c = tm_basis(u_generic).conjugation_C
         assert np.max(np.abs((c @ c).matrix - np.eye(3))) < 1e-10
         x = tm_basis(u_generic).random_element(rng)
         assert c.apply(x).norm() == pytest.approx(x.norm())
 
     def test_coefficient_conjugation(self, u2):
-        uu = conjugation_U(u2)
+        uu = tm_basis(u2).conjugation_U
         x = tm_basis(u2).element([0.0, 1j])
         assert np.allclose(uu.apply(x).coords, [0.0, -1j])
 
     def test_hat_kernel_transport(self, u_generic):
         lam = 0.5j * 0.3 + 0.1
-        uu = conjugation_U(u_generic)
+        uu = tm_basis(u_generic).conjugation_U
         got = uu.apply(kernel(u_generic, lam))
         want = kernel(u_generic.hat(), np.conj(lam))
         assert np.max(np.abs(got.coords - want.coords)) < 1e-10
 
     def test_hat_conj_kernel_transport(self, u_generic):
         lam = 0.5j
-        uu = conjugation_U(u_generic)
+        uu = tm_basis(u_generic).conjugation_U
         got = uu.apply(conj_kernel(u_generic, lam))
         want = conj_kernel(u_generic.hat(), np.conj(lam))
         assert np.max(np.abs(got.coords - want.coords)) < 1e-9
 
     def test_same_space_conjugation_requires_symmetry(self, u_sym, u_generic):
-        m = conjugation_U_on(u_sym)
+        m = tm_basis(u_sym).conjugation_U_on
         assert np.max(np.abs((m @ m).matrix - np.eye(3))) < 1e-10
         with pytest.raises(SymbolNotInClass):
-            conjugation_U_on(u_generic)
+            tm_basis(u_generic).conjugation_U_on
 
 
 class TestFlip:
@@ -765,8 +759,8 @@ def _real_symmetric_inner(rng, pairs):
     return InnerFunction([*a, *np.conj(a), rng.uniform(-0.8, 0.8)], -1)
 
 
-# the memoized per-generator builders; each is a closed form, making no pairing
-BUILDS = [shift, conjugation_C, conjugation_U, symmetric_involution]
+# the per-generator operators a basis holds; each is a closed form, making no pairing
+BUILDS = ["shift", "conjugation_C", "conjugation_U", "symmetric_involution"]
 LAURENT = RationalSymbol.from_laurent({-2: 0.5j, -1: 0.3, 0: 1.0, 2: -0.4 + 0.1j})
 
 
@@ -776,8 +770,8 @@ class TestMemo:
         first = []
         for _ in range(2):
             with quadrature.use(quadrature.Evaluation()) as ev:
-                op = build(u_sym)
-                assert build(u_sym) is op
+                op = getattr(tm_basis(u_sym), build)
+                assert getattr(tm_basis(u_sym), build) is op
                 assert ev.stats.pairings == 0
             first.append(op)
         # a second evaluation builds again, to the same bits
@@ -786,7 +780,7 @@ class TestMemo:
 
     @pytest.mark.parametrize("build", BUILDS)
     def test_memoized_matrices_are_read_only(self, u_sym, build):
-        mat = build(u_sym).matrix
+        mat = getattr(tm_basis(u_sym), build).matrix
         with pytest.raises(ValueError, match="read-only"):
             mat[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -814,13 +808,13 @@ class TestMemo:
         # these builds make none
         tight = QuadratureSettings(cap=16)
         with quadrature.use(quadrature.Evaluation(settings=tight)) as ev:
-            build(u_sym)
+            getattr(tm_basis(u_sym), build)
             assert ev.stats.pairings == 0
         with quadrature.use(quadrature.Evaluation()) as ev:
-            op = build(u_sym)
+            op = getattr(tm_basis(u_sym), build)
             before = ev.stats.pairings
             with quadrature.override(tight):
-                assert build(u_sym) is op
+                assert getattr(tm_basis(u_sym), build) is op
             assert ev.stats.pairings == before
 
     def test_hat_is_built_once_forward(self, u_generic):
@@ -839,7 +833,7 @@ class TestMemo:
         def run_all(gens, clarks, syms, linked=True):
             out = []
             for u, clark, sym in zip(gens, clarks, syms, strict=True):
-                out += [build(u).matrix for build in BUILDS]
+                out += [getattr(tm_basis(u), build).matrix for build in BUILDS]
                 out += [kernel(u, 0.0).coords, conj_kernel(u, 0.0).coords]
                 space = tm_basis(u)
                 out += [np.array(clark.weights), np.array([u.origin_value]),

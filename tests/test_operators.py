@@ -8,17 +8,13 @@ from truncops import (
     RationalSymbol,
     clark_perturbation,
     conj_kernel,
-    conjugation_C,
-    conjugation_U,
     defects,
     functional_calculus,
     kernel,
     project,
     rank_one,
     sedlock_op,
-    shift,
     spectral_multiplier,
-    symmetric_involution,
     tho_matrix,
     tm_basis,
     tto_matrix,
@@ -29,28 +25,28 @@ from truncops.operators import clark_points
 from truncops.classify import is_tho, is_tto
 from truncops.errors import NoConvergence, NotRealSymmetric, SingularDenominator, SpaceMismatch
 from truncops.harness import random_inner
-from truncops.modelspace import (boundary_kernel_symbol, conjugation_U_on, hankel_space,
+from truncops.modelspace import (boundary_kernel_symbol, hankel_space,
                                  hankel_symbol, reorder)
 from truncops.quadrature import Block, pairing_matrix
 
 
 class TestShift:
     def test_monomial(self, u2):
-        assert np.allclose(shift(u2).matrix, [[0, 0], [1, 0]], atol=1e-12)
+        assert np.allclose(tm_basis(u2).shift.matrix, [[0, 0], [1, 0]], atol=1e-12)
 
     def test_adjoint_is_difference_quotient(self, u2):
         # S* z = 1
-        got = shift(u2).adjoint().apply(np.array([0.0, 1.0]))
+        got = tm_basis(u2).shift.adjoint().apply(np.array([0.0, 1.0]))
         assert np.allclose(got.coords, [1.0, 0.0], atol=1e-12)
 
     def test_adjoint_matches_conjugate_transpose(self, u_generic):
-        s = shift(u_generic)
-        assert np.max(np.abs(shift(u_generic).adjoint().matrix - s.matrix.conj().T)) < 1e-12
+        s = tm_basis(u_generic).shift
+        assert np.max(np.abs(tm_basis(u_generic).shift.adjoint().matrix - s.matrix.conj().T)) < 1e-12
 
     def test_difference_quotient_columnwise(self, u_generic):
         # (S* f)(z) = (f(z) - f(0))/z checked against rational arithmetic
         space = tm_basis(u_generic)
-        sadj = shift(u_generic).adjoint()
+        sadj = tm_basis(u_generic).shift.adjoint()
         for k, e in enumerate(space.functions):
             unit = np.zeros(space.dim)
             unit[k] = 1.0
@@ -70,7 +66,7 @@ class TestDefects:
 
     def test_random_algebraic_identities(self, u_generic):
         d1, d2 = defects(u_generic)
-        s = shift(u_generic).matrix
+        s = tm_basis(u_generic).shift.matrix
         eye = np.eye(3)
         assert np.max(np.abs(d1.matrix - (eye - s @ s.conj().T))) < 1e-10
         assert np.max(np.abs(d2.matrix - (eye - s.conj().T @ s))) < 1e-10
@@ -97,7 +93,7 @@ class TestRankOne:
 
 class TestClarkPerturbation:
     def test_alpha_zero(self, u2):
-        assert np.allclose(clark_perturbation(u2, 0.0).matrix, shift(u2).matrix)
+        assert np.allclose(clark_perturbation(u2, 0.0).matrix, tm_basis(u2).shift.matrix)
 
     def test_monomial_unitary(self, u2):
         sa = clark_perturbation(u2, 1.0)
@@ -173,7 +169,7 @@ class TestToeplitzHankelBuilders:
         sym = RationalSymbol.from_laurent(
             {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in range(-3, 4)})
         A = tto_matrix(u_generic, v_generic, sym)
-        disp = (A - shift(v_generic) @ A @ shift(u_generic).adjoint()).matrix
+        disp = (A - tm_basis(v_generic).shift @ A @ tm_basis(u_generic).shift.adjoint()).matrix
         # the displacement has rank at most two (kernel directions)
         svals = np.linalg.svd(disp, compute_uv=False)
         assert svals[2:].max(initial=0.0) < 1e-10
@@ -181,7 +177,7 @@ class TestToeplitzHankelBuilders:
     def test_cu_symmetry(self, u_generic):
         sym = RationalSymbol.from_laurent({-2: 1j, 0: 0.3, 1: -0.4})
         A = tto_matrix(u_generic, u_generic, sym)
-        c = conjugation_C(u_generic)
+        c = tm_basis(u_generic).conjugation_C
         assert np.max(np.abs((c @ A @ c).matrix - A.adjoint().matrix)) < 1e-10
 
 
@@ -235,17 +231,17 @@ class TestBlockBuilds:
         z = RationalSymbol.monomial(1)
         want = pairing_matrix(Block.of(*[z * f for f in space.functions]),
                               Block.of(*space.functions))
-        assert np.max(np.abs(shift(u_generic).matrix - want)) <= 1e-13
+        assert np.max(np.abs(tm_basis(u_generic).shift.matrix - want)) <= 1e-13
 
     def test_conjugations_match_symbol_lists(self, u_generic):
         space = tm_basis(u_generic)
         usym = u_generic.as_symbol()
         want = pairing_matrix(Block.of(*[usym * f.hat().flip() for f in space.functions]),
                               Block.of(*space.functions))
-        assert np.max(np.abs(conjugation_C(u_generic).matrix - want)) <= 1e-13
+        assert np.max(np.abs(tm_basis(u_generic).conjugation_C.matrix - want)) <= 1e-13
         want = pairing_matrix(Block.of(*[f.hat() for f in space.functions]),
                               Block.of(*tm_basis(u_generic.hat()).functions))
-        assert np.max(np.abs(conjugation_U(u_generic).matrix - want)) <= 1e-13
+        assert np.max(np.abs(tm_basis(u_generic).conjugation_U.matrix - want)) <= 1e-13
 
 
 # -- the pairing builds of the shift, the conjugations and the Toeplitz and
@@ -317,17 +313,17 @@ class TestExactBuilders:
     @pytest.mark.parametrize("kind", ["zeros-at-0", "repeated", "interleaved", "blocked"])
     def test_match_the_pairing_builds(self, kind, n):
         u = _exact_build_input(kind, n)
-        builds = {"shift": (shift, _reference_shift),
-                  "C": (conjugation_C, _reference_conjugation_C),
-                  "U": (conjugation_U, lambda u: _reference_hat_map(u, u.hat()))}
+        builds = {"shift": ("shift", _reference_shift),
+                  "C": ("conjugation_C", _reference_conjugation_C),
+                  "U": ("conjugation_U", lambda u: _reference_hat_map(u, u.hat()))}
         if kind in ("interleaved", "blocked"):
             assert u.is_real_symmetric()
-            builds["U_on"] = (conjugation_U_on, lambda u: _reference_hat_map(u, u))
-            builds["D"] = (symmetric_involution, _reference_symmetric_involution)
+            builds["U_on"] = ("conjugation_U_on", lambda u: _reference_hat_map(u, u))
+            builds["D"] = ("symmetric_involution", _reference_symmetric_involution)
         with quadrature.use(quadrature.Evaluation()):
-            for name, (build, reference) in builds.items():
+            for name, (attr, reference) in builds.items():
                 with quadrature.tally() as own:
-                    got = build(u).matrix
+                    got = getattr(tm_basis(u), attr).matrix
                 assert own.pairings == 0, name
                 gap = np.max(np.abs(got - reference(u)))
                 assert gap <= 1e-13, (name, gap)
@@ -347,7 +343,7 @@ class TestExactBuilders:
             with pytest.raises(NoConvergence):
                 _reference_conjugation_C(u)
             pairings = ev.stats.pairings
-            C, S, D = conjugation_C(u), shift(u), symmetric_involution(u)
+            C, S, D = tm_basis(u).conjugation_C, tm_basis(u).shift, tm_basis(u).symmetric_involution
             assert ev.stats.pairings == pairings
         eye = np.eye(8)
         assert np.max(np.abs(C.matrix.conj().T @ C.matrix - eye)) <= 1e-13
@@ -446,7 +442,7 @@ def _reference_sedlock(u, alpha, phi, c=0.0):
     else:
         out = tto_matrix(u, u, phi.rep())
         if alpha.value != 0:
-            scphi = shift(u).apply(conjugation_C(u).apply(phi))
+            scphi = tm_basis(u).shift.apply(tm_basis(u).conjugation_C.apply(phi))
             out = out + alpha.value * tto_matrix(u, u, scphi.rep().conj_circle())
     return out + complex(c) * OperatorMatrix.identity(phi.space)
 
@@ -467,13 +463,13 @@ class TestSedlockOp:
 
     def test_shift_is_class_zero_member(self, u2):
         phi = tm_basis(u2).element([0.0, 1.0])       # the function z
-        assert np.allclose(sedlock_op(u2, 0.0, phi).matrix, shift(u2).matrix,
+        assert np.allclose(sedlock_op(u2, 0.0, phi).matrix, tm_basis(u2).shift.matrix,
                            atol=1e-12)
 
     def test_infinity_gives_adjoint_shift(self, u2):
         phi = tm_basis(u2).element([0.0, 1.0])
         got = sedlock_op(u2, ExtendedScalar.infinity(), phi)
-        assert np.allclose(got.matrix, shift(u2).adjoint().matrix, atol=1e-12)
+        assert np.allclose(got.matrix, tm_basis(u2).shift.adjoint().matrix, atol=1e-12)
 
     def test_constant_only(self, u_generic):
         phi = tm_basis(u_generic).element(np.zeros(3))
@@ -517,11 +513,11 @@ class TestCoordinateBuildDispatch:
 class TestFunctionalCalculus:
     def test_identity_function(self, u_generic):
         got = functional_calculus(u_generic, 0.0, RationalSymbol.monomial(1))
-        assert np.max(np.abs(got.matrix - shift(u_generic).matrix)) < 1e-10
+        assert np.max(np.abs(got.matrix - tm_basis(u_generic).shift.matrix)) < 1e-10
 
     def test_square_matches_matrix_power(self, u3):
         got = functional_calculus(u3, 0.0, RationalSymbol.monomial(2))
-        want = np.linalg.matrix_power(shift(u3).matrix, 2)
+        want = np.linalg.matrix_power(tm_basis(u3).shift.matrix, 2)
         assert np.max(np.abs(got.matrix - want)) < 1e-10
 
     def test_polynomial_matches_power_sum_inside(self, u_generic):
@@ -582,7 +578,7 @@ class TestCalculusOracle:
         assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
     def test_infinity_is_adjoint_polynomial_of_shift(self, u_generic):
-        s = shift(u_generic).matrix
+        s = tm_basis(u_generic).shift.matrix
         want = (0.6 * np.eye(3) + s - 0.3j * s @ s).conj().T
         got = functional_calculus(u_generic, ExtendedScalar.infinity(),
                                   RationalSymbol.polynomial([0.6, 1.0, -0.3j]))
@@ -601,23 +597,23 @@ class TestCalculusOracle:
 
 class TestInvolution:
     def test_monomial(self, u2):
-        d = symmetric_involution(u2)
+        d = tm_basis(u2).symmetric_involution
         assert not d.antilinear
         assert np.allclose(d.matrix, [[0, 1], [1, 0]], atol=1e-12)
 
     def test_matches_hankel_of_conjugated_generator(self, u_sym):
-        d = symmetric_involution(u_sym)
+        d = tm_basis(u_sym).symmetric_involution
         h = tho_matrix(u_sym, u_sym, u_sym.conj_symbol())
         assert np.max(np.abs(d.matrix - h.matrix)) < 1e-9
 
     def test_involution_and_self_adjoint(self, u_sym):
-        d = symmetric_involution(u_sym)
+        d = tm_basis(u_sym).symmetric_involution
         assert np.max(np.abs((d @ d).matrix - np.eye(3))) < 1e-10
         assert np.max(np.abs(d.matrix - d.adjoint().matrix)) < 1e-10
 
     def test_requires_real_symmetry(self, u_generic):
         with pytest.raises(NotRealSymmetric):
-            symmetric_involution(u_generic)
+            tm_basis(u_generic).symmetric_involution
 
 
 class TestRankOneOperatorIdentities:

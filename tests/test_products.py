@@ -10,7 +10,6 @@ from truncops import (
     atho_product_tto_test,
     atto_product_test,
     conj_kernel,
-    conjugation_U,
     equivalence_transforms,
     functional_calculus,
     hat_transport_checks,
@@ -24,9 +23,7 @@ from truncops import (
     project,
     rank_one,
     sedlock_op,
-    shift,
     spectral_multiplier,
-    symmetric_involution,
     tho_matrix,
     tho_product_symbol_forms,
     tho_product_tto_test,
@@ -144,7 +141,7 @@ class TestHankelProduct:
         assert ExtendedScalar.of(pv.witness).isclose(ExtendedScalar.finite(0.09), 1e-8)
 
     def test_scalar_involution_case(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         w = u_sym * u_sym.hat()
         other = tho_matrix(u_sym, u_sym,
                            tm_basis(w).random_element(rng).rep().conj_circle())
@@ -154,7 +151,7 @@ class TestHankelProduct:
         assert pv.witness == pytest.approx(2.0)
 
     def test_clark_class_pair(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         cdat = clark_points(u_sym, np.exp(0.8j))
         m1 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         m2 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -165,7 +162,7 @@ class TestHankelProduct:
         assert prod_rep.matches(pv.details["left_class"])
 
     def test_mismatch(self, u_sym):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         B1 = functional_calculus(u_sym, 0.3, RationalSymbol.polynomial([1.0, 0.4])) @ dop
         B2 = dop @ functional_calculus(u_sym, -0.6j, RationalSymbol.polynomial([0.7, 1.0]))
         pv = tho_product_tto_test(B1, B2)
@@ -175,7 +172,7 @@ class TestHankelProduct:
 class TestSymbolForms:
     def test_inside_regime_product_identity(self, u_sym):
         a0 = 0.4
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         p1 = RationalSymbol.polynomial([0.8, 0.5, 0.3])
         p2 = RationalSymbol.polynomial([1.1, -0.2, 0.15j])
         B1 = functional_calculus(u_sym, a0, p1) @ dop
@@ -189,16 +186,16 @@ class TestSymbolForms:
         assert np.max(np.abs((B1 @ B2).matrix - want.matrix)) < 1e-9
 
     def test_alpha_zero_shift_square(self, u_sym):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         z = RationalSymbol.monomial(1)
         B1 = functional_calculus(u_sym, 0.0, z) @ dop
         B2 = dop @ functional_calculus(u_sym, 0.0, z)
-        want = np.linalg.matrix_power(shift(u_sym).matrix, 2)
+        want = np.linalg.matrix_power(tm_basis(u_sym).shift.matrix, 2)
         assert np.max(np.abs((B1 @ B2).matrix - want)) < 1e-10
 
     def test_outside_regime(self, u_sym):
         a1 = 1.0 / np.conj(0.4 + 0.2j)
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         p1 = RationalSymbol.polynomial([0.8, 0.5])
         p2 = RationalSymbol.polynomial([1.1, -0.2])
         B1 = functional_calculus(u_sym, a1, p1) @ dop
@@ -208,7 +205,7 @@ class TestSymbolForms:
         assert cert.product_residual < 1e-9
 
     def test_unimodular_regime_product_identity(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         cdat = clark_points(u_sym, np.exp(1.2j))
         m1 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         m2 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
@@ -220,7 +217,7 @@ class TestSymbolForms:
     def test_infinity_regime_product_identity(self):
         # factors p(S)* sit in the antianalytic class at infinity
         u = random_inner(np.random.default_rng(5), 4, real_symmetric=True)
-        dop = symmetric_involution(u)
+        dop = tm_basis(u).symmetric_involution
         m1 = functional_calculus(u, 0.0, RationalSymbol.polynomial([0.6, 1.0, -0.3j, 0.2]))
         m2 = functional_calculus(u, 0.0, RationalSymbol.polynomial([1.1, 0.4j, 0.5, -0.7]))
         cert = tho_product_symbol_forms(m1.adjoint() @ dop, dop @ m2.adjoint())
@@ -231,7 +228,7 @@ class TestSymbolForms:
 
     def test_product_gate(self, u_sym, monkeypatch):
         # a product form that misses B1 B2 is refused, though both fits pass
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         B1 = functional_calculus(u_sym, 0.4, RationalSymbol.polynomial([0.8, 0.5])) @ dop
         B2 = dop @ functional_calculus(u_sym, 0.4, RationalSymbol.polynomial([1.1, -0.2]))
         exact = products.functional_calculus
@@ -240,8 +237,24 @@ class TestSymbolForms:
         with pytest.raises(NoCertificate, match="product symbol residual"):
             tho_product_symbol_forms(B1, B2)
 
+    def test_a_nan_fit_residual_is_refused(self, u_sym, monkeypatch):
+        # a NaN right residual beside a finite left one, which max(lres, rres)
+        # would drop
+        dop = tm_basis(u_sym).symmetric_involution
+        B1 = functional_calculus(u_sym, 0.4, RationalSymbol.polynomial([0.8, 0.5])) @ dop
+        B2 = dop @ functional_calculus(u_sym, 0.4, RationalSymbol.polynomial([1.1, -0.2]))
+        fit = products.class_multipliers
+
+        def nan_right(alpha, *members):
+            level, multipliers, (lres, _) = fit(alpha, *members)
+            return level, multipliers, [lres, np.nan]
+
+        monkeypatch.setattr(products, "class_multipliers", nan_right)
+        with pytest.raises(NoCertificate, match="class-multiplier"):
+            tho_product_symbol_forms(B1, B2)
+
     def test_involution_multiple_excluded(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         w = u_sym * u_sym.hat()
         other = tho_matrix(u_sym, u_sym,
                            tm_basis(w).random_element(rng).rep().conj_circle())
@@ -268,7 +281,7 @@ class TestMixedProduct:
 
     def test_matched_classes_both_orders(self, u_sym, rng):
         a0 = 0.3 - 0.25j
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         A = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.5, 1.0, 0.2]))
         M = functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.0, -0.3]))
         for order, B in (("AB", M @ dop), ("BA", dop @ M)):
@@ -276,7 +289,7 @@ class TestMixedProduct:
             assert pv.in_class and pv.direct, order
 
     def test_mismatch_consistent(self, u_sym):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         A = functional_calculus(u_sym, 0.2, RationalSymbol.polynomial([0.3, 1.0]))
         B = functional_calculus(u_sym, 0.8j, RationalSymbol.polynomial([1.0, -0.4])) @ dop
         pv = mixed_product_test(A, B, "AB")
@@ -340,7 +353,7 @@ class TestSymbolBlocks:
         u, v, w = _three_spaces(kind, n, rng)
         psi1 = _atho_symbol(v, w, rng)
         _, tail = symbol_blocks(psi1, v, w)
-        _assert_read_matches(conjugation_U(w.hat()).apply(tail),
+        _assert_read_matches(tm_basis(w.hat()).conjugation_U.apply(tail),
                              _reference_product_f1(psi1, v, w))
 
     @pytest.mark.parametrize("n, kind", SPACE_CASES)
@@ -365,7 +378,7 @@ class TestSymbolBlocks:
         u, v, w = _three_spaces(kind, n, rng)
         psi = _atho_symbol(u, v, rng)
         head, _ = symbol_blocks(psi, u, v)
-        _assert_read_matches(conjugation_U(u).apply(head), _reference_th_f2(psi, u))
+        _assert_read_matches(tm_basis(u).conjugation_U.apply(head), _reference_th_f2(psi, u))
 
     def test_symbol_in_swapped_space_raises(self, u_generic, v_generic, rng):
         w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
@@ -410,7 +423,7 @@ class TestAsymHankelProduct:
         assert pv.direct == is_tto(prod, recover=False).is_member
 
     def test_true_instance_from_class_pair(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         a0 = 0.4
         B1 = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5])) @ dop
         B2 = dop @ functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2]))
@@ -423,7 +436,7 @@ class TestAsymHankelProduct:
         # identity and the two cross-decomposition witnesses coincide
         cdat = clark_points(u_sym, np.exp(0.8j))
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        B = symmetric_involution(u_sym) @ spectral_multiplier(u_sym, cdat, phases)
+        B = tm_basis(u_sym).symmetric_involution @ spectral_multiplier(u_sym, cdat, phases)
         s = is_tho(B)
         prod = tho_matrix(u_sym, u_sym, s.symbol) @ tho_matrix(u_sym, u_sym, s.symbol.hat())
         assert np.max(np.abs(prod.matrix - np.eye(3))) < 1e-9
@@ -459,7 +472,7 @@ class TestAsymMixedProduct:
 
     def test_true_instances_both_orders(self, u_sym, rng):
         a0 = 0.3
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         A = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.5, 1.0, 0.2]))
         mA = is_tto(A)
         for order, B in (("hankel_toeplitz",
@@ -502,7 +515,7 @@ class TestProductChains:
         assert all(res["hankel"]) and all(res["toeplitz"])
 
     def test_true_instance(self, u_sym, rng):
-        dop = symmetric_involution(u_sym)
+        dop = tm_basis(u_sym).symmetric_involution
         a0 = 0.4
         B1 = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5])) @ dop
         B2 = dop @ functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2]))

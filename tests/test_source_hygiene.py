@@ -3,10 +3,13 @@
 Every module imports at its top, so the layering of the package is visible
 in its import lines, and imports only names it uses.  The package
 ``__init__`` re-exports what it imports, and ``from __future__`` imports are
-directives, so both are exempt from the unused-name rule.
+directives, so both are exempt from the unused-name rule.  The per-generator
+operators live on the basis of K_u, so no module function only reads one
+off `tm_basis`.  The Python examples of README.md run.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ import pytest
 import truncops
 
 MODULES = sorted(Path(truncops.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -77,3 +81,50 @@ def test_the_checks_see_what_they_look_for():
                      "def f(a: 'y') -> None:\n    import os\n    return os, 'z'\n")
     assert _imported_names(tree) == {"json": 1, "y": 2, "z": 2, "os": 4}
     assert {"y", "os"} <= _used_names(tree) and not {"json", "z"} & _used_names(tree)
+
+
+def _basis_readers(tree: ast.Module) -> list[str]:
+    """The module-level functions whose body, past a docstring, is one
+    ``return tm_basis(<arg>).<attr>``."""
+    found = []
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        body = func.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        value = body[0].value
+        if (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Call)
+                and isinstance(value.value.func, ast.Name) and value.value.func.id == "tm_basis"):
+            found.append(func.name)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_only_reads_a_basis_attribute(path):
+    # callers read the attribute off the basis they hold, or off tm_basis(u)
+    found = _basis_readers(_tree(path))
+    assert not found, f"{path.name} wraps basis attributes: {found}"
+
+
+def test_the_basis_rule_sees_a_wrapper():
+    tree = ast.parse("def shift(u):\n    'doc'\n    return tm_basis(u).shift\n"
+                     "def kernel0(u):\n    space = tm_basis(u)\n    return space.kernel0\n"
+                     "class B:\n    def k(self, u):\n        return tm_basis(u).k0\n")
+    assert _basis_readers(tree) == ["shift"]
+
+
+def _readme_examples() -> list[str]:
+    """The python blocks of README.md, each padded so its lines keep their numbers."""
+    text = README.read_text()
+    return ["\n" * text.count("\n", 0, m.start(1)) + m.group(1)
+            for m in re.finditer(r"^```python\n(.*?)^```", text, re.M | re.S)]
+
+
+def test_readme_examples_run():
+    examples = _readme_examples()
+    assert examples
+    for code in examples:
+        exec(compile(code, str(README), "exec"), {})
