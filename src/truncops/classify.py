@@ -174,15 +174,13 @@ class THOMembership:
     symbol_element: SpaceElement | None     # psi with B = Hankel(conj psi), psi in K_{u hat(v)}
     displacement_residual: float
     rebuild_residual: float | None = None
-    # the generators (u, v) of a certified psi, whose symbol is built on first read
-    _pair: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def symbol(self) -> RationalSymbol | None:
         """conj(psi), built on first read; None unless certified."""
-        if self._pair is None:
+        if self.symbol_element is None:
             return None
-        return hankel_symbol(self.symbol_element, *self._pair).conj_circle()
+        return hankel_symbol(self.symbol_element).conj_circle()
 
 
 def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
@@ -212,10 +210,10 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     # times the basis of K_hat(v), in which hat(part1) has coordinates conj(part1)
     psi = hankel_space(u, v).element(np.concatenate(
         [dom.shift.matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
-    rres = float(np.abs(_element_tho(psi, u, v, exact=False).matrix - B.matrix).max())
+    rres = float(np.abs(_element_tho(psi, exact=False).matrix - B.matrix).max())
     if not _within(rres, REBUILD_TOL, B.matrix):
         return THOMembership(False, None, dec.residual_norm, rres)
-    return THOMembership(True, psi, dec.residual_norm, rres, (u, v))
+    return THOMembership(True, psi, dec.residual_norm, rres)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +316,7 @@ def sedlock_class(A: OperatorMatrix) -> SedlockReport:
 def spectral_values(A: OperatorMatrix, points) -> np.ndarray:
     """Diagonal values of a class member at level points, such as the Clark
     points: q* A q over the normalized kernels q there."""
-    q = unit_kernels(A.domain.generator, points)
+    q = unit_kernels(A.domain, points)
     return np.sum(np.conj(q) * (q @ A.matrix.T), axis=1)
 
 

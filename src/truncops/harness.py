@@ -24,6 +24,7 @@ from .modelspace import (
     GRAM_TOL,
     OperatorMatrix,
     SpaceElement,
+    _hankel_parts,
     boundary_kernel_symbol,
     conj_kernel,
     conj_kernel_symbol,
@@ -437,7 +438,7 @@ def check_clark_unitary(p: ProblemSpec) -> TrialResult:
     cdat = clark_points(u, alpha)
     evals, evecs = np.linalg.eig(sa.matrix)
     align = 0.0
-    for point, q in zip(cdat.points, unit_kernels(u, cdat.points)):
+    for point, q in zip(cdat.points, unit_kernels(sa.domain, cdat.points)):
         i = int(np.argmin(np.abs(evals - point)))
         vec = evecs[:, i] / np.linalg.norm(evecs[:, i])
         align = max(align, 1.0 - abs(np.vdot(q, vec)))
@@ -475,7 +476,7 @@ def check_membership_transport(p: ProblemSpec) -> TrialResult:
         ("tho", tho_matrix(u, v, sym)),
         ("random", _random_matrix_op(rng, tm_basis(u), tm_basis(v))),
     ):
-        trans = products.membership_transports(u, v, M)
+        trans = products.membership_transports(M)
         agree = all(a == b for a, b in trans.values())
         results[name] = {k: f"{a}->{b}" for k, (a, b) in trans.items()}
         ok = ok and agree
@@ -488,9 +489,9 @@ def check_involution_identities(p: ProblemSpec) -> TrialResult:
     alpha = p.param_c("alpha")
     sym = p.rational()
     gaps = products.involution_identity_checks(u, alpha, v, sym)
-    hat = products.hat_transport_checks(u, alpha, tm_basis(u).random_element(rng),
+    hat = products.hat_transport_checks(alpha, tm_basis(u).random_element(rng),
                                         p.param_c("c"))
-    inf_hat = products.hat_transport_checks(u, ExtendedScalar.infinity(),
+    inf_hat = products.hat_transport_checks(ExtendedScalar.infinity(),
                                             tm_basis(u).random_element(rng))
     resid = _mx(*gaps.values(), hat.get("shift_transport_residual", 0.0),
                 hat.get("shift_conjugation_residual", 0.0))
@@ -504,7 +505,7 @@ def _unitary_hankel(u: InnerFunction, rng) -> OperatorMatrix:
     alpha = _unit(rng)
     cdat = clark_points(u, alpha)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, u.degree))
-    return tm_basis(u).symmetric_involution @ spectral_multiplier(u, cdat, phases)
+    return tm_basis(u).symmetric_involution @ spectral_multiplier(cdat, phases)
 
 
 def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> SpaceElement:
@@ -513,7 +514,7 @@ def _atho_symbol(a: InnerFunction, b: InnerFunction, rng) -> SpaceElement:
 
 
 def _generic_hankel(u: InnerFunction, v: InnerFunction, rng) -> OperatorMatrix:
-    return _element_tho(_atho_symbol(u, v, rng), u, v)
+    return _element_tho(_atho_symbol(u, v, rng))
 
 
 def check_hankel_unitary(p: ProblemSpec) -> TrialResult:
@@ -586,8 +587,8 @@ def check_hankel_zero_product(p: ProblemSpec) -> TrialResult:
     v2 = np.zeros(n, dtype=complex)
     v1[:cut] = np.exp(1j * rng.uniform(0, 2 * np.pi, cut))
     v2[cut:] = np.exp(1j * rng.uniform(0, 2 * np.pi, n - cut))
-    B1 = dop @ spectral_multiplier(u, cdat, v1)
-    B2 = spectral_multiplier(u, cdat, v2) @ dop
+    B1 = dop @ spectral_multiplier(cdat, v1)
+    B2 = spectral_multiplier(cdat, v2) @ dop
     zp = classify.zero_product_analysis(B1, B2)
     r["clark_zero"] = zp.residuals["product_norm"]
     r["clark_verdict"] = zp.product_is_zero and zp.classes_match and bool(
@@ -626,10 +627,8 @@ def _class_hankel_pair(u: InnerFunction, alpha: ExtendedScalar, rng):
     n = u.degree
     if not alpha.is_infinity and abs(alpha.modulus() - 1.0) < 1e-9:
         cdat = clark_points(u, alpha.value)
-        m1 = spectral_multiplier(u, cdat,
-                                 rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        m2 = spectral_multiplier(u, cdat,
-                                 rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        m1 = spectral_multiplier(cdat, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        m2 = spectral_multiplier(cdat, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     else:
         p1 = RationalSymbol.polynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         p2 = RationalSymbol.polynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -759,11 +758,12 @@ def check_atto_product(p: ProblemSpec) -> TrialResult:
     return TrialResult(ok, 0.0 if ok else 1.0, r)
 
 
-def hatted_symbol(psi: SpaceElement, a: InnerFunction, b: InnerFunction) -> SpaceElement:
-    """hat(psi) for psi in K_{b hat(a)}, in the a-first basis of K_{a hat(b)}: its
-    coordinates conj(psi) are in that basis with the two zero blocks swapped."""
-    space = hankel_space(a, b)
-    order = [*range(a.degree, space.dim), *range(a.degree)]
+def hatted_symbol(psi: SpaceElement) -> SpaceElement:
+    """hat(psi) for psi in `hankel_space(b, a)`, in `hankel_space(a, b)`: there
+    its coordinates are conj(psi) with the two zero blocks swapped."""
+    b_space, _, a_space = _hankel_parts(psi)
+    space = hankel_space(a_space.generator, b_space.generator)
+    order = [*range(a_space.dim, space.dim), *range(a_space.dim)]
     return space.element(reorder(space.generator, order) @ np.conj(psi.coords))
 
 
@@ -771,12 +771,10 @@ def check_atho_product_toeplitz(p: ProblemSpec) -> TrialResult:
     u, v, w = p.inner_u(), p.inner_v(), p.inner_w()
     rng = np.random.default_rng(p.seed)
     r = {}
-    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng),
-                                        _atho_symbol(u, v, rng), u, v, w)
+    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng), _atho_symbol(u, v, rng))
     r["random_consistent"] = pv.consistent
     # zero second factor
-    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng),
-                                        kernel(hankel_space(u, v).generator, 0.0), u, v, w)
+    pv = products.atho_product_tto_test(_atho_symbol(v, w, rng), hankel_space(u, v).kernel0)
     r["zero_factor"] = pv.in_class and pv.direct
     ok = all(bool(x) for x in r.values())
     return TrialResult(ok, 0.0 if ok else 1.0, r)
@@ -792,15 +790,14 @@ def check_atho_product_true(p: ProblemSpec) -> TrialResult:
     s2 = classify.is_tho(B2)
     if not (s1.is_member and s2.is_member):
         return TrialResult(False, 1.0, {"error": "construction not Hankel"})
-    pv = products.atho_product_tto_test(s1.symbol_element, s2.symbol_element, u, u, u)
+    pv = products.atho_product_tto_test(s1.symbol_element, s2.symbol_element)
     r = {"in_class": pv.in_class, "direct": pv.direct, "residual": pv.lhs_residual}
     # equal-witness specialization: a unitary factor against its adjoint
     Bu = _unitary_hankel(u, rng)
     su = classify.is_tho(Bu)
     if not su.is_member:
         return TrialResult(False, 1.0, dict(r, error="unitary factor not Hankel"))
-    pv2 = products.atho_product_tto_test(su.symbol_element,
-                                         hatted_symbol(su.symbol_element, u, u), u, u, u)
+    pv2 = products.atho_product_tto_test(su.symbol_element, hatted_symbol(su.symbol_element))
     r["adjoint_pair"] = pv2.in_class and pv2.direct
     gap = np.inf
     if pv2.in_class:
@@ -817,20 +814,18 @@ def check_atho_atto_product(p: ProblemSpec) -> TrialResult:
     r = {}
     pv = products.atho_atto_product_test(
         _atho_symbol(v, w, rng), tm_basis(v).random_element(rng), tm_basis(u).random_element(rng),
-        u, v, w, "hankel_toeplitz")
+        "hankel_toeplitz")
     r["random_ht_consistent"] = pv.consistent
     pv = products.atho_atto_product_test(
         _atho_symbol(u, v, rng), tm_basis(w).random_element(rng), tm_basis(v).random_element(rng),
-        u, v, w, "toeplitz_hankel")
+        "toeplitz_hankel")
     r["random_th_consistent"] = pv.consistent
     # adjoint transport: the reversed-order criterion run on adjoint data
     psi3 = _atho_symbol(u, v, rng)
     psi1 = tm_basis(w).random_element(rng)
     psi2 = tm_basis(v).random_element(rng)
-    pv_th = products.atho_atto_product_test(psi3, psi1, psi2, u, v, w,
-                                            "toeplitz_hankel")
-    pv_adj = products.atho_atto_product_test(hatted_symbol(psi3, v, u), psi2, psi1, w, v, u,
-                                             "hankel_toeplitz")
+    pv_th = products.atho_atto_product_test(psi3, psi1, psi2, "toeplitz_hankel")
+    pv_adj = products.atho_atto_product_test(hatted_symbol(psi3), psi2, psi1, "hankel_toeplitz")
     r["adjoint_agreement"] = pv_th.direct == pv_adj.direct and pv_th.in_class == pv_adj.in_class
     ok = all(bool(x) for x in r.values())
     return TrialResult(ok, 0.0 if ok else 1.0, r)
@@ -852,14 +847,12 @@ def check_atho_atto_true(p: ProblemSpec) -> TrialResult:
     if not (mA.is_member and mB.is_member):
         return TrialResult(False, 1.0, {"error": "construction failed"})
     pv1 = products.atho_atto_product_test(mB.symbol_element, mA.analytic_part,
-                                          mA.conjugate_part, u, u, u,
-                                          "hankel_toeplitz")
+                                          mA.conjugate_part, "hankel_toeplitz")
     B_th = functional_calculus(u, alpha, RationalSymbol.polynomial(
         rng.standard_normal(n) + 1j * rng.standard_normal(n))) @ dop
     mB2 = classify.is_tho(B_th)
     pv2 = products.atho_atto_product_test(mB2.symbol_element, mA.analytic_part,
-                                          mA.conjugate_part, u, u, u,
-                                          "toeplitz_hankel")
+                                          mA.conjugate_part, "toeplitz_hankel")
     r = {"hankel_toeplitz": (pv1.in_class, pv1.direct),
          "toeplitz_hankel": (pv2.in_class, pv2.direct)}
     ok = pv1.in_class and pv1.direct and pv2.in_class and pv2.direct
@@ -871,8 +864,8 @@ def check_product_chain(p: ProblemSpec) -> TrialResult:
     rng = np.random.default_rng(p.seed)
     psi1 = _atho_symbol(v, w, rng)
     psi2 = _atho_symbol(u, v, rng)
-    res = products.membership_transport_chain(hankel_symbol(psi1, v, w).conj_circle(),
-                                              hankel_symbol(psi2, u, v).conj_circle(),
+    res = products.membership_transport_chain(hankel_symbol(psi1).conj_circle(),
+                                              hankel_symbol(psi2).conj_circle(),
                                               u, v, w)
     r = {"hankel_chain": res["hankel"], "toeplitz_chain": res["toeplitz"]}
     ok = len(set(res["hankel"])) == 1 and len(set(res["toeplitz"])) == 1
@@ -893,7 +886,7 @@ def check_cross_space_unitary(p: ProblemSpec) -> TrialResult:
     alpha = _unit(rng)
     cdat = clark_points(u, alpha)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, u.degree))
-    mult = spectral_multiplier(u, cdat, phases)
+    mult = spectral_multiplier(cdat, phases)
     space = tm_basis(u)
     cu, uu = space.conjugation_C, space.conjugation_U
     B = uu @ cu @ mult                                      # K_u -> K_uhat
@@ -911,8 +904,8 @@ def check_cross_space_unitary(p: ProblemSpec) -> TrialResult:
     v2 = np.zeros(n, dtype=complex)
     v1[:cut] = 1.0
     v2[cut:] = 1.0
-    B1 = cu @ spectral_multiplier(u, cdat, v1) @ uu.codomain.conjugation_U
-    B2 = uu @ spectral_multiplier(u, cdat, v2) @ cu
+    B1 = cu @ spectral_multiplier(cdat, v1) @ uu.codomain.conjugation_U
+    B2 = uu @ spectral_multiplier(cdat, v2) @ cu
     zp = classify.cross_space_zero_product(B1, B2)
     r["zero_product"] = (zp.product_is_zero, zp.classes_match,
                          bool(zp.multiplier_product_vanishes))

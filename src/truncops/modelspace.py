@@ -33,11 +33,11 @@ origin (as arrays and as elements with their conjugates and squared norms),
 the compressed shift and its adjoint, the conjugations and the involution,
 each built on first read.  They have no other home: a caller reads them
 off the bases of the operators it holds, or off `tm_basis(u)`.  The basis of
-K_{a hat(b)} that `hankel_space` returns also holds the bases of K_a,
-K_hat(b) and K_b.  The two blocks of a basis (the basis and the flipped
-basis J e_k) cache their conjugates, the conjugated side of every pairing
-against the basis.  All are read-only, so they are safe to share between
-threads.
+K_{a hat(b)} that `hankel_space` builds per pair holds the bases of K_a,
+K_hat(b) and K_b from construction, so psi carries its pair.  The two
+blocks of a basis (the basis and the flipped basis J e_k) cache their
+conjugates, the conjugated side of every pairing against the basis.  All
+are read-only, so they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -63,12 +63,9 @@ class ModelSpaceBasis:
     For u = z^n this is the monomial basis {1, z, ..., z^(n-1)}.
     """
 
-    # on the basis of K_{a hat(b)}, the bases of K_a, K_hat(b) and K_b, set by
-    # the first `hankel_space` build of a pair whose product it is
-    hankel_parts: tuple | None = None
-
-    def __init__(self, generator: InnerFunction):
+    def __init__(self, generator: InnerFunction, hankel_parts: tuple | None = None):
         self.generator = generator
+        self.hankel_parts = hankel_parts    # K_a, K_hat(b), K_b on `hankel_space(a, b)`
         n = len(generator.zeros)
         # per grid, the values and prod_j b_j over every zero factor
         self._value_cache: dict[int, tuple] = {}
@@ -314,50 +311,43 @@ def tm_basis(u: InnerFunction) -> ModelSpaceBasis:
 def hankel_space(a: InnerFunction, b: InnerFunction) -> ModelSpaceBasis:
     """The a-first basis of K_{a hat(b)}, where psi lives for the Hankel operator
     K_a -> K_b with symbol conj(psi); memoized in the current evaluation, so a
-    repeated pair builds no product generator.  It holds the bases of K_a,
-    K_hat(b) and K_b (``hankel_parts``) for the readers of psi."""
-    space = tm_basis(a * b.hat())
-    if space.hankel_parts is None:
-        space.hankel_parts = (tm_basis(a), tm_basis(b.hat()), tm_basis(b))
-    return space
+    repeated pair builds no product generator.  Each pair has its own, which
+    holds the bases of K_a, K_hat(b) and K_b (``hankel_parts``) for psi."""
+    return ModelSpaceBasis(a * b.hat(), (tm_basis(a), tm_basis(b.hat()), tm_basis(b)))
 
 
-def _hankel_parts(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> tuple:
-    """The bases of K_a, K_hat(b) and K_b for psi in K_{a hat(b)}, as psi's space
-    holds them.  A space that holds another pair's (an equal product of other
-    factors) or none is checked against `hankel_space(a, b)`; any other space
-    or zero order raises SpaceMismatch."""
+def _hankel_parts(psi: "SpaceElement") -> tuple:
+    """The bases of K_a, K_hat(b) and K_b for psi in `hankel_space(a, b)`, as
+    psi's space holds them; any other space raises SpaceMismatch."""
     parts = psi.space.hankel_parts
-    if parts is not None and parts[0].generator == a and parts[2].generator == b:
-        return parts
-    if psi.space != hankel_space(a, b):
-        raise SpaceMismatch("psi is not in the a-first basis of K_{a hat(b)}")
-    return tm_basis(a), tm_basis(b.hat()), tm_basis(b)
+    if parts is None:
+        raise SpaceMismatch("psi is not in a basis that hankel_space built")
+    return parts
 
 
-def symbol_blocks(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> tuple:
+def symbol_blocks(psi: "SpaceElement") -> tuple:
     """P_a psi and P_hat(b)(conj(a) psi) for psi in K_{a hat(b)}, read off its coordinates.
 
     The a-first basis of K_{a hat(b)} is that of K_a, then a/c_a times that of
     K_hat(b) (Garcia-Mashreghi-Ross 2016), so psi = x + (a/c_a) g gives x and
-    g/c_a.  Any other space or zero order raises SpaceMismatch.
+    g/c_a.  A space that `hankel_space` did not build raises SpaceMismatch.
     """
-    head, tail, _ = _hankel_parts(psi, a, b)
-    n = head.dim
-    return head.element(psi.coords[:n]), tail.element(psi.coords[n:] / a.constant)
+    head, tail, _ = _hankel_parts(psi)
+    x, y = psi.coords[:head.dim], psi.coords[head.dim:]
+    return head.element(x), tail.element(y / head.generator.constant)
 
 
-def hankel_symbol(psi: "SpaceElement", a: InnerFunction, b: InnerFunction) -> RationalSymbol:
+def hankel_symbol(psi: "SpaceElement") -> RationalSymbol:
     """psi in K_{a hat(b)} as a rational symbol, evaluated through its blocks.
 
     With x and y the first deg a and the last deg b coordinates, the grid
     values are E_a x + (prod_j b_j)(E_hat(b) y), the running product over a's
     zero factors read from a's basis grid, so no grid of K_{a hat(b)} is
     evaluated.  The reach is psi's and the coefficients are psi.rep()'s,
-    expanded on the first read.  Any other space or zero order raises
-    SpaceMismatch.
+    expanded on the first read.  A space that `hankel_space` did not build
+    raises SpaceMismatch.
     """
-    head, tail, _ = _hankel_parts(psi, a, b)
+    head, tail, _ = _hankel_parts(psi)
     x, y = psi.coords[:head.dim], psi.coords[head.dim:]
     return RationalSymbol(
         provider=lambda m: head.values(m) @ x + head._running(m) * (tail.values(m) @ y),
@@ -476,9 +466,9 @@ def kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     return space.kernel0 if lam == 0 else SpaceElement(space, np.conj(space.at(lam)))
 
 
-def unit_kernels(u: InnerFunction, points) -> np.ndarray:
+def unit_kernels(space: ModelSpaceBasis, points) -> np.ndarray:
     """Normalized kernel coordinates at each point (e.g. the Clark points), one row each."""
-    rows = np.conj(tm_basis(u).at(np.asarray(points, dtype=complex)))
+    rows = np.conj(space.at(np.asarray(points, dtype=complex)))
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 

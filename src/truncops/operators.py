@@ -276,13 +276,15 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
                  y: SpaceElement | None, exact: bool = True) -> OperatorMatrix:
     """`tto_matrix(u, v, x + conj(y))` from dom = K_u into cod = K_v, for a
     Sarason pair x in K_v and y in K_u, either None for 0, made from their
-    coordinates.
+    coordinates.  A part in another space raises SpaceMismatch.
 
     With exact, a Laurent symbol (every zero of the parts' spaces at 0) takes
     the closed form.  Otherwise the block (E_v x + conj(E_u y)) e_j is formed
     from the basis grids and paired once, with the reach and the bits of
     `tto_by_pairing` on the symbol, which is never built.
     """
+    if (x is not None and x.space != cod) or (y is not None and y.space != dom):
+        raise SpaceMismatch("a Sarason pair needs x in the codomain and y in the domain")
     reach = reduce(Reach.join, [p.space.generator.reach for p in (x, y) if p is not None])
     if exact and reach.rho == math.inf:
         terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
@@ -299,28 +301,27 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
         pairing_matrix(Block(images, reach.times(dom.generator.reach)), cod.block), dom, cod)
 
 
-def _element_tho(psi: SpaceElement, u: InnerFunction, v: InnerFunction,
-                 exact: bool = True) -> OperatorMatrix:
-    """`tho_matrix(u, v, conj(psi))` for psi in K_{u hat(v)} (`hankel_space`),
-    made from its coordinates.
+def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
+    """`tho_matrix(u, v, conj(psi))` for psi in `hankel_space(u, v)`, made from
+    its coordinates; u and v are read off psi's space.
 
     With exact, every zero of u and v at 0 takes the closed form.  Otherwise
     the block conj(psi) e_j is formed from the basis grids, psi through its
     blocks as `hankel_symbol` evaluates it, and paired once against J e_i,
     with the reach and the bits of `tho_by_pairing` on conj(psi).
     """
-    head, tail, cod = _hankel_parts(psi, u, v)
+    head, tail, cod = _hankel_parts(psi)
     reach = psi.space.generator.reach
     if exact and reach.rho == math.inf:
-        return tho_matrix(u, v, hankel_symbol(psi, u, v).conj_circle())
+        return tho_matrix(head.generator, cod.generator, hankel_symbol(psi).conj_circle())
     x, y = psi.coords[:head.dim], psi.coords[head.dim:]
 
     def images(m):
         e = head.values(m)
         return np.conj(e @ x + head._running(m) * (tail.values(m) @ y))[:, None] * e
 
-    return OperatorMatrix(pairing_matrix(Block(images, reach.times(u.reach)), cod.flipped),
-                          head, cod)
+    block = Block(images, reach.times(head.generator.reach))
+    return OperatorMatrix(pairing_matrix(block, cod.flipped), head, cod)
 
 
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
@@ -345,15 +346,16 @@ def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMat
     return OperatorMatrix(mat + complex(c) * np.eye(space.dim, dtype=complex), space, space)
 
 
-def spectral_multiplier(u: InnerFunction, clark: ClarkData, values) -> OperatorMatrix:
-    """sum_j values[j] * (projector onto the boundary kernel at the j-th Clark point).
+def spectral_multiplier(clark: ClarkData, values) -> OperatorMatrix:
+    """sum_j values[j] * (projector onto the boundary kernel at the j-th Clark
+    point), on K_u for the generator u of the Clark data.
 
     Projectors are built from normalized boundary kernels rather than raw
     eigenvectors, which pins phases deterministically.
     """
-    q = unit_kernels(u, clark.points)
+    space = tm_basis(clark.generator)
+    q = unit_kernels(space, clark.points)
     mat = q.T @ (np.asarray(values, dtype=complex)[:, None] * np.conj(q))
-    space = tm_basis(u)
     return OperatorMatrix(mat, space, space)
 
 

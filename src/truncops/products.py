@@ -10,7 +10,8 @@ harness requires them to agree.
 
 Composite conjugate-linear expressions are assembled with the flagged
 composition rule of OperatorMatrix: no hand-derived sign conventions.
-The asymmetric Hankel criteria take each symbol conj(psi) as the element psi:
+The asymmetric Hankel criteria take each symbol conj(psi) as the element psi,
+whose basis carries its pair, and read the generators off their operands:
 projections that are coordinate blocks of psi are read off, the others pair.
 """
 
@@ -35,10 +36,11 @@ from .classify import (
     PARAMETER_TOL,
     REBUILD_TOL,
 )
-from .errors import NoCertificate, NotTTO, SymbolRecoveryFailed
+from .errors import NoCertificate, NotTTO, SpaceMismatch, SymbolRecoveryFailed
 from .modelspace import (
     OperatorMatrix,
     SpaceElement,
+    _hankel_parts,
     hankel_symbol,
     project,
     symbol_blocks,
@@ -116,13 +118,12 @@ def equivalence_transforms(u: InnerFunction, v: InnerFunction,
     }
 
 
-def membership_transports(u: InnerFunction, v: InnerFunction,
-                          M: OperatorMatrix) -> dict[str, tuple[bool, bool]]:
+def membership_transports(M: OperatorMatrix) -> dict[str, tuple[bool, bool]]:
     """The six membership-preserving transports applied to an arbitrary operator.
 
     Each entry is (membership before, membership after); they must agree.
     """
-    su, sv = tm_basis(u), tm_basis(v)
+    su, sv = M.domain, M.codomain
     cu, cv = su.conjugation_C, sv.conjugation_C
     uv = sv.conjugation_U
     uuh = su.conjugation_U.codomain.conjugation_U
@@ -138,10 +139,11 @@ def membership_transports(u: InnerFunction, v: InnerFunction,
     }
 
 
-def hat_transport_checks(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> dict:
-    """Class transport under the coefficient conjugation, plus the two
-    operator identities tying the perturbed shifts across the hat spaces."""
+def hat_transport_checks(alpha, phi: SpaceElement, c=0.0) -> dict:
+    """Class transport under the coefficient conjugation on phi's space K_u, plus
+    the two operator identities tying the perturbed shifts across the hat spaces."""
     alpha = ExtendedScalar.of(alpha)
+    u = phi.space.generator
     A = sedlock_op(u, alpha, phi, c)
     uu = A.domain.conjugation_U                 # K_u -> K_uhat
     uuh = uu.codomain.conjugation_U             # K_uhat -> K_u
@@ -328,25 +330,30 @@ def mixed_product_test(A: OperatorMatrix, B: OperatorMatrix, order: str = "AB") 
     return ProductVerdict(match, direct, alpha if match else None, residual, details)
 
 
-def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement,
-                          u: InnerFunction, v: InnerFunction, w: InnerFunction) -> ProductVerdict:
+def atho_product_tto_test(psi1: SpaceElement, psi2: SpaceElement) -> ProductVerdict:
     """Criterion for a product of two asymmetric Hankel operators to be Toeplitz.
 
-    The factors have the symbols conj(psi1), K_v -> K_w, and conj(psi2),
-    K_u -> K_v, with psi1 in K_{v hat(w)} and psi2 in K_{u hat(v)}.  The
-    condition matrix pairs the conjugation-transported symbols against their
-    bare projections and must cross-decompose at the kernels at zero.  P_u psi2
-    and P_w hat(conj(v) psi1), the hat of a block, are coordinate reads.
+    The factors are conj(psi1), K_v -> K_w, and conj(psi2), K_u -> K_v, for
+    psi1 in `hankel_space(v, w)` and psi2 in `hankel_space(u, v)`, which give
+    u, v and w (another middle space raises SpaceMismatch).  The condition
+    matrix pairs the conjugation-transported symbols against their bare
+    projections and must cross-decompose at the kernels at zero.  P_u psi2 and
+    P_w hat(conj(v) psi1), the hat of a block, are coordinate reads.
     """
-    _, tail1 = symbol_blocks(psi1, v, w)
-    g2, _ = symbol_blocks(psi2, u, v)
-    sym1, sym2 = hankel_symbol(psi1, v, w), hankel_symbol(psi2, u, v)
+    mid, _, cod = _hankel_parts(psi1)
+    dom, _, mid2 = _hankel_parts(psi2)
+    if mid != mid2:
+        raise SpaceMismatch("the Hankel factors do not compose through a common middle space")
+    u, v, w = dom.generator, mid.generator, cod.generator
+    _, tail1 = symbol_blocks(psi1)
+    g2, _ = symbol_blocks(psi2)
+    sym1, sym2 = hankel_symbol(psi1), hankel_symbol(psi2)
     f1 = tail1.space.conjugation_U.apply(tail1)
     g1 = project(u, v.hat().conj_symbol() * sym2)
     f2 = project(w, sym1.hat())
     cond = rank_one(f1, g1) - rank_one(f2, g2)
     dec = cross_decompose(cond, cond.domain.kernel0, cond.codomain.kernel0)
-    prod = _element_tho(psi1, v, w) @ _element_tho(psi2, u, v)
+    prod = _element_tho(psi1) @ _element_tho(psi2)
     direct = is_tto(prod, recover=False).is_member
     return ProductVerdict(dec.success, direct, (dec.left, dec.right), dec.residual_norm)
 
@@ -369,35 +376,43 @@ def symmetric_witness(dec_left: SpaceElement, dec_right: SpaceElement,
 
 
 def atho_atto_product_test(psi: SpaceElement, psi1: SpaceElement, psi2: SpaceElement,
-                           u: InnerFunction, v: InnerFunction, w: InnerFunction,
                            order: str = "hankel_toeplitz") -> ProductVerdict:
     """Criterion for a mixed asymmetric Hankel/Toeplitz product to stay Hankel.
 
     order "hankel_toeplitz": the Hankel factor (symbol conj(psi), psi in
-    K_{v hat(w)}, from K_v to K_w) after the Toeplitz factor (parts psi1 in
-    K_v, psi2 in K_u), with P_hat(w)(conj(v) psi) read off psi.  Order
+    `hankel_space(v, w)`, from K_v to K_w) after the Toeplitz factor (parts
+    psi1 in K_v, psi2 in K_u), with P_hat(w)(conj(v) psi) read off psi.  Order
     "toeplitz_hankel": the Toeplitz factor (parts psi1 in K_w, psi2 in K_v)
-    after the Hankel factor (psi in K_{u hat(v)}, from K_u to K_v), with
-    P_hat(u) hat(psi) read off psi.
+    after the Hankel factor (psi in `hankel_space(u, v)`, from K_u to K_v),
+    with P_hat(u) hat(psi) read off psi.  u, v and w are read off the operands,
+    and a Toeplitz part outside psi's middle space raises SpaceMismatch.
     """
-    vbar = v.conj_symbol()
     if order == "hankel_toeplitz":
-        _, f1 = symbol_blocks(psi, v, w)
-        sym = hankel_symbol(psi, v, w)
-        g1 = project(u, vbar * u.as_symbol() * psi1.rep())
-        f2 = project(w.hat(), sym)
-        g2 = psi2.space.shift.apply(psi2.space.conjugation_C.apply(psi2))
-        prod = _element_tho(psi, v, w) @ _sarason_tto(tm_basis(u), tm_basis(v), psi1, psi2)
+        mid, _, cod = _hankel_parts(psi)
+        dom, middle_part = psi2.space, psi1
     elif order == "toeplitz_hankel":
-        head, _ = symbol_blocks(psi, u, v)
-        sym = hankel_symbol(psi, u, v)
-        f1 = project(u.hat(), vbar * sym.hat())
-        g1 = project(w, vbar * w.as_symbol() * psi2.rep())
-        f2 = head.space.conjugation_U.apply(head)
-        g2 = psi1.space.shift.apply(psi1.space.conjugation_C.apply(psi1))
-        prod = _sarason_tto(tm_basis(v), tm_basis(w), psi1, psi2) @ _element_tho(psi, u, v)
+        dom, _, mid = _hankel_parts(psi)
+        cod, middle_part = psi1.space, psi2
     else:
         raise ValueError(f"unknown order {order!r}")
+    if middle_part.space != mid:
+        raise SpaceMismatch("the Toeplitz factor does not compose through psi's middle space")
+    u, v, w = dom.generator, mid.generator, cod.generator
+    vbar = v.conj_symbol()
+    head, tail = symbol_blocks(psi)
+    sym = hankel_symbol(psi)
+    if order == "hankel_toeplitz":
+        f1 = tail
+        g1 = project(u, vbar * u.as_symbol() * psi1.rep())
+        f2 = project(w.hat(), sym)
+        g2 = dom.shift.apply(dom.conjugation_C.apply(psi2))
+        prod = _element_tho(psi) @ _sarason_tto(dom, mid, psi1, psi2)
+    else:
+        f1 = project(u.hat(), vbar * sym.hat())
+        g1 = project(w, vbar * w.as_symbol() * psi2.rep())
+        f2 = dom.conjugation_U.apply(head)
+        g2 = cod.shift.apply(cod.conjugation_C.apply(psi1))
+        prod = _sarason_tto(mid, cod, psi1, psi2) @ _element_tho(psi)
     cond = rank_one(f1, g1) - rank_one(f2, g2)
     dec = cross_decompose(cond, cond.domain.kernel0, cond.codomain.kernel0)
     direct = is_tho(prod, recover=False).is_member

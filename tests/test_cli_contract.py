@@ -151,7 +151,8 @@ def argvs(draw, files):
     return argv
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_main_returns_a_code_and_never_a_traceback(files, data):
     argv = data.draw(argvs(files))

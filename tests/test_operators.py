@@ -215,16 +215,25 @@ class TestBlockBuilds:
                                               *parts).matrix
             assert np.array_equal(got, want)
 
+    def test_sarason_parts_from_another_space_raise(self, rng):
+        u, v, x = (random_inner(rng, n) for n in (3, 4, 5))
+        dom, cod = tm_basis(u), tm_basis(v)
+        for parts in ((tm_basis(x).random_element(rng), dom.random_element(rng)),
+                      (cod.random_element(rng), tm_basis(x).random_element(rng)),
+                      (dom.random_element(rng), None), (None, cod.random_element(rng))):
+            with pytest.raises(SpaceMismatch):
+                operators._sarason_tto(dom, cod, *parts)
+
     def test_hankel_element_matches_its_symbol(self, u_generic, v_generic, rng):
         psi = hankel_space(u_generic, v_generic).random_element(rng)
         with quadrature.use(quadrature.Evaluation()):
             want = operators.tho_by_pairing(u_generic, v_generic,
-                                            hankel_symbol(psi, u_generic, v_generic).conj_circle())
+                                            hankel_symbol(psi).conj_circle())
         with quadrature.use(quadrature.Evaluation()):
-            got = operators._element_tho(psi, u_generic, v_generic)
+            got = operators._element_tho(psi)
         assert np.array_equal(got.matrix, want.matrix)
         with pytest.raises(SpaceMismatch):
-            operators._element_tho(psi, v_generic, u_generic)
+            operators._element_tho(tm_basis(u_generic * v_generic.hat()).element(psi.coords))
 
     def test_shift_matches_symbol_list(self, u_generic):
         space = tm_basis(u_generic)
@@ -499,7 +508,7 @@ class TestCoordinateBuildDispatch:
                     toeplitz.append(sedlock_op(u, ExtendedScalar.of(alpha), phi))
                 assert own.pairings == 0, alpha
             with quadrature.tally() as own:
-                hankel = operators._element_tho(psi, u, u)
+                hankel = operators._element_tho(psi)
             assert own.pairings == 0
             for A in toeplitz:
                 with quadrature.tally() as own:
@@ -541,7 +550,7 @@ class TestFunctionalCalculus:
 
     def test_spectral_multiplier_projectors(self, u_sym):
         cdat = clark_points(u_sym, 1.0)
-        m = spectral_multiplier(u_sym, cdat, [1.0] * 3)
+        m = spectral_multiplier(cdat, [1.0] * 3)
         assert np.max(np.abs(m.matrix - np.eye(3))) < 1e-10
 
 

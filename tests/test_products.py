@@ -30,11 +30,11 @@ from truncops import (
     tm_basis,
     tto_matrix,
 )
-from truncops import products
-from truncops.operators import clark_points
+from truncops import products, quadrature
+from truncops.operators import _element_tho, clark_points, tho_by_pairing
 from truncops.errors import NoCertificate, SpaceMismatch
 from truncops.harness import hatted_symbol, random_inner
-from truncops.modelspace import symbol_blocks
+from truncops.modelspace import hankel_space, hankel_symbol, symbol_blocks
 from truncops.products import symmetric_witness
 
 
@@ -65,29 +65,29 @@ class TestMembershipTransports:
                   tho_matrix(u_generic, v_generic, sym),
                   OperatorMatrix(rng.standard_normal((2, 3)), tm_basis(u_generic),
                                  tm_basis(v_generic))):
-            trans = membership_transports(u_generic, v_generic, M)
+            trans = membership_transports(M)
             assert all(before == after for before, after in trans.values())
 
 
 class TestHatTransport:
     def test_real_alpha_fixed(self, u2, rng):
-        out = hat_transport_checks(u2, 0.3, tm_basis(u2).random_element(rng))
+        out = hat_transport_checks(0.3, tm_basis(u2).random_element(rng))
         assert out["transport_ok"]
         assert out["shift_transport_residual"] < 1e-9
         assert out["shift_conjugation_residual"] < 1e-9
 
     def test_imaginary_alpha_conjugated(self, u2, rng):
-        out = hat_transport_checks(u2, 0.5j, tm_basis(u2).random_element(rng))
+        out = hat_transport_checks(0.5j, tm_basis(u2).random_element(rng))
         assert out["transport_ok"]
         assert out["transported_class"].alpha.isclose(ExtendedScalar.finite(-0.5j), 1e-8)
 
     def test_alpha_zero_shift_transport(self, u_generic, rng):
-        out = hat_transport_checks(u_generic, 0.0, tm_basis(u_generic).random_element(rng))
+        out = hat_transport_checks(0.0, tm_basis(u_generic).random_element(rng))
         assert out["transport_ok"]
         assert out["shift_transport_residual"] < 1e-9
 
     def test_infinity(self, u_generic, rng):
-        out = hat_transport_checks(u_generic, ExtendedScalar.infinity(),
+        out = hat_transport_checks(ExtendedScalar.infinity(),
                                    tm_basis(u_generic).random_element(rng))
         assert out["transport_ok"]
 
@@ -153,8 +153,8 @@ class TestHankelProduct:
     def test_clark_class_pair(self, u_sym, rng):
         dop = tm_basis(u_sym).symmetric_involution
         cdat = clark_points(u_sym, np.exp(0.8j))
-        m1 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        m2 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        m1 = spectral_multiplier(cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        m2 = spectral_multiplier(cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         pv = tho_product_tto_test(m1 @ dop, dop @ m2)
         assert pv.in_class and pv.direct
         assert abs(ExtendedScalar.of(pv.witness).modulus() - 1.0) < 1e-6
@@ -207,8 +207,8 @@ class TestSymbolForms:
     def test_unimodular_regime_product_identity(self, u_sym, rng):
         dop = tm_basis(u_sym).symmetric_involution
         cdat = clark_points(u_sym, np.exp(1.2j))
-        m1 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        m2 = spectral_multiplier(u_sym, cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        m1 = spectral_multiplier(cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        m2 = spectral_multiplier(cdat, rng.standard_normal(3) + 1j * rng.standard_normal(3))
         cert = tho_product_symbol_forms(m1 @ dop, dop @ m2)
         assert cert.regime == "unimodular"
         assert max(cert.left_residual, cert.right_residual) < 1e-8
@@ -298,7 +298,7 @@ class TestMixedProduct:
 
 def _atho_symbol(a, b, rng):
     """A random psi in K_{a hat(b)}: the Hankel operator K_a -> K_b with symbol conj(psi)."""
-    return tm_basis(a * b.hat()).random_element(rng)
+    return hankel_space(a, b).random_element(rng)
 
 
 def _conj_symbol(psi):
@@ -352,7 +352,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi1 = _atho_symbol(v, w, rng)
-        _, tail = symbol_blocks(psi1, v, w)
+        _, tail = symbol_blocks(psi1)
         _assert_read_matches(tm_basis(w.hat()).conjugation_U.apply(tail),
                              _reference_product_f1(psi1, v, w))
 
@@ -361,7 +361,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi2 = _atho_symbol(u, v, rng)
-        head, _ = symbol_blocks(psi2, u, v)
+        head, _ = symbol_blocks(psi2)
         _assert_read_matches(head, _reference_product_g2(psi2, u))
 
     @pytest.mark.parametrize("n, kind", SPACE_CASES)
@@ -369,7 +369,7 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi = _atho_symbol(v, w, rng)
-        _, tail = symbol_blocks(psi, v, w)
+        _, tail = symbol_blocks(psi)
         _assert_read_matches(tail, _reference_ht_f1(psi, v, w))
 
     @pytest.mark.parametrize("n, kind", SPACE_CASES)
@@ -377,19 +377,73 @@ class TestSymbolBlocks:
         rng = np.random.default_rng(n)
         u, v, w = _three_spaces(kind, n, rng)
         psi = _atho_symbol(u, v, rng)
-        head, _ = symbol_blocks(psi, u, v)
+        head, _ = symbol_blocks(psi)
         _assert_read_matches(tm_basis(u).conjugation_U.apply(head), _reference_th_f2(psi, u))
 
     def test_symbol_in_swapped_space_raises(self, u_generic, v_generic, rng):
         w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         swapped = tm_basis(w.hat() * v_generic).random_element(rng)     # K_{hat(w) v}
         with pytest.raises(SpaceMismatch):
-            atho_product_tto_test(swapped, _atho_symbol(u_generic, v_generic, rng),
-                                  u_generic, v_generic, w)
+            atho_product_tto_test(swapped, _atho_symbol(u_generic, v_generic, rng))
         with pytest.raises(SpaceMismatch):
             atho_atto_product_test(swapped, tm_basis(v_generic).random_element(rng),
-                                   tm_basis(u_generic).random_element(rng),
-                                   u_generic, v_generic, w, "hankel_toeplitz")
+                                   tm_basis(u_generic).random_element(rng), "hankel_toeplitz")
+
+
+def _equal_product_pairs():
+    """Two pairs (a, b) with equal products a hat(b) that split the zeros
+    (x, y, z) differently: (x | y, z) and (x, y | z)."""
+    x, y, z = 0.5 + 0.2j, -0.3 + 0.6j, 0.7j
+    ca, cb = np.exp(0.4j), np.exp(-0.3j)
+    return [(InnerFunction([x], ca), InnerFunction([np.conj(y), np.conj(z)], cb)),
+            (InnerFunction([x, y], ca), InnerFunction([np.conj(z)], cb))]
+
+
+class TestEqualProductPairs:
+    """A psi read with its own pair, when another pair has an equal product."""
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_each_symbol_reads_its_own_pair(self, first):
+        pairs = _equal_product_pairs()
+        assert pairs[0][0] * pairs[0][1].hat() == pairs[1][0] * pairs[1][1].hat()
+        coords = np.array([0.3 - 0.1j, -0.7 + 0.4j, 0.2 + 0.9j])
+        with quadrature.use(quadrature.Evaluation()):
+            spaces = {k: hankel_space(*pairs[k]) for k in (first, 1 - first)}
+            assert spaces[0] == spaces[1] and spaces[0] is not spaces[1]
+            for k, (a, b) in enumerate(pairs):
+                psi = spaces[k].element(coords)
+                head, tail = symbol_blocks(psi)
+                _assert_read_matches(head, _reference_product_g2(psi, a))
+                _assert_read_matches(tail, _reference_ht_f1(psi, a, b))
+                want = psi.rep().values_at(64)
+                assert np.max(np.abs(hankel_symbol(psi).values_at(64) - want)) < 1e-13
+                got = _element_tho(psi)
+                ref = tho_by_pairing(a, b, _conj_symbol(psi))
+                assert (got.domain.generator, got.codomain.generator) == (a, b)
+                assert np.max(np.abs(got.matrix - ref.matrix)) < 1e-13
+
+
+class TestMiddleSpaces:
+    """The asymmetric criteria read u, v and w off their operands and refuse
+    operands whose middle spaces differ before pairing anything."""
+
+    def test_hankel_factors_through_different_middle_spaces_raise(self, rng):
+        u, v, w, x = (random_inner(rng, n) for n in (3, 4, 2, 5))
+        psi1, psi2 = _atho_symbol(x, w, rng), _atho_symbol(u, v, rng)
+        with quadrature.tally() as own, pytest.raises(SpaceMismatch):
+            atho_product_tto_test(psi1, psi2)
+        assert own.pairings == 0
+
+    def test_toeplitz_parts_from_another_space_raise(self, rng):
+        u, v, w, x = (random_inner(rng, n) for n in (3, 4, 2, 5))
+        wrong = tm_basis(x).random_element(rng)
+        for args in ((_atho_symbol(v, w, rng), wrong, tm_basis(u).random_element(rng),
+                      "hankel_toeplitz"),
+                     (_atho_symbol(u, v, rng), tm_basis(w).random_element(rng), wrong,
+                      "toeplitz_hankel")):
+            with quadrature.tally() as own, pytest.raises(SpaceMismatch):
+                atho_atto_product_test(*args)
+            assert own.pairings == 0
 
 
 class TestAsymHankelProduct:
@@ -397,25 +451,23 @@ class TestAsymHankelProduct:
         w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         for _ in range(3):
             pv = atho_product_tto_test(_atho_symbol(v_generic, w, rng),
-                                       _atho_symbol(u_generic, v_generic, rng),
-                                       u_generic, v_generic, w)
+                                       _atho_symbol(u_generic, v_generic, rng))
             assert pv.consistent
 
     def test_zero_factor(self, u_generic, v_generic, rng):
-        zero_sym = kernel(u_generic * v_generic.hat(), 0.0)
+        zero_sym = hankel_space(u_generic, v_generic).kernel0
         assert np.max(np.abs(
             tho_matrix(u_generic, v_generic, _conj_symbol(zero_sym)).matrix)) < 1e-10
         w = InnerFunction([0.6], constant=1.0)
-        pv = atho_product_tto_test(_atho_symbol(v_generic, w, rng), zero_sym,
-                                   u_generic, v_generic, w)
+        pv = atho_product_tto_test(_atho_symbol(v_generic, w, rng), zero_sym)
         assert pv.in_class and pv.direct
 
     def test_two_by_two_hand_case(self, u2):
         # both factors are the antidiagonal-corner Hankel operators: the
         # symbol conj(z), so psi = z in K_{z^4}
         zbar = RationalSymbol.monomial(-1)
-        psi = tm_basis(u2 * u2.hat()).element([0, 1, 0, 0])
-        pv = atho_product_tto_test(psi, psi, u2, u2, u2)
+        psi = hankel_space(u2, u2).element([0, 1, 0, 0])
+        pv = atho_product_tto_test(psi, psi)
         prod = tho_matrix(u2, u2, zbar) @ tho_matrix(u2, u2, zbar)
         # product is diag(1, 0) acting through rank-one corners: a Toeplitz
         # operator iff the direct test says so; the criterion must agree
@@ -428,7 +480,7 @@ class TestAsymHankelProduct:
         B1 = functional_calculus(u_sym, a0, RationalSymbol.polynomial([0.8, 0.5])) @ dop
         B2 = dop @ functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.1, -0.2]))
         s1, s2 = is_tho(B1), is_tho(B2)
-        pv = atho_product_tto_test(s1.symbol_element, s2.symbol_element, u_sym, u_sym, u_sym)
+        pv = atho_product_tto_test(s1.symbol_element, s2.symbol_element)
         assert pv.in_class and pv.direct
 
     def test_equal_witness_specialization(self, u_sym, rng):
@@ -436,12 +488,11 @@ class TestAsymHankelProduct:
         # identity and the two cross-decomposition witnesses coincide
         cdat = clark_points(u_sym, np.exp(0.8j))
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        B = tm_basis(u_sym).symmetric_involution @ spectral_multiplier(u_sym, cdat, phases)
+        B = tm_basis(u_sym).symmetric_involution @ spectral_multiplier(cdat, phases)
         s = is_tho(B)
         prod = tho_matrix(u_sym, u_sym, s.symbol) @ tho_matrix(u_sym, u_sym, s.symbol.hat())
         assert np.max(np.abs(prod.matrix - np.eye(3))) < 1e-9
-        pv = atho_product_tto_test(s.symbol_element, hatted_symbol(s.symbol_element, u_sym, u_sym),
-                                   u_sym, u_sym, u_sym)
+        pv = atho_product_tto_test(s.symbol_element, hatted_symbol(s.symbol_element))
         assert pv.in_class and pv.direct
         _, gap = symmetric_witness(pv.witness[0], pv.witness[1], kernel(u_sym, 0.0))
         assert gap < 1e-8
@@ -452,13 +503,11 @@ class TestAsymMixedProduct:
         w = InnerFunction([0.6, -0.25 + 0.15j], constant=np.exp(-1.1j))
         pv = atho_atto_product_test(
             _atho_symbol(v_generic, w, rng), tm_basis(v_generic).random_element(rng),
-            tm_basis(u_generic).random_element(rng), u_generic, v_generic, w,
-            "hankel_toeplitz")
+            tm_basis(u_generic).random_element(rng), "hankel_toeplitz")
         assert pv.consistent
         pv = atho_atto_product_test(
             _atho_symbol(u_generic, v_generic, rng), tm_basis(w).random_element(rng),
-            tm_basis(v_generic).random_element(rng), u_generic, v_generic, w,
-            "toeplitz_hankel")
+            tm_basis(v_generic).random_element(rng), "toeplitz_hankel")
         assert pv.consistent
 
     def test_constant_toeplitz_factor(self, u_generic, v_generic, rng):
@@ -466,8 +515,7 @@ class TestAsymMixedProduct:
         psi = _atho_symbol(v_generic, w, rng)
         psi1 = 2.0 * kernel(v_generic, 0.0)     # the symbol of twice the identity
         psi2 = tm_basis(u_generic).element(np.zeros(u_generic.degree))
-        pv = atho_atto_product_test(psi, psi1, psi2, u_generic, v_generic, w,
-                                    "hankel_toeplitz")
+        pv = atho_atto_product_test(psi, psi1, psi2, "hankel_toeplitz")
         assert pv.in_class and pv.direct
 
     def test_true_instances_both_orders(self, u_sym, rng):
@@ -481,7 +529,7 @@ class TestAsymMixedProduct:
                           functional_calculus(u_sym, a0, RationalSymbol.polynomial([1.0, 0.4])) @ dop)):
             mB = is_tho(B)
             pv = atho_atto_product_test(mB.symbol_element, mA.analytic_part,
-                                        mA.conjugate_part, u_sym, u_sym, u_sym, order)
+                                        mA.conjugate_part, order)
             assert pv.in_class and pv.direct, order
 
     def test_adjoint_transport_agreement(self, u_generic, v_generic, rng):
@@ -489,10 +537,8 @@ class TestAsymMixedProduct:
         psi = _atho_symbol(u_generic, v_generic, rng)
         psi1 = tm_basis(w).random_element(rng)
         psi2 = tm_basis(v_generic).random_element(rng)
-        pv_th = atho_atto_product_test(psi, psi1, psi2, u_generic, v_generic, w,
-                                       "toeplitz_hankel")
-        pv_adj = atho_atto_product_test(hatted_symbol(psi, v_generic, u_generic), psi2, psi1,
-                                        w, v_generic, u_generic, "hankel_toeplitz")
+        pv_th = atho_atto_product_test(psi, psi1, psi2, "toeplitz_hankel")
+        pv_adj = atho_atto_product_test(hatted_symbol(psi), psi2, psi1, "hankel_toeplitz")
         assert pv_th.in_class == pv_adj.in_class
         assert pv_th.direct == pv_adj.direct
 

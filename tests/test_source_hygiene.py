@@ -5,7 +5,8 @@ in its import lines, and imports only names it uses.  The package
 ``__init__`` re-exports what it imports, and ``from __future__`` imports are
 directives, so both are exempt from the unused-name rule.  The per-generator
 operators live on the basis of K_u, so no module function only reads one
-off `tm_basis`.  The Python examples of README.md run.
+off `tm_basis`.  A basis holds its Hankel parts from construction, so
+nothing else sets them.  The Python examples of README.md run.
 """
 
 import ast
@@ -114,6 +115,66 @@ def test_the_basis_rule_sees_a_wrapper():
                      "def kernel0(u):\n    space = tm_basis(u)\n    return space.kernel0\n"
                      "class B:\n    def k(self, u):\n        return tm_basis(u).k0\n")
     assert _basis_readers(tree) == ["shift"]
+
+
+def _assigned_attributes(node: ast.AST):
+    """The attribute targets of an assignment node, through tuples and lists."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        stack = list(targets)
+        while stack:
+            target = stack.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                stack += target.elts
+            elif isinstance(target, ast.Attribute):
+                yield target.attr
+    elif isinstance(node, ast.Call) and len(node.args) > 1:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
+            yield node.args[1].value
+
+
+def _hankel_parts_writes(tree: ast.Module) -> list[int]:
+    """The lines that set ``hankel_parts`` outside ``ModelSpaceBasis.__init__``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if scope[-2:] != ("ModelSpaceBasis", "__init__") and "hankel_parts" in set(
+                _assigned_attributes(node)):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_hankel_parts_are_set_only_at_construction(path):
+    found = _hankel_parts_writes(_tree(path))
+    assert not found, f"{path.name} sets hankel_parts outside ModelSpaceBasis.__init__: {found}"
+
+
+def test_the_hankel_parts_rule_sees_a_write():
+    tree = ast.parse(
+        "class ModelSpaceBasis:\n"
+        "    def __init__(self, g, hankel_parts=None):\n"
+        "        self.hankel_parts = hankel_parts\n"
+        "    def later(self, parts):\n"
+        "        self.hankel_parts = parts\n"
+        "def hankel_space(a, b):\n"
+        "    space = tm_basis(a * b.hat())\n"
+        "    if space.hankel_parts is None:\n"
+        "        space.hankel_parts = (tm_basis(a), tm_basis(b.hat()), tm_basis(b))\n"
+        "    return space\n"
+        "def other(space, parts):\n"
+        "    space.dim, space.hankel_parts = 1, parts\n"
+        "    setattr(space, 'hankel_parts', parts)\n"
+        "    object.__setattr__(space, 'hankel_parts', parts)\n")
+    assert _hankel_parts_writes(tree) == [5, 9, 12, 13, 14]
 
 
 def _readme_examples() -> list[str]:
