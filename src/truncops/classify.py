@@ -150,9 +150,12 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
 
     On success A equals the Toeplitz operator with symbol
     part1 + conj(part2), built when first read; the rebuild residual
-    certifies it.  The rebuild pairs the two parts' coordinates whatever the
-    generators, apart from the closed forms.  The shifts and kernels are
-    those A's bases hold.
+    certifies it.  The rebuild goes through quadrature from the two parts'
+    coordinates whatever the generators, never through the closed forms:
+    one pairing, or on a warm pair the contraction of its paired
+    basis-symbol operators, which read neither A nor the split
+    (`operators._sarason_tto`).  The shifts and kernels are those A's
+    bases hold.
     """
     _require_linear(A, "is_tto")
     dom, cod = A.domain, A.codomain
@@ -192,10 +195,11 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     so the verdict and residual are those of is_tto(U_v B C_u).  On success
     psi = S_u part2 + u hat(part1) lies in K_{u hat(v)}, and B equals the
     Hankel operator with symbol conj(psi), built when first read; the rebuild
-    residual certifies it.  The rebuild pairs psi's coordinates whatever the
-    generators, apart from the closed forms.  The shifts and kernels are
-    those B's bases hold, and the bases of the rebuild those that
-    `hankel_space(u, v)` holds.
+    residual certifies it.  The rebuild goes through quadrature from psi's
+    coordinates whatever the generators, never through the closed forms:
+    one pairing, or on a warm pair a contraction (`operators._element_tho`).
+    The shifts and kernels are those B's bases hold, and the bases of the
+    rebuild those that `hankel_space(u, v)` holds.
     """
     _require_linear(B, "is_tho")
     dom, cod = B.domain, B.codomain
@@ -326,7 +330,7 @@ def class_values(alpha: ExtendedScalar, *members: OperatorMatrix) -> list[np.nda
     member: a member is p(S^beta) or its adjoint, so q* M q is p or conj(p)
     there (Clark 1972).  At a unimodular alpha these are the Clark points.
     """
-    points = level_points(members[0].domain.generator, class_level(alpha)[0])
+    points = level_points(members[0].domain, class_level(alpha)[0])
     return [spectral_values(M, points) for M in members]
 
 
@@ -635,13 +639,13 @@ def class_multipliers(alpha: ExtendedScalar, *members: OperatorMatrix):
     coefficient array per member, and the max-entry rebuild residual of
     each fit.
     """
-    u = members[0].domain.generator
+    space = members[0].domain
     level, adjoint = class_level(alpha)
-    base = clark_perturbation(u, level)
+    base = clark_perturbation(space, level)
     if adjoint:
         base = base.adjoint()
-    powers = [np.eye(u.degree, dtype=complex)]
-    for _ in range(u.degree - 1):
+    powers = [np.eye(space.dim, dtype=complex)]
+    for _ in range(space.dim - 1):
         powers.append(powers[-1] @ base.matrix)
     stack = np.column_stack([p.ravel() for p in powers])
     multipliers, residuals = [], []

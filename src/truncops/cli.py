@@ -127,7 +127,7 @@ def _cmd_build_op(args) -> int:
     elif op == "shift-adj":
         out = tm_basis(u).shift_adjoint
     elif op == "clark-perturbation":
-        out = clark_perturbation(u, _finite(args.alpha, "--alpha"))
+        out = clark_perturbation(tm_basis(u), _finite(args.alpha, "--alpha"))
     elif op == "involution":
         out = tm_basis(u).symmetric_involution
     elif op == "sedlock":

@@ -119,6 +119,15 @@ def random_inner(rng, degree: int, real_symmetric: bool = False) -> InnerFunctio
     return InnerFunction(zeros, np.exp(2j * np.pi * rng.uniform()))
 
 
+def clustered_inner(rng, degree: int, centre: complex = 0.5, radius: float = 0.3) -> InnerFunction:
+    """A generator whose zeros are drawn uniformly in one small disk, on one
+    side of the circle: a valid input that `random_inner` practically never
+    draws, and one whose expanded coefficients lose precision."""
+    r = radius * np.sqrt(rng.uniform(size=degree))
+    zeros = centre + r * np.exp(2j * np.pi * rng.uniform(size=degree))
+    return InnerFunction(tuple(zeros), np.exp(2j * np.pi * rng.uniform()))
+
+
 def random_laurent(rng, degree: int) -> RationalSymbol:
     coeffs = {}
     for k in range(-degree, degree + 1):
@@ -363,8 +372,7 @@ def check_defect_rank_one(p: ProblemSpec) -> TrialResult:
         "defect_right": _opnorm(d2.matrix - (np.eye(n) - smat.conj().T @ smat)),
     }
     # rank-one operators with explicit rational symbols
-    sym1 = RationalSymbol(v.num_coeffs, np.polynomial.polynomial.polymul(
-        v.den_coeffs, np.array([-lam, 1.0])))
+    sym1 = v.as_symbol() * RationalSymbol([1.0], [-lam, 1.0])
     r["rank_one_interior_1"] = _opnorm(
         rank_one(conj_kernel(v, lam), kernel(u, lam)).matrix
         - tto_matrix(u, v, sym1).matrix)
@@ -433,7 +441,7 @@ def check_clark_unitary(p: ProblemSpec) -> TrialResult:
     alpha = p.param_c("alpha")
     alpha = alpha / abs(alpha)
     n = u.degree
-    sa = clark_perturbation(u, alpha)
+    sa = clark_perturbation(tm_basis(u), alpha)
     r = {"unitarity": _opnorm(sa.matrix.conj().T @ sa.matrix - np.eye(n))}
     cdat = clark_points(u, alpha)
     evals, evecs = np.linalg.eig(sa.matrix)
@@ -448,7 +456,7 @@ def check_clark_unitary(p: ProblemSpec) -> TrialResult:
     r["quadrature_identity"] = abs(quad - f.norm() ** 2)
     r["orientation"] = cdat.orientation()
     inner_alpha = 0.8 * np.sqrt(rng.uniform()) * _unit(rng)
-    si = clark_perturbation(u, inner_alpha)
+    si = clark_perturbation(sa.domain, inner_alpha)
     ev = np.linalg.eigvals(si.matrix)
     r["strict_spectrum"] = bool(np.max(np.abs(ev)) < 1.0 - 1e-10)
     r["contraction"] = float(np.linalg.norm(si.matrix, 2)) <= 1.0 + 1e-10
@@ -597,7 +605,7 @@ def check_hankel_zero_product(p: ProblemSpec) -> TrialResult:
     # interior parameter: split the points where u = a0, in argument order
     if n >= 2:
         a0 = 0.3 * _unit(rng)
-        roots = level_points(u, a0)
+        roots = level_points(dop.domain, a0)
         cut = max(1, n // 2)
         psi1 = RationalSymbol.polynomial(
             np.polynomial.polynomial.polyfromroots(roots[:cut]))

@@ -27,29 +27,35 @@ quadrature oracle, which kernel-core gates at GRAM_TOL.  The conjugations
 are exact too: both are changes of zero order (`reorder`), or the
 identity for the coefficient conjugation.
 
-Function space objects are immutable after construction.  A basis is the
-one per-generator cache: it holds its grids, the kernels k0 and k~0 at the
-origin (as arrays and as elements with their conjugates and squared norms),
-the compressed shift and its adjoint, the conjugations and the involution,
-each built on first read.  They have no other home: a caller reads them
-off the bases of the operators it holds, or off `tm_basis(u)`.  The basis of
-K_{a hat(b)} that `hankel_space` builds per pair holds the bases of K_a,
-K_hat(b) and K_b from construction, so psi carries its pair.  The two
-blocks of a basis (the basis and the flipped basis J e_k) cache their
-conjugates, the conjugated side of every pairing against the basis.  All
-are read-only, so they are safe to share between threads.
+Elements and operator matrices are immutable after construction.  A basis
+is the one per-generator cache: it holds its grids, the kernels k0 and k~0
+at the origin (as arrays and as elements with their conjugates and squared
+norms), the compressed shift and its adjoint, the conjugations and the
+involution, each built on first read.  They have no other home: a caller
+reads them off the bases of the operators it holds, or off `tm_basis(u)`.
+The basis of K_{a hat(b)} that `hankel_space` builds per pair holds the
+bases of K_a, K_hat(b) and K_b from construction, so psi carries its pair.
+The two blocks of a basis (the basis and the flipped basis J e_k) cache
+their conjugates, the conjugated side of every pairing against the basis.
+A basis also counts the coordinate builds of the pairs it keys and, once
+a pair is warm, holds the operators of its basis symbols
+(`warm_operators`): those of the Toeplitz pairs it is the domain of, per
+codomain and settings, and for a `hankel_space` basis those of its Hankel
+pair, per settings.  Every cached array is read-only and the counts are
+kept under a lock, so a basis is safe to share between threads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from threading import Lock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import InnerFunction
-from .errors import NotRealSymmetric, SpaceMismatch, SymbolNotInClass
+from .errors import NoConvergence, NotRealSymmetric, SpaceMismatch, SymbolNotInClass
 from .quadrature import Block, pairing_matrix, readonly
 from .ratfun import RationalSymbol
 
@@ -75,6 +81,11 @@ class ModelSpaceBasis:
         self.block = Block(self.values, generator.reach)
         # J e_k = conj(z) e_k(conj z), the codomain side of Hankel builds
         self.flipped = Block(self._flipped_values, generator.reach.flipped())
+        # per pair key, the builds counted so far and, once the pair is warm,
+        # the operators of its basis symbols (`warm_operators`)
+        self._uses: dict = {}
+        self._operators: dict = {}
+        self._uses_lock = Lock()
 
     @cached_property
     def functions(self) -> list[RationalSymbol]:
@@ -221,6 +232,30 @@ class ModelSpaceBasis:
         out = self.conjugation_C @ self.conjugation_U_on
         readonly(out.matrix)
         return out
+
+    def warm_operators(self, key, coordinates: int, pair):
+        """The operators of a pair's basis symbols that this basis holds under
+        key, or None while the pair is cold.
+
+        Each call of a cold pair counts one build.  The build after the first
+        ``coordinates``, the number of the pair's basis symbols, makes the
+        operators by ``pair()``, at about the cost of that many direct
+        builds, and every build after they are held contracts them.  The
+        count is exact under threads, so one build makes them; a build that
+        comes while they are being made still builds directly.  Operators
+        whose pairing does not converge are not held, and the pair keeps
+        building directly.
+        """
+        got = self._operators.get(key)
+        if got is None:
+            with self._uses_lock:
+                uses = self._uses[key] = self._uses.get(key, 0) + 1
+            if uses == coordinates + 1:
+                try:
+                    got = self._operators[key] = pair()
+                except NoConvergence:
+                    pass
+        return got
 
     def at(self, z) -> np.ndarray:
         """Factored values e_k(z) of every basis function: shape z.shape + (dim,).
@@ -446,15 +481,6 @@ def _deflate(num: np.ndarray, root: complex) -> np.ndarray:
     return npoly.polydiv(num, np.array([-root, 1.0], dtype=complex))[0]
 
 
-def _generator_den_values(u: InnerFunction, m: int) -> np.ndarray:
-    """prod(1 - conj(a) z) over the zero list, evaluated factorwise on the grid."""
-    z = quadrature.nodes(m)
-    out = np.ones(m, dtype=complex)
-    for a in u.zeros:
-        out = out * (1.0 - np.conj(a) * z)
-    return out
-
-
 def kernel(u: InnerFunction, lam: complex) -> SpaceElement:
     """Coordinates of the reproducing kernel: <f, k_lam> = f(lam) for f in K_u.
 
@@ -507,24 +533,16 @@ def _conj_kernel_coords(u: InnerFunction, lam: complex) -> np.ndarray:
 
 
 def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
-    """The kernel at a boundary point, by the continuity limit of the interior formula.
+    """The kernel (1 - conj(u(eta)) u(z))/(1 - conj(eta) z) at a boundary point eta.
 
-    1 - conj(eta) z = -conj(eta) (z - eta) on |eta| = 1, and the numerator of
-    the interior formula vanishes at eta, so the quotient deflates exactly.
+    Every basis function is analytic across the circle, so the kernel's
+    coordinates are conj(e_k(eta)) there as inside the disk, and its grid
+    values are those of the basis grid times them: no expanded coefficients
+    are evaluated, which lose precision when zeros cluster on one side.  The
+    coefficients are expanded on the first read of num or den.
     """
-    eta = complex(eta)
-    ueta = complex(u(eta))
-    num = npoly.polyadd(u.den_coeffs, -np.conj(ueta) * u.num_coeffs)
-    num = _deflate(num, eta) / (-np.conj(eta))
-    # the denominator is evaluated factorwise, but the numerator from its
-    # expanded, deflated coefficients, which lose precision when zeros cluster
-    # on one side: the grid values then drift from the factored formula
-    # (1 - conj(u(eta)) u(z))/(1 - conj(eta) z), by about 3e-9, 1e-5 and 0.3
-    # at degrees 16, 24 and 32 (ROADMAP item 2)
-    def provider(m):
-        z = quadrature.nodes(m)
-        return npoly.polyval(z, num) / _generator_den_values(u, m)
-    return RationalSymbol(num, u.den_coeffs, provider=provider, reach=u.reach)
+    space = tm_basis(u)
+    return space.combine(np.conj(space.at(complex(eta))))
 
 
 # ---------------------------------------------------------------------------

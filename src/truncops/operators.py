@@ -21,6 +21,11 @@ whose one numeric step is the circle quadrature (`tto_by_pairing`,
 Those builders pair whole blocks of basis values (symbol times basis, and
 the flipped basis).  A Sarason pair x + conj(y), or conj(psi) for a Hankel
 element psi, is paired from its coordinates (`_sarason_tto`, `_element_tho`).
+Both are linear in the symbol, so once a pair of spaces has been built more
+times than it has basis symbols, it pairs the operators of every basis
+symbol at once (`_symbol_operators`), held by the basis that keys the pair
+(`ModelSpaceBasis.warm_operators`), and each later build contracts them
+with the coordinates without pairing.
 """
 
 from __future__ import annotations
@@ -69,31 +74,31 @@ def defects(u: InnerFunction) -> tuple[OperatorMatrix, OperatorMatrix]:
     return rank_one(k0, k0), rank_one(kt0, kt0)
 
 
-def clark_perturbation(u: InnerFunction, alpha) -> OperatorMatrix:
-    """The rank-one perturbation S + alpha/(1 - alpha conj(u(0))) k0 (x) conj-kernel0.
+def clark_perturbation(space: ModelSpaceBasis, alpha) -> OperatorMatrix:
+    """The rank-one perturbation S + alpha/(1 - alpha conj(u(0))) k0 (x) conj-kernel0
+    of the shift on space = K_u, from the operators the basis holds.
 
     Unitary exactly when |alpha| = 1; a contraction for |alpha| < 1.
     """
     alpha = complex(alpha)
-    denom = 1.0 - alpha * np.conj(u.origin_value)
+    denom = 1.0 - alpha * np.conj(space.generator.origin_value)
     if abs(denom) < 1e-12:
         raise SingularDenominator("1 - alpha conj(u(0)) vanishes")
-    space = tm_basis(u)
     if alpha == 0:
         return space.shift
     bump = rank_one(space.kernel0, space.conj_kernel0)
     return space.shift + (alpha / denom) * bump
 
 
-def level_points(u: InnerFunction, level) -> np.ndarray:
-    """The eigenvalues of `clark_perturbation(u, level)`, ordered by argument.
+def level_points(space: ModelSpaceBasis, level) -> np.ndarray:
+    """The eigenvalues of `clark_perturbation(space, level)`, ordered by argument.
 
     Raises DegenerateSpectrum when two coincide: the kernels there, the
     eigenvectors of its adjoint (Clark 1972), then fall short of a basis.
     """
-    eigvals = np.linalg.eigvals(clark_perturbation(u, level).matrix)
+    eigvals = np.linalg.eigvals(clark_perturbation(space, level).matrix)
     eigvals = eigvals[np.argsort(np.mod(np.angle(eigvals), 2.0 * np.pi))]
-    gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(u.degree)
+    gaps = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(space.dim)
     if np.min(gaps) < 1e-10:
         raise DegenerateSpectrum("two level points coincide")
     return eigvals
@@ -149,7 +154,7 @@ def clark_points(u: InnerFunction, alpha) -> ClarkData:
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > UNIMODULAR_TOL:
         raise NotUnimodular(f"Clark parameter must be unimodular, got |alpha|={abs(alpha)!r}")
-    points = tuple(complex(z / abs(z)) for z in level_points(u, alpha))
+    points = tuple(complex(z / abs(z)) for z in level_points(tm_basis(u), alpha))
     u_values = tuple(complex(v) for v in u(np.array(points)))
     return ClarkData(u, alpha, points, u_values)
 
@@ -272,6 +277,33 @@ def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> O
     return OperatorMatrix(pairing_matrix(_images(sym, dom), cod.flipped), dom, cod)
 
 
+# the most values one piece of a pair's basis-symbol operators pairs at its
+# first level: a degree-32 pair paired whole holds tens of MB of grid products
+PIECE_VALUES = 1 << 16
+
+
+def _symbol_operators(dom: ModelSpaceBasis, cod: ModelSpaceBasis, side: Block, symbols,
+                      count: int, reach: Reach) -> np.ndarray:
+    """T[i * dom.dim + j, l] = <s_l e_j, g_i> for the basis e of dom, the
+    ``count`` basis symbols s_l whose (m, count) grid is ``symbols(m)`` and the
+    rows g_i of ``side``, cod's block or flipped block; read-only.  T c is the
+    operator with symbol sum_l c_l s_l, row by row.
+
+    The products s_l e_j state ``reach``, that of the direct build, and are
+    paired in pieces of whole columns j, each certified as any pairing is,
+    of at most PIECE_VALUES values at their first level.
+    """
+    first = 2 * quadrature.first_level(reach, side.reach, quadrature.current().settings)
+    step = max(1, PIECE_VALUES // (first * count))
+    out = np.empty((cod.dim, dom.dim, count), dtype=complex)
+    for lo in range(0, dom.dim, step):
+        cols = slice(lo, min(dom.dim, lo + step))
+        block = Block(lambda m, cols=cols: (dom.values(m)[:, cols, None]
+                                            * symbols(m)[:, None, :]).reshape(m, -1), reach)
+        out[:, cols] = pairing_matrix(block, side).reshape(cod.dim, -1, count)
+    return readonly(out.reshape(-1, count))
+
+
 def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | None,
                  y: SpaceElement | None, exact: bool = True) -> OperatorMatrix:
     """`tto_matrix(u, v, x + conj(y))` from dom = K_u into cod = K_v, for a
@@ -279,9 +311,12 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
     coordinates.  A part in another space raises SpaceMismatch.
 
     With exact, a Laurent symbol (every zero of the parts' spaces at 0) takes
-    the closed form.  Otherwise the block (E_v x + conj(E_u y)) e_j is formed
-    from the basis grids and paired once, with the reach and the bits of
-    `tto_by_pairing` on the symbol, which is never built.
+    the closed form.  Otherwise a cold pair forms the block
+    (E_v x + conj(E_u y)) e_j from the basis grids and pairs it once, with the
+    reach and the bits of `tto_by_pairing` on the symbol, which is never
+    built.  A warm pair (`ModelSpaceBasis.warm_operators`, held by dom per
+    codomain and settings) contracts the operators of the basis symbols
+    e^v_l and conj(e^u_l) with (x, conj(y)), and pairs nothing.
     """
     if (x is not None and x.space != cod) or (y is not None and y.space != dom):
         raise SpaceMismatch("a Sarason pair needs x in the codomain and y in the domain")
@@ -289,6 +324,20 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
     if exact and reach.rho == math.inf:
         terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
         return tto_matrix(dom.generator, cod.generator, sum(terms[1:], terms[0]))
+    ops = dom.warm_operators(
+        (cod, quadrature.current().settings), cod.dim + dom.dim,
+        lambda: _symbol_operators(
+            dom, cod, cod.block,
+            lambda m: np.concatenate([cod.values(m), dom.block.conj(m)], axis=1),
+            cod.dim + dom.dim,
+            cod.generator.reach.join(dom.generator.reach).times(dom.generator.reach)))
+    if ops is not None:
+        coords = np.zeros(cod.dim + dom.dim, dtype=complex)
+        if x is not None:
+            coords[:cod.dim] = x.coords
+        if y is not None:
+            coords[cod.dim:] = np.conj(y.coords)
+        return OperatorMatrix((ops @ coords).reshape(cod.dim, dom.dim), dom, cod)
 
     def images(m):
         part = None if x is None else x.space.values(m) @ x.coords
@@ -306,22 +355,35 @@ def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
     its coordinates; u and v are read off psi's space.
 
     With exact, every zero of u and v at 0 takes the closed form.  Otherwise
-    the block conj(psi) e_j is formed from the basis grids, psi through its
-    blocks as `hankel_symbol` evaluates it, and paired once against J e_i,
-    with the reach and the bits of `tho_by_pairing` on conj(psi).
+    a cold pair forms the block conj(psi) e_j from the basis grids, psi
+    through its blocks as `hankel_symbol` evaluates it, and pairs it once
+    against J e_i, with the reach and the bits of `tho_by_pairing` on
+    conj(psi).  A warm pair (`ModelSpaceBasis.warm_operators`, held by psi's
+    space per settings) contracts the operators of the conjugated basis
+    symbols of psi's space with conj(psi), and pairs nothing.
     """
     head, tail, cod = _hankel_parts(psi)
-    reach = psi.space.generator.reach
+    space = psi.space
+    reach = space.generator.reach
     if exact and reach.rho == math.inf:
         return tho_matrix(head.generator, cod.generator, hankel_symbol(psi).conj_circle())
+    reach = reach.times(head.generator.reach)
+    ops = space.warm_operators(
+        quadrature.current().settings, space.dim,
+        lambda: _symbol_operators(
+            head, cod, cod.flipped,
+            lambda m: np.conj(np.concatenate(
+                [head.values(m), head._running(m)[:, None] * tail.values(m)], axis=1)),
+            space.dim, reach))
+    if ops is not None:
+        return OperatorMatrix((ops @ np.conj(psi.coords)).reshape(cod.dim, head.dim), head, cod)
     x, y = psi.coords[:head.dim], psi.coords[head.dim:]
 
     def images(m):
         e = head.values(m)
         return np.conj(e @ x + head._running(m) * (tail.values(m) @ y))[:, None] * e
 
-    block = Block(images, reach.times(head.generator.reach))
-    return OperatorMatrix(pairing_matrix(block, cod.flipped), head, cod)
+    return OperatorMatrix(pairing_matrix(Block(images, reach), cod.flipped), head, cod)
 
 
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
@@ -394,7 +456,7 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
     if den.size > 1 and np.min(np.abs(npoly.polyroots(den))) <= 1.0 + CIRCLE_POLE_MARGIN:
         raise SingularDenominator("calculus symbol has a pole in the closed disk")
     level, adjoint = class_level(alpha)
-    base = clark_perturbation(u, level)
+    base = clark_perturbation(tm_basis(u), level)
     eye = np.eye(u.degree, dtype=complex)
     mat = np.linalg.solve(_horner(den, base.matrix, eye), _horner(psi.num, base.matrix, eye))
     out = OperatorMatrix(mat, base.domain, base.codomain)

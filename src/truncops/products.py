@@ -157,11 +157,11 @@ def hat_transport_checks(alpha, phi: SpaceElement, c=0.0) -> dict:
     out = {"transported_class": rep, "transport_ok": transported_ok}
     if not alpha.is_infinity and alpha.modulus() <= 1.0:
         a = alpha.value
-        lhs = uuh @ clark_perturbation(u.hat(), a) @ uu
-        rhs = clark_perturbation(u, np.conj(a))
+        lhs = uuh @ clark_perturbation(uu.codomain, a) @ uu
+        rhs = clark_perturbation(A.domain, np.conj(a))
         out["shift_transport_residual"] = _gap(lhs, rhs)
         cu = A.domain.conjugation_C
-        sa = clark_perturbation(u, a)
+        sa = clark_perturbation(A.domain, a)
         out["shift_conjugation_residual"] = _gap(cu @ sa @ cu, sa.adjoint())
     return out
 
@@ -181,8 +181,8 @@ def involution_identity_checks(u: InnerFunction, alpha, v: InnerFunction,
     }
     a = ExtendedScalar.of(alpha)
     if not a.is_infinity and a.modulus() <= 1.0:
-        sa = clark_perturbation(u, a.value)
-        sac = clark_perturbation(u, np.conj(a.value))
+        sa = clark_perturbation(space, a.value)
+        sac = clark_perturbation(space, np.conj(a.value))
         out["involution_shift_swap"] = _gap(dop @ sa, sac.adjoint() @ dop)
     bu = tho_matrix(u, u, phi)
     out["involution_hankel_left"] = _gap(dop @ bu, tto_matrix(u, u, u.as_symbol() * phi))

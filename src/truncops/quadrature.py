@@ -51,7 +51,9 @@ Every pairing runs under the current ``Evaluation``, which holds its settings
 and counters and the memo (``memoized``) of three builders, none of which
 pairs: the basis of each generator, which holds that generator's operators,
 the basis of each Hankel pair's product space, and the cross Gram matrix of
-each pair.
+each pair.  The counters count pairings, not builds: a build of a warm pair
+of spaces contracts the basis-symbol operators its basis holds, paired
+under the current settings, and pairs nothing.
 A ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """

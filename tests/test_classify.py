@@ -474,9 +474,9 @@ class TestZeroProducts:
         # them by up to 2.8e-9 at seed 326
         splits = []
         find = harness.level_points
-        def spy(u, level):
-            points = find(u, level)
-            splits.append(np.abs(u(points) - level))
+        def spy(space, level):
+            points = find(space, level)
+            splits.append(np.abs(space.generator(points) - level))
             return points
         monkeypatch.setattr(harness, "level_points", spy)
         rep = run_suite(SuiteConfig(seed=suite_seed, trials=1, degree_range=(30, 32),
@@ -634,12 +634,11 @@ def _warm_operands(rng, test) -> tuple:
 
 # the memo lookups of a warm repeat: the shifts, kernels, conjugations,
 # involutions and Hankel parts come from the bases the operands carry, and
-# class values read their kernels off their members' bases, so what is left
-# is the one hankel_space lookup of is_tho, and the level points that class
-# values look up by generator
+# class values read their level points and kernels off their members' bases,
+# so what is left is the one hankel_space lookup of is_tho
 WARM_LOOKUPS = {is_tto: 0, is_tho: 1, sedlock_class: 0, tho_product_tto_test: 0,
-                mixed_product_test: 0, tho_unitary_report: 1, zero_product_analysis: 1,
-                cross_space_zero_product: 1}
+                mixed_product_test: 0, tho_unitary_report: 0, zero_product_analysis: 0,
+                cross_space_zero_product: 0}
 
 
 @pytest.mark.parametrize("test", list(WARM_LOOKUPS))

@@ -1,9 +1,11 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from threading import Barrier
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from truncops import (
     OperatorMatrix,
@@ -35,6 +37,7 @@ from truncops.modelspace import (
     hankel_symbol,
 )
 from truncops import harness, operators, quadrature
+from truncops.harness import clustered_inner
 from truncops.quadrature import Block, QuadratureSettings, Reach
 
 
@@ -84,6 +87,30 @@ class TestBasis:
             assert space.flipped.conj(m) is space.flipped.conj(m)
             with pytest.raises(ValueError):
                 space.flipped.conj(m)[0, 0] = 0
+
+    def test_warm_operators_count_every_build_under_threads(self, u_generic):
+        # more threads than cores, switching often: a lost count or a second
+        # build of the operators breaks the bookkeeping
+        space = ModelSpaceBasis(u_generic)
+        made = []
+        start = Barrier(8, timeout=60)
+
+        def worker(_):
+            start.wait()
+            return [space.warm_operators("pair", 3000, lambda: made.append(1) or "ops")
+                    for _ in range(800)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [r for rs in pool.map(worker, range(8), timeout=120) for r in rs]
+        finally:
+            sys.setswitchinterval(switch)
+        assert made == [1]
+        # every counted build but the one that made them found none
+        assert got.count(None) == space._uses["pair"] - 1 >= 3000
+        assert got.count("ops") == len(got) - got.count(None)
 
     def test_combine_matches_eval(self, u_generic, rng):
         f = tm_basis(u_generic).random_element(rng)
@@ -161,6 +188,27 @@ class TestKernels:
         eta = np.exp(2.3j)
         el = project(u_generic, boundary_kernel_symbol(u_generic, eta))
         assert np.max(np.abs(el.coords - kernel(u_generic, eta).coords)) < 1e-10
+
+    def test_boundary_symbol_expands_its_coefficients_on_demand(self, u_generic):
+        eta = np.exp(2.3j)
+        sym = boundary_kernel_symbol(u_generic, eta)
+        z = quadrature.nodes(64)
+        values = sym.values_at(64)
+        assert sym._coeffs is None
+        from_coeffs = npoly.polyval(z, sym.num) / npoly.polyval(z, sym.den)
+        assert np.max(np.abs(from_coeffs - values)) < 1e-12
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_boundary_symbol_with_clustered_zeros(self, rng, n):
+        # zeros on one side of the circle make the expanded coefficients huge;
+        # the grid values come from the kernel's coordinates, so they keep to
+        # the factored formula (1 - conj(u(eta)) u(z))/(1 - conj(eta) z)
+        u = clustered_inner(rng, n)
+        eta = np.exp(2.3j)
+        z = quadrature.nodes(1024)
+        want = (1 - np.conj(u(eta)) * u(z)) / (1 - np.conj(eta) * z)
+        got = boundary_kernel_symbol(u, eta).values_at(1024)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def _random_inner(rng, n, radius=0.8):

@@ -1,3 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from threading import Barrier
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -19,12 +23,12 @@ from truncops import (
     tm_basis,
     tto_matrix,
 )
-from truncops import operators, quadrature
+from truncops import classify, operators, quadrature
 from truncops.blaschke import InnerFunction, monomial_inner
 from truncops.operators import clark_points
 from truncops.classify import is_tho, is_tto
 from truncops.errors import NoConvergence, NotRealSymmetric, SingularDenominator, SpaceMismatch
-from truncops.harness import random_inner
+from truncops.harness import clustered_inner, random_inner, random_laurent
 from truncops.modelspace import (boundary_kernel_symbol, hankel_space,
                                  hankel_symbol, reorder)
 from truncops.quadrature import Block, pairing_matrix
@@ -93,27 +97,28 @@ class TestRankOne:
 
 class TestClarkPerturbation:
     def test_alpha_zero(self, u2):
-        assert np.allclose(clark_perturbation(u2, 0.0).matrix, tm_basis(u2).shift.matrix)
+        space = tm_basis(u2)
+        assert np.allclose(clark_perturbation(space, 0.0).matrix, space.shift.matrix)
 
     def test_monomial_unitary(self, u2):
-        sa = clark_perturbation(u2, 1.0)
+        sa = clark_perturbation(tm_basis(u2), 1.0)
         assert np.allclose(sa.matrix, [[0, 1], [1, 0]], atol=1e-12)
         assert np.max(np.abs(sa.matrix.conj().T @ sa.matrix - np.eye(2))) < 1e-12
 
     def test_unimodular_spectrum(self, u_generic):
-        sa = clark_perturbation(u_generic, np.exp(0.4j))
+        sa = clark_perturbation(tm_basis(u_generic), np.exp(0.4j))
         ev = np.linalg.eigvals(sa.matrix)
         assert np.max(np.abs(np.abs(ev) - 1.0)) < 1e-10
 
     def test_contractive_regime(self, u_generic):
-        sa = clark_perturbation(u_generic, 0.3 - 0.2j)
+        sa = clark_perturbation(tm_basis(u_generic), 0.3 - 0.2j)
         assert np.linalg.norm(sa.matrix, 2) <= 1.0 + 1e-12
         assert np.max(np.abs(np.linalg.eigvals(sa.matrix))) < 1.0
 
     def test_singular_denominator(self):
         u = InnerFunction([-0.5], 1.0)          # u(0) = 0.5
         with pytest.raises(SingularDenominator):
-            clark_perturbation(u, 2.0)         # 1 - 2*0.5 = 0
+            clark_perturbation(tm_basis(u), 2.0)     # 1 - 2*0.5 = 0
 
 
 class TestToeplitzHankelBuilders:
@@ -461,9 +466,10 @@ class TestSedlockOp:
                              ids=["zero", "inside", "unimodular", "infinity"])
     @pytest.mark.parametrize("degree", [1, 2, 8, 16, 32])
     def test_one_pairing_matches_the_two_pairing_build(self, rng, degree, alpha):
+        # a cold pair: phi's basis is the fresh evaluation's, which has built nothing
         u = random_inner(rng, degree)
-        phi = tm_basis(u).random_element(rng)
         with quadrature.use(quadrature.Evaluation()):
+            phi = tm_basis(u).random_element(rng)
             with quadrature.tally() as own:
                 got = sedlock_op(u, ExtendedScalar.of(alpha), phi, 0.4 - 0.2j)
             assert own.pairings == 1
@@ -488,7 +494,7 @@ class TestSedlockOp:
     def test_member_commutes_with_perturbation(self, u_generic, rng):
         a = 0.45 - 0.3j
         A = sedlock_op(u_generic, a, tm_basis(u_generic).random_element(rng), 0.2)
-        sa = clark_perturbation(u_generic, a).matrix
+        sa = clark_perturbation(tm_basis(u_generic), a).matrix
         assert np.max(np.abs(A.matrix @ sa - sa @ A.matrix)) < 1e-10
 
 
@@ -519,6 +525,221 @@ class TestCoordinateBuildDispatch:
             assert own.pairings == 1
 
 
+def _warm_family(kind, n, rng):
+    """A generator of degree n of one family: generic, some zeros at 0, every
+    zero repeated, or zeros clustered on one side of the circle."""
+    if kind == "clustered":
+        return clustered_inner(rng, n)
+    u = random_inner(rng, n)
+    if kind == "zeros-at-0":
+        return InnerFunction([0.0 if k % 3 == 0 else a for k, a in enumerate(u.zeros)],
+                             u.constant)
+    if kind == "repeated":
+        return InnerFunction([0.6 * np.exp(1j * np.angle(u.zeros[0]))] * n, u.constant)
+    return u
+
+
+def _gap(got, want) -> float:
+    return float(np.max(np.abs(got.matrix - want.matrix)) / max(1.0, np.linalg.norm(want.matrix)))
+
+
+class TestWarmPairs:
+    """A pair built more times than its basis symbols contracts their operators
+    (`ModelSpaceBasis.warm_operators`) instead of pairing."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    @pytest.mark.parametrize("kind", ["generic", "zeros-at-0", "repeated", "clustered"])
+    def test_contraction_matches_the_direct_pairing(self, kind, n):
+        rng = np.random.default_rng(5000 + n)
+        u, v = _warm_family(kind, n, rng), _warm_family(kind, n, rng)
+        cx, cy, cphi = (rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                        for d in (v.degree, u.degree, u.degree))
+        cpsi = rng.standard_normal(u.degree + v.degree) * (1 + 0.5j)
+
+        def builds():
+            """Every build kind on the current evaluation's bases."""
+            dom, cod = tm_basis(u), tm_basis(v)
+            x, y, phi = cod.element(cx), dom.element(cy), dom.element(cphi)
+            psi = hankel_space(u, v).element(cpsi)
+            return {
+                "x + conj(y)": lambda: operators._sarason_tto(dom, cod, x, y, exact=False),
+                "x": lambda: operators._sarason_tto(dom, cod, x, None, exact=False),
+                "conj(y)": lambda: operators._sarason_tto(dom, cod, None, y, exact=False),
+                "sedlock 0": lambda: sedlock_op(u, 0.0, phi, 0.5),
+                "sedlock inf": lambda: sedlock_op(u, ExtendedScalar.infinity(), phi, 0.5),
+                "hankel": lambda: operators._element_tho(psi, exact=False),
+            }
+
+        direct = {}
+        for name in builds():
+            with quadrature.use(quadrature.Evaluation()):   # a cold pair each
+                direct[name] = builds()[name]()
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            warm = builds()
+            # each pair counted as built as often as it has basis symbols, so
+            # that its next build makes its tensor; `test_switch_point` pins
+            # the count itself, and a degree-32 pair skips 64 direct builds
+            dom, cod, space = tm_basis(u), tm_basis(v), hankel_space(u, v)
+            dom._uses[(cod, ev.settings)] = u.degree + v.degree
+            dom._uses[(dom, ev.settings)] = 2 * u.degree
+            space._uses[ev.settings] = space.dim
+            for build in warm.values():
+                build()
+            for name, build in warm.items():
+                with quadrature.tally() as own:
+                    got = build()
+                assert own.pairings == 0, name
+                assert _gap(got, direct[name]) <= 1e-13, (name, _gap(got, direct[name]))
+
+    def test_switch_point(self, rng):
+        u, v = random_inner(rng, 3), random_inner(rng, 2)
+        A = tto_matrix(u, v, random_laurent(rng, 2))
+        B = tho_matrix(u, v, random_laurent(rng, 2))
+        with quadrature.use(quadrature.Evaluation()):
+            A = OperatorMatrix(A.matrix, tm_basis(u), tm_basis(v))
+            B = OperatorMatrix(B.matrix, tm_basis(u), tm_basis(v))
+            for test in (is_tto, is_tho):
+                counts = []
+                for _ in range(u.degree + v.degree + 3):
+                    with quadrature.tally() as own:
+                        assert test(A if test is is_tto else B).is_member
+                    counts.append(own.pairings)
+                # a rebuild per build while cold, then the operators of the
+                # 5 basis symbols by one pairing, then none
+                assert counts == [1] * 5 + [1, 0, 0], test.__name__
+
+    def test_a_degree_32_pair_pairs_in_bounded_pieces(self, rng, monkeypatch):
+        u, v = random_inner(rng, 32), random_inner(rng, 32)
+        sizes = []
+        pair = operators.pairing_matrix
+
+        def spy(fs, gs):
+            first = quadrature.first_level(fs.reach, gs.reach, quadrature.current().settings)
+            sizes.append(fs.values(2 * first).size)
+            return pair(fs, gs)
+
+        with quadrature.use(quadrature.Evaluation()):
+            dom, cod = tm_basis(u), tm_basis(v)
+            x, y = cod.random_element(rng), dom.random_element(rng)
+            for _ in range(dom.dim + cod.dim):
+                operators._sarason_tto(dom, cod, x, y, exact=False)
+            monkeypatch.setattr(operators, "pairing_matrix", spy)
+            operators._sarason_tto(dom, cod, x, y, exact=False)
+        assert len(sizes) > 1
+        assert max(sizes) <= operators.PIECE_VALUES
+        assert sum(sizes) == 2 * quadrature.first_level(
+            dom.generator.reach.join(cod.generator.reach).times(dom.generator.reach),
+            cod.block.reach, quadrature.QuadratureSettings()) * 32 * 64
+
+    def test_other_settings_pair_their_own(self, rng):
+        u, v = random_inner(rng, 2), random_inner(rng, 2)
+        other = quadrature.QuadratureSettings(tol=1e-11)
+        with quadrature.use(quadrature.Evaluation()):
+            dom, cod = tm_basis(u), tm_basis(v)
+            x, y = cod.random_element(rng), dom.random_element(rng)
+            psi = hankel_space(u, v).random_element(rng)
+            builds = [lambda: operators._sarason_tto(dom, cod, x, y, exact=False),
+                      lambda: operators._element_tho(psi, exact=False)]
+            for build in builds:
+                for _ in range(5):
+                    build()
+                with quadrature.tally() as own:
+                    warm = build()
+                assert own.pairings == 0
+                with quadrature.override(other):
+                    counts = []
+                    for _ in range(6):
+                        with quadrature.tally() as own:
+                            got = build()
+                        counts.append(own.pairings)
+                        assert _gap(got, warm) <= 1e-11
+                    assert counts == [1, 1, 1, 1, 1, 0]   # cold, then its own tensor
+                with quadrature.tally() as own:
+                    assert _gap(build(), warm) == 0.0
+                assert own.pairings == 0
+
+    def test_a_wrong_split_fails_the_warm_rebuild(self, rng, monkeypatch):
+        u, v = random_inner(rng, 3), random_inner(rng, 3)
+        A = tto_matrix(u, v, random_laurent(rng, 2))
+        B = tho_matrix(u, v, random_laurent(rng, 2))
+        for _ in range(7):
+            assert is_tto(A).is_member and is_tho(B).is_member
+        decompose = classify.cross_decompose
+
+        def skewed(*args, **kwargs):
+            dec = decompose(*args, **kwargs)
+            dec.left = dec.left + dec.left.space.element(np.full(dec.left.space.dim, 1e-3))
+            return dec
+
+        monkeypatch.setattr(classify, "cross_decompose", skewed)
+        for test, M in ((is_tto, A), (is_tho, B)):
+            with quadrature.tally() as own:
+                got = test(M)
+            assert own.pairings == 0, test.__name__
+            assert not got.is_member and got.rebuild_residual > classify.REBUILD_TOL
+
+    def test_operators_that_do_not_converge_leave_the_pair_cold(self, rng, monkeypatch):
+        u, v = random_inner(rng, 2), random_inner(rng, 2)
+
+        def unstable(*args):
+            raise NoConvergence("the basis-symbol operators did not stabilize")
+
+        monkeypatch.setattr(operators, "_symbol_operators", unstable)
+        with quadrature.use(quadrature.Evaluation()):
+            dom, cod = tm_basis(u), tm_basis(v)
+            x, y = cod.random_element(rng), dom.random_element(rng)
+            first = operators._sarason_tto(dom, cod, x, y, exact=False)
+            counts = []
+            for _ in range(7):
+                with quadrature.tally() as own:
+                    assert _gap(operators._sarason_tto(dom, cod, x, y, exact=False), first) == 0.0
+                counts.append(own.pairings)
+        assert counts == [1] * 7
+
+    def test_threads_warm_one_pair_once(self, rng, monkeypatch):
+        # more threads than cores, switching often: every thread gets the same
+        # verdicts, each pair pairs its operators once, and every other cold
+        # build pairs once, which a lost count or a second tensor would break
+        u, v = random_inner(rng, 8), random_inner(rng, 6)
+        As = [tto_matrix(u, v, random_laurent(rng, 2)) for _ in range(8)]
+        Bs = [tho_matrix(u, v, random_laurent(rng, 2)) for _ in range(8)]
+        shared = quadrature.Evaluation()
+        with quadrature.use(shared):
+            # the memo may build a basis twice under threads; each would count its own
+            dom, cod, psi_space = tm_basis(u), tm_basis(v), hankel_space(u, v)
+            As = [OperatorMatrix(A.matrix, dom, cod) for A in As]
+            Bs = [OperatorMatrix(B.matrix, dom, cod) for B in Bs]
+        tensors = []
+        make = operators._symbol_operators
+
+        def counted(*args):
+            tensors.append(args[2] is cod.block)
+            return make(*args)
+
+        monkeypatch.setattr(operators, "_symbol_operators", counted)
+        start = Barrier(4, timeout=60)
+
+        def worker(_):
+            with quadrature.use(shared):
+                start.wait()
+                return [(m.is_member, m.rebuild_residual <= 1e-12)
+                        for m in [*map(is_tto, As), *map(is_tho, Bs)]]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [[(True, True)] * 16] * 4
+        assert sorted(tensors) == [False, True]
+        settings = quadrature.QuadratureSettings()
+        cold = dom._uses[(cod, settings)] + psi_space._uses[settings]
+        # a pairing per cold build, the two that made the tensors by one piece each
+        assert shared.stats.pairings == cold
+
+
 class TestFunctionalCalculus:
     def test_identity_function(self, u_generic):
         got = functional_calculus(u_generic, 0.0, RationalSymbol.monomial(1))
@@ -533,7 +754,7 @@ class TestFunctionalCalculus:
         a = 0.35 + 0.2j
         psi = RationalSymbol.polynomial([0.5, -1j, 0.25])
         got = functional_calculus(u_generic, a, psi)
-        sa = clark_perturbation(u_generic, a).matrix
+        sa = clark_perturbation(tm_basis(u_generic), a).matrix
         want = 0.5 * np.eye(3) - 1j * sa + 0.25 * sa @ sa
         assert np.max(np.abs(got.matrix - want)) < 1e-10
 
@@ -545,7 +766,7 @@ class TestFunctionalCalculus:
         a = 2.2 - 1.1j
         psi = RationalSymbol.polynomial([1.0, 0.5])
         got = functional_calculus(u_generic, a, psi).matrix
-        base = clark_perturbation(u_generic, 1.0 / np.conj(a)).matrix.conj().T
+        base = clark_perturbation(tm_basis(u_generic), 1.0 / np.conj(a)).matrix.conj().T
         assert np.max(np.abs(got @ base - base @ got)) < 1e-10
 
     def test_spectral_multiplier_projectors(self, u_sym):
