@@ -119,12 +119,13 @@ def random_inner(rng, degree: int, real_symmetric: bool = False) -> InnerFunctio
     return InnerFunction(zeros, np.exp(2j * np.pi * rng.uniform()))
 
 
-def clustered_inner(rng, degree: int, centre: complex = 0.5, radius: float = 0.3) -> InnerFunction:
-    """A generator whose zeros are drawn uniformly in one small disk, on one
-    side of the circle: a valid input that `random_inner` practically never
-    draws, and one whose expanded coefficients lose precision."""
-    r = radius * np.sqrt(rng.uniform(size=degree))
-    zeros = centre + r * np.exp(2j * np.pi * rng.uniform(size=degree))
+def clustered_inner(rng, degree: int) -> InnerFunction:
+    """A generator whose zeros are drawn uniformly in the disk of radius 0.3
+    about 0.5, on one side of the circle: a valid input that `random_inner`
+    practically never draws, and one whose expanded coefficients lose
+    precision."""
+    r = 0.3 * np.sqrt(rng.uniform(size=degree))
+    zeros = 0.5 + r * np.exp(2j * np.pi * rng.uniform(size=degree))
     return InnerFunction(tuple(zeros), np.exp(2j * np.pi * rng.uniform()))
 
 

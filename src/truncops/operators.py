@@ -278,30 +278,34 @@ def tho_by_pairing(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> O
 
 
 # the most values one piece of a pair's basis-symbol operators pairs at its
-# first level: a degree-32 pair paired whole holds tens of MB of grid products
+# first level, unless one direct build pairs more: a degree-32 pair paired
+# whole holds tens of MB of grid products
 PIECE_VALUES = 1 << 16
 
 
 def _symbol_operators(dom: ModelSpaceBasis, cod: ModelSpaceBasis, side: Block, symbols,
                       count: int, reach: Reach) -> np.ndarray:
     """T[i * dom.dim + j, l] = <s_l e_j, g_i> for the basis e of dom, the
-    ``count`` basis symbols s_l whose (m, count) grid is ``symbols(m)`` and the
-    rows g_i of ``side``, cod's block or flipped block; read-only.  T c is the
-    operator with symbol sum_l c_l s_l, row by row.
+    ``count`` symbols s_l whose (m, count) grid is ``symbols(m)`` and the
+    rows g_i of ``side``, cod's block or flipped block.  T c is the
+    operator with symbol sum_l c_l s_l, row by row; for one symbol, T is
+    the operator itself.
 
     The products s_l e_j state ``reach``, that of the direct build, and are
     paired in pieces of whole columns j, each certified as any pairing is,
-    of at most PIECE_VALUES values at their first level.
+    of at most PIECE_VALUES values at their first level, or of the values
+    of one direct build where those are more; so one symbol pairs in one
+    piece, with the bits of its direct build.
     """
     first = 2 * quadrature.first_level(reach, side.reach, quadrature.current().settings)
-    step = max(1, PIECE_VALUES // (first * count))
+    step = max(1, max(PIECE_VALUES, first * dom.dim) // (first * count))
     out = np.empty((cod.dim, dom.dim, count), dtype=complex)
     for lo in range(0, dom.dim, step):
         cols = slice(lo, min(dom.dim, lo + step))
-        block = Block(lambda m, cols=cols: (dom.values(m)[:, cols, None]
-                                            * symbols(m)[:, None, :]).reshape(m, -1), reach)
+        block = Block(lambda m, cols=cols: (symbols(m)[:, None, :]
+                                            * dom.values(m)[:, cols, None]).reshape(m, -1), reach)
         out[:, cols] = pairing_matrix(block, side).reshape(cod.dim, -1, count)
-    return readonly(out.reshape(-1, count))
+    return out.reshape(-1, count)
 
 
 def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | None,
@@ -311,12 +315,12 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
     coordinates.  A part in another space raises SpaceMismatch.
 
     With exact, a Laurent symbol (every zero of the parts' spaces at 0) takes
-    the closed form.  Otherwise a cold pair forms the block
-    (E_v x + conj(E_u y)) e_j from the basis grids and pairs it once, with the
-    reach and the bits of `tto_by_pairing` on the symbol, which is never
-    built.  A warm pair (`ModelSpaceBasis.warm_operators`, held by dom per
-    codomain and settings) contracts the operators of the basis symbols
-    e^v_l and conj(e^u_l) with (x, conj(y)), and pairs nothing.
+    the closed form.  Otherwise a cold pair pairs the one symbol
+    E_v x + conj(E_u y), from the basis grids, with the reach and the bits
+    of `tto_by_pairing` on the symbol, which is never built.  A warm pair
+    (`ModelSpaceBasis.warm_operators`, held by dom per codomain) contracts
+    the operators of the basis symbols e^v_l and conj(e^u_l) with
+    (x, conj(y)), and pairs nothing.
     """
     if (x is not None and x.space != cod) or (y is not None and y.space != dom):
         raise SpaceMismatch("a Sarason pair needs x in the codomain and y in the domain")
@@ -325,29 +329,29 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
         terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
         return tto_matrix(dom.generator, cod.generator, sum(terms[1:], terms[0]))
     ops = dom.warm_operators(
-        (cod, quadrature.current().settings), cod.dim + dom.dim,
+        cod.generator, cod.dim + dom.dim,
         lambda: _symbol_operators(
             dom, cod, cod.block,
             lambda m: np.concatenate([cod.values(m), dom.block.conj(m)], axis=1),
             cod.dim + dom.dim,
             cod.generator.reach.join(dom.generator.reach).times(dom.generator.reach)))
-    if ops is not None:
+    if ops is None:
+        def symbol(m):
+            part = None if x is None else x.space.values(m) @ x.coords
+            if y is not None:
+                bar = np.conj(y.space.values(m) @ y.coords)
+                part = bar if part is None else part + bar
+            return part[:, None]
+
+        mat = _symbol_operators(dom, cod, cod.block, symbol, 1, reach.times(dom.generator.reach))
+    else:
         coords = np.zeros(cod.dim + dom.dim, dtype=complex)
         if x is not None:
             coords[:cod.dim] = x.coords
         if y is not None:
             coords[cod.dim:] = np.conj(y.coords)
-        return OperatorMatrix((ops @ coords).reshape(cod.dim, dom.dim), dom, cod)
-
-    def images(m):
-        part = None if x is None else x.space.values(m) @ x.coords
-        if y is not None:
-            bar = np.conj(y.space.values(m) @ y.coords)
-            part = bar if part is None else part + bar
-        return part[:, None] * dom.values(m)
-
-    return OperatorMatrix(
-        pairing_matrix(Block(images, reach.times(dom.generator.reach)), cod.block), dom, cod)
+        mat = ops @ coords
+    return OperatorMatrix(mat.reshape(cod.dim, dom.dim), dom, cod)
 
 
 def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
@@ -355,12 +359,12 @@ def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
     its coordinates; u and v are read off psi's space.
 
     With exact, every zero of u and v at 0 takes the closed form.  Otherwise
-    a cold pair forms the block conj(psi) e_j from the basis grids, psi
-    through its blocks as `hankel_symbol` evaluates it, and pairs it once
-    against J e_i, with the reach and the bits of `tho_by_pairing` on
-    conj(psi).  A warm pair (`ModelSpaceBasis.warm_operators`, held by psi's
-    space per settings) contracts the operators of the conjugated basis
-    symbols of psi's space with conj(psi), and pairs nothing.
+    a cold pair pairs the one symbol conj(psi), from the basis grids through
+    psi's blocks as `hankel_symbol` evaluates it, against J e_i, with the
+    reach and the bits of `tho_by_pairing` on conj(psi).  A warm pair
+    (`ModelSpaceBasis.warm_operators`, held by psi's space) contracts the
+    operators of the conjugated basis symbols of psi's space with
+    conj(psi), and pairs nothing.
     """
     head, tail, cod = _hankel_parts(psi)
     space = psi.space
@@ -369,21 +373,21 @@ def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
         return tho_matrix(head.generator, cod.generator, hankel_symbol(psi).conj_circle())
     reach = reach.times(head.generator.reach)
     ops = space.warm_operators(
-        quadrature.current().settings, space.dim,
+        None, space.dim,
         lambda: _symbol_operators(
             head, cod, cod.flipped,
             lambda m: np.conj(np.concatenate(
                 [head.values(m), head._running(m)[:, None] * tail.values(m)], axis=1)),
             space.dim, reach))
-    if ops is not None:
-        return OperatorMatrix((ops @ np.conj(psi.coords)).reshape(cod.dim, head.dim), head, cod)
-    x, y = psi.coords[:head.dim], psi.coords[head.dim:]
-
-    def images(m):
-        e = head.values(m)
-        return np.conj(e @ x + head._running(m) * (tail.values(m) @ y))[:, None] * e
-
-    return OperatorMatrix(pairing_matrix(Block(images, reach), cod.flipped), head, cod)
+    if ops is None:
+        x, y = psi.coords[:head.dim], psi.coords[head.dim:]
+        mat = _symbol_operators(
+            head, cod, cod.flipped,
+            lambda m: np.conj(head.values(m) @ x + head._running(m) * (tail.values(m) @ y))[:, None],
+            1, reach)
+    else:
+        mat = ops @ np.conj(psi.coords)
+    return OperatorMatrix(mat.reshape(cod.dim, head.dim), head, cod)
 
 
 def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMatrix:
