@@ -542,9 +542,7 @@ def check_hankel_unitary(p: ProblemSpec) -> TrialResult:
 
 def _invertible_class_hankel(u: InnerFunction, rng):
     """A Hankel operator in an involution-shifted class, invertible by design."""
-    alpha = 0.2 + 0.6 * np.sqrt(rng.uniform()) * _unit(rng)
-    if abs(alpha) > 0.9:
-        alpha = 0.9 * alpha / abs(alpha)
+    alpha = 0.2 + 0.6 * np.sqrt(rng.uniform()) * _unit(rng)     # |alpha| <= 0.8
     roots = 2.0 + rng.uniform(0, 2, u.degree - 1) if u.degree > 1 else []
     psi = RationalSymbol.polynomial(np.polynomial.polynomial.polyfromroots(roots)
                                     if len(roots) else [1.0])

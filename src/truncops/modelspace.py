@@ -25,7 +25,11 @@ of K_{a hat(b)} is evaluated.  Basis orthonormality
 is a theorem, so a basis build makes no pairing; `gram_residual` is its
 quadrature oracle, which kernel-core gates at GRAM_TOL.  The conjugations
 are exact too: both are changes of zero order (`reorder`), or the
-identity for the coefficient conjugation.
+identity for the coefficient conjugation.  The shift, the kernels at the
+origin, `reorder` and point values read the generator's zero table
+(`blaschke.ZeroTable`), each with the bits of its per-zero formula; a hat
+basis's shift is its source's conjugated, and its other operators read the
+hat's table, which is its source's conjugated.
 
 Elements and operator matrices are immutable after construction.  A basis
 is the one per-generator cache: it holds its grids, the kernels k0 and k~0
@@ -142,13 +146,21 @@ class ModelSpaceBasis:
     def __repr__(self):
         return f"ModelSpaceBasis(deg={self.dim}, generator={self.generator.to_json()})"
 
+    def _source(self) -> "ModelSpaceBasis | None":
+        """The basis of the generator this one's is the hat of, unless the memo
+        makes that this basis itself (a generator equal to its hat, or a hat
+        of a hat)."""
+        src = self.generator._hat_of
+        source = None if src is None else tm_basis(src)
+        return None if source is self else source
+
     @cached_property
     def k0(self) -> np.ndarray:
         """Coordinates of the kernel at the origin, conj(e_k(0)) with
-        e_k(0) = sqrt(1-|a_k|^2) prod_{j<k} (-a_j); read-only."""
-        zs = np.array(self.generator.zeros)
-        running = np.cumprod(np.concatenate(([1.0], -zs[:-1])))
-        return readonly(np.conj(np.sqrt(1.0 - np.abs(zs) ** 2) * running))
+        e_k(0) = sqrt(1-|a_k|^2) prod_{j<k} (-a_j), read off the zero table;
+        read-only."""
+        t = self.generator.table
+        return readonly(np.conj(t.weights * t.running))
 
     @cached_property
     def conj_k0(self) -> np.ndarray:
@@ -174,16 +186,22 @@ class ModelSpaceBasis:
 
         Exact (Garcia-Mashreghi-Ross 2018): the zeros a_i on the diagonal and
         sqrt(1-|a_i|^2) sqrt(1-|a_j|^2) prod_(j<k<i) (-conj(a_k)) below it, a
-        running product down each column, so a zero at 0 needs no division.
+        running product down each column, so a zero at 0 needs no division;
+        read off the zero table, with every zero unsigned.  A hat's is its
+        source's conjugated, the same bits.
         """
-        a = np.array(self.generator.zeros)
-        idx = np.arange(a.size)
-        mat = np.zeros((a.size, a.size), dtype=complex)
-        mat[1:] = np.cumprod(np.where(idx[:, None] > idx, -np.conj(a)[:, None], 1.0),
-                             axis=0)[:-1]
-        weights = np.sqrt(1.0 - np.abs(a) ** 2)
-        mat = np.tril(mat * np.outer(weights, weights), -1) + np.diag(a)
-        return OperatorMatrix(readonly(mat), self, self)
+        src = self._source()
+        if src is not None:
+            matrix = quadrature.unsigned_zeros(np.conj(src.shift.matrix))
+            return OperatorMatrix(readonly(matrix), self, self)
+        t, n = self.generator.table, self.dim
+        below = _below(n)
+        products = np.cumprod(np.where(below, -t.conj[:, None], 1.0), axis=0)
+        mat = np.zeros((n, n), dtype=complex)
+        np.multiply(products[:-1], t.weights[1:, None] * t.weights, out=mat[1:],
+                    where=below[1:])
+        mat.flat[::n + 1] = t.zeros
+        return OperatorMatrix(readonly(quadrature.unsigned_zeros(mat)), self, self)
 
     @cached_property
     def shift_adjoint(self) -> "OperatorMatrix":
@@ -283,20 +301,35 @@ class ModelSpaceBasis:
         coefficients are evaluated.  Raises PoleHit where some 1 - conj(a_k) z
         nearly vanishes, which happens only off the closed disk.
         """
+        z = np.asarray(z, dtype=complex)
+        self.generator.guard_poles(z)
         return self._evaluate(z)[0]
 
     def _evaluate(self, z):
-        """e_k(z) for every k, and prod_j b_j(z) over every zero factor, zero by
-        zero; their zeros unsigned (``quadrature.unsigned_zeros``)."""
+        """e_k(z) for every k, and prod_j b_j(z) over every zero factor; their
+        zeros unsigned (``quadrature.unsigned_zeros``).  Unguarded: grids lie
+        on the circle, inside every pole's guard radius, and `at` guards.
+
+        The factors of every zero come at once from the zero table
+        (`ZeroTable.factors`), the running products one zero at a time, and
+        the values of every e_k from them at once.
+        """
         z = np.asarray(z, dtype=complex)
-        self.generator.guard_poles(z)
-        out = np.empty(z.shape + (self.dim,), dtype=complex)
-        running = np.ones(z.shape, dtype=complex)
-        for k, a in enumerate(self.generator.zeros):
-            factor_den = 1.0 - np.conj(a) * z
-            np.divide(np.sqrt(1.0 - abs(a) ** 2) * running, factor_den, out=out[..., k])
-            running = running * (z - a) / factor_den
-        return quadrature.unsigned_zeros(out), quadrature.unsigned_zeros(running)
+        t, n = self.generator.table, self.dim
+        num, den = t.factors(z)
+        # row k: prod_(j<k) b_j(z), one zero at a time; at a single point the
+        # rows are numpy scalars, whose products round as the per-zero loop's
+        # did (numpy's array multiply may fuse where its scalar one does not)
+        running = np.empty((n,) + z.shape, dtype=complex)
+        running[0] = 1.0
+        for k in range(n - 1):
+            running[k + 1] = running[k] * num[k] / den[k]
+        last = running[n - 1] * num[n - 1] / den[n - 1]
+        out = np.empty(z.shape + (n,), dtype=complex)
+        col = (slice(None),) + (None,) * z.ndim
+        np.divide(t.factor_weights[col] * running, den,
+                  out=out.transpose((z.ndim,) + tuple(range(z.ndim))))
+        return quadrature.unsigned_zeros(out), quadrature.unsigned_zeros(last)
 
     def values(self, m: int) -> np.ndarray:
         """Boundary values of the basis on the m-grid, stacked (m, dim); cached, read-only.
@@ -322,12 +355,10 @@ class ModelSpaceBasis:
                                          self._hat_source)
 
     def _hat_source(self):
-        """The grid cache and evaluation of the basis of the generator this one's
-        is the hat of, unless the memo makes that this basis itself (a generator
-        equal to its hat, or a hat of a hat)."""
-        src = self.generator._hat_of
-        source = self if src is None else tm_basis(src)
-        return None if source is self else (source._value_cache, source._evaluate)
+        """The grid cache and evaluation of the basis this one is the hat of
+        (`_source`), or None."""
+        source = self._source()
+        return None if source is None else (source._value_cache, source._evaluate)
 
     def _flipped_values(self, m: int) -> np.ndarray:
         return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]
@@ -543,12 +574,13 @@ def conj_kernel(u: InnerFunction, lam: complex) -> SpaceElement:
 
 
 def _conj_kernel_coords(u: InnerFunction, lam: complex) -> np.ndarray:
-    """The closed form of `conj_kernel` at lam."""
+    """The closed form of `conj_kernel` at lam, read off the zero table."""
     u.guard_poles(lam)
-    a = np.array(u.zeros)
-    factor_den = 1.0 - np.conj(a) * lam
-    tails = np.cumprod(((lam - a) / factor_den)[:0:-1])[::-1]     # prod_{j>k} b_j(lam)
-    return u.constant * np.sqrt(1.0 - np.abs(a) ** 2) / factor_den * np.append(tails, 1.0)
+    t = u.table
+    factor_den = 1.0 - t.conj * lam
+    tails = np.ones(u.degree, dtype=complex)     # prod_{j>k} b_j(lam)
+    tails[:-1] = np.cumprod(((lam - t.zeros) / factor_den)[:0:-1])[::-1]
+    return u.constant * t.weights / factor_den * tails
 
 
 def boundary_kernel_symbol(u: InnerFunction, eta: complex) -> RationalSymbol:
@@ -679,36 +711,58 @@ def reorder(u: InnerFunction, order) -> np.ndarray:
     p = sqrt(1-|a|^2) sqrt(1-|b|^2)/d, q = -conj(a-b)/d and r = (a-b)/d.
     """
     order = tuple(order)
-    if sorted(order) != list(range(u.degree)):
+    if len(order) != u.degree:
         raise SpaceMismatch(f"{order} is not an order of the {u.degree} zeros")
     rounds, left, right = _swap_rounds(order)
-    zs = np.append(u.zeros, 0.0)        # a = b = 0 leaves a pair as it is
+    t = u.table
+    # index n is a = b = 0 with weight 1, which leaves a pair as it is
+    zs, weights = _padded(t.zeros, 0.0), _padded(t.weights, 1.0)
     a, b = zs[left], zs[right]
-    weights = np.sqrt(1.0 - np.abs(zs) ** 2)
-    coeffs = np.stack([weights[left] * weights[right], -np.conj(a - b), a - b])
-    p, q, r = (coeffs / (1.0 - np.conj(b) * a))[:, :, None]
+    diff, den = a - b, 1.0 - np.conj(b) * a
+    p, q, r = (weights[left] * weights[right]) / den, -np.conj(diff) / den, diff / den
+    # (p, r) and (q, p) stacked, so that a round forms both new rows at once
+    pr, qp = np.array((p, r))[..., None], np.array((q, p))[..., None]
     out = np.eye(u.degree, dtype=complex)   # row k: the coordinates of the k-th function
-    for start, stop, at in rounds:
+    for start, stop, at, end in rounds:
         x, y = out[start:stop:2], out[start + 1:stop:2]
-        sl = slice(at, at + len(x))
-        x[...], y[...] = p[sl] * x + q[sl] * y, r[sl] * x + p[sl] * y
+        new = pr[:, at:end] * x + qp[:, at:end] * y
+        x[...] = new[0]
+        y[...] = new[1]
     return out.T
+
+
+def _padded(values: np.ndarray, pad) -> np.ndarray:
+    """values with ``pad`` appended."""
+    out = np.empty(values.size + 1, dtype=values.dtype)
+    out[:-1], out[-1] = values, pad
+    return out
+
+
+@lru_cache(maxsize=64)
+def _below(n: int) -> np.ndarray:
+    """The mask of the entries strictly below the diagonal of an n x n matrix."""
+    idx = np.arange(n)
+    return readonly(idx[:, None] > idx)
 
 
 @lru_cache(maxsize=1024)
 def _swap_rounds(order: tuple):
     """The odd-even transposition rounds that sort the stored order into ``order``:
     per round, the rows k and k+1 for every k of one parity from ``start`` to
-    ``stop``, and from ``at`` on, the zero indices each pair holds (``left``,
-    ``right``), or n where it stays."""
+    ``stop``, and from ``at`` to ``end``, the zero indices each pair holds
+    (``left``, ``right``), or n where it stays.  An ``order`` that is not a
+    permutation of the zero indices raises SpaceMismatch."""
     n = len(order)
+    if sorted(order) != list(range(n)):
+        raise SpaceMismatch(f"{order} is not an order of the {n} zeros")
     key, perm = np.argsort(order), np.arange(n)
     rounds, left, right = [], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for parity in range(n):     # n rounds sort any order
         ks = np.arange(parity % 2, n - 1, 2)
         swap = key[perm[ks]] > key[perm[ks + 1]]
         if swap.any():
-            rounds.append((ks[0], ks[-1] + 2, sum(map(len, left))))
+            at = sum(map(len, left))
+            rounds.append((int(ks[0]), int(ks[-1]) + 2, at, at + len(ks)))
             left.append(np.where(swap, perm[ks], n))
             right.append(np.where(swap, perm[ks + 1], n))
             perm[ks[swap]], perm[ks[swap] + 1] = perm[ks[swap] + 1], perm[ks[swap]]

@@ -64,7 +64,8 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, partial, reduce, wraps
+from threading import Lock
 
 import numpy as np
 
@@ -228,13 +229,65 @@ def tally():
         ev.stats.add(own)
 
 
+_MISSING = object()
+
+
+class _Cell(partial):
+    """One memoized key: calling it builds the key, and `fill` builds it once.
+
+    A partial of the builder and the key, so `memoized` makes and stores a
+    missed key's cell within one call of its `functools.lru_cache`, which
+    runs no Python code between the miss and the store: threads that miss
+    a key together get one cell.
+    """
+
+    value = _MISSING    # the build, once made
+    gate = None         # while the build is made, a lock its builder holds
+
+    def fill(self):
+        """The build: the first caller makes it, and a caller that comes while
+        it is made waits for it.  A build that raises leaves the cell empty,
+        and each waiter then tries again."""
+        with _FILLING:
+            if self.value is not _MISSING:
+                return self.value
+            waiting = self.gate
+            if waiting is None:
+                self.gate = gate = Lock()
+                gate.acquire()
+        if waiting is not None:
+            with waiting:       # released when that build ends
+                pass
+            return self.fill()
+        try:
+            self.value = self()
+            return self.value
+        finally:
+            self.gate = None
+            gate.release()
+
+
+_FILLING = Lock()       # guards the claim of every cell's build
+
+
 def memoized(build):
-    """Memoize a builder in the current evaluation, keeping its MEMO_SIZE latest builds."""
+    """Memoize a builder in the current evaluation, keeping its MEMO_SIZE most
+    recently used builds; threads that miss a key together build it once.
+
+    Each evaluation holds one `functools.lru_cache` of cells per builder, so
+    a lookup of a built key costs what an lru_cache hit costs and takes no
+    lock, and ``cache_info()`` counts a miss for each new cell and a hit for
+    each other lookup.
+    """
+    cell = partial(_Cell, build)
+
     @wraps(build)
     def lookup(*args):
         memo = _current.get().memo
-        table = memo.get(build) or memo.setdefault(build, lru_cache(MEMO_SIZE)(build))
-        return table(*args)
+        cells = memo.get(build) or memo.setdefault(build, lru_cache(MEMO_SIZE)(cell))
+        got = cells(*args)
+        value = got.value
+        return got.fill() if value is _MISSING else value
     return lookup
 
 

@@ -72,6 +72,11 @@ def test_criterion_4_sedlock_machinery():
     failures, resid, dt = _sweep("sedlock-roundtrip", 200, (2, 8))
     _report("criterion-4 class roundtrip/adjoint/closure (200, |a|<=0.9, 1e-8)",
             failures, resid, 200, dt)
+    # on a one-dimensional K_u every operator is scalar, so a trial passes
+    # only where sedlock_class says "all"
+    failures, resid, dt = _sweep("sedlock-roundtrip", 20, (1, 1))
+    _report("criterion-4 class roundtrip at degree 1 (20, membership all)",
+            failures, resid, 20, dt)
 
 
 def test_criterion_5_clark_regime():

@@ -216,12 +216,17 @@ def test_hash_is_the_dataclass_hash_computed_once(monkeypatch):
 
 
 def test_pole_guard_radius_is_fixed_at_construction():
+    # the guard radius is the least pole modulus less 1e-12, kept once per
+    # generator in its zero table, which is also the reach's rho
     u = InnerFunction([0.5, 0.0, -0.25j])
-    assert u._pole_radius == np.min(np.abs(u._poles)) - 1e-12
+    assert u.table.rho == np.min(np.abs(u.table.poles)) == u.reach.rho
     u.guard_poles(np.array([0.3, 1.9]))      # inside the guard radius, or off every pole
+    u.guard_poles(2.0 - 2e-12)
     with pytest.raises(PoleHit):
         u.guard_poles(np.array([0.1, 2.0 + 1e-13]))
-    assert monomial_inner(3)._pole_radius == np.inf
+    with pytest.raises(PoleHit):
+        u.guard_poles(2.0 + 1e-13)
+    assert monomial_inner(3).table.rho == np.inf
     monomial_inner(3).guard_poles(np.array([1e300]))
 
 
@@ -229,9 +234,9 @@ def test_subnormal_zero_has_no_pole():
     # 1/conj(a) overflowed to a NaN pole, with overflow warnings, for a
     # subnormal zero such as the one a CLI generator can carry
     u = InnerFunction([2.2e-309, 0.5j])
-    assert u._poles.tolist() == [2j] and u.reach.rho == 2.0
+    assert u.table.poles.tolist() == [2j] and u.reach.rho == 2.0
     assert np.all(np.isfinite(u.boundary_values(16)))
-    assert InnerFunction([2.2e-309])._pole_radius == np.inf
+    assert InnerFunction([2.2e-309]).table.rho == np.inf
 
 
 def test_clark_rejects_interior_alpha():

@@ -172,6 +172,13 @@ class TestSuite:
         assert hashlib.sha256(got).hexdigest() == \
             "f09e01ff8b5ccc7e41e44143417fdce831261f1689fb5cb2a5bc3b407b07e446"
 
+    def test_high_band_byte_determinism(self):
+        # degrees 30-32, where the poles, the reach and the weights of the
+        # zeros pick the quadrature levels and shape every operator
+        got = run_suite(SuiteConfig(seed=7, trials=1, degree_range=(30, 32))).json_bytes()
+        assert hashlib.sha256(got).hexdigest() == \
+            "5eb96f243ecdf5df94785c87b6d9794c8503d051c5ceb31eed9f04dc826ed35c"
+
     def test_first_difference_names_the_check_and_field(self):
         want = json.loads(SEED7_REPORT.read_bytes())
         got = json.loads(SEED7_REPORT.read_bytes())

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -190,3 +191,90 @@ def test_even_odd_mean_is_the_one_product_mean_to_roundoff(monkeypatch, degree):
         full = (G2c[::2].T @ F2[::2] + G2c[1::2].T @ F2[1::2]) / (2 * m)
         scale = max(1.0, float(np.max(np.abs(F2))) * float(np.max(np.abs(G2c))))
         assert np.max(np.abs(full - G2c.T @ F2 / (2 * m))) <= 4 * eps * scale
+
+
+def _race(threads, ask):
+    """ask() from each of `threads` threads at once, with the switch interval
+    at 1e-6, each under its own copy of the current context."""
+    import contextvars
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Barrier
+
+    start = Barrier(threads, timeout=60)
+
+    def worker(ctx):
+        start.wait()
+        return ctx.run(ask)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, [contextvars.copy_context() for _ in range(threads)],
+                                 timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_threads_that_miss_a_key_together_build_it_once():
+    # four threads ask a fresh evaluation for the same Hankel pair at once:
+    # the first miss builds the basis, the others wait for it
+    a, b = InnerFunction([0.3 + 0.2j, -0.4, 0.1j]), InnerFunction([0.5j, 0.2 - 0.3j])
+    for _ in range(20):
+        with quadrature.use(quadrature.Evaluation()) as ev:
+            got = _race(4, lambda: modelspace.hankel_space(a, b))
+            assert all(space is got[0] for space in got)
+            info = ev.memo[modelspace.hankel_space.__wrapped__].cache_info()
+            assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+
+def test_threads_that_miss_a_slow_build_wait_for_it():
+    calls = []
+
+    @quadrature.memoized
+    def slow(key):
+        calls.append(key)
+        time.sleep(0.01)
+        return [key]
+
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        got = _race(8, lambda: slow("k"))
+        assert calls == ["k"] and all(x is got[0] for x in got)
+        info = ev.memo[slow.__wrapped__].cache_info()
+        assert (info.hits, info.misses) == (7, 1)
+
+
+def test_a_build_that_raises_is_tried_again_by_each_waiter():
+    calls = []
+
+    @quadrature.memoized
+    def refuse(key):
+        calls.append(key)
+        raise NoConvergence("no build")
+
+    with quadrature.use(quadrature.Evaluation()):
+        outcomes = _race(3, lambda: pytest.raises(NoConvergence, refuse, "k"))
+    assert len(outcomes) == 3 and calls == ["k"] * 3
+
+
+def test_the_memo_keeps_its_most_recently_used_builds():
+    made = []
+
+    @quadrature.memoized
+    def build(key):
+        made.append(key)
+        return [key]
+
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        first = build(0)
+        for key in range(1, quadrature.MEMO_SIZE):
+            build(key)
+        assert build(0) is first            # a hit makes 0 the most recent
+        build(quadrature.MEMO_SIZE)         # drops 1, the least recent
+        assert build(0) is first and len(made) == quadrature.MEMO_SIZE + 1
+        build(1)
+        assert made[-1] == 1
+        info = ev.memo[build.__wrapped__].cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, quadrature.MEMO_SIZE + 2,
+                                                           quadrature.MEMO_SIZE)
