@@ -121,21 +121,11 @@ class ZeroTable:
     def running(self) -> np.ndarray:
         return readonly(np.cumprod(np.concatenate(([1.0], -self.zeros[:-1]))))
 
-    @cached_property
-    def columns(self) -> tuple:
-        """The zeros and their conjugates as columns, for points in one axis."""
-        return self.zeros[:, None], self.conj[:, None]
-
     def factors(self, z: np.ndarray) -> tuple:
         """z - a_k and 1 - conj(a_k) z for every zero a_k, each of shape
         (degree,) + z.shape, so that row k is the k-th zero factor's."""
-        zeros, conj = self.zeros, self.conj
-        if z.ndim == 1:
-            zeros, conj = self.columns
-        elif z.ndim:
-            col = (slice(None),) + (None,) * z.ndim
-            zeros, conj = zeros[col], conj[col]
-        return z - zeros, 1.0 - conj * z
+        col = (slice(None),) + (None,) * z.ndim
+        return z - self.zeros[col], 1.0 - self.conj[col] * z
 
 
 @dataclass(frozen=True)

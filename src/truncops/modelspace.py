@@ -28,8 +28,7 @@ are exact too: both are changes of zero order (`reorder`), or the
 identity for the coefficient conjugation.  The shift, the kernels at the
 origin, `reorder` and point values read the generator's zero table
 (`blaschke.ZeroTable`), each with the bits of its per-zero formula; a hat
-basis's shift is its source's conjugated, and its other operators read the
-hat's table, which is its source's conjugated.
+basis's operators read the hat's table, which is its source's conjugated.
 
 Elements and operator matrices are immutable after construction.  A basis
 is the one per-generator cache: it holds its grids, the kernels k0 and k~0
@@ -146,14 +145,6 @@ class ModelSpaceBasis:
     def __repr__(self):
         return f"ModelSpaceBasis(deg={self.dim}, generator={self.generator.to_json()})"
 
-    def _source(self) -> "ModelSpaceBasis | None":
-        """The basis of the generator this one's is the hat of, unless the memo
-        makes that this basis itself (a generator equal to its hat, or a hat
-        of a hat)."""
-        src = self.generator._hat_of
-        source = None if src is None else tm_basis(src)
-        return None if source is self else source
-
     @cached_property
     def k0(self) -> np.ndarray:
         """Coordinates of the kernel at the origin, conj(e_k(0)) with
@@ -187,13 +178,8 @@ class ModelSpaceBasis:
         Exact (Garcia-Mashreghi-Ross 2018): the zeros a_i on the diagonal and
         sqrt(1-|a_i|^2) sqrt(1-|a_j|^2) prod_(j<k<i) (-conj(a_k)) below it, a
         running product down each column, so a zero at 0 needs no division;
-        read off the zero table, with every zero unsigned.  A hat's is its
-        source's conjugated, the same bits.
+        read off the zero table, with every zero unsigned.
         """
-        src = self._source()
-        if src is not None:
-            matrix = quadrature.unsigned_zeros(np.conj(src.shift.matrix))
-            return OperatorMatrix(readonly(matrix), self, self)
         t, n = self.generator.table, self.dim
         below = _below(n)
         products = np.cumprod(np.where(below, -t.conj[:, None], 1.0), axis=0)
@@ -355,10 +341,12 @@ class ModelSpaceBasis:
                                          self._hat_source)
 
     def _hat_source(self):
-        """The grid cache and evaluation of the basis this one is the hat of
-        (`_source`), or None."""
-        source = self._source()
-        return None if source is None else (source._value_cache, source._evaluate)
+        """The grid cache and evaluation of the basis of the generator this one's
+        is the hat of, unless the memo makes that this basis itself (a generator
+        equal to its hat, or a hat of a hat)."""
+        src = self.generator._hat_of
+        source = self if src is None else tm_basis(src)
+        return None if source is self else (source._value_cache, source._evaluate)
 
     def _flipped_values(self, m: int) -> np.ndarray:
         return np.conj(quadrature.nodes(m))[:, None] * self.values(m)[quadrature.reflection(m)]

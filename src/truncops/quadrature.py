@@ -236,9 +236,13 @@ class _Cell(partial):
     """One memoized key: calling it builds the key, and `fill` builds it once.
 
     A partial of the builder and the key, so `memoized` makes and stores a
-    missed key's cell within one call of its `functools.lru_cache`, which
-    runs no Python code between the miss and the store: threads that miss
-    a key together get one cell.
+    missed key's cell within one call of its `functools.lru_cache`.  Under
+    CPython's C lru_cache that call runs no bytecode between the miss and
+    the store, unless a key's ``__eq__`` runs on a hash collision, so no
+    other thread can run in between: threads that miss a key together get
+    one cell.  Under the pure-Python lru_cache, or across such an
+    ``__eq__``, two threads may each make a cell and each build the key,
+    as an uncelled memo would, and only the stored one is kept.
     """
 
     value = _MISSING    # the build, once made
@@ -246,8 +250,8 @@ class _Cell(partial):
 
     def fill(self):
         """The build: the first caller makes it, and a caller that comes while
-        it is made waits for it.  A build that raises leaves the cell empty,
-        and each waiter then tries again."""
+        it is made waits for it.  A build that raises leaves the cell empty
+        in its slot, and each waiter then tries again."""
         with _FILLING:
             if self.value is not _MISSING:
                 return self.value
@@ -277,7 +281,10 @@ def memoized(build):
     Each evaluation holds one `functools.lru_cache` of cells per builder, so
     a lookup of a built key costs what an lru_cache hit costs and takes no
     lock, and ``cache_info()`` counts a miss for each new cell and a hit for
-    each other lookup.
+    each other lookup.  Building once rests on CPython's C lru_cache
+    (`_Cell`).  A build that raises stores no value, but its cell keeps its
+    slot: a later lookup of the key counts as a hit and builds again, and
+    keys whose builds raise push out older builds as built keys do.
     """
     cell = partial(_Cell, build)
 

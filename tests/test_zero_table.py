@@ -194,7 +194,7 @@ def test_a_hat_basis_holds_the_operators_built_from_its_zeros(n, family):
     rng = np.random.default_rng(2000 * n + FAMILIES.index(family))
     u = _family(family, rng, n)
     with quadrature.use(quadrature.Evaluation()):
-        tm_basis(u).shift       # the hat's shift is this one conjugated
+        tm_basis(u).values(32)      # the hat's grid is this one conjugated
         # a real symmetric u equals its hat, and the memo gives u's basis
         hat = tm_basis(u.hat())
         direct = ModelSpaceBasis(_unlinked(hat.generator))
@@ -210,6 +210,23 @@ def test_a_hat_basis_holds_the_operators_built_from_its_zeros(n, family):
         for name in ("zeros", "conj", "poles", "weights", "factor_weights", "running"):
             assert _bits(getattr(u.hat().table, name)) == _bits(
                 getattr(_unlinked(u.hat()).table, name)), name
+
+
+@pytest.mark.parametrize("family", ["uniform", "repeated"])
+def test_a_hat_of_a_hat_looked_up_first_builds_both_bases(family):
+    # the memo keys a generator's basis by its zeros, so here the basis it
+    # gives for v is the one built for hat(hat(v)), whose source is hat(v)
+    rng = np.random.default_rng(11)
+    v = _family(family, rng, 4)
+    h = v.hat()
+    with quadrature.use(quadrature.Evaluation()):
+        first = tm_basis(h.hat())
+        assert tm_basis(v) is first and first.generator._hat_of is h
+        for space in (tm_basis(h), tm_basis(v)):
+            direct = ModelSpaceBasis(_unlinked(space.generator))
+            for name in ("shift", "conjugation_C"):
+                assert _bits(getattr(space, name).matrix) == _bits(getattr(direct, name).matrix)
+            assert _bits(space.values(32)) == _bits(direct.values(32))
 
 
 def test_hats_and_products_derive_their_tables_without_validating(monkeypatch):
