@@ -40,38 +40,24 @@ The basis of K_{a hat(b)} that `hankel_space` builds per pair holds the
 bases of K_a, K_hat(b) and K_b from construction, so psi carries its pair.
 The two blocks of a basis (the basis and the flipped basis J e_k) cache
 their conjugates, the conjugated side of every pairing against the basis.
-A basis also counts the coordinate builds of the pairs it keys and, once
-a pair is warm, holds the operators of its basis symbols
-(`warm_operators`): those of the Toeplitz pairs it is the domain of, per
-codomain generator, and for a `hankel_space` basis those of its Hankel
-pair, each per settings and evaluation, and at most MEMO_SIZE of each.
-Every cached array is read-only and the counts are kept under a lock, so
-a basis is safe to share between threads.
+Every cached array is read-only, so a basis is safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from threading import Lock
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import InnerFunction
-from .errors import NoConvergence, NotRealSymmetric, SpaceMismatch, SymbolNotInClass
+from .errors import NotRealSymmetric, SpaceMismatch, SymbolNotInClass
 from .quadrature import Block, pairing_matrix, readonly
 from .ratfun import RationalSymbol
 
 GRAM_TOL = 1e-10
-
-
-def _keep(table: dict, key, value):
-    """table[key] = value as its latest key, dropping the oldest past MEMO_SIZE."""
-    table[key] = value
-    if len(table) > quadrature.MEMO_SIZE:
-        del table[next(iter(table))]
-    return value
 
 
 class ModelSpaceBasis:
@@ -93,12 +79,6 @@ class ModelSpaceBasis:
         self.block = Block(self.values, generator.reach)
         # J e_k = conj(z) e_k(conj z), the codomain side of Hankel builds
         self.flipped = Block(self._flipped_values, generator.reach.flipped())
-        # per pair key, the builds counted while the pair is cold and, once it
-        # is warm, the operators of its basis symbols (`warm_operators`); each
-        # keeps its MEMO_SIZE latest keys, oldest first
-        self._uses: dict = {}
-        self._operators: dict = {}
-        self._warm_lock = Lock()
 
     @cached_property
     def functions(self) -> list[RationalSymbol]:
@@ -246,39 +226,6 @@ class ModelSpaceBasis:
         out = self.conjugation_C @ self.conjugation_U_on
         readonly(out.matrix)
         return out
-
-    def warm_operators(self, other, coordinates: int, pair):
-        """The operators of a pair's basis symbols that this basis holds, or
-        None while the pair is cold.
-
-        The pair is keyed by ``other``, the generator of its other space (None
-        for a `hankel_space` basis, whose pair it is), with the settings and
-        the scope of the current evaluation, so a key keeps no basis alive.
-        Each call of a cold pair counts one build.  The build after the first
-        ``coordinates``, the number of the pair's basis symbols, makes the
-        operators by ``pair()``, at about the cost of that many direct
-        builds, and every build after they are held contracts them.  The
-        count is exact under threads, so one build makes them; a build that
-        comes while they are being made still builds directly.  Operators
-        whose pairing does not converge are not held, and the pair keeps
-        building directly.  The counts and the operators each keep their
-        MEMO_SIZE latest keys; a pair whose key is dropped counts afresh.
-        """
-        ev = quadrature.current()
-        key = (other, ev.settings, ev.scope)
-        got = self._operators.get(key)
-        if got is None:
-            with self._warm_lock:
-                uses = _keep(self._uses, key, self._uses.pop(key, 0) + 1)
-            if uses == coordinates + 1:
-                try:
-                    got = readonly(pair())
-                except NoConvergence:
-                    return None
-                with self._warm_lock:
-                    self._uses.pop(key, None)
-                    _keep(self._operators, key, got)
-        return got
 
     def at(self, z) -> np.ndarray:
         """Factored values e_k(z) of every basis function: shape z.shape + (dim,).

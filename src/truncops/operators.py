@@ -23,13 +23,14 @@ the flipped basis).  A Sarason pair x + conj(y), or conj(psi) for a Hankel
 element psi, is paired from its coordinates (`_sarason_tto`, `_element_tho`).
 Both are linear in the symbol, so once a pair of spaces has been built more
 times than it has basis symbols, it pairs the operators of every basis
-symbol at once (`_symbol_operators`), held by the basis that keys the pair
-(`ModelSpaceBasis.warm_operators`), and each later build contracts them
-with the coordinates without pairing.
+symbol at once (`_symbol_operators`), held in the memo of the current
+evaluation by the pair's generators and settings (`_warm_pair`), and each
+later build contracts them with the coordinates without pairing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -39,7 +40,13 @@ from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
 from .blaschke import UNIMODULAR_TOL, ExtendedScalar, InnerFunction
-from .errors import DegenerateSpectrum, NotUnimodular, SingularDenominator, SpaceMismatch
+from .errors import (
+    DegenerateSpectrum,
+    NoConvergence,
+    NotUnimodular,
+    SingularDenominator,
+    SpaceMismatch,
+)
 from .modelspace import (
     ModelSpaceBasis,
     OperatorMatrix,
@@ -308,6 +315,47 @@ def _symbol_operators(dom: ModelSpaceBasis, cod: ModelSpaceBasis, side: Block, s
     return out.reshape(-1, count)
 
 
+@dataclass
+class _Warm:
+    """A pair of spaces' builds counted while it is cold and, once it is warm,
+    the read-only operators of its basis symbols."""
+
+    builds: itertools.count = field(default_factory=itertools.count)
+    operators: np.ndarray | None = None
+
+
+@quadrature.memoized
+def _warm_pair(kind: str, u: InnerFunction, v: InnerFunction,
+               settings: quadrature.QuadratureSettings) -> _Warm:
+    """The warm state of the ``kind`` ("tto" or "tho") builds from K_u into K_v
+    under settings, memoized in the current evaluation, so a new evaluation
+    starts every pair cold and its key holds generators, not bases."""
+    return _Warm()
+
+
+def _warm_tensor(kind: str, u: InnerFunction, v: InnerFunction, coordinates: int, pair):
+    """The operators of a pair's basis symbols (`_warm_pair`), or None while
+    the pair is cold.
+
+    Each call of a cold pair counts one build.  The build after the first
+    ``coordinates``, the number of the pair's basis symbols, makes the
+    operators by ``pair()``, at about the cost of that many direct builds,
+    and every build after they are held contracts them.  ``next`` on the
+    count is atomic, so under threads one build makes them; a build that
+    comes while they are being made still builds directly.  Operators whose
+    pairing does not converge are not held, and the pair keeps building
+    directly.
+    """
+    warm = _warm_pair(kind, u, v, quadrature.current().settings)
+    got = warm.operators
+    if got is None and next(warm.builds) == coordinates:
+        try:
+            got = warm.operators = readonly(pair())
+        except NoConvergence:
+            return None
+    return got
+
+
 def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | None,
                  y: SpaceElement | None, exact: bool = True) -> OperatorMatrix:
     """`tto_matrix(u, v, x + conj(y))` from dom = K_u into cod = K_v, for a
@@ -318,9 +366,9 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
     the closed form.  Otherwise a cold pair pairs the one symbol
     E_v x + conj(E_u y), from the basis grids, with the reach and the bits
     of `tto_by_pairing` on the symbol, which is never built.  A warm pair
-    (`ModelSpaceBasis.warm_operators`, held by dom per codomain) contracts
-    the operators of the basis symbols e^v_l and conj(e^u_l) with
-    (x, conj(y)), and pairs nothing.
+    (`_warm_tensor`, keyed "tto", u, v) contracts the operators of the
+    basis symbols e^v_l and conj(e^u_l) with (x, conj(y)), and pairs
+    nothing.
     """
     if (x is not None and x.space != cod) or (y is not None and y.space != dom):
         raise SpaceMismatch("a Sarason pair needs x in the codomain and y in the domain")
@@ -328,8 +376,8 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
     if exact and reach.rho == math.inf:
         terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
         return tto_matrix(dom.generator, cod.generator, sum(terms[1:], terms[0]))
-    ops = dom.warm_operators(
-        cod.generator, cod.dim + dom.dim,
+    ops = _warm_tensor(
+        "tto", dom.generator, cod.generator, cod.dim + dom.dim,
         lambda: _symbol_operators(
             dom, cod, cod.block,
             lambda m: np.concatenate([cod.values(m), dom.block.conj(m)], axis=1),
@@ -362,9 +410,9 @@ def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
     a cold pair pairs the one symbol conj(psi), from the basis grids through
     psi's blocks as `hankel_symbol` evaluates it, against J e_i, with the
     reach and the bits of `tho_by_pairing` on conj(psi).  A warm pair
-    (`ModelSpaceBasis.warm_operators`, held by psi's space) contracts the
-    operators of the conjugated basis symbols of psi's space with
-    conj(psi), and pairs nothing.
+    (`_warm_tensor`, keyed "tho", u, v) contracts the operators of the
+    conjugated basis symbols of psi's space with conj(psi), and pairs
+    nothing.
     """
     head, tail, cod = _hankel_parts(psi)
     space = psi.space
@@ -372,8 +420,8 @@ def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
     if exact and reach.rho == math.inf:
         return tho_matrix(head.generator, cod.generator, hankel_symbol(psi).conj_circle())
     reach = reach.times(head.generator.reach)
-    ops = space.warm_operators(
-        None, space.dim,
+    ops = _warm_tensor(
+        "tho", head.generator, cod.generator, space.dim,
         lambda: _symbol_operators(
             head, cod, cod.flipped,
             lambda m: np.conj(np.concatenate(

@@ -48,12 +48,12 @@ Toeplitz and Hankel operators pass the images of a whole basis as one, and
 values per grid, which a pairing reads on its conjugated side.
 
 Every pairing runs under the current ``Evaluation``, which holds its settings
-and counters and the memo (``memoized``) of three builders, none of which
+and counters and the memo (``memoized``) of four builders, none of which
 pairs: the basis of each generator, which holds that generator's operators,
-the basis of each Hankel pair's product space, and the cross Gram matrix of
-each pair.  The counters count pairings, not builds: a build of a warm pair
-of spaces contracts the basis-symbol operators its basis holds, paired
-under the current settings and evaluation, and pairs nothing.
+the basis of each Hankel pair's product space, the cross Gram matrix of
+each pair, and the warm state of each pair of spaces per settings.  The
+counters count pairings, not builds: a build of a warm pair of spaces
+contracts the basis-symbol operators that state holds and pairs nothing.
 A ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
 own; library sessions share a default one, whose counters are ``STATS``.
 """
@@ -180,17 +180,14 @@ class Evaluation:
     The memo maps each ``memoized`` builder to its own bounded
     least-recently-used table, one build per generator (or pair of
     generators), each operator's matrix read-only.  ``override`` runs under
-    a copy with other settings that shares the counters and the memo.
-    ``scope`` is an identity that such copies share and a new evaluation
-    does not: a basis keys the counts and tensors of its warm pairs by it
-    (`ModelSpaceBasis.warm_operators`), so under a new evaluation every
-    pair starts cold, whichever evaluation built its bases.
+    a copy with other settings that shares the counters and the memo.  A
+    new evaluation has a new memo, so under it every pair of spaces starts
+    cold, whichever evaluation built its bases.
     """
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
     stats: _Stats = field(default_factory=_Stats)
     memo: dict = field(default_factory=dict)
-    scope: object = field(default_factory=object, repr=False)
 
 
 # library sessions run under the default evaluation; STATS are its counters

@@ -635,8 +635,9 @@ def _warm_operands(rng, test) -> tuple:
 # the memo lookups of a warm repeat: the shifts, kernels, conjugations,
 # involutions and Hankel parts come from the bases the operands carry, and
 # class values read their level points and kernels off their members' bases,
-# so what is left is the one hankel_space lookup of is_tho
-WARM_LOOKUPS = {is_tto: 0, is_tho: 1, sedlock_class: 0, tho_product_tto_test: 0,
+# so what is left is the warm-pair record of each rebuild and the one
+# hankel_space lookup of is_tho
+WARM_LOOKUPS = {is_tto: 1, is_tho: 2, sedlock_class: 0, tho_product_tto_test: 0,
                 mixed_product_test: 0, tho_unitary_report: 0, zero_product_analysis: 0,
                 cross_space_zero_product: 0}
 

@@ -338,9 +338,10 @@ class TestEvaluationContext:
         assert tm_basis(u_generic) is space
         assert quadrature.STATS.snapshot() == before
 
-    def test_suite_memo_holds_three_builders(self, monkeypatch):
+    def test_suite_memo_holds_four_builders(self, monkeypatch):
         # each generator's operators are held by its basis, so the memo of a
-        # suite run has the tables of tm_basis, hankel_space and cross_gram only
+        # suite run has the tables of tm_basis, hankel_space, cross_gram and
+        # the warm pairs of spaces only
         made, evaluation = [], quadrature.Evaluation
         monkeypatch.setattr(quadrature, "Evaluation",
                             lambda *args: made.append(evaluation(*args)) or made[-1])
@@ -348,7 +349,7 @@ class TestEvaluationContext:
         monkeypatch.undo()
         (ev,) = made
         assert {build.__name__ for build in ev.memo} == {"tm_basis", "hankel_space",
-                                                          "cross_gram"}
+                                                          "cross_gram", "_warm_pair"}
 
     def test_quadrature_cap_below_first_level(self):
         # the first level of the default start floor is 2 * QUAD_START nodes

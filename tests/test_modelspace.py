@@ -1,4 +1,3 @@
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from threading import Barrier
@@ -87,57 +86,6 @@ class TestBasis:
             assert space.flipped.conj(m) is space.flipped.conj(m)
             with pytest.raises(ValueError):
                 space.flipped.conj(m)[0, 0] = 0
-
-    def test_warm_operators_count_every_build_under_threads(self, u_generic):
-        # more threads than cores, switching often: a lost count or a second
-        # build of the operators breaks the bookkeeping
-        space = ModelSpaceBasis(u_generic)
-        made = []
-        ops = np.zeros(1)
-        start = Barrier(8, timeout=60)
-
-        def worker(_):
-            start.wait()
-            return [space.warm_operators("pair", 3000, lambda: made.append(1) or ops)
-                    for _ in range(800)]
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = [r for rs in pool.map(worker, range(8), timeout=120) for r in rs]
-        finally:
-            sys.setswitchinterval(switch)
-        assert made == [1]
-        # the first 3000 builds find none, and so do those that come while
-        # they are being made; every other build finds them
-        cold = sum(g is None for g in got)
-        assert cold >= 3000
-        assert sum(g is ops for g in got) == len(got) - cold
-        assert not ops.flags.writeable
-
-    def test_warm_pairs_are_keyed_by_generator_settings_and_evaluation(self, u_generic):
-        # a key holds no basis, under other settings or a new evaluation a
-        # pair counts afresh, and a basis keeps at most MEMO_SIZE keys
-        space = ModelSpaceBasis(u_generic)
-        other = quadrature.QuadratureSettings(tol=1e-11)
-
-        def build(key="pair"):
-            return space.warm_operators(key, 1, lambda: np.zeros(1))
-
-        assert build() is None and build() is not None
-        with quadrature.override(other):
-            assert build() is None and build() is not None
-        with quadrature.use(quadrature.Evaluation()):
-            assert build() is None
-        assert not any(isinstance(part, ModelSpaceBasis)
-                       for key in [*space._uses, *space._operators] for part in key)
-        for k in range(quadrature.MEMO_SIZE + 5):
-            build(("warm", k))
-            build(("warm", k))
-            build(("cold", k))
-        assert len(space._uses) == len(space._operators) == quadrature.MEMO_SIZE
-        assert build() is None      # the oldest warm key was dropped
 
     def test_combine_matches_eval(self, u_generic, rng):
         f = tm_basis(u_generic).random_element(rng)

@@ -545,7 +545,7 @@ def _gap(got, want) -> float:
 
 class TestWarmPairs:
     """A pair built more times than its basis symbols contracts their operators
-    (`ModelSpaceBasis.warm_operators`) instead of pairing."""
+    (`operators._warm_tensor`) instead of pairing."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 32])
     @pytest.mark.parametrize("kind", ["generic", "zeros-at-0", "repeated", "clustered"])
@@ -705,7 +705,7 @@ class TestWarmPairs:
         Bs = [tho_matrix(u, v, random_laurent(rng, 2)) for _ in range(8)]
         shared = quadrature.Evaluation()
         with quadrature.use(shared):
-            # the memo may build a basis twice under threads; each would count its own
+            # the operands carry these bases, whose blocks the spy below tells apart
             dom, cod = tm_basis(u), tm_basis(v)
             As = [OperatorMatrix(A.matrix, dom, cod) for A in As]
             Bs = [OperatorMatrix(B.matrix, dom, cod) for B in Bs]
@@ -736,6 +736,87 @@ class TestWarmPairs:
         assert sorted(tensors) == [False, True]
         # a pairing per cold build, the two that made the tensors by one piece each
         assert shared.stats.pairings == len(cold) + 2
+
+    def test_warm_tensor_counts_every_build_under_threads(self, u_generic):
+        # more threads than cores, switching often: a lost count, or a second
+        # record or tensor of the pair, breaks the bookkeeping
+        shared = quadrature.Evaluation()
+        made = []
+        ops = np.zeros(1)
+        start = Barrier(8, timeout=60)
+
+        def worker(_):
+            with quadrature.use(shared):
+                start.wait()
+                return [operators._warm_tensor("tto", u_generic, u_generic, 3000,
+                                               lambda: made.append(1) or ops)
+                        for _ in range(800)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = [r for rs in pool.map(worker, range(8), timeout=120) for r in rs]
+        finally:
+            sys.setswitchinterval(switch)
+        assert made == [1]
+        # the first 3000 builds find none, and so do those that come while
+        # it is being made; every other build finds it
+        cold = sum(g is None for g in got)
+        assert cold >= 3000
+        assert sum(g is ops for g in got) == len(got) - cold
+        assert not ops.flags.writeable
+
+    def test_warm_pairs_are_keyed_by_generators_settings_and_evaluation(self, rng, monkeypatch):
+        # a pair counts afresh under other settings and under a new
+        # evaluation, here on bases built under the default one, and its key
+        # holds generators, not bases
+        u, v = random_inner(rng, 2), random_inner(rng, 2)
+        other = quadrature.QuadratureSettings(tol=1e-11)
+        keys, record = [], operators._warm_pair
+        monkeypatch.setattr(operators, "_warm_pair", lambda *key: keys.append(key) or record(*key))
+        dom, cod = tm_basis(u), tm_basis(v)
+        x, y = cod.random_element(rng), dom.random_element(rng)
+        psi = hankel_space(u, v).random_element(rng)
+        builds = [lambda: operators._sarason_tto(dom, cod, x, y, exact=False),
+                  lambda: operators._element_tho(psi, exact=False)]
+
+        def pairings(build):
+            counts = []
+            for _ in range(6):
+                with quadrature.tally() as own:
+                    build()
+                counts.append(own.pairings)
+            return counts
+
+        # 4 basis symbols: 4 cold builds, the tensor by one pairing, then none
+        for build in builds:
+            with quadrature.use(quadrature.Evaluation()):
+                assert pairings(build) == [1, 1, 1, 1, 1, 0]
+                with quadrature.override(other):
+                    assert pairings(build) == [1, 1, 1, 1, 1, 0]
+            with quadrature.use(quadrature.Evaluation()):
+                assert pairings(build) == [1, 1, 1, 1, 1, 0]
+        assert set(keys) == {(kind, u, v, settings) for kind in ("tto", "tho")
+                             for settings in (quadrature.QuadratureSettings(), other)}
+
+    def test_the_warm_bound_is_per_evaluation(self, rng, monkeypatch):
+        # MEMO_SIZE bounds the warm pairs of an evaluation, whichever bases
+        # they read: warming a third pair drops the oldest
+        monkeypatch.setattr(quadrature, "MEMO_SIZE", 2)
+        with quadrature.use(quadrature.Evaluation()):
+            cod = tm_basis(random_inner(rng, 2))
+            doms = [tm_basis(random_inner(rng, 2)) for _ in range(3)]
+            x = cod.random_element(rng)
+            for dom in doms:
+                for _ in range(dom.dim + cod.dim + 1):
+                    operators._sarason_tto(dom, cod, x, None, exact=False)
+            counts = []
+            for dom in reversed(doms):
+                with quadrature.tally() as own:
+                    operators._sarason_tto(dom, cod, x, None, exact=False)
+                counts.append(own.pairings)
+        assert counts == [0, 0, 1]
 
 
 class TestFunctionalCalculus:

@@ -6,7 +6,9 @@ in its import lines, and imports only names it uses.  The package
 directives, so both are exempt from the unused-name rule.  The per-generator
 operators live on the basis of K_u, so no module function only reads one
 off `tm_basis`.  A basis holds its Hankel parts from construction, so
-nothing else sets them.  The Python examples of README.md run.
+nothing else sets them.  Locks are made in `quadrature` only, whose memo
+is the one home of state shared between threads.  The Python examples of
+README.md run.
 """
 
 import ast
@@ -175,6 +177,30 @@ def test_the_hankel_parts_rule_sees_a_write():
         "    setattr(space, 'hankel_parts', parts)\n"
         "    object.__setattr__(space, 'hankel_parts', parts)\n")
     assert _hankel_parts_writes(tree) == [5, 9, 12, 13, 14]
+
+
+def _lock_constructions(tree: ast.Module) -> list[int]:
+    """The lines that construct a ``Lock`` or an ``RLock``, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("Lock", "RLock")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "quadrature.py"],
+                         ids=lambda p: p.name)
+def test_locks_are_made_only_in_quadrature(path):
+    found = _lock_constructions(_tree(path))
+    assert not found, f"{path.name} makes its own lock, a second home of shared state: {found}"
+
+
+def test_the_lock_rule_sees_a_lock():
+    tree = ast.parse("import threading\nfrom threading import Lock\n"
+                     "class ModelSpaceBasis:\n"
+                     "    def __init__(self, generator):\n"
+                     "        self._warm_lock = Lock()\n"
+                     "        self.gate = threading.RLock()\n"
+                     "        self.lock = Lockable()\n")
+    assert _lock_constructions(tree) == [5, 6]
+    assert _lock_constructions(_tree(next(p for p in MODULES if p.name == "quadrature.py")))
 
 
 def _readme_examples() -> list[str]:
