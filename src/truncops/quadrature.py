@@ -48,10 +48,10 @@ Toeplitz and Hankel operators pass the images of a whole basis as one, and
 values per grid, which a pairing reads on its conjugated side.
 
 Every pairing runs under the current ``Evaluation``, which holds its settings
-and counters and the memo (``memoized``) of four builders, none of which
-pairs: the basis of each generator, which holds that generator's operators,
-the basis of each Hankel pair's product space, the cross Gram matrix of
-each pair, and the warm state of each pair of spaces per settings.  The
+and counters and the memo (``Memo``) of four ``memoized`` builders, none of
+which pairs: the basis of each generator, which holds its operators, the
+basis of each Hankel pair's product space, the cross Gram matrix of each
+pair, and the warm state of each pair of spaces per settings.  The
 counters count pairings, not builds: a build of a warm pair of spaces
 contracts the basis-symbol operators that state holds and pairs nothing.
 A ``contextvars.ContextVar`` holds it, so a thread or a suite run can have its
@@ -61,10 +61,11 @@ own; library sessions share a default one, whose counters are ``STATS``.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict, defaultdict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache, partial, reduce, wraps
+from functools import cached_property, reduce, wraps
 from threading import Lock
 
 import numpy as np
@@ -173,21 +174,78 @@ class _Stats:
         self.max_nodes = max(self.max_nodes, other.max_nodes)
 
 
+_MISSING = object()
+
+
+class _Table(OrderedDict):
+    """One builder's builds by key, least recently used first, with its lookups."""
+
+    hits = misses = 0
+
+
+class Memo:
+    """The memoized builds of an evaluation: per builder, a `_Table` of its
+    MEMO_SIZE most recently used builds (``tables``), under one lock.
+
+    A lookup that misses claims the key and builds it outside the lock, since
+    a build may look up another key (`hankel_space` looks up `tm_basis`); a
+    lookup of a key being built waits for that build, then looks again.  Only
+    a made build takes a slot, so a build that raises stores nothing and
+    pushes nothing out, and each waiter then tries again.  Each lookup counts
+    once: a miss if it builds, else a hit.
+    """
+
+    def __init__(self):
+        self.tables: dict = defaultdict(_Table)
+        self._building: dict = {}   # (builder, key): the lock its builder holds
+        self._lock = Lock()
+
+    def get(self, build, key: tuple):
+        """build(*key), made once and kept while it is among the latest MEMO_SIZE."""
+        while True:
+            with self._lock:
+                table = self.tables[build]
+                value = table.get(key, _MISSING)
+                if value is not _MISSING:
+                    table.move_to_end(key)
+                    table.hits += 1
+                    return value
+                gate = self._building.get((build, key))
+                if gate is None:
+                    table.misses += 1
+                    gate = self._building[build, key] = Lock()
+                    gate.acquire()
+                    break
+            with gate:      # released when that build ends
+                pass
+        try:
+            value = build(*key)
+        finally:
+            with self._lock:
+                del self._building[build, key]
+                if value is not _MISSING:   # else the build raised
+                    table[key] = value
+                    while len(table) > MEMO_SIZE:
+                        table.popitem(last=False)
+            gate.release()
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Evaluation:
     """The state every pairing runs under: settings, counters and memoized builds.
 
-    The memo maps each ``memoized`` builder to its own bounded
+    The memo (`Memo`) holds each ``memoized`` builder's bounded
     least-recently-used table, one build per generator (or pair of
-    generators), each operator's matrix read-only.  ``override`` runs under
-    a copy with other settings that shares the counters and the memo.  A
-    new evaluation has a new memo, so under it every pair of spaces starts
-    cold, whichever evaluation built its bases.
+    generators), each operator's matrix read-only, and counts its hits and
+    misses.  ``override`` and ``tally`` run under a copy that shares the
+    memo.  A new evaluation has a new memo, so under it every pair of
+    spaces starts cold, whichever evaluation built its bases.
     """
 
     settings: QuadratureSettings = field(default_factory=QuadratureSettings)
     stats: _Stats = field(default_factory=_Stats)
-    memo: dict = field(default_factory=dict)
+    memo: Memo = field(default_factory=Memo)
 
 
 # library sessions run under the default evaluation; STATS are its counters
@@ -226,72 +284,14 @@ def tally():
         ev.stats.add(own)
 
 
-_MISSING = object()
-
-
-class _Cell(partial):
-    """One memoized key: calling it builds the key, and `fill` builds it once.
-
-    A partial of the builder and the key, so `memoized` makes and stores a
-    missed key's cell within one call of its `functools.lru_cache`.  Under
-    CPython's C lru_cache that call runs no bytecode between the miss and
-    the store, unless a key's ``__eq__`` runs on a hash collision, so no
-    other thread can run in between: threads that miss a key together get
-    one cell.  Under the pure-Python lru_cache, or across such an
-    ``__eq__``, two threads may each make a cell and each build the key,
-    as an uncelled memo would, and only the stored one is kept.
-    """
-
-    value = _MISSING    # the build, once made
-    gate = None         # while the build is made, a lock its builder holds
-
-    def fill(self):
-        """The build: the first caller makes it, and a caller that comes while
-        it is made waits for it.  A build that raises leaves the cell empty
-        in its slot, and each waiter then tries again."""
-        with _FILLING:
-            if self.value is not _MISSING:
-                return self.value
-            waiting = self.gate
-            if waiting is None:
-                self.gate = gate = Lock()
-                gate.acquire()
-        if waiting is not None:
-            with waiting:       # released when that build ends
-                pass
-            return self.fill()
-        try:
-            self.value = self()
-            return self.value
-        finally:
-            self.gate = None
-            gate.release()
-
-
-_FILLING = Lock()       # guards the claim of every cell's build
-
-
 def memoized(build):
-    """Memoize a builder in the current evaluation, keeping its MEMO_SIZE most
-    recently used builds; threads that miss a key together build it once.
-
-    Each evaluation holds one `functools.lru_cache` of cells per builder, so
-    a lookup of a built key costs what an lru_cache hit costs and takes no
-    lock, and ``cache_info()`` counts a miss for each new cell and a hit for
-    each other lookup.  Building once rests on CPython's C lru_cache
-    (`_Cell`).  A build that raises stores no value, but its cell keeps its
-    slot: a later lookup of the key counts as a hit and builds again, and
-    keys whose builds raise push out older builds as built keys do.
-    """
-    cell = partial(_Cell, build)
+    """Memoize a builder in the current evaluation's `Memo`, which keeps its
+    MEMO_SIZE most recently used builds; threads that miss a key together
+    build it once."""
 
     @wraps(build)
     def lookup(*args):
-        memo = _current.get().memo
-        cells = memo.get(build) or memo.setdefault(build, lru_cache(MEMO_SIZE)(cell))
-        got = cells(*args)
-        value = got.value
-        return got.fill() if value is _MISSING else value
+        return _current.get().memo.get(build, args)
     return lookup
 
 

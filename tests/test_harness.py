@@ -348,8 +348,8 @@ class TestEvaluationContext:
         run_suite(SuiteConfig(seed=7, trials=1))
         monkeypatch.undo()
         (ev,) = made
-        assert {build.__name__ for build in ev.memo} == {"tm_basis", "hankel_space",
-                                                          "cross_gram", "_warm_pair"}
+        assert {build.__name__ for build in ev.memo.tables} == {"tm_basis", "hankel_space",
+                                                                 "cross_gram", "_warm_pair"}
 
     def test_quadrature_cap_below_first_level(self):
         # the first level of the default start floor is 2 * QUAD_START nodes

@@ -225,8 +225,8 @@ def test_threads_that_miss_a_key_together_build_it_once():
         with quadrature.use(quadrature.Evaluation()) as ev:
             got = _race(4, lambda: modelspace.hankel_space(a, b))
             assert all(space is got[0] for space in got)
-            info = ev.memo[modelspace.hankel_space.__wrapped__].cache_info()
-            assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+            table = ev.memo.tables[modelspace.hankel_space.__wrapped__]
+            assert (table.hits, table.misses, len(table)) == (3, 1, 1)
 
 
 def test_threads_that_miss_a_slow_build_wait_for_it():
@@ -241,8 +241,8 @@ def test_threads_that_miss_a_slow_build_wait_for_it():
     with quadrature.use(quadrature.Evaluation()) as ev:
         got = _race(8, lambda: slow("k"))
         assert calls == ["k"] and all(x is got[0] for x in got)
-        info = ev.memo[slow.__wrapped__].cache_info()
-        assert (info.hits, info.misses) == (7, 1)
+        table = ev.memo.tables[slow.__wrapped__]
+        assert (table.hits, table.misses) == (7, 1)
 
 
 def test_a_build_that_raises_is_tried_again_by_each_waiter():
@@ -275,6 +275,91 @@ def test_the_memo_keeps_its_most_recently_used_builds():
         assert build(0) is first and len(made) == quadrature.MEMO_SIZE + 1
         build(1)
         assert made[-1] == 1
-        info = ev.memo[build.__wrapped__].cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, quadrature.MEMO_SIZE + 2,
-                                                           quadrature.MEMO_SIZE)
+        table = ev.memo.tables[build.__wrapped__]
+        assert (table.hits, table.misses, len(table)) == (2, quadrature.MEMO_SIZE + 2,
+                                                         quadrature.MEMO_SIZE)
+
+
+def test_a_build_that_raises_takes_no_slot(monkeypatch):
+    monkeypatch.setattr(quadrature, "MEMO_SIZE", 4)
+    made = []
+
+    @quadrature.memoized
+    def build(key):
+        made.append(key)
+        if key == "refused":
+            raise NoConvergence("no build")
+        return [key]
+
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        first = build(0)
+        for key in range(1, quadrature.MEMO_SIZE):
+            build(key)
+        for _ in range(2):                  # each lookup builds again, and counts a miss
+            with pytest.raises(NoConvergence):
+                build("refused")
+        assert build(0) is first            # the full table pushed nothing out
+        assert made == [*range(quadrature.MEMO_SIZE), "refused", "refused"]
+        table = ev.memo.tables[build.__wrapped__]
+        assert list(table) == [(key,) for key in (*range(1, quadrature.MEMO_SIZE), 0)]
+        assert (table.hits, table.misses) == (1, quadrature.MEMO_SIZE + 2)
+
+
+class _Colliding:
+    """A key whose hash is every other's and whose ``__eq__`` is Python code
+    that sleeps, so comparing it lets other threads run."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        return 0
+
+    def __eq__(self, other):
+        time.sleep(0.001)
+        return isinstance(other, _Colliding) and self.name == other.name
+
+
+def test_threads_build_a_key_once_across_a_slow_eq_on_a_hash_collision():
+    calls = []
+
+    @quadrature.memoized
+    def build(key):
+        calls.append(key.name)
+        return [key.name]
+
+    held, fresh = _Colliding("held"), _Colliding("fresh")
+    for _ in range(3):
+        calls.clear()
+        with quadrature.use(quadrature.Evaluation()):
+            build(held)
+            got = _race(4, lambda: build(fresh))
+        assert calls == ["held", "fresh"] and all(x is got[0] for x in got)
+
+
+def test_threads_looking_up_more_keys_than_the_bound_keep_each_table_bounded(monkeypatch):
+    # 8 threads walk 3 x MEMO_SIZE keys from different starts, each key twice
+    # in a row, so lookups, builds and evictions of one table interleave
+    monkeypatch.setattr(quadrature, "MEMO_SIZE", 4)
+    keys, threads, starts, sizes = 3 * quadrature.MEMO_SIZE, 8, iter(range(8)), []
+
+    @quadrature.memoized
+    def build(key):
+        return [key]
+
+    def ask():
+        start, got = 3 * next(starts), []
+        tables = quadrature.current().memo.tables
+        for i in range(4 * keys):
+            key = (start + i // 2) % keys
+            got.append((key, build(key)))
+            sizes.append(len(tables[build.__wrapped__]))
+        return got
+
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        got = _race(threads, ask)
+    assert all(value == [key] for lookups in got for key, value in lookups)
+    assert max(sizes) <= quadrature.MEMO_SIZE
+    table = ev.memo.tables[build.__wrapped__]
+    assert len(table) == quadrature.MEMO_SIZE
+    assert table.hits + table.misses == threads * 4 * keys and table.hits > 0

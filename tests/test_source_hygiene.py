@@ -7,8 +7,9 @@ directives, so both are exempt from the unused-name rule.  The per-generator
 operators live on the basis of K_u, so no module function only reads one
 off `tm_basis`.  A basis holds its Hankel parts from construction, so
 nothing else sets them.  Locks are made in `quadrature` only, whose memo
-is the one home of state shared between threads.  The Python examples of
-README.md run.
+is the one home of state shared between threads, and ``lru_cache`` keeps only
+the module-level pure helpers of `modelspace`, so no evaluation state sits in
+a process-wide cache.  The Python examples of README.md run.
 """
 
 import ast
@@ -201,6 +202,49 @@ def test_the_lock_rule_sees_a_lock():
                      "        self.lock = Lockable()\n")
     assert _lock_constructions(tree) == [5, 6]
     assert _lock_constructions(_tree(next(p for p in MODULES if p.name == "quadrature.py")))
+
+
+# the module-level pure helpers that may keep a process-wide lru_cache
+PURE_CACHES = {"modelspace.py": {"_below", "_swap_rounds"}}
+
+
+def _lru_cache_uses(tree: ast.Module) -> list:
+    """Each read of ``lru_cache``, by name or as an attribute: the name of the
+    module-level function it decorates, else its line."""
+    decorated = {}
+    for func in tree.body:
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in func.decorator_list:
+                decorated[id(dec.func if isinstance(dec, ast.Call) else dec)] = func.name
+    return [decorated.get(id(node), node.lineno) for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == "lru_cache"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_lru_caches_decorate_only_pure_helpers(path):
+    # evaluation state lives in the evaluation's memo, not in process-wide caches
+    found = [use for use in _lru_cache_uses(_tree(path))
+             if use not in PURE_CACHES.get(path.name, ())]
+    assert not found, f"{path.name} uses lru_cache outside its pure helpers: {found}"
+
+
+def test_quadrature_imports_no_lru_cache_or_partial():
+    imported = _imported_names(_tree(next(p for p in MODULES if p.name == "quadrature.py")))
+    assert not {"lru_cache", "partial"} & imported.keys()
+
+
+def test_the_cache_rule_sees_an_lru_cache():
+    tree = ast.parse("import functools\nfrom functools import lru_cache, partial\n"
+                     "@lru_cache(maxsize=64)\ndef _below(n):\n    return n\n"
+                     "@functools.lru_cache\ndef tm_basis(u):\n    return u\n"
+                     "class B:\n    @lru_cache\n    def k(self):\n        return 1\n"
+                     "def memoized(build):\n"
+                     "    cells = memo.get(build) or memo.setdefault(build, "
+                     "lru_cache(MEMO_SIZE)(cell))\n")
+    assert sorted(_lru_cache_uses(tree), key=str) == [10, 14, "_below", "tm_basis"]
+    assert {"lru_cache", "partial"} <= _imported_names(tree).keys()
+    modelspace = next(p for p in MODULES if p.name == "modelspace.py")
+    assert set(_lru_cache_uses(_tree(modelspace))) == PURE_CACHES["modelspace.py"]
 
 
 def _readme_examples() -> list[str]:
