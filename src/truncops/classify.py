@@ -110,22 +110,22 @@ def cross_decompose(M, a: SpaceElement, b: SpaceElement,
     if na2 < 1e-24 or nb2 < 1e-24:
         raise ZeroAnchor("cross decomposition anchors must be nonzero")
     bhm = bv_conj @ mat
-    left = (mat @ av - bv * (complex(bhm @ av) / nb2)) / na2   # Q_b M a: component along (x) a
-    right = np.conj(bhm) / nb2                                  # M^H b: component along b (x)
+    left = mat @ av                 # Q_b M a: component along (x) a
+    left -= bv * (complex(bhm @ av) / nb2)
+    left /= na2
+    right = np.conj(bhm)            # M^H b: component along b (x)
+    right /= nb2
     # re-gauge: move the a-parallel part of right into left
     g = complex(np.vdot(av, right)) / na2
     right -= g * av
-    left += np.conj(g) * bv
+    left += g.conjugate() * bv
     resid = mat - left[:, None] * av_conj
     resid -= bv[:, None] * np.conj(right)
     residual = _fro(resid)
-    ok = _within(residual, tol, mat)
-    return CrossDecomposition(
-        ok,
-        SpaceElement(b.space, left) if ok else None,
-        SpaceElement(a.space, right) if ok else None,
-        residual,
-    )
+    if residual < tol or residual < tol * max(1.0, _fro(mat)):     # `_within`, inline
+        return CrossDecomposition(True, SpaceElement(b.space, left),
+                                  SpaceElement(a.space, right), residual)
+    return CrossDecomposition(False, None, None, residual)
 
 
 @dataclass
@@ -158,16 +158,14 @@ def is_tto(A: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     bases hold.
     """
     _require_linear(A, "is_tto")
-    dom, cod = A.domain, A.codomain
-    disp = A.matrix - cod.shift.matrix @ A.matrix @ dom.shift_adjoint.matrix
-    dec = cross_decompose(disp, dom.kernel0, cod.kernel0, tol)
-    if not dec.success:
-        return TTOMembership(False, None, None, dec.residual_norm)
-    if not recover:
-        return TTOMembership(True, dec.left, dec.right, dec.residual_norm)
-    rebuilt = _sarason_tto(dom, cod, dec.left, dec.right, exact=False)
-    rres = float(np.abs(rebuilt.matrix - A.matrix).max())
-    return TTOMembership(_within(rres, REBUILD_TOL, A.matrix), dec.left, dec.right,
+    dom, cod, mat = A.domain, A.codomain, A.matrix
+    dec = cross_decompose(mat - cod.shift.matrix @ mat @ dom.shift_adjoint.matrix,
+                          dom.kernel0, cod.kernel0, tol)
+    if not (dec.success and recover):
+        return TTOMembership(dec.success, dec.left, dec.right, dec.residual_norm)
+    rres = float(np.abs(_sarason_tto(dom, cod, dec.left, dec.right, exact=False).matrix
+                        - mat).max())
+    return TTOMembership(_within(rres, REBUILD_TOL, mat), dec.left, dec.right,
                          dec.residual_norm, rres)
 
 
@@ -202,20 +200,19 @@ def is_tho(B: OperatorMatrix, tol: float = MEMBERSHIP_TOL,
     rebuild those that `hankel_space(u, v)` holds.
     """
     _require_linear(B, "is_tho")
-    dom, cod = B.domain, B.codomain
-    disp = B.matrix - cod.shift.matrix @ B.matrix @ dom.shift.matrix
-    dec = cross_decompose(disp, dom.conj_kernel0, cod.kernel0, tol)
-    if not dec.success:
-        return THOMembership(False, None, dec.residual_norm)
-    if not recover:
-        return THOMembership(True, None, dec.residual_norm)
-    u, v = dom.generator, cod.generator
+    dom, cod, mat = B.domain, B.codomain, B.matrix
+    shift = dom.shift.matrix
+    dec = cross_decompose(mat - cod.shift.matrix @ mat @ shift,
+                          dom.conj_kernel0, cod.kernel0, tol)
+    if not (dec.success and recover):
+        return THOMembership(dec.success, None, dec.residual_norm)
+    u = dom.generator
     # the u-first basis of K_{u hat(v)} is the basis of K_u, then u/const(u)
     # times the basis of K_hat(v), in which hat(part1) has coordinates conj(part1)
-    psi = hankel_space(u, v).element(np.concatenate(
-        [dom.shift.matrix @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
-    rres = float(np.abs(_element_tho(psi, exact=False).matrix - B.matrix).max())
-    if not _within(rres, REBUILD_TOL, B.matrix):
+    psi = hankel_space(u, cod.generator).element(np.concatenate(
+        [shift @ dec.right.coords, u.constant * np.conj(dec.left.coords)]))
+    rres = float(np.abs(_element_tho(psi, exact=False).matrix - mat).max())
+    if not _within(rres, REBUILD_TOL, mat):
         return THOMembership(False, None, dec.residual_norm, rres)
     return THOMembership(True, psi, dec.residual_norm, rres)
 
@@ -267,19 +264,18 @@ def _affine_commutant_solve(mat: np.ndarray, space: ModelSpaceBasis):
     kernels that the basis of K_u holds.  Returns (alpha or None, residual)
     for the least-squares g.
     """
-    u = space.generator
     smat = space.shift.matrix
-    k0, kt0 = space.kernel0, space.conj_kernel0
+    k0, kt0 = space.k0, space.conj_kernel0
     c0 = mat @ smat - smat @ mat
-    c1 = (np.outer(mat @ k0.coords, kt0.conj)
-          - np.outer(k0.coords, np.conj(mat.conj().T @ kt0.coords)))
-    n1 = _fro(c1)
-    if n1 < 1e-13:
+    # outer products by broadcasting, the multiply of np.outer; conj(A* kt0)
+    # as A^T conj(kt0), the same products and sums with their signs flipped
+    c1 = (mat @ k0)[:, None] * kt0.conj - k0[:, None] * (mat.T @ kt0.conj)
+    if _fro(c1) < 1e-13:
         res = _fro(c0)
         return (ExtendedScalar.finite(0.0) if res < 1e-13 else None), res
     t = -complex(np.vdot(c1, c0)) / complex(np.vdot(c1, c1))
     res = _fro(c0 + t * c1)
-    denom = 1.0 + t * np.conj(u.origin_value)
+    denom = 1.0 + t * np.conj(space.generator.origin_value)
     if abs(denom) < 1e-10:
         return None, res
     return ExtendedScalar.finite(t / denom), res
@@ -303,7 +299,7 @@ def sedlock_class(A: OperatorMatrix) -> SedlockReport:
         return SedlockReport("all", None, 0.0, scalar=0.0)
     mat = A.matrix / nrm
     tr = complex(np.trace(mat)) / n
-    if _fro(mat - tr * np.eye(n)) < CLASS_TOL:
+    if _fro(mat - tr * space.eye) < CLASS_TOL:
         return SedlockReport("all", None, 0.0, scalar=complex(np.trace(A.matrix)) / n)
 
     direct, dres = _affine_commutant_solve(mat, space)

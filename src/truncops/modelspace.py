@@ -33,8 +33,9 @@ basis's operators read the hat's table, which is its source's conjugated.
 Elements and operator matrices are immutable after construction.  A basis
 is the one per-generator cache: it holds its grids, the kernels k0 and k~0
 at the origin (as arrays and as elements with their conjugates and squared
-norms), the compressed shift and its adjoint, the conjugations and the
-involution, each built on first read.  They have no other home: a caller
+norms), the compressed shift and its adjoint, the conjugations, the
+involution, the identity matrix and the orbit k0, S k0, ... of k0 under the
+shift, each built on first read.  They have no other home: a caller
 reads them off the bases of the operators it holds, or off `tm_basis(u)`.
 The basis of K_{a hat(b)} that `hankel_space` builds per pair holds the
 bases of K_a, K_hat(b) and K_b from construction, so psi carries its pair.
@@ -73,6 +74,7 @@ class ModelSpaceBasis:
         n = len(generator.zeros)
         # per grid, the values and prod_j b_j over every zero factor
         self._value_cache: dict[int, tuple] = {}
+        self._orbit = np.empty((n, 0), dtype=complex)      # see `orbit`
         self.dim = n
         # each e_k is analytic inside the disk of radius 1/max|a_k|, with at
         # most the zeros at 0 as the degree of its finite part
@@ -148,6 +150,19 @@ class ModelSpaceBasis:
         """The conjugate kernel at the origin, `conj_k0`, as an element."""
         return KernelElement(self, self.conj_k0)
 
+    def orbit(self, count: int) -> np.ndarray:
+        """The columns k0, S k0, ..., S^(count-1) k0, read-only; held, grown
+        to the largest count asked, each column the shift times the one before."""
+        held = self._orbit
+        if held.shape[1] < count:
+            grown = np.empty((self.dim, count), dtype=complex)
+            grown[:, :held.shape[1]] = held
+            grown[:, 0] = self.k0
+            for k in range(max(1, held.shape[1]), count):
+                grown[:, k] = self.shift.matrix @ grown[:, k - 1]
+            held = self._orbit = readonly(grown)
+        return held[:, :count]
+
     # the per-generator operators, each built on first read, with read-only
     # matrices; a caller that holds an operator reads them off its bases
 
@@ -189,14 +204,18 @@ class ModelSpaceBasis:
         return OperatorMatrix(readonly(mat), self, self, antilinear=True)
 
     @cached_property
+    def eye(self) -> np.ndarray:
+        """The identity matrix of K_u, complex and read-only."""
+        return readonly(np.eye(self.dim, dtype=complex))
+
+    @cached_property
     def conjugation_U(self) -> "OperatorMatrix":
         """Coefficient conjugation as an antilinear isometry from K_u onto K_hat(u).
 
         The hat of e_k is the k-th basis function of K_hat(u), so the matrix is
         the identity.
         """
-        eye = readonly(np.eye(self.dim, dtype=complex))
-        return OperatorMatrix(eye, self, tm_basis(self.generator.hat()), antilinear=True)
+        return OperatorMatrix(self.eye, self, tm_basis(self.generator.hat()), antilinear=True)
 
     @cached_property
     def conjugation_U_on(self) -> "OperatorMatrix":

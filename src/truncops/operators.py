@@ -183,7 +183,7 @@ def cross_gram(u: InnerFunction, v: InnerFunction) -> OperatorMatrix:
     """
     dom, cod = tm_basis(u), tm_basis(v)
     if u.zeros == v.zeros:
-        return OperatorMatrix(readonly(np.eye(dom.dim, dtype=complex)), dom, cod)
+        return OperatorMatrix(dom.eye, dom, cod)
     su, sv = dom.shift.matrix, cod.shift.matrix
     rows = [(b, math.sqrt(1.0 - abs(b) ** 2)) for b in v.zeros]
     gram = np.outer(cod.k0, np.conj(dom.k0))    # column j turns into g_j in turn
@@ -208,15 +208,6 @@ def _laurent(sym: RationalSymbol) -> tuple[np.ndarray, int] | None:
     if num.size <= order:
         num = np.concatenate([num, np.zeros(order + 1 - num.size, dtype=complex)])
     return num, order
-
-
-def _krylov(mat: np.ndarray, vec: np.ndarray, count: int) -> np.ndarray:
-    """The columns vec, mat vec, ..., mat^(count-1) vec."""
-    out = np.empty((vec.size, count), dtype=complex)
-    out[:, 0] = vec
-    for k in range(1, count):
-        out[:, k] = mat @ out[:, k - 1]
-    return out
 
 
 def tto_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> OperatorMatrix:
@@ -246,7 +237,8 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     Exact for a Laurent symbol: <e_j, z^m> = conj((S_u^m k0_u)_j), so with
     h_p = c_-(p+1) the matrix is sum_(a+b<N) h_(a+b) x_a y_b^H over the
     columns x_a = S_v^a k0_v and y_b = S_u^b k0_u; the analytic part of the
-    symbol gives 0.  Any other symbol is paired (`tho_by_pairing`).
+    symbol gives 0; the columns are those the bases hold (`ModelSpaceBasis.orbit`).
+    Any other symbol is paired (`tho_by_pairing`).
     """
     laurent = _laurent(sym)
     if laurent is None:
@@ -256,8 +248,8 @@ def tho_matrix(u: InnerFunction, v: InnerFunction, sym: RationalSymbol) -> Opera
     if not order:
         return OperatorMatrix(np.zeros((cod.dim, dom.dim), dtype=complex), dom, cod)
     h = c[order - 1::-1]
-    x = _krylov(cod.shift.matrix, cod.k0, order)
-    yh = _krylov(dom.shift.matrix, dom.k0, order).conj().T
+    x = cod.orbit(order)
+    yh = dom.orbit(order).conj().T
     rows = np.empty((order, dom.dim), dtype=complex)    # rows[a] = sum_b h_(a+b) y_b^H
     for a in range(order):
         rows[a] = h[a:] @ yh[:order - a]
@@ -372,8 +364,11 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
     """
     if (x is not None and x.space != cod) or (y is not None and y.space != dom):
         raise SpaceMismatch("a Sarason pair needs x in the codomain and y in the domain")
-    reach = reduce(Reach.join, [p.space.generator.reach for p in (x, y) if p is not None])
-    if exact and reach.rho == math.inf:
+
+    def reach():
+        return reduce(Reach.join, [p.space.generator.reach for p in (x, y) if p is not None])
+
+    if exact and reach().rho == math.inf:
         terms = ([] if x is None else [x.rep()]) + ([] if y is None else [y.rep().conj_circle()])
         return tto_matrix(dom.generator, cod.generator, sum(terms[1:], terms[0]))
     ops = _warm_tensor(
@@ -391,7 +386,7 @@ def _sarason_tto(dom: ModelSpaceBasis, cod: ModelSpaceBasis, x: SpaceElement | N
                 part = bar if part is None else part + bar
             return part[:, None]
 
-        mat = _symbol_operators(dom, cod, cod.block, symbol, 1, reach.times(dom.generator.reach))
+        mat = _symbol_operators(dom, cod, cod.block, symbol, 1, reach().times(dom.generator.reach))
     else:
         coords = np.zeros(cod.dim + dom.dim, dtype=complex)
         if x is not None:
@@ -416,23 +411,21 @@ def _element_tho(psi: SpaceElement, exact: bool = True) -> OperatorMatrix:
     """
     head, tail, cod = _hankel_parts(psi)
     space = psi.space
-    reach = space.generator.reach
-    if exact and reach.rho == math.inf:
+    if exact and space.generator.reach.rho == math.inf:
         return tho_matrix(head.generator, cod.generator, hankel_symbol(psi).conj_circle())
-    reach = reach.times(head.generator.reach)
     ops = _warm_tensor(
         "tho", head.generator, cod.generator, space.dim,
         lambda: _symbol_operators(
             head, cod, cod.flipped,
             lambda m: np.conj(np.concatenate(
                 [head.values(m), head._running(m)[:, None] * tail.values(m)], axis=1)),
-            space.dim, reach))
+            space.dim, space.generator.reach.times(head.generator.reach)))
     if ops is None:
         x, y = psi.coords[:head.dim], psi.coords[head.dim:]
         mat = _symbol_operators(
             head, cod, cod.flipped,
             lambda m: np.conj(head.values(m) @ x + head._running(m) * (tail.values(m) @ y))[:, None],
-            1, reach)
+            1, space.generator.reach.times(head.generator.reach))
     else:
         mat = ops @ np.conj(psi.coords)
     return OperatorMatrix(mat.reshape(cod.dim, head.dim), head, cod)
@@ -457,7 +450,7 @@ def sedlock_op(u: InnerFunction, alpha, phi: SpaceElement, c=0.0) -> OperatorMat
     else:
         x, y = phi, np.conj(alpha.value) * space.shift.apply(space.conjugation_C.apply(phi))
     mat = _sarason_tto(space, space, x, y).matrix
-    return OperatorMatrix(mat + complex(c) * np.eye(space.dim, dtype=complex), space, space)
+    return OperatorMatrix(mat + complex(c) * space.eye, space, space)
 
 
 def spectral_multiplier(clark: ClarkData, values) -> OperatorMatrix:
@@ -501,15 +494,16 @@ def functional_calculus(u: InnerFunction, alpha, psi: RationalSymbol) -> Operato
     outside the closed disk (beta = 0 at infinity); see `class_level`.
 
     Exact: Horner on the shift perturbation for psi's numerator and
-    denominator, then one solve.  psi must be analytic on the closed disk,
-    where the spectrum of S^beta lies.
+    denominator, then one solve, also for a polynomial psi: a solve by the
+    identity can turn a -0.0 part of its right side into +0.0.  psi must be
+    analytic on the closed disk, where the spectrum of S^beta lies.
     """
     den = psi.den
     if den.size > 1 and np.min(np.abs(npoly.polyroots(den))) <= 1.0 + CIRCLE_POLE_MARGIN:
         raise SingularDenominator("calculus symbol has a pole in the closed disk")
     level, adjoint = class_level(alpha)
     base = clark_perturbation(tm_basis(u), level)
-    eye = np.eye(u.degree, dtype=complex)
+    eye = base.domain.eye
     mat = np.linalg.solve(_horner(den, base.matrix, eye), _horner(psi.num, base.matrix, eye))
     out = OperatorMatrix(mat, base.domain, base.codomain)
     return out.adjoint() if adjoint else out

@@ -22,8 +22,10 @@ generator's zeros), and arithmetic, hat, flip and conjugation on the circle
 combine their operands' reaches.  A stated reach means the coefficients are
 trusted.  Coefficients given with no reach are certified at construction:
 no denominator root may lie within 1e-6 of the circle, and the reach is read
-off the root moduli.  Arithmetic on certified symbols cannot create new
-poles, so its results skip the (cubic-cost) root check.
+off the root moduli.  One monomial test per construction comes first: a
+denominator z^N, that of every Laurent symbol read back from JSON, has its
+reach without a root solve.  Arithmetic on certified symbols cannot create
+new poles, so its results skip the (cubic-cost) root check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ CIRCLE_POLE_MARGIN = 1e-6
 
 
 def _as_coeffs(c) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
+    arr = np.asarray(c, dtype=complex).reshape(-1)
     if arr.size == 0:
         arr = np.zeros(1, dtype=complex)
     return arr
@@ -104,7 +106,7 @@ class RationalSymbol:
             return
         num, den = _canonical(num, den)
         if reach is None:   # uncertified coefficients
-            self._reach = _reach_of(num, den, _certify_den(den))
+            self._reach = _reach_of(num, den)
         self._coeffs = (num, den)
         self._expand = None
         # the canonical zero evaluates directly to exact zeros
@@ -352,29 +354,21 @@ def _zpow(k: int) -> np.ndarray:
     return out
 
 
-def _certify_den(den: np.ndarray) -> np.ndarray:
-    """The roots of a denominator, certified to keep off the circle.
+def _reach_of(num: np.ndarray, den: np.ndarray) -> Reach:
+    """The reach of num/den over a monic denominator, whose roots are
+    certified to keep off the circle.
 
-    A monomial z^k has its k roots at 0 exactly, with no eigenvalue solve.
+    The finite part runs from the pole order at 0 (the exact low zeros of
+    den) to the pole order at infinity (deg num - deg den).  A monomial z^N
+    has every pole at 0, of order N, with no eigenvalue solve.
     """
-    if not den[:-1].any():
-        return np.zeros(den.size - 1, dtype=complex)
+    if np.count_nonzero(den) == 1:      # z^N, as den is monic
+        return Reach(np.inf, max(den.size - 1, num.size - den.size))
     roots = npoly.polyroots(den)
-    if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < CIRCLE_POLE_MARGIN:
+    if np.min(np.abs(np.abs(roots) - 1.0)) < CIRCLE_POLE_MARGIN:
         raise PoleOnCircle(
             f"denominator root within {CIRCLE_POLE_MARGIN:g} of the unit circle"
         )
-    return roots
-
-
-def _reach_of(num: np.ndarray, den: np.ndarray, roots) -> Reach:
-    """The reach of num/den over a monic denominator with these roots.
-
-    The finite part runs from the pole order at 0 (the exact low zeros of
-    den) to the pole order at infinity (deg num - deg den).
-    """
-    if not den[:-1].any():      # z^N: every pole at 0, of order N
-        return Reach(np.inf, max(den.size - 1, num.size - den.size))
     at_zero = int(np.argmax(den != 0))
     at_infinity = max(0, num.size - den.size)
     return Reach.of_poles(roots, max(at_zero, at_infinity))

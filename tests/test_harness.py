@@ -23,6 +23,22 @@ from truncops.quadrature import QUAD_START, QuadratureSettings
 
 SEED7_REPORT = Path(__file__).parent / "data" / "seed7_report.json"
 
+# the checks that fail every degree-1 trial, with the error or the flags
+# that fail them (ROADMAP item 3)
+DEGREE_ONE_FAILURES = {
+    "atto-product": {"cross_class_consistent": False},
+    "cross-space-unitary": {"generic_conditions": [False, False, True, True, False],
+                            "zero_product": [True, True, False]},
+    "hankel-inverse": {"alpha": "1+0j", "inverse_alpha": "1+0j"},
+    "hankel-product-symbols": "NoCertificate: a factor is a scalar multiple of the involution",
+    "hankel-product-toeplitz": {"mismatch_consistent": False},
+    "hankel-unitary": {"generic_conditions": [False, False, False, True, True, False]},
+    "hankel-zero-product": {"clark_verdict": False},
+    "involution-identities": {"transport_ok": False, "transport_ok_infinity": False},
+    "mixed-product": {"mismatch_consistent": False},
+    "rank-one-examples": {"class_is_u_of_lambda": False, "criterion": False},
+}
+
 
 def _first_difference(got: dict, want: dict) -> str:
     """Where a report first differs from the wanted one: a top-level field,
@@ -128,6 +144,24 @@ class TestSuite:
         for check in failed.values():
             for ce in check["counterexamples"]:
                 assert ce["error"].startswith("Singular"), ce["error"]
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+    def test_degree_one_sweep_fails_as_recorded(self, seed):
+        # at degree 1, K_u is one-dimensional: every operator is a scalar and
+        # lies in every class, and these ten checks expect what a larger
+        # space gives.  This pins today's failing set, each with its error or
+        # its false flags, so that a mend or a new failure shows here
+        rep = run_suite(SuiteConfig(seed=seed, trials=1, degree_range=(1, 1)))
+        failed = {c["id"]: c["counterexamples"] for c in rep.checks if c["failures"]}
+        assert set(failed) == set(DEGREE_ONE_FAILURES), rep.human_summary()
+        for cid, want in DEGREE_ONE_FAILURES.items():
+            (ce,) = failed[cid]
+            if isinstance(want, str):
+                assert ce["error"] == want, cid
+                continue
+            assert ce["error"] is None, cid
+            details = json.loads(json.dumps(ce["details"]))
+            assert {k: details[k] for k in want} == want, cid
 
     @pytest.mark.parametrize("seed, band", [(303, (16, 18)), (304, (16, 18)),
                                             (303, (23, 25)), (304, (23, 25))])

@@ -98,6 +98,24 @@ class TestBasis:
         quad_norm = np.sqrt(inner_product(f.rep(), f.rep()).real)
         assert abs(f.norm() - quad_norm) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 32])
+    def test_the_held_orbit_has_the_bits_of_a_fresh_build(self, n):
+        # the orbit is grown from the columns it holds, and a shorter one is
+        # a slice of it; each has the bits of the columns built afresh
+        basis = ModelSpaceBasis(_random_inner(np.random.default_rng(3404 + n), n))
+
+        def fresh(count):
+            out = np.empty((n, count), dtype=complex)
+            out[:, 0] = basis.k0
+            for k in range(1, count):
+                out[:, k] = basis.shift.matrix @ out[:, k - 1]
+            return out
+
+        for count in (2, 1, 5, 3, 9, 9, 4):
+            got = basis.orbit(count)
+            assert got.shape == (n, count) and not got.flags.writeable
+            assert got.tobytes() == fresh(count).tobytes()
+
 
 class TestInnerProduct:
     def test_orthonormal_monomials(self):

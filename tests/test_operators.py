@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from threading import Barrier
@@ -819,6 +820,53 @@ class TestWarmPairs:
         assert counts == [0, 0, 1]
 
 
+# sha256 of `_warm_session_record()`; a change that moves a bit of the warm
+# path on purpose recomputes it
+WARM_SESSION_SHA256 = "0ee64b4bc07b6b98f71f626d2b03bfab2681266db032e9f97e9307ed056ea28e"
+
+
+def _warm_session_record() -> bytes:
+    """A library session on one fixed generator pair per degree 2, 8 and 32:
+    per round, a tto op (`tto_matrix`, `is_tto`), a tho op (`tho_matrix`,
+    `is_tho`) on Laurent symbols read back from JSON, and a Sedlock op
+    (`sedlock_op`, `sedlock_class`), for 2 deg + 2 rounds, so that every pair
+    is warm in the last.  Records each round's verdicts, residuals, class
+    parameter and pairing count, floats as hex."""
+    rng = np.random.default_rng(3401)
+    lines = []
+    with quadrature.use(quadrature.Evaluation()):
+        for d in (2, 8, 32):
+            u, v = random_inner(rng, d), random_inner(rng, d)
+            for _ in range(2 * d + 2):
+                syms = [RationalSymbol.from_json(random_laurent(rng, int(rng.integers(1, 4)))
+                                                 .to_json()) for _ in range(2)]
+                alpha = complex(0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+                phi = tm_basis(u).element(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+                c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                with quadrature.tally() as own:
+                    a = is_tto(tto_matrix(u, v, syms[0]))
+                    b = is_tho(tho_matrix(u, v, syms[1]))
+                    rep = classify.sedlock_class(sedlock_op(u, alpha, phi, c))
+                lines.append(" ".join(map(str, (
+                    d, a.is_member, a.displacement_residual.hex(), a.rebuild_residual.hex(),
+                    b.is_member, b.displacement_residual.hex(), b.rebuild_residual.hex(),
+                    rep.membership, rep.alpha.value.real.hex(), rep.alpha.value.imag.hex(),
+                    rep.commutator_residual.hex(), own.pairings))))
+    return "\n".join(lines).encode()
+
+
+def test_a_warm_library_session_keeps_its_bits():
+    # the suites pin their reports byte for byte, but they run cold; this
+    # pins the warm path of a session: contracted rebuilds, memo hits and
+    # symbols read back from JSON
+    record = _warm_session_record()
+    rows = [line.split() for line in record.decode().splitlines()]
+    assert all(r[1] == r[4] == "True" and r[7] == "finite" for r in rows)
+    last = {r[0]: int(r[-1]) for r in rows}
+    assert last == {"2": 0, "8": 0, "32": 0}    # every pair warm in its last round
+    assert hashlib.sha256(record).hexdigest() == WARM_SESSION_SHA256
+
+
 class TestFunctionalCalculus:
     def test_identity_function(self, u_generic):
         got = functional_calculus(u_generic, 0.0, RationalSymbol.monomial(1))
@@ -852,6 +900,39 @@ class TestFunctionalCalculus:
         cdat = clark_points(u_sym, 1.0)
         m = spectral_multiplier(cdat, [1.0] * 3)
         assert np.max(np.abs(m.matrix - np.eye(3))) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4 - 0.3j, np.exp(0.9j), 2.5 + 1j, "infinity"])
+    def test_a_polynomial_goes_through_the_solve_too(self, alpha, monkeypatch):
+        # solve(I, X) is not X bit for bit: it turns some -0.0 parts of X
+        # into +0.0 (a triangular X at a level 0, a constant psi), so skipping
+        # it for denominator 1 would move the signs of exact zeros; every psi
+        # is solved once, with the bits of the one-solve form
+        alpha = ExtendedScalar.infinity() if alpha == "infinity" else alpha
+        solve, solves = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        rng = np.random.default_rng(3403)
+        signed = np.array([0.0, -0.0, 0.5, -1.25])
+        for n in range(1, 33):
+            u = random_inner(rng, n)
+            k = int(rng.integers(1, 5))
+            num = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            if n % 2:       # exact zeros and -0.0 parts
+                num = rng.choice(signed, k) + 1j * rng.choice(signed, k)
+            for psi in (RationalSymbol.polynomial(num), RationalSymbol(num, [-3.0, 1.0 + 0.5j])):
+                del solves[:]
+                got = functional_calculus(u, alpha, psi).matrix
+                assert len(solves) == 1
+                assert got.tobytes() == _calculus_by_one_solve(u, alpha, psi, solve).tobytes()
+
+
+def _calculus_by_one_solve(u, alpha, psi, solve):
+    """functional_calculus as Horner for psi's numerator and denominator on
+    the shift perturbation, then one solve, whatever the denominator."""
+    level, adjoint = operators.class_level(alpha)
+    base = clark_perturbation(tm_basis(u), level).matrix
+    eye = np.eye(u.degree, dtype=complex)
+    mat = solve(operators._horner(psi.den, base, eye), operators._horner(psi.num, base, eye))
+    return mat.conj().T if adjoint else mat
 
 
 def _quadrature_calculus_symbol(u, a, psi):

@@ -305,6 +305,21 @@ def test_a_build_that_raises_takes_no_slot(monkeypatch):
         assert (table.hits, table.misses) == (1, quadrature.MEMO_SIZE + 2)
 
 
+def test_a_key_that_cannot_be_hashed_leaves_the_memo_unlocked():
+    # the lookup raises while the memo holds its lock; a lock left held on
+    # that path would make every later lookup wait for ever
+    u = InnerFunction([0.3, -0.5j])
+    with quadrature.use(quadrature.Evaluation()) as ev:
+        basis = modelspace.tm_basis(u)
+        with pytest.raises(TypeError):
+            modelspace.tm_basis([1, 2])
+        assert ev.memo._lock.acquire(blocking=False)
+        ev.memo._lock.release()
+        assert modelspace.tm_basis(u) is basis
+        table = ev.memo.tables[modelspace.tm_basis.__wrapped__]
+        assert (table.hits, table.misses, len(table)) == (1, 1, 1)
+
+
 class _Colliding:
     """A key whose hash is every other's and whose ``__eq__`` is Python code
     that sleeps, so comparing it lets other threads run."""

@@ -244,13 +244,124 @@ def test_monomial_denominator_roots_need_no_eigenvalue_solve(k, monkeypatch):
     num = np.array([0.5, -1.0j, 2.0])
     den = np.zeros(k + 1, dtype=complex)
     den[k] = 3.0
-    want = ratfun._reach_of(*ratfun._canonical(num, den), npoly.polyroots(den / 3.0))
+    want = _reference_symbol(num, den)[2]
     calls = []
     monkeypatch.setattr(ratfun.npoly, "polyroots", lambda c: calls.append(c))
     sym = RationalSymbol(num, den)
     assert calls == []
     assert sym.reach == want
-    assert ratfun._certify_den(sym.den).tobytes() == np.zeros(k, dtype=complex).tobytes()
+
+
+# the construction of a symbol from coefficients as three passes, each with
+# its own monomial test: the reference for the one-pass constructor
+
+
+def _reference_as_coeffs(c) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(c, dtype=complex)).ravel()
+    return np.zeros(1, dtype=complex) if arr.size == 0 else arr
+
+
+def _reference_trim(c: np.ndarray) -> np.ndarray:
+    n = c.size
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _reference_canonical(num, den):
+    num = _reference_trim(_reference_as_coeffs(num))
+    den = _reference_trim(_reference_as_coeffs(den))
+    if den.size == 1 and den[0] == 0:
+        raise PoleOnCircle("denominator is identically zero")
+    lead = den[-1]
+    den = den / lead
+    num = num / lead
+    if num.size == 1 and num[0] == 0:
+        den = np.ones(1, dtype=complex)
+    return num, den
+
+
+def _reference_certify_den(den):
+    if not den[:-1].any():
+        return np.zeros(den.size - 1, dtype=complex)
+    roots = npoly.polyroots(den)
+    if roots.size and np.min(np.abs(np.abs(roots) - 1.0)) < 1e-6:
+        raise PoleOnCircle("denominator root near the unit circle")
+    return roots
+
+
+def _reference_reach_of(num, den, roots) -> Reach:
+    if not den[:-1].any():
+        return Reach(np.inf, max(den.size - 1, num.size - den.size))
+    at_zero = int(np.argmax(den != 0))
+    at_infinity = max(0, num.size - den.size)
+    return Reach.of_poles(roots, max(at_zero, at_infinity))
+
+
+def _reference_symbol(num, den):
+    num, den = _reference_canonical(num, den)
+    return num, den, _reference_reach_of(num, den, _reference_certify_den(den))
+
+
+def _construction_cases():
+    rng = np.random.default_rng(3402)
+    signed = np.array([0.0, -0.0, 1.5, -2.25])
+
+    def draw(n):
+        kind = rng.integers(3)
+        if kind == 0:
+            return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kind == 1:       # exact zeros and -0.0 parts
+            return rng.choice(signed, n) + 1j * rng.choice(signed, n)
+        return rng.standard_normal(n)
+
+    for _ in range(400):
+        num = draw(int(rng.integers(1, 7)))
+        if rng.uniform() < 0.3:
+            num = np.concatenate([num, np.zeros(int(rng.integers(1, 3)))])
+        shape = rng.integers(4)
+        if shape == 0:      # z^N, trailing zeros and a non-monic lead
+            den = np.zeros(int(rng.integers(1, 6)), dtype=complex)
+            den[-1] = complex(rng.choice(signed[2:]), rng.choice(signed[:2]))
+            den = np.concatenate([den, np.zeros(int(rng.integers(0, 2)))])
+        elif shape == 1:    # roots off the circle, some of them at 0
+            roots = np.concatenate([np.zeros(int(rng.integers(0, 3))),
+                                    rng.choice([0.4, 1.8], 3) * np.exp(2j * np.pi * rng.uniform(size=3))])
+            den = (1.5 - 0.5j) * npoly.polyfromroots(roots)
+        elif shape == 2:    # a root on the circle
+            den = npoly.polyfromroots([np.exp(2j * np.pi * rng.uniform()), 0.3])
+        else:
+            den = draw(int(rng.integers(1, 5)))
+        yield num, den
+    yield [0.0], [1.0]
+    yield [-0.0, 0.0], [0.0, 2.0]
+    yield np.zeros(3), [0.5, 0.25, 1.0]
+    yield [], [1.0]
+    yield 2.5 - 0.0j, 1.0
+    yield [1.0, 2.0], [0.0, 0.0]
+    yield [[1.0, 2.0], [3.0, -0.0]], [[0.0, 0.0, 4.0]]
+
+
+def test_one_pass_construction_has_the_bits_of_the_three_passes():
+    checked = 0
+    for num, den in _construction_cases():
+        try:
+            want = _reference_symbol(num, den)
+        except PoleOnCircle:
+            with pytest.raises(PoleOnCircle):
+                RationalSymbol(num, den)
+            continue
+        sym = RationalSymbol(num, den)
+        assert sym.num.tobytes() == want[0].tobytes(), (num, den)
+        assert sym.den.tobytes() == want[1].tobytes(), (num, den)
+        assert sym.reach == want[2], (num, den)
+        obj = sym.to_json()     # the path of every symbol read back from JSON
+        want = _reference_symbol(*([complex(re, im) for re, im in obj[k]] for k in ("num", "den")))
+        got = RationalSymbol.from_json(obj)
+        assert (got.num.tobytes(), got.den.tobytes(), got.reach) == (
+            want[0].tobytes(), want[1].tobytes(), want[2])
+        checked += 1
+    assert checked > 250
 
 
 def test_laurent_reach_matches_the_general_path():
